@@ -120,8 +120,9 @@ class Field:
     def is_zero(self, a):
         return a.value == self._zero_value()
 
-    # subclasses supply: from_int, _add, _neg, _mul, _inv, _zero_value,
-    # characteristic, format_element, and (finite case) order/elements
+    # subclasses supply: from_int, _add, _neg, _mul, _inv, _zero_value (or
+    # an is_zero of their own), characteristic, format_element, and (finite
+    # case) order/elements
 
 
 class RationalField(Field):
@@ -143,8 +144,9 @@ class RationalField(Field):
     def from_fraction(self, num, den=1):
         return FieldElement(self, Fraction(num, den))
 
-    def _zero_value(self):
-        return Fraction(0)
+    def is_zero(self, a):
+        # Fraction.__bool__ tests the numerator and allocates nothing
+        return not a.value
 
     def _add(self, a, b):
         return FieldElement(self, a.value + b.value)

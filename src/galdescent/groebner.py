@@ -4,7 +4,18 @@ semilinear transport of polynomials.
 Bases are always reduced and monic, so equal ideals under the same order get
 the same basis and CLI output stays deterministic.  A step budget turns
 runaway computations into a loud ``BudgetExceeded``.
+
+S-pairs wait in a heap keyed on the order key of their lcm, with an insertion
+counter that makes equal lcms pop first in, first out; the normal form keeps
+the working polynomial's monomials in a heap on ``MonomialOrder.heap_key``
+and pops the leading term from it.  Each basis element's leading monomial is
+computed once.  The selection (smallest lcm first, then oldest pair; largest
+working term first) fixes the sequence of reduction steps, and so what a
+budget allows; ``tests/test_groebner.py`` pins the step counts.
 """
+
+from heapq import heapify, heappop, heappush
+from itertools import count
 
 from .errors import BudgetExceeded, FieldMismatch
 from .multipoly import (
@@ -93,14 +104,23 @@ def normal_form(poly, basis, order=GREVLEX, budget=DEFAULT_BUDGET):
         return poly
     budget = _as_budget(budget)
     field, variables = poly.field, poly.variables
-    leading_data = [(g.leading(order)[0], g.leading(order)[1].inverse(), g)
-                    for g in basis]
+    leading_data = []
+    for g in basis:
+        lt, lc = g.leading(order)
+        leading_data.append((lt, lc.inverse(), g))
     remainder = {}
     work = dict(poly.terms)
-    key = order.key
-    while work:
-        exps = max(work, key=key)
-        coeff = work.pop(exps)
+    # every monomial of ``work`` is in the heap; entries whose term has since
+    # cancelled are skipped when popped.  Reduction only adds terms below the
+    # one it cancels, so a popped monomial never re-enters ``work``.
+    heap_key = order.heap_key
+    heap = [(heap_key(e), e) for e in work]
+    heapify(heap)
+    while heap:
+        exps = heappop(heap)[1]
+        coeff = work.pop(exps, None)
+        if coeff is None:
+            continue
         for lt, lc_inv, g in leading_data:
             if _monomial_divides(lt, exps):
                 budget.spend()
@@ -113,6 +133,8 @@ def normal_form(poly, basis, order=GREVLEX, budget=DEFAULT_BUDGET):
                     prev = work.get(e)
                     val = (prev - factor * gc) if prev is not None else -(factor * gc)
                     if val:
+                        if prev is None:
+                            heappush(heap, (heap_key(e), e))
                         work[e] = val
                     elif prev is not None:
                         del work[e]
@@ -122,14 +144,12 @@ def normal_form(poly, basis, order=GREVLEX, budget=DEFAULT_BUDGET):
     return MultiPolynomial(field, variables, remainder)
 
 
-def _s_polynomial(f, g, order):
-    lt_f, lc_f = f.leading(order)
-    lt_g, lc_g = g.leading(order)
+def _s_polynomial(f, lt_f, g, lt_g):
     lcm = _monomial_lcm(lt_f, lt_g)
     mf = MultiPolynomial(f.field, f.variables,
-                         {_monomial_div(lcm, lt_f): lc_f.inverse()})
+                         {_monomial_div(lcm, lt_f): f.terms[lt_f].inverse()})
     mg = MultiPolynomial(g.field, g.variables,
-                         {_monomial_div(lcm, lt_g): lc_g.inverse()})
+                         {_monomial_div(lcm, lt_g): g.terms[lt_g].inverse()})
     return mf * f - mg * g
 
 
@@ -139,44 +159,51 @@ def buchberger(generators, order=GREVLEX, budget=DEFAULT_BUDGET):
     if not basis:
         return []
     budget = _as_budget(budget)
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    while pairs:
-        pairs.sort(key=lambda p: order.key(
-            _monomial_lcm(basis[p[0]].leading(order)[0], basis[p[1]].leading(order)[0])))
-        i, j = pairs.pop(0)
-        lt_i = basis[i].leading(order)[0]
-        lt_j = basis[j].leading(order)[0]
+    leads = [g.leading(order)[0] for g in basis]
+    # pairs pop smallest lcm first; the insertion counter breaks ties first
+    # in, first out
+    pairs = []
+    counter = count()
+
+    def add_pair(i, j):
+        lcm = _monomial_lcm(leads[i], leads[j])
         # Buchberger's first criterion: coprime leading monomials reduce to 0
-        if _monomial_mul(lt_i, lt_j) == _monomial_lcm(lt_i, lt_j):
-            continue
+        if lcm != _monomial_mul(leads[i], leads[j]):
+            heappush(pairs, (order.key(lcm), next(counter), i, j))
+
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            add_pair(i, j)
+    while pairs:
+        _, _, i, j = heappop(pairs)
         budget.spend()
-        s = _s_polynomial(basis[i], basis[j], order)
+        s = _s_polynomial(basis[i], leads[i], basis[j], leads[j])
         remainder = normal_form(s, basis, order, budget)
         if not remainder.is_zero:
             basis.append(remainder)
+            leads.append(remainder.leading(order)[0])
             k = len(basis) - 1
-            pairs.extend((m, k) for m in range(k))
-    return _reduce_basis(basis, order, budget)
+            for m in range(k):
+                add_pair(m, k)
+    return _reduce_basis(basis, leads, order, budget)
 
 
-def _reduce_basis(basis, order, budget):
+def _reduce_basis(basis, leads, order, budget):
     # minimalize: LT(h) | LT(g) forces LT(h) <= LT(g), so an ascending sweep
     # keeping only elements whose LT no kept LT divides is complete
-    ordered = sorted((g for g in basis if not g.is_zero),
-                     key=lambda g: order.key(g.leading(order)[0]))
-    kept = []
-    for g in ordered:
-        lt = g.leading(order)[0]
-        if not any(_monomial_divides(h.leading(order)[0], lt) for h in kept):
+    ordered = sorted(zip(leads, basis), key=lambda p: order.key(p[0]))
+    kept, kept_leads = [], []
+    for lt, g in ordered:
+        if not any(_monomial_divides(h, lt) for h in kept_leads):
             kept.append(g)
+            kept_leads.append(lt)
+    # full reduction keeps each minimal leading term, so ``reduced`` stays
+    # in ascending order
     reduced = []
-    for i, g in enumerate(kept):
+    for i, (lt, g) in enumerate(zip(kept_leads, kept)):
         others = kept[:i] + kept[i + 1:]
         r = normal_form(g, others, order, budget) if others else g
-        if not r.is_zero:
-            lc = r.leading(order)[1]
-            reduced.append(r * lc.inverse())
-    reduced.sort(key=lambda g: order.key(g.leading(order)[0]))
+        reduced.append(r * r.terms[lt].inverse())
     return reduced
 
 

@@ -26,6 +26,16 @@ class MonomialOrder:
         head, tail = exps[: self.split], exps[self.split:]
         return (self._grevlex_key(head), self._grevlex_key(tail))
 
+    def heap_key(self, exps):
+        """Min-first key: ascending ``heap_key`` is descending ``key``, so a
+        ``heapq`` of these pops the largest monomial first."""
+        if self.kind == "lex":
+            return tuple([-e for e in exps])
+        if self.kind == "grevlex":
+            return (-sum(exps), *exps[::-1])
+        head, tail = exps[: self.split], exps[self.split:]
+        return (-sum(head), *head[::-1], -sum(tail), *tail[::-1])
+
     @staticmethod
     def _grevlex_key(exps):
         return (sum(exps), tuple(-e for e in reversed(exps)))
@@ -88,19 +98,6 @@ class MultiPolynomial:
     def ring_vars(cls, field, variables):
         """The variable polynomials of k[variables], in order."""
         return tuple(cls.variable(field, variables, name) for name in variables)
-
-    @classmethod
-    def from_terms(cls, field, variables, pairs):
-        """pairs of (exponent tuple, coefficient); repeated exponents add."""
-        terms = {}
-        for exps, coeff in pairs:
-            if isinstance(coeff, int):
-                coeff = field.from_int(coeff)
-            if exps in terms:
-                terms[exps] = terms[exps] + coeff
-            else:
-                terms[exps] = coeff
-        return cls(field, variables, terms)
 
     @property
     def is_zero(self):
@@ -270,12 +267,6 @@ class MultiPolynomial:
                 new[positions[old_i]] = e
             out[tuple(new)] = coeff
         return MultiPolynomial(self.field, tuple(variables), out)
-
-    def sort_key(self, order=GREVLEX):
-        """Deterministic comparison key: (total degree, sorted term list)."""
-        items = sorted(self.terms, key=order.key, reverse=True)
-        return (self.total_degree(), tuple(items),
-                tuple(repr(self.terms[e]) for e in items))
 
     def __repr__(self):
         return self.format()

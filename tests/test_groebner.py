@@ -8,13 +8,14 @@ from galdescent.fields import GF, QQ
 from galdescent.galois import verify_automorphism
 from galdescent.groebner import (
     Ideal,
+    _Budget,
     apply_semilinear,
     buchberger,
     eliminate,
     ideal_equal,
     normal_form,
 )
-from galdescent.multipoly import GREVLEX, LEX, MultiPolynomial
+from galdescent.multipoly import GREVLEX, LEX, MultiPolynomial, block_order
 from galdescent.unipoly import UniPoly
 
 
@@ -54,6 +55,61 @@ class TestBuchberger:
         gens = [vs[i] ** 3 + vs[(i + 1) % 7] * vs[(i + 2) % 7] + 1 for i in range(7)]
         with pytest.raises(BudgetExceeded):
             buchberger(gens, LEX, budget=5)
+
+
+def katsura(n, field):
+    """Katsura-n with its relations in the order of the benchmark documents:
+    u0 + 2(u1 + ... + un) - 1, then for m < n the sum over l in [-n, n] of
+    u_|l| u_|m-l|, minus u_m."""
+    names = tuple(f"u{i}" for i in range(n + 1))
+    u = ring(field, names)
+    zero = MultiPolynomial.zero(field, names)
+    relations = [u[0] + sum((2 * v for v in u[1:]), zero) - 1]
+    for m in range(n):
+        total = sum((u[abs(l)] * u[abs(m - l)] for l in range(-n, n + 1)
+                     if abs(m - l) <= n), zero)
+        relations.append(total - u[m])
+    return relations
+
+
+class TestReductionSequence:
+    """The pair and term selection fixes how many reduction steps a basis
+    costs, and so what ``--budget`` allows; these counts pin it."""
+
+    @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["gf32003", "qq"])
+    @pytest.mark.parametrize("n,steps,size", [(3, 202, 7), (4, 1597, 13)])
+    def test_katsura_steps(self, field, n, steps, size):
+        budget = _Budget(10 ** 6)
+        basis = buchberger(katsura(n, field), GREVLEX, budget)
+        assert budget.limit - budget.remaining == steps
+        assert len(basis) == size
+
+    def test_tied_pairs_pop_first_in_first_out(self):
+        # the elimination ideal of the Frobenius-swap descent over GF(9);
+        # several pairs share an lcm here, and popping them last in, first
+        # out would take 48 steps
+        F9 = make_extension(GF(3), UniPoly.from_ints(GF(3), [1, 0, 1]))
+        t = F9.generator
+        x, y, a0, a1, b0, b1 = ring(F9, ("x", "y", "a0", "a1", "b0", "b1"))
+        gens = [x * y + 2, 2 * x + 2 * y + a0, 2 * t * x + t * y + a1,
+                2 * x + 2 * y + b0, t * x + 2 * t * y + b1]
+        budget = _Budget(10 ** 6)
+        basis = buchberger(gens, block_order(2), budget)
+        assert budget.limit - budget.remaining == 69
+        assert len(basis) == 5
+
+
+class TestMonomialOrder:
+    @pytest.mark.parametrize("order", [LEX, GREVLEX, block_order(1),
+                                       block_order(2), block_order(3)],
+                             ids=repr)
+    def test_heap_key_reverses_key(self, order):
+        rng = random.Random(41)
+        monomials = list({tuple(rng.randrange(4) for _ in range(4))
+                          for _ in range(200)})
+        rng.shuffle(monomials)
+        assert (sorted(monomials, key=order.heap_key)
+                == sorted(monomials, key=order.key, reverse=True))
 
 
 class TestNormalForm:
