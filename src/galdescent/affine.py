@@ -9,7 +9,12 @@ sigma-conjugated coefficients); the conjugate-scheme picture is recovered in
 :func:`descend_from_embeddings`.
 """
 
-from .enumeration import DEFAULT_POINT_BUDGET, affine_points
+from .enumeration import (
+    DEFAULT_POINT_BUDGET,
+    SmallFieldTables,
+    affine_points,
+    check_point_budget,
+)
 from .errors import (
     CocycleViolation,
     ConditionAViolated,
@@ -627,18 +632,22 @@ def derive_point_action(datum, budget=DEFAULT_POINT_BUDGET):
     algebra = datum.algebra
     ext = algebra.field
     group = datum.group
-    points = affine_points(list(algebra.relations.generators), ext,
-                           len(algebra.variables), budget)
-    index = {p: i for i, p in enumerate(points)}
+    nvars = len(algebra.variables)
+    check_point_budget(ext, nvars, budget)
+    tables = SmallFieldTables(ext)
+    points = affine_points(list(algebra.relations.generators), ext, nvars,
+                           budget, tables=tables)
+    coded = [tuple(map(tables.encode, p)) for p in points]
+    index = {p: i for i, p in enumerate(coded)}
     permutations = []
     for idx in range(group.order):
-        sigma = group.elements[idx]
+        sigma = tables.permutation(group.elements[idx])
         inv = group.inverse[idx]
-        inv_images = [datum.maps[inv].images[name] for name in algebra.variables]
+        inv_images = [tables.compile_poly(datum.maps[inv].images[name])
+                      for name in algebra.variables]
         perm = []
-        for p in points:
-            coords = tuple(sigma(poly.evaluate(p)) for poly in inv_images)
-            target = index.get(coords)
+        for p in coded:
+            target = index.get(tuple(sigma[image(p)] for image in inv_images))
             if target is None:
                 raise InternalContradiction(
                     "action image escaped the point set; datum invalid")

@@ -18,7 +18,7 @@ from .affine import (
     splits,
     validate_datum,
 )
-from .enumeration import count_affine_points
+from .enumeration import count_affine_points, count_fixed_vectors
 from .errors import BudgetExceeded, GaldescentError
 from .extension import ExtensionField, finite_field, make_extension
 from .fields import GF, QQ, PrimeField, RationalField
@@ -433,36 +433,13 @@ def run_fixed(workspace, command, oracle):
     counit_check(module)
     lines.append("counit: invertible")
     if oracle and ext.is_finite:
-        count = 0
-        for point in _all_vectors(ext, module.dim):
-            if all(module.act(idx, point) == point
-                   for idx in range(module.group.order)):
-                count += 1
+        count = count_fixed_vectors(module)
         expected = ext.base.order ** space.dim
         verdict = "PASS" if count == expected else "FAIL"
         lines.append(f"oracle: fixed vectors {count} == {expected} : {verdict}")
         if verdict == "FAIL":
             raise GaldescentError("fixed-vector oracle failed")
     return lines
-
-
-def _all_vectors(ext, n):
-    elems = list(ext.elements())
-    idx = [0] * n
-    if n == 0:
-        yield ()
-        return
-    while True:
-        yield tuple(elems[i] for i in idx)
-        k = 0
-        while k < n:
-            idx[k] += 1
-            if idx[k] < len(elems):
-                break
-            idx[k] = 0
-            k += 1
-        if k == n:
-            return
 
 
 def run_amitsur(workspace, command, oracle):

@@ -1,11 +1,19 @@
 """Brute-force point enumeration over finite fields and finite algebras.
 
-Solution sets are tiny but appear inside doubly-exponential loops, so the
-finite-field path compiles polynomials down to index arithmetic over
-precomputed multiplication tables.
+Solution sets are tiny but appear inside doubly-exponential loops, so every
+finite-field oracle (affine points, the induced action on points, fixed
+vectors of a semilinear module) runs on index arithmetic: the q elements are
+coded 0..q-1 in the order of ``field.elements()``, that is as base-p integers
+whose digits, least significant first, are the coordinates on the power
+basis.  :class:`SmallFieldTables` builds the q x q product and sum tables
+with O(q) field operations: products from a log/antilog table over the
+first element of order exactly q - 1, found by exhaustive powering; sums by
+digit-wise addition mod p.
 """
 
-from .errors import BudgetExceeded
+from itertools import product
+
+from .errors import BudgetExceeded, FieldMismatch, InternalContradiction
 
 DEFAULT_POINT_BUDGET = 2_000_000
 
@@ -16,16 +24,72 @@ class SmallFieldTables:
     def __init__(self, field):
         self.field = field
         self.elements = list(field.elements())
-        self.index = {e: i for i, e in enumerate(self.elements)}
         q = len(self.elements)
         self.q = q
-        self.mul = [[self.index[self.elements[i] * self.elements[j]]
-                     for j in range(q)] for i in range(q)]
-        self.add = [[self.index[self.elements[i] + self.elements[j]]
-                     for j in range(q)] for i in range(q)]
-        self.zero = self.index[field.zero]
+        p = field.characteristic
+        # table entries are these shared int objects, not fresh ones
+        self.ints = ints = list(range(q))
+        self._weights = [p ** k for k in range(getattr(field, "degree", 1))]
+        self.zero = zero = ints[0]
+        antilog = self._antilog()
+        log = [0] * q
+        for k, v in enumerate(antilog):
+            log[v] = k
+        # a sum of two logs is below 2(q - 1): index it without reducing
+        doubled = antilog + antilog
+        nonzero_logs = log[1:]
+        self.mul = [[zero] * q]
+        for li in nonzero_logs:
+            self.mul.append([zero] + [doubled[li + lj] for lj in nonzero_logs])
+        add = [[ints[(i + j) % p] for j in range(p)] for i in range(p)]
+        size = p
+        while size < q:
+            # index = low + size * high: add one more base-p digit on top
+            add = [[ints[low + size * ((high_i + high_j) % p)]
+                    for high_j in range(p) for low in add[low_i]]
+                   for high_i in range(p) for low_i in range(size)]
+            size *= p
+        self.add = add
 
-    def compile_poly(self, poly, max_degree=None):
+    def _antilog(self):
+        """g^0 .. g^(q-2) as indices, for the first element g (in index
+        order) whose powers return to 1 after exactly q - 1 steps."""
+        q = self.q
+        one = self.encode(self.field.one)
+        ruled_out = [False] * q
+        ruled_out[0] = True
+        for start in range(1, q):
+            if ruled_out[start]:
+                continue
+            g = self.elements[start]
+            powers = [one]
+            power, k = g, start
+            while k != one:
+                powers.append(k)
+                power = power * g
+                k = self.encode(power)
+            if len(powers) == q - 1:
+                return powers
+            # every power of g lies in a proper subgroup
+            for k in powers:
+                ruled_out[k] = True
+        raise InternalContradiction(f"no element of order {q - 1} in {self.field!r}")
+
+    def encode(self, element):
+        """The index of a field element, read off its coordinates."""
+        if element.field is not self.field and element.field != self.field:
+            raise FieldMismatch(f"{element.field} vs {self.field}")
+        value = element.value
+        if isinstance(value, int):
+            return self.ints[value]
+        return self.ints[sum(c.value * w for c, w in zip(value, self._weights))]
+
+    def permutation(self, automorphism):
+        """The automorphism as a list: entry i is the index of its image of
+        element i."""
+        return [self.encode(automorphism(e)) for e in self.elements]
+
+    def compile_poly(self, poly):
         """Precompute per-variable power tables and the term list; returns an
         evaluator taking a tuple of element indices."""
         degrees = [0] * len(poly.variables)
@@ -33,14 +97,14 @@ class SmallFieldTables:
             for i, e in enumerate(exps):
                 degrees[i] = max(degrees[i], e)
         pow_tables = []
-        one = self.index[self.field.one]
+        one = self.encode(self.field.one)
         for d in degrees:
             table = [[one] * (d + 1) for _ in range(self.q)]
             for v in range(self.q):
                 for e in range(1, d + 1):
                     table[v][e] = self.mul[table[v][e - 1]][v]
             pow_tables.append(table)
-        compiled = [(self.index[c], exps) for exps, c in poly.terms.items()]
+        compiled = [(self.encode(c), exps) for exps, c in poly.terms.items()]
         mul = self.mul
         add = self.add
         zero = self.zero
@@ -58,53 +122,77 @@ class SmallFieldTables:
         return evaluate
 
 
-def _tuple_counter(arity, size):
-    idx = [0] * arity
-    while True:
-        yield tuple(idx)
-        k = 0
-        while k < arity:
-            idx[k] += 1
-            if idx[k] < size:
-                break
-            idx[k] = 0
-            k += 1
-        if k == arity:
-            return
-
-
-def affine_points(generators, field, nvars, budget=DEFAULT_POINT_BUDGET):
-    """All solutions of the generator system in field^nvars, as tuples of
-    field elements."""
+def check_point_budget(field, nvars, budget=DEFAULT_POINT_BUDGET):
+    """Raise BudgetExceeded unless the field is finite and both the q^nvars
+    candidate points and the q x q tables of :class:`SmallFieldTables` fit
+    in ``budget``; nothing is built."""
     if not field.is_finite:
         raise BudgetExceeded("cannot enumerate points over an infinite field")
-    tables = SmallFieldTables(field)
-    total = tables.q ** nvars if nvars else 1
+    q = field.order
+    total = q ** nvars
     if total > budget:
         raise BudgetExceeded(f"{total} candidate points exceed budget {budget}")
+    if q * q > budget:
+        raise BudgetExceeded(f"{q * q} field table entries exceed budget {budget}")
+
+
+def _tuples(pool, arity):
+    """All arity-tuples over ``pool``, the first coordinate varying fastest."""
+    for digits in product(pool, repeat=arity):
+        yield digits[::-1]
+
+
+def _solutions(generators, field, nvars, budget, tables):
+    """Index tuples of the solutions, and the tables they index."""
+    check_point_budget(field, nvars, budget)
+    if tables is None:
+        tables = SmallFieldTables(field)
     evaluators = [tables.compile_poly(g) for g in generators if not g.is_zero]
     zero = tables.zero
-    out = []
-    for point in _tuple_counter(nvars, tables.q):
-        if all(ev(point) == zero for ev in evaluators):
-            out.append(tuple(tables.elements[i] for i in point))
-    return out
+    hits = [point for point in _tuples(tables.ints, nvars)
+            if all(ev(point) == zero for ev in evaluators)]
+    return hits, tables
+
+
+def affine_points(generators, field, nvars, budget=DEFAULT_POINT_BUDGET, tables=None):
+    """All solutions of the generator system in field^nvars, as tuples of
+    field elements.  ``tables``, if given, are the field's tables, shared
+    with the caller."""
+    hits, tables = _solutions(generators, field, nvars, budget, tables)
+    elements = tables.elements
+    return [tuple(elements[i] for i in point) for point in hits]
 
 
 def count_affine_points(generators, field, nvars, budget=DEFAULT_POINT_BUDGET):
-    if not field.is_finite:
-        raise BudgetExceeded("cannot enumerate points over an infinite field")
-    tables = SmallFieldTables(field)
-    total = tables.q ** nvars if nvars else 1
-    if total > budget:
-        raise BudgetExceeded(f"{total} candidate points exceed budget {budget}")
-    evaluators = [tables.compile_poly(g) for g in generators if not g.is_zero]
-    zero = tables.zero
-    count = 0
-    for point in _tuple_counter(nvars, tables.q):
-        if all(ev(point) == zero for ev in evaluators):
-            count += 1
-    return count
+    return len(_solutions(generators, field, nvars, budget, None)[0])
+
+
+def count_fixed_vectors(module, budget=DEFAULT_POINT_BUDGET):
+    """How many vectors of ext^n every v -> c_sigma * sigma(v) of the module
+    fixes, by exhaustive enumeration."""
+    ext = module.group.ext
+    check_point_budget(ext, module.dim, budget)
+    tables = SmallFieldTables(ext)
+    mul, add, zero = tables.mul, tables.add, tables.zero
+    # per group element: sigma as a permutation, c_sigma as rows of
+    # (column, nonzero entry) index pairs
+    actions = [(tables.permutation(sigma),
+                [[(j, tables.encode(a)) for j, a in enumerate(row) if a]
+                 for row in c.rows])
+               for sigma, c in zip(module.group.elements, module.cocycle)]
+
+    def is_fixed(vec):
+        for perm, rows in actions:
+            conjugated = [perm[x] for x in vec]
+            for row, x in zip(rows, vec):
+                acc = zero
+                for j, a in row:
+                    acc = add[acc][mul[a][conjugated[j]]]
+                if acc != x:
+                    return False
+        return True
+
+    return sum(1 for vec in product(tables.ints, repeat=module.dim) if is_fixed(vec))
 
 
 def algebra_points(generators, algebra, nvars, embed, budget=DEFAULT_POINT_BUDGET):
@@ -115,21 +203,11 @@ def algebra_points(generators, algebra, nvars, embed, budget=DEFAULT_POINT_BUDGE
     ``algebra.add``/``algebra.mul``.
     """
     elems = list(algebra.elements())
-    total = len(elems) ** nvars if nvars else 1
+    total = len(elems) ** nvars
     if total > budget:
         raise BudgetExceeded(f"{total} candidate points exceed budget {budget}")
     gens = [g for g in generators if not g.is_zero]
     zero = algebra.zero_vector()
-    out = []
-    for idx in _tuple_counter(nvars, len(elems)):
-        point = tuple(elems[i] for i in idx)
-        ok = True
-        for g in gens:
-            value = g.evaluate(point, embed=embed,
-                               mul=algebra.mul, add=algebra.add)
-            if value != zero:
-                ok = False
-                break
-        if ok:
-            out.append(point)
-    return out
+    return [point for point in _tuples(elems, nvars)
+            if all(g.evaluate(point, embed=embed, mul=algebra.mul, add=algebra.add) == zero
+                   for g in gens)]

@@ -155,10 +155,6 @@ class BasisNotSpanning(GaldescentError):
     pass
 
 
-class NotFaithfullyFlat(GaldescentError):
-    pass
-
-
 class UnsupportedBase(GaldescentError):
     """Tensor constructions require the map source to be the base field."""
 

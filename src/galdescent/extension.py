@@ -5,6 +5,8 @@ over the base field (constant term first).  Towers are out of scope: the base
 of an extension is always Q or a prime field.
 """
 
+from itertools import product
+
 from .errors import (
     DivisionByZero,
     FieldMismatch,
@@ -133,20 +135,9 @@ class ExtensionField(Field):
     def elements(self):
         if not self.is_finite:
             raise FieldMismatch("cannot enumerate an infinite field")
-        n = self.degree
-        base_elems = list(self.base.elements())
-        idx = [0] * n
-        while True:
-            yield FieldElement(self, tuple(base_elems[i] for i in idx))
-            k = 0
-            while k < n:
-                idx[k] += 1
-                if idx[k] < len(base_elems):
-                    break
-                idx[k] = 0
-                k += 1
-            if k == n:
-                return
+        # the first coordinate varies fastest
+        for coords in product(list(self.base.elements()), repeat=self.degree):
+            yield FieldElement(self, coords[::-1])
 
     def mult_matrix_rows(self, a):
         """Rows of the base-field matrix of multiplication by ``a`` on the

@@ -7,6 +7,8 @@ field with tuple-indexed coordinates, so each theorem reduces to an exact
 matrix identity.
 """
 
+import itertools
+
 from .errors import (
     BasisNotIndependent,
     BasisNotSpanning,
@@ -215,22 +217,9 @@ class FiniteAlgebra:
     def elements(self):
         if not self.field.is_finite:
             raise BudgetExceeded("cannot enumerate over an infinite base field")
-        base_elems = list(self.field.elements())
-        if self.dim == 0:
-            yield ()
-            return
-        idx = [0] * self.dim
-        while True:
-            yield tuple(base_elems[i] for i in idx)
-            k = 0
-            while k < self.dim:
-                idx[k] += 1
-                if idx[k] < len(base_elems):
-                    break
-                idx[k] = 0
-                k += 1
-            if k == self.dim:
-                return
+        # the first coordinate varies fastest
+        for coords in itertools.product(list(self.field.elements()), repeat=self.dim):
+            yield coords[::-1]
 
     def verify(self):
         """Associativity, commutativity, and the unit law on basis elements."""
@@ -366,28 +355,7 @@ def _face_matrix(B, r, position):
     cols = m ** r
     zero = field.zero
     entries = [[zero] * cols for _ in range(rows)]
-    idx = [0] * r
-
-    def tuples(length):
-        cur = [0] * length
-        while True:
-            yield tuple(cur)
-            k = length - 1
-            while k >= 0:
-                cur[k] += 1
-                if cur[k] < m:
-                    break
-                cur[k] = 0
-                k -= 1
-            if k < 0:
-                return
-
-    if r == 0:
-        for l, u in enumerate(B.unit):
-            if u:
-                entries[l][0] = u
-        return Matrix(field, entries)
-    for source in tuples(r):
+    for source in itertools.product(range(m), repeat=r):
         col = _tuple_index(source, m)
         for l, u in enumerate(B.unit):
             if not u:

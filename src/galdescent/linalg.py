@@ -90,18 +90,10 @@ class Matrix:
             out.append(acc)
         return tuple(out)
 
-    def transpose(self):
-        return Matrix(self.field, [self.col(j) for j in range(self.ncols)])
-
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise ShapeMismatch("row counts differ")
         return Matrix(self.field, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)])
-
-    def vstack(self, other):
-        if self.ncols != other.ncols:
-            raise ShapeMismatch("column counts differ")
-        return Matrix(self.field, self.rows + other.rows)
 
     def map_entries(self, func, field=None):
         return Matrix(field or self.field, [[func(a) for a in r] for r in self.rows])

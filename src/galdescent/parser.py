@@ -107,9 +107,6 @@ class TokenStream:
             return tok
         return None
 
-    def at_end(self):
-        return self.pos >= len(self.tokens)
-
     def require_end(self):
         tok = self.peek()
         if tok is not None:

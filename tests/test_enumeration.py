@@ -1,0 +1,181 @@
+import time
+
+import pytest
+
+from galdescent.affine import (
+    AffineAlgebra,
+    AffineDescentDatum,
+    SemilinearAlgebraMap,
+    derive_point_action,
+)
+from galdescent.enumeration import (
+    SmallFieldTables,
+    count_affine_points,
+    count_fixed_vectors,
+)
+from galdescent.errors import BudgetExceeded
+from galdescent.extension import ExtensionField, finite_field
+from galdescent.flat import FiniteAlgebra
+from galdescent.fields import GF
+from galdescent.galois import frobenius_group
+from galdescent.groebner import Ideal
+from galdescent.linalg import Matrix
+from galdescent.multipoly import MultiPolynomial
+from galdescent.semilinear import SemilinearModule
+from galdescent.unipoly import UniPoly
+
+
+def gf9_with_modulus(*coeffs):
+    return finite_field(3, 2, UniPoly.from_ints(GF(3), list(coeffs)))
+
+
+FIELDS = {
+    "GF(2)": lambda: GF(2),
+    "GF(13)": lambda: GF(13),
+    "GF(2^3)": lambda: finite_field(2, 3),
+    "GF(17^2)": lambda: finite_field(17, 2),
+    # t has order 4, so the search for an element of order 8 goes past it
+    "GF(3^2) t^2+1": lambda: gf9_with_modulus(1, 0, 1),
+    "GF(3^2) t^2+2t+2": lambda: gf9_with_modulus(2, 2, 1),
+}
+
+
+class TestTables:
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_tables_match_field_arithmetic(self, name):
+        field = FIELDS[name]()
+        tables = SmallFieldTables(field)
+        elements = list(field.elements())
+        assert tables.elements == elements
+        assert tables.q == len(elements) == field.order
+        for i, a in enumerate(elements):
+            assert tables.encode(a) == i
+            for j, b in enumerate(elements):
+                assert elements[tables.mul[i][j]] == a * b
+                assert elements[tables.add[i][j]] == a + b
+
+    def test_default_gf9_modulus_is_t2_plus_1(self):
+        assert finite_field(3, 2).modulus == UniPoly.from_ints(GF(3), [1, 0, 1])
+
+    def test_build_makes_linearly_many_field_products(self, monkeypatch):
+        calls = []
+        original = ExtensionField._mul
+
+        def counting(self, a, b):
+            calls.append(1)
+            return original(self, a, b)
+
+        field = finite_field(17, 2)
+        monkeypatch.setattr(ExtensionField, "_mul", counting)
+        tables = SmallFieldTables(field)
+        assert len(calls) <= 4 * tables.q
+
+    def test_elements_order_pinned(self):
+        F9 = finite_field(3, 2)
+        coords = [tuple(c.value for c in e.value) for e in F9.elements()]
+        assert coords == [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1),
+                          (0, 2), (1, 2), (2, 2)]
+        algebra = FiniteAlgebra.from_extension(finite_field(2, 2))
+        coords = [tuple(c.value for c in e) for e in algebra.elements()]
+        assert coords == [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
+class TestBudget:
+    def test_candidates_checked_before_tables(self, monkeypatch):
+        def refuse(self, field):
+            raise AssertionError("tables built before the budget check")
+
+        field = finite_field(211, 2)
+        x, = MultiPolynomial.ring_vars(field, ("x",))
+        monkeypatch.setattr(SmallFieldTables, "__init__", refuse)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="44521 candidate points"):
+            count_affine_points([x - 1], field, 1, budget=10000)
+        assert time.perf_counter() - start < 1.0
+
+    def test_table_size_checked(self):
+        field = GF(101)
+        x, = MultiPolynomial.ring_vars(field, ("x",))
+        with pytest.raises(BudgetExceeded, match="10201 field table entries"):
+            count_affine_points([x - 1], field, 1, budget=5000)
+        assert count_affine_points([x - 1], field, 1, budget=10201) == 1
+
+    def test_fixed_and_point_action_checked(self, monkeypatch):
+        def refuse(self, field):
+            raise AssertionError("tables built before the budget check")
+
+        F9 = finite_field(3, 2)
+        group = frobenius_group(F9)
+        module = SemilinearModule.trivial(group, 3)
+        monkeypatch.setattr(SmallFieldTables, "__init__", refuse)
+        with pytest.raises(BudgetExceeded):
+            count_fixed_vectors(module, budget=700)
+        with pytest.raises(BudgetExceeded):
+            derive_point_action(swap_datum(F9, group), budget=80)
+
+
+class TestFixedVectors:
+    @staticmethod
+    def brute_force(module):
+        elems = list(module.group.ext.elements())
+        return sum(1 for a in elems for b in elems
+                   if all(module.act(idx, (a, b)) == (a, b)
+                          for idx in range(module.group.order)))
+
+    @pytest.mark.parametrize("c_frob", [
+        # a cocycle: the coordinate swap
+        lambda F, t: [[F.zero, F.one], [F.one, F.zero]],
+        # not a cocycle; the count is still defined
+        lambda F, t: [[t, F.zero], [F.one, t + 1]],
+    ])
+    def test_count_matches_module_act(self, c_frob):
+        F9 = finite_field(3, 2)
+        group = frobenius_group(F9)
+        frob = Matrix(F9, c_frob(F9, F9.generator))
+        cocycle = [Matrix.identity(F9, 2) if i == group.identity_index else frob
+                   for i in range(group.order)]
+        module = SemilinearModule(group, 2, cocycle)
+        assert count_fixed_vectors(module) == self.brute_force(module)
+
+    def test_swap_count_is_q_squared(self):
+        F9 = finite_field(3, 2)
+        group = frobenius_group(F9)
+        swap = Matrix(F9, [[F9.zero, F9.one], [F9.one, F9.zero]])
+        module = SemilinearModule(group, 2, [Matrix.identity(F9, 2), swap])
+        assert count_fixed_vectors(module) == 9
+
+
+def swap_datum(ext, group):
+    x, y = MultiPolynomial.ring_vars(ext, ("x", "y"))
+    algebra = AffineAlgebra(ext, ("x", "y"), Ideal(ext, ("x", "y"), [x * y - 1]))
+    images = {"id": {"x": x, "y": y}, "frob": {"x": y, "y": x}}
+    return AffineDescentDatum(algebra, group, [
+        SemilinearAlgebraMap(sigma, images[sigma.name]) for sigma in group.elements])
+
+
+def cyclic_datum(ext, group):
+    x, y, z = MultiPolynomial.ring_vars(ext, ("x", "y", "z"))
+    algebra = AffineAlgebra(ext, ("x", "y", "z"),
+                            Ideal(ext, ("x", "y", "z"), [x * y * z - 1]))
+    images = {"id": {"x": x, "y": y, "z": z},
+              "frob": {"x": y, "y": z, "z": x},
+              "frob2": {"x": z, "y": x, "z": y}}
+    return AffineDescentDatum(algebra, group, [
+        SemilinearAlgebraMap(sigma, images[sigma.name]) for sigma in group.elements])
+
+
+class TestPointAction:
+    @pytest.mark.parametrize("p, n, make", [(3, 2, swap_datum), (3, 3, cyclic_datum)])
+    def test_permutations_match_elementwise(self, p, n, make):
+        ext = finite_field(p, n)
+        group = frobenius_group(ext)
+        datum = make(ext, group)
+        action = derive_point_action(datum)
+        index = {point: i for i, point in enumerate(action.points)}
+        variables = datum.algebra.variables
+        for idx, sigma in enumerate(group.elements):
+            inv_images = [datum.maps[group.inverse[idx]].images[name] for name in variables]
+            expected = [index[tuple(sigma(poly.evaluate(point)) for poly in inv_images)]
+                        for point in action.points]
+            assert action.permutations[idx] == expected
+        assert all(point[0].field is ext for point in action.points)
