@@ -192,13 +192,6 @@ class Model:
         return f"Model({self.algebra0!r})"
 
 
-def _power_basis(ext):
-    basis = [ext.one]
-    for _ in range(ext.degree - 1):
-        basis.append(basis[-1] * ext.generator)
-    return basis
-
-
 def _model_variable_names(variables, degree):
     names = []
     for i in range(1, len(variables) + 1):
@@ -211,7 +204,7 @@ def _invariant_generators(datum):
     """The trace-twist family t_{i,j} = sum_sigma sigma(b_j) theta_sigma(x_i)
     over the power basis b_j; every t is fixed by the whole action."""
     ext = datum.group.ext
-    basis = _power_basis(ext)
+    basis = ext.power_basis()
     invariants = []
     for name in datum.algebra.variables:
         row = []
@@ -240,16 +233,16 @@ def _graph_elimination(algebra, model_names, targets, budget=DEFAULT_BUDGET):
     return graph, eliminate(graph, model_names, budget)
 
 
-def _contract_to_base(poly, ext):
-    """Split a polynomial over the extension into its base-field components
-    along the power basis; returns the list of nonzero components."""
-    components = {}
+def split_coefficients(poly, ext):
+    """The base-field components of a polynomial over the extension along
+    the power basis, one per basis element, zeros included:
+    poly = sum_j t^j * component_j."""
+    components = [{} for _ in range(ext.degree)]
     for exps, coeff in poly.terms.items():
-        for j, c in enumerate(ext.coords(coeff)):
+        for terms, c in zip(components, ext.coords(coeff)):
             if c:
-                components.setdefault(j, {})[exps] = c
-    return [MultiPolynomial(ext.base, poly.variables, terms)
-            for j, terms in sorted(components.items())]
+                terms[exps] = c
+    return [MultiPolynomial(ext.base, poly.variables, terms) for terms in components]
 
 
 def descend_algebra(datum, budget=DEFAULT_BUDGET, validate=True):
@@ -278,7 +271,7 @@ def descend_algebra(datum, budget=DEFAULT_BUDGET, validate=True):
 
     components = []
     for g in kernel.generators:
-        components.extend(_contract_to_base(g, ext))
+        components.extend(c for c in split_coefficients(g, ext) if not c.is_zero)
     model_ideal = Ideal(ext.base, model_names, components)
     canonical = model_ideal.groebner(GREVLEX, budget)
     model_ideal = Ideal(ext.base, model_names, canonical)
@@ -365,14 +358,14 @@ def descend_ideal(algebra0, group, W, budget=DEFAULT_BUDGET):
             if not normal_form(image, full_basis, GREVLEX, budget).is_zero:
                 raise NotStable(sigma.name, g.format())
 
-    basis = _power_basis(ext)
+    basis = ext.power_basis()
     components = []
     for g in W.generators:
         for b in basis:
             acc = MultiPolynomial.zero(ext, W.variables)
             for sigma in group.elements:
                 acc = acc + g.map_coeffs(sigma) * sigma(b)
-            components.extend(_contract_to_base(acc, ext))
+            components.extend(c for c in split_coefficients(acc, ext) if not c.is_zero)
     result = Ideal(ext.base, W.variables,
                    components + list(algebra0.relations.generators))
     result = Ideal(ext.base, W.variables, result.groebner(GREVLEX, budget))

@@ -139,6 +139,13 @@ class ExtensionField(Field):
         for coords in product(list(self.base.elements()), repeat=self.degree):
             yield FieldElement(self, coords[::-1])
 
+    def power_basis(self):
+        """1, t, ..., t^(n-1): the basis that element coordinates refer to."""
+        basis = [self.one]
+        for _ in range(self.degree - 1):
+            basis.append(basis[-1] * self.generator)
+        return basis
+
     def mult_matrix_rows(self, a):
         """Rows of the base-field matrix of multiplication by ``a`` on the
         power basis: entry [r][c] is the r-th coordinate of a * t^c."""
@@ -162,7 +169,7 @@ class ExtensionField(Field):
         )
 
     def __hash__(self):
-        return hash(("ext", id(self.base), self.modulus.coeffs))
+        return hash(("ext", self.base, self.modulus.coeffs))
 
     def __repr__(self):
         if self.is_finite:

@@ -94,7 +94,7 @@ class FieldElement:
         return self.field == other.field and self.value == other.value
 
     def __hash__(self):
-        return hash((id(self.field), self.value))
+        return hash((self.field, self.value))
 
     def __bool__(self):
         return not self.field.is_zero(self)

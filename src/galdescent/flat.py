@@ -3,11 +3,15 @@ setting: finite algebras by structure constants, the Amitsur complex, its
 exactness, cocycle validation, and module reconstruction.
 
 Every tensor power is realized concretely as a vector space over the base
-field with tuple-indexed coordinates, so each theorem reduces to an exact
-matrix identity.
+field, so each theorem reduces to an exact matrix identity.  A tensor
+product U (x) V has basis pairs (i, j) at index i * dim(V) + j, leftmost slot
+slowest.  Every map between realizations is a Kronecker product
+(``linalg.kron``) of identities, unit columns and multiplication matrices,
+followed by at most one reordering of tensor slots (``_permute_slots``).
 """
 
 import itertools
+import math
 
 from .errors import (
     BasisNotIndependent,
@@ -22,9 +26,36 @@ from .errors import (
     UnsupportedBase,
     ZeroTarget,
 )
-from .linalg import Matrix
+from .linalg import Matrix, kron
 
 TENSOR_DIM_CAP = 4096
+
+
+def _kron_vector(u, v):
+    """u (x) v as a coordinate tuple; a zero entry of either factor gives a
+    zero coordinate without multiplying."""
+    return tuple(x for a in u
+                 for x in ((a * b if b else b for b in v) if a else (a,) * len(v)))
+
+
+def _permute_slots(matrix, rows=None, cols=None):
+    """Re-index ``matrix`` from one tensor layout to another by moving its
+    entries.  ``rows`` and ``cols`` are (slot sizes, order) pairs for the
+    current layout: new slot s is old slot ``order[s]``."""
+
+    def sources(dims, order):
+        # the old index of every new position, new positions in order
+        strides = [math.prod(dims[s + 1:]) for s in range(len(dims))]
+        return [sum(i * strides[s] for i, s in zip(idx, order))
+                for idx in itertools.product(*(range(dims[s]) for s in order))]
+
+    entries = matrix.rows
+    if rows:
+        entries = [entries[k] for k in sources(*rows)]
+    if cols:
+        src = sources(*cols)
+        entries = [[row[k] for k in src] for row in entries]
+    return Matrix(matrix.field, entries)
 
 
 class FiniteAlgebra:
@@ -67,13 +98,9 @@ class FiniteAlgebra:
     def from_extension(cls, ext):
         """The extension field as an algebra over its base, on the power
         basis."""
-        field = ext.base
-        basis = [ext.one]
-        for _ in range(ext.degree - 1):
-            basis.append(basis[-1] * ext.generator)
+        basis = ext.power_basis()
         sc = [[ext.coords(a * b) for b in basis] for a in basis]
-        unit = ext.coords(ext.one)
-        return cls(field, sc, unit, label=repr(ext), ext=ext)
+        return cls(ext.base, sc, ext.coords(ext.one), label=repr(ext), ext=ext)
 
     @classmethod
     def product(cls, factors):
@@ -81,38 +108,23 @@ class FiniteAlgebra:
         if not factors:
             raise ShapeMismatch("empty product")
         field = factors[0].field
+        if any(a.field != field for a in factors):
+            raise FieldMismatch("product factors over different fields")
         dim = sum(a.dim for a in factors)
-        offsets = []
-        pos = 0
-        for a in factors:
-            if a.field != field:
-                raise FieldMismatch("product factors over different fields")
-            offsets.append(pos)
-            pos += a.dim
         zero = field.zero
-
-        def embed(vec, offset):
-            out = [zero] * dim
-            for i, c in enumerate(vec):
-                out[offset + i] = c
-            return tuple(out)
-
-        sc = [[None] * dim for _ in range(dim)]
-        for f_idx, a in enumerate(factors):
-            off = offsets[f_idx]
-            for i in range(dim):
-                for j in range(dim):
-                    if sc[i][j] is None:
-                        sc[i][j] = (zero,) * dim
-            for i in range(a.dim):
-                for j in range(a.dim):
-                    sc[off + i][off + j] = embed(a.sc[i][j], off)
-        unit = [zero] * dim
-        for f_idx, a in enumerate(factors):
-            for i, c in enumerate(a.unit):
-                unit[offsets[f_idx] + i] = c
+        zero_vec = (zero,) * dim
+        sc = []
+        before = 0
+        for a in factors:
+            after = dim - before - a.dim
+            for row in a.sc:
+                sc.append([zero_vec] * before
+                          + [(zero,) * before + v + (zero,) * after for v in row]
+                          + [zero_vec] * after)
+            before += a.dim
+        unit = tuple(c for a in factors for c in a.unit)
         label = " x ".join(a.label for a in factors)
-        return cls(field, sc, tuple(unit), label=label, factors=tuple(factors))
+        return cls(field, sc, unit, label=label, factors=tuple(factors))
 
     @classmethod
     def tensor(cls, A, B):
@@ -120,32 +132,9 @@ class FiniteAlgebra:
         i * dim(B) + j."""
         if A.field != B.field:
             raise FieldMismatch("tensor factors over different fields")
-        field = A.field
-        dim = A.dim * B.dim
-        zero = field.zero
-        sc = [[None] * dim for _ in range(dim)]
-        for i1 in range(A.dim):
-            for j1 in range(B.dim):
-                for i2 in range(A.dim):
-                    for j2 in range(B.dim):
-                        left = A.sc[i1][i2]
-                        right = B.sc[j1][j2]
-                        vec = [zero] * dim
-                        for i, ci in enumerate(left):
-                            if not ci:
-                                continue
-                            for j, cj in enumerate(right):
-                                if cj:
-                                    vec[i * B.dim + j] = ci * cj
-                        sc[i1 * B.dim + j1][i2 * B.dim + j2] = tuple(vec)
-        unit = [zero] * dim
-        for i, ci in enumerate(A.unit):
-            if not ci:
-                continue
-            for j, cj in enumerate(B.unit):
-                if cj:
-                    unit[i * B.dim + j] = ci * cj
-        return cls(field, sc, tuple(unit),
+        sc = [[_kron_vector(u, v) for u in a_row for v in b_row]
+              for a_row in A.sc for b_row in B.sc]
+        return cls(A.field, sc, _kron_vector(A.unit, B.unit),
                    label=f"({A.label}) (x) ({B.label})", factors=(A, B))
 
     # -- arithmetic ---------------------------------------------------------
@@ -176,38 +165,16 @@ class FiniteAlgebra:
 
     def mult_matrix(self, u):
         """Matrix of v -> u * v on the basis."""
-        cols = []
-        for j in range(self.dim):
-            basis_vec = tuple(self.field.one if i == j else self.field.zero
-                              for i in range(self.dim))
-            cols.append(self.mul(u, basis_vec))
-        return Matrix.from_cols(self.field, cols)
+        return Matrix.from_cols(
+            self.field, [self.mul(u, e) for e in Matrix.identity(self.field, self.dim).rows])
 
     def embed_left(self, vec_a):
         """a (x) 1 for a tensor algebra."""
-        A, B = self._tensor_factors()
-        zero = self.field.zero
-        out = [zero] * self.dim
-        for i, ci in enumerate(vec_a):
-            if not ci:
-                continue
-            for j, cj in enumerate(B.unit):
-                if cj:
-                    out[i * B.dim + j] = ci * cj
-        return tuple(out)
+        return _kron_vector(vec_a, self._tensor_factors()[1].unit)
 
     def embed_right(self, vec_b):
         """1 (x) b for a tensor algebra."""
-        A, B = self._tensor_factors()
-        zero = self.field.zero
-        out = [zero] * self.dim
-        for i, ci in enumerate(A.unit):
-            if not ci:
-                continue
-            for j, cj in enumerate(vec_b):
-                if cj:
-                    out[i * B.dim + j] = ci * cj
-        return tuple(out)
+        return _kron_vector(self._tensor_factors()[0].unit, vec_b)
 
     def _tensor_factors(self):
         if not self.factors or len(self.factors) != 2:
@@ -223,8 +190,7 @@ class FiniteAlgebra:
 
     def verify(self):
         """Associativity, commutativity, and the unit law on basis elements."""
-        basis = [tuple(self.field.one if i == j else self.field.zero
-                       for i in range(self.dim)) for j in range(self.dim)]
+        basis = Matrix.identity(self.field, self.dim).rows
         for i, bi in enumerate(basis):
             if self.mul(self.unit, bi) != bi or self.mul(bi, self.unit) != bi:
                 raise ShapeMismatch(f"unit law fails on basis element {i}")
@@ -269,9 +235,7 @@ class AlgebraMap:
     def _verify(self):
         if self.target.dim == 0:
             return
-        src_basis = [tuple(self.source.field.one if i == j else self.source.field.zero
-                           for i in range(self.source.dim))
-                     for j in range(self.source.dim)]
+        src_basis = Matrix.identity(self.source.field, self.source.dim).rows
         if self.source.dim and self.apply(self.source.unit) != self.target.unit:
             raise ShapeMismatch("map does not preserve the unit")
         for bi in src_basis:
@@ -311,8 +275,7 @@ def check_faithfully_flat(f, basis=None):
     field = B.field
     s = len(basis)
     cols = []
-    for l in range(A.dim):
-        a_vec = tuple(field.one if i == l else field.zero for i in range(A.dim))
+    for a_vec in Matrix.identity(field, A.dim).rows:
         fa = f.apply(a_vec)
         for beta in basis:
             cols.append(list(B.mul(fa, tuple(beta))))
@@ -340,31 +303,6 @@ class AmitsurComplex:
         self.differentials = differentials
 
 
-def _tuple_index(idx, m):
-    out = 0
-    for i in idx:
-        out = out * m + i
-    return out
-
-
-def _face_matrix(B, r, position):
-    """e_position: B^{(x) r} -> B^{(x) r+1}, inserting the unit."""
-    field = B.field
-    m = B.dim
-    rows = m ** (r + 1)
-    cols = m ** r
-    zero = field.zero
-    entries = [[zero] * cols for _ in range(rows)]
-    for source in itertools.product(range(m), repeat=r):
-        col = _tuple_index(source, m)
-        for l, u in enumerate(B.unit):
-            if not u:
-                continue
-            target = source[:position] + (l,) + source[position:]
-            entries[_tuple_index(target, m)][col] = u
-    return Matrix(field, entries)
-
-
 def amitsur_complex(f, r_max=3, coefficient_dim=None):
     """The complex through tensor degree r_max; the source must be the base
     field (one-dimensional), matching the concrete k-space realization."""
@@ -379,21 +317,19 @@ def amitsur_complex(f, r_max=3, coefficient_dim=None):
     if m ** (r_max + 1) > TENSOR_DIM_CAP:
         raise BudgetExceeded(
             f"dim B^(x){r_max + 1} = {m ** (r_max + 1)} exceeds cap {TENSOR_DIM_CAP}")
+    # d: B^(x)r -> B^(x)r+1 is the alternating sum of the faces that insert
+    # the unit at slot i, each kron(I_{m^i}, +-unit column, I_{m^(r-i)})
+    unit = Matrix.from_cols(field, [B.unit])
+    signed_units = (unit, -unit)
     differentials = []
     for r in range(1, r_max + 1):
-        faces = [_face_matrix(B, r, i) for i in range(r + 1)]
-        d = faces[0]
-        sign = -1
-        for e in faces[1:]:
-            d = d + e.map_entries(lambda a, s=sign: a * field.from_int(s))
-            sign = -sign
-        differentials.append(d)
+        faces = [kron(Matrix.identity(field, m ** i), signed_units[i % 2],
+                      Matrix.identity(field, m ** (r - i))) for i in range(r + 1)]
+        differentials.append(sum(faces[1:], faces[0]))
     first = f.matrix
     t = coefficient_dim
     if t is not None and t != 1:
         ident = Matrix.identity(field, t)
-        from .linalg import kron
-
         first = kron(ident, first)
         differentials = [kron(ident, d) for d in differentials]
     complex_ = AmitsurComplex(f, t or 1, first, differentials)
@@ -462,29 +398,16 @@ def verify_homotopy(complex_, section):
     if section * f.matrix != Matrix.identity(field, 1):
         raise ShapeMismatch("supplied matrix is not a section of the map")
 
-    def homotopy_matrix(r):
-        # k_r: B^{(x) r+2} -> B^{(x) r+1}: drop the leading slot, scale by its
-        # section value
-        rows = m ** (r + 1)
-        cols = m ** (r + 2)
-        zero = field.zero
-        entries = [[zero] * cols for _ in range(rows)]
-        for col in range(cols):
-            first_idx = col // rows
-            rest = col % rows
-            g_val = section.rows[0][first_idx]
-            if g_val:
-                entries[rest][col] = g_val
-        return Matrix(field, entries)
-
     ds = complex_.differentials
     if not ds:
         return []
+    # k_r: B^(x)r+2 -> B^(x)r+1 applies the section to the leading slot
+    k = [kron(section, Matrix.identity(field, m ** (r + 1))) for r in range(len(ds))]
     results = []
-    total = homotopy_matrix(0) * ds[0] + f.matrix * section
+    total = k[0] * ds[0] + f.matrix * section
     results.append((-1, total == Matrix.identity(field, m)))
     for r in range(len(ds) - 1):
-        total = homotopy_matrix(r + 1) * ds[r + 1] + ds[r] * homotopy_matrix(r)
+        total = k[r + 1] * ds[r + 1] + ds[r] * k[r]
         results.append((r, total == Matrix.identity(field, m ** (r + 2))))
     if not all(ok for _, ok in results):
         bad = next(r for r, ok in results if not ok)
@@ -508,74 +431,6 @@ class FreeModuleData:
         self.phi = phi
 
 
-def _module_action_matrices(B, rank):
-    """For M' = B^rank with basis (a, i): matrices of left multiplication by
-    the algebra basis elements."""
-    field = B.field
-    m = B.dim
-    N = rank * m
-    out = []
-    for p in range(m):
-        zero = field.zero
-        entries = [[zero] * N for _ in range(N)]
-        for a in range(rank):
-            for i in range(m):
-                product = B.sc[p][i]
-                for l, c in enumerate(product):
-                    if c:
-                        entries[a * m + l][a * m + i] = c
-        out.append(Matrix(field, entries))
-    return out
-
-
-def _mb_action(B, rank, p, q):
-    """(b_p (x) b_q) acting on M' (x) B: basis (a, i, j) -> (a, p i, q j)."""
-    field = B.field
-    m = B.dim
-    N = rank * m
-    dim = N * m
-    zero = field.zero
-    entries = [[zero] * dim for _ in range(dim)]
-    for a in range(rank):
-        for i in range(m):
-            left = B.sc[p][i]
-            for j in range(m):
-                right = B.sc[q][j]
-                col = (a * m + i) * m + j
-                for l1, c1 in enumerate(left):
-                    if not c1:
-                        continue
-                    for l2, c2 in enumerate(right):
-                        if c2:
-                            row = (a * m + l1) * m + l2
-                            entries[row][col] = entries[row][col] + c1 * c2
-    return Matrix(field, entries)
-
-
-def _bm_action(B, rank, p, q):
-    """(b_p (x) b_q) acting on B (x) M': basis (j, a, i) -> (p j, a, q i)."""
-    field = B.field
-    m = B.dim
-    N = rank * m
-    dim = m * N
-    zero = field.zero
-    entries = [[zero] * dim for _ in range(dim)]
-    for j in range(m):
-        left = B.sc[p][j]
-        for a in range(rank):
-            for i in range(m):
-                right = B.sc[q][i]
-                col = (j * rank + a) * m + i
-                for l1, c1 in enumerate(left):
-                    if not c1:
-                        continue
-                    for l2, c2 in enumerate(right):
-                        if c2:
-                            row = (l1 * rank + a) * m + l2
-                            entries[row][col] = entries[row][col] + c1 * c2
-    return Matrix(field, entries)
-
-
 class CocycleReport:
     __slots__ = ("data", "bilinear_pairs", "triple_dim")
 
@@ -587,61 +442,38 @@ class CocycleReport:
 
 def check_cocycle(data, f):
     """Verify that phi is an isomorphism of modules over the doubled algebra
-    and satisfies the triple-tensor identity phi_2 = phi_1 phi_3."""
+    and satisfies the triple-tensor identity phi_2 = phi_1 phi_3.
+
+    M' = B^rank has basis (a, i); phi maps M' (x) B, basis (a, i, j), to
+    B (x) M', basis (j, a, i)."""
     if f.source.dim != 1:
         raise UnsupportedBase("module descent is realized over a field source")
     B = data.algebra
     field = B.field
     m = B.dim
     rank = data.rank
-    N = rank * m
     phi = data.phi
 
     if not phi.is_invertible():
         raise NotBilinearCompatible("phi is not invertible")
-    for p in range(m):
-        for q in range(m):
-            if phi * _mb_action(B, rank, p, q) != _bm_action(B, rank, p, q) * phi:
+    ident = Matrix.identity(field, rank)
+    mults = [B.mult_matrix(e) for e in Matrix.identity(field, m).rows]
+    for p, left in enumerate(mults):
+        for q, right in enumerate(mults):
+            # b_p (x) b_q acting on M' (x) B and on B (x) M'
+            if phi * kron(ident, left, right) != kron(left, ident, right) * phi:
                 raise NotBilinearCompatible(
                     f"phi is not linear over the doubled algebra at pair ({p}, {q})")
 
-    # triple-tensor realizations; index layouts, leftmost slowest:
-    #   MBB (a,i,j2,j3) / BMB (j1,a,i,j3) / BBM (j1,j2,a,i)
-    dim3 = N * m * m
-    zero = field.zero
-
-    def phi_entries():
-        for out_row in range(phi.nrows):
-            row = phi.rows[out_row]
-            for col in range(phi.ncols):
-                if row[col]:
-                    yield out_row, col, row[col]
-
-    phi1 = [[zero] * dim3 for _ in range(dim3)]  # BMB -> BBM
-    phi2 = [[zero] * dim3 for _ in range(dim3)]  # MBB -> BBM
-    phi3 = [[zero] * dim3 for _ in range(dim3)]  # MBB -> BMB
-    for out_row, col, value in phi_entries():
-        # phi[(p, a', i'), (a, i, j)]
-        p, rest = divmod(out_row, rank * m)
-        a_out, i_out = divmod(rest, m)
-        ai, j_in = divmod(col, m)
-        a_in, i_in = divmod(ai, m)
-        for extra in range(m):
-            # phi1: id on the leading B slot
-            r1 = ((extra * m + p) * rank + a_out) * m + i_out
-            c1 = ((extra * rank + a_in) * m + i_in) * m + j_in
-            phi1[r1][c1] = value
-            # phi2: id on the middle B slot
-            r2 = ((p * m + extra) * rank + a_out) * m + i_out
-            c2 = ((a_in * m + i_in) * m + extra) * m + j_in
-            phi2[r2][c2] = value
-            # phi3: id on the trailing B slot
-            r3 = ((p * rank + a_out) * m + i_out) * m + extra
-            c3 = ((a_in * m + i_in) * m + j_in) * m + extra
-            phi3[r3][c3] = value
-    phi1 = Matrix(field, phi1)
-    phi2 = Matrix(field, phi2)
-    phi3 = Matrix(field, phi3)
+    # triple-tensor realizations: MBB (a,i,j2,j3) / BMB (j1,a,i,j3) /
+    # BBM (j1,j2,a,i); phi_2 is phi_1 with its identity slot moved to the
+    # middle on both sides
+    I_m = Matrix.identity(field, m)
+    phi1 = kron(I_m, phi)  # BMB -> BBM
+    phi3 = kron(phi, I_m)  # MBB -> BMB
+    phi2 = _permute_slots(phi1, rows=((m, m, rank, m), (1, 0, 2, 3)),
+                          cols=((m, rank, m, m), (1, 2, 0, 3)))  # MBB -> BBM
+    dim3 = phi1.nrows
     composite = phi1 * phi3
     if composite != phi2:
         witness = next(
@@ -681,68 +513,29 @@ def reconstruct_module(data, f, check=True):
     m = B.dim
     rank = data.rank
     N = rank * m
-    zero = field.zero
 
-    # E0: v -> 1 (x) v; E1: v -> v (x) 1
-    e0 = [[zero] * N for _ in range(m * N)]
-    e1 = [[zero] * N for _ in range(N * m)]
-    for a in range(rank):
-        for i in range(m):
-            col = a * m + i
-            for l, u in enumerate(B.unit):
-                if u:
-                    e0[(l * rank + a) * m + i][col] = u
-                    e1[(a * m + i) * m + l][col] = u
-    e0 = Matrix(field, e0)
-    e1 = Matrix(field, e1)
-    difference = e0 - data.phi * e1
+    # v -> 1 (x) v minus v -> phi(v (x) 1)
+    unit = Matrix.from_cols(field, [B.unit])
+    I_N = Matrix.identity(field, N)
+    difference = kron(unit, I_N) - data.phi * kron(I_N, unit)
     basis = difference.kernel_basis()
 
-    action = _module_action_matrices(B, rank)
-    cols = []
-    for j in range(m):
-        for vec in basis:
-            cols.append(list(action[j].apply(vec)))
+    # B (x) M -> M', basis (j, s) -> b_j m_s
+    ident = Matrix.identity(field, rank)
+    actions = [kron(ident, B.mult_matrix(e)) for e in Matrix.identity(field, m).rows]
+    cols = [action.apply(vec) for action in actions for vec in basis]
     iso = Matrix.from_cols(field, cols) if cols else Matrix.zero(field, N, 0)
     if iso.nrows != iso.ncols or not iso.is_invertible():
         raise ReconstructionFailed(
             f"multiplication map B (x) M -> M' is not an isomorphism "
             f"({iso.nrows} x {iso.ncols}, rank {iso.rank() if iso.ncols else 0})")
 
-    # induced datum: phi . (iso (x) id_B) == (id_B (x) iso) . phi_canonical
+    # induced datum: phi . (iso (x) id_B) == (id_B (x) iso) . phi_can, where
+    # phi_can is the flip (b_j (x) m_s) (x) b_j2 -> b_j (x) (b_j2 (x) m_s)
     t = len(basis)
-    dim_bm = m * t
-    phi_can = [[zero] * (dim_bm * m) for _ in range(m * dim_bm)]
-    for j in range(m):
-        for s in range(t):
-            for j2 in range(m):
-                # (b_j (x) m_s) (x) b_j2 -> b_j (x) (b_j2 (x) m_s)
-                col = (j * t + s) * m + j2
-                row = (j * m + j2) * t + s
-                phi_can[row][col] = field.one
-    phi_can = Matrix(field, phi_can)
-
-    iso_x_id = [[zero] * (dim_bm * m) for _ in range(N * m)]
-    for col_bm in range(dim_bm):
-        for j2 in range(m):
-            col = col_bm * m + j2
-            for row_n in range(N):
-                value = iso.rows[row_n][col_bm]
-                if value:
-                    iso_x_id[row_n * m + j2][col] = value
-    iso_x_id = Matrix(field, iso_x_id)
-
-    id_x_iso = [[zero] * (m * dim_bm) for _ in range(m * N)]
-    for j in range(m):
-        for col_bm in range(dim_bm):
-            col = j * dim_bm + col_bm
-            for row_n in range(N):
-                value = iso.rows[row_n][col_bm]
-                if value:
-                    id_x_iso[j * N + row_n][col] = value
-    id_x_iso = Matrix(field, id_x_iso)
-
-    if data.phi * iso_x_id != id_x_iso * phi_can:
+    I_m = Matrix.identity(field, m)
+    phi_can = _permute_slots(Matrix.identity(field, m * t * m), rows=((m, t, m), (0, 2, 1)))
+    if data.phi * kron(iso, I_m) != kron(I_m, iso) * phi_can:
         raise ReconstructionFailed("reconstructed module induces a different datum")
     return ReconstructedModule(data, basis, iso)
 
@@ -750,18 +543,9 @@ def reconstruct_module(data, f, check=True):
 def canonical_datum_matrix(B, rank):
     """phi for M' = B (x) M with M free of the given rank: the flip
     (b (x) m) (x) b' -> b (x) (b' (x) m), as a matrix on the realizations."""
-    field = B.field
     m = B.dim
-    N = rank * m
-    zero = field.zero
-    entries = [[zero] * (N * m) for _ in range(m * N)]
-    for a in range(rank):
-        for i in range(m):
-            for j in range(m):
-                col = (a * m + i) * m + j
-                row = (i * rank + a) * m + j
-                entries[row][col] = field.one
-    return Matrix(field, entries)
+    return _permute_slots(Matrix.identity(B.field, rank * m * m),
+                          rows=((rank, m, m), (1, 0, 2)))
 
 
 def twist_datum(B, rank, phi, u_matrix):
@@ -769,37 +553,10 @@ def twist_datum(B, rank, phi, u_matrix):
     image module.  ``u_matrix`` is an invertible rank x rank matrix over the
     algebra, given entrywise as coordinate tuples."""
     field = B.field
-    m = B.dim
-    N = rank * m
-    zero = field.zero
-    u = [[zero] * N for _ in range(N)]
-    for a_out in range(rank):
-        for a_in in range(rank):
-            block = B.mult_matrix(u_matrix[a_out][a_in])
-            for i_out in range(m):
-                for i_in in range(m):
-                    u[a_out * m + i_out][a_in * m + i_in] = block.rows[i_out][i_in]
-    u = Matrix(field, u)
-    u_inv = u.inverse()
-
-    def on_mb(mat):
-        out = [[zero] * (N * m) for _ in range(N * m)]
-        for r in range(N):
-            for c in range(N):
-                value = mat.rows[r][c]
-                if value:
-                    for j in range(m):
-                        out[r * m + j][c * m + j] = value
-        return Matrix(field, out)
-
-    def on_bm(mat):
-        out = [[zero] * (m * N) for _ in range(m * N)]
-        for j in range(m):
-            for r in range(N):
-                for c in range(N):
-                    value = mat.rows[r][c]
-                    if value:
-                        out[j * N + r][j * N + c] = value
-        return Matrix(field, out)
-
-    return FreeModuleData(B, rank, on_bm(u) * phi * on_mb(u_inv))
+    # u acts on M' = B^rank by blocks, the multiplication matrices of the
+    # entries of u_matrix
+    blocks = [[B.mult_matrix(x).rows for x in row] for row in u_matrix]
+    u = Matrix(field, [[c for block in block_row for c in block[r]]
+                       for block_row in blocks for r in range(B.dim)])
+    I_m = Matrix.identity(field, B.dim)
+    return FreeModuleData(B, rank, kron(I_m, u) * phi * kron(u.inverse(), I_m))

@@ -61,7 +61,7 @@ class Automorphism:
                 and other.image == self.image)
 
     def __hash__(self):
-        return hash((id(self.ext), self.image))
+        return hash((self.ext, self.image))
 
     def __repr__(self):
         return f"{self.name}: t -> {self.ext.format_element(self.image)}"
@@ -264,12 +264,9 @@ def dedekind_check(group):
     if not group.is_full:
         raise RankDeficient("need the full automorphism group")
     cols = []
-    basis = [ext.one]
-    for _ in range(n - 1):
-        basis.append(basis[-1] * ext.generator)
     for sigma in group.elements:
         sigma_matrix = sigma.matrix()
-        for b in basis:
+        for b in ext.power_basis():
             # endomorphism c -> b * sigma(c), flattened column-major by input
             mult_rows = Matrix(base, ext.mult_matrix_rows(b))
             endo = mult_rows * sigma_matrix

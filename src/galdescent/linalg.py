@@ -103,7 +103,7 @@ class Matrix:
                 and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((id(self.field), self.rows))
+        return hash((self.field, self.rows))
 
     def rref(self):
         """Reduced row echelon form: returns (matrix, pivot column tuple)."""
@@ -192,18 +192,18 @@ def solve_linear(A, b):
     return LinearSolution(tuple(particular), A.kernel_basis(), True)
 
 
-def kron(A, B):
-    """Kronecker product, blocks A[i][j] * B."""
-    field = A.field
-    out = []
-    for i in range(A.nrows):
-        for r in range(B.nrows):
-            row = []
-            for j in range(A.ncols):
-                a = A.rows[i][j]
-                row.extend(a * x for x in B.rows[r])
-            out.append(row)
-    return Matrix(field, out)
+def kron(*factors):
+    """Kronecker product A (x) B (x) ..., blocks A[i][j] * (B (x) ...); zero
+    entries are copied, never multiplied, so a zero entry of A fills its
+    block at once."""
+    out = factors[0]
+    for B in factors[1:]:
+        zero_block = (out.field.zero,) * B.ncols
+        out = Matrix(out.field, [
+            [x for a in a_row
+             for x in ([a * b if b else b for b in b_row] if a else zero_block)]
+            for a_row in out.rows for b_row in B.rows])
+    return out
 
 
 def expand_vector(vec, ext):

@@ -180,7 +180,7 @@ class MultiPolynomial:
                 and other.variables == self.variables and other.terms == self.terms)
 
     def __hash__(self):
-        return hash((id(self.field), self.variables, frozenset(self.terms.items())))
+        return hash((self.field, self.variables, frozenset(self.terms.items())))
 
     def leading(self, order):
         """(exponent tuple, coefficient) of the leading term."""

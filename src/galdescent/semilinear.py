@@ -197,11 +197,8 @@ def descend_subspace(space, spanning, group):
     # base-rational slice
     d = ext.degree
     omega_basis = []
-    powers = [ext.one]
-    for _ in range(d - 1):
-        powers.append(powers[-1] * ext.generator)
     for v in spanning:
-        for b in powers:
+        for b in ext.power_basis():
             omega_basis.append(expand_vector(tuple(b * x for x in v), ext))
     rational_slice = []
     for i in range(n):

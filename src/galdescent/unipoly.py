@@ -89,7 +89,7 @@ class UniPoly:
         return isinstance(other, UniPoly) and self.field == other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        return hash((self.field, self.coeffs))
 
     def divmod(self, other):
         if other.is_zero:

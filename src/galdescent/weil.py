@@ -4,7 +4,7 @@ enumeration, the conjugate-product count identity, and the idempotent
 splitting of the doubled extension.
 """
 
-from .affine import AffineAlgebra, embeddings_into
+from .affine import AffineAlgebra, embeddings_into, split_coefficients
 from .enumeration import DEFAULT_POINT_BUDGET, algebra_points, count_affine_points
 from .errors import (
     CountMismatch,
@@ -82,9 +82,7 @@ def weil_restrict(V, data):
     base = K.base
     names = _restriction_names(V.variables, d)
     substitution = {}
-    powers = [K.one]
-    for _ in range(d - 1):
-        powers.append(powers[-1] * K.generator)
+    powers = K.power_basis()
     for v in V.variables:
         acc = MultiPolynomial.zero(K, names)
         for j in range(d):
@@ -93,15 +91,7 @@ def weil_restrict(V, data):
         substitution[v] = acc
     raw_components = []
     for g in V.relations.generators:
-        expanded = g.substitute(substitution)
-        buckets = {}
-        for exps, coeff in expanded.terms.items():
-            for j, c in enumerate(K.coords(coeff)):
-                if c:
-                    buckets.setdefault(j, {})[exps] = c
-        for j in range(d):
-            raw_components.append(
-                MultiPolynomial(base, names, buckets.get(j, {})))
+        raw_components.extend(split_coefficients(g.substitute(substitution), K))
     restricted = AffineAlgebra(
         base, names, Ideal(base, names,
                            [g for g in raw_components if not g.is_zero]))
@@ -149,9 +139,7 @@ def verify_universal_points(result, test_algebra, budget=DEFAULT_POINT_BUDGET,
     def embed_k_in_tensor(c):
         return tensor.embed_left(K.coords(c))
 
-    powers = [K.one]
-    for _ in range(d - 1):
-        powers.append(powers[-1] * K.generator)
+    powers = K.power_basis()
 
     def assemble(point):
         """R-point (values in the test algebra, ordered by Y names) to the

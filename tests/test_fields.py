@@ -8,6 +8,8 @@ from galdescent.errors import (
 )
 from galdescent.fields import GF, QQ
 from galdescent.extension import ASSERTED, UNASSERTED, VERIFIED, finite_field, make_extension
+from galdescent.linalg import Matrix
+from galdescent.multipoly import MultiPolynomial
 from galdescent.unipoly import UniPoly, cyclotomic, default_modulus, is_irreducible_mod_p
 
 
@@ -95,6 +97,23 @@ class TestArithmetic:
         F8 = finite_field(2, 3)
         for a in F8.elements():
             assert a ** 8 == a
+
+
+class TestHashing:
+    def test_equal_values_over_separate_copies_hash_equally(self):
+        # two separately constructed copies of GF(9) compare equal, so
+        # everything built over them must hash by value, not by identity
+        A, B = finite_field(3, 2), finite_field(3, 2)
+        assert A == B
+        a, b = A.generator, B.generator
+        assert a == b and len({a, b}) == 1
+        ma = Matrix(A, [[a, A.one], [A.zero, a * a]])
+        mb = Matrix(B, [[b, B.one], [B.zero, b * b]])
+        assert ma == mb and len({ma, mb}) == 1
+        names = ("x", "y")
+        pa = MultiPolynomial.variable(A, names, "x") * a + MultiPolynomial.variable(A, names, "y")
+        pb = MultiPolynomial.variable(B, names, "x") * b + MultiPolynomial.variable(B, names, "y")
+        assert pa == pb and len({pa, pb}) == 1
 
 
 class TestDefaultModulus:

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -65,6 +67,68 @@ class TestFiniteAlgebra:
         # (i (x) 1)(1 (x) i) = i (x) i; squaring gives (-1) (x) (-1) = 1 (x) 1
         prod = T.mul(i_left, i_right)
         assert T.mul(prod, prod) == T.unit
+
+
+def position(dims, idx):
+    """Index of the basis tuple ``idx`` in a tensor product of spaces of the
+    given dimensions, leftmost slot slowest."""
+    out = 0
+    for d, i in zip(dims, idx):
+        out = out * d + i
+    return out
+
+
+def pure_tensor(field, factors):
+    """Coordinates of v_1 (x) ... (x) v_r from the factors' coordinates."""
+    dims = [len(v) for v in factors]
+    out = [field.zero] * math.prod(dims)
+    for idx in itertools.product(*(range(d) for d in dims)):
+        c = field.one
+        for v, i in zip(factors, idx):
+            c = c * v[i]
+        out[position(dims, idx)] = c
+    return tuple(out)
+
+
+class TestTensorLayout:
+    """The realizations checked against coordinates built here, by hand, from
+    basis tuples."""
+
+    def algebras(self):
+        Qi, B = qi_algebra()
+        return [FiniteAlgebra.from_extension(finite_field(3, 2)),
+                FiniteAlgebra.product([FiniteAlgebra.base(QQ), B])]
+
+    def test_differential_on_pure_tensors(self):
+        for B in self.algebras():
+            field = B.field
+            basis = Matrix.identity(field, B.dim).rows
+            complex_ = amitsur_complex(AlgebraMap.base_inclusion(B), 3)
+            for r in range(1, 4):
+                d = complex_.differentials[r - 1]
+                for idx in itertools.product(range(B.dim), repeat=r):
+                    factors = [basis[i] for i in idx]
+                    expected = (field.zero,) * B.dim ** (r + 1)
+                    for k in range(r + 1):
+                        term = pure_tensor(field, factors[:k] + [B.unit] + factors[k:])
+                        sign = field.one if k % 2 == 0 else -field.one
+                        expected = tuple(e + sign * x for e, x in zip(expected, term))
+                    assert d.apply(pure_tensor(field, factors)) == expected
+
+    def test_canonical_datum_is_the_flip(self):
+        # M' = B (x) M with M of rank 2: b_i (x) m_a sits at (a, i); the
+        # datum sends (b_i (x) m_a) (x) b_j to b_i (x) (b_j (x) m_a)
+        rank = 2
+        for B in self.algebras():
+            field = B.field
+            m = B.dim
+            phi = canonical_datum_matrix(B, rank)
+            for a, i, j in itertools.product(range(rank), range(m), range(m)):
+                col = position((rank, m, m), (a, i, j))
+                target = position((m, rank, m), (i, a, j))
+                assert phi.col(col) == tuple(
+                    field.one if row == target else field.zero
+                    for row in range(phi.nrows))
 
 
 class TestFaithfullyFlat:

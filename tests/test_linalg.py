@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -142,3 +143,19 @@ class TestSpans:
         C = mat(F3, [[rng.randrange(3) for _ in range(2)] for _ in range(2)])
         D = mat(F3, [[rng.randrange(3) for _ in range(2)] for _ in range(2)])
         assert kron(A, B) * kron(C, D) == kron(A * C, B * D)
+        # three factors, one of them rectangular with a zero column, so
+        # that whole blocks are zero
+        E = mat(F3, [[1, 0, 2], [2, 0, 1]])
+        G = mat(F3, [[rng.randrange(3) for _ in range(2)] for _ in range(3)])
+        assert kron(A, E, B) * kron(C, G, D) == kron(A * C, E * G, B * D)
+        assert kron(A, E, B) == kron(kron(A, E), B) == kron(A, kron(E, B))
+        # the layout itself: slots leftmost slowest
+        K = kron(A, E, B)
+        assert (K.nrows, K.ncols) == (8, 12)
+        for i, j, r, s, u, v in itertools.product(
+                range(2), range(2), range(2), range(3), range(2), range(2)):
+            assert K.rows[(i * 2 + r) * 2 + u][(j * 3 + s) * 2 + v] == (
+                A.rows[i][j] * E.rows[r][s] * B.rows[u][v])
+        Z = Matrix.zero(F3, 2, 3)
+        assert kron(Z, A) == Matrix.zero(F3, 4, 6)
+        assert kron(A, Z, B) == Matrix.zero(F3, 8, 12)
