@@ -245,48 +245,29 @@ def split_coefficients(poly, ext):
     return [MultiPolynomial(ext.base, poly.variables, terms) for terms in components]
 
 
-def descend_algebra(datum, budget=DEFAULT_BUDGET, validate=True):
-    """The affine descent construction: invariants, elimination, coefficient
-    contraction, and full verification of the resulting model."""
+def descend_algebra(datum, budget=DEFAULT_BUDGET):
+    """The affine descent construction, checked once under one budget: the
+    datum is validated, the graph ideal of the invariants is eliminated once,
+    and the model's coefficients are contracted; the splitting certificate
+    then runs on that same graph and kernel."""
     budget = _as_budget(budget)
-    if validate:
-        validate_datum(datum, budget)
+    validate_datum(datum, budget)
     algebra = datum.algebra
     ext = algebra.field
-    group = datum.group
-    relations_basis = algebra.relations.groebner(GREVLEX, budget)
 
-    invariants = _invariant_generators(datum)
-    flat_targets = [t for row in invariants for t in row]
+    flat_targets = [t for row in _invariant_generators(datum) for t in row]
     model_names = _model_variable_names(algebra.variables, ext.degree)
-
-    for t in flat_targets:
-        for idx in range(group.order):
-            moved = datum.theta(idx, t) - t
-            if not normal_form(moved, relations_basis, GREVLEX, budget).is_zero:
-                raise InternalContradiction(
-                    "invariant generator moved by the action; datum invalid")
-
     graph, kernel = _graph_elimination(algebra, model_names, flat_targets, budget)
 
     components = []
     for g in kernel.generators:
         components.extend(c for c in split_coefficients(g, ext) if not c.is_zero)
     model_ideal = Ideal(ext.base, model_names, components)
-    canonical = model_ideal.groebner(GREVLEX, budget)
-    model_ideal = Ideal(ext.base, model_names, canonical)
+    model_ideal = Ideal(ext.base, model_names, model_ideal.groebner(GREVLEX, budget))
 
     algebra0 = AffineAlgebra(ext.base, model_names, model_ideal)
-    splitting = dict(zip(model_names, flat_targets))
-    model = Model(algebra0, splitting, datum)
-
-    # kernel exactness: the extension of the contracted ideal recovers the
-    # eliminated kernel
-    extended = Ideal(ext, model_names,
-                     [g.map_coeffs(ext.from_base, ext) for g in canonical])
-    if not ideal_equal(extended, kernel, budget):
-        raise SplittingCheckFailed("contracted ideal does not extend to the kernel")
-    if not splits(model, datum, budget):
+    model = Model(algebra0, dict(zip(model_names, flat_targets)), datum)
+    if not _splits_on_graph(model, datum, graph, kernel, budget):
         raise SplittingCheckFailed("constructed model fails the splitting check")
     return model
 
@@ -296,35 +277,41 @@ def splits(model, datum, budget=DEFAULT_BUDGET):
     coefficient conjugation: substitution well-defined, images fixed, the
     extended map onto, and the kernel exactly the model's relations."""
     budget = _as_budget(budget)
-    algebra = datum.algebra
-    ext = algebra.field
-    group = datum.group
-    basis = algebra.relations.groebner(GREVLEX, budget)
     model_names = model.algebra0.variables
     targets = [model.splitting[name] for name in model_names]
+    graph, kernel = _graph_elimination(datum.algebra, model_names, targets, budget)
+    return _splits_on_graph(model, datum, graph, kernel, budget)
+
+
+def _splits_on_graph(model, datum, graph, kernel, budget):
+    """The four checks of :func:`splits`, given the graph ideal of the
+    splitting and its elimination kernel."""
+    algebra = datum.algebra
+    ext = algebra.field
+    basis = algebra.relations.groebner(GREVLEX, budget)
+    model_names = model.algebra0.variables
+    images = {name: model.splitting[name] for name in model_names}
 
     # substitution homomorphism is defined on the model's relations
-    images = dict(zip(model_names, targets))
     for g in model.algebra0.relations.generators:
-        g_ext = g.map_coeffs(ext.from_base, ext)
-        value = g_ext.substitute(images)
+        value = g.map_coeffs(ext.from_base, ext).substitute(images)
         if not normal_form(value, basis, GREVLEX, budget).is_zero:
             return False
 
     # every splitting image is an invariant of the action
-    for t in targets:
-        for idx in range(group.order):
+    for t in images.values():
+        for idx in range(datum.group.order):
             if not normal_form(datum.theta(idx, t) - t, basis, GREVLEX, budget).is_zero:
                 return False
 
     # onto: each original variable rewrites into the model variables alone
-    graph, kernel = _graph_elimination(algebra, model_names, targets, budget)
-    joint = algebra.variables + model_names
+    joint = graph.variables
     nx = len(algebra.variables)
-    graph_basis = graph.groebner(block_order(nx), budget)
-    for i, name in enumerate(algebra.variables):
+    order = block_order(nx)
+    graph_basis = graph.groebner(order, budget)
+    for name in algebra.variables:
         var = MultiPolynomial.variable(ext, joint, name)
-        reduced = normal_form(var, graph_basis, block_order(nx), budget)
+        reduced = normal_form(var, graph_basis, order, budget)
         if any(any(e for e in exps[:nx]) for exps in reduced.terms):
             return False
 

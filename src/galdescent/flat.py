@@ -364,9 +364,10 @@ def check_exactness(complex_, expect_first_kernel=None):
     first_rank = first.rank()
     if first_rank != first.ncols:
         raise NotExact(0, "first map is not injective")
+    ranks = [d.rank() for d in ds]
     expected = expect_first_kernel if expect_first_kernel is not None else first.ncols
     if ds:
-        kernel_rank = ds[0].ncols - ds[0].rank()
+        kernel_rank = ds[0].ncols - ranks[0]
         if kernel_rank != expected or first_rank != expected:
             raise NotExact(0, f"kernel rank {kernel_rank} != {expected}")
         report.append((0, kernel_rank, first_rank))
@@ -374,8 +375,8 @@ def check_exactness(complex_, expect_first_kernel=None):
         prev, cur = ds[degree - 1], ds[degree]
         if cur * prev != Matrix.zero(field, cur.nrows, prev.ncols):
             raise NotExact(degree, "composite is nonzero")
-        kernel_rank = cur.ncols - cur.rank()
-        image_rank = prev.rank()
+        kernel_rank = cur.ncols - ranks[degree]
+        image_rank = ranks[degree - 1]
         if kernel_rank != image_rank:
             raise NotExact(degree,
                            f"kernel rank {kernel_rank} != image rank {image_rank}")

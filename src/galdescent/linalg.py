@@ -63,18 +63,18 @@ class Matrix:
             return Matrix(self.field, [[a * other for a in r] for r in self.rows])
         if self.ncols != other.nrows:
             raise ShapeMismatch(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        cols = [other.col(j) for j in range(other.ncols)]
+        # row i of the product is sum_k a_ik * (row k of other), over the
+        # nonzero a_ik and the nonzero entries of row k only
+        sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
         zero = self.field.zero
         out = []
         for r in self.rows:
-            out_row = []
-            for c in cols:
-                acc = zero
-                for a, b in zip(r, c):
-                    if a and b:
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
+            acc = [zero] * other.ncols
+            for a, entries in zip(r, sparse):
+                if a:
+                    for j, b in entries:
+                        acc[j] = acc[j] + a * b
+            out.append(acc)
         return Matrix(self.field, out)
 
     def apply(self, vec):

@@ -1,5 +1,6 @@
 import pytest
 
+from galdescent import affine
 from galdescent.affine import (
     AffineAlgebra,
     AffineDescentDatum,
@@ -19,6 +20,7 @@ from galdescent.errors import (
     ConditionAViolated,
     NotEquivariant,
     NotStable,
+    SplittingCheckFailed,
 )
 from galdescent.extension import finite_field
 from galdescent.fields import GF, QQ
@@ -73,6 +75,8 @@ class TestValidate:
         datum = AffineDescentDatum(algebra, group, maps)
         with pytest.raises(CocycleViolation):
             validate_datum(datum)
+        with pytest.raises(CocycleViolation):
+            descend_algebra(datum)
 
     def test_corruption_always_detected(self):
         # corrupting any single non-identity image breaks validation
@@ -149,6 +153,15 @@ class TestDescendSwap:
         x, y = datum.algebra.vars()
         naive = Model(split_torus, {"s": x, "u": y}, datum)
         assert not splits(naive, datum)
+
+    def test_certificate_rejects_non_invariant_splitting(self, monkeypatch):
+        ext, group = qi()
+        datum = swap_datum(ext, group)
+        x, y = datum.algebra.vars()
+        monkeypatch.setattr(affine, "_invariant_generators",
+                            lambda datum: [[x, x], [y, y]])
+        with pytest.raises(SplittingCheckFailed):
+            descend_algebra(datum)
 
     def test_model_of_own_descent_splits(self):
         for q in (3, 5, 7):

@@ -1,9 +1,11 @@
+import json
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+from galdescent import affine, groebner
 from galdescent.cli import main, run
 from galdescent.parser import ParseError, parse
 
@@ -15,12 +17,17 @@ ORACLE = {"descend_canonical_line", "descend_swap_f9", "restrict_gm_f4",
           "fixed_f9_swap", "restrict_sqrt_i"}
 
 DOC_NAMES = sorted(p.stem for p in DOCUMENTS.glob("*.txt"))
+DESCEND_NAMES = [name for name in DOC_NAMES if name.startswith("descend_")]
+
+# exit code and report of every document in the mode tests/golden does not
+# cover, as recorded by the benchmark
+OTHER_MODE = json.loads((HERE.parent / "perfbench" / "expected.json").read_text())
 
 
-def run_document(name):
+def run_document(name, oracle=None):
     text = (DOCUMENTS / f"{name}.txt").read_text()
     document = parse(text)
-    return run(document, oracle=name in ORACLE)
+    return run(document, oracle=name in ORACLE if oracle is None else oracle)
 
 
 class TestGolden:
@@ -30,6 +37,10 @@ class TestGolden:
         assert code == 0
         assert not diagnostics
         assert report == (GOLDEN / f"{name}.golden").read_text()
+        other = name not in ORACLE
+        expected = OTHER_MODE[f"{name}:{'oracle' if other else 'plain'}"]
+        report, _, code = run_document(name, oracle=other)
+        assert (code, report) == (expected["code"], expected["stdout"])
 
     @pytest.mark.parametrize("name", DOC_NAMES)
     def test_two_runs_byte_identical(self, name):
@@ -112,6 +123,52 @@ class TestErrors:
         report, diagnostics, code = run(parse(text))
         assert code == 2
         assert "misses a block" in diagnostics[0].message
+
+
+class TestDescendChecksOnce:
+    """``descend`` validates, eliminates and certifies inside one
+    ``descend_algebra`` call under one budget; ``--oracle`` adds no Groebner
+    work."""
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    @pytest.mark.parametrize("name", DESCEND_NAMES)
+    def test_one_elimination(self, name, oracle, monkeypatch):
+        calls = {"eliminate": 0, "buchberger": 0}
+
+        def counted(key, function):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(affine, "eliminate", counted("eliminate", affine.eliminate))
+        monkeypatch.setattr(groebner, "buchberger",
+                            counted("buchberger", groebner.buchberger))
+        _, _, code = run_document(name, oracle=oracle)
+        assert code == 0
+        assert calls["eliminate"] == 1
+        assert calls["buchberger"] <= 5
+
+    def test_budget_bounds_the_whole_command(self):
+        # validation, construction and certificate of the GF(9) swap descent
+        # take 80 Groebner steps in all, and the oracle takes none
+        document = parse((DOCUMENTS / "descend_swap_f9.txt").read_text())
+        _, diagnostics, code = run(document, oracle=True, budget=80)
+        assert code == 0 and not diagnostics
+        _, diagnostics, code = run(document, oracle=True, budget=79)
+        assert code == 3
+        assert diagnostics[0].code == "budget-exceeded"
+
+    def test_invalid_datum_fails_validation(self):
+        text = (
+            "field F = GF(3^2)\n"
+            "algebra A = F[x]\n"
+            "datum D on A : frob => { x -> x + 1 }\n"
+            "descend D\n")
+        report, diagnostics, code = run(parse(text))
+        assert (report, code) == ("", 1)
+        assert diagnostics[0].code == "cocycle-violation"
+        assert diagnostics[0].line == 4
 
 
 class TestMultiBlock:
