@@ -9,12 +9,7 @@ sigma-conjugated coefficients); the conjugate-scheme picture is recovered in
 :func:`descend_from_embeddings`.
 """
 
-from .enumeration import (
-    DEFAULT_POINT_BUDGET,
-    SmallFieldTables,
-    affine_points,
-    check_point_budget,
-)
+from .enumeration import DEFAULT_POINT_BUDGET, solutions
 from .errors import (
     CocycleViolation,
     ConditionAViolated,
@@ -30,6 +25,7 @@ from .errors import (
     TransportNotRational,
 )
 from .extension import ExtensionField
+from .galois import GeneratorMap
 from .groebner import (
     DEFAULT_BUDGET,
     Ideal,
@@ -203,18 +199,21 @@ def _model_variable_names(variables, degree):
 def _invariant_generators(datum):
     """The trace-twist family t_{i,j} = sum_sigma sigma(b_j) theta_sigma(x_i)
     over the power basis b_j; every t is fixed by the whole action."""
-    ext = datum.group.ext
-    basis = ext.power_basis()
-    invariants = []
-    for name in datum.algebra.variables:
-        row = []
-        for b in basis:
-            acc = MultiPolynomial.zero(ext, datum.algebra.variables)
-            for idx, sigma in enumerate(datum.group.elements):
-                acc = acc + datum.maps[idx].images[name] * sigma(b)
-            row.append(acc)
-        invariants.append(row)
-    return invariants
+    return [_trace_twist([theta.images[name] for theta in datum.maps], datum.group)
+            for name in datum.algebra.variables]
+
+
+def _trace_twist(conjugates, group):
+    """sum_sigma sigma(b) * conjugates[sigma] for each power-basis element b
+    of the group's field, ``conjugates`` aligned with the group's elements."""
+    ext = group.ext
+    twists = []
+    for b in ext.power_basis():
+        acc = MultiPolynomial.zero(ext, conjugates[0].variables)
+        for p, sigma in zip(conjugates, group.elements):
+            acc = acc + p * sigma(b)
+        twists.append(acc)
+    return twists
 
 
 def _graph_elimination(algebra, model_names, targets, budget=DEFAULT_BUDGET):
@@ -305,14 +304,8 @@ def _splits_on_graph(model, datum, graph, kernel, budget):
                 return False
 
     # onto: each original variable rewrites into the model variables alone
-    joint = graph.variables
-    nx = len(algebra.variables)
-    order = block_order(nx)
-    graph_basis = graph.groebner(order, budget)
-    for name in algebra.variables:
-        var = MultiPolynomial.variable(ext, joint, name)
-        reduced = normal_form(var, graph_basis, order, budget)
-        if any(any(e for e in exps[:nx]) for exps in reduced.terms):
+    for var in algebra.vars():
+        if _rewrite_in_model(var, graph, budget) is None:
             return False
 
     # kernel equals the extension of the model's relations
@@ -320,6 +313,20 @@ def _splits_on_graph(model, datum, graph, kernel, budget):
                      [g.map_coeffs(ext.from_base, ext)
                       for g in model.algebra0.relations.generators])
     return ideal_equal(extended, kernel, budget)
+
+
+def _rewrite_in_model(poly, graph, budget):
+    """``poly``, over the original variables, reduced modulo the graph ideal
+    under the block order that eliminates them: a polynomial in the model
+    variables alone, or None when an original variable remains."""
+    nx = len(poly.variables)
+    order = block_order(nx)
+    reduced = normal_form(poly.rename_ring(graph.variables, list(range(nx))),
+                          graph.groebner(order, budget), order, budget)
+    if any(any(exps[:nx]) for exps in reduced.terms):
+        return None
+    return MultiPolynomial(poly.field, graph.variables[nx:],
+                           {exps[nx:]: c for exps, c in reduced.terms.items()})
 
 
 def descend_ideal(algebra0, group, W, budget=DEFAULT_BUDGET):
@@ -345,14 +352,10 @@ def descend_ideal(algebra0, group, W, budget=DEFAULT_BUDGET):
             if not normal_form(image, full_basis, GREVLEX, budget).is_zero:
                 raise NotStable(sigma.name, g.format())
 
-    basis = ext.power_basis()
     components = []
     for g in W.generators:
-        for b in basis:
-            acc = MultiPolynomial.zero(ext, W.variables)
-            for sigma in group.elements:
-                acc = acc + g.map_coeffs(sigma) * sigma(b)
-            components.extend(c for c in split_coefficients(acc, ext) if not c.is_zero)
+        for twist in _trace_twist([g.map_coeffs(sigma) for sigma in group.elements], group):
+            components.extend(c for c in split_coefficients(twist, ext) if not c.is_zero)
     result = Ideal(ext.base, W.variables,
                    components + list(algebra0.relations.generators))
     result = Ideal(ext.base, W.variables, result.groebner(GREVLEX, budget))
@@ -398,23 +401,14 @@ def descend_morphism(datum_a, model_a, datum_b, model_b, alpha_images,
     model_names_a = model_a.algebra0.variables
     targets_a = [model_a.splitting[name] for name in model_names_a]
     graph, _ = _graph_elimination(A, model_names_a, targets_a, budget)
-    nx = len(A.variables)
-    order = block_order(nx)
-    graph_basis = graph.groebner(order, budget)
-    joint = A.variables + model_names_a
 
     result = {}
     for u_name in model_b.algebra0.variables:
-        t_b = model_b.splitting[u_name]
-        w = t_b.substitute(alpha_images)
-        lifted = w.rename_ring(joint, list(range(nx)))
-        reduced = normal_form(lifted, graph_basis, order, budget)
-        if any(any(e for e in exps[:nx]) for exps in reduced.terms):
+        dropped = _rewrite_in_model(
+            model_b.splitting[u_name].substitute(alpha_images), graph, budget)
+        if dropped is None:
             raise TransportNotRational(
                 f"image of {u_name} does not rewrite into model variables")
-        dropped = MultiPolynomial(
-            ext, model_names_a,
-            {exps[nx:]: c for exps, c in reduced.terms.items()})
         rational_terms = {}
         for exps, coeff in dropped.terms.items():
             coords = ext.coords(coeff)
@@ -442,11 +436,11 @@ def descend_morphism(datum_a, model_a, datum_b, model_b, alpha_images,
     return result
 
 
-class Embedding:
+class Embedding(GeneratorMap):
     """A base-field embedding of one extension into another, stored as the
     image of the source generator."""
 
-    __slots__ = ("source", "target", "image", "name", "_powers")
+    __slots__ = ()
 
     def __init__(self, source, target, image, name):
         if source.base != target.base:
@@ -454,21 +448,7 @@ class Embedding:
         value = source.modulus.evaluate(image, embed=target.from_base)
         if value:
             raise FieldMismatch("claimed embedding image is not a root")
-        self.source = source
-        self.target = target
-        self.image = image
-        self.name = name
-        powers = [target.one]
-        for _ in range(source.degree - 1):
-            powers.append(powers[-1] * image)
-        self._powers = powers
-
-    def __call__(self, a):
-        acc = self.target.zero
-        for coeff, power in zip(self.source.coords(a), self._powers):
-            if coeff:
-                acc = acc + self.target.from_base(coeff) * power
-        return acc
+        super().__init__(source, target, image, name)
 
     def __repr__(self):
         return f"{self.name}: K -> Omega, t -> {self.target.format_element(self.image)}"
@@ -612,13 +592,9 @@ def derive_point_action(datum, budget=DEFAULT_POINT_BUDGET):
     algebra = datum.algebra
     ext = algebra.field
     group = datum.group
-    nvars = len(algebra.variables)
-    check_point_budget(ext, nvars, budget)
-    tables = SmallFieldTables(ext)
-    points = affine_points(list(algebra.relations.generators), ext, nvars,
-                           budget, tables=tables)
-    coded = [tuple(map(tables.encode, p)) for p in points]
-    index = {p: i for i, p in enumerate(coded)}
+    hits, tables = solutions(list(algebra.relations.generators), ext,
+                             len(algebra.variables), budget)
+    index = {p: i for i, p in enumerate(hits)}
     permutations = []
     for idx in range(group.order):
         sigma = tables.permutation(group.elements[idx])
@@ -626,7 +602,7 @@ def derive_point_action(datum, budget=DEFAULT_POINT_BUDGET):
         inv_images = [tables.compile_poly(datum.maps[inv].images[name])
                       for name in algebra.variables]
         perm = []
-        for p in coded:
+        for p in hits:
             target = index.get(tuple(sigma[image(p)] for image in inv_images))
             if target is None:
                 raise InternalContradiction(
@@ -637,7 +613,7 @@ def derive_point_action(datum, budget=DEFAULT_POINT_BUDGET):
     for i in range(group.order):
         for j in range(group.order):
             k = group.compose(i, j)
-            for p_idx in range(len(points)):
+            for p_idx in range(len(hits)):
                 if permutations[i][permutations[j][p_idx]] != permutations[k][p_idx]:
                     raise InternalContradiction("point action violates the group law")
-    return PointAction(datum, points, permutations)
+    return PointAction(datum, [tables.decode(p) for p in hits], permutations)

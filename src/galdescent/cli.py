@@ -73,7 +73,7 @@ def _fail_resolution(line, col, message):
 
 # -- expression materialization -------------------------------------------------
 
-def eval_poly(ast, field, variables, statement):
+def eval_poly(ast, field, variables):
     kind = ast[0]
     if kind == "int":
         return MultiPolynomial.constant(field, variables, ast[1])
@@ -88,23 +88,23 @@ def eval_poly(ast, field, variables, statement):
             return MultiPolynomial.constant(field, variables, field.generator)
         _fail_resolution(ast[2], ast[3], f"unknown symbol {name!r} in polynomial")
     if kind == "add":
-        return (eval_poly(ast[1], field, variables, statement)
-                + eval_poly(ast[2], field, variables, statement))
+        return (eval_poly(ast[1], field, variables)
+                + eval_poly(ast[2], field, variables))
     if kind == "sub":
-        return (eval_poly(ast[1], field, variables, statement)
-                - eval_poly(ast[2], field, variables, statement))
+        return (eval_poly(ast[1], field, variables)
+                - eval_poly(ast[2], field, variables))
     if kind == "mul":
-        return (eval_poly(ast[1], field, variables, statement)
-                * eval_poly(ast[2], field, variables, statement))
+        return (eval_poly(ast[1], field, variables)
+                * eval_poly(ast[2], field, variables))
     if kind == "neg":
-        return -eval_poly(ast[1], field, variables, statement)
+        return -eval_poly(ast[1], field, variables)
     if kind == "pow":
-        return eval_poly(ast[1], field, variables, statement) ** ast[2]
+        return eval_poly(ast[1], field, variables) ** ast[2]
     raise AssertionError(f"unhandled expression node {kind}")
 
 
-def eval_unipoly(ast, base, statement):
-    poly = eval_poly(ast, base, ("t",), statement)
+def eval_unipoly(ast, base):
+    poly = eval_poly(ast, base, ("t",))
     degree = poly.total_degree()
     coeffs = [base.zero] * (degree + 1)
     for exps, coeff in poly.terms.items():
@@ -112,8 +112,8 @@ def eval_unipoly(ast, base, statement):
     return UniPoly(base, coeffs)
 
 
-def eval_element(ast, field, statement):
-    poly = eval_poly(ast, field, (), statement)
+def eval_element(ast, field):
+    poly = eval_poly(ast, field, ())
     return poly.coefficient_of(())
 
 
@@ -156,7 +156,7 @@ class Workspace:
                 self._register_field(statement.name, GF(p), None)
                 return
             if payload["modulus"] is not None:
-                modulus = eval_unipoly(payload["modulus"], GF(p), statement)
+                modulus = eval_unipoly(payload["modulus"], GF(p))
                 field = finite_field(p, n, modulus)
             else:
                 field = finite_field(p, n)
@@ -167,7 +167,7 @@ class Workspace:
             field, group = cyclotomic_group(payload["m"])
             self._register_field(statement.name, field, group)
             return
-        modulus = eval_unipoly(payload["modulus"], QQ, statement)
+        modulus = eval_unipoly(payload["modulus"], QQ)
         field = make_extension(QQ, modulus, irreducible=payload["irreducible"])
         self._register_field(statement.name, field, None)
 
@@ -193,7 +193,7 @@ class Workspace:
                              "explicit groups need an extension field")
         autos = []
         for i, ast in enumerate(payload["images"]):
-            image = eval_element(ast, ext, statement)
+            image = eval_element(ast, ext)
             name = "id" if image == ext.generator else f"a{i}"
             autos.append(verify_automorphism(ext, image, name))
         group = GaloisGroup.close_and_verify(ext, autos, require_full=False)
@@ -205,8 +205,7 @@ class Workspace:
         payload = statement.payload
         field = self.fields[payload["field"]]
         variables = payload["variables"]
-        gens = [eval_poly(ast, field, variables, statement)
-                for ast in payload["relations"]]
+        gens = [eval_poly(ast, field, variables) for ast in payload["relations"]]
         self.algebras[statement.name] = AffineAlgebra(
             field, variables, Ideal(field, variables, gens))
 
@@ -237,8 +236,7 @@ class Workspace:
                 if var not in algebra.variables:
                     _fail_resolution(line, col,
                                      f"{var!r} is not a variable of the algebra")
-                images[var] = eval_poly(ast, algebra.field, algebra.variables,
-                                        statement)
+                images[var] = eval_poly(ast, algebra.field, algebra.variables)
             missing = [v for v in algebra.variables if v not in images]
             if missing:
                 _fail_resolution(block["line"], block["col"],
@@ -274,7 +272,7 @@ class Workspace:
             if len(rows) != dim or any(len(r) != dim for r in rows):
                 _fail_resolution(block["line"], block["col"],
                                  f"matrix for {block['label']!r} is not {dim}x{dim}")
-            matrix = Matrix(ext, [[eval_element(ast, ext, statement) for ast in row]
+            matrix = Matrix(ext, [[eval_element(ast, ext) for ast in row]
                                   for row in rows])
             by_label[block["label"]] = (block, matrix)
         cocycle = []

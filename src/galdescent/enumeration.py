@@ -1,14 +1,20 @@
 """Brute-force point enumeration over finite fields and finite algebras.
 
+Every exhaustive scan in the library runs through :func:`tuples`: the q^n
+tuples over a pool of q values in base-q counting order, the first
+coordinate varying fastest.  Elements of GF(p^n) (coordinates on the power
+basis), elements of a finite algebra, default-modulus candidates and
+candidate points are all listed in this order.
+
 Solution sets are tiny but appear inside doubly-exponential loops, so every
 finite-field oracle (affine points, the induced action on points, fixed
 vectors of a semilinear module) runs on index arithmetic: the q elements are
-coded 0..q-1 in the order of ``field.elements()``, that is as base-p integers
-whose digits, least significant first, are the coordinates on the power
-basis.  :class:`SmallFieldTables` builds the q x q product and sum tables
-with O(q) field operations: products from a log/antilog table over the
-first element of order exactly q - 1, found by exhaustive powering; sums by
-digit-wise addition mod p.
+coded 0..q-1 in the order of ``field.elements()``, so an element's index is
+the base-p integer whose digits, least significant first, are its
+coordinates on the power basis.  :class:`SmallFieldTables` builds the q x q
+product and sum tables with O(q) field operations: products from a
+log/antilog table over the first element of order exactly q - 1, found by
+exhaustive powering; sums by digit-wise addition mod p.
 """
 
 from itertools import product
@@ -84,6 +90,10 @@ class SmallFieldTables:
             return self.ints[value]
         return self.ints[sum(c.value * w for c, w in zip(value, self._weights))]
 
+    def decode(self, point):
+        """The field elements of a tuple of indices."""
+        return tuple(self.elements[i] for i in point)
+
     def permutation(self, automorphism):
         """The automorphism as a list: entry i is the index of its image of
         element i."""
@@ -136,35 +146,33 @@ def check_point_budget(field, nvars, budget=DEFAULT_POINT_BUDGET):
         raise BudgetExceeded(f"{q * q} field table entries exceed budget {budget}")
 
 
-def _tuples(pool, arity):
-    """All arity-tuples over ``pool``, the first coordinate varying fastest."""
+def tuples(pool, arity):
+    """All arity-tuples over ``pool``, in the order of the module docstring."""
     for digits in product(pool, repeat=arity):
         yield digits[::-1]
 
 
-def _solutions(generators, field, nvars, budget, tables):
-    """Index tuples of the solutions, and the tables they index."""
+def solutions(generators, field, nvars, budget=DEFAULT_POINT_BUDGET):
+    """The solutions of the generator system in field^nvars as tuples of
+    element indices, and the field's tables that they index."""
     check_point_budget(field, nvars, budget)
-    if tables is None:
-        tables = SmallFieldTables(field)
+    tables = SmallFieldTables(field)
     evaluators = [tables.compile_poly(g) for g in generators if not g.is_zero]
     zero = tables.zero
-    hits = [point for point in _tuples(tables.ints, nvars)
+    hits = [point for point in tuples(tables.ints, nvars)
             if all(ev(point) == zero for ev in evaluators)]
     return hits, tables
 
 
-def affine_points(generators, field, nvars, budget=DEFAULT_POINT_BUDGET, tables=None):
+def affine_points(generators, field, nvars, budget=DEFAULT_POINT_BUDGET):
     """All solutions of the generator system in field^nvars, as tuples of
-    field elements.  ``tables``, if given, are the field's tables, shared
-    with the caller."""
-    hits, tables = _solutions(generators, field, nvars, budget, tables)
-    elements = tables.elements
-    return [tuple(elements[i] for i in point) for point in hits]
+    field elements."""
+    hits, tables = solutions(generators, field, nvars, budget)
+    return [tables.decode(point) for point in hits]
 
 
 def count_affine_points(generators, field, nvars, budget=DEFAULT_POINT_BUDGET):
-    return len(_solutions(generators, field, nvars, budget, None)[0])
+    return len(solutions(generators, field, nvars, budget)[0])
 
 
 def count_fixed_vectors(module, budget=DEFAULT_POINT_BUDGET):
@@ -192,7 +200,7 @@ def count_fixed_vectors(module, budget=DEFAULT_POINT_BUDGET):
                     return False
         return True
 
-    return sum(1 for vec in product(tables.ints, repeat=module.dim) if is_fixed(vec))
+    return sum(1 for vec in tuples(tables.ints, module.dim) if is_fixed(vec))
 
 
 def algebra_points(generators, algebra, nvars, embed, budget=DEFAULT_POINT_BUDGET):
@@ -202,12 +210,14 @@ def algebra_points(generators, algebra, nvars, embed, budget=DEFAULT_POINT_BUDGE
     algebra are whatever :meth:`algebra.elements` yields, with arithmetic via
     ``algebra.add``/``algebra.mul``.
     """
-    elems = list(algebra.elements())
-    total = len(elems) ** nvars
+    if not algebra.field.is_finite:
+        raise BudgetExceeded("cannot enumerate over an infinite base field")
+    total = (algebra.field.order ** algebra.dim) ** nvars
     if total > budget:
         raise BudgetExceeded(f"{total} candidate points exceed budget {budget}")
+    elems = list(algebra.elements())
     gens = [g for g in generators if not g.is_zero]
     zero = algebra.zero_vector()
-    return [point for point in _tuples(elems, nvars)
+    return [point for point in tuples(elems, nvars)
             if all(g.evaluate(point, embed=embed, mul=algebra.mul, add=algebra.add) == zero
                    for g in gens)]

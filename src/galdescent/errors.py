@@ -27,6 +27,11 @@ class NotSeparable(GaldescentError):
     pass
 
 
+class InvalidFieldParameter(GaldescentError):
+    """A field constructor's parameter names no supported field: a prime
+    field of non-prime order, a cyclotomic field of index below 3."""
+
+
 class FieldMismatch(GaldescentError):
     """Operands or declarations belong to different fields."""
 

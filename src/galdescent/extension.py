@@ -5,8 +5,7 @@ over the base field (constant term first).  Towers are out of scope: the base
 of an extension is always Q or a prime field.
 """
 
-from itertools import product
-
+from .enumeration import tuples
 from .errors import (
     DivisionByZero,
     FieldMismatch,
@@ -135,9 +134,8 @@ class ExtensionField(Field):
     def elements(self):
         if not self.is_finite:
             raise FieldMismatch("cannot enumerate an infinite field")
-        # the first coordinate varies fastest
-        for coords in product(list(self.base.elements()), repeat=self.degree):
-            yield FieldElement(self, coords[::-1])
+        for coords in tuples(list(self.base.elements()), self.degree):
+            yield FieldElement(self, coords)
 
     def power_basis(self):
         """1, t, ..., t^(n-1): the basis that element coordinates refer to."""

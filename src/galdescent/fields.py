@@ -7,7 +7,7 @@ over a prime field).  Extension fields live in :mod:`galdescent.extension`.
 
 from fractions import Fraction
 
-from .errors import DivisionByZero, FieldMismatch
+from .errors import DivisionByZero, FieldMismatch, InvalidFieldParameter
 
 
 class FieldElement:
@@ -106,9 +106,6 @@ class FieldElement:
 class Field:
     """Common interface for exact fields."""
 
-    def element(self, value):
-        return FieldElement(self, value)
-
     @property
     def zero(self):
         return self.from_int(0)
@@ -184,7 +181,7 @@ class PrimeField(Field):
         field = cls._cache.get(p)
         if field is None:
             if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-                raise ValueError(f"{p} is not prime")
+                raise InvalidFieldParameter(f"{p} is not prime")
             field = super().__new__(cls)
             field.p = p
             cls._cache[p] = field

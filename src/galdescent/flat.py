@@ -13,6 +13,7 @@ followed by at most one reordering of tensor slots (``_permute_slots``).
 import itertools
 import math
 
+from .enumeration import tuples
 from .errors import (
     BasisNotIndependent,
     BasisNotSpanning,
@@ -184,9 +185,7 @@ class FiniteAlgebra:
     def elements(self):
         if not self.field.is_finite:
             raise BudgetExceeded("cannot enumerate over an infinite base field")
-        # the first coordinate varies fastest
-        for coords in itertools.product(list(self.field.elements()), repeat=self.dim):
-            yield coords[::-1]
+        yield from tuples(list(self.field.elements()), self.dim)
 
     def verify(self):
         """Associativity, commutativity, and the unit law on basis elements."""

@@ -9,6 +9,7 @@ verified and closed explicitly.
 
 from .errors import (
     FieldMismatch,
+    InvalidFieldParameter,
     NotARoot,
     NotClosed,
     NotFiniteBase,
@@ -17,34 +18,49 @@ from .errors import (
 )
 from .extension import ExtensionField, make_extension
 from .fields import QQ
-from .linalg import Matrix
+from .linalg import Matrix, fixed_space_basis
 from .unipoly import cyclotomic
 
 
-class Automorphism:
+class GeneratorMap:
+    """A base-field homomorphism out of a simple extension, determined by the
+    image of the generator: sum a_j t^j goes to sum a_j image^j."""
+
+    __slots__ = ("source", "target", "image", "name", "_powers")
+
+    def __init__(self, source, target, image, name):
+        self.source = source
+        self.target = target
+        self.image = image
+        self.name = name
+        powers = [target.one]
+        for _ in range(source.degree - 1):
+            powers.append(powers[-1] * image)
+        self._powers = powers
+
+    def __call__(self, a):
+        if a.field != self.source:
+            raise FieldMismatch("element not in the map's source field")
+        acc = self.target.zero
+        for coeff, power in zip(self.source.coords(a), self._powers):
+            if coeff:
+                acc = acc + self.target.from_base(coeff) * power
+        return acc
+
+
+class Automorphism(GeneratorMap):
     """A base-field automorphism of an extension, determined by the image of
     the generator."""
 
-    __slots__ = ("ext", "image", "name", "_powers", "_matrix")
+    __slots__ = ("_matrix",)
 
     def __init__(self, ext, image, name):
-        self.ext = ext
-        self.image = image
-        self.name = name
-        powers = [ext.one]
-        for _ in range(ext.degree - 1):
-            powers.append(powers[-1] * image)
-        self._powers = powers
+        super().__init__(ext, ext, image, name)
         self._matrix = None
 
-    def __call__(self, a):
-        if a.field != self.ext:
-            raise FieldMismatch("element not in the automorphism's field")
-        acc = self.ext.zero
-        for coeff, power in zip(self.ext.coords(a), self._powers):
-            if coeff:
-                acc = acc + self.ext.from_base(coeff) * power
-        return acc
+    @property
+    def ext(self):
+        return self.source
 
     def matrix(self):
         """Base-field matrix acting on generator-power coordinates."""
@@ -206,7 +222,7 @@ def frobenius_group(ext):
 def cyclotomic_field(m):
     """Q(zeta_m) presented by the m-th cyclotomic polynomial."""
     if m < 3:
-        raise ValueError("need m >= 3")
+        raise InvalidFieldParameter("need m >= 3")
     return make_extension(QQ, cyclotomic(m), irreducible=True)
 
 
@@ -228,19 +244,9 @@ def cyclotomic_group(m):
 def check_fixed_field(group):
     """Base-field basis of the fixed subfield of the group, as field elements."""
     ext = group.ext
-    base = ext.base
-    d = ext.degree
-    rows = []
-    identity = Matrix.identity(base, d)
-    for idx in range(group.order):
-        if idx == group.identity_index:
-            continue
-        diff = group.elements[idx].matrix() - identity
-        rows.extend(diff.rows)
-    if not rows:
-        rows = Matrix.zero(base, d, d).rows
-    kernel = Matrix(base, rows).kernel_basis()
-    return [ext.from_coords(v) for v in kernel]
+    moving = [sigma.matrix() for idx, sigma in enumerate(group.elements)
+              if idx != group.identity_index]
+    return [ext.from_coords(v) for v in fixed_space_basis(ext.base, ext.degree, moving)]
 
 
 class TwistedGroupAlgebraMap:

@@ -192,6 +192,14 @@ def solve_linear(A, b):
     return LinearSolution(tuple(particular), A.kernel_basis(), True)
 
 
+def fixed_space_basis(field, n, matrices):
+    """Basis of the vectors in field^n that every n x n matrix in
+    ``matrices`` fixes: the kernel of the stacked M - I."""
+    identity = Matrix.identity(field, n)
+    rows = [row for M in matrices for row in (M - identity).rows]
+    return Matrix(field, rows or Matrix.zero(field, n, n).rows).kernel_basis()
+
+
 def kron(*factors):
     """Kronecker product A (x) B (x) ..., blocks A[i][j] * (B (x) ...); zero
     entries are copied, never multiplied, so a zero entry of A fills its

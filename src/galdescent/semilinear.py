@@ -19,6 +19,7 @@ from .linalg import (
     Matrix,
     contract_vector,
     expand_vector,
+    fixed_space_basis,
     intersect_spans,
     kron,
     restrict_scalars_matrix,
@@ -117,34 +118,25 @@ def validate_action(module):
 
 def _action_matrices_over_base(module):
     """Base-field matrices of v -> c_sigma * sigma(v) on expanded coordinates,
-    one per group element."""
-    ext = module.group.ext
+    one per group element other than the identity."""
+    group = module.group
+    ext = group.ext
     out = []
     ident = Matrix.identity(ext.base, module.dim)
-    for idx, sigma in enumerate(module.group.elements):
-        sigma_block = kron(ident, sigma.matrix())
-        out.append(restrict_scalars_matrix(module.cocycle[idx], ext) * sigma_block)
+    for idx, sigma in enumerate(group.elements):
+        if idx != group.identity_index:
+            sigma_block = kron(ident, sigma.matrix())
+            out.append(restrict_scalars_matrix(module.cocycle[idx], ext) * sigma_block)
     return out
 
 
 def fixed_subspace(module):
     """Base-field basis of the vectors fixed by the whole action, embedded in
     Omega^n; its dimension always equals n for a valid action."""
-    group = module.group
-    ext = group.ext
+    ext = module.group.ext
     base = ext.base
     n = module.dim
-    d = ext.degree
-    action = _action_matrices_over_base(module)
-    ident = Matrix.identity(base, n * d)
-    rows = []
-    for idx in range(group.order):
-        if idx == group.identity_index:
-            continue
-        rows.extend((action[idx] - ident).rows)
-    if not rows:
-        rows = Matrix.zero(base, n * d, n * d).rows
-    kernel = Matrix(base, rows).kernel_basis()
+    kernel = fixed_space_basis(base, n * ext.degree, _action_matrices_over_base(module))
     embedding = [contract_vector(v, ext, n) for v in kernel]
     if len(kernel) != n:
         raise InternalContradiction(
@@ -211,12 +203,11 @@ def descend_subspace(space, spanning, group):
         contracted = contract_vector(v, ext, n)
         fixed_vectors.append(contracted)
     # verify Omega * fixed = input span (mutual containment over Omega)
-    embedded = [tuple(x for x in v) for v in fixed_vectors]
-    for v in embedded:
+    for v in fixed_vectors:
         if not span_contains(ext, spanning, v):
             raise InternalContradiction("fixed vector escaped the span")
     for v in spanning:
-        if not span_contains(ext, embedded, v):
+        if not span_contains(ext, fixed_vectors, v):
             raise InternalContradiction(
                 "stable subspace is not spanned by its fixed part")
     return KSpace(base, len(fixed_vectors), fixed_vectors, ambient_dim=n)

@@ -7,6 +7,7 @@ irreducibility over F_p, cyclotomic polynomials, and the default modulus
 policy for GF(p^n).
 """
 
+from .enumeration import tuples
 from .errors import DivisionByZero, NotIrreducible
 from .fields import GF, QQ, FieldElement
 
@@ -243,13 +244,8 @@ def default_modulus(p, n):
     field = GF(p)
     if n == 1:
         return UniPoly.from_ints(field, [0, 1])
-    for code in range(p ** n):
-        coeffs = []
-        rest = code
-        for _ in range(n):
-            coeffs.append(rest % p)
-            rest //= p
-        f = UniPoly.from_ints(field, coeffs + [1])
+    for coeffs in tuples(range(p), n):
+        f = UniPoly.from_ints(field, coeffs + (1,))
         if is_irreducible_mod_p(f):
             return f
     raise NotIrreducible(f"no irreducible polynomial of degree {n} over F_{p}")

@@ -154,6 +154,17 @@ class TestDescendSwap:
         naive = Model(split_torus, {"s": x, "u": y}, datum)
         assert not splits(naive, datum)
 
+    def test_splitting_that_is_not_onto_rejected(self):
+        # x^2 is invariant and K[T] -> K[x], T -> x^2 is injective, but x
+        # does not rewrite into T
+        ext, group = qi()
+        datum = canonical_datum(AffineAlgebra(QQ, ("x",)), group)
+        from galdescent.affine import Model
+
+        x, = datum.algebra.vars()
+        square = Model(AffineAlgebra(QQ, ("T",)), {"T": x * x}, datum)
+        assert not splits(square, datum)
+
     def test_certificate_rejects_non_invariant_splitting(self, monkeypatch):
         ext, group = qi()
         datum = swap_datum(ext, group)

@@ -94,6 +94,13 @@ class TestErrors:
         assert code == 1
         assert diagnostics[0].code == "not-irreducible"
 
+    @pytest.mark.parametrize("ctor", ["GF(4)", "GF(4^2)", "GF(1)", "GF(9^1)",
+                                      "Cyclo(2)", "Cyclo(0)"])
+    def test_invalid_field_parameter_exit_1(self, ctor):
+        report, diagnostics, code = run(parse(f"field F = {ctor}\nvalidate F\n"))
+        assert (report, code) == ("", 1)
+        assert (diagnostics[0].line, diagnostics[0].code) == (1, "invalid-field-parameter")
+
     def test_budget_exit_3(self):
         text = (
             "field F7 = GF(7^2)\n"

@@ -10,6 +10,7 @@ from galdescent.affine import (
 )
 from galdescent.enumeration import (
     SmallFieldTables,
+    algebra_points,
     count_affine_points,
     count_fixed_vectors,
 )
@@ -79,6 +80,15 @@ class TestTables:
         coords = [tuple(c.value for c in e) for e in algebra.elements()]
         assert coords == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
+    def test_elements_order_pinned_gf8_and_product(self):
+        eight = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0),
+                 (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
+        F8 = finite_field(2, 3)
+        assert [tuple(c.value for c in e.value) for e in F8.elements()] == eight
+        product = FiniteAlgebra.product([FiniteAlgebra.base(GF(2)),
+                                         FiniteAlgebra.from_extension(finite_field(2, 2))])
+        assert [tuple(c.value for c in e) for e in product.elements()] == eight
+
 
 class TestBudget:
     def test_candidates_checked_before_tables(self, monkeypatch):
@@ -92,6 +102,16 @@ class TestBudget:
         with pytest.raises(BudgetExceeded, match="44521 candidate points"):
             count_affine_points([x - 1], field, 1, budget=10000)
         assert time.perf_counter() - start < 1.0
+
+    def test_algebra_points_checked_before_elements(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("elements listed before the budget check")
+
+        algebra = FiniteAlgebra.from_extension(finite_field(3, 2))
+        x, = MultiPolynomial.ring_vars(GF(3), ("x",))
+        monkeypatch.setattr(FiniteAlgebra, "elements", refuse)
+        with pytest.raises(BudgetExceeded, match="729 candidate points"):
+            algebra_points([x], algebra, 3, embed=None, budget=700)
 
     def test_table_size_checked(self):
         field = GF(101)

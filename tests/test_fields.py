@@ -20,6 +20,25 @@ def poly(field, ints):
     return UniPoly.from_ints(field, ints)
 
 
+def monics(field, deg):
+    """The monic polynomials of degree ``deg`` in increasing order of the
+    base-p integer of their lower coefficients, constant term lowest."""
+    p = field.characteristic
+    out = []
+    for code in range(p ** deg):
+        coeffs, rest = [], code
+        for _ in range(deg):
+            coeffs.append(rest % p)
+            rest //= p
+        out.append(poly(field, coeffs + [1]))
+    return out
+
+
+def has_lower_factor(f, field):
+    """Trial division by every monic polynomial of lower positive degree."""
+    return any((f % g).is_zero for low in range(1, f.degree) for g in monics(field, low))
+
+
 class TestMakeExtension:
     def test_gf9_from_t2_plus_1(self):
         # t^2 + 1 has no root mod 3: trial of t in {0,1,2}
@@ -124,26 +143,21 @@ class TestDefaultModulus:
         F2 = GF(2)
         assert default_modulus(2, 3) == poly(F2, [1, 1, 0, 1])
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_default_is_first_irreducible_in_base_p_order(self, p):
+        field = GF(p)
+        for n in range(1, 5):
+            first = next(f for f in monics(field, n) if not has_lower_factor(f, field))
+            assert default_modulus(p, n) == first
+
     def test_irreducibility_exhaustive_degree_le_4(self):
         # Oracle: trial division by all lower-degree monic polynomials;
         # make_extension must accept exactly the irreducible ones.
         for p in (2, 3):
             field = GF(p)
-            monics = {1: [], 2: [], 3: [], 4: []}
-            for deg in (1, 2, 3, 4):
-                for code in range(p ** deg):
-                    coeffs, rest = [], code
-                    for _ in range(deg):
-                        coeffs.append(rest % p)
-                        rest //= p
-                    monics[deg].append(poly(field, coeffs + [1]))
             for deg in (2, 3, 4):
-                for f in monics[deg]:
-                    has_factor = any(
-                        (f % g).is_zero
-                        for low in range(1, deg)
-                        for g in monics[low]
-                    )
+                for f in monics(field, deg):
+                    has_factor = has_lower_factor(f, field)
                     assert is_irreducible_mod_p(f) == (not has_factor), f.format()
                     if has_factor:
                         with pytest.raises(NotIrreducible):

@@ -74,6 +74,15 @@ class TestFixedSubspace:
         # the fixed line is spanned by 1 + i
         assert span_contains(ext, [v], ((ext.one + i),))
 
+    def test_identity_listed_second(self):
+        F9 = finite_field(3, 2)
+        frob, ident = reversed(frobenius_group(F9).elements)
+        group = GaloisGroup.close_and_verify(F9, [frob, ident])
+        assert group.identity_index == 1
+        swap = Matrix(F9, [[F9.zero, F9.one], [F9.one, F9.zero]])
+        module = SemilinearModule(group, 2, [swap, Matrix.identity(F9, 2)])
+        assert fixed_subspace(module).dim == 2
+
     def test_gf9_swap(self):
         F9 = finite_field(3, 2)
         group = frobenius_group(F9)
