@@ -9,8 +9,9 @@ sigma-conjugated coefficients); the conjugate-scheme picture is recovered in
 :func:`descend_from_embeddings`.
 """
 
-from .enumeration import DEFAULT_POINT_BUDGET, solutions
+from .enumeration import solutions
 from .errors import (
+    Budget,
     CocycleViolation,
     ConditionAViolated,
     ConditionBViolated,
@@ -27,9 +28,7 @@ from .errors import (
 from .extension import ExtensionField
 from .galois import GeneratorMap
 from .groebner import (
-    DEFAULT_BUDGET,
     Ideal,
-    _as_budget,
     apply_semilinear,
     eliminate,
     ideal_equal,
@@ -127,10 +126,10 @@ def canonical_datum(algebra0, group):
     return AffineDescentDatum(algebra, group, maps)
 
 
-def validate_datum(datum, budget=DEFAULT_BUDGET):
+def validate_datum(datum, budget=None):
     """Well-definedness, identity triviality, the automorphism-composition
     law, and invertibility, all modulo the relations."""
-    budget = _as_budget(budget)
+    budget = budget or Budget()
     algebra = datum.algebra
     group = datum.group
     basis = algebra.relations.groebner(GREVLEX, budget)
@@ -216,7 +215,7 @@ def _trace_twist(conjugates, group):
     return twists
 
 
-def _graph_elimination(algebra, model_names, targets, budget=DEFAULT_BUDGET):
+def _graph_elimination(algebra, model_names, targets, budget):
     """Eliminate the original variables from relations + (T - t); returns the
     kernel ideal over the extension in the model variables."""
     ext = algebra.field
@@ -244,12 +243,12 @@ def split_coefficients(poly, ext):
     return [MultiPolynomial(ext.base, poly.variables, terms) for terms in components]
 
 
-def descend_algebra(datum, budget=DEFAULT_BUDGET):
+def descend_algebra(datum, budget=None):
     """The affine descent construction, checked once under one budget: the
     datum is validated, the graph ideal of the invariants is eliminated once,
     and the model's coefficients are contracted; the splitting certificate
     then runs on that same graph and kernel."""
-    budget = _as_budget(budget)
+    budget = budget or Budget()
     validate_datum(datum, budget)
     algebra = datum.algebra
     ext = algebra.field
@@ -271,11 +270,11 @@ def descend_algebra(datum, budget=DEFAULT_BUDGET):
     return model
 
 
-def splits(model, datum, budget=DEFAULT_BUDGET):
+def splits(model, datum, budget=None):
     """Whether the model's splitting intertwines the datum with plain
     coefficient conjugation: substitution well-defined, images fixed, the
     extended map onto, and the kernel exactly the model's relations."""
-    budget = _as_budget(budget)
+    budget = budget or Budget()
     model_names = model.algebra0.variables
     targets = [model.splitting[name] for name in model_names]
     graph, kernel = _graph_elimination(datum.algebra, model_names, targets, budget)
@@ -329,12 +328,12 @@ def _rewrite_in_model(poly, graph, budget):
                            {exps[nx:]: c for exps, c in reduced.terms.items()})
 
 
-def descend_ideal(algebra0, group, W, budget=DEFAULT_BUDGET):
+def descend_ideal(algebra0, group, W, budget=None):
     """Descend an extension-coefficient ideal in the coordinates of a base
     algebra; the ambient action is coefficient conjugation.  Returns the
     base-field ideal (including the ambient relations) whose extension
     recovers W."""
-    budget = _as_budget(budget)
+    budget = budget or Budget()
     ext = group.ext
     if algebra0.field != ext.base:
         raise FieldMismatch("ambient algebra must live over the base field")
@@ -368,7 +367,7 @@ def descend_ideal(algebra0, group, W, budget=DEFAULT_BUDGET):
 
 
 def descend_morphism(datum_a, model_a, datum_b, model_b, alpha_images,
-                     budget=DEFAULT_BUDGET):
+                     budget=None):
     """Descend an equivariant algebra map alpha from B's algebra to A's
     algebra (a scheme morphism Spec A -> Spec B).
 
@@ -376,7 +375,7 @@ def descend_morphism(datum_a, model_a, datum_b, model_b, alpha_images,
     variables.  Returns the base-field images of the model-B variables in the
     model-A presentation; its extension provably agrees with alpha.
     """
-    budget = _as_budget(budget)
+    budget = budget or Budget()
     A = datum_a.algebra
     B = datum_b.algebra
     ext = A.field
@@ -457,20 +456,18 @@ class Embedding(GeneratorMap):
 def embeddings_into(K, omega, group=None):
     """All base-embeddings K -> Omega, as roots of K's modulus in Omega.
 
-    Finite fields are scanned exhaustively; over Q the target must carry a
-    known automorphism group and contain K as the same presented field (the
-    embeddings are then the group orbit of the generator)."""
-    roots = []
-    if omega.is_finite:
-        for a in omega.elements():
-            if not K.modulus.evaluate(a, embed=omega.from_base):
-                roots.append(a)
+    When Omega is K with its automorphism group (over a finite field, the
+    full group), the roots are the group orbit of the generator.  Otherwise
+    a finite Omega is scanned exhaustively; over Q nothing else is supported."""
+    if group is not None and group.ext == K == omega and (
+            group.is_full or not omega.is_finite):
+        roots = [sigma.image for sigma in group.elements]
+    elif omega.is_finite:
+        roots = [a for a in omega.elements()
+                 if not K.modulus.evaluate(a, embed=omega.from_base)]
     else:
-        if group is None or K != omega:
-            raise FieldMismatch(
-                "over Q, embeddings need Omega = K with its automorphism group")
-        for sigma in group.elements:
-            roots.append(sigma.image)
+        raise FieldMismatch(
+            "over Q, embeddings need Omega = K with its automorphism group")
     out = []
     seen = set()
     for i, r in enumerate(sorted(roots, key=lambda a: repr(a))):
@@ -481,7 +478,7 @@ def embeddings_into(K, omega, group=None):
     return out
 
 
-def descend_from_embeddings(V, embeddings, group, family, budget=DEFAULT_BUDGET):
+def descend_from_embeddings(V, embeddings, group, family, budget=None):
     """Descend along a finite separable extension given compatible
     isomorphisms between the conjugate algebras.
 
@@ -494,7 +491,7 @@ def descend_from_embeddings(V, embeddings, group, family, budget=DEFAULT_BUDGET)
     condition, assembles the induced datum on the first conjugate, and
     delegates to :func:`descend_algebra`.
     """
-    budget = _as_budget(budget)
+    budget = budget or Budget()
     omega = group.ext
     d = len(embeddings)
     conjugates = []
@@ -586,7 +583,7 @@ class PointAction:
         return out
 
 
-def derive_point_action(datum, budget=DEFAULT_POINT_BUDGET):
+def derive_point_action(datum, budget=None):
     """Enumerate the extension points and tabulate sigma * P; verified to be
     a group action."""
     algebra = datum.algebra

@@ -18,7 +18,7 @@ from .affine import (
     validate_datum,
 )
 from .enumeration import count_affine_points, count_fixed_vectors
-from .errors import BudgetExceeded, GaldescentError
+from .errors import Budget, BudgetExceeded, GaldescentError
 from .extension import ExtensionField, finite_field, make_extension
 from .fields import GF, QQ, PrimeField, RationalField
 from .flat import AlgebraMap, FiniteAlgebra, amitsur_complex, check_exactness, check_faithfully_flat
@@ -359,11 +359,11 @@ def run_descend(workspace, command, oracle):
         # descend_algebra returns only a model whose splitting it certified
         lines.append("oracle: splitting ideal round trip : PASS")
         if datum.algebra.field.is_finite:
-            action = derive_point_action(datum)
+            action = derive_point_action(datum, workspace.budget)
             fixed = len(action.fixed_points())
             model_count = count_affine_points(
                 list(model.algebra0.relations.generators), base,
-                len(model.algebra0.variables))
+                len(model.algebra0.variables), workspace.budget)
             verdict = "PASS" if fixed == model_count else "FAIL"
             lines.append(
                 f"oracle: fixed points {fixed} == model points {model_count} "
@@ -397,16 +397,16 @@ def run_restrict(workspace, command, oracle):
         if lower.is_finite:
             restricted_count = count_affine_points(
                 list(result.restricted.relations.generators), lower,
-                len(result.restricted.variables))
+                len(result.restricted.variables), workspace.budget)
             source_count = count_affine_points(
                 list(algebra.relations.generators), upper,
-                len(algebra.variables))
+                len(algebra.variables), workspace.budget)
             verdict = "PASS" if restricted_count == source_count else "FAIL"
             lines.append(
                 f"oracle: points over {command.payload['to']}: "
                 f"{restricted_count} == points of {command.name} over "
                 f"{command.payload['over']}: {source_count} : {verdict}")
-            conjugate_product_check(result)
+            conjugate_product_check(result, workspace.budget)
             lines.append("oracle: conjugate product count : PASS")
             if verdict == "FAIL":
                 raise GaldescentError("point-count oracle failed")
@@ -429,7 +429,7 @@ def run_fixed(workspace, command, oracle):
         lines.append(f"basis[{i}]: {format_vector(counit.col(i), ext)}")
     lines.append("counit: invertible")
     if oracle and ext.is_finite:
-        count = count_fixed_vectors(module)
+        count = count_fixed_vectors(module, workspace.budget)
         expected = ext.base.order ** counit.ncols
         verdict = "PASS" if count == expected else "FAIL"
         lines.append(f"oracle: fixed vectors {count} == {expected} : {verdict}")
@@ -445,7 +445,7 @@ def run_amitsur(workspace, command, oracle):
     report = check_faithfully_flat(f)
     lines.append(f"faithfully flat: yes ({report.mode})")
     lines.append(f"dim B = {f.target.dim}")
-    complex_ = amitsur_complex(f, rmax)
+    complex_ = amitsur_complex(f, rmax, budget=workspace.budget)
     exactness = check_exactness(complex_, expect_first_kernel=1)
     for degree, kernel_rank, image_rank in exactness.degrees:
         lines.append(f"degree {degree}: kernel {kernel_rank} == image {image_rank}")
@@ -502,9 +502,10 @@ HANDLERS = {
 }
 
 
-def run(document, oracle=False, budget=10 ** 6):
-    """Execute a parsed document; returns (report text, diagnostics, exit code)."""
-    workspace = Workspace(budget)
+def run(document, oracle=False, budget=None):
+    """Execute a parsed document; returns (report text, diagnostics, exit code).
+    ``budget`` is the command's reduction-step limit (default: Budget's)."""
+    workspace = Workspace(Budget() if budget is None else Budget(budget))
     try:
         for statement in document.declarations:
             workspace.build(statement)
@@ -528,7 +529,7 @@ def main(argv=None):
     arg_parser.add_argument("input", help="document file, or - for stdin")
     arg_parser.add_argument("--oracle", action="store_true",
                             help="also run brute-force point/enumeration checks")
-    arg_parser.add_argument("--budget", type=int, default=10 ** 6,
+    arg_parser.add_argument("--budget", type=int,
                             help="reduction-step budget for the Groebner engine")
     args = arg_parser.parse_args(argv)
     if args.input == "-":

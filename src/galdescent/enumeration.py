@@ -19,9 +19,7 @@ exhaustive powering; sums by digit-wise addition mod p.
 
 from itertools import product
 
-from .errors import BudgetExceeded, FieldMismatch, InternalContradiction
-
-DEFAULT_POINT_BUDGET = 2_000_000
+from .errors import Budget, BudgetExceeded, FieldMismatch, InternalContradiction
 
 
 class SmallFieldTables:
@@ -132,31 +130,27 @@ class SmallFieldTables:
         return evaluate
 
 
-def check_point_budget(field, nvars, budget=DEFAULT_POINT_BUDGET):
-    """Raise BudgetExceeded unless the field is finite and both the q^nvars
-    candidate points and the q x q tables of :class:`SmallFieldTables` fit
-    in ``budget``; nothing is built."""
-    if not field.is_finite:
-        raise BudgetExceeded("cannot enumerate points over an infinite field")
-    q = field.order
-    total = q ** nvars
-    if total > budget:
-        raise BudgetExceeded(f"{total} candidate points exceed budget {budget}")
-    if q * q > budget:
-        raise BudgetExceeded(f"{q * q} field table entries exceed budget {budget}")
-
-
 def tuples(pool, arity):
     """All arity-tuples over ``pool``, in the order of the module docstring."""
     for digits in product(pool, repeat=arity):
         yield digits[::-1]
 
 
-def solutions(generators, field, nvars, budget=DEFAULT_POINT_BUDGET):
+def _scan_tables(field, nvars, budget):
+    """The tables for a scan of field^nvars, built only once the field is
+    finite and the q^nvars candidates and q x q table entries fit in the
+    budget."""
+    if not field.is_finite:
+        raise BudgetExceeded("cannot enumerate points over an infinite field")
+    q = field.order
+    (budget or Budget()).check_scan(q ** nvars, q * q)
+    return SmallFieldTables(field)
+
+
+def solutions(generators, field, nvars, budget=None):
     """The solutions of the generator system in field^nvars as tuples of
     element indices, and the field's tables that they index."""
-    check_point_budget(field, nvars, budget)
-    tables = SmallFieldTables(field)
+    tables = _scan_tables(field, nvars, budget)
     evaluators = [tables.compile_poly(g) for g in generators if not g.is_zero]
     zero = tables.zero
     hits = [point for point in tuples(tables.ints, nvars)
@@ -164,23 +158,22 @@ def solutions(generators, field, nvars, budget=DEFAULT_POINT_BUDGET):
     return hits, tables
 
 
-def affine_points(generators, field, nvars, budget=DEFAULT_POINT_BUDGET):
+def affine_points(generators, field, nvars, budget=None):
     """All solutions of the generator system in field^nvars, as tuples of
     field elements."""
     hits, tables = solutions(generators, field, nvars, budget)
     return [tables.decode(point) for point in hits]
 
 
-def count_affine_points(generators, field, nvars, budget=DEFAULT_POINT_BUDGET):
+def count_affine_points(generators, field, nvars, budget=None):
     return len(solutions(generators, field, nvars, budget)[0])
 
 
-def count_fixed_vectors(module, budget=DEFAULT_POINT_BUDGET):
+def count_fixed_vectors(module, budget=None):
     """How many vectors of ext^n every v -> c_sigma * sigma(v) of the module
     fixes, by exhaustive enumeration."""
     ext = module.group.ext
-    check_point_budget(ext, module.dim, budget)
-    tables = SmallFieldTables(ext)
+    tables = _scan_tables(ext, module.dim, budget)
     mul, add, zero = tables.mul, tables.add, tables.zero
     # per group element: sigma as a permutation, c_sigma as rows of
     # (column, nonzero entry) index pairs
@@ -203,7 +196,7 @@ def count_fixed_vectors(module, budget=DEFAULT_POINT_BUDGET):
     return sum(1 for vec in tuples(tables.ints, module.dim) if is_fixed(vec))
 
 
-def algebra_points(generators, algebra, nvars, embed, budget=DEFAULT_POINT_BUDGET):
+def algebra_points(generators, algebra, nvars, embed, budget=None):
     """Solutions valued in a finite commutative algebra.
 
     ``embed`` maps polynomial coefficients into the algebra; elements of the
@@ -212,9 +205,7 @@ def algebra_points(generators, algebra, nvars, embed, budget=DEFAULT_POINT_BUDGE
     """
     if not algebra.field.is_finite:
         raise BudgetExceeded("cannot enumerate over an infinite base field")
-    total = (algebra.field.order ** algebra.dim) ** nvars
-    if total > budget:
-        raise BudgetExceeded(f"{total} candidate points exceed budget {budget}")
+    (budget or Budget()).check_scan((algebra.field.order ** algebra.dim) ** nvars)
     elems = list(algebra.elements())
     gens = [g for g in generators if not g.is_zero]
     zero = algebra.zero_vector()

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, plus the work :class:`Budget`.
 
 Every failure that a caller can act on gets its own class; generic
 ``ValueError``/``TypeError`` are reserved for plain programming mistakes.
@@ -130,10 +130,44 @@ class ConditionBViolated(GaldescentError):
         self.sigma, self.tau, self.omega = sigma, tau, omega
 
 
-# -- Groebner engine ---------------------------------------------------------
+# -- work limits -----------------------------------------------------------
 
 class BudgetExceeded(GaldescentError):
     pass
+
+
+class Budget:
+    """The work one command may do.  Groebner reduction steps are counted
+    across every call that shares the object; each exhaustive scan (its
+    candidates and its field-table entries) and each realized tensor power
+    is checked on its own, before anything is built."""
+
+    __slots__ = ("steps", "points", "tensor_dim", "spent")
+
+    def __init__(self, steps=10 ** 6, points=2_000_000, tensor_dim=4096):
+        self.steps = steps
+        self.points = points
+        self.tensor_dim = tensor_dim
+        self.spent = 0
+
+    def spend(self, n=1):
+        self.spent += n
+        if self.spent > self.steps:
+            raise BudgetExceeded(f"exceeded {self.steps} reduction steps")
+
+    def check_scan(self, candidates, table_entries=0):
+        """Raise unless a scan of that many candidates, with that many
+        field-table entries, fits."""
+        for count, what in ((candidates, "candidate points"),
+                            (table_entries, "field table entries")):
+            if count > self.points:
+                raise BudgetExceeded(f"{count} {what} exceed budget {self.points}")
+
+    def check_tensor_power(self, dim, power):
+        """Raise unless B^(x)power fits, for B of dimension dim."""
+        if dim ** power > self.tensor_dim:
+            raise BudgetExceeded(
+                f"dim B^(x){power} = {dim ** power} exceeds cap {self.tensor_dim}")
 
 
 # -- Weil restriction ---------------------------------------------------------

@@ -172,6 +172,36 @@ class RationalField(Field):
         return "QQ"
 
 
+# Miller-Rabin to the prime bases 2..41 decides primality exactly below
+# MR_BOUND (Sorenson and Webster 2015); MR_BOUND itself is a strong
+# pseudoprime to every one of them.
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n):
+    """Exact primality for n below MR_BOUND; larger n raise
+    InvalidFieldParameter."""
+    if n >= MR_BOUND:
+        raise InvalidFieldParameter(f"{n} is too large to certify as prime")
+    if n < 2 or any(n % a == 0 for a in MR_BASES):
+        return n in MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField(Field):
     """The field F_p for a prime p, with int values in [0, p)."""
 
@@ -180,7 +210,7 @@ class PrimeField(Field):
     def __new__(cls, p):
         field = cls._cache.get(p)
         if field is None:
-            if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+            if not is_prime(p):
                 raise InvalidFieldParameter(f"{p} is not prime")
             field = super().__new__(cls)
             field.p = p

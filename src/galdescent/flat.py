@@ -17,6 +17,7 @@ from .enumeration import tuples
 from .errors import (
     BasisNotIndependent,
     BasisNotSpanning,
+    Budget,
     BudgetExceeded,
     CocycleFailed,
     FieldMismatch,
@@ -28,8 +29,6 @@ from .errors import (
     ZeroTarget,
 )
 from .linalg import Matrix, kron
-
-TENSOR_DIM_CAP = 4096
 
 
 def _kron_vector(u, v):
@@ -302,7 +301,7 @@ class AmitsurComplex:
         self.differentials = differentials
 
 
-def amitsur_complex(f, r_max=3, coefficient_dim=None):
+def amitsur_complex(f, r_max=3, coefficient_dim=None, budget=None):
     """The complex through tensor degree r_max; the source must be the base
     field (one-dimensional), matching the concrete k-space realization."""
     if f.source.dim != 1:
@@ -313,9 +312,7 @@ def amitsur_complex(f, r_max=3, coefficient_dim=None):
     B = f.target
     field = B.field
     m = B.dim
-    if m ** (r_max + 1) > TENSOR_DIM_CAP:
-        raise BudgetExceeded(
-            f"dim B^(x){r_max + 1} = {m ** (r_max + 1)} exceeds cap {TENSOR_DIM_CAP}")
+    (budget or Budget()).check_tensor_power(m, r_max + 1)
     # d: B^(x)r -> B^(x)r+1 is the alternating sum of the faces that insert
     # the unit at slot i, each kron(I_{m^i}, +-unit column, I_{m^(r-i)})
     unit = Matrix.from_cols(field, [B.unit])

@@ -2,8 +2,10 @@
 semilinear transport of polynomials.
 
 Bases are always reduced and monic, so equal ideals under the same order get
-the same basis and CLI output stays deterministic.  A step budget turns
-runaway computations into a loud ``BudgetExceeded``.
+the same basis and CLI output stays deterministic.  Every reduction step
+is spent from an :class:`~galdescent.errors.Budget`, shared by all calls
+that are passed the same one (``budget=None`` starts a fresh default one),
+so runaway computations end in a loud ``BudgetExceeded``.
 
 S-pairs wait in a heap keyed on the order key of their lcm, with an insertion
 counter that makes equal lcms pop first in, first out; the normal form keeps
@@ -17,7 +19,7 @@ budget allows; ``tests/test_groebner.py`` pins the step counts.
 from heapq import heapify, heappop, heappush
 from itertools import count
 
-from .errors import BudgetExceeded, FieldMismatch
+from .errors import Budget, FieldMismatch
 from .multipoly import (
     GREVLEX,
     MonomialOrder,
@@ -28,28 +30,6 @@ from .multipoly import (
     _monomial_mul,
     block_order,
 )
-
-DEFAULT_BUDGET = 10 ** 6
-
-
-class _Budget:
-    """Mutable reduction-step counter shared across nested calls."""
-
-    __slots__ = ("remaining", "limit")
-
-    def __init__(self, limit):
-        self.remaining = limit
-        self.limit = limit
-
-    def spend(self, n=1):
-        self.remaining -= n
-        if self.remaining < 0:
-            raise BudgetExceeded(f"exceeded {self.limit} reduction steps")
-
-
-def _as_budget(budget):
-    return budget if isinstance(budget, _Budget) else _Budget(budget)
-
 
 class Ideal:
     """A finitely generated ideal with cached reduced Groebner bases."""
@@ -68,13 +48,13 @@ class Ideal:
         self.generators = tuple(gens)
         self._bases = {}
 
-    def groebner(self, order=GREVLEX, budget=DEFAULT_BUDGET):
+    def groebner(self, order=GREVLEX, budget=None):
         key = (order.kind, order.split)
         if key not in self._bases:
             self._bases[key] = buchberger(list(self.generators), order, budget)
         return self._bases[key]
 
-    def any_groebner(self, budget=DEFAULT_BUDGET):
+    def any_groebner(self, budget=None):
         """Some cached (basis, order) pair, computing a grevlex one if none
         exists; membership tests are basis-independent, so reuse is safe."""
         if self._bases:
@@ -82,7 +62,7 @@ class Ideal:
             return self._bases[key], MonomialOrder(key[0], key[1])
         return self.groebner(GREVLEX, budget), GREVLEX
 
-    def contains(self, poly, order=None, budget=DEFAULT_BUDGET):
+    def contains(self, poly, order=None, budget=None):
         if order is not None:
             return normal_form(poly, self.groebner(order, budget), order, budget).is_zero
         basis, basis_order = self.any_groebner(budget)
@@ -96,13 +76,13 @@ class Ideal:
         return f"Ideal({', '.join(g.format() for g in self.generators) or '0'})"
 
 
-def normal_form(poly, basis, order=GREVLEX, budget=DEFAULT_BUDGET):
+def normal_form(poly, basis, order=GREVLEX, budget=None):
     """Fully reduced remainder of ``poly`` modulo a Groebner basis, by the
     classical division algorithm: the leading term of the working polynomial
     is either cancelled against a basis element or moved to the remainder."""
     if poly.is_zero or not basis:
         return poly
-    budget = _as_budget(budget)
+    budget = budget or Budget()
     field, variables = poly.field, poly.variables
     leading_data = []
     for g in basis:
@@ -153,12 +133,12 @@ def _s_polynomial(f, lt_f, g, lt_g):
     return mf * f - mg * g
 
 
-def buchberger(generators, order=GREVLEX, budget=DEFAULT_BUDGET):
+def buchberger(generators, order=GREVLEX, budget=None):
     """Reduced monic Groebner basis of the ideal the generators span."""
     basis = [g for g in generators if not g.is_zero]
     if not basis:
         return []
-    budget = _as_budget(budget)
+    budget = budget or Budget()
     leads = [g.leading(order)[0] for g in basis]
     # pairs pop smallest lcm first; the insertion counter breaks ties first
     # in, first out
@@ -207,7 +187,7 @@ def _reduce_basis(basis, leads, order, budget):
     return reduced
 
 
-def ideal_equal(I, J, budget=DEFAULT_BUDGET):
+def ideal_equal(I, J, budget=None):
     """Mutual membership of generators via normal forms.  Each side's cached
     basis (any order) is reused; membership does not depend on the order."""
     if I.field != J.field or I.variables != J.variables:
@@ -223,7 +203,7 @@ def ideal_equal(I, J, budget=DEFAULT_BUDGET):
     return True
 
 
-def eliminate(I, keep, budget=DEFAULT_BUDGET):
+def eliminate(I, keep, budget=None):
     """I intersected with the subring on the ``keep`` variables, which must
     be a suffix of the variable order."""
     variables = I.variables

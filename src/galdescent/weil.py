@@ -5,7 +5,7 @@ splitting of the doubled extension.
 """
 
 from .affine import AffineAlgebra, embeddings_into, split_coefficients
-from .enumeration import DEFAULT_POINT_BUDGET, algebra_points, count_affine_points
+from .enumeration import algebra_points, count_affine_points
 from .errors import (
     CountMismatch,
     FieldMismatch,
@@ -115,8 +115,7 @@ def _tensor_with_extension(K, test_algebra):
     return FiniteAlgebra.tensor(K_algebra, test_algebra)
 
 
-def verify_universal_points(result, test_algebra, budget=DEFAULT_POINT_BUDGET,
-                            samples=None):
+def verify_universal_points(result, test_algebra, budget=None, samples=None):
     """Check that points of the restriction valued in a test algebra
     correspond exactly to points of the source valued in K tensor the test
     algebra.
@@ -250,7 +249,7 @@ class ConjugateProductReport:
         self.conjugate_counts = conjugate_counts
 
 
-def conjugate_product_check(result, budget=DEFAULT_POINT_BUDGET):
+def conjugate_product_check(result, budget=None):
     """Count identity over the splitting field: the restriction has as many
     points as the product of the conjugate schemes."""
     V = result.source

@@ -18,7 +18,7 @@ from galdescent.affine import (
     splits,
 )
 from galdescent.enumeration import count_affine_points
-from galdescent.errors import CocycleFailed, NotBilinearCompatible, NotExact, NotStable
+from galdescent.errors import Budget, CocycleFailed, NotBilinearCompatible, NotExact, NotStable
 from galdescent.extension import finite_field, make_extension
 from galdescent.fields import GF, QQ
 from galdescent.flat import (
@@ -211,7 +211,7 @@ def test_criterion_05_weil_point_identity():
             source = count_affine_points(
                 list(V.relations.generators), K, len(V.variables))
             assert restricted == source
-            product = conjugate_product_check(result, budget=5_000_000)
+            product = conjugate_product_check(result, budget=Budget(points=5_000_000))
             assert product.restricted_count == product.conjugate_counts[0] ** d
             checked += 1
     report(5, f"Weil restriction point identities on {checked} schemes")

@@ -355,6 +355,14 @@ class TestDescendFromEmbeddings:
         }
         return V, embeddings, group, family, ident_idx, conj_idx
 
+    @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (2, 4)])
+    def test_orbit_equals_scanned_roots(self, p, n):
+        K = finite_field(p, n)
+        orbit = embeddings_into(K, K, frobenius_group(K))
+        scanned = embeddings_into(K, K)
+        assert [(e.name, e.image) for e in orbit] == [(e.name, e.image) for e in scanned]
+        assert len(orbit) == n
+
     def test_trivial_extension(self):
         # K = k as a degree-1 extension: one embedding, identity family; the
         # assembled datum is canonical and the model recovers V

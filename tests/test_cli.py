@@ -1,3 +1,4 @@
+import inspect
 import json
 import pathlib
 import subprocess
@@ -5,8 +6,10 @@ import sys
 
 import pytest
 
-from galdescent import affine, groebner
+from galdescent import affine, cli, flat, groebner
 from galdescent.cli import main, run
+from galdescent.errors import Budget
+from galdescent.extension import ExtensionField
 from galdescent.parser import ParseError, parse
 
 HERE = pathlib.Path(__file__).parent
@@ -176,6 +179,71 @@ class TestDescendChecksOnce:
         assert (report, code) == ("", 1)
         assert diagnostics[0].code == "cocycle-violation"
         assert diagnostics[0].line == 4
+
+
+class TestBudget:
+    BOUNDED = {
+        "descend_swap_f9": {"descend_algebra", "derive_point_action", "count_affine_points"},
+        "restrict_gm_f4": {"count_affine_points", "conjugate_product_check"},
+        "fixed_f9_swap": {"count_fixed_vectors"},
+        "amitsur_f9": {"amitsur_complex"},
+    }
+
+    @pytest.mark.parametrize("name", sorted(BOUNDED))
+    def test_one_budget_per_command(self, name, monkeypatch):
+        seen = []
+
+        def recorded(function):
+            signature = inspect.signature(function)
+
+            def wrapper(*args, **kwargs):
+                bound = signature.bind(*args, **kwargs).arguments
+                seen.append((function.__name__, bound.get("budget")))
+                return function(*args, **kwargs)
+            return wrapper
+
+        for function in ("descend_algebra", "validate_datum", "derive_point_action",
+                         "count_affine_points", "conjugate_product_check",
+                         "count_fixed_vectors", "amitsur_complex"):
+            monkeypatch.setattr(cli, function, recorded(getattr(cli, function)))
+        _, _, code = run_document(name, oracle=True)
+        assert code == 0
+        assert {function for function, _ in seen} == self.BOUNDED[name]
+        budgets = {id(budget) for _, budget in seen}
+        assert len(budgets) == 1 and isinstance(seen[0][1], Budget)
+
+    def test_tensor_power_refused_before_building(self, monkeypatch):
+        def refuse(*factors):
+            raise AssertionError("tensor power built before the budget check")
+
+        monkeypatch.setattr(flat, "kron", refuse)
+        text = ("field F3 = GF(3^1)\n"
+                "field F9 = GF(3^2)\n"
+                "map f = F3 -> F9\n"
+                "amitsur f rmax=12\n")
+        report, diagnostics, code = run(parse(text))
+        assert (report, code) == ("", 3)
+        assert diagnostics[0].render() == (
+            "error[budget-exceeded] line 4, col 1: dim B^(x)13 = 8192 exceeds cap 4096")
+
+    def test_restrict_from_own_splitting_field_lists_no_elements(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("field elements listed")
+
+        monkeypatch.setattr(ExtensionField, "elements", refuse)
+        text = ("field F = GF(3^9)\n"
+                "field F3 = GF(3^1)\n"
+                "algebra A = F[x]/(x - 1)\n"
+                "restrict A over F to F3\n")
+        report, diagnostics, code = run(parse(text))
+        assert (code, diagnostics) == (0, [])
+        assert "/(x_0 + 2, x_1, x_2, x_3, x_4, x_5, x_6, x_7, x_8)" in report
+
+    def test_large_prime_field(self):
+        text = "field F = GF(100000000000000000039)\nvalidate F\n"
+        report, diagnostics, code = run(parse(text))
+        assert (code, diagnostics) == (0, [])
+        assert report == "== validate F\nstatus: valid\ndegree: 1\n"
 
 
 class TestMultiBlock:

@@ -14,7 +14,7 @@ from galdescent.enumeration import (
     count_affine_points,
     count_fixed_vectors,
 )
-from galdescent.errors import BudgetExceeded
+from galdescent.errors import Budget, BudgetExceeded
 from galdescent.extension import ExtensionField, finite_field
 from galdescent.flat import FiniteAlgebra
 from galdescent.fields import GF
@@ -100,7 +100,7 @@ class TestBudget:
         monkeypatch.setattr(SmallFieldTables, "__init__", refuse)
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded, match="44521 candidate points"):
-            count_affine_points([x - 1], field, 1, budget=10000)
+            count_affine_points([x - 1], field, 1, budget=Budget(points=10000))
         assert time.perf_counter() - start < 1.0
 
     def test_algebra_points_checked_before_elements(self, monkeypatch):
@@ -111,14 +111,14 @@ class TestBudget:
         x, = MultiPolynomial.ring_vars(GF(3), ("x",))
         monkeypatch.setattr(FiniteAlgebra, "elements", refuse)
         with pytest.raises(BudgetExceeded, match="729 candidate points"):
-            algebra_points([x], algebra, 3, embed=None, budget=700)
+            algebra_points([x], algebra, 3, embed=None, budget=Budget(points=700))
 
     def test_table_size_checked(self):
         field = GF(101)
         x, = MultiPolynomial.ring_vars(field, ("x",))
         with pytest.raises(BudgetExceeded, match="10201 field table entries"):
-            count_affine_points([x - 1], field, 1, budget=5000)
-        assert count_affine_points([x - 1], field, 1, budget=10201) == 1
+            count_affine_points([x - 1], field, 1, budget=Budget(points=5000))
+        assert count_affine_points([x - 1], field, 1, budget=Budget(points=10201)) == 1
 
     def test_fixed_and_point_action_checked(self, monkeypatch):
         def refuse(self, field):
@@ -129,9 +129,9 @@ class TestBudget:
         module = SemilinearModule.trivial(group, 3)
         monkeypatch.setattr(SmallFieldTables, "__init__", refuse)
         with pytest.raises(BudgetExceeded):
-            count_fixed_vectors(module, budget=700)
+            count_fixed_vectors(module, budget=Budget(points=700))
         with pytest.raises(BudgetExceeded):
-            derive_point_action(swap_datum(F9, group), budget=80)
+            derive_point_action(swap_datum(F9, group), budget=Budget(points=80))
 
 
 class TestFixedVectors:

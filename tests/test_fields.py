@@ -1,12 +1,16 @@
+from math import isqrt
+
 import pytest
 
+from galdescent import fields
 from galdescent.errors import (
     DivisionByZero,
+    InvalidFieldParameter,
     NotIrreducible,
     NotMonic,
     NotSquarefree,
 )
-from galdescent.fields import GF, QQ
+from galdescent.fields import GF, QQ, is_prime
 from galdescent.extension import ASSERTED, UNASSERTED, VERIFIED, finite_field, make_extension
 from galdescent.linalg import Matrix
 from galdescent.multipoly import MultiPolynomial
@@ -178,3 +182,29 @@ class TestCyclotomic:
 
     def test_phi9(self):
         assert cyclotomic(9) == poly(QQ, [1, 0, 0, 1, 0, 0, 1])
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division_below_1e5(self):
+        for n in range(10 ** 5):
+            assert is_prime(n) == (n > 1 and all(n % d for d in range(2, isqrt(n) + 1))), n
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051,
+                                   318665857834031151167461])
+    def test_strong_pseudoprimes_to_fewer_bases_rejected(self, n):
+        # strong pseudoprimes to every prime base up to 7, 23 and 37
+        assert not is_prime(n)
+        with pytest.raises(InvalidFieldParameter, match="is not prime"):
+            GF(n)
+
+    def test_large_prime_accepted_at_once(self):
+        assert GF(100000000000000000039).order == 100000000000000000039
+
+    def test_bound_is_rejected(self, monkeypatch):
+        bound = fields.MR_BOUND
+        assert bound == 1287836182261 * 2575672364521
+        with pytest.raises(InvalidFieldParameter):
+            GF(bound)
+        # the bound passes all 13 bases: only the size check rejects it
+        monkeypatch.setattr(fields, "MR_BOUND", bound + 1)
+        assert is_prime(bound)

@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from galdescent.errors import BudgetExceeded
+from galdescent.errors import Budget, BudgetExceeded
 from galdescent.extension import make_extension
 from galdescent.fields import GF, QQ
 from galdescent.galois import verify_automorphism
 from galdescent.groebner import (
     Ideal,
-    _Budget,
     apply_semilinear,
     buchberger,
     eliminate,
@@ -54,7 +53,7 @@ class TestBuchberger:
         vs = ring(GF(7), names)
         gens = [vs[i] ** 3 + vs[(i + 1) % 7] * vs[(i + 2) % 7] + 1 for i in range(7)]
         with pytest.raises(BudgetExceeded):
-            buchberger(gens, LEX, budget=5)
+            buchberger(gens, LEX, budget=Budget(5))
 
 
 def katsura(n, field):
@@ -79,9 +78,9 @@ class TestReductionSequence:
     @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["gf32003", "qq"])
     @pytest.mark.parametrize("n,steps,size", [(3, 202, 7), (4, 1597, 13)])
     def test_katsura_steps(self, field, n, steps, size):
-        budget = _Budget(10 ** 6)
+        budget = Budget(10 ** 6)
         basis = buchberger(katsura(n, field), GREVLEX, budget)
-        assert budget.limit - budget.remaining == steps
+        assert budget.spent == steps
         assert len(basis) == size
 
     def test_tied_pairs_pop_first_in_first_out(self):
@@ -93,9 +92,9 @@ class TestReductionSequence:
         x, y, a0, a1, b0, b1 = ring(F9, ("x", "y", "a0", "a1", "b0", "b1"))
         gens = [x * y + 2, 2 * x + 2 * y + a0, 2 * t * x + t * y + a1,
                 2 * x + 2 * y + b0, t * x + 2 * t * y + b1]
-        budget = _Budget(10 ** 6)
+        budget = Budget(10 ** 6)
         basis = buchberger(gens, block_order(2), budget)
-        assert budget.limit - budget.remaining == 69
+        assert budget.spent == 69
         assert len(basis) == 5
 
 

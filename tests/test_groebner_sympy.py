@@ -19,7 +19,7 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, reject, settings, strategies as st  # noqa: E402
 
-from galdescent.errors import BudgetExceeded  # noqa: E402
+from galdescent.errors import Budget, BudgetExceeded  # noqa: E402
 from galdescent.fields import GF, QQ  # noqa: E402
 from galdescent.groebner import buchberger  # noqa: E402
 from galdescent.multipoly import GREVLEX, LEX, MultiPolynomial  # noqa: E402
@@ -68,7 +68,7 @@ def test_reduced_basis_matches_sympy(case):
                              {e: field.from_int(c) for e, c in g.items()})
              for g in gens]
     try:
-        basis = buchberger(polys, order, STEP_CAP)
+        basis = buchberger(polys, order, Budget(STEP_CAP))
     except BudgetExceeded:
         reject()
     ours = {frozenset((e, c.value) for e, c in g.terms.items()) for g in basis}

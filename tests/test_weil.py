@@ -2,7 +2,7 @@ import pytest
 
 from galdescent.affine import AffineAlgebra
 from galdescent.enumeration import count_affine_points
-from galdescent.errors import NotSeparable
+from galdescent.errors import Budget, NotSeparable
 from galdescent.extension import finite_field
 from galdescent.fields import GF, QQ
 from galdescent.flat import FiniteAlgebra
@@ -103,7 +103,7 @@ class TestPointIdentities:
             data = SeparableExtensionData.discover(K, K, frobenius_group(K))
             for V in (line(K), gm(K), self.curve(K)):
                 result = weil_restrict(V, data)
-                report = conjugate_product_check(result, budget=5_000_000)
+                report = conjugate_product_check(result, budget=Budget(points=5_000_000))
                 counts = report.conjugate_counts
                 assert len(set(counts)) == 1  # conjugates have equal counts
                 assert report.restricted_count == counts[0] ** d
