@@ -138,16 +138,15 @@ class BudgetExceeded(GaldescentError):
 
 class Budget:
     """The work one command may do.  Groebner reduction steps are counted
-    across every call that shares the object; each exhaustive scan (its
-    candidates and its field-table entries) and each realized tensor power
-    is checked on its own, before anything is built."""
+    across every call sharing the object; each exhaustive scan and each
+    realized tensor power is checked on its own, before anything is built."""
 
-    __slots__ = ("steps", "points", "tensor_dim", "spent")
+    __slots__ = ("steps", "points", "spent")
+    TENSOR_DIM = 4096
 
-    def __init__(self, steps=10 ** 6, points=2_000_000, tensor_dim=4096):
+    def __init__(self, steps=10 ** 6, points=2_000_000):
         self.steps = steps
         self.points = points
-        self.tensor_dim = tensor_dim
         self.spent = 0
 
     def spend(self, n=1):
@@ -156,8 +155,7 @@ class Budget:
             raise BudgetExceeded(f"exceeded {self.steps} reduction steps")
 
     def check_scan(self, candidates, table_entries=0):
-        """Raise unless a scan of that many candidates, with that many
-        field-table entries, fits."""
+        """Raise unless the candidates and field-table entries of one scan fit."""
         for count, what in ((candidates, "candidate points"),
                             (table_entries, "field table entries")):
             if count > self.points:
@@ -165,9 +163,8 @@ class Budget:
 
     def check_tensor_power(self, dim, power):
         """Raise unless B^(x)power fits, for B of dimension dim."""
-        if dim ** power > self.tensor_dim:
-            raise BudgetExceeded(
-                f"dim B^(x){power} = {dim ** power} exceeds cap {self.tensor_dim}")
+        if dim ** power > self.TENSOR_DIM:
+            raise BudgetExceeded(f"dim B^(x){power} = {dim ** power} exceeds cap {self.TENSOR_DIM}")
 
 
 # -- Weil restriction ---------------------------------------------------------

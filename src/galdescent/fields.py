@@ -180,12 +180,12 @@ MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n):
-    """Exact primality for n below MR_BOUND; larger n raise
-    InvalidFieldParameter."""
-    if n >= MR_BOUND:
-        raise InvalidFieldParameter(f"{n} is too large to certify as prime")
+    """Exact primality for n below MR_BOUND; larger n with no prime factor
+    up to 41 raise InvalidFieldParameter."""
     if n < 2 or any(n % a == 0 for a in MR_BASES):
         return n in MR_BASES
+    if n >= MR_BOUND:
+        raise InvalidFieldParameter(f"{n} is too large to certify as prime")
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1

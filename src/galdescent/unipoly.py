@@ -8,7 +8,7 @@ policy for GF(p^n).
 """
 
 from .enumeration import tuples
-from .errors import DivisionByZero, NotIrreducible
+from .errors import Budget, DivisionByZero, InvalidFieldParameter, NotIrreducible
 from .fields import GF, QQ, FieldElement
 
 
@@ -244,6 +244,9 @@ def default_modulus(p, n):
     field = GF(p)
     if n == 1:
         return UniPoly.from_ints(field, [0, 1])
+    if p > Budget().points:  # the scan lists range(p)
+        raise InvalidFieldParameter(
+            f"no default modulus for GF({p}^{n}): p exceeds {Budget().points}; give modulus=")
     for coeffs in tuples(range(p), n):
         f = UniPoly.from_ints(field, coeffs + (1,))
         if is_irreducible_mod_p(f):

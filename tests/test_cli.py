@@ -245,6 +245,14 @@ class TestBudget:
         assert (code, diagnostics) == (0, [])
         assert report == "== validate F\nstatus: valid\ndegree: 1\n"
 
+    def test_large_prime_power_without_modulus_refused(self):
+        text = "field F = GF(100000000000000000039^2)\nvalidate F\n"
+        report, diagnostics, code = run(parse(text))
+        assert (report, code) == ("", 1)
+        assert diagnostics[0].render() == (
+            "error[invalid-field-parameter] line 1, col 1: no default modulus for "
+            "GF(100000000000000000039^2): p exceeds 2000000; give modulus=")
+
 
 class TestMultiBlock:
     def test_datum_with_three_blocks(self):

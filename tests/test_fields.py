@@ -154,6 +154,13 @@ class TestDefaultModulus:
             first = next(f for f in monics(field, n) if not has_lower_factor(f, field))
             assert default_modulus(p, n) == first
 
+    def test_prime_above_scan_limit_needs_explicit_modulus(self):
+        p = 100000000000000000039
+        with pytest.raises(InvalidFieldParameter, match="no default modulus"):
+            default_modulus(p, 2)
+        # p = 3 mod 4, so t^2 + 1 is irreducible
+        assert finite_field(p, 2, poly(GF(p), [1, 0, 1])).order == p * p
+
     def test_irreducibility_exhaustive_degree_le_4(self):
         # Oracle: trial division by all lower-degree monic polynomials;
         # make_extension must accept exactly the irreducible ones.
@@ -196,6 +203,10 @@ class TestPrimality:
         assert not is_prime(n)
         with pytest.raises(InvalidFieldParameter, match="is not prime"):
             GF(n)
+
+    def test_large_composite_with_small_factor_is_not_prime(self):
+        with pytest.raises(InvalidFieldParameter, match="is not prime"):
+            GF(10 ** 25)
 
     def test_large_prime_accepted_at_once(self):
         assert GF(100000000000000000039).order == 100000000000000000039
