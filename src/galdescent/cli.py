@@ -446,7 +446,7 @@ def run_amitsur(workspace, command, oracle):
     lines.append(f"faithfully flat: yes ({report.mode})")
     lines.append(f"dim B = {f.target.dim}")
     complex_ = amitsur_complex(f, rmax, budget=workspace.budget)
-    exactness = check_exactness(complex_, expect_first_kernel=1)
+    exactness = check_exactness(complex_)
     for degree, kernel_rank, image_rank in exactness.degrees:
         lines.append(f"degree {degree}: kernel {kernel_rank} == image {image_rank}")
     lines.append("exact: pass")

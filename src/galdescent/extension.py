@@ -201,12 +201,13 @@ def make_extension(base, modulus, irreducible=None):
 
 def finite_field(p, n, modulus=None):
     """GF(p^n) with the default (lexicographically least) modulus unless one
-    is supplied."""
+    is supplied.  The default modulus is irreducible by construction, so only
+    a supplied one goes through ``make_extension``'s irreducibility test."""
     from .fields import GF
 
     base = GF(p)
     if modulus is None:
-        modulus = default_modulus(p, n)
-    elif modulus.degree != n:
+        return ExtensionField(base, default_modulus(p, n), VERIFIED)
+    if modulus.degree != n:
         raise FieldMismatch(f"modulus degree {modulus.degree} != {n}")
     return make_extension(base, modulus)

@@ -10,6 +10,7 @@ from galdescent import affine, cli, flat, groebner
 from galdescent.cli import main, run
 from galdescent.errors import Budget
 from galdescent.extension import ExtensionField
+from galdescent.linalg import Matrix
 from galdescent.parser import ParseError, parse
 
 HERE = pathlib.Path(__file__).parent
@@ -179,6 +180,23 @@ class TestDescendChecksOnce:
         assert (report, code) == ("", 1)
         assert diagnostics[0].code == "cocycle-violation"
         assert diagnostics[0].line == 4
+
+
+class TestChecksOnce:
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_amitsur_composites_multiplied_once(self, oracle, monkeypatch):
+        shapes = []
+        multiply = Matrix.__mul__
+
+        def counted(self, other):
+            shapes.append((self.nrows, self.ncols, other.ncols))
+            return multiply(self, other)
+
+        monkeypatch.setattr(Matrix, "__mul__", counted)
+        _, _, code = run_document("amitsur_f9", oracle=oracle)
+        assert code == 0
+        # d^1 d^0, d^2 d^1 and d^3 d^2 for rmax=3 over GF(9), dim B = 2
+        assert shapes == [(4, 2, 1), (8, 4, 2), (16, 8, 4)]
 
 
 class TestBudget:

@@ -2,7 +2,7 @@ from math import isqrt
 
 import pytest
 
-from galdescent import fields
+from galdescent import extension, fields, unipoly
 from galdescent.errors import (
     DivisionByZero,
     InvalidFieldParameter,
@@ -160,6 +160,25 @@ class TestDefaultModulus:
             default_modulus(p, 2)
         # p = 3 mod 4, so t^2 + 1 is irreducible
         assert finite_field(p, 2, poly(GF(p), [1, 0, 1])).order == p * p
+
+    def test_default_modulus_tested_once(self, monkeypatch):
+        # GF(3^2) rejects t^2 and accepts t^2 + 1; the field is built on that
+        # verdict without a third test, while a supplied modulus is tested
+        tested = []
+
+        def counted(f):
+            tested.append(f)
+            return is_irreducible_mod_p(f)
+
+        monkeypatch.setattr(unipoly, "is_irreducible_mod_p", counted)
+        monkeypatch.setattr(extension, "is_irreducible_mod_p", counted)
+        assert finite_field(3, 2).irreducibility == VERIFIED
+        assert tested == [poly(F3, [0, 0, 1]), poly(F3, [1, 0, 1])]
+        tested.clear()
+        assert finite_field(3, 2, poly(F3, [2, 1, 1])).irreducibility == VERIFIED
+        assert tested == [poly(F3, [2, 1, 1])]
+        with pytest.raises(NotIrreducible):
+            finite_field(3, 2, poly(F3, [0, 0, 1]))
 
     def test_irreducibility_exhaustive_degree_le_4(self):
         # Oracle: trial division by all lower-degree monic polynomials;
