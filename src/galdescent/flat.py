@@ -14,6 +14,16 @@ d^r = u (x) I_{m^r} - I_m (x) d^(r-1) from d^0 = u, the unit column of B
 (m = dim B).  Building the complex checks nothing about it: the composites
 d^(r+1) d^r = 0 are checked once, by whichever exactness proof runs,
 ``check_exactness`` (ranks) or ``verify_homotopy`` (a contracting homotopy).
+
+A ``FiniteAlgebra`` stores its structure constants sparsely, as the nonzero
+(l, s) pairs of each basis product e_i e_j, and proves itself commutative,
+unital and associative when it is built.  Associativity is proved on a
+generating set S rather than on all dim^3 basis triples: in a commutative
+algebra the left nucleus is the whole nucleus, and the nucleus is a subalgebra
+(Schafer, *An Introduction to Nonassociative Algebras*, 1966, ch. II), so S in
+the left nucleus and S generating give associativity at |S| dim^2 products.
+S is chosen greedily from the basis (see ``FiniteAlgebra.verify``): {t} for an
+extension on its power basis, {1 (x) u, t (x) 1} for a tensor product of two.
 """
 
 import itertools
@@ -66,15 +76,31 @@ def _permute_slots(matrix, rows=None, cols=None):
 
 class FiniteAlgebra:
     """A commutative unital algebra of finite dimension over a base field,
-    given by structure constants; elements are coordinate tuples."""
+    given by structure constants; elements are coordinate tuples.
+
+    ``sc`` is given dense, ``sc[i][j]`` the coordinates of e_i e_j, and kept
+    sparse: ``self.sc[i][j]`` is the tuple of (l, s) with s the nonzero l-th
+    coordinate."""
 
     __slots__ = ("field", "dim", "sc", "unit", "factors", "label")
 
     def __init__(self, field, sc, unit, label="algebra", factors=None):
         # factors: the pair (A, B) of a tensor product A (x) B, else None
         self.field = field
-        self.dim = len(sc)
-        self.sc = tuple(tuple(tuple(v) for v in row) for row in sc)
+        self.dim = dim = len(sc)
+        sparse = []
+        for i, row in enumerate(sc):
+            row = tuple(row)
+            if len(row) != dim:
+                raise ShapeMismatch(
+                    f"structure constants row {i} has {len(row)} products, expected {dim}")
+            for j, v in enumerate(row):
+                if len(v) != dim:
+                    raise ShapeMismatch(
+                        f"product of basis elements {i} and {j} has length {len(v)}, "
+                        f"expected {dim}")
+            sparse.append(tuple(tuple((l, s) for l, s in enumerate(v) if s) for v in row))
+        self.sc = tuple(sparse)
         self.unit = tuple(unit)
         self.factors = factors
         self.label = label
@@ -115,7 +141,7 @@ class FiniteAlgebra:
         before = 0
         for a in factors:
             after = dim - before - a.dim
-            for row in a.sc:
+            for row in a.dense_constants():
                 sc.append([zero_vec] * before
                           + [(zero,) * before + v + (zero,) * after for v in row]
                           + [zero_vec] * after)
@@ -130,8 +156,9 @@ class FiniteAlgebra:
         i * dim(B) + j."""
         if A.field != B.field:
             raise FieldMismatch("tensor factors over different fields")
+        b_sc = B.dense_constants()
         sc = [[_kron_vector(u, v) for u in a_row for v in b_row]
-              for a_row in A.sc for b_row in B.sc]
+              for a_row in A.dense_constants() for b_row in b_sc]
         return cls(A.field, sc, _kron_vector(A.unit, B.unit),
                    label=f"({A.label}) (x) ({B.label})", factors=(A, B))
 
@@ -145,18 +172,27 @@ class FiniteAlgebra:
 
     def mul(self, u, v):
         out = [self.field.zero] * self.dim
-        for i, ci in enumerate(u):
+        right = [(j, cj) for j, cj in enumerate(v) if cj]
+        for ci, row in zip(u, self.sc):
             if not ci:
                 continue
-            row = self.sc[i]
-            for j, cj in enumerate(v):
-                if not cj:
-                    continue
+            for j, cj in right:
                 coeff = ci * cj
-                for l, s in enumerate(row[j]):
-                    if s:
-                        out[l] = out[l] + coeff * s
+                for l, s in row[j]:
+                    out[l] = out[l] + coeff * s
         return tuple(out)
+
+    def basis_product(self, i, j):
+        """e_i * e_j as a coordinate tuple."""
+        out = [self.field.zero] * self.dim
+        for l, s in self.sc[i][j]:
+            out[l] = s
+        return tuple(out)
+
+    def dense_constants(self):
+        """The structure constants in the dense form ``__init__`` takes."""
+        return [[self.basis_product(i, j) for j in range(self.dim)]
+                for i in range(self.dim)]
 
     def scale(self, c, v):
         return tuple(c * a for a in v)
@@ -185,19 +221,82 @@ class FiniteAlgebra:
         yield from tuples(list(self.field.elements()), self.dim)
 
     def verify(self):
-        """Associativity, commutativity, and the unit law on basis elements."""
+        """Prove the unit law, commutativity and associativity.
+
+        The unit law is checked on the basis, commutativity on the structure
+        constants themselves (``sc[i][j] == sc[j][i]``).  Associativity then
+        follows from a generating set S in the left nucleus, the n with
+        (n x) y = n (x y) for all x, y: in a commutative algebra the left
+        nucleus is the whole nucleus, and the nucleus is a subalgebra that
+        contains 1 (Schafer, *An Introduction to Nonassociative Algebras*,
+        1966, ch. II), so it contains every word s1 (s2 (... (sk 1))) over S
+        and, when those words span, the whole algebra.  The check is
+        (s e_x) e_y == s (e_x e_y) for s in S and all basis elements: |S| dim^2
+        products instead of dim^3.
+
+        S is chosen greedily from the basis by ``_generators``, which grows the
+        span of the words over S until it is the whole algebra.  The unit law
+        and commutativity come first, since the proof of associativity needs
+        them; the first law that fails is reported with the same message and
+        indices as a check of every basis pair and triple gives.
+        """
         basis = Matrix.identity(self.field, self.dim).rows
         for i, bi in enumerate(basis):
             if self.mul(self.unit, bi) != bi or self.mul(bi, self.unit) != bi:
                 raise ShapeMismatch(f"unit law fails on basis element {i}")
-            for j, bj in enumerate(basis):
-                if self.mul(bi, bj) != self.mul(bj, bi):
+            for j in range(i + 1, self.dim):
+                if self.sc[i][j] != self.sc[j][i]:
                     raise ShapeMismatch(f"product not commutative at ({i}, {j})")
-        for bi in basis:
-            for bj in basis:
-                for bl in basis:
-                    if self.mul(self.mul(bi, bj), bl) != self.mul(bi, self.mul(bj, bl)):
+        generators = self._generators(basis)
+        for x in range(self.dim):
+            left = [self.basis_product(s, x) for s in generators]
+            for y, by in enumerate(basis):
+                xy = self.basis_product(x, y)
+                for s, sx in zip(generators, left):
+                    if self.mul(sx, by) != self.mul(basis[s], xy):
                         raise ShapeMismatch("product not associative")
+
+    def _generators(self, basis):
+        """Indices of a generating set S chosen greedily from the basis.
+
+        W, the span of the words over S, is kept in semi-echelon form and
+        starts as span{1}.  Each basis element not in W joins S and W, and W
+        is then closed under left multiplication by every member of S, each
+        (member, word) pair multiplied once.  Every vector W receives is some
+        s w, so W stays the span of the words; every basis element ends in W,
+        so S generates.  An extension on its power basis gets S = {t}, a
+        tensor product of two such {1 (x) u, t (x) 1}.
+        """
+        echelon = []   # (pivot, vector): 1 at its pivot, 0 at earlier pivots
+        words = []
+        generators = []
+        pending = []   # (member of S, word) pairs not yet multiplied
+
+        def grow(v):
+            """Add v to W unless it already lies there; say whether it did."""
+            w = v
+            for p, e in echelon:
+                c = w[p]
+                if c:
+                    w = tuple(a - c * b if b else a for a, b in zip(w, e))
+            p = next((l for l, a in enumerate(w) if a), None)
+            if p is None:
+                return False
+            inv = w[p].inverse()
+            echelon.append((p, tuple(a * inv if a else a for a in w)))
+            words.append(v)
+            pending.extend((s, v) for s in generators)
+            return True
+
+        grow(self.unit)
+        for k, e in enumerate(basis):
+            if grow(e):
+                generators.append(k)
+                pending.extend((k, w) for w in words)
+                while pending:
+                    s, w = pending.pop()
+                    grow(self.mul(basis[s], w))
+        return generators
 
     def __repr__(self):
         return f"FiniteAlgebra({self.label}, dim {self.dim} over {self.field!r})"

@@ -2,7 +2,9 @@
 
 Everything reduces to row echelon computations; matrices are immutable and
 field-generic (the same code runs over Q, F_p and extensions).  Vectors are
-plain tuples of field elements.
+plain tuples of field elements.  Sums, differences, products and row
+eliminations skip zero entries instead of computing with them; the matrices
+that descent builds are mostly zeros.
 """
 
 from .errors import ShapeMismatch, SingularMatrix
@@ -43,12 +45,12 @@ class Matrix:
 
     def __add__(self, other):
         self._same_shape(other)
-        return Matrix(self.field, [[a + b for a, b in zip(r1, r2)]
+        return Matrix(self.field, [[a + b if b else a for a, b in zip(r1, r2)]
                                    for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         self._same_shape(other)
-        return Matrix(self.field, [[a - b for a, b in zip(r1, r2)]
+        return Matrix(self.field, [[a - b if b else a for a, b in zip(r1, r2)]
                                    for r1, r2 in zip(self.rows, other.rows)])
 
     def __neg__(self):
@@ -120,11 +122,15 @@ class Matrix:
                 continue
             rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
             inv = rows[rank][col].inverse()
-            rows[rank] = [a * inv for a in rows[rank]]
+            rows[rank] = [a * inv if a else a for a in rows[rank]]
+            # only the pivot row's nonzero entries change another row
+            entries = [(j, b) for j, b in enumerate(rows[rank]) if b]
             for i in range(self.nrows):
-                if i != rank and rows[i][col]:
-                    factor = rows[i][col]
-                    rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+                factor = rows[i][col]
+                if i != rank and factor:
+                    row = rows[i]
+                    for j, b in entries:
+                        row[j] = row[j] - factor * b
             pivots.append(col)
             rank += 1
             if rank == self.nrows:

@@ -16,6 +16,7 @@ from galdescent.parser import ParseError, parse
 HERE = pathlib.Path(__file__).parent
 DOCUMENTS = HERE / "documents"
 GOLDEN = HERE / "golden"
+LARGE = HERE / "large"
 
 ORACLE = {"descend_canonical_line", "descend_swap_f9", "restrict_gm_f4",
           "fixed_f9_swap", "restrict_sqrt_i"}
@@ -197,6 +198,17 @@ class TestChecksOnce:
         assert code == 0
         # d^1 d^0, d^2 d^1 and d^3 d^2 for rmax=3 over GF(9), dim B = 2
         assert shapes == [(4, 2, 1), (8, 4, 2), (16, 8, 4)]
+
+
+class TestLarge:
+    def test_cyclo7_restriction_matches_expected(self):
+        # the etale splitting oracle builds Cyclo(7) (x) Cyclo(7), of
+        # dimension 36; the expected report comes from a FiniteAlgebra.verify
+        # that checked every basis triple
+        text = (LARGE / "restrict_circle_cyclo7.txt").read_text()
+        report, diagnostics, code = run(parse(text), oracle=True)
+        expected = (LARGE / "restrict_circle_cyclo7.expected").read_text()
+        assert (code, diagnostics, report) == (0, [], expected)
 
 
 class TestBudget:

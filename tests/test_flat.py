@@ -30,6 +30,7 @@ from galdescent.flat import (
     twist_datum,
     verify_homotopy,
 )
+from galdescent.galois import cyclotomic_group
 from galdescent.linalg import Matrix, kron
 from galdescent.unipoly import UniPoly
 
@@ -75,6 +76,117 @@ class TestFiniteAlgebra:
         # (i (x) 1)(1 (x) i) = i (x) i; squaring gives (-1) (x) (-1) = 1 (x) 1
         prod = T.mul(i_left, i_right)
         assert T.mul(prod, prod) == T.unit
+
+    def test_sparse_constants_round_trip(self):
+        Qi, B = qi_algebra()
+        T = FiniteAlgebra.tensor(B, qq_squared())
+        zero, one = QQ.zero, QQ.one
+        # (i (x) e1)^2 = -1 (x) e1, stored as its one nonzero coordinate
+        assert T.sc[2][2] == ((0, QQ.from_int(-1)),)
+        assert T.basis_product(2, 2) == (QQ.from_int(-1), zero, zero, zero)
+        assert FiniteAlgebra(QQ, T.dense_constants(), T.unit).sc == T.sc
+        assert T.unit == (one, one, zero, zero)
+
+
+def constants(field, table, dim):
+    """Dense structure constants from {(i, j): {l: c}} given for i <= j."""
+    zero = field.zero
+    sc = [[(zero,) * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), coords in table.items():
+        vec = tuple(field.from_int(coords.get(l, 0)) for l in range(dim))
+        sc[i][j] = sc[j][i] = vec
+    return sc
+
+
+def unital(field, table, dim):
+    """Constants with e_0 the unit and the products of the other basis
+    elements from ``table``."""
+    return constants(field, {**{(0, j): {j: 1} for j in range(dim)}, **table}, dim)
+
+
+def as_vector(field, coords):
+    return tuple(field.from_int(c) for c in coords)
+
+
+class TestVerify:
+    """Each law ``FiniteAlgebra.verify`` proves, broken alone."""
+
+    def test_unit_law(self):
+        # QQ x QQ with e_0 claimed as the unit
+        sc = constants(QQ, {(0, 0): {0: 1}, (1, 1): {1: 1}}, 2)
+        with pytest.raises(ShapeMismatch, match=r"^unit law fails on basis element 1$"):
+            FiniteAlgebra(QQ, sc, as_vector(QQ, (1, 0)))
+
+    def test_commutativity(self):
+        # 2 x 2 matrices on E11, E12, E21, E22: associative and unital
+        zero = (QQ.zero,) * 4
+        e = [as_vector(QQ, [int(l == k) for l in range(4)]) for k in range(4)]
+        sc = [[zero] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(4):
+                if i % 2 == j // 2:
+                    sc[i][j] = e[2 * (i // 2) + j % 2]
+        with pytest.raises(ShapeMismatch, match=r"^product not commutative at \(0, 1\)$"):
+            FiniteAlgebra(QQ, sc, as_vector(QQ, (1, 0, 0, 1)))
+
+    def test_associativity(self):
+        # basis 1, a, b with a a = b, a b = 0, b b = 1: (a a) b = 1, a (a b) = 0
+        sc = unital(QQ, {(1, 1): {2: 1}, (2, 2): {0: 1}}, 3)
+        with pytest.raises(ShapeMismatch, match=r"^product not associative$"):
+            FiniteAlgebra(QQ, sc, as_vector(QQ, (1, 0, 0)))
+
+    def test_failure_seen_by_a_later_generator(self):
+        # k x (the algebra above), basis e, 1', a, b and unit e + 1'; the
+        # greedy generating set is {e, a}, and the idempotent e lies in the
+        # nucleus, so only a exposes the failure
+        table = {(0, 0): {0: 1}, (1, 1): {1: 1}, (1, 2): {2: 1}, (1, 3): {3: 1},
+                 (2, 2): {3: 1}, (3, 3): {1: 1}}
+        sc = constants(QQ, table, 4)
+        with pytest.raises(ShapeMismatch, match=r"^product not associative$"):
+            FiniteAlgebra(QQ, sc, as_vector(QQ, (1, 1, 0, 0)))
+
+    @pytest.mark.parametrize("m, calls", [(5, 1088), (7, 5328)])
+    def test_multiplies_on_generating_set(self, m, calls, monkeypatch):
+        K, _ = cyclotomic_group(m)
+        B = FiniteAlgebra.from_extension(K)
+        T = FiniteAlgebra.tensor(B, B)
+        counted = []
+        multiply = FiniteAlgebra.mul
+
+        def counting(self, u, v):
+            counted.append(self)
+            return multiply(self, u, v)
+
+        monkeypatch.setattr(FiniteAlgebra, "mul", counting)
+        T.verify()
+        # S = {1 (x) u, t (x) 1}: 2 dim for the unit law, |S| dim to grow the
+        # words over S, 2 |S| dim^2 for the left nucleus
+        n = T.dim
+        assert len(counted) == calls == 2 * n + 2 * n + 4 * n * n
+        assert set(counted) == {T}
+
+
+class TestShape:
+    """Structure constants of the wrong shape fail before ``verify`` runs."""
+
+    def test_short_product(self):
+        one, zero = QQ.one, QQ.zero
+        with pytest.raises(ShapeMismatch, match=r"^product of basis elements 0 and 0 "
+                                                r"has length 1, expected 2$"):
+            FiniteAlgebra(QQ, [[(one,), (zero, one)], [(zero, one), (one, zero)]], (one, zero))
+
+    def test_long_product(self):
+        one, zero = QQ.one, QQ.zero
+        with pytest.raises(ShapeMismatch, match=r"^product of basis elements 1 and 1 "
+                                                r"has length 3, expected 2$"):
+            FiniteAlgebra(QQ, [[(one, zero), (zero, one)], [(zero, one), (one, zero, zero)]],
+                          (one, zero))
+
+    def test_short_row(self):
+        one, zero = QQ.one, QQ.zero
+        with pytest.raises(ShapeMismatch, match=r"^structure constants row 1 has 1 products, "
+                                                r"expected 2$"):
+            FiniteAlgebra(QQ, [[(one, zero), (zero, one)], [(zero, one)]], (one, zero))
 
 
 def position(dims, idx):
