@@ -1,10 +1,21 @@
-"""Brute-force point enumeration over finite fields and finite algebras.
+"""Point enumeration over finite fields and finite algebras.
 
-Every exhaustive scan in the library runs through :func:`tuples`: the q^n
+:func:`tuples` fixes the order of every listing in the library: the q^n
 tuples over a pool of q values in base-q counting order, the first
 coordinate varying fastest.  Elements of GF(p^n) (coordinates on the power
 basis), elements of a finite algebra, default-modulus candidates and
-candidate points are all listed in this order.
+solution points are all listed in this order.
+
+:func:`solutions`, the scan behind the affine point oracles, backtracks
+rather than evaluating every generator at all q^n candidates: it assigns the
+variables one at a time and tests each generator as soon as its last
+variable has a value, so a failing partial point cuts off everything below
+it.  The values that a variable may take are the common roots in F_q of the
+generators it closes, each reduced to its coefficient tuple in that
+variable; a memo of at most q such keys saves the q-scan for repeated ones.
+The hits are sorted back into :func:`tuples` order.  Backtracking with early
+constraint checks: Golomb and Baumert, "Backtrack programming", J. ACM 12
+(1965).
 
 Solution sets are tiny but appear inside doubly-exponential loops, so every
 finite-field oracle (affine points, the induced action on points, fixed
@@ -149,13 +160,118 @@ def _scan_tables(field, nvars, budget):
 
 def solutions(generators, field, nvars, budget=None):
     """The solutions of the generator system in field^nvars as tuples of
-    element indices, and the field's tables that they index."""
+    element indices, in :func:`tuples` order, and the field's tables that
+    they index."""
     tables = _scan_tables(field, nvars, budget)
-    evaluators = [tables.compile_poly(g) for g in generators if not g.is_zero]
-    zero = tables.zero
-    hits = [point for point in tuples(tables.ints, nvars)
-            if all(ev(point) == zero for ev in evaluators)]
+    polys = [g for g in generators if not g.is_zero]
+    if any(not any(map(any, g.terms)) for g in polys):
+        # a nonzero constant vanishes nowhere
+        return [], tables
+    if nvars == 0:
+        return [()], tables
+    degree = max((e for g in polys for exps in g.terms for e in exps), default=1)
+    powers = [[tables.encode(field.one)] * tables.q, tables.ints]
+    while len(powers) <= degree:
+        powers.append([tables.mul[a][v] for a, v in zip(powers[-1], tables.ints)])
+    order, closing = _scan_order(polys, nvars)
+    levels = [[_coefficient_terms(g, var, tables, powers) for g in gens]
+              for var, gens in zip(order, closing)]
+    memo = {}
+    point = [tables.zero] * nvars
+    hits = []
+    # an explicit stack: a recursive closure would be a reference cycle that
+    # keeps the tables alive until the cyclic garbage collector runs
+    stack = [iter(_fibre(levels[0], point, tables, powers, memo))]
+    while stack:
+        value = next(stack[-1], None)
+        if value is None:
+            stack.pop()
+            continue
+        depth = len(stack)
+        point[order[depth - 1]] = value
+        if depth == nvars:
+            hits.append(tuple(point))
+        else:
+            stack.append(iter(_fibre(levels[depth], point, tables, powers, memo)))
+    hits.sort(key=lambda p: p[::-1])
     return hits, tables
+
+
+def _scan_order(polys, nvars):
+    """The order in which :func:`solutions` assigns the variables, and for
+    each position the generators whose last variable it assigns.
+
+    The next variable is one of a generator with the fewest unassigned
+    variables, the highest-numbered one: with no generator left to close,
+    the variables come in :func:`tuples` order, slowest first."""
+    supports = [{i for exps in g.terms for i, e in enumerate(exps) if e} for g in polys]
+    order = []
+    unassigned = set(range(nvars))
+    while unassigned:
+        pending = [s & unassigned for s in supports if s & unassigned]
+        var = max(min(pending, key=len) if pending else unassigned)
+        order.append(var)
+        unassigned.discard(var)
+    position = {var: k for k, var in enumerate(order)}
+    closing = [[] for _ in order]
+    for g, support in zip(polys, supports):
+        closing[max(position[i] for i in support)].append(g)
+    return order, closing
+
+
+def _coefficient_terms(poly, var, tables, powers):
+    """``poly`` as a polynomial in variable ``var``: entry k lists the terms
+    of the coefficient of its k-th power, each as a coefficient index and
+    (variable, power table) factors."""
+    slots = [[] for _ in range(1 + max(exps[var] for exps in poly.terms))]
+    for exps, c in poly.terms.items():
+        factors = tuple((i, powers[e]) for i, e in enumerate(exps) if e and i != var)
+        slots[exps[var]].append((tables.encode(c), factors))
+    return slots
+
+
+def _fibre(level, point, tables, powers, memo):
+    """The values of a level's variable at which every generator that the
+    level closes vanishes, the earlier variables taking their values in
+    ``point``.  The generators' coefficient tuples key ``memo``: the roots
+    depend on the key alone, so one memo serves every level.  It is cleared
+    once it holds q keys."""
+    if not level:
+        return tables.ints
+    mul, add, zero = tables.mul, tables.add, tables.zero
+    key = []
+    for slots in level:
+        coeffs = []
+        for terms in slots:
+            total = zero
+            for acc, factors in terms:
+                for i, table in factors:
+                    acc = mul[acc][table[point[i]]]
+                total = add[total][acc]
+            coeffs.append(total)
+        key.append(tuple(coeffs))
+    key = tuple(key)
+    roots = memo.get(key)
+    if roots is None:
+        if len(memo) >= tables.q:
+            memo.clear()
+        roots = memo[key] = _common_roots(key, tables, powers)
+    return roots
+
+
+def _common_roots(key, tables, powers):
+    """The indices, ascending, at which every polynomial of ``key`` (one
+    coefficient tuple each, constant term first) vanishes: one q-scan."""
+    mul, add, zero = tables.mul, tables.add, tables.zero
+    roots = tables.ints
+    for coeffs in key:
+        values = [coeffs[0]] * len(roots)
+        for c, table in zip(coeffs[1:], powers[1:]):
+            if c != zero:
+                row = mul[c]
+                values = [add[v][row[table[r]]] for v, r in zip(values, roots)]
+        roots = [r for r, v in zip(roots, values) if v == zero]
+    return roots
 
 
 def affine_points(generators, field, nvars, budget=None):

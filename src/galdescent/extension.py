@@ -38,6 +38,8 @@ class ExtensionField(Field):
         self.degree = modulus.degree
         self.irreducibility = irreducibility
         self._zero_tuple = (base.zero,) * self.degree
+        # inverses by coordinate tuple; a finite field has at most q of them
+        self._inverses = {} if base.is_finite else None
         # reduction table for t^n .. t^(2n-2)
         self._high_powers = []
         xn = UniPoly(base, [base.zero] * self.degree + [base.one])
@@ -125,6 +127,14 @@ class ExtensionField(Field):
     def _inv(self, a):
         if not a:
             raise DivisionByZero("inverse of zero")
+        if self._inverses is None:
+            return self._xgcd_inverse(a)
+        inverse = self._inverses.get(a.value)
+        if inverse is None:
+            inverse = self._inverses[a.value] = self._xgcd_inverse(a)
+        return inverse
+
+    def _xgcd_inverse(self, a):
         g, s, _ = poly_xgcd(self.to_unipoly(a), self.modulus)
         if g.degree != 0:
             raise DivisionByZero(

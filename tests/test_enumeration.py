@@ -1,4 +1,7 @@
+import gc
 import time
+import weakref
+from itertools import product
 
 import pytest
 
@@ -13,6 +16,8 @@ from galdescent.enumeration import (
     algebra_points,
     count_affine_points,
     count_fixed_vectors,
+    solutions,
+    tuples,
 )
 from galdescent.errors import Budget, BudgetExceeded
 from galdescent.extension import ExtensionField, finite_field
@@ -24,6 +29,11 @@ from galdescent.linalg import Matrix
 from galdescent.multipoly import MultiPolynomial
 from galdescent.semilinear import SemilinearModule
 from galdescent.unipoly import UniPoly
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # a test extra: the pinned scan cases still run without it
+    given = None
 
 
 def gf9_with_modulus(*coeffs):
@@ -199,3 +209,79 @@ class TestPointAction:
                         for point in action.points]
             assert action.permutations[idx] == expected
         assert all(point[0].field is ext for point in action.points)
+
+
+def odometer(generators, field, nvars):
+    """The scan that :func:`solutions` prunes: every generator evaluated in
+    full at every tuple, in :func:`tuples` order."""
+    tables = SmallFieldTables(field)
+    evaluators = [tables.compile_poly(g) for g in generators if not g.is_zero]
+    return [point for point in tuples(tables.ints, nvars)
+            if all(ev(point) == tables.zero for ev in evaluators)]
+
+
+class TestPrunedScan:
+    def test_xyz_minus_one_over_gf27(self):
+        field = finite_field(3, 3)
+        x, y, z = MultiPolynomial.ring_vars(field, ("x", "y", "z"))
+        hits, tables = solutions([x * y * z - 1], field, 3)
+        assert len(hits) == (field.order - 1) ** 2 == 676
+        assert hits == odometer([x * y * z - 1], field, 3)
+        assert tables.q == 27
+
+    def test_no_generators_gives_every_tuple(self):
+        field = finite_field(2, 2)
+        zero = MultiPolynomial.zero(field, ("x", "y", "z"))
+        assert solutions([], field, 3)[0] == list(tuples(range(4), 3))
+        assert solutions([zero], field, 3)[0] == list(tuples(range(4), 3))
+
+    def test_nonzero_constant_gives_no_hits(self):
+        field = GF(5)
+        names = ("x", "y")
+        x, y = MultiPolynomial.ring_vars(field, names)
+        constant = MultiPolynomial.constant(field, names, 3)
+        assert solutions([x * y - 1, constant], field, 2)[0] == []
+        assert solutions([constant], field, 0)[0] == []
+        assert solutions([], field, 0)[0] == [()]
+
+    def test_scan_leaves_no_reference_cycle(self):
+        field = finite_field(3, 2)
+        x, y, z = MultiPolynomial.ring_vars(field, ("x", "y", "z"))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            hits, tables = solutions([x * y * z - 1, x - y], field, 3)
+            alive = weakref.ref(tables)
+            del hits, tables
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+
+if given is not None:
+    SCAN_FIELDS = [GF(2), GF(3), finite_field(2, 2), GF(5), GF(7),
+                   finite_field(2, 3), finite_field(3, 2)]
+
+    @st.composite
+    def systems(draw):
+        """(field, number of variables, generators): up to three generators
+        of degree at most 3 in at most four variables, with coefficients
+        drawn from every field element, zero included, so that zero and
+        constant generators and ones that miss variables all occur."""
+        field = draw(st.sampled_from(SCAN_FIELDS))
+        nvars = draw(st.integers(0, 4))
+        names = ("x", "y", "z", "w")[:nvars]
+        monomial = st.sampled_from([e for e in product(range(4), repeat=nvars)
+                                    if sum(e) <= 3])
+        coefficient = st.sampled_from(list(field.elements()))
+        terms = st.dictionaries(monomial, coefficient, max_size=3)
+        gens = [MultiPolynomial(field, names, t)
+                for t in draw(st.lists(terms, max_size=3))]
+        return field, nvars, gens
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(systems())
+    def test_pruned_scan_matches_odometer(system):
+        field, nvars, gens = system
+        assert solutions(gens, field, nvars)[0] == odometer(gens, field, nvars)
