@@ -162,9 +162,21 @@ class Budget:
                 raise BudgetExceeded(f"{count} {what} exceed budget {self.points}")
 
     def check_tensor_power(self, dim, power):
-        """Raise unless B^(x)power fits, for B of dimension dim."""
-        if dim ** power > self.TENSOR_DIM:
-            raise BudgetExceeded(f"dim B^(x){power} = {dim ** power} exceeds cap {self.TENSOR_DIM}")
+        """Raise unless B^(x)power fits, for B of dimension dim.  The powers
+        of dim are multiplied out only up to the first one past the cap, so
+        a huge ``power`` costs a few steps and its dimension is never built."""
+        if dim <= 1:
+            return
+        size = 1
+        for k in range(1, power + 1):
+            size *= dim
+            if size > self.TENSOR_DIM:
+                if k == power:
+                    raise BudgetExceeded(
+                        f"dim B^(x){power} = {size} exceeds cap {self.TENSOR_DIM}")
+                raise BudgetExceeded(
+                    f"dim B^(x){power} exceeds cap {self.TENSOR_DIM}: "
+                    f"dim B^(x){k} = {size} already does")
 
 
 # -- Weil restriction ---------------------------------------------------------

@@ -7,13 +7,22 @@ is spent from an :class:`~galdescent.errors.Budget`, shared by all calls
 that are passed the same one (``budget=None`` starts a fresh default one),
 so runaway computations end in a loud ``BudgetExceeded``.
 
+``buchberger`` adds the generators, and then each nonzero remainder, through
+Gebauer and Moeller's update (Gebauer & Moeller 1988; Becker & Weispfenning,
+Groebner Bases, 1993, section 5.5).  Its chain and product criteria drop the
+S-pairs that can only reduce to zero, and an element whose leading term a
+newer one divides forms no further pairs but still reduces.  The reduced basis
+is unique, so the criteria change only the work, never the result;
+``tests/test_groebner.py`` checks this against the engine without them.
+
 S-pairs wait in a heap keyed on the order key of their lcm, with an insertion
-counter that makes equal lcms pop first in, first out; the normal form keeps
-the working polynomial's monomials in a heap on ``MonomialOrder.heap_key``
-and pops the leading term from it.  Each basis element's leading monomial is
-computed once.  The selection (smallest lcm first, then oldest pair; largest
-working term first) fixes the sequence of reduction steps, and so what a
-budget allows; ``tests/test_groebner.py`` pins the step counts.
+counter that makes equal lcms pop first in, first out; dropped pairs are
+skipped when popped and spend nothing.  The normal form keeps the working
+polynomial's monomials in a heap on ``MonomialOrder.heap_key`` and pops the
+leading term from it.  Each basis element's leading monomial is computed
+once.  The criteria and the selection (smallest lcm first, then oldest pair;
+largest working term first) fix the sequence of reduction steps, and so what
+a budget allows; ``tests/test_groebner.py`` pins the step counts.
 """
 
 from heapq import heapify, heappop, heappush
@@ -141,30 +150,56 @@ def buchberger(generators, order=GREVLEX, budget=None):
     budget = budget or Budget()
     leads = [g.leading(order)[0] for g in basis]
     # pairs pop smallest lcm first; the insertion counter breaks ties first
-    # in, first out
+    # in, first out.  ``live`` maps each pending pair to its lcm; a pair the
+    # criteria drop leaves ``live`` and is skipped when popped.
     pairs = []
+    live = {}
     counter = count()
+    active = []
 
-    def add_pair(i, j):
-        lcm = _monomial_lcm(leads[i], leads[j])
-        # Buchberger's first criterion: coprime leading monomials reduce to 0
-        if lcm != _monomial_mul(leads[i], leads[j]):
-            heappush(pairs, (order.key(lcm), next(counter), i, j))
+    def update(k):
+        """Gebauer and Moeller's UPDATE: pair ``basis[k]`` with the active
+        elements and drop every pair that the criteria rule out."""
+        h = leads[k]
+        new = [(i, _monomial_lcm(leads[i], h)) for i in active]
+        # chain criterion on the new pairs: a pair goes when the lcm of a
+        # later pair or of one already kept divides its own, so of equal
+        # lcms exactly one stays; coprime pairs take part, and only then go
+        kept = []
+        for n, (i, lcm) in enumerate(new):
+            coprime = lcm == _monomial_mul(leads[i], h)
+            others = [l for _, l, _ in kept] + [l for _, l in new[n + 1:]]
+            if coprime or not any(_monomial_divides(l, lcm) for l in others):
+                kept.append((i, lcm, coprime))
+        # chain criterion on the old pairs: LT(h) divides the lcm, and h
+        # shares it with neither element
+        for (i, j), lcm in list(live.items()):
+            if (_monomial_divides(h, lcm)
+                    and _monomial_lcm(leads[i], h) != lcm
+                    and _monomial_lcm(leads[j], h) != lcm):
+                del live[i, j]
+        for i, lcm, coprime in kept:
+            if not coprime:
+                live[i, k] = lcm
+                heappush(pairs, (order.key(lcm), next(counter), i, k))
+        # an element whose leading term LT(h) divides forms no more pairs,
+        # but still reduces
+        active[:] = [i for i in active if not _monomial_divides(h, leads[i])]
+        active.append(k)
 
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            add_pair(i, j)
+    for k in range(len(basis)):
+        update(k)
     while pairs:
         _, _, i, j = heappop(pairs)
+        if live.pop((i, j), None) is None:
+            continue
         budget.spend()
         s = _s_polynomial(basis[i], leads[i], basis[j], leads[j])
         remainder = normal_form(s, basis, order, budget)
         if not remainder.is_zero:
             basis.append(remainder)
             leads.append(remainder.leading(order)[0])
-            k = len(basis) - 1
-            for m in range(k):
-                add_pair(m, k)
+            update(len(basis) - 1)
     return _reduce_basis(basis, leads, order, budget)
 
 

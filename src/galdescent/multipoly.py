@@ -5,6 +5,8 @@ list is an explicit ordered tuple of names shared by every polynomial of a
 given ring context.  Coefficients may come from any of the library's fields.
 """
 
+from operator import add, le, sub
+
 from .errors import FieldMismatch, ShapeMismatch
 from .fields import FieldElement
 
@@ -55,19 +57,19 @@ def block_order(split):
 
 
 def _monomial_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _monomial_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class MultiPolynomial:

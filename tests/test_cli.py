@@ -163,11 +163,11 @@ class TestDescendChecksOnce:
 
     def test_budget_bounds_the_whole_command(self):
         # validation, construction and certificate of the GF(9) swap descent
-        # take 80 Groebner steps in all, and the oracle takes none
+        # take 30 Groebner steps in all, and the oracle takes none
         document = parse((DOCUMENTS / "descend_swap_f9.txt").read_text())
-        _, diagnostics, code = run(document, oracle=True, budget=80)
+        _, diagnostics, code = run(document, oracle=True, budget=30)
         assert code == 0 and not diagnostics
-        _, diagnostics, code = run(document, oracle=True, budget=79)
+        _, diagnostics, code = run(document, oracle=True, budget=29)
         assert code == 3
         assert diagnostics[0].code == "budget-exceeded"
 
@@ -255,6 +255,23 @@ class TestBudget:
         assert (report, code) == ("", 3)
         assert diagnostics[0].render() == (
             "error[budget-exceeded] line 4, col 1: dim B^(x)13 = 8192 exceeds cap 4096")
+
+    @pytest.mark.parametrize("rmax", [65537, 10 ** 9])
+    def test_huge_tensor_power_refused_without_its_dimension(self, rmax):
+        # 2^65538 has more than 4,300 digits, too many for str(int)
+        text = ("field F3 = GF(3^1)\n"
+                "field F9 = GF(3^2)\n"
+                "map f = F3 -> F9\n"
+                f"amitsur f rmax={rmax}\n")
+        report, diagnostics, code = run(parse(text))
+        assert (report, code) == ("", 3)
+        assert diagnostics[0].render() == (
+            f"error[budget-exceeded] line 4, col 1: dim B^(x){rmax + 1} exceeds "
+            "cap 4096: dim B^(x)13 = 8192 already does")
+
+    def test_tensor_powers_of_dimension_one_always_fit(self):
+        # the powers of 1 never pass the cap, so no loop may run to the power
+        assert Budget().check_tensor_power(1, 10 ** 18) is None
 
     def test_restrict_from_own_splitting_field_lists_no_elements(self, monkeypatch):
         def refuse(self):

@@ -1,4 +1,6 @@
 import random
+from heapq import heappop, heappush
+from itertools import count, product
 
 import pytest
 
@@ -8,14 +10,28 @@ from galdescent.fields import GF, QQ
 from galdescent.galois import verify_automorphism
 from galdescent.groebner import (
     Ideal,
+    _reduce_basis,
+    _s_polynomial,
     apply_semilinear,
     buchberger,
     eliminate,
     ideal_equal,
     normal_form,
 )
-from galdescent.multipoly import GREVLEX, LEX, MultiPolynomial, block_order
+from galdescent.multipoly import (
+    GREVLEX,
+    LEX,
+    MultiPolynomial,
+    _monomial_lcm,
+    _monomial_mul,
+    block_order,
+)
 from galdescent.unipoly import UniPoly
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # a test extra: the pinned reference cases still run without it
+    given = None
 
 
 def ring(field, names):
@@ -71,12 +87,22 @@ def katsura(n, field):
     return relations
 
 
+def swap_elimination_generators():
+    """The ideal that the Frobenius-swap descent over GF(9) eliminates x and
+    y from, in the variables x, y, a0, a1, b0, b1."""
+    F9 = make_extension(GF(3), UniPoly.from_ints(GF(3), [1, 0, 1]))
+    t = F9.generator
+    x, y, a0, a1, b0, b1 = ring(F9, ("x", "y", "a0", "a1", "b0", "b1"))
+    return [x * y + 2, 2 * x + 2 * y + a0, 2 * t * x + t * y + a1,
+            2 * x + 2 * y + b0, t * x + 2 * t * y + b1]
+
+
 class TestReductionSequence:
     """The pair and term selection fixes how many reduction steps a basis
     costs, and so what ``--budget`` allows; these counts pin it."""
 
     @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["gf32003", "qq"])
-    @pytest.mark.parametrize("n,steps,size", [(3, 202, 7), (4, 1597, 13)])
+    @pytest.mark.parametrize("n,steps,size", [(3, 115, 7), (4, 778, 13)])
     def test_katsura_steps(self, field, n, steps, size):
         budget = Budget(10 ** 6)
         basis = buchberger(katsura(n, field), GREVLEX, budget)
@@ -84,18 +110,100 @@ class TestReductionSequence:
         assert len(basis) == size
 
     def test_tied_pairs_pop_first_in_first_out(self):
-        # the elimination ideal of the Frobenius-swap descent over GF(9);
-        # several pairs share an lcm here, and popping them last in, first
-        # out would take 48 steps
-        F9 = make_extension(GF(3), UniPoly.from_ints(GF(3), [1, 0, 1]))
-        t = F9.generator
-        x, y, a0, a1, b0, b1 = ring(F9, ("x", "y", "a0", "a1", "b0", "b1"))
-        gens = [x * y + 2, 2 * x + 2 * y + a0, 2 * t * x + t * y + a1,
-                2 * x + 2 * y + b0, t * x + 2 * t * y + b1]
+        # several pairs of the swap elimination ideal share an lcm, and
+        # popping them last in, first out would take 15 steps
         budget = Budget(10 ** 6)
-        basis = buchberger(gens, block_order(2), budget)
-        assert budget.spent == 69
+        basis = buchberger(swap_elimination_generators(), block_order(2), budget)
+        assert budget.spent == 19
         assert len(basis) == 5
+
+
+def reference_buchberger(generators, order=GREVLEX, budget=None):
+    """Buchberger's algorithm with the coprime discard as its only pair
+    criterion: the engine as it was before the Gebauer-Moeller update."""
+    basis = [g for g in generators if not g.is_zero]
+    if not basis:
+        return []
+    budget = budget or Budget()
+    leads = [g.leading(order)[0] for g in basis]
+    # pairs pop smallest lcm first; the insertion counter breaks ties first
+    # in, first out
+    pairs = []
+    counter = count()
+
+    def add_pair(i, j):
+        lcm = _monomial_lcm(leads[i], leads[j])
+        # Buchberger's first criterion: coprime leading monomials reduce to 0
+        if lcm != _monomial_mul(leads[i], leads[j]):
+            heappush(pairs, (order.key(lcm), next(counter), i, j))
+
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            add_pair(i, j)
+    while pairs:
+        _, _, i, j = heappop(pairs)
+        budget.spend()
+        s = _s_polynomial(basis[i], leads[i], basis[j], leads[j])
+        remainder = normal_form(s, basis, order, budget)
+        if not remainder.is_zero:
+            basis.append(remainder)
+            leads.append(remainder.leading(order)[0])
+            k = len(basis) - 1
+            for m in range(k):
+                add_pair(m, k)
+    return _reduce_basis(basis, leads, order, budget)
+
+
+class TestAgainstReference:
+    """The pair criteria drop only S-pairs that reduce to zero, so the
+    reduced basis is the reference's, for no more reduction steps."""
+
+    CASES = {
+        "katsura3_gf32003": (lambda: katsura(3, GF(32003)), GREVLEX),
+        "katsura3_qq": (lambda: katsura(3, QQ), GREVLEX),
+        "katsura4_gf32003": (lambda: katsura(4, GF(32003)), GREVLEX),
+        "katsura4_qq": (lambda: katsura(4, QQ), GREVLEX),
+        "swap_gf9": (swap_elimination_generators, block_order(2)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_same_basis_in_fewer_steps(self, name):
+        make, order = self.CASES[name]
+        ours, theirs = Budget(), Budget()
+        basis = buchberger(make(), order, ours)
+        assert basis == reference_buchberger(make(), order, theirs)
+        assert ours.spent <= theirs.spent
+
+
+if given is not None:
+    FIELDS = [QQ, GF(7), GF(32003)]
+    ORDERS = [LEX, GREVLEX, block_order(1), block_order(2)]
+
+    @st.composite
+    def ideals(draw):
+        """(field, order name, variable names, generator term dicts): up to
+        three nonzero generators of degree at most 3 in two or three
+        variables, with coefficients in [-5, 5]."""
+        field = draw(st.sampled_from(FIELDS))
+        order = draw(st.sampled_from(["grevlex", "lex"]))
+        names = ("x", "y", "z")[: draw(st.integers(2, 3))]
+        monomial = st.sampled_from([e for e in product(range(4), repeat=len(names))
+                                    if sum(e) <= 3])
+        # no nonzero integer in [-5, 5] vanishes in GF(7) or GF(32003)
+        coefficient = st.sampled_from([c for c in range(-5, 6) if c])
+        generator = st.dictionaries(monomial, coefficient, min_size=1, max_size=4)
+        gens = draw(st.lists(generator, min_size=1, max_size=3))
+        return field, order, names, gens
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(ideals(), st.sampled_from(ORDERS))
+    def test_reduced_basis_matches_reference(case, order):
+        # the drawn order replaces the case's, so block orders occur too
+        field, _, names, gens = case
+        polys = [MultiPolynomial(field, names,
+                                 {e: field.from_int(c) for e, c in g.items()})
+                 for g in gens]
+        assert buchberger(polys, order) == reference_buchberger(polys, order)
 
 
 class TestMonomialOrder:

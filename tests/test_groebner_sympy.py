@@ -4,46 +4,27 @@ Reduced monic Groebner bases are unique for a given ideal and order, so the
 two engines must return the same set of polynomials.  Skipped when either
 hypothesis or sympy is missing; neither is a dependency of the package.
 
-The engine has no pair criteria yet, so a rare lex ideal over QQ needs over
-10^5 reduction steps (about a minute); ideals that exceed ``STEP_CAP`` are
-discarded instead of compared, which keeps the test to a few seconds.
+Every generated ideal is compared under the default budget, so an ideal
+whose basis runs away fails the test instead of being skipped.  The ideals
+come from ``test_groebner.ideals``, which also drives the comparison with
+the criteria-free reference engine.
 """
 
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
 pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 
-from hypothesis import given, reject, settings, strategies as st  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
+from test_groebner import ideals  # noqa: E402
 
-from galdescent.errors import Budget, BudgetExceeded  # noqa: E402
-from galdescent.fields import GF, QQ  # noqa: E402
+from galdescent.fields import QQ  # noqa: E402
 from galdescent.groebner import buchberger  # noqa: E402
 from galdescent.multipoly import GREVLEX, LEX, MultiPolynomial  # noqa: E402
 
-FIELDS = [QQ, GF(7), GF(32003)]
 ORDERS = {"lex": LEX, "grevlex": GREVLEX}
-STEP_CAP = 5000
-
-
-@st.composite
-def ideals(draw):
-    """(field, order name, variable names, generator term dicts): up to three
-    nonzero generators of degree at most 3 in two or three variables, with
-    coefficients in [-5, 5]."""
-    field = draw(st.sampled_from(FIELDS))
-    order = draw(st.sampled_from(sorted(ORDERS)))
-    names = ("x", "y", "z")[: draw(st.integers(2, 3))]
-    monomial = st.sampled_from([e for e in product(range(4), repeat=len(names))
-                                if sum(e) <= 3])
-    # no nonzero integer in [-5, 5] vanishes in GF(7) or GF(32003)
-    coefficient = st.sampled_from([c for c in range(-5, 6) if c])
-    generator = st.dictionaries(monomial, coefficient, min_size=1, max_size=4)
-    gens = draw(st.lists(generator, min_size=1, max_size=3))
-    return field, order, names, gens
 
 
 def _monic(terms, field):
@@ -67,10 +48,7 @@ def test_reduced_basis_matches_sympy(case):
     polys = [MultiPolynomial(field, names,
                              {e: field.from_int(c) for e, c in g.items()})
              for g in gens]
-    try:
-        basis = buchberger(polys, order, Budget(STEP_CAP))
-    except BudgetExceeded:
-        reject()
+    basis = buchberger(polys, order)
     ours = {frozenset((e, c.value) for e, c in g.terms.items()) for g in basis}
 
     symbols = sympy.symbols(names)
