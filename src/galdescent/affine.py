@@ -19,7 +19,6 @@ from .errors import (
     IdentityNotTrivial,
     InternalContradiction,
     NotEquivariant,
-    NotInvertible,
     NotStable,
     NotWellDefined,
     SplittingCheckFailed,
@@ -127,8 +126,9 @@ def canonical_datum(algebra0, group):
 
 
 def validate_datum(datum, budget=None):
-    """Well-definedness, identity triviality, the automorphism-composition
-    law, and invertibility, all modulo the relations."""
+    """Well-definedness, identity triviality and the automorphism-composition
+    law, all modulo the relations.  Each theta_sigma is then invertible: the
+    law at (sigma, sigma^-1) and theta_id = id give its two-sided inverse."""
     budget = budget or Budget()
     algebra = datum.algebra
     group = datum.group
@@ -161,13 +161,6 @@ def validate_datum(datum, budget=None):
                         f"on variable {name}")
             pairs += 1
 
-    for idx in range(group.order):
-        inv = group.inverse[idx]
-        for name, var in named.items():
-            round_trip = datum.maps[idx](datum.maps[inv].images[name])
-            if not normal_form(round_trip - var, basis, GREVLEX, budget).is_zero:
-                raise NotInvertible(
-                    f"theta_{group.elements[idx].name} has no two-sided inverse")
     return DatumReport(datum, pairs, gens_checked)
 
 

@@ -196,7 +196,7 @@ class Workspace:
             image = eval_element(ast, ext)
             name = "id" if image == ext.generator else f"a{i}"
             autos.append(verify_automorphism(ext, image, name))
-        group = GaloisGroup.close_and_verify(ext, autos, require_full=False)
+        group = GaloisGroup.close_and_verify(ext, autos)
         self.groups[statement.name] = group
         if group.is_full and self.field_groups.get(payload["ext"]) is None:
             self.field_groups[payload["ext"]] = group

@@ -3,9 +3,14 @@
 An automorphism is stored by the image of the field generator; composition is
 polynomial substitution.  Two built-in families (Frobenius groups of finite
 fields, cyclotomic fields over Q) cover the Galois extensions the library
-constructs itself; arbitrary automorphism lists can be supplied and are
-verified and closed explicitly.
+constructs itself.  They are verified on generators only: every other element
+is a composite of a generator with an element already built, so it is an
+automorphism by construction, and each composite must land on the label the
+family's law predicts.  Arbitrary automorphism lists can be supplied; every
+listed map and every composite is verified, since closure is what can fail.
 """
+
+from math import gcd
 
 from .errors import (
     FieldMismatch,
@@ -33,18 +38,22 @@ class GeneratorMap:
         self.target = target
         self.image = image
         self.name = name
-        powers = [target.one]
-        for _ in range(source.degree - 1):
-            powers.append(powers[-1] * image)
-        self._powers = powers
+        self._powers = [target.one]
+
+    def _power(self, j):
+        """image^j, with the powers below it built on first use."""
+        powers = self._powers
+        while len(powers) <= j:
+            powers.append(powers[-1] * self.image)
+        return powers[j]
 
     def __call__(self, a):
         if a.field != self.source:
             raise FieldMismatch("element not in the map's source field")
         acc = self.target.zero
-        for coeff, power in zip(self.source.coords(a), self._powers):
+        for j, coeff in enumerate(self.source.coords(a)):
             if coeff:
-                acc = acc + self.target.from_base(coeff) * power
+                acc = acc + self.target.from_base(coeff) * self._power(j)
         return acc
 
 
@@ -65,7 +74,7 @@ class Automorphism(GeneratorMap):
     def matrix(self):
         """Base-field matrix acting on generator-power coordinates."""
         if self._matrix is None:
-            cols = [self.ext.coords(p) for p in self._powers]
+            cols = [self.ext.coords(self._power(j)) for j in range(self.ext.degree)]
             self._matrix = Matrix.from_cols(self.ext.base, cols)
         return self._matrix
 
@@ -99,30 +108,27 @@ def verify_automorphism(ext, image, name="sigma"):
 class GaloisGroup:
     """A finite, composition-closed list of automorphisms with its table.
 
-    ``is_full`` marks groups of order equal to the extension degree (honest
-    Galois groups); proper subgroups reuse the same machinery for fixed-field
+    Groups of order equal to the extension degree are full (honest Galois
+    groups); proper subgroups reuse the same machinery for fixed-field
     computations.
     """
 
-    def __init__(self, ext, elements, table, is_full, generator_indices):
+    def __init__(self, ext, elements, table, generator_indices):
         self.ext = ext
         self.elements = elements
         self.table = table
-        self.is_full = is_full
         self.generator_indices = generator_indices
         self.identity_index = next(
             i for i, s in enumerate(elements) if s.is_identity())
-        self.inverse = [None] * len(elements)
-        for i in range(len(elements)):
-            for j in range(len(elements)):
-                if table[i][j] == self.identity_index:
-                    self.inverse[i] = j
-        if any(v is None for v in self.inverse):
-            raise NotClosed("an element has no inverse in the list")
+        self.inverse = [row.index(self.identity_index) for row in table]
 
     @property
     def order(self):
         return len(self.elements)
+
+    @property
+    def is_full(self):
+        return self.order == self.ext.degree
 
     def compose(self, i, j):
         """Index of elements[i] o elements[j]."""
@@ -135,7 +141,7 @@ class GaloisGroup:
         raise KeyError(f"no automorphism named {name}")
 
     @classmethod
-    def close_and_verify(cls, ext, autos, require_full=True, generator_indices=None):
+    def close_and_verify(cls, ext, autos):
         """Build the composition table of a supplied automorphism list.  The
         list must already be closed (including the identity); anything else is
         an error, never silently completed."""
@@ -156,31 +162,13 @@ class GaloisGroup:
                         f"{ext.format_element(composite)}) is not in the list")
                 row.append(k)
             table.append(tuple(row))
-        if require_full and len(autos) != ext.degree:
-            raise NotClosed(
-                f"group order {len(autos)} != extension degree {ext.degree}")
-        if generator_indices is None:
-            generator_indices = tuple(
-                i for i, a in enumerate(autos) if not a.is_identity()) or (0,)
-        group = cls(ext, list(autos), [tuple(r) for r in table],
-                    len(autos) == ext.degree, tuple(generator_indices))
-        group._verify_axioms()
-        return group
-
-    def _verify_axioms(self):
-        n = self.order
-        e = self.identity_index
-        for i in range(n):
-            if self.table[e][i] != i or self.table[i][e] != i:
-                raise NotClosed("identity law fails")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.table[self.table[i][j]][k] != self.table[i][self.table[j][k]]:
-                        raise NotClosed("associativity fails")
+        generator_indices = tuple(
+            i for i, a in enumerate(autos) if not a.is_identity()) or (0,)
+        return cls(ext, list(autos), table, generator_indices)
 
     def subgroup(self, indices):
-        """The subgroup generated by the listed element indices."""
+        """The subgroup generated by the listed element indices, with the
+        parent's table restricted to it."""
         chosen = set(indices) | {self.identity_index}
         changed = True
         while changed:
@@ -192,14 +180,53 @@ class GaloisGroup:
                         chosen.add(k)
                         changed = True
         order = sorted(chosen)
-        autos = [self.elements[i] for i in order]
-        gens = tuple(order.index(i) for i in indices if i in chosen)
-        return GaloisGroup.close_and_verify(
-            self.ext, autos, require_full=False,
-            generator_indices=gens or (0,))
+        position = {i: k for k, i in enumerate(order)}
+        table = [tuple(position[self.table[i][j]] for j in order) for i in order]
+        gens = tuple(position[i] for i in indices)
+        return GaloisGroup(self.ext, [self.elements[i] for i in order], table,
+                           gens or (0,))
 
     def __repr__(self):
         return f"GaloisGroup({self.ext!r}, order {self.order})"
+
+
+def _generated_group(ext, labels, law, name_of, image_of):
+    """The group of a built-in family, verified on generators only.
+
+    ``labels`` lists the elements in report order, identity first, and
+    ``law(a, b)`` is the label of a o b under the family's group law.  Each label not yet reached becomes
+    a generator (verified, with image ``image_of(label)``); every other
+    element is a composite g o e of a generator g with an element e already
+    built.  A composite whose image is already known must carry the label the
+    law predicts, so the table can be read off the labels."""
+    one = labels[0]
+    built = {one: Automorphism(ext, ext.generator, name_of(one))}
+    label_of = {ext.generator: one}
+    gens = {}
+    for label in labels:
+        if label in built:
+            continue
+        gens[label] = verify_automorphism(ext, image_of(label), name_of(label))
+        work = [(label, e) for e in built]
+        while work:
+            g, e = work.pop()
+            image = gens[g](built[e].image)
+            k = law(g, e)
+            known = label_of.get(image)
+            if known is None and k not in built:
+                built[k] = Automorphism(ext, image, name_of(k))
+                label_of[image] = k
+                work.extend((h, k) for h in gens)
+            elif known != k:
+                raise NotClosed(
+                    f"composite {name_of(g)} o {name_of(e)} (t -> "
+                    f"{ext.format_element(image)}) is not {name_of(k)}")
+    if len(built) != ext.degree:
+        raise NotClosed(f"group order {len(built)} != extension degree {ext.degree}")
+    position = {label: i for i, label in enumerate(labels)}
+    table = [tuple(position[law(a, b)] for b in labels) for a in labels]
+    return GaloisGroup(ext, [built[label] for label in labels], table,
+                       tuple(position[g] for g in gens) or (0,))
 
 
 def frobenius_group(ext):
@@ -208,15 +235,10 @@ def frobenius_group(ext):
         raise NotFiniteBase("Frobenius group needs a finite base field")
     p = ext.characteristic
     n = ext.degree
-    autos = []
-    image = ext.generator
-    for i in range(n):
-        name = "id" if i == 0 else ("frob" if i == 1 else f"frob{i}")
-        autos.append(verify_automorphism(ext, image, name))
-        image = image ** p
-    group = GaloisGroup.close_and_verify(ext, autos, require_full=True)
-    group.generator_indices = (1,) if n > 1 else (0,)
-    return group
+    return _generated_group(
+        ext, range(n), lambda i, j: (i + j) % n,
+        lambda i: "id" if i == 0 else ("frob" if i == 1 else f"frob{i}"),
+        lambda i: ext.generator ** (p ** i))
 
 
 def cyclotomic_field(m):
@@ -229,15 +251,11 @@ def cyclotomic_field(m):
 def cyclotomic_group(m):
     """Q(zeta_m) together with its automorphisms x -> x^a, gcd(a, m) = 1."""
     ext = cyclotomic_field(m)
-    autos = []
-    from math import gcd
-
-    for a in range(1, m):
-        if gcd(a, m) != 1:
-            continue
-        name = "id" if a == 1 else f"s{a}"
-        autos.append(verify_automorphism(ext, ext.generator ** a, name))
-    group = GaloisGroup.close_and_verify(ext, autos, require_full=True)
+    units = [a for a in range(1, m) if gcd(a, m) == 1]
+    group = _generated_group(
+        ext, units, lambda a, b: a * b % m,
+        lambda a: "id" if a == 1 else f"s{a}",
+        lambda a: ext.generator ** a)
     return ext, group
 
 

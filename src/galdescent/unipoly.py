@@ -199,40 +199,16 @@ def is_squarefree(f):
     return poly_gcd(f, d).degree == 0
 
 
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible_mod_p(f):
-    """Rabin's test over F_p: x^(p^n) == x mod f and gcd(x^(p^(n/q)) - x, f) = 1."""
-    field = f.field
-    p = field.characteristic
-    n = f.degree
-    if n <= 0:
+    """Ben-Or's test over F_p: gcd(x^(p^i) - x, f) = 1 for i = 1 ... n/2, since
+    a reducible f of degree n has an irreducible factor of degree at most n/2."""
+    if f.degree <= 0:
         return False
-    if n == 1:
-        return True
-    x = UniPoly.x(field)
+    x = UniPoly.x(f.field)
     xq = x
-    powers = {}
-    for i in range(1, n + 1):
-        xq = poly_powmod(xq, p, f)
-        powers[i] = xq
-    if powers[n] != x % f:
-        return False
-    for q in _prime_factors(n):
-        g = poly_gcd(powers[n // q] - x, f)
-        if g.degree != 0:
+    for _ in range(f.degree // 2):
+        xq = poly_powmod(xq, f.field.characteristic, f)
+        if poly_gcd(xq - x, f).degree != 0:
             return False
     return True
 

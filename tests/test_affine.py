@@ -278,6 +278,18 @@ class TestDescendIdeal:
         result = descend_ideal(plane, group, W)
         assert ideal_equal(result, Ideal(QQ, ("x", "y"), [xq ** 2 + yq ** 2]))
 
+    def test_first_offender_is_a_generator(self):
+        # over Q(zeta_8), c = zeta + zeta^3 is fixed by s3 and negated by s5
+        # and s7; stability is checked on the generators s3 and s5 only
+        ext, group = cyclotomic_group(8)
+        assert [group.elements[i].name for i in group.generator_indices] == ["s3", "s5"]
+        x, = MultiPolynomial.ring_vars(ext, ("x",))
+        z = ext.generator
+        c = MultiPolynomial.constant(ext, ("x",), z + z ** 3)
+        with pytest.raises(NotStable) as info:
+            descend_ideal(AffineAlgebra(QQ, ("x",)), group, Ideal(ext, ("x",), [x - c]))
+        assert info.value.sigma == "s5"
+
 
 class TestDescendMorphism:
     def make_line_data(self, group):

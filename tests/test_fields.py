@@ -196,6 +196,49 @@ class TestDefaultModulus:
                         assert make_extension(field, f).degree == deg
 
 
+def rabin_is_irreducible(f):
+    """Rabin's test, kept as a reference: x^(p^n) = x mod f and
+    gcd(x^(p^(n/q)) - x, f) = 1 for every prime q dividing n."""
+    field, n = f.field, f.degree
+    if n <= 0:
+        return False
+    x = UniPoly.x(field)
+    powers = [x % f]
+    for _ in range(n):
+        powers.append(unipoly.poly_powmod(powers[-1], field.characteristic, f))
+    if powers[n] != powers[0]:
+        return False
+    primes = [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]
+    return all(unipoly.poly_gcd(powers[n // q] - x, f).degree == 0 for q in primes)
+
+
+def mobius(n):
+    sign, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            sign = -sign
+        d += 1
+    return -sign if n > 1 else sign
+
+
+class TestBenOr:
+    @pytest.mark.parametrize("p, top", [(2, 6), (3, 6), (5, 5)])
+    def test_agrees_with_rabin_and_gauss(self, p, top):
+        field = GF(p)
+        for n in range(1, top + 1):
+            count = 0
+            for f in monics(field, n):
+                verdict = is_irreducible_mod_p(f)
+                assert verdict == rabin_is_irreducible(f), f.format()
+                count += verdict
+            # Gauss: (1/n) sum over d | n of mu(d) p^(n/d)
+            assert n * count == sum(
+                mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0)
+
+
 class TestCyclotomic:
     def test_phi4(self):
         assert cyclotomic(4) == poly(QQ, [1, 0, 1])

@@ -1,11 +1,15 @@
+from math import gcd
+
 import pytest
 
+from galdescent import galois
 from galdescent.errors import NotARoot, NotClosed, NotFiniteBase, RankDeficient
 from galdescent.extension import finite_field, make_extension
 from galdescent.fields import QQ
 from galdescent.galois import (
     GaloisGroup,
     check_fixed_field,
+    cyclotomic_field,
     cyclotomic_group,
     dedekind_check,
     frobenius_group,
@@ -16,6 +20,50 @@ from galdescent.unipoly import UniPoly
 
 def qi_field():
     return make_extension(QQ, UniPoly.from_ints(QQ, [1, 0, 1]), irreducible=True)
+
+
+def frob_name(i):
+    return "id" if i == 0 else ("frob" if i == 1 else f"frob{i}")
+
+
+def cyclo_name(a):
+    return "id" if a == 1 else f"s{a}"
+
+
+def check_axioms(group):
+    """The identity law and associativity on every entry of the table."""
+    n, e, table = group.order, group.identity_index, group.table
+    for i in range(n):
+        assert table[e][i] == i == table[i][e]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                assert table[table[i][j]][k] == table[i][table[j][k]]
+
+
+def reference_group(ext, named_images):
+    """The construction without generators, kept as a reference: verify
+    every element, close the list, then check the group axioms."""
+    autos = [verify_automorphism(ext, image, name) for name, image in named_images]
+    group = GaloisGroup.close_and_verify(ext, autos)
+    check_axioms(group)
+    return group
+
+
+def frobenius_cases():
+    for p in (2, 3, 5):
+        for n in range(1, 7):
+            ext = finite_field(p, n)
+            yield frobenius_group(ext), reference_group(
+                ext, [(frob_name(i), ext.generator ** (p ** i)) for i in range(n)])
+
+
+def cyclotomic_cases():
+    for m in range(3, 41):
+        ext, group = cyclotomic_group(m)
+        yield group, reference_group(
+            ext, [(cyclo_name(a), ext.generator ** a)
+                  for a in range(1, m) if gcd(a, m) == 1])
 
 
 class TestFrobenius:
@@ -73,6 +121,55 @@ class TestCyclotomic:
             assert group.compose(i, i) == group.identity_index
 
 
+class TestGeneratedGroups:
+    @pytest.mark.parametrize("cases", [frobenius_cases, cyclotomic_cases])
+    def test_same_group_as_reference(self, cases):
+        for group, reference in cases():
+            assert [s.name for s in group.elements] == [s.name for s in reference.elements]
+            assert [s.image for s in group.elements] == [s.image for s in reference.elements]
+            assert list(group.table) == list(reference.table)
+            assert group.inverse == reference.inverse
+            assert group.is_full and reference.is_full
+            check_axioms(group)
+
+    def test_verifies_generators_only(self, monkeypatch):
+        calls = []
+
+        def counted(ext, image, name="sigma"):
+            calls.append(name)
+            return verify_automorphism(ext, image, name)
+
+        monkeypatch.setattr(galois, "verify_automorphism", counted)
+        for p, n in ((2, 6), (3, 4), (5, 2)):
+            group = frobenius_group(finite_field(p, n))
+            assert calls == ["frob"] and group.generator_indices == (1,)
+            calls.clear()
+        assert frobenius_group(finite_field(3, 1)).generator_indices == (0,)
+        assert calls == []
+        # (Z/8)^x is a Klein four group: s3 leaves s5 unreached, s7 = s3 s5
+        _, group = cyclotomic_group(8)
+        assert calls == ["s3", "s5"] and group.generator_indices == (1, 2)
+        calls.clear()
+        # 2 is a primitive root mod 101
+        _, group = cyclotomic_group(101)
+        assert calls == ["s2"] and group.order == 100
+
+    def test_wrong_law_raises(self):
+        F8 = finite_field(2, 3)
+        with pytest.raises(NotClosed):
+            galois._generated_group(
+                F8, range(3), lambda i, j: (i - j) % 3, frob_name,
+                lambda i: F8.generator ** (2 ** i))
+        # a cyclic law on the labels of the Klein four group (Z/8)^x:
+        # s3 o s3 is the identity, where the law predicts s5
+        ext = cyclotomic_field(8)
+        log = {1: 0, 3: 1, 5: 2, 7: 3}
+        with pytest.raises(NotClosed, match="s3 o s3"):
+            galois._generated_group(
+                ext, [1, 3, 5, 7], lambda a, b: [1, 3, 5, 7][(log[a] + log[b]) % 4],
+                cyclo_name, lambda a: ext.generator ** a)
+
+
 class TestVerifyAutomorphism:
     def test_conjugation_valid(self):
         Qi = qi_field()
@@ -94,8 +191,7 @@ class TestUserGroups:
     def test_closure_required(self):
         ext, group = cyclotomic_group(5)
         with pytest.raises(NotClosed):
-            GaloisGroup.close_and_verify(
-                ext, [group.elements[0], group.elements[1]], require_full=True)
+            GaloisGroup.close_and_verify(ext, [group.elements[0], group.elements[1]])
 
     def test_explicit_sqrt2_group(self):
         K = make_extension(QQ, UniPoly.from_ints(QQ, [-2, 0, 1]), irreducible=True)

@@ -188,6 +188,15 @@ class TestDescendSubspace:
         with pytest.raises(NotStable):
             descend_subspace(V0, [(K.one, sqrt2)], group)
 
+    def test_first_offender_is_a_generator(self):
+        # over Q(zeta_8), c = zeta + zeta^3 is fixed by s3 and negated by s5
+        # and s7; stability is checked on the generators s3 and s5 only
+        ext, group = cyclotomic_group(8)
+        z = ext.generator
+        with pytest.raises(NotStable) as info:
+            descend_subspace(KSpace(QQ, 2), [(ext.one, z + z ** 3)], group)
+        assert info.value.sigma == "s5"
+
     def test_conjugate_pair_spans_plane(self):
         ext, group = qi_group()
         i = ext.generator
