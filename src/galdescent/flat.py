@@ -415,6 +415,10 @@ def amitsur_complex(f, r_max=3, coefficient_dim=None, budget=None):
     field = B.field
     m = B.dim
     (budget or Budget()).check_tensor_power(m, r_max + 1)
+    # the powers of a one-dimensional B always fit, so the length is capped too
+    if r_max + 1 > Budget.TENSOR_DIM:
+        raise BudgetExceeded(
+            f"{r_max + 1} tensor powers of B exceed cap {Budget.TENSOR_DIM}")
     unit = Matrix.from_cols(field, [B.unit])
     I_m = Matrix.identity(field, m)
     d = unit

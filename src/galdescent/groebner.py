@@ -7,22 +7,24 @@ is spent from an :class:`~galdescent.errors.Budget`, shared by all calls
 that are passed the same one (``budget=None`` starts a fresh default one),
 so runaway computations end in a loud ``BudgetExceeded``.
 
-``buchberger`` adds the generators, and then each nonzero remainder, through
-Gebauer and Moeller's update (Gebauer & Moeller 1988; Becker & Weispfenning,
-Groebner Bases, 1993, section 5.5).  Its chain and product criteria drop the
-S-pairs that can only reduce to zero, and an element whose leading term a
-newer one divides forms no further pairs but still reduces.  The reduced basis
-is unique, so the criteria change only the work, never the result;
-``tests/test_groebner.py`` checks this against the engine without them.
+``buchberger`` makes each generator and each nonzero remainder monic once, as
+it enters the basis, then runs Gebauer and Moeller's update (Gebauer & Moeller
+1988; Becker & Weispfenning, Groebner Bases, 1993, section 5.5);
+``normal_form`` scales only a non-monic element that a caller hands it.  The
+chain and product criteria drop the S-pairs that can only reduce to zero, and
+an element whose leading term a newer one divides forms no further pairs but
+still reduces.  The reduced basis is unique, so the criteria change only the
+work, never the result; ``tests/test_groebner.py`` checks this against the
+engine without them.
 
 S-pairs wait in a heap keyed on the order key of their lcm, with an insertion
 counter that makes equal lcms pop first in, first out; dropped pairs are
 skipped when popped and spend nothing.  The normal form keeps the working
 polynomial's monomials in a heap on ``MonomialOrder.heap_key`` and pops the
-leading term from it.  Each basis element's leading monomial is computed
-once.  The criteria and the selection (smallest lcm first, then oldest pair;
-largest working term first) fix the sequence of reduction steps, and so what
-a budget allows; ``tests/test_groebner.py`` pins the step counts.
+leading term from it.  Each basis element's leading monomial is computed once
+per call.  The criteria and the selection (smallest lcm first, then oldest
+pair; largest working term first) fix the sequence of reduction steps, and so
+what a budget allows; ``tests/test_groebner.py`` pins the step counts.
 """
 
 from heapq import heapify, heappop, heappush
@@ -71,18 +73,22 @@ class Ideal:
             return self._bases[key], MonomialOrder(key[0], key[1])
         return self.groebner(GREVLEX, budget), GREVLEX
 
-    def contains(self, poly, order=None, budget=None):
-        if order is not None:
-            return normal_form(poly, self.groebner(order, budget), order, budget).is_zero
+    def contains(self, poly, budget=None):
         basis, basis_order = self.any_groebner(budget)
         return normal_form(poly, basis, basis_order, budget).is_zero
 
-    def is_unit_ideal(self, order=GREVLEX):
-        basis = self.groebner(order)
+    def is_unit_ideal(self):
+        basis = self.groebner()
         return len(basis) == 1 and basis[0].total_degree() == 0
 
     def __repr__(self):
         return f"Ideal({', '.join(g.format() for g in self.generators) or '0'})"
+
+
+def _monic(g, order):
+    """(leading monomial, g scaled to leading coefficient 1, or g if monic)."""
+    lt, lc = g.leading(order)
+    return lt, (g if lc == 1 else g * lc.inverse())
 
 
 def normal_form(poly, basis, order=GREVLEX, budget=None):
@@ -92,11 +98,7 @@ def normal_form(poly, basis, order=GREVLEX, budget=None):
     if poly.is_zero or not basis:
         return poly
     budget = budget or Budget()
-    field, variables = poly.field, poly.variables
-    leading_data = []
-    for g in basis:
-        lt, lc = g.leading(order)
-        leading_data.append((lt, lc.inverse(), g))
+    leading_data = [_monic(g, order) for g in basis]
     remainder = {}
     work = dict(poly.terms)
     # every monomial of ``work`` is in the heap; entries whose term has since
@@ -110,17 +112,16 @@ def normal_form(poly, basis, order=GREVLEX, budget=None):
         coeff = work.pop(exps, None)
         if coeff is None:
             continue
-        for lt, lc_inv, g in leading_data:
+        for lt, g in leading_data:
             if _monomial_divides(lt, exps):
                 budget.spend()
                 shift = _monomial_div(exps, lt)
-                factor = coeff * lc_inv
                 for ge, gc in g.terms.items():
                     e = _monomial_mul(shift, ge)
                     if e == exps:
                         continue
                     prev = work.get(e)
-                    val = (prev - factor * gc) if prev is not None else -(factor * gc)
+                    val = (prev - coeff * gc) if prev is not None else -(coeff * gc)
                     if val:
                         if prev is None:
                             heappush(heap, (heap_key(e), e))
@@ -130,25 +131,24 @@ def normal_form(poly, basis, order=GREVLEX, budget=None):
                 break
         else:
             remainder[exps] = coeff
-    return MultiPolynomial(field, variables, remainder)
+    return MultiPolynomial(poly.field, poly.variables, remainder)
 
 
 def _s_polynomial(f, lt_f, g, lt_g):
+    """S-polynomial of monic f and g: both shifted up to their lcm, subtracted."""
     lcm = _monomial_lcm(lt_f, lt_g)
-    mf = MultiPolynomial(f.field, f.variables,
-                         {_monomial_div(lcm, lt_f): f.terms[lt_f].inverse()})
-    mg = MultiPolynomial(g.field, g.variables,
-                         {_monomial_div(lcm, lt_g): g.terms[lt_g].inverse()})
-    return mf * f - mg * g
+    mf, mg = _monomial_div(lcm, lt_f), _monomial_div(lcm, lt_g)
+    f_up = MultiPolynomial(f.field, f.variables,
+                           {_monomial_mul(mf, e): c for e, c in f.terms.items()})
+    g_up = MultiPolynomial(g.field, g.variables,
+                           {_monomial_mul(mg, e): c for e, c in g.terms.items()})
+    return f_up - g_up
 
 
 def buchberger(generators, order=GREVLEX, budget=None):
     """Reduced monic Groebner basis of the ideal the generators span."""
-    basis = [g for g in generators if not g.is_zero]
-    if not basis:
-        return []
     budget = budget or Budget()
-    leads = [g.leading(order)[0] for g in basis]
+    basis, leads = [], []
     # pairs pop smallest lcm first; the insertion counter breaks ties first
     # in, first out.  ``live`` maps each pending pair to its lcm; a pair the
     # criteria drop leaves ``live`` and is skipped when popped.
@@ -157,10 +157,13 @@ def buchberger(generators, order=GREVLEX, budget=None):
     counter = count()
     active = []
 
-    def update(k):
-        """Gebauer and Moeller's UPDATE: pair ``basis[k]`` with the active
-        elements and drop every pair that the criteria rule out."""
-        h = leads[k]
+    def enter(g):
+        """Append g made monic; Gebauer and Moeller's UPDATE pairs it with the
+        active elements and drops every pair that the criteria rule out."""
+        h, g = _monic(g, order)
+        k = len(basis)
+        basis.append(g)
+        leads.append(h)
         new = [(i, _monomial_lcm(leads[i], h)) for i in active]
         # chain criterion on the new pairs: a pair goes when the lcm of a
         # later pair or of one already kept divides its own, so of equal
@@ -187,8 +190,9 @@ def buchberger(generators, order=GREVLEX, budget=None):
         active[:] = [i for i in active if not _monomial_divides(h, leads[i])]
         active.append(k)
 
-    for k in range(len(basis)):
-        update(k)
+    for g in generators:
+        if not g.is_zero:
+            enter(g)
     while pairs:
         _, _, i, j = heappop(pairs)
         if live.pop((i, j), None) is None:
@@ -197,9 +201,7 @@ def buchberger(generators, order=GREVLEX, budget=None):
         s = _s_polynomial(basis[i], leads[i], basis[j], leads[j])
         remainder = normal_form(s, basis, order, budget)
         if not remainder.is_zero:
-            basis.append(remainder)
-            leads.append(remainder.leading(order)[0])
-            update(len(basis) - 1)
+            enter(remainder)
     return _reduce_basis(basis, leads, order, budget)
 
 
@@ -212,14 +214,12 @@ def _reduce_basis(basis, leads, order, budget):
         if not any(_monomial_divides(h, lt) for h in kept_leads):
             kept.append(g)
             kept_leads.append(lt)
-    # full reduction keeps each minimal leading term, so ``reduced`` stays
-    # in ascending order
-    reduced = []
-    for i, (lt, g) in enumerate(zip(kept_leads, kept)):
-        others = kept[:i] + kept[i + 1:]
-        r = normal_form(g, others, order, budget) if others else g
-        reduced.append(r * r.terms[lt].inverse())
-    return reduced
+    # full reduction keeps each minimal leading term with coefficient 1, so
+    # the basis stays monic and in ascending order
+    if len(kept) == 1:
+        return kept
+    return [normal_form(g, kept[:i] + kept[i + 1:], order, budget)
+            for i, g in enumerate(kept)]
 
 
 def ideal_equal(I, J, budget=None):

@@ -273,6 +273,44 @@ class TestBudget:
         # the powers of 1 never pass the cap, so no loop may run to the power
         assert Budget().check_tensor_power(1, 10 ** 18) is None
 
+    @staticmethod
+    def one_dimensional_amitsur(rmax):
+        return parse("field F3 = GF(3^1)\n"
+                     "map f = F3 -> F3\n"
+                     f"amitsur f rmax={rmax}\n")
+
+    @pytest.mark.parametrize("rmax", [4096, 10 ** 9])
+    def test_long_complex_over_one_dimensional_target_refused(self, rmax, monkeypatch):
+        # every tensor power of a one-dimensional B fits, so the number of
+        # differentials is capped instead, before any of them is built
+        def refuse(*factors):
+            raise AssertionError("differential built before the length check")
+
+        monkeypatch.setattr(flat, "kron", refuse)
+        report, diagnostics, code = run(self.one_dimensional_amitsur(rmax))
+        assert (report, code) == ("", 3)
+        assert diagnostics[0].render() == (
+            f"error[budget-exceeded] line 3, col 1: {rmax + 1} tensor powers of B "
+            "exceed cap 4096")
+
+    def test_short_complex_over_one_dimensional_target_keeps_its_report(self):
+        report, diagnostics, code = run(self.one_dimensional_amitsur(4))
+        assert (diagnostics, code) == ([], 0)
+        assert report == (
+            "== amitsur f rmax=4\n"
+            "faithfully flat: yes (field-source)\n"
+            "dim B = 1\n"
+            "degree 0: kernel 1 == image 1\n"
+            "degree 1: kernel 0 == image 0\n"
+            "degree 2: kernel 1 == image 1\n"
+            "degree 3: kernel 0 == image 0\n"
+            "exact: pass\n")
+
+    def test_longest_complex_over_one_dimensional_target_fits(self):
+        report, diagnostics, code = run(self.one_dimensional_amitsur(4095))
+        assert (diagnostics, code) == ([], 0)
+        assert report.endswith("degree 4094: kernel 1 == image 1\nexact: pass\n")
+
     def test_restrict_from_own_splitting_field_lists_no_elements(self, monkeypatch):
         def refuse(self):
             raise AssertionError("field elements listed")

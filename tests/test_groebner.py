@@ -1,17 +1,15 @@
 import random
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import count, product
 
 import pytest
 
 from galdescent.errors import Budget, BudgetExceeded
 from galdescent.extension import make_extension
-from galdescent.fields import GF, QQ
+from galdescent.fields import GF, QQ, FieldElement
 from galdescent.galois import verify_automorphism
 from galdescent.groebner import (
     Ideal,
-    _reduce_basis,
-    _s_polynomial,
     apply_semilinear,
     buchberger,
     eliminate,
@@ -22,6 +20,8 @@ from galdescent.multipoly import (
     GREVLEX,
     LEX,
     MultiPolynomial,
+    _monomial_div,
+    _monomial_divides,
     _monomial_lcm,
     _monomial_mul,
     block_order,
@@ -118,6 +118,87 @@ class TestReductionSequence:
         assert len(basis) == 5
 
 
+# The reference engine keeps the division algorithm as it was before basis
+# elements were made monic on entry: every normal form, S-polynomial and
+# inter-reduction divides by leading coefficients itself, so it shares no
+# normalisation decision with the engine under test.
+
+def reference_normal_form(poly, basis, order=GREVLEX, budget=None):
+    """Fully reduced remainder of ``poly`` modulo a Groebner basis, by the
+    classical division algorithm: the leading term of the working polynomial
+    is either cancelled against a basis element or moved to the remainder."""
+    if poly.is_zero or not basis:
+        return poly
+    budget = budget or Budget()
+    field, variables = poly.field, poly.variables
+    leading_data = []
+    for g in basis:
+        lt, lc = g.leading(order)
+        leading_data.append((lt, lc.inverse(), g))
+    remainder = {}
+    work = dict(poly.terms)
+    # every monomial of ``work`` is in the heap; entries whose term has since
+    # cancelled are skipped when popped.  Reduction only adds terms below the
+    # one it cancels, so a popped monomial never re-enters ``work``.
+    heap_key = order.heap_key
+    heap = [(heap_key(e), e) for e in work]
+    heapify(heap)
+    while heap:
+        exps = heappop(heap)[1]
+        coeff = work.pop(exps, None)
+        if coeff is None:
+            continue
+        for lt, lc_inv, g in leading_data:
+            if _monomial_divides(lt, exps):
+                budget.spend()
+                shift = _monomial_div(exps, lt)
+                factor = coeff * lc_inv
+                for ge, gc in g.terms.items():
+                    e = _monomial_mul(shift, ge)
+                    if e == exps:
+                        continue
+                    prev = work.get(e)
+                    val = (prev - factor * gc) if prev is not None else -(factor * gc)
+                    if val:
+                        if prev is None:
+                            heappush(heap, (heap_key(e), e))
+                        work[e] = val
+                    elif prev is not None:
+                        del work[e]
+                break
+        else:
+            remainder[exps] = coeff
+    return MultiPolynomial(field, variables, remainder)
+
+
+def reference_s_polynomial(f, lt_f, g, lt_g):
+    lcm = _monomial_lcm(lt_f, lt_g)
+    mf = MultiPolynomial(f.field, f.variables,
+                         {_monomial_div(lcm, lt_f): f.terms[lt_f].inverse()})
+    mg = MultiPolynomial(g.field, g.variables,
+                         {_monomial_div(lcm, lt_g): g.terms[lt_g].inverse()})
+    return mf * f - mg * g
+
+
+def reference_reduce_basis(basis, leads, order, budget):
+    # minimalize: LT(h) | LT(g) forces LT(h) <= LT(g), so an ascending sweep
+    # keeping only elements whose LT no kept LT divides is complete
+    ordered = sorted(zip(leads, basis), key=lambda p: order.key(p[0]))
+    kept, kept_leads = [], []
+    for lt, g in ordered:
+        if not any(_monomial_divides(h, lt) for h in kept_leads):
+            kept.append(g)
+            kept_leads.append(lt)
+    # full reduction keeps each minimal leading term, so ``reduced`` stays
+    # in ascending order
+    reduced = []
+    for i, (lt, g) in enumerate(zip(kept_leads, kept)):
+        others = kept[:i] + kept[i + 1:]
+        r = reference_normal_form(g, others, order, budget) if others else g
+        reduced.append(r * r.terms[lt].inverse())
+    return reduced
+
+
 def reference_buchberger(generators, order=GREVLEX, budget=None):
     """Buchberger's algorithm with the coprime discard as its only pair
     criterion: the engine as it was before the Gebauer-Moeller update."""
@@ -143,15 +224,15 @@ def reference_buchberger(generators, order=GREVLEX, budget=None):
     while pairs:
         _, _, i, j = heappop(pairs)
         budget.spend()
-        s = _s_polynomial(basis[i], leads[i], basis[j], leads[j])
-        remainder = normal_form(s, basis, order, budget)
+        s = reference_s_polynomial(basis[i], leads[i], basis[j], leads[j])
+        remainder = reference_normal_form(s, basis, order, budget)
         if not remainder.is_zero:
             basis.append(remainder)
             leads.append(remainder.leading(order)[0])
             k = len(basis) - 1
             for m in range(k):
                 add_pair(m, k)
-    return _reduce_basis(basis, leads, order, budget)
+    return reference_reduce_basis(basis, leads, order, budget)
 
 
 class TestAgainstReference:
@@ -237,6 +318,79 @@ class TestNormalForm:
         basis = buchberger([x - y, 2 * y * y - 1], LEX)
         half = MultiPolynomial.constant(QQ, ("x", "y"), QQ.from_fraction(1, 2))
         assert normal_form(x * x, basis, LEX) == half
+
+
+def qi_generators():
+    """Three generators over Q(i) with grevlex leading coefficients i, 1 + i
+    and 2; their reduced basis has six elements."""
+    Qi = qi_field()
+    i = Qi.generator
+    x, y, z = ring(Qi, ("x", "y", "z"))
+    return [i * x * x + y * y - z, (1 + i) * x * y - y + i, 2 * y * z - i * x + 3]
+
+
+def random_polys(field, names, coefficients, n, seed):
+    rng = random.Random(seed)
+    return [MultiPolynomial(field, names,
+                            {tuple(rng.randrange(4) for _ in names): rng.choice(coefficients)
+                             for _ in range(rng.randrange(1, 6))})
+            for _ in range(n)]
+
+
+class TestMonicOnEntry:
+    """Basis elements are made monic once, when they enter the basis, so a
+    normal form against a reduced basis inverts nothing, and a non-monic
+    basis or generating set gives the same answers as its monic form."""
+
+    def cases(self):
+        Qi = qi_field()
+        i = Qi.generator
+        qi_coefficients = [a + b * i for a in range(-2, 3) for b in range(-2, 3) if a or b]
+        F9 = make_extension(GF(3), UniPoly.from_ints(GF(3), [1, 0, 1]))
+        names_f9 = ("x", "y", "a0", "a1", "b0", "b1")
+        return [(Qi, ("x", "y", "z"), qi_generators(), qi_coefficients),
+                (F9, names_f9, swap_elimination_generators(), [c for c in F9.elements() if c])]
+
+    def test_normal_form_against_reduced_basis_inverts_nothing(self, monkeypatch):
+        for field, names, gens, coefficients in self.cases():
+            basis = Ideal(field, names, gens).groebner()
+            polys = random_polys(field, names, coefficients, 10, seed=3)
+            calls = []
+            inverse = FieldElement.inverse
+
+            def counted(a):
+                calls.append(a)
+                return inverse(a)
+
+            monkeypatch.setattr(FieldElement, "inverse", counted)
+            budget = Budget()
+            for p in polys:
+                normal_form(p, basis, GREVLEX, budget)
+            monkeypatch.undo()
+            assert budget.spent > 0
+            assert calls == []
+
+    def scaled_cases(self):
+        Qi = qi_field()
+        return [(QQ, katsura(3, QQ), QQ.from_int(2)),
+                (Qi, qi_generators(), 1 + Qi.generator)]
+
+    def test_scaled_basis_gives_the_same_remainders(self):
+        for field, gens, factor in self.scaled_cases():
+            names = gens[0].variables
+            basis = buchberger(gens, GREVLEX)
+            scaled = [g * factor for g in basis]
+            assert all(g.leading(GREVLEX)[1] == factor for g in scaled)
+            coefficients = [field.from_int(c) for c in range(-3, 4) if c]
+            for p in random_polys(field, names, coefficients, 20, seed=11):
+                assert normal_form(p, scaled, GREVLEX) == normal_form(p, basis, GREVLEX)
+
+    def test_scaled_generators_give_the_same_basis_and_steps(self):
+        for field, gens, factor in self.scaled_cases():
+            plain, scaled = Budget(), Budget()
+            basis = buchberger(gens, GREVLEX, plain)
+            assert buchberger([g * factor for g in gens], GREVLEX, scaled) == basis
+            assert scaled.spent == plain.spent > 0
 
 
 class TestIdealEqual:
