@@ -102,9 +102,6 @@ class AffineDescentDatum:
         self.group = group
         self.maps = list(maps)
 
-    def theta(self, index, poly):
-        return self.maps[index](poly)
-
 
 class DatumReport:
     __slots__ = ("datum", "pairs_checked", "generators_checked")
@@ -132,19 +129,18 @@ def validate_datum(datum, budget=None):
     budget = budget or Budget()
     algebra = datum.algebra
     group = datum.group
-    basis = algebra.relations.groebner(GREVLEX, budget)
-    variables = algebra.vars()
-    named = dict(zip(algebra.variables, variables))
+    relations = algebra.relations
+    named = dict(zip(algebra.variables, algebra.vars()))
 
     ident = datum.maps[group.identity_index]
     for name, var in named.items():
-        if not normal_form(ident(var) - var, basis, GREVLEX, budget).is_zero:
+        if not relations.contains(ident(var) - var, budget):
             raise IdentityNotTrivial(f"theta_id moves {name}")
 
     gens_checked = 0
     for idx, theta in enumerate(datum.maps):
-        for g in algebra.relations.generators:
-            if not normal_form(theta(g), basis, GREVLEX, budget).is_zero:
+        for g in relations.generators:
+            if not relations.contains(theta(g), budget):
                 raise NotWellDefined(group.elements[idx].name, g.format())
             gens_checked += 1
 
@@ -155,7 +151,7 @@ def validate_datum(datum, budget=None):
             for name, var in named.items():
                 composed = datum.maps[i](datum.maps[j].images[name])
                 direct = datum.maps[k].images[name]
-                if not normal_form(composed - direct, basis, GREVLEX, budget).is_zero:
+                if not relations.contains(composed - direct, budget):
                     raise CocycleViolation(
                         group.elements[i].name, group.elements[j].name,
                         f"on variable {name}")
@@ -252,7 +248,7 @@ def descend_algebra(datum, budget=None):
 
     components = []
     for g in kernel.generators:
-        components.extend(c for c in split_coefficients(g, ext) if not c.is_zero)
+        components.extend(split_coefficients(g, ext))
     model_ideal = Ideal(ext.base, model_names, components)
     model_ideal = Ideal(ext.base, model_names, model_ideal.groebner(GREVLEX, budget))
 
@@ -278,21 +274,19 @@ def _splits_on_graph(model, datum, graph, kernel, budget):
     """The four checks of :func:`splits`, given the graph ideal of the
     splitting and its elimination kernel."""
     algebra = datum.algebra
-    ext = algebra.field
-    basis = algebra.relations.groebner(GREVLEX, budget)
-    model_names = model.algebra0.variables
-    images = {name: model.splitting[name] for name in model_names}
+    relations = algebra.relations
+    extended = model.algebra0.extend_to(algebra.field).relations
+    images = {name: model.splitting[name] for name in model.algebra0.variables}
 
     # substitution homomorphism is defined on the model's relations
-    for g in model.algebra0.relations.generators:
-        value = g.map_coeffs(ext.from_base, ext).substitute(images)
-        if not normal_form(value, basis, GREVLEX, budget).is_zero:
+    for g in extended.generators:
+        if not relations.contains(g.substitute(images), budget):
             return False
 
     # every splitting image is an invariant of the action
     for t in images.values():
-        for idx in range(datum.group.order):
-            if not normal_form(datum.theta(idx, t) - t, basis, GREVLEX, budget).is_zero:
+        for theta in datum.maps:
+            if not relations.contains(theta(t) - t, budget):
                 return False
 
     # onto: each original variable rewrites into the model variables alone
@@ -301,9 +295,6 @@ def _splits_on_graph(model, datum, graph, kernel, budget):
             return False
 
     # kernel equals the extension of the model's relations
-    extended = Ideal(ext, model_names,
-                     [g.map_coeffs(ext.from_base, ext)
-                      for g in model.algebra0.relations.generators])
     return ideal_equal(extended, kernel, budget)
 
 
@@ -332,29 +323,25 @@ def descend_ideal(algebra0, group, W, budget=None):
         raise FieldMismatch("ambient algebra must live over the base field")
     if W.field != ext or W.variables != algebra0.variables:
         raise FieldMismatch("ideal not over the extension in the ambient variables")
-    ambient = [g.map_coeffs(ext.from_base, ext)
-               for g in algebra0.relations.generators]
-    full = Ideal(ext, W.variables, list(W.generators) + ambient)
-    full_basis = full.groebner(GREVLEX, budget)
+    ambient = algebra0.extend_to(ext).relations.generators
+    full = Ideal(ext, W.variables, W.generators + ambient)
 
     for idx in group.generator_indices:
         sigma = group.elements[idx]
         for g in W.generators:
-            image = g.map_coeffs(sigma)
-            if not normal_form(image, full_basis, GREVLEX, budget).is_zero:
+            if not full.contains(g.map_coeffs(sigma), budget):
                 raise NotStable(sigma.name, g.format())
 
     components = []
     for g in W.generators:
         for twist in _trace_twist([g.map_coeffs(sigma) for sigma in group.elements], group):
-            components.extend(c for c in split_coefficients(twist, ext) if not c.is_zero)
+            components.extend(split_coefficients(twist, ext))
     result = Ideal(ext.base, W.variables,
                    components + list(algebra0.relations.generators))
     result = Ideal(ext.base, W.variables, result.groebner(GREVLEX, budget))
 
-    extended = Ideal(ext, W.variables,
-                     [g.map_coeffs(ext.from_base, ext) for g in result.generators])
-    if not ideal_equal(extended, full, budget):
+    extended = AffineAlgebra(ext.base, W.variables, result).extend_to(ext)
+    if not ideal_equal(extended.relations, full, budget):
         raise InternalContradiction("extension of the descended ideal differs")
     return result
 
@@ -373,20 +360,18 @@ def descend_morphism(datum_a, model_a, datum_b, model_b, alpha_images,
     B = datum_b.algebra
     ext = A.field
     group = datum_a.group
-    basis_a = A.relations.groebner(GREVLEX, budget)
 
     # well-defined on B's relations
     for g in B.relations.generators:
-        value = g.substitute(alpha_images)
-        if not normal_form(value, basis_a, GREVLEX, budget).is_zero:
+        if not A.relations.contains(g.substitute(alpha_images), budget):
             raise NotWellDefined("alpha", g.format())
 
     # equivariance theta^A_sigma(alpha(y)) = alpha(theta^B_sigma(y))
     for idx, sigma in enumerate(group.elements):
         for name in B.variables:
-            lhs = datum_a.theta(idx, alpha_images[name])
+            lhs = datum_a.maps[idx](alpha_images[name])
             rhs = datum_b.maps[idx].images[name].substitute(alpha_images)
-            if not normal_form(lhs - rhs, basis_a, GREVLEX, budget).is_zero:
+            if not A.relations.contains(lhs - rhs, budget):
                 raise NotEquivariant(sigma.name, name)
 
     # transport through both splittings via the graph basis of A's model
@@ -401,14 +386,11 @@ def descend_morphism(datum_a, model_a, datum_b, model_b, alpha_images,
         if dropped is None:
             raise TransportNotRational(
                 f"image of {u_name} does not rewrite into model variables")
-        rational_terms = {}
-        for exps, coeff in dropped.terms.items():
-            coords = ext.coords(coeff)
-            if any(coords[1:]):
-                raise TransportNotRational(
-                    f"image of {u_name} has an irrational coefficient")
-            rational_terms[exps] = coords[0]
-        result[u_name] = MultiPolynomial(ext.base, model_names_a, rational_terms)
+        rational, *irrational = split_coefficients(dropped, ext)
+        if any(not c.is_zero for c in irrational):
+            raise TransportNotRational(
+                f"image of {u_name} has an irrational coefficient")
+        result[u_name] = rational
 
     # re-extension agrees with alpha modulo relations
     ext_images = {u: p.map_coeffs(ext.from_base, ext) for u, p in result.items()}
@@ -416,14 +398,12 @@ def descend_morphism(datum_a, model_a, datum_b, model_b, alpha_images,
     for u_name in model_b.algebra0.variables:
         recomposed = ext_images[u_name].substitute(splitting_a)
         direct = model_b.splitting[u_name].substitute(alpha_images)
-        if not normal_form(recomposed - direct, basis_a, GREVLEX, budget).is_zero:
+        if not A.relations.contains(recomposed - direct, budget):
             raise InternalContradiction("re-extension of descended morphism differs")
 
     # descended map respects the model relations
-    basis_a0 = model_a.algebra0.relations.groebner(GREVLEX, budget)
     for g in model_b.algebra0.relations.generators:
-        value = g.substitute(result)
-        if not normal_form(value, basis_a0, GREVLEX, budget).is_zero:
+        if not model_a.algebra0.relations.contains(g.substitute(result), budget):
             raise InternalContradiction("descended morphism breaks model relations")
     return result
 
@@ -492,9 +472,6 @@ def descend_from_embeddings(V, embeddings, group, family, budget=None):
         gens = [g.map_coeffs(emb, omega) for g in V.relations.generators]
         conjugates.append(AffineAlgebra(omega, V.variables,
                                         Ideal(omega, V.variables, gens)))
-    bases = [c.relations.groebner(GREVLEX, budget) for c in conjugates]
-    variables = MultiPolynomial.ring_vars(omega, V.variables)
-    named = dict(zip(V.variables, variables))
 
     def images_of(tau_idx, sigma_idx):
         key = (tau_idx, sigma_idx)
@@ -506,8 +483,7 @@ def descend_from_embeddings(V, embeddings, group, family, budget=None):
     # sigma-relations
     for (tau_idx, sigma_idx), images in family.items():
         for g in conjugates[tau_idx].relations.generators:
-            value = g.substitute(images)
-            if not normal_form(value, bases[sigma_idx], GREVLEX, budget).is_zero:
+            if not conjugates[sigma_idx].relations.contains(g.substitute(images), budget):
                 raise FieldMismatch(
                     f"family entry ({tau_idx}, {sigma_idx}) does not map "
                     "conjugate relations correctly")
@@ -521,8 +497,8 @@ def descend_from_embeddings(V, embeddings, group, family, budget=None):
                 direct = images_of(tau, rho)
                 for name in V.variables:
                     composed = left[name].substitute(right)
-                    if not normal_form(composed - direct[name],
-                                       bases[rho], GREVLEX, budget).is_zero:
+                    if not conjugates[rho].relations.contains(
+                            composed - direct[name], budget):
                         raise ConditionAViolated(rho, sigma, tau)
 
     # condition (b): conjugation compatibility
@@ -542,7 +518,7 @@ def descend_from_embeddings(V, embeddings, group, family, budget=None):
                 direct = images_of(w_tau, w_sigma)
                 for name in V.variables:
                     diff = conjugated[name] - direct[name]
-                    if not normal_form(diff, bases[w_sigma], GREVLEX, budget).is_zero:
+                    if not conjugates[w_sigma].relations.contains(diff, budget):
                         raise ConditionBViolated(sigma, tau, omega_auto.name)
 
     # assemble the induced datum on the first conjugate:

@@ -152,14 +152,16 @@ class Workspace:
             return
         if ctor == "GF":
             p, n = payload["p"], payload["n"]
-            if n == 1:
-                self._register_field(statement.name, GF(p), None)
-                return
+            modulus = None
             if payload["modulus"] is not None:
                 modulus = eval_unipoly(payload["modulus"], GF(p))
-                field = finite_field(p, n, modulus)
-            else:
-                field = finite_field(p, n)
+            if n == 1:
+                if modulus is not None:
+                    # validated only: the field stays GF(p)
+                    finite_field(p, 1, modulus)
+                self._register_field(statement.name, GF(p), None)
+                return
+            field = finite_field(p, n, modulus)
             group = frobenius_group(field)
             self._register_field(statement.name, field, group)
             return
@@ -364,12 +366,11 @@ def run_descend(workspace, command, oracle):
             model_count = count_affine_points(
                 list(model.algebra0.relations.generators), base,
                 len(model.algebra0.variables), workspace.budget)
-            verdict = "PASS" if fixed == model_count else "FAIL"
+            if fixed != model_count:
+                raise GaldescentError("point-count oracle failed")
             lines.append(
                 f"oracle: fixed points {fixed} == model points {model_count} "
-                f": {verdict}")
-            if verdict == "FAIL":
-                raise GaldescentError("point-count oracle failed")
+                ": PASS")
     return lines
 
 
@@ -401,15 +402,14 @@ def run_restrict(workspace, command, oracle):
             source_count = count_affine_points(
                 list(algebra.relations.generators), upper,
                 len(algebra.variables), workspace.budget)
-            verdict = "PASS" if restricted_count == source_count else "FAIL"
+            conjugate_product_check(result, workspace.budget)
+            if restricted_count != source_count:
+                raise GaldescentError("point-count oracle failed")
             lines.append(
                 f"oracle: points over {command.payload['to']}: "
                 f"{restricted_count} == points of {command.name} over "
-                f"{command.payload['over']}: {source_count} : {verdict}")
-            conjugate_product_check(result, workspace.budget)
+                f"{command.payload['over']}: {source_count} : PASS")
             lines.append("oracle: conjugate product count : PASS")
-            if verdict == "FAIL":
-                raise GaldescentError("point-count oracle failed")
         else:
             etale_splitting(data)
             lines.append(
@@ -431,10 +431,9 @@ def run_fixed(workspace, command, oracle):
     if oracle and ext.is_finite:
         count = count_fixed_vectors(module, workspace.budget)
         expected = ext.base.order ** counit.ncols
-        verdict = "PASS" if count == expected else "FAIL"
-        lines.append(f"oracle: fixed vectors {count} == {expected} : {verdict}")
-        if verdict == "FAIL":
+        if count != expected:
             raise GaldescentError("fixed-vector oracle failed")
+        lines.append(f"oracle: fixed vectors {count} == {expected} : PASS")
     return lines
 
 

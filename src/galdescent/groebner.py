@@ -65,17 +65,12 @@ class Ideal:
             self._bases[key] = buchberger(list(self.generators), order, budget)
         return self._bases[key]
 
-    def any_groebner(self, budget=None):
-        """Some cached (basis, order) pair, computing a grevlex one if none
-        exists; membership tests are basis-independent, so reuse is safe."""
-        if self._bases:
-            key = sorted(self._bases)[0]
-            return self._bases[key], MonomialOrder(key[0], key[1])
-        return self.groebner(GREVLEX, budget), GREVLEX
-
     def contains(self, poly, budget=None):
-        basis, basis_order = self.any_groebner(budget)
-        return normal_form(poly, basis, basis_order, budget).is_zero
+        """Whether ``poly`` lies in the ideal: its normal form modulo a cached
+        basis (the least order key) or, with none cached, a grevlex one.
+        Membership does not depend on the order, so any cached basis serves."""
+        order = MonomialOrder(*min(self._bases, default=(GREVLEX.kind, GREVLEX.split)))
+        return normal_form(poly, self.groebner(order, budget), order, budget).is_zero
 
     def is_unit_ideal(self):
         basis = self.groebner()
@@ -223,19 +218,11 @@ def _reduce_basis(basis, leads, order, budget):
 
 
 def ideal_equal(I, J, budget=None):
-    """Mutual membership of generators via normal forms.  Each side's cached
-    basis (any order) is reused; membership does not depend on the order."""
+    """Mutual membership of generators, each side asked by ``contains``."""
     if I.field != J.field or I.variables != J.variables:
         raise FieldMismatch("ideals from different rings")
-    basis_i, order_i = I.any_groebner(budget)
-    basis_j, order_j = J.any_groebner(budget)
-    for g in I.generators:
-        if not normal_form(g, basis_j, order_j, budget).is_zero:
-            return False
-    for g in J.generators:
-        if not normal_form(g, basis_i, order_i, budget).is_zero:
-            return False
-    return True
+    return (all(J.contains(g, budget) for g in I.generators)
+            and all(I.contains(g, budget) for g in J.generators))
 
 
 def eliminate(I, keep, budget=None):

@@ -93,8 +93,7 @@ def weil_restrict(V, data):
     for g in V.relations.generators:
         raw_components.extend(split_coefficients(g.substitute(substitution), K))
     restricted = AffineAlgebra(
-        base, names, Ideal(base, names,
-                           [g for g in raw_components if not g.is_zero]))
+        base, names, Ideal(base, names, raw_components))
     return RestrictionResult(V, restricted, substitution, data, raw_components)
 
 
@@ -259,7 +258,7 @@ def conjugate_product_check(result, budget=None):
         raise FieldMismatch("conjugate-product counting needs a finite field")
     R = result.restricted
     restricted_count = count_affine_points(
-        [g.map_coeffs(omega.from_base, omega) for g in R.relations.generators],
+        R.extend_to(omega).relations.generators,
         omega, len(R.variables), budget)
     conjugate_counts = []
     for tau in data.embeddings:

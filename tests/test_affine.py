@@ -16,11 +16,13 @@ from galdescent.affine import (
     validate_datum,
 )
 from galdescent.errors import (
+    Budget,
     CocycleViolation,
     ConditionAViolated,
     NotEquivariant,
     NotStable,
     SplittingCheckFailed,
+    TransportNotRational,
 )
 from galdescent.extension import finite_field
 from galdescent.fields import GF, QQ
@@ -343,6 +345,18 @@ class TestDescendMorphism:
         first = model_b.algebra0.variables[0]
         assert result[first] == 2 * T["T1_0"] or result[first] == 2 * T["T2_0"]
 
+    def test_irrational_transport_rejected(self, monkeypatch):
+        # a rewrite scaled by i has a coefficient outside Q
+        ext, group = qi()
+        datum, model = self.make_line_data(group)
+        (x,) = datum.algebra.vars()
+        rewrite = affine._rewrite_in_model
+        monkeypatch.setattr(
+            affine, "_rewrite_in_model",
+            lambda poly, graph, budget: rewrite(poly, graph, budget) * ext.generator)
+        with pytest.raises(TransportNotRational, match="irrational coefficient"):
+            descend_morphism(datum, model, datum, model, {"x": x})
+
 
 class TestDescendFromEmbeddings:
     def qi_sqrt_i_family(self):
@@ -447,3 +461,45 @@ class TestDescendFromEmbeddings:
         bad[(conj_idx, ident_idx)] = {"x": (-V.field.generator) * x_var}
         with pytest.raises((ConditionAViolated, Exception)):
             descend_from_embeddings(V, embeddings, group, bad)
+
+
+class TestStepCounts:
+    """Groebner steps each library descent spends on the Q(i) fixtures above;
+    the selection rules of the engine fix these counts."""
+
+    def spent(self, run):
+        budget = Budget()
+        run(budget)
+        return budget.spent
+
+    def test_validate_datum(self):
+        ext, group = qi()
+        assert self.spent(lambda b: validate_datum(swap_datum(ext, group), b)) == 2
+
+    def test_splits(self):
+        ext, group = qi()
+        model = descend_algebra(swap_datum(ext, group))
+        assert self.spent(lambda b: splits(model, swap_datum(ext, group), b)) == 28
+
+    def test_descend_ideal_line(self):
+        ext, group = qi()
+        plane = AffineAlgebra(QQ, ("x", "y"))
+        x, y = MultiPolynomial.ring_vars(ext, ("x", "y"))
+        W = Ideal(ext, ("x", "y"), [x - y])
+        assert self.spent(lambda b: descend_ideal(plane, group, W, b)) == 3
+
+    def test_descend_morphism(self):
+        ext, group = qi()
+        datum_a = swap_datum(ext, group)
+        model_a = descend_algebra(datum_a)
+        datum_b = canonical_datum(AffineAlgebra(QQ, ("z",)), group)
+        model_b = descend_algebra(datum_b)
+        x, y = datum_a.algebra.vars()
+        assert self.spent(lambda b: descend_morphism(
+            datum_a, model_a, datum_b, model_b, {"z": x + y}, b)) == 21
+
+    def test_descend_from_embeddings(self):
+        V, embeddings, group, family, _, _ = \
+            TestDescendFromEmbeddings().qi_sqrt_i_family()
+        assert self.spent(lambda b: descend_from_embeddings(
+            V, embeddings, group, family, b)) == 18

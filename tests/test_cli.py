@@ -106,6 +106,38 @@ class TestErrors:
         assert (report, code) == ("", 1)
         assert (diagnostics[0].line, diagnostics[0].code) == (1, "invalid-field-parameter")
 
+    @pytest.mark.parametrize("modulus,code,exit_code", [
+        ("t^2 + 1", "field-mismatch", 1),
+        ("zz", "unresolved", 2),
+        ("2*t + 1", "not-monic", 1),
+        ("t + 3", None, 0),
+    ])
+    def test_prime_field_modulus_checked(self, modulus, code, exit_code):
+        # with n = 1 the modulus is validated, and the field stays GF(5)
+        for ctor in ("GF(5^1", "GF(5"):
+            text = f"field F = {ctor}, modulus={modulus})\nvalidate F\n"
+            report, diagnostics, got = run(parse(text))
+            assert got == exit_code
+            if code is None:
+                assert report == "== validate F\nstatus: valid\ndegree: 1\n"
+            else:
+                assert report == "" and diagnostics[0].code == code
+
+    @pytest.mark.parametrize("name,function,message", [
+        ("descend_swap_f9", "count_affine_points", "point-count oracle failed"),
+        ("restrict_gm_f4", "count_affine_points", "point-count oracle failed"),
+        ("fixed_f9_swap", "count_fixed_vectors", "fixed-vector oracle failed"),
+    ])
+    def test_failed_oracle_prints_no_report(self, name, function, message,
+                                            monkeypatch, capsys):
+        # -1, -2, ...: never a true count, and the two restrict counts differ
+        wrong = iter(range(-1, -10, -1))
+        monkeypatch.setattr(cli, function, lambda *args: next(wrong))
+        code = main([str(DOCUMENTS / f"{name}.txt"), "--oracle"])
+        out, err = capsys.readouterr()
+        assert (out, code) == ("", 1)
+        assert "[galdescent-error]" in err and err.rstrip().endswith(message)
+
     def test_budget_exit_3(self):
         text = (
             "field F7 = GF(7^2)\n"
