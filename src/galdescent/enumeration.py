@@ -31,6 +31,7 @@ exhaustive powering; sums by digit-wise addition mod p.
 from itertools import product
 
 from .errors import Budget, BudgetExceeded, FieldMismatch, InternalContradiction
+from .multipoly import MultiPolynomial
 
 
 class SmallFieldTables:
@@ -147,22 +148,21 @@ def tuples(pool, arity):
         yield digits[::-1]
 
 
-def _scan_tables(field, nvars, budget):
-    """The tables for a scan of field^nvars, built only once the field is
-    finite and the q^nvars candidates and q x q table entries fit in the
-    budget."""
+def _check_scan(field, nvars, budget):
+    """Raise unless the field is finite and the q^nvars candidates and q x q
+    table entries of a scan of field^nvars fit in the budget."""
     if not field.is_finite:
         raise BudgetExceeded("cannot enumerate points over an infinite field")
     q = field.order
     (budget or Budget()).check_scan(q ** nvars, q * q)
-    return SmallFieldTables(field)
 
 
 def solutions(generators, field, nvars, budget=None):
     """The solutions of the generator system in field^nvars as tuples of
     element indices, in :func:`tuples` order, and the field's tables that
     they index."""
-    tables = _scan_tables(field, nvars, budget)
+    _check_scan(field, nvars, budget)
+    tables = SmallFieldTables(field)
     polys = [g for g in generators if not g.is_zero]
     if any(not any(map(any, g.terms)) for g in polys):
         # a nonzero constant vanishes nowhere
@@ -287,29 +287,24 @@ def count_affine_points(generators, field, nvars, budget=None):
 
 def count_fixed_vectors(module, budget=None):
     """How many vectors of ext^n every v -> c_sigma * sigma(v) of the module
-    fixes, by exhaustive enumeration."""
-    ext = module.group.ext
-    tables = _scan_tables(ext, module.dim, budget)
-    mul, add, zero = tables.mul, tables.add, tables.zero
-    # per group element: sigma as a permutation, c_sigma as rows of
-    # (column, nonzero entry) index pairs
-    actions = [(tables.permutation(sigma),
-                [[(j, tables.encode(a)) for j, a in enumerate(row) if a]
-                 for row in c.rows])
-               for sigma, c in zip(module.group.elements, module.cocycle)]
-
-    def is_fixed(vec):
-        for perm, rows in actions:
-            conjugated = [perm[x] for x in vec]
-            for row, x in zip(rows, vec):
-                acc = zero
-                for j, a in row:
-                    acc = add[acc][mul[a][conjugated[j]]]
-                if acc != x:
-                    return False
-        return True
-
-    return sum(1 for vec in tuples(tables.ints, module.dim) if is_fixed(vec))
+    fixes.  Over GF(p^d) each sigma is x -> x^(p^k), so these are the points
+    of sum_j c_sigma[r][j] * v_j^(p^k) - v_r = 0, one equation per group
+    element and row, counted by the pruned scan."""
+    group = module.group
+    ext = group.ext
+    n = module.dim
+    _check_scan(ext, n, budget)
+    # t^(p^k) for k = 0 .. d - 1: the image of t under x -> x^(p^k)
+    frobenius = [ext.generator]
+    for _ in range(ext.degree - 1):
+        frobenius.append(frobenius[-1] ** ext.characteristic)
+    v = MultiPolynomial.ring_vars(ext, tuple(f"v{j}" for j in range(n)))
+    system = []
+    for sigma, c in zip(group.elements, module.cocycle):
+        power = ext.characteristic ** frobenius.index(sigma.image)
+        system += [sum((a * x ** power for a, x in zip(row, v) if a), -v[r])
+                   for r, row in enumerate(c.rows)]
+    return count_affine_points(system, ext, n, budget)
 
 
 def algebra_points(generators, algebra, nvars, embed, budget=None):

@@ -165,9 +165,8 @@ class ExtensionField(Field):
             current = current * t
         return [tuple(cols[c][r] for c in range(self.degree)) for r in range(self.degree)]
 
-    def format_element(self, a, var="t"):
-        poly = self.to_unipoly(a)
-        return poly.format(var)
+    def format_element(self, a):
+        return self.to_unipoly(a).format()
 
     def __eq__(self, other):
         return (

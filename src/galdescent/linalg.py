@@ -38,6 +38,8 @@ class Matrix:
     def from_cols(cls, field, cols):
         if not cols:
             return cls(field, [])
+        if any(len(col) != len(cols[0]) for col in cols):
+            raise ShapeMismatch("ragged columns")
         return cls(field, [[col[i] for col in cols] for i in range(len(cols[0]))])
 
     def col(self, j):
@@ -97,8 +99,8 @@ class Matrix:
             raise ShapeMismatch("row counts differ")
         return Matrix(self.field, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)])
 
-    def map_entries(self, func, field=None):
-        return Matrix(field or self.field, [[func(a) for a in r] for r in self.rows])
+    def map_entries(self, func):
+        return Matrix(self.field, [[func(a) for a in r] for r in self.rows])
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -259,33 +261,8 @@ def restrict_scalars_matrix(M, ext):
     return Matrix(base, rows)
 
 
-def intersect_spans(field, vectors_a, vectors_b):
-    """Basis of span(vectors_a) & span(vectors_b); vectors are tuples."""
-    if not vectors_a or not vectors_b:
-        return []
-    na, nb = len(vectors_a), len(vectors_b)
-    cols = [list(v) for v in vectors_a] + [list(v) for v in vectors_b]
-    stacked = Matrix.from_cols(field, cols)
-    out = []
-    for kv in stacked.kernel_basis():
-        vec = None
-        for coeff, base_vec in zip(kv[:na], vectors_a):
-            term = tuple(coeff * x for x in base_vec)
-            vec = term if vec is None else tuple(a + b for a, b in zip(vec, term))
-        if vec is not None and any(vec):
-            out.append(vec)
-    if not out:
-        return []
-    # reduce to an independent, canonical set
-    reduced, pivots = Matrix(field, out).rref()
-    return [reduced.rows[i] for i in range(len(pivots))]
-
-
 def span_contains(field, vectors, target):
-    """Whether target lies in the span of ``vectors``."""
-    if not any(target):
-        return True
-    if not vectors:
-        return False
-    A = Matrix.from_cols(field, [list(v) for v in vectors])
-    return solve_linear(A, target).consistent
+    """Whether target lies in the span of ``vectors``: the target column of
+    [vectors | target] carries no pivot."""
+    _, pivots = Matrix.from_cols(field, [*vectors, target]).rref()
+    return len(vectors) not in pivots

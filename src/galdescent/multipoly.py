@@ -273,16 +273,16 @@ class MultiPolynomial:
     def __repr__(self):
         return self.format()
 
-    def format(self, order=GREVLEX, generator="t"):
+    def format(self):
         if self.is_zero:
             return "0"
         parts = []
-        for exps in sorted(self.terms, key=order.key, reverse=True):
+        for exps in sorted(self.terms, key=GREVLEX.key, reverse=True):
             coeff = self.terms[exps]
             mono = "*".join(
                 f"{name}^{e}" if e > 1 else name
                 for name, e in zip(self.variables, exps) if e)
-            coeff_str = _format_coeff(coeff, generator)
+            coeff_str = _format_coeff(coeff)
             if not mono:
                 parts.append(coeff_str)
             elif coeff_str == "1":
@@ -295,7 +295,7 @@ class MultiPolynomial:
         return text.replace("+ -", "- ")
 
 
-def _format_coeff(coeff, generator):
+def _format_coeff(coeff):
     from .extension import ExtensionField
 
     field = coeff.field
@@ -303,6 +303,5 @@ def _format_coeff(coeff, generator):
         poly = field.to_unipoly(coeff)
         if poly.degree <= 0:
             return repr(poly.coeff(0))
-        body = poly.format(generator)
-        return f"({body})"
+        return f"({poly.format()})"
     return repr(coeff)

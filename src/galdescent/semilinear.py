@@ -18,9 +18,7 @@ from .errors import (
 from .linalg import (
     Matrix,
     contract_vector,
-    expand_vector,
     fixed_space_basis,
-    intersect_spans,
     kron,
     restrict_scalars_matrix,
     span_contains,
@@ -185,23 +183,12 @@ def descend_subspace(space, spanning, group):
             image = tuple(sigma(x) for x in v)
             if not span_contains(ext, spanning, image):
                 raise NotStable(sigma.name, v)
-    # fixed part = span & k^n: intersect expanded coordinates with the
-    # base-rational slice
-    d = ext.degree
-    omega_basis = []
-    for v in spanning:
-        for b in ext.power_basis():
-            omega_basis.append(expand_vector(tuple(b * x for x in v), ext))
-    rational_slice = []
-    for i in range(n):
-        coords = [base.zero] * (n * d)
-        coords[i * d] = base.one
-        rational_slice.append(tuple(coords))
-    inter = intersect_spans(base, omega_basis, rational_slice)
-    fixed_vectors = []
-    for v in inter:
-        contracted = contract_vector(v, ext, n)
-        fixed_vectors.append(contracted)
+    # the fixed part is spanned by the traces Tr(b * w) for b in the power
+    # basis and w in the spanning set (Speiser's lemma)
+    basis = ext.power_basis()
+    traces = [tuple(_trace(ext, b * x) for x in v) for v in spanning for b in basis]
+    reduced, pivots = Matrix(base, traces).rref()
+    fixed_vectors = [tuple(map(ext.from_base, reduced.rows[i])) for i in range(len(pivots))]
     # verify Omega * fixed = input span (mutual containment over Omega)
     for v in fixed_vectors:
         if not span_contains(ext, spanning, v):
@@ -211,3 +198,9 @@ def descend_subspace(space, spanning, group):
             raise InternalContradiction(
                 "stable subspace is not spanned by its fixed part")
     return KSpace(base, len(fixed_vectors), fixed_vectors, ambient_dim=n)
+
+
+def _trace(ext, a):
+    """The field trace of ``a``: the trace of multiplication by ``a``."""
+    rows = ext.mult_matrix_rows(a)
+    return sum((rows[i][i] for i in range(ext.degree)), ext.base.zero)

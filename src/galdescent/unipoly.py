@@ -140,7 +140,7 @@ class UniPoly:
     def __repr__(self):
         return self.format()
 
-    def format(self, var="t"):
+    def format(self):
         if self.is_zero:
             return "0"
         parts = []
@@ -152,7 +152,7 @@ class UniPoly:
                 parts.append(repr(c))
             else:
                 head = "" if c == self.field.one else f"{c!r}*"
-                parts.append(f"{head}{var}" + (f"^{i}" if i > 1 else ""))
+                parts.append(f"{head}t" + (f"^{i}" if i > 1 else ""))
         return " + ".join(parts).replace("+ -", "- ")
 
 

@@ -23,7 +23,7 @@ from galdescent.errors import Budget, BudgetExceeded
 from galdescent.extension import ExtensionField, finite_field
 from galdescent.flat import FiniteAlgebra
 from galdescent.fields import GF
-from galdescent.galois import frobenius_group
+from galdescent.galois import GaloisGroup, frobenius_group
 from galdescent.groebner import Ideal
 from galdescent.linalg import Matrix
 from galdescent.multipoly import MultiPolynomial
@@ -144,6 +144,44 @@ class TestBudget:
             derive_point_action(swap_datum(F9, group), budget=Budget(points=80))
 
 
+def reference_count_fixed_vectors(module, budget=None):
+    """The odometer count that :func:`count_fixed_vectors` replaced: every
+    v -> c_sigma * sigma(v) applied to every one of the q^n candidates, with
+    sigma as a permutation of the element indices."""
+    ext = module.group.ext
+    if not ext.is_finite:
+        raise BudgetExceeded("cannot enumerate points over an infinite field")
+    q = ext.order
+    (budget or Budget()).check_scan(q ** module.dim, q * q)
+    tables = SmallFieldTables(ext)
+    mul, add, zero = tables.mul, tables.add, tables.zero
+    actions = [(tables.permutation(sigma),
+                [[(j, tables.encode(a)) for j, a in enumerate(row) if a]
+                 for row in c.rows])
+               for sigma, c in zip(module.group.elements, module.cocycle)]
+
+    def is_fixed(vec):
+        for perm, rows in actions:
+            conjugated = [perm[x] for x in vec]
+            for row, x in zip(rows, vec):
+                acc = zero
+                for j, a in row:
+                    acc = add[acc][mul[a][conjugated[j]]]
+                if acc != x:
+                    return False
+        return True
+
+    return sum(1 for vec in tuples(tables.ints, module.dim) if is_fixed(vec))
+
+
+def outcome(function, *args, **kwargs):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return function(*args, **kwargs)
+    except Exception as exc:  # compared, never swallowed: see the callers
+        return type(exc), str(exc)
+
+
 class TestFixedVectors:
     @staticmethod
     def brute_force(module):
@@ -173,6 +211,46 @@ class TestFixedVectors:
         swap = Matrix(F9, [[F9.zero, F9.one], [F9.one, F9.zero]])
         module = SemilinearModule(group, 2, [Matrix.identity(F9, 2), swap])
         assert count_fixed_vectors(module) == 9
+
+    @pytest.mark.parametrize("c_frob", [
+        lambda F, t: [[F.zero, F.one], [F.one, F.zero]],
+        lambda F, t: [[t, F.zero], [F.one, t + 1]],
+        lambda F, t: [[F.zero, F.zero], [F.zero, F.zero]],
+    ])
+    def test_frobenius_listed_first(self, c_frob):
+        # the exponent of each element is read off its image of t, not off
+        # its position in the list
+        F9 = finite_field(3, 2)
+        ident, frob = frobenius_group(F9).elements
+        group = GaloisGroup.close_and_verify(F9, [frob, ident])
+        assert group.elements[0].image == F9.generator ** 3
+        module = SemilinearModule(
+            group, 2, [Matrix(F9, c_frob(F9, F9.generator)), Matrix.identity(F9, 2)])
+        assert count_fixed_vectors(module) == reference_count_fixed_vectors(module)
+
+    def test_gf125_cyclic_permutation(self):
+        F125 = finite_field(5, 3)
+        group = frobenius_group(F125)
+        one, zero = F125.one, F125.zero
+        shift = Matrix(F125, [[zero, one, zero], [zero, zero, one], [one, zero, zero]])
+        module = SemilinearModule(
+            group, 3, [Matrix.identity(F125, 3), shift, shift * shift])
+        assert count_fixed_vectors(module) == 125
+
+    def test_huge_field_refused_before_any_product(self, monkeypatch):
+        calls = []
+        original = ExtensionField._mul
+
+        def counting(self, a, b):
+            calls.append(1)
+            return original(self, a, b)
+
+        module = SemilinearModule.trivial(frobenius_group(finite_field(3, 42)), 1)
+        monkeypatch.setattr(ExtensionField, "_mul", counting)
+        with pytest.raises(BudgetExceeded,
+                           match=f"^{3 ** 42} candidate points exceed budget 2000000$"):
+            count_fixed_vectors(module)
+        assert calls == []
 
 
 def swap_datum(ext, group):
@@ -285,3 +363,34 @@ if given is not None:
     def test_pruned_scan_matches_odometer(system):
         field, nvars, gens = system
         assert solutions(gens, field, nvars)[0] == odometer(gens, field, nvars)
+
+    MODULE_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)]
+
+    @st.composite
+    def modules(draw):
+        """Semilinear modules over GF(4), GF(8), GF(9), GF(25) or GF(27) of
+        dimension 0 to 3: half are cocycles b^-1 * sigma(b) of an invertible
+        b, the other half have arbitrary matrices, c_id included."""
+        p, d = draw(st.sampled_from(MODULE_FIELDS))
+        ext = finite_field(p, d)
+        group = frobenius_group(ext)
+        elements = list(ext.elements())
+        n = draw(st.integers(0, 3))
+
+        def matrix():
+            return Matrix(ext, [[draw(st.sampled_from(elements)) for _ in range(n)]
+                                for _ in range(n)])
+
+        if draw(st.booleans()):
+            b = matrix()
+            if not b.is_invertible():
+                b = Matrix.identity(ext, n)
+            return SemilinearModule.from_boundary(group, b)
+        return SemilinearModule(group, n, [matrix() for _ in group.elements])
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(modules(), st.sampled_from([None, 600, 20000]))
+    def test_fixed_vector_count_matches_odometer(module, points):
+        budget = None if points is None else Budget(points=points)
+        assert (outcome(count_fixed_vectors, module, budget)
+                == outcome(reference_count_fixed_vectors, module, budget))

@@ -9,7 +9,6 @@ from galdescent.extension import finite_field, make_extension
 from galdescent.linalg import (
     Matrix,
     expand_vector,
-    intersect_spans,
     kron,
     restrict_scalars_matrix,
     solve_linear,
@@ -128,12 +127,29 @@ class TestRestrictScalars:
 
 
 class TestSpans:
-    def test_intersection(self):
+    def test_span_contains(self):
         a = [vec(QQ, [1, 0, 0]), vec(QQ, [0, 1, 0])]
-        b = [vec(QQ, [1, 1, 0]), vec(QQ, [0, 0, 1])]
-        inter = intersect_spans(QQ, a, b)
-        assert len(inter) == 1
-        assert span_contains(QQ, inter, vec(QQ, [1, 1, 0]))
+        assert span_contains(QQ, a, vec(QQ, [1, 1, 0]))
+        assert not span_contains(QQ, a, vec(QQ, [1, 1, 1]))
+        assert span_contains(QQ, a, vec(QQ, [0, 0, 0]))
+        assert span_contains(QQ, [], vec(QQ, [0, 0]))
+        assert not span_contains(QQ, [], vec(QQ, [0, 1]))
+        assert span_contains(QQ, [], ())
+        for target in (vec(QQ, [1, 0, 5]), vec(QQ, [1])):
+            with pytest.raises(ShapeMismatch):
+                span_contains(QQ, [vec(QQ, [1, 0])], target)
+
+    def test_span_contains_matches_solve_linear(self):
+        F3 = GF(3)
+        rng = random.Random(17)
+        for _ in range(200):
+            n = rng.randrange(1, 4)
+            vectors = [vec(F3, [rng.randrange(3) for _ in range(n)])
+                       for _ in range(rng.randrange(4))]
+            target = vec(F3, [rng.randrange(3) for _ in range(n)])
+            expected = not any(target) or (bool(vectors) and solve_linear(
+                Matrix.from_cols(F3, vectors), target).consistent)
+            assert span_contains(F3, vectors, target) == expected
 
     def test_kron_mixed_product(self):
         F3 = GF(3)

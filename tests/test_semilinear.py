@@ -2,11 +2,16 @@ import random
 
 import pytest
 
-from galdescent.errors import CocycleViolation, NotStable
+from galdescent.errors import (
+    CocycleViolation,
+    InternalContradiction,
+    NotStable,
+    ShapeMismatch,
+)
 from galdescent.extension import finite_field, make_extension
 from galdescent.fields import GF, QQ
 from galdescent.galois import GaloisGroup, cyclotomic_group, frobenius_group, verify_automorphism
-from galdescent.linalg import Matrix, span_contains
+from galdescent.linalg import Matrix, contract_vector, expand_vector, span_contains
 from galdescent.semilinear import (
     KSpace,
     SemilinearModule,
@@ -17,6 +22,11 @@ from galdescent.semilinear import (
     validate_action,
 )
 from galdescent.unipoly import UniPoly
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # a test extra: the pinned cases still run without it
+    given = None
 
 
 def qi_group():
@@ -245,3 +255,124 @@ class TestDescendSubspace:
         # every rational vector inside W lies in the span of the result
         assert span_contains(ext, result.embedding, (one, zero, zero))
         assert span_contains(ext, result.embedding, (zero, one * i * -i, zero))
+
+    def test_stable_under_a_subgroup_only(self):
+        # over Q(zeta_8), s3 fixes c = zeta + zeta^3 = i*sqrt(2), so the line
+        # of (1, c) is stable under {id, s3} but has no rational point; the
+        # trace Tr(1) = 4 gives the fixed vector (4, 0), which leaves it
+        ext, group = cyclotomic_group(8)
+        z = ext.generator
+        subgroup = group.subgroup([group.element_named("s3")])
+        with pytest.raises(InternalContradiction, match="escaped the span"):
+            descend_subspace(KSpace(QQ, 2), [(ext.one, z + z ** 3)], subgroup)
+
+
+def reference_intersect_spans(field, vectors_a, vectors_b):
+    """Basis of span(vectors_a) & span(vectors_b), read off the kernel of
+    [vectors_a | vectors_b] and reduced to row echelon form."""
+    if not vectors_a or not vectors_b:
+        return []
+    stacked = Matrix.from_cols(field, [list(v) for v in vectors_a + vectors_b])
+    out = []
+    for kv in stacked.kernel_basis():
+        vec = None
+        for coeff, base_vec in zip(kv[:len(vectors_a)], vectors_a):
+            term = tuple(coeff * x for x in base_vec)
+            vec = term if vec is None else tuple(a + b for a, b in zip(vec, term))
+        if vec is not None and any(vec):
+            out.append(vec)
+    if not out:
+        return []
+    reduced, pivots = Matrix(field, out).rref()
+    return [reduced.rows[i] for i in range(len(pivots))]
+
+
+def reference_descend_subspace(space, spanning, group):
+    """:func:`descend_subspace` with the fixed part computed as the
+    intersection of the expanded Omega-span with the rational slice k^n."""
+    ext = group.ext
+    base = ext.base
+    n = space.dim
+    spanning = [tuple(v) for v in spanning if any(v)]
+    for v in spanning:
+        if len(v) != n:
+            raise ShapeMismatch("spanning vector of wrong length")
+    for idx in group.generator_indices:
+        sigma = group.elements[idx]
+        for v in spanning:
+            if not span_contains(ext, spanning, tuple(sigma(x) for x in v)):
+                raise NotStable(sigma.name, v)
+    d = ext.degree
+    omega_basis = [expand_vector(tuple(b * x for x in v), ext)
+                   for v in spanning for b in ext.power_basis()]
+    rational_slice = []
+    for i in range(n):
+        coords = [base.zero] * (n * d)
+        coords[i * d] = base.one
+        rational_slice.append(tuple(coords))
+    fixed_vectors = [contract_vector(v, ext, n)
+                     for v in reference_intersect_spans(base, omega_basis, rational_slice)]
+    for v in fixed_vectors:
+        if not span_contains(ext, spanning, v):
+            raise InternalContradiction("fixed vector escaped the span")
+    for v in spanning:
+        if not span_contains(ext, fixed_vectors, v):
+            raise InternalContradiction(
+                "stable subspace is not spanned by its fixed part")
+    return KSpace(base, len(fixed_vectors), fixed_vectors, ambient_dim=n)
+
+
+def descent_outcome(space, spanning, group, descend):
+    """The dimension and embedding of a descent, or the type and message of
+    what it raised."""
+    try:
+        result = descend(space, spanning, group)
+    except Exception as exc:  # compared, never swallowed: see the caller
+        return type(exc), str(exc)
+    return result.dim, result.embedding
+
+
+if given is not None:
+    SUBSPACE_GROUPS = {
+        "GF(9)": lambda: frobenius_group(finite_field(3, 2)),
+        "GF(27)": lambda: frobenius_group(finite_field(3, 3)),
+        "Q(i)": lambda: cyclotomic_group(4)[1],
+        "Q(zeta8)": lambda: cyclotomic_group(8)[1],
+    }
+
+    @st.composite
+    def subspaces(draw):
+        """(group, ambient dimension, spanning vectors): a stable subspace is
+        the Omega-span of up to n rational vectors, mixed by Omega-scalars;
+        an unstable one is drawn with arbitrary Omega-entries.  Entries over
+        Q(i) and Q(zeta8) have coordinates in [-2, 2]."""
+        group = SUBSPACE_GROUPS[draw(st.sampled_from(sorted(SUBSPACE_GROUPS)))]()
+        ext = group.ext
+        base = ext.base
+        rationals = [base.from_int(k) for k in range(-2, 3)]
+        if ext.is_finite:
+            rationals = list(base.elements())
+        omega = st.tuples(*[st.sampled_from(rationals)] * ext.degree).map(ext.from_coords)
+        rational = st.sampled_from(rationals).map(ext.from_base)
+        n = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            k_vectors = draw(st.lists(st.tuples(*[rational] * n), max_size=n))
+            spanning = []
+            for _ in range(draw(st.integers(0, n))):
+                acc = (ext.zero,) * n
+                for kv in k_vectors:
+                    c = draw(omega)
+                    acc = tuple(a + c * x for a, x in zip(acc, kv))
+                spanning.append(acc)
+        else:
+            spanning = draw(st.lists(st.tuples(*[st.one_of(rational, omega)] * n),
+                                     max_size=n))
+        return group, n, spanning
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(subspaces())
+    def test_trace_descent_matches_intersection(case):
+        group, n, spanning = case
+        space = KSpace(group.ext.base, n)
+        assert (descent_outcome(space, spanning, group, descend_subspace)
+                == descent_outcome(space, spanning, group, reference_descend_subspace))
