@@ -317,12 +317,6 @@ def field_decl_text(field):
         return "QQ"
     if isinstance(field, PrimeField):
         return f"GF({field.p}^1)"
-    if isinstance(field, ExtensionField):
-        if field.base.is_finite:
-            return (f"GF({field.base.p}^{field.degree}, "
-                    f"modulus={field.modulus.format()})")
-        flag = ", irreducible=assert" if field.irreducibility == "asserted" else ""
-        return f"Ext(QQ, modulus={field.modulus.format()}{flag})"
     raise AssertionError("unknown field kind")
 
 

@@ -37,6 +37,8 @@ class ExtensionField(Field):
         self.modulus = modulus
         self.degree = modulus.degree
         self.irreducibility = irreducibility
+        # fields are immutable, so the hash of the modulus is taken once
+        self._hash = hash(("ext", base, modulus.coeffs))
         self._zero_tuple = (base.zero,) * self.degree
         # inverses by coordinate tuple; a finite field has at most q of them
         self._inverses = {} if base.is_finite else None
@@ -176,7 +178,7 @@ class ExtensionField(Field):
         )
 
     def __hash__(self):
-        return hash(("ext", self.base, self.modulus.coeffs))
+        return self._hash
 
     def __repr__(self):
         if self.is_finite:

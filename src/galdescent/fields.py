@@ -56,18 +56,6 @@ class FieldElement:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.field._mul(self, other.inverse())
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.field._mul(other, self.inverse())
-
     def __neg__(self):
         return self.field._neg(self)
 

@@ -260,10 +260,10 @@ def cyclotomic_group(m):
 
 
 def check_fixed_field(group):
-    """Base-field basis of the fixed subfield of the group, as field elements."""
+    """Base-field basis of the fixed subfield of the group, as field elements:
+    an element is fixed by the group exactly when every generator fixes it."""
     ext = group.ext
-    moving = [sigma.matrix() for idx, sigma in enumerate(group.elements)
-              if idx != group.identity_index]
+    moving = [group.elements[i].matrix() for i in group.generator_indices]
     return [ext.from_coords(v) for v in fixed_space_basis(ext.base, ext.degree, moving)]
 
 

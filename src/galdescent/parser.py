@@ -10,6 +10,7 @@ import re
 
 DECL_KINDS = ("field", "group", "algebra", "datum", "module", "map")
 COMMAND_KINDS = ("descend", "restrict", "fixed", "amitsur", "validate")
+_WITH_ARTICLE = {k: ("an " if k[0] == "a" else "a ") + k for k in DECL_KINDS}
 
 
 class Diagnostic:
@@ -281,7 +282,8 @@ def _reference(stream, names, expected_kind):
         _fail(tok.line, tok.col, f"undeclared name {tok.value!r}", "unresolved")
     if kind != expected_kind:
         _fail(tok.line, tok.col,
-              f"{tok.value!r} is a {kind}, expected a {expected_kind}", "unresolved")
+              f"{tok.value!r} is {_WITH_ARTICLE[kind]}, expected "
+              f"{_WITH_ARTICLE[expected_kind]}", "unresolved")
     return tok.value
 
 

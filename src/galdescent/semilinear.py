@@ -114,27 +114,20 @@ def validate_action(module):
     return ActionReport(module, pairs)
 
 
-def _action_matrices_over_base(module):
-    """Base-field matrices of v -> c_sigma * sigma(v) on expanded coordinates,
-    one per group element other than the identity."""
+def fixed_subspace(module):
+    """Base-field basis of the vectors fixed by a valid action (what
+    ``validate_action`` checks), embedded in Omega^n; its dimension is n.  A
+    vector is then fixed as soon as every generator fixes it, so only the
+    generators' base-field matrices of v -> c_sigma * sigma(v) are stacked."""
     group = module.group
     ext = group.ext
-    out = []
-    ident = Matrix.identity(ext.base, module.dim)
-    for idx, sigma in enumerate(group.elements):
-        if idx != group.identity_index:
-            sigma_block = kron(ident, sigma.matrix())
-            out.append(restrict_scalars_matrix(module.cocycle[idx], ext) * sigma_block)
-    return out
-
-
-def fixed_subspace(module):
-    """Base-field basis of the vectors fixed by the whole action, embedded in
-    Omega^n; its dimension always equals n for a valid action."""
-    ext = module.group.ext
     base = ext.base
     n = module.dim
-    kernel = fixed_space_basis(base, n * ext.degree, _action_matrices_over_base(module))
+    ident = Matrix.identity(base, n)
+    matrices = [restrict_scalars_matrix(module.cocycle[i], ext)
+                * kron(ident, group.elements[i].matrix())
+                for i in group.generator_indices]
+    kernel = fixed_space_basis(base, n * ext.degree, matrices)
     embedding = [contract_vector(v, ext, n) for v in kernel]
     if len(kernel) != n:
         raise InternalContradiction(

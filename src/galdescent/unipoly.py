@@ -33,10 +33,6 @@ class UniPoly:
     def x(cls, field):
         return cls(field, [field.zero, field.one])
 
-    @classmethod
-    def constant(cls, value):
-        return cls(value.field, [value])
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -112,9 +108,6 @@ class UniPoly:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
     def monic(self):
         if self.is_zero:
             return self
@@ -133,9 +126,6 @@ class UniPoly:
         if acc is None:
             return embed(self.field.zero)
         return acc
-
-    def map_coeffs(self, func, field=None):
-        return UniPoly(field or self.field, [func(c) for c in self.coeffs])
 
     def __repr__(self):
         return self.format()

@@ -169,6 +169,144 @@ class TestErrors:
         assert "misses a block" in diagnostics[0].message
 
 
+    def test_invalid_module_fixed_exit_1(self, tmp_path, capsys):
+        # frob2 => I breaks the cocycle law at (frob, frob); fixed validates
+        # the action before it reads the fixed space off the generators
+        doc = tmp_path / "doc.txt"
+        doc.write_text(
+            "field F2 = GF(2^1)\n"
+            "field F8 = GF(2^3)\n"
+            "group G = Aut(F8/F2)\n"
+            "module M on G dim 3 : frob => [[0,1,0],[0,0,1],[1,0,0]] "
+            ": frob2 => [[1,0,0],[0,1,0],[0,0,1]]\n"
+            "fixed M\n")
+        assert main([str(doc)]) == 1
+        assert capsys.readouterr() == (
+            "", "error[cocycle-violation] line 5, col 1: cocycle law fails at "
+                "pair (frob, frob)\n")
+
+
+F9 = "field F3 = GF(3)\nfield F9 = GF(3^2)\n"
+A9 = F9 + "algebra A = F9[x]\n"
+G9 = F9 + "group G = Aut(F9/F3)\n"
+F27 = "field F3 = GF(3)\nfield F27 = GF(3^3)\n"
+QI = "field K = Ext(QQ, modulus=t^2 + 1, irreducible=assert)\n"
+
+# one document per parser or resolution diagnostic, with the exit code and
+# the stderr line the CLI prints for it
+DIAGNOSTICS = [
+    ("$\n", 2, "error[syntax] line 1, col 1: unexpected character '$'"),
+    ("field F = GF(\n", 2, "error[syntax] line 1, col 14: unexpected end of statement"),
+    ("field F = QQ QQ\n", 2, "error[syntax] line 1, col 14: unexpected trailing 'QQ'"),
+    ("field F = QQ\nalgebra A = F[x]/(x - 1/0)\nvalidate A\n", 2,
+     "error[syntax] line 2, col 25: zero denominator"),
+    ("field F = QQ\nalgebra A = F[x]/(x + ,)\nvalidate A\n", 2,
+     "error[syntax] line 2, col 23: expected a polynomial term, found ','"),
+    ("field F = 3\n", 2, "error[syntax] line 1, col 11: expected a field constructor"),
+    ("field F = GF(3^2, mod=t^2 + 1)\n", 2,
+     "error[syntax] line 1, col 19: expected 'modulus='"),
+    ("field F = Ext(GF, modulus=t^2 + 1)\n", 2,
+     "error[syntax] line 1, col 15: Ext base must be QQ"),
+    ("field F = Ext(QQ, mod=t^2 + 1)\n", 2,
+     "error[syntax] line 1, col 19: expected 'modulus='"),
+    ("field F = Ext(QQ, modulus=t^2 + 1, irr=assert)\n", 2,
+     "error[syntax] line 1, col 36: expected 'irreducible=assert'"),
+    ("field F = Ext(QQ, modulus=t^2 + 1, irreducible=yes)\n", 2,
+     "error[syntax] line 1, col 48: only 'irreducible=assert' is supported"),
+    ("field F = Foo(3)\n", 2,
+     "error[syntax] line 1, col 11: unknown field constructor 'Foo'"),
+    ("group G =\n", 2, "error[syntax] line 1, col 1: missing group body"),
+    (F9 + "group G = F9[x -> x]\n", 2,
+     "error[syntax] line 3, col 14: automorphisms are written 't -> <poly>'"),
+    ("field F = QQ\nalgebra A = F[x]\nalgebra B = A[y]\n", 2,
+     "error[unresolved] line 3, col 13: 'A' is an algebra, expected a field"),
+    ("field F = QQ\nalgebra A = F[x, x]\n", 2,
+     "error[syntax] line 2, col 1: duplicate variable names"),
+    (A9 + "datum D on A\n", 2,
+     "error[syntax] line 4, col 1: datum needs at least one ': <label> => {...}' block"),
+    (G9 + "module M on G dim 2\n", 2,
+     "error[syntax] line 4, col 1: module needs at least one ': <label> => [[...]]' block"),
+    (G9 + "module M on G dim 2 : frob => [[0, 1], [1]]\n", 2,
+     "error[syntax] line 4, col 1: ragged matrix literal"),
+    ("validate X\n", 2, "error[unresolved] line 1, col 10: undeclared name 'X'"),
+    ("field F = QQ\nvalidate F\nfield E = QQ\n", 2,
+     "error[syntax] line 3, col 1: declarations must precede the command"),
+    ("field F = QQ\nfield F = QQ\n", 2,
+     "error[unresolved] line 2, col 7: duplicate name 'F'"),
+    ("field F = QQ\nvalidate F\nvalidate F\n", 2,
+     "error[syntax] line 3, col 1: only one command per document"),
+    (F9 + "group G = Aut(F3/F9)\nvalidate G\n", 2,
+     "error[unresolved] line 3, col 1: F3 is not an extension of F9"),
+    (QI + "field Q = QQ\ngroup G = Aut(K/Q)\nvalidate G\n", 2,
+     "error[unresolved] line 3, col 1: no built-in automorphism family for this "
+     "field; declare an explicit automorphism list"),
+    ("field Q = QQ\ngroup G = Q[t -> t]\nvalidate G\n", 2,
+     "error[unresolved] line 2, col 1: explicit groups need an extension field"),
+    ("field Q = QQ\nalgebra A = Q[x]\ndatum D on A : s => { x -> x }\nvalidate D\n", 2,
+     "error[unresolved] line 3, col 1: descent data need an algebra over an "
+     "extension field"),
+    (A9 + "datum D on A : frob => { y -> x }\nvalidate D\n", 2,
+     "error[unresolved] line 4, col 26: 'y' is not a variable of the algebra"),
+    (F9 + "algebra A = F9[x, y]\ndatum D on A : frob => { x -> y }\nvalidate D\n", 2,
+     "error[unresolved] line 4, col 16: block 'frob' misses images for y"),
+    (A9 + "datum D on A : frob => { x -> x } : foo => { x -> x }\nvalidate D\n", 2,
+     "error[unresolved] line 4, col 37: 'foo' is not a group element "
+     "(elements: id, frob)"),
+    (F27 + "algebra A = F27[x]\ndatum D on A : frob => { x -> x }\nvalidate D\n", 2,
+     "error[unresolved] line 4, col 1: datum misses a block for group element 'frob2'"),
+    (F27 + "group G = Aut(F27/F3)\nmodule M on G dim 1 : frob => [[1]]\nvalidate M\n", 2,
+     "error[unresolved] line 4, col 1: module misses a matrix for group element "
+     "'frob2'"),
+    (G9 + "module M on G dim 1 : frob => [[1]] : foo => [[1]]\nvalidate M\n", 2,
+     "error[unresolved] line 4, col 39: 'foo' is not a group element"),
+    (G9 + "module M on G dim 2 : frob => [[1]]\nvalidate M\n", 2,
+     "error[unresolved] line 4, col 23: matrix for 'frob' is not 2x2"),
+    ("field F3 = GF(3)\nfield F5 = GF(5)\nmap f = F3 -> F5\nvalidate f\n", 2,
+     "error[unresolved] line 3, col 1: map source must be the common base field "
+     "of the target"),
+    (F27 + "field F9 = GF(3^2)\nalgebra A = F9[x]\nrestrict A over F27 to F3\n", 2,
+     "error[unresolved] line 5, col 1: algebra is not over the named upper field"),
+    (A9 + "restrict A over F9 to F9\n", 2,
+     "error[unresolved] line 4, col 1: restriction target must be the base of "
+     "the extension"),
+]
+
+# documents whose declarations and command take paths no golden document
+# takes, with their reports
+REPORTS = [
+    (G9 + "module M on G dim 2 : frob => [[0, 1], [1, 0]]\nvalidate M\n",
+     "== validate M\nstatus: valid\npairs checked: 4\n"),
+    (F9 + "map f = F3 -> F9\nvalidate f\n",
+     "== validate f\nstatus: valid\nfaithfully flat: yes (field-source)\n"),
+    (F9 + "validate F9\n",
+     "== validate F9\nstatus: valid\ndegree: 2\nirreducibility: verified\n"),
+    (QI + "validate K\n",
+     "== validate K\nstatus: valid\ndegree: 2\nirreducibility: asserted\n"),
+    # the datum finds its group among the declared groups
+    (QI + "group G = K[t -> t, t -> -t]\nalgebra A = K[x]\n"
+     "datum D on A : a1 => { x -> x }\nvalidate D\n",
+     "== validate D\nstatus: valid\npairs checked: 4\n"),
+]
+
+
+class TestDiagnosticTable:
+    @staticmethod
+    def run_main(text, tmp_path, capsys):
+        doc = tmp_path / "doc.txt"
+        doc.write_text(text)
+        code = main([str(doc)])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("text,code,line", DIAGNOSTICS)
+    def test_diagnostic(self, text, code, line, tmp_path, capsys):
+        assert self.run_main(text, tmp_path, capsys) == (code, "", line + "\n")
+
+    @pytest.mark.parametrize("text,report", REPORTS)
+    def test_report(self, text, report, tmp_path, capsys):
+        assert self.run_main(text, tmp_path, capsys) == (0, report, "")
+
+
 class TestDescendChecksOnce:
     """``descend`` validates, eliminates and certifies inside one
     ``descend_algebra`` call under one budget; ``--oracle`` adds no Groebner

@@ -11,6 +11,7 @@ from galdescent.errors import (
     NotSquarefree,
 )
 from galdescent.fields import GF, QQ, is_prime
+from galdescent.galois import cyclotomic_field
 from galdescent.extension import ASSERTED, UNASSERTED, VERIFIED, finite_field, make_extension
 from galdescent.linalg import Matrix
 from galdescent.multipoly import MultiPolynomial
@@ -138,6 +139,14 @@ class TestHashing:
         pb = MultiPolynomial.variable(B, names, "x") * b + MultiPolynomial.variable(B, names, "y")
         assert pa == pb and len({pa, pb}) == 1
 
+
+    @pytest.mark.parametrize("build", [lambda: finite_field(3, 2),
+                                       lambda: cyclotomic_field(8)])
+    def test_equal_fields_built_separately_hash_equally(self, build):
+        # the hash is taken once, when the field is built
+        A, B = build(), build()
+        assert A is not B and A == B
+        assert hash(A) == hash(B) and len({A, B}) == 1
 
 class TestDefaultModulus:
     def test_gf9_default_is_t2_plus_1(self):

@@ -10,8 +10,22 @@ from galdescent.errors import (
 )
 from galdescent.extension import finite_field, make_extension
 from galdescent.fields import GF, QQ
-from galdescent.galois import GaloisGroup, cyclotomic_group, frobenius_group, verify_automorphism
-from galdescent.linalg import Matrix, contract_vector, expand_vector, span_contains
+from galdescent.galois import (
+    GaloisGroup,
+    check_fixed_field,
+    cyclotomic_group,
+    frobenius_group,
+    verify_automorphism,
+)
+from galdescent.linalg import (
+    Matrix,
+    contract_vector,
+    expand_vector,
+    fixed_space_basis,
+    kron,
+    restrict_scalars_matrix,
+    span_contains,
+)
 from galdescent.semilinear import (
     KSpace,
     SemilinearModule,
@@ -24,7 +38,7 @@ from galdescent.semilinear import (
 from galdescent.unipoly import UniPoly
 
 try:
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import assume, given, settings, strategies as st
 except ImportError:  # a test extra: the pinned cases still run without it
     given = None
 
@@ -376,3 +390,92 @@ if given is not None:
         space = KSpace(group.ext.base, n)
         assert (descent_outcome(space, spanning, group, descend_subspace)
                 == descent_outcome(space, spanning, group, reference_descend_subspace))
+
+
+def reference_fixed_subspace(module):
+    """:func:`fixed_subspace` with the base-field matrix of v -> c_sigma *
+    sigma(v) stacked for every element other than the identity, not only for
+    the generators."""
+    group = module.group
+    ext = group.ext
+    base = ext.base
+    n = module.dim
+    ident = Matrix.identity(base, n)
+    matrices = [restrict_scalars_matrix(module.cocycle[i], ext) * kron(ident, sigma.matrix())
+                for i, sigma in enumerate(group.elements) if i != group.identity_index]
+    kernel = fixed_space_basis(base, n * ext.degree, matrices)
+    if len(kernel) != n:
+        raise InternalContradiction(
+            f"fixed subspace has dimension {len(kernel)}, expected {n}; "
+            "the action data must be invalid")
+    return KSpace(base, n, [contract_vector(v, ext, n) for v in kernel], ambient_dim=n)
+
+
+def reference_fixed_field(group):
+    """:func:`check_fixed_field` with every element other than the identity
+    stacked, not only the generators."""
+    ext = group.ext
+    moving = [sigma.matrix() for i, sigma in enumerate(group.elements)
+              if i != group.identity_index]
+    return [ext.from_coords(v) for v in fixed_space_basis(ext.base, ext.degree, moving)]
+
+
+GENERATED_GROUPS = {
+    "GF(8)": lambda: frobenius_group(finite_field(2, 3)),
+    "GF(16)": lambda: frobenius_group(finite_field(2, 4)),
+    "GF(27)": lambda: frobenius_group(finite_field(3, 3)),
+    "Cyclo(5)": lambda: cyclotomic_group(5)[1],
+    # two generators, s3 and s5
+    "Cyclo(8)": lambda: cyclotomic_group(8)[1],
+}
+
+
+class TestGeneratorsCutOutFixedSpaces:
+    @pytest.mark.parametrize("name", sorted(GENERATED_GROUPS))
+    def test_fixed_fields_of_subgroups_match_all_elements(self, name):
+        group = GENERATED_GROUPS[name]()
+        n = group.order
+        generator_sets = [[i] for i in range(n)] + [[i, j] for i in range(n) for j in range(i)]
+        for sub in [group] + [group.subgroup(gens) for gens in generator_sets]:
+            assert check_fixed_field(sub) == reference_fixed_field(sub)
+
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    def test_cyclic_shift_matches_all_elements(self, d):
+        # c_frob^k = P^k for the d x d cyclic shift P, over GF(2^d)
+        ext = finite_field(2, d)
+        group = frobenius_group(ext)
+        shift = Matrix(ext, [[ext.one if j == (i + 1) % d else ext.zero for j in range(d)]
+                             for i in range(d)])
+        powers = [Matrix.identity(ext, d)]
+        for _ in range(d - 1):
+            powers.append(powers[-1] * shift)
+        module = SemilinearModule(group, d, powers)
+        validate_action(module)
+        space, reference = fixed_subspace(module), reference_fixed_subspace(module)
+        assert (space.dim, space.embedding) == (reference.dim, reference.embedding)
+
+
+if given is not None:
+    @st.composite
+    def boundary_modules(draw):
+        """The module with cocycle c_sigma = b^{-1} sigma(b) for an invertible
+        b of size 0 to 3; entries over Cyclo(5) and Cyclo(8) have
+        coordinates in [-2, 2]."""
+        group = GENERATED_GROUPS[draw(st.sampled_from(sorted(GENERATED_GROUPS)))]()
+        ext = group.ext
+        base = ext.base
+        coords = (list(base.elements()) if ext.is_finite
+                  else [base.from_int(k) for k in range(-2, 3)])
+        entry = st.tuples(*[st.sampled_from(coords)] * ext.degree).map(ext.from_coords)
+        n = draw(st.integers(0, 3))
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+        b = Matrix(ext, rows)
+        assume(b.is_invertible())
+        return SemilinearModule.from_boundary(group, b)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(boundary_modules())
+    def test_generator_fixed_space_matches_all_elements(module):
+        space, reference = fixed_subspace(module), reference_fixed_subspace(module)
+        assert (space.dim, space.embedding) == (reference.dim, reference.embedding)
