@@ -105,14 +105,22 @@ class ExtensionField(Field):
         return FieldElement(self, tuple(-x for x in a.value))
 
     def _mul(self, a, b):
+        return FieldElement(self, self._mul_values(a.value, b.value))
+
+    def _sub_mul(self, a, b, c):
+        value = tuple(x - y for x, y in zip(a, self._mul_values(b, c)))
+        return value if any(value) else None
+
+    def _mul_values(self, a, b):
+        """Coordinate tuple of the product of coordinate tuples a and b."""
         n = self.degree
         base = self.base
         zero = base.zero
         raw = [zero] * (2 * n - 1)
-        for i, x in enumerate(a.value):
+        for i, x in enumerate(a):
             if not x:
                 continue
-            for j, y in enumerate(b.value):
+            for j, y in enumerate(b):
                 if y:
                     raw[i + j] = raw[i + j] + x * y
         out = list(raw[:n])
@@ -124,7 +132,7 @@ class ExtensionField(Field):
             for i in range(n):
                 if red[i]:
                     out[i] = out[i] + c * red[i]
-        return FieldElement(self, tuple(out))
+        return tuple(out)
 
     def _inv(self, a):
         if not a:

@@ -105,9 +105,11 @@ class Field:
     def is_zero(self, a):
         return a.value == self._zero_value()
 
-    # subclasses supply: from_int, _add, _neg, _mul, _inv, _zero_value (or
-    # an is_zero of their own), characteristic, format_element, and (finite
-    # case) order/elements
+    # subclasses supply: from_int, _add, _neg, _mul, _inv, _zero_value,
+    # _sub_mul, characteristic, format_element, and (finite case)
+    # order/elements.  ``_sub_mul(a, b, c)`` works on raw values, as the
+    # Groebner kernel keeps them: it returns the value a - b*c, or None when
+    # that is zero.
 
 
 class RationalField(Field):
@@ -132,6 +134,13 @@ class RationalField(Field):
     def is_zero(self, a):
         # Fraction.__bool__ tests the numerator and allocates nothing
         return not a.value
+
+    def _zero_value(self):
+        return Fraction(0)
+
+    def _sub_mul(self, a, b, c):
+        value = a - b * c
+        return value if value else None
 
     def _add(self, a, b):
         return FieldElement(self, a.value + b.value)
@@ -224,6 +233,9 @@ class PrimeField(Field):
 
     def _zero_value(self):
         return 0
+
+    def _sub_mul(self, a, b, c):
+        return (a - b * c) % self.p or None
 
     def _add(self, a, b):
         return FieldElement(self, (a.value + b.value) % self.p)

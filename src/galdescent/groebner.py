@@ -7,30 +7,42 @@ is spent from an :class:`~galdescent.errors.Budget`, shared by all calls
 that are passed the same one (``budget=None`` starts a fresh default one),
 so runaway computations end in a loud ``BudgetExceeded``.
 
-``buchberger`` makes each generator and each nonzero remainder monic once, as
-it enters the basis, then runs Gebauer and Moeller's update (Gebauer & Moeller
-1988; Becker & Weispfenning, Groebner Bases, 1993, section 5.5);
-``normal_form`` scales only a non-monic element that a caller hands it.  The
-chain and product criteria drop the S-pairs that can only reduce to zero, and
-an element whose leading term a newer one divides forms no further pairs but
+Inside the engine a basis element is a pair (leading monomial, raw tail): the
+tail lists its other terms with raw field values (``FieldElement.value``),
+and the leading coefficient is 1.  ``buchberger`` makes each generator and
+each nonzero remainder monic once, as it enters the basis, and takes its
+leading monomial then; S-polynomials, normal forms and the final
+inter-reduction run on these pairs, and the result is boxed into
+``MultiPolynomial`` once, at the end.  The one reduction loop, ``_reduce``,
+updates coefficients with the field's fused ``_sub_mul`` (a - b*c on raw
+values, None for zero), so it never dispatches through ``FieldElement``.
+``normal_form`` unpacks a caller's basis on entry, scaling only a non-monic
+element, and boxes the remainder once on exit.
+
+``buchberger`` runs Gebauer and Moeller's update (Gebauer & Moeller 1988;
+Becker & Weispfenning, Groebner Bases, 1993, section 5.5).  The chain and
+product criteria drop the S-pairs that can only reduce to zero, and an
+element whose leading term a newer one divides forms no further pairs but
 still reduces.  The reduced basis is unique, so the criteria change only the
 work, never the result; ``tests/test_groebner.py`` checks this against the
-engine without them.
+engine without them, and the raw-value reduction against a division on
+``FieldElement`` coefficients.
 
 S-pairs wait in a heap keyed on the order key of their lcm, with an insertion
 counter that makes equal lcms pop first in, first out; dropped pairs are
-skipped when popped and spend nothing.  The normal form keeps the working
+skipped when popped and spend nothing.  The reduction keeps the working
 polynomial's monomials in a heap on ``MonomialOrder.heap_key`` and pops the
-leading term from it.  Each basis element's leading monomial is computed once
-per call.  The criteria and the selection (smallest lcm first, then oldest
-pair; largest working term first) fix the sequence of reduction steps, and so
-what a budget allows; ``tests/test_groebner.py`` pins the step counts.
+leading term from it.  The criteria and the selection (smallest lcm first,
+then oldest pair; largest working term first) fix the sequence of reduction
+steps, and so what a budget allows; ``tests/test_groebner.py`` pins the step
+counts.
 """
 
 from heapq import heapify, heappop, heappush
 from itertools import count
 
 from .errors import Budget, FieldMismatch
+from .fields import FieldElement
 from .multipoly import (
     GREVLEX,
     MonomialOrder,
@@ -80,22 +92,46 @@ class Ideal:
         return f"Ideal({', '.join(g.format() for g in self.generators) or '0'})"
 
 
-def _monic(g, order):
-    """(leading monomial, g scaled to leading coefficient 1, or g if monic)."""
-    lt, lc = g.leading(order)
-    return lt, (g if lc == 1 else g * lc.inverse())
+def _monic(field, lt, terms):
+    """(lt, raw tail) of the polynomial with leading monomial ``lt`` and raw
+    terms ``terms`` (monomial -> value), scaled to leading coefficient 1: the
+    tail lists the other terms as (monomial, value) pairs, and the leading
+    coefficient is left implicit."""
+    lc = FieldElement(field, terms[lt])
+    tail = [(e, c) for e, c in terms.items() if e != lt]
+    if lc == 1:
+        return lt, tail
+    # c / lc is 0 - c * (-1/lc)
+    scale, zero = (-lc.inverse()).value, field._zero_value()
+    return lt, [(e, field._sub_mul(zero, c, scale)) for e, c in tail]
 
 
-def normal_form(poly, basis, order=GREVLEX, budget=None):
-    """Fully reduced remainder of ``poly`` modulo a Groebner basis, by the
-    classical division algorithm: the leading term of the working polynomial
-    is either cancelled against a basis element or moved to the remainder."""
-    if poly.is_zero or not basis:
-        return poly
-    budget = budget or Budget()
-    leading_data = [_monic(g, order) for g in basis]
+def _unpack(g, order):
+    return _monic(g.field, g.leading(order)[0], {e: c.value for e, c in g.terms.items()})
+
+
+def _check_ring(polys, field, variables):
+    """Raw values carry no field, so the engine checks the ring once, up front."""
+    if any(g.field != field or g.variables != variables for g in polys):
+        raise FieldMismatch("polynomials from different rings")
+
+
+def _box(field, variables, lt, tail):
+    """The monic polynomial with leading monomial lt and raw tail ``tail``."""
+    terms = {lt: field.one}
+    terms.update((e, FieldElement(field, c)) for e, c in tail)
+    return MultiPolynomial(field, variables, terms)
+
+
+def _reduce(work, basis, field, order, budget):
+    """Fully reduce the raw terms ``work`` (monomial -> value; consumed)
+    modulo ``basis``, a list of (leading monomial, raw tail) pairs of monic
+    elements, by the classical division algorithm: the leading term of the
+    working polynomial is either cancelled against a basis element or moved
+    to the remainder.  The remainder comes back as raw terms in descending
+    order, so its first key is its leading monomial."""
+    sub_mul, zero = field._sub_mul, field._zero_value()
     remainder = {}
-    work = dict(poly.terms)
     # every monomial of ``work`` is in the heap; entries whose term has since
     # cancelled are skipped when popped.  Reduction only adds terms below the
     # one it cancels, so a popped monomial never re-enters ``work``.
@@ -107,17 +143,15 @@ def normal_form(poly, basis, order=GREVLEX, budget=None):
         coeff = work.pop(exps, None)
         if coeff is None:
             continue
-        for lt, g in leading_data:
+        for lt, tail in basis:
             if _monomial_divides(lt, exps):
                 budget.spend()
                 shift = _monomial_div(exps, lt)
-                for ge, gc in g.terms.items():
+                for ge, gc in tail:
                     e = _monomial_mul(shift, ge)
-                    if e == exps:
-                        continue
                     prev = work.get(e)
-                    val = (prev - coeff * gc) if prev is not None else -(coeff * gc)
-                    if val:
+                    val = sub_mul(zero if prev is None else prev, coeff, gc)
+                    if val is not None:
                         if prev is None:
                             heappush(heap, (heap_key(e), e))
                         work[e] = val
@@ -126,23 +160,54 @@ def normal_form(poly, basis, order=GREVLEX, budget=None):
                 break
         else:
             remainder[exps] = coeff
-    return MultiPolynomial(poly.field, poly.variables, remainder)
+    return remainder
 
 
-def _s_polynomial(f, lt_f, g, lt_g):
-    """S-polynomial of monic f and g: both shifted up to their lcm, subtracted."""
+def normal_form(poly, basis, order=GREVLEX, budget=None):
+    """Fully reduced remainder of ``poly`` modulo a Groebner basis, by the
+    classical division algorithm; a non-monic basis element is scaled to
+    leading coefficient 1 first."""
+    if poly.is_zero or not basis:
+        return poly
+    field, variables = poly.field, poly.variables
+    _check_ring(basis, field, variables)
+    remainder = _reduce({e: c.value for e, c in poly.terms.items()},
+                        [_unpack(g, order) for g in basis], field, order,
+                        budget or Budget())
+    return MultiPolynomial(field, variables,
+                           {e: FieldElement(field, c) for e, c in remainder.items()})
+
+
+def _s_polynomial(f, g, field):
+    """Raw terms of the S-polynomial of monic f and g, given as (leading
+    monomial, raw tail): both tails shifted up to the lcm, subtracted.  The
+    leading terms cancel."""
+    (lt_f, tail_f), (lt_g, tail_g) = f, g
     lcm = _monomial_lcm(lt_f, lt_g)
     mf, mg = _monomial_div(lcm, lt_f), _monomial_div(lcm, lt_g)
-    f_up = MultiPolynomial(f.field, f.variables,
-                           {_monomial_mul(mf, e): c for e, c in f.terms.items()})
-    g_up = MultiPolynomial(g.field, g.variables,
-                           {_monomial_mul(mg, e): c for e, c in g.terms.items()})
-    return f_up - g_up
+    sub_mul, zero, one = field._sub_mul, field._zero_value(), field.one.value
+    work = {_monomial_mul(mf, e): c for e, c in tail_f}
+    for e, c in tail_g:
+        e = _monomial_mul(mg, e)
+        prev = work.get(e)
+        val = sub_mul(zero if prev is None else prev, one, c)
+        if val is None:
+            del work[e]
+        else:
+            work[e] = val
+    return work
 
 
 def buchberger(generators, order=GREVLEX, budget=None):
     """Reduced monic Groebner basis of the ideal the generators span."""
+    generators = [g for g in generators if not g.is_zero]
+    if not generators:
+        return []
+    field, variables = generators[0].field, generators[0].variables
+    _check_ring(generators, field, variables)
     budget = budget or Budget()
+    # each element as (leading monomial, raw tail); ``leads`` repeats the
+    # leading monomials for the pair bookkeeping
     basis, leads = [], []
     # pairs pop smallest lcm first; the insertion counter breaks ties first
     # in, first out.  ``live`` maps each pending pair to its lcm; a pair the
@@ -152,12 +217,12 @@ def buchberger(generators, order=GREVLEX, budget=None):
     counter = count()
     active = []
 
-    def enter(g):
-        """Append g made monic; Gebauer and Moeller's UPDATE pairs it with the
-        active elements and drops every pair that the criteria rule out."""
-        h, g = _monic(g, order)
+    def enter(h, tail):
+        """Append the monic element (h, tail); Gebauer and Moeller's UPDATE
+        pairs it with the active elements and drops every pair that the
+        criteria rule out."""
         k = len(basis)
-        basis.append(g)
+        basis.append((h, tail))
         leads.append(h)
         new = [(i, _monomial_lcm(leads[i], h)) for i in active]
         # chain criterion on the new pairs: a pair goes when the lcm of a
@@ -186,35 +251,37 @@ def buchberger(generators, order=GREVLEX, budget=None):
         active.append(k)
 
     for g in generators:
-        if not g.is_zero:
-            enter(g)
+        enter(*_unpack(g, order))
     while pairs:
         _, _, i, j = heappop(pairs)
         if live.pop((i, j), None) is None:
             continue
         budget.spend()
-        s = _s_polynomial(basis[i], leads[i], basis[j], leads[j])
-        remainder = normal_form(s, basis, order, budget)
-        if not remainder.is_zero:
-            enter(remainder)
-    return _reduce_basis(basis, leads, order, budget)
+        remainder = _reduce(_s_polynomial(basis[i], basis[j], field),
+                            basis, field, order, budget)
+        if remainder:
+            # the first key of a remainder leads
+            enter(*_monic(field, next(iter(remainder)), remainder))
+    return [_box(field, variables, h, tail)
+            for h, tail in _reduce_basis(basis, field, order, budget)]
 
 
-def _reduce_basis(basis, leads, order, budget):
+def _reduce_basis(basis, field, order, budget):
     # minimalize: LT(h) | LT(g) forces LT(h) <= LT(g), so an ascending sweep
     # keeping only elements whose LT no kept LT divides is complete
-    ordered = sorted(zip(leads, basis), key=lambda p: order.key(p[0]))
-    kept, kept_leads = [], []
-    for lt, g in ordered:
-        if not any(_monomial_divides(h, lt) for h in kept_leads):
-            kept.append(g)
-            kept_leads.append(lt)
-    # full reduction keeps each minimal leading term with coefficient 1, so
-    # the basis stays monic and in ascending order
+    ordered = sorted(basis, key=lambda p: order.key(p[0]))
+    kept = []
+    for lt, tail in ordered:
+        if not any(_monomial_divides(h, lt) for h, _ in kept):
+            kept.append((lt, tail))
+    # full reduction of each tail: no other kept LT divides an element's
+    # own LT, so it keeps its leading term with coefficient 1, the basis
+    # stays monic and in ascending order
     if len(kept) == 1:
         return kept
-    return [normal_form(g, kept[:i] + kept[i + 1:], order, budget)
-            for i, g in enumerate(kept)]
+    return [(lt, list(_reduce(dict(tail), kept[:i] + kept[i + 1:], field, order,
+                              budget).items()))
+            for i, (lt, tail) in enumerate(kept)]
 
 
 def ideal_equal(I, J, budget=None):

@@ -185,6 +185,21 @@ class TestErrors:
             "", "error[cocycle-violation] line 5, col 1: cocycle law fails at "
                 "pair (frob, frob)\n")
 
+    def test_singular_cocycle_is_a_cocycle_violation(self, tmp_path, capsys):
+        # with c_id = I the law at (frob, frob^-1) forces c_frob invertible,
+        # so a singular c_frob fails the law; no separate rank check runs
+        doc = tmp_path / "doc.txt"
+        doc.write_text(
+            "field F2 = GF(2^1)\n"
+            "field F4 = GF(2^2)\n"
+            "group G = Aut(F4/F2)\n"
+            "module M on G dim 2 : frob => [[1,0],[0,0]]\n"
+            "validate M\n")
+        assert main([str(doc)]) == 1
+        assert capsys.readouterr() == (
+            "", "error[cocycle-violation] line 5, col 1: cocycle law fails at "
+                "pair (frob, frob)\n")
+
 
 F9 = "field F3 = GF(3)\nfield F9 = GF(3^2)\n"
 A9 = F9 + "algebra A = F9[x]\n"

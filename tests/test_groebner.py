@@ -4,7 +4,7 @@ from itertools import count, product
 
 import pytest
 
-from galdescent.errors import Budget, BudgetExceeded
+from galdescent.errors import Budget, BudgetExceeded, FieldMismatch
 from galdescent.extension import make_extension
 from galdescent.fields import GF, QQ, FieldElement
 from galdescent.galois import verify_automorphism
@@ -257,34 +257,61 @@ class TestAgainstReference:
 
 
 if given is not None:
-    FIELDS = [QQ, GF(7), GF(32003)]
+    F9, QI = make_extension(GF(3), UniPoly.from_ints(GF(3), [1, 0, 1])), qi_field()
+    # field -> the t of coefficients a + b*t: the generator of GF(9) and
+    # Q(i), and 0 in QQ and GF(p)
+    FIELDS = {QQ: QQ.zero, GF(7): GF(7).zero, GF(32003): GF(32003).zero,
+              F9: F9.generator, QI: QI.generator}
     ORDERS = [LEX, GREVLEX, block_order(1), block_order(2)]
+    # no nonzero integer in [-5, 5] vanishes in GF(7) or GF(32003)
+    INTEGERS = st.sampled_from([c for c in range(-5, 6) if c])
+    # (a, b) for a + b*t; a coefficient that vanishes leaves its term out
+    PAIRS = st.tuples(st.integers(-5, 5), st.integers(-1, 1))
+
+    def term_dicts(nvars, coefficient):
+        """Term dicts of one to four terms of degree at most 3 in ``nvars``
+        variables, with coefficients drawn from ``coefficient``."""
+        monomial = st.sampled_from([e for e in product(range(4), repeat=nvars)
+                                    if sum(e) <= 3])
+        return st.dictionaries(monomial, coefficient, min_size=1, max_size=4)
 
     @st.composite
-    def ideals(draw):
+    def ideals(draw, fields=(QQ, GF(7), GF(32003)), coefficient=INTEGERS):
         """(field, order name, variable names, generator term dicts): up to
-        three nonzero generators of degree at most 3 in two or three
-        variables, with coefficients in [-5, 5]."""
-        field = draw(st.sampled_from(FIELDS))
+        three generators of degree at most 3 in two or three variables, with
+        coefficients drawn from ``coefficient``."""
+        field = draw(st.sampled_from(fields))
         order = draw(st.sampled_from(["grevlex", "lex"]))
         names = ("x", "y", "z")[: draw(st.integers(2, 3))]
-        monomial = st.sampled_from([e for e in product(range(4), repeat=len(names))
-                                    if sum(e) <= 3])
-        # no nonzero integer in [-5, 5] vanishes in GF(7) or GF(32003)
-        coefficient = st.sampled_from([c for c in range(-5, 6) if c])
-        generator = st.dictionaries(monomial, coefficient, min_size=1, max_size=4)
-        gens = draw(st.lists(generator, min_size=1, max_size=3))
+        gens = draw(st.lists(term_dicts(len(names), coefficient), min_size=1, max_size=3))
         return field, order, names, gens
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(ideals(), st.sampled_from(ORDERS))
-    def test_reduced_basis_matches_reference(case, order):
+    @given(ideals(list(FIELDS), PAIRS), st.sampled_from(ORDERS), st.data())
+    def test_reduced_basis_matches_reference(case, order, data):
         # the drawn order replaces the case's, so block orders occur too
         field, _, names, gens = case
-        polys = [MultiPolynomial(field, names,
-                                 {e: field.from_int(c) for e, c in g.items()})
-                 for g in gens]
-        assert buchberger(polys, order) == reference_buchberger(polys, order)
+        probes = data.draw(st.lists(term_dicts(len(names), PAIRS), min_size=1, max_size=3))
+        t = FIELDS[field]
+        polys, probes = ([MultiPolynomial(field, names,
+                                          {e: field.from_int(a) + b * t
+                                           for e, (a, b) in g.items()})
+                          for g in dicts] for dicts in (gens, probes))
+        basis = buchberger(polys, order)
+        assert basis == reference_buchberger(polys, order)
+        # the raw-value reduction against the reference division: on the
+        # reduced basis, on a non-monic copy of it and on the generators
+        # themselves, for the same remainder, hash and number of steps
+        scale = field.from_int(2) + t
+        divisors = [basis, [g * scale for g in basis], [g for g in polys if not g.is_zero]]
+        for divisor in divisors:
+            for p in probes:
+                ours, theirs = Budget(), Budget()
+                remainder = normal_form(p, divisor, order, ours)
+                expected = reference_normal_form(p, divisor, order, theirs)
+                assert remainder == expected
+                assert hash(remainder) == hash(expected)
+                assert ours.spent == theirs.spent
 
 
 class TestMonomialOrder:
@@ -301,6 +328,18 @@ class TestMonomialOrder:
 
 
 class TestNormalForm:
+    def test_ring_mismatch_raises(self):
+        # raw values carry no field, so mixing rings must fail up front
+        x7, y7 = ring(GF(7), ("x", "y"))
+        x5, y5 = ring(GF(5), ("x", "y"))
+        (z7,) = ring(GF(7), ("z",))
+        with pytest.raises(FieldMismatch, match="different rings"):
+            buchberger([x7 - 1, x5 * y5 - 1], LEX)
+        with pytest.raises(FieldMismatch, match="different rings"):
+            normal_form(y5 + 1, [x7 - y7], LEX)
+        with pytest.raises(FieldMismatch, match="different rings"):
+            normal_form(z7 + 1, [x7 - y7], LEX)
+
     def test_member_reduces_to_zero(self):
         x, y = ring(QQ, ("x", "y"))
         basis = buchberger([x * x + y * y - 1, x - y], LEX)
