@@ -8,6 +8,10 @@ product U (x) V has basis pairs (i, j) at index i * dim(V) + j, leftmost slot
 slowest.  Every map between realizations is a Kronecker product
 (``linalg.kron``) of identities, unit columns and multiplication matrices,
 followed by at most one reordering of tensor slots (``_permute_slots``).
+These maps are mostly zeros, and a ``linalg.Matrix`` stores only the nonzero
+entries of each row, so building, composing and reducing them costs time in
+proportion to the nonzeros; ``Matrix.rows`` is a dense view for reading
+small matrices entry by entry.
 
 The Amitsur differentials d^r: B^(x)r -> B^(x)r+1 follow the recurrence
 d^r = u (x) I_{m^r} - I_m (x) d^(r-1) from d^0 = u, the unit column of B
@@ -65,13 +69,7 @@ def _permute_slots(matrix, rows=None, cols=None):
         return [sum(i * strides[s] for i, s in zip(idx, order))
                 for idx in itertools.product(*(range(dims[s]) for s in order))]
 
-    entries = matrix.rows
-    if rows:
-        entries = [entries[k] for k in sources(*rows)]
-    if cols:
-        src = sources(*cols)
-        entries = [[row[k] for k in src] for row in entries]
-    return Matrix(matrix.field, entries)
+    return matrix.permute(sources(*rows) if rows else None, sources(*cols) if cols else None)
 
 
 class FiniteAlgebra:
@@ -440,7 +438,7 @@ def _check_composites(complex_):
     the complex identities that both exactness proofs rest on."""
     maps = [complex_.first, *complex_.differentials]
     for degree, (a, b) in enumerate(zip(maps, maps[1:])):
-        if any(map(any, (b * a).rows)):
+        if not (b * a).is_zero():
             raise NotExact(degree, "composite is nonzero")
 
 

@@ -293,8 +293,8 @@ def dedekind_check(group):
         for b in ext.power_basis():
             # endomorphism c -> b * sigma(c), flattened column-major by input
             mult_rows = Matrix(base, ext.mult_matrix_rows(b))
-            endo = mult_rows * sigma_matrix
-            cols.append([endo.rows[r][c] for c in range(n) for r in range(n)])
+            endo = (mult_rows * sigma_matrix).rows
+            cols.append([endo[r][c] for c in range(n) for r in range(n)])
     matrix = Matrix.from_cols(base, cols)
     rank = matrix.rank()
     if rank != n * n:

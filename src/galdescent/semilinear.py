@@ -178,7 +178,7 @@ def descend_subspace(space, spanning, group):
     basis = ext.power_basis()
     traces = [tuple(_trace(ext, b * x) for x in v) for v in spanning for b in basis]
     reduced, pivots = Matrix(base, traces).rref()
-    fixed_vectors = [tuple(map(ext.from_base, reduced.rows[i])) for i in range(len(pivots))]
+    fixed_vectors = [tuple(map(ext.from_base, row)) for row in reduced.rows[:len(pivots)]]
     # verify Omega * fixed = input span (mutual containment over Omega)
     for v in fixed_vectors:
         if not span_contains(ext, spanning, v):

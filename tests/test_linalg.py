@@ -1,20 +1,27 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from galdescent.errors import ShapeMismatch
-from galdescent.fields import GF, QQ
+from galdescent.errors import ShapeMismatch, SingularMatrix
+from galdescent.fields import GF, QQ, FieldElement
 from galdescent.extension import finite_field, make_extension
 from galdescent.linalg import (
     Matrix,
     expand_vector,
+    fixed_space_basis,
     kron,
     restrict_scalars_matrix,
     solve_linear,
     span_contains,
 )
 from galdescent.unipoly import UniPoly
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # a test extra: the pinned cases still run without it
+    given = None
 
 
 def mat(field, int_rows):
@@ -175,3 +182,260 @@ class TestSpans:
         Z = Matrix.zero(F3, 2, 3)
         assert kron(Z, A) == Matrix.zero(F3, 4, 6)
         assert kron(A, Z, B) == Matrix.zero(F3, 8, 12)
+
+
+class TestEmptyShapes:
+    """A matrix with no rows or no columns keeps both of its dimensions."""
+
+    def test_kernel_of_zero_rows(self):
+        Z = Matrix.zero(QQ, 0, 3)
+        assert (Z.nrows, Z.ncols) == (0, 3)
+        assert Z.kernel_basis() == list(Matrix.identity(QQ, 3).rows)
+        assert solve_linear(Z, ()).kernel == Z.kernel_basis()
+
+    def test_products(self):
+        P = Matrix.zero(QQ, 0, 3) * Matrix.identity(QQ, 3)
+        assert (P.nrows, P.ncols) == (0, 3)
+        Q = Matrix.identity(QQ, 3) * Matrix.zero(QQ, 3, 0)
+        assert (Q.nrows, Q.ncols) == (3, 0)
+        assert Q.rows == ((), (), ())
+        with pytest.raises(ShapeMismatch, match="0x3 times 2x2"):
+            Matrix.zero(QQ, 0, 3) * Matrix.identity(QQ, 2)
+
+    def test_kron_with_a_zero_row_factor(self):
+        A = mat(QQ, [[1, 2], [3, 4]])
+        for K in (kron(Matrix.zero(QQ, 0, 3), A), kron(A, Matrix.zero(QQ, 0, 3))):
+            assert (K.nrows, K.ncols) == (0, 6)
+            assert K == Matrix.zero(QQ, 0, 6) != Matrix.zero(QQ, 0, 0)
+
+    def test_from_cols_and_fixed_space(self):
+        E = Matrix.from_cols(QQ, [(), ()])
+        assert (E.nrows, E.ncols) == (0, 2)
+        # no matrices to fix: every vector is fixed
+        assert fixed_space_basis(QQ, 2, []) == list(Matrix.identity(QQ, 2).rows)
+
+
+# The dense Matrix that sparse rows replaced, kept as the reference for the
+# differential test below: each row is a tuple holding every entry.  It
+# differs from that code only in carrying ``ncols`` when there are no rows.
+
+class DenseMatrix:
+    def __init__(self, field, rows, ncols=0):
+        self.field = field
+        self.rows = tuple(tuple(r) for r in rows)
+        self.nrows = len(self.rows)
+        self.ncols = len(self.rows[0]) if self.rows else ncols
+
+    @classmethod
+    def identity(cls, field, n):
+        one, zero = field.one, field.zero
+        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
+
+    def col(self, j):
+        return tuple(r[j] for r in self.rows)
+
+    def __add__(self, other):
+        self._same_shape(other)
+        return DenseMatrix(self.field, [[a + b if b else a for a, b in zip(r1, r2)]
+                                        for r1, r2 in zip(self.rows, other.rows)], self.ncols)
+
+    def __sub__(self, other):
+        self._same_shape(other)
+        return DenseMatrix(self.field, [[a - b if b else a for a, b in zip(r1, r2)]
+                                        for r1, r2 in zip(self.rows, other.rows)], self.ncols)
+
+    def __neg__(self):
+        return DenseMatrix(self.field, [[-a for a in r] for r in self.rows], self.ncols)
+
+    def _same_shape(self, other):
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ShapeMismatch(f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
+
+    def __mul__(self, other):
+        if isinstance(other, FieldElement):
+            return DenseMatrix(self.field, [[a * other for a in r] for r in self.rows],
+                               self.ncols)
+        if self.ncols != other.nrows:
+            raise ShapeMismatch(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
+        sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
+        zero = self.field.zero
+        out = []
+        for r in self.rows:
+            acc = [zero] * other.ncols
+            for a, entries in zip(r, sparse):
+                if a:
+                    for j, b in entries:
+                        acc[j] = acc[j] + a * b
+            out.append(acc)
+        return DenseMatrix(self.field, out, other.ncols)
+
+    def apply(self, vec):
+        if len(vec) != self.ncols:
+            raise ShapeMismatch(f"vector length {len(vec)} vs {self.ncols} columns")
+        zero = self.field.zero
+        out = []
+        for r in self.rows:
+            acc = zero
+            for a, b in zip(r, vec):
+                if a and b:
+                    acc = acc + a * b
+            out.append(acc)
+        return tuple(out)
+
+    def hstack(self, other):
+        if self.nrows != other.nrows:
+            raise ShapeMismatch("row counts differ")
+        return DenseMatrix(self.field, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
+                           self.ncols + other.ncols)
+
+    def rref(self):
+        rows = [list(r) for r in self.rows]
+        pivots = []
+        rank = 0
+        for col in range(self.ncols):
+            pivot_row = None
+            for i in range(rank, self.nrows):
+                if rows[i][col]:
+                    pivot_row = i
+                    break
+            if pivot_row is None:
+                continue
+            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+            inv = rows[rank][col].inverse()
+            rows[rank] = [a * inv if a else a for a in rows[rank]]
+            entries = [(j, b) for j, b in enumerate(rows[rank]) if b]
+            for i in range(self.nrows):
+                factor = rows[i][col]
+                if i != rank and factor:
+                    row = rows[i]
+                    for j, b in entries:
+                        row[j] = row[j] - factor * b
+            pivots.append(col)
+            rank += 1
+            if rank == self.nrows:
+                break
+        return DenseMatrix(self.field, rows, self.ncols), tuple(pivots)
+
+    def rank(self):
+        return len(self.rref()[1])
+
+    def kernel_basis(self):
+        reduced, pivots = self.rref()
+        pivot_set = set(pivots)
+        free = [j for j in range(self.ncols) if j not in pivot_set]
+        zero, one = self.field.zero, self.field.one
+        basis = []
+        for f in free:
+            vec = [zero] * self.ncols
+            vec[f] = one
+            for i, p in enumerate(pivots):
+                vec[p] = -reduced.rows[i][f]
+            basis.append(tuple(vec))
+        return basis
+
+    def inverse(self):
+        if self.nrows != self.ncols:
+            raise ShapeMismatch("inverse of a non-square matrix")
+        aug = self.hstack(DenseMatrix.identity(self.field, self.nrows))
+        reduced, pivots = aug.rref()
+        if len(pivots) != self.nrows or any(p >= self.nrows for p in pivots):
+            raise SingularMatrix(f"rank {len(pivots)} < {self.nrows}")
+        return DenseMatrix(self.field, [r[self.nrows:] for r in reduced.rows], self.nrows)
+
+
+def dense_kron(*factors):
+    out = factors[0]
+    for B in factors[1:]:
+        zero_block = (out.field.zero,) * B.ncols
+        out = DenseMatrix(out.field, [
+            [x for a in a_row
+             for x in ([a * b if b else b for b in b_row] if a else zero_block)]
+            for a_row in out.rows for b_row in B.rows], out.ncols * B.ncols)
+    return out
+
+
+def assert_same(sparse, dense):
+    assert (sparse.nrows, sparse.ncols, sparse.rows) == (dense.nrows, dense.ncols, dense.rows)
+
+
+def from_dense(field, rows, ncols):
+    """``Matrix(field, rows)``, which cannot tell the width of no rows."""
+    return Matrix(field, rows) if rows else Matrix.zero(field, 0, ncols)
+
+
+if given is not None:
+    F9 = finite_field(3, 2)
+    QI = make_extension(QQ, UniPoly.from_ints(QQ, [1, 0, 1]), irreducible=True)
+    # field -> the t of entries (a + b*t) / d: the generator of GF(9) and
+    # Q(i), and 0 in QQ and GF(7)
+    FIELDS = {QQ: QQ.zero, GF(7): GF(7).zero, F9: F9.generator, QI: QI.generator}
+    SIZES = st.integers(0, 6)
+
+    @st.composite
+    def elements(draw, field):
+        a, b = draw(st.integers(-4, 4)), draw(st.integers(-1, 1))
+        return field.from_int(Fraction(a, draw(st.sampled_from([1, 2])))) + b * FIELDS[field]
+
+    @st.composite
+    def matrices(draw, field, nrows, ncols):
+        """A sparse matrix and its dense reference with the same entries.
+        Each entry is nonzero with probability level/4, for a level from 0
+        (the zero matrix) to 4 (no zero entry)."""
+        level = draw(st.integers(0, 4))
+        nonzero = elements(field).filter(bool)
+        rows = [[draw(nonzero) if draw(st.integers(0, 3)) < level else field.zero
+                 for _ in range(ncols)] for _ in range(nrows)]
+        return from_dense(field, rows, ncols), DenseMatrix(field, rows, ncols)
+
+    DIFFERENTIAL = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+    @DIFFERENTIAL
+    @given(st.sampled_from(list(FIELDS)), SIZES, SIZES, SIZES, st.data())
+    def test_arithmetic_matches_dense(field, n, k, m, data):
+        (A, dA), (B, dB), (D, dD) = (data.draw(matrices(field, n, k)) for _ in range(3))
+        C, dC = data.draw(matrices(field, k, m))
+        E, dE = data.draw(matrices(field, *data.draw(st.tuples(SIZES, SIZES))))
+        F, dF = data.draw(matrices(field, *data.draw(st.tuples(SIZES, SIZES))))
+        G, dG = data.draw(matrices(field, *data.draw(st.tuples(*[st.integers(0, 2)] * 2))))
+        scalar = data.draw(elements(field))
+        vector = tuple(data.draw(elements(field)) for _ in range(k))
+        assert_same(A + B, dA + dB)
+        assert_same(A - B, dA - dB)
+        assert_same(-A, -dA)
+        assert_same(A * scalar, dA * scalar)
+        assert_same(A * C, dA * dC)
+        assert A.apply(vector) == dA.apply(vector)
+        assert_same(A.hstack(D), dA.hstack(dD))
+        for j in range(k):
+            assert A.col(j) == dA.col(j)
+        assert_same(kron(E, F), dense_kron(dE, dF))
+        assert_same(kron(E, G, F), dense_kron(dE, dG, dF))
+        # canonical storage: no stored zero, whether a zero entry came from
+        # the dense constructor or from cancellation
+        zero = Matrix.zero(field, n, k)
+        assert A - A == zero and hash(A - A) == hash(zero)
+        assert (A + B) - B == A and hash((A + B) - B) == hash(A)
+        product = from_dense(field, (dA * dC).rows, m)
+        assert A * C == product and hash(A * C) == hash(product)
+
+    @DIFFERENTIAL
+    @given(st.sampled_from(list(FIELDS)), SIZES, SIZES, st.integers(0, 3), st.data())
+    def test_elimination_matches_dense(field, n, k, r, data):
+        A, dA = data.draw(matrices(field, n, k))
+        # a product through r dimensions: rank at most r, few zero entries
+        (L, dL), (R, dR) = data.draw(matrices(field, n, r)), data.draw(matrices(field, r, k))
+        for M, dM in ((A, dA), (L * R, dL * dR)):
+            reduced, pivots = M.rref()
+            d_reduced, d_pivots = dM.rref()
+            assert_same(reduced, d_reduced)
+            assert pivots == d_pivots
+            assert M.rank() == dM.rank()
+            assert M.kernel_basis() == dM.kernel_basis()
+            try:
+                expected = dM.inverse()
+            except (ShapeMismatch, SingularMatrix) as error:
+                with pytest.raises(type(error)) as raised:
+                    M.inverse()
+                assert str(raised.value) == str(error)
+            else:
+                assert_same(M.inverse(), expected)
