@@ -12,10 +12,12 @@ variables one at a time and tests each generator as soon as its last
 variable has a value, so a failing partial point cuts off everything below
 it.  The values that a variable may take are the common roots in F_q of the
 generators it closes, each reduced to its coefficient tuple in that
-variable; a memo of at most q such keys saves the q-scan for repeated ones.
-The hits are sorted back into :func:`tuples` order.  Backtracking with early
-constraint checks: Golomb and Baumert, "Backtrack programming", J. ACM 12
-(1965).
+variable.  Only the first of them is scanned over all of F_q, and a memo of
+at most q of its coefficient tuples saves the q-scan for repeated ones; each
+later generator is evaluated at the roots that survive, and none once no
+root survives.  The hits are sorted back into :func:`tuples` order.
+Backtracking with early constraint checks: Golomb and Baumert, "Backtrack
+programming", J. ACM 12 (1965).
 
 Solution sets are tiny but appear inside doubly-exponential loops, so every
 finite-field oracle (affine points, the induced action on points, fixed
@@ -25,7 +27,11 @@ the base-p integer whose digits, least significant first, are its
 coordinates on the power basis.  :class:`SmallFieldTables` builds the q x q
 product and sum tables with O(q) field operations: products from a
 log/antilog table over the first element of order exactly q - 1, found by
-exhaustive powering; sums by digit-wise addition mod p.
+exhaustive powering; sums by digit-wise addition mod p.  An automorphism
+becomes a permutation of the indices from its one image of that element g:
+it is multiplicative, so g^k goes to sigma(g)^k.  That holds only for a
+verified automorphism, and every element of a ``GaloisGroup`` is one: each
+passed ``verify_automorphism`` or is a composite of elements that did.
 """
 
 from itertools import product
@@ -47,7 +53,7 @@ class SmallFieldTables:
         self.ints = ints = list(range(q))
         self._weights = [p ** k for k in range(getattr(field, "degree", 1))]
         self.zero = zero = ints[0]
-        antilog = self._antilog()
+        self.antilog = antilog = self._antilog()
         log = [0] * q
         for k, v in enumerate(antilog):
             log[v] = k
@@ -106,8 +112,22 @@ class SmallFieldTables:
 
     def permutation(self, automorphism):
         """The automorphism as a list: entry i is the index of its image of
-        element i."""
-        return [self.encode(automorphism(e)) for e in self.elements]
+        element i.
+
+        It sends g^k to s^k, where g is the generator of the antilog table
+        and s its image: one call of the automorphism, at g, and q - 2 table
+        products.  Only a verified automorphism may be passed (see the module
+        docstring)."""
+        antilog = self.antilog
+        # g is antilog[1], or antilog[0] = 1 over GF(2), where q - 1 = 1
+        image = self.encode(automorphism(self.elements[antilog[1 % len(antilog)]]))
+        row = self.mul[image]
+        perm = [self.zero] * self.q
+        power = antilog[0]
+        for k in antilog:
+            perm[k] = power
+            power = row[power]
+        return perm
 
     def compile_poly(self, poly):
         """Precompute per-variable power tables and the term list; returns an
@@ -231,47 +251,55 @@ def _coefficient_terms(poly, var, tables, powers):
 
 
 def _fibre(level, point, tables, powers, memo):
-    """The values of a level's variable at which every generator that the
-    level closes vanishes, the earlier variables taking their values in
-    ``point``.  The generators' coefficient tuples key ``memo``: the roots
-    depend on the key alone, so one memo serves every level.  It is cleared
-    once it holds q keys."""
+    """The values, ascending, of a level's variable at which every generator
+    that the level closes vanishes, the earlier variables taking their values
+    in ``point``.
+
+    The first generator's coefficient tuple in the variable keys ``memo``: its
+    roots depend on the key alone, so one memo serves every level.  It is
+    cleared once it holds q keys.  Each later generator is evaluated only at
+    the roots that survive the ones before it, and none is looked at once no
+    root survives."""
     if not level:
         return tables.ints
-    mul, add, zero = tables.mul, tables.add, tables.zero
-    key = []
-    for slots in level:
-        coeffs = []
-        for terms in slots:
-            total = zero
-            for acc, factors in terms:
-                for i, table in factors:
-                    acc = mul[acc][table[point[i]]]
-                total = add[total][acc]
-            coeffs.append(total)
-        key.append(tuple(coeffs))
-    key = tuple(key)
+    key = _coefficients(level[0], point, tables)
     roots = memo.get(key)
     if roots is None:
         if len(memo) >= tables.q:
             memo.clear()
-        roots = memo[key] = _common_roots(key, tables, powers)
+        roots = memo[key] = _roots(key, tables.ints, tables, powers)
+    for slots in level[1:]:
+        if not roots:
+            break
+        roots = _roots(_coefficients(slots, point, tables), roots, tables, powers)
     return roots
 
 
-def _common_roots(key, tables, powers):
-    """The indices, ascending, at which every polynomial of ``key`` (one
-    coefficient tuple each, constant term first) vanishes: one q-scan."""
+def _coefficients(slots, point, tables):
+    """The coefficient tuple, constant term first, of a generator given by
+    :func:`_coefficient_terms`, at the values of ``point``."""
     mul, add, zero = tables.mul, tables.add, tables.zero
-    roots = tables.ints
-    for coeffs in key:
-        values = [coeffs[0]] * len(roots)
-        for c, table in zip(coeffs[1:], powers[1:]):
-            if c != zero:
-                row = mul[c]
-                values = [add[v][row[table[r]]] for v, r in zip(values, roots)]
-        roots = [r for r, v in zip(roots, values) if v == zero]
-    return roots
+    coeffs = []
+    for terms in slots:
+        total = zero
+        for acc, factors in terms:
+            for i, table in factors:
+                acc = mul[acc][table[point[i]]]
+            total = add[total][acc]
+        coeffs.append(total)
+    return tuple(coeffs)
+
+
+def _roots(coeffs, candidates, tables, powers):
+    """The candidates, in their order, at which the polynomial with
+    coefficient tuple ``coeffs`` (constant term first) vanishes."""
+    mul, add, zero = tables.mul, tables.add, tables.zero
+    values = [coeffs[0]] * len(candidates)
+    for c, table in zip(coeffs[1:], powers[1:]):
+        if c != zero:
+            row = mul[c]
+            values = [add[v][row[table[r]]] for v, r in zip(values, candidates)]
+    return [r for r, v in zip(candidates, values) if v == zero]
 
 
 def affine_points(generators, field, nvars, budget=None):

@@ -17,7 +17,8 @@ inter-reduction run on these pairs, and the result is boxed into
 updates coefficients with the field's fused ``_sub_mul`` (a - b*c on raw
 values, None for zero), so it never dispatches through ``FieldElement``.
 ``normal_form`` unpacks a caller's basis on entry, scaling only a non-monic
-element, and boxes the remainder once on exit.
+element, and boxes the remainder once on exit.  ``Ideal.contains`` keeps
+each cached basis unpacked and runs ``_reduce`` on it, boxing nothing.
 
 ``buchberger`` runs Gebauer and Moeller's update (Gebauer & Moeller 1988;
 Becker & Weispfenning, Groebner Bases, 1993, section 5.5).  The chain and
@@ -57,7 +58,7 @@ from .multipoly import (
 class Ideal:
     """A finitely generated ideal with cached reduced Groebner bases."""
 
-    __slots__ = ("field", "variables", "generators", "_bases")
+    __slots__ = ("field", "variables", "generators", "_bases", "_unpacked")
 
     def __init__(self, field, variables, generators):
         self.field = field
@@ -70,6 +71,9 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._bases = {}
+        # the (leading monomial, raw tail) pairs of a cached basis, made on
+        # the first membership test under its order
+        self._unpacked = {}
 
     def groebner(self, order=GREVLEX, budget=None):
         key = (order.kind, order.split)
@@ -80,9 +84,20 @@ class Ideal:
     def contains(self, poly, budget=None):
         """Whether ``poly`` lies in the ideal: its normal form modulo a cached
         basis (the least order key) or, with none cached, a grevlex one.
-        Membership does not depend on the order, so any cached basis serves."""
-        order = MonomialOrder(*min(self._bases, default=(GREVLEX.kind, GREVLEX.split)))
-        return normal_form(poly, self.groebner(order, budget), order, budget).is_zero
+        Membership does not depend on the order, so any cached basis serves.
+        The reduction runs on the basis unpacked once per order, with the
+        steps that :func:`normal_form` would take."""
+        key = min(self._bases, default=(GREVLEX.kind, GREVLEX.split))
+        order = MonomialOrder(*key)
+        basis = self.groebner(order, budget)
+        if poly.is_zero or not basis:
+            return poly.is_zero
+        _check_ring([poly], self.field, self.variables)
+        unpacked = self._unpacked.get(key)
+        if unpacked is None:
+            unpacked = self._unpacked[key] = [_unpack(g, order) for g in basis]
+        return not _reduce({e: c.value for e, c in poly.terms.items()}, unpacked,
+                           self.field, order, budget or Budget())
 
     def is_unit_ideal(self):
         basis = self.groebner()

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from galdescent import enumeration
 from galdescent.affine import (
     AffineAlgebra,
     AffineDescentDatum,
@@ -23,12 +24,13 @@ from galdescent.errors import Budget, BudgetExceeded
 from galdescent.extension import ExtensionField, finite_field
 from galdescent.flat import FiniteAlgebra
 from galdescent.fields import GF
-from galdescent.galois import GaloisGroup, frobenius_group
+from galdescent.galois import GaloisGroup, GeneratorMap, frobenius_group
 from galdescent.groebner import Ideal
 from galdescent.linalg import Matrix
 from galdescent.multipoly import MultiPolynomial
 from galdescent.semilinear import SemilinearModule
 from galdescent.unipoly import UniPoly
+from galdescent.weil import SeparableExtensionData, weil_restrict
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -80,6 +82,15 @@ class TestTables:
         monkeypatch.setattr(ExtensionField, "_mul", counting)
         tables = SmallFieldTables(field)
         assert len(calls) <= 4 * tables.q
+
+    @pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4),
+                                      (5, 2), (3, 3), (5, 3), (17, 2)])
+    def test_permutation_matches_elementwise(self, p, n):
+        field = finite_field(p, n)
+        tables = SmallFieldTables(field)
+        for sigma in frobenius_group(field).elements:
+            assert tables.permutation(sigma) == [tables.encode(sigma(e))
+                                                 for e in tables.elements]
 
     def test_elements_order_pinned(self):
         F9 = finite_field(3, 2)
@@ -288,6 +299,22 @@ class TestPointAction:
             assert action.permutations[idx] == expected
         assert all(point[0].field is ext for point in action.points)
 
+    def test_one_automorphism_call_per_group_element(self, monkeypatch):
+        calls = []
+        original = GeneratorMap.__call__
+
+        def counting(self, a):
+            calls.append(1)
+            return original(self, a)
+
+        ext = finite_field(17, 2)
+        group = frobenius_group(ext)
+        datum = swap_datum(ext, group)
+        monkeypatch.setattr(GeneratorMap, "__call__", counting)
+        action = derive_point_action(datum)
+        assert len(calls) == group.order == 2
+        assert len(action.points) == ext.order - 1
+
 
 def odometer(generators, field, nvars):
     """The scan that :func:`solutions` prunes: every generator evaluated in
@@ -296,6 +323,23 @@ def odometer(generators, field, nvars):
     evaluators = [tables.compile_poly(g) for g in generators if not g.is_zero]
     return [point for point in tuples(tables.ints, nvars)
             if all(ev(point) == tables.zero for ev in evaluators)]
+
+
+def circle(x, y):
+    return x * x + y * y - 1
+
+
+def xyz_minus_one(x, y, z):
+    return x * y * z - 1
+
+
+def restriction(ext, names, relation):
+    """The Weil restriction from ``ext`` to its prime field of the
+    hypersurface ``relation(*variables) = 0``."""
+    source = AffineAlgebra(ext, names, Ideal(
+        ext, names, [relation(*MultiPolynomial.ring_vars(ext, names))]))
+    data = SeparableExtensionData.discover(ext, ext, frobenius_group(ext))
+    return weil_restrict(source, data).restricted
 
 
 class TestPrunedScan:
@@ -321,6 +365,31 @@ class TestPrunedScan:
         assert solutions([x * y - 1, constant], field, 2)[0] == []
         assert solutions([constant], field, 0)[0] == []
         assert solutions([], field, 0)[0] == [()]
+
+    def test_circle_conjugate_product_makes_one_scan_per_memo_key(self, monkeypatch):
+        # the system that the conjugate-product count of the circle
+        # restricted from GF(5^2) to GF(5) scans: GF(25)^4, two generators
+        # closing at the last variable
+        field = finite_field(5, 2)
+        restricted = restriction(field, ("x", "y"), circle)
+        system = list(restricted.extend_to(field).relations.generators)
+        nvars = len(restricted.variables)
+        full_scans = []
+        original = enumeration._roots
+
+        def counting(coeffs, candidates, tables, powers):
+            if candidates is tables.ints:
+                full_scans.append(coeffs)
+            return original(coeffs, candidates, tables, powers)
+
+        monkeypatch.setattr(enumeration, "_roots", counting)
+        hits, _ = solutions(system, field, nvars)
+        monkeypatch.undo()
+        assert len(hits) == 576
+        assert hits == odometer(system, field, nvars)
+        # one q-scan per distinct key of the first generator, each scanned
+        # once: the memo of q keys was never cleared
+        assert len(full_scans) == len(set(full_scans)) == 25
 
     def test_scan_leaves_no_reference_cycle(self):
         field = finite_field(3, 2)
@@ -361,6 +430,47 @@ if given is not None:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(systems())
     def test_pruned_scan_matches_odometer(system):
+        field, nvars, gens = system
+        assert solutions(gens, field, nvars)[0] == odometer(gens, field, nvars)
+
+    def restricted_systems():
+        """(scan field, generators) pairs: the restrictions of x*y*z - 1 and
+        of the circle from GF(4) to GF(2) and from GF(9) to GF(3), over the
+        base field and, where GF(ext)^n has at most 9^4 points, over the
+        extension.  Both generators close at the last variable, but for the
+        circle in characteristic 2, where x^2 + y^2 - 1 is a square."""
+        out = []
+        for p in (2, 3):
+            ext = finite_field(p, 2)
+            for names, relation in ((("x", "y", "z"), xyz_minus_one), (("x", "y"), circle)):
+                restricted = restriction(ext, names, relation)
+                out.append((GF(p), list(restricted.relations.generators)))
+                if ext.order ** len(restricted.variables) <= 9 ** 4:
+                    out.append((ext, list(restricted.extend_to(ext).relations.generators)))
+        return out
+
+    RESTRICTED_SYSTEMS = restricted_systems()
+
+    @st.composite
+    def shifted_restrictions(draw):
+        """A restricted system with each generator scaled by a nonzero
+        element and shifted by a constant, so the point set varies and may
+        be empty; half the time a third generator, a combination of the two
+        with nonzero weights plus a constant, closes at the same variable.
+        The generators come in a drawn order."""
+        field, gens = draw(st.sampled_from(RESTRICTED_SYSTEMS))
+        elements = list(field.elements())
+        nonzero = st.sampled_from(elements[1:])
+        constant = st.sampled_from(elements)
+        gens = [draw(nonzero) * g + draw(constant) for g in gens]
+        if draw(st.booleans()):
+            gens.append(sum((draw(nonzero) * g for g in gens[1:]),
+                            draw(nonzero) * gens[0] + draw(constant)))
+        return field, len(gens[0].variables), draw(st.permutations(gens))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(shifted_restrictions())
+    def test_generators_closing_together_match_odometer(system):
         field, nvars, gens = system
         assert solutions(gens, field, nvars)[0] == odometer(gens, field, nvars)
 
