@@ -60,5 +60,4 @@ from .flat import (
     check_exactness,
     check_faithfully_flat,
     reconstruct_module,
-    verify_homotopy,
 )

@@ -72,6 +72,16 @@ class SmallFieldTables:
                    for high_i in range(p) for low_i in range(size)]
             size *= p
         self.add = add
+        self._powers = [[antilog[0]] * q, ints]
+
+    def powers(self, degree):
+        """The power tables through ``degree``: entry e lists v^e for every
+        index v.  The list is shared and grows on demand, so it may be
+        longer."""
+        powers = self._powers
+        while len(powers) <= degree:
+            powers.append([self.mul[a][v] for a, v in zip(powers[-1], self.ints)])
+        return powers
 
     def _antilog(self):
         """g^0 .. g^(q-2) as indices, for the first element g (in index
@@ -130,36 +140,10 @@ class SmallFieldTables:
         return perm
 
     def compile_poly(self, poly):
-        """Precompute per-variable power tables and the term list; returns an
-        evaluator taking a tuple of element indices."""
-        degrees = [0] * len(poly.variables)
-        for exps in poly.terms:
-            for i, e in enumerate(exps):
-                degrees[i] = max(degrees[i], e)
-        pow_tables = []
-        one = self.encode(self.field.one)
-        for d in degrees:
-            table = [[one] * (d + 1) for _ in range(self.q)]
-            for v in range(self.q):
-                for e in range(1, d + 1):
-                    table[v][e] = self.mul[table[v][e - 1]][v]
-            pow_tables.append(table)
-        compiled = [(self.encode(c), exps) for exps, c in poly.terms.items()]
-        mul = self.mul
-        add = self.add
-        zero = self.zero
-
-        def evaluate(point):
-            total = zero
-            for coeff, exps in compiled:
-                acc = coeff
-                for i, e in enumerate(exps):
-                    if e:
-                        acc = mul[acc][pow_tables[i][point[i]][e]]
-                total = add[total][acc]
-            return total
-
-        return evaluate
+        """An evaluator of ``poly`` at a tuple of element indices, over its
+        terms in the form :func:`_coefficients` evaluates."""
+        slots = (_terms(poly, self),)
+        return lambda point: _coefficients(slots, point, self)[0]
 
 
 def tuples(pool, arity):
@@ -189,12 +173,10 @@ def solutions(generators, field, nvars, budget=None):
         return [], tables
     if nvars == 0:
         return [()], tables
-    degree = max((e for g in polys for exps in g.terms for e in exps), default=1)
-    powers = [[tables.encode(field.one)] * tables.q, tables.ints]
-    while len(powers) <= degree:
-        powers.append([tables.mul[a][v] for a, v in zip(powers[-1], tables.ints)])
+    powers = tables.powers(max((e for g in polys for exps in g.terms for e in exps),
+                               default=1))
     order, closing = _scan_order(polys, nvars)
-    levels = [[_coefficient_terms(g, var, tables, powers) for g in gens]
+    levels = [[_coefficient_terms(g, var, tables) for g in gens]
               for var, gens in zip(order, closing)]
     memo = {}
     point = [tables.zero] * nvars
@@ -239,14 +221,21 @@ def _scan_order(polys, nvars):
     return order, closing
 
 
-def _coefficient_terms(poly, var, tables, powers):
-    """``poly`` as a polynomial in variable ``var``: entry k lists the terms
-    of the coefficient of its k-th power, each as a coefficient index and
-    (variable, power table) factors."""
+def _terms(poly, tables, var=None):
+    """The terms of ``poly`` as (coefficient index, factors) pairs, each
+    factor a (variable, power table) pair; ``var`` gets no factor."""
+    powers = tables.powers(max((e for exps in poly.terms for e in exps), default=0))
+    return [(tables.encode(c), tuple((i, powers[e]) for i, e in enumerate(exps)
+                                     if e and i != var))
+            for exps, c in poly.terms.items()]
+
+
+def _coefficient_terms(poly, var, tables):
+    """``poly`` as a polynomial in variable ``var``: entry k lists the
+    :func:`_terms` of the coefficient of its k-th power."""
     slots = [[] for _ in range(1 + max(exps[var] for exps in poly.terms))]
-    for exps, c in poly.terms.items():
-        factors = tuple((i, powers[e]) for i, e in enumerate(exps) if e and i != var)
-        slots[exps[var]].append((tables.encode(c), factors))
+    for exps, term in zip(poly.terms, _terms(poly, tables, var)):
+        slots[exps[var]].append(term)
     return slots
 
 

@@ -16,8 +16,9 @@ small matrices entry by entry.
 The Amitsur differentials d^r: B^(x)r -> B^(x)r+1 follow the recurrence
 d^r = u (x) I_{m^r} - I_m (x) d^(r-1) from d^0 = u, the unit column of B
 (m = dim B).  Building the complex checks nothing about it: the composites
-d^(r+1) d^r = 0 are checked once, by whichever exactness proof runs,
-``check_exactness`` (ranks) or ``verify_homotopy`` (a contracting homotopy).
+d^(r+1) d^r = 0 are checked once, by the one exactness proof,
+``check_exactness``, which multiplies the differentials with a contracting
+homotopy built from a section of the map and computes no rank.
 
 A ``FiniteAlgebra`` stores its structure constants sparsely, as the nonzero
 (l, s) pairs of each basis product e_i e_j, and proves itself commutative,
@@ -397,7 +398,7 @@ class AmitsurComplex:
         self.differentials = differentials
 
 
-def amitsur_complex(f, r_max=3, coefficient_dim=None, budget=None):
+def amitsur_complex(f, r_max=3, coefficient_dim=1, budget=None):
     """The complex through tensor degree r_max; the source must be the base
     field (one-dimensional), matching the concrete k-space realization.
 
@@ -408,6 +409,9 @@ def amitsur_complex(f, r_max=3, coefficient_dim=None, budget=None):
         raise UnsupportedBase(
             "tensor powers are realized over the base field; the map source "
             "must be one-dimensional")
+    t = coefficient_dim
+    if t < 0:
+        raise ShapeMismatch(f"coefficient dimension {t} is negative")
     check_faithfully_flat(f)
     B = f.target
     field = B.field
@@ -425,21 +429,11 @@ def amitsur_complex(f, r_max=3, coefficient_dim=None, budget=None):
         d = kron(unit, Matrix.identity(field, m ** r)) - kron(I_m, d)
         differentials.append(d)
     first = f.matrix
-    t = coefficient_dim
-    if t is not None and t != 1:
+    if t != 1:
         ident = Matrix.identity(field, t)
         first = kron(ident, first)
         differentials = [kron(ident, d) for d in differentials]
-    return AmitsurComplex(f, t or 1, first, differentials)
-
-
-def _check_composites(complex_):
-    """Every composite of consecutive maps vanishes, the first map included:
-    the complex identities that both exactness proofs rest on."""
-    maps = [complex_.first, *complex_.differentials]
-    for degree, (a, b) in enumerate(zip(maps, maps[1:])):
-        if not (b * a).is_zero():
-            raise NotExact(degree, "composite is nonzero")
+    return AmitsurComplex(f, t, first, differentials)
 
 
 class ExactnessReport:
@@ -451,53 +445,45 @@ class ExactnessReport:
 
 
 def check_exactness(complex_):
-    """Rank identities degree by degree, after the composites, so that a
-    corrupted differential is caught here."""
-    _check_composites(complex_)
-    first = complex_.first
-    image_rank = first.rank()
-    if image_rank != first.ncols:
+    """Prove the complex exact with products alone, by a contracting
+    homotopy built from its map f: k -> B (Waterhouse, *Introduction to
+    Affine Group Schemes*, 1979, ch. 13).
+
+    The composites of consecutive maps must vanish first, so that a
+    corrupted differential is caught here.  The section s: B -> k reads the
+    coordinate where f(1) is first nonzero, scaled so that s f = 1, and
+    h_r = I_t (x) s (x) I_{m^r}: B^(x)r+1 -> B^(x)r applies it to the leading
+    slot (t the coefficient dimension).  Then h_0 d^0 = I_t, with d^0 the
+    first map, proves d^0 injective, and h_{r+1} d^{r+1} + d^r h_r = I on
+    each realized B^(x)r+1 proves exactness there, at degree r.  The ranks
+    follow: rank d^0 = t and rank d^r = t m^r - rank d^(r-1), and degree r
+    reports (r, rank d^r, rank d^r), the kernel of d^(r+1) and the image of
+    d^r."""
+    maps = [complex_.first, *complex_.differentials]
+    for degree, (a, b) in enumerate(zip(maps, maps[1:])):
+        if not (b * a).is_zero():
+            raise NotExact(degree, "composite is nonzero")
+    field = complex_.map.target.field
+    image = complex_.map.matrix.col(0)
+    m = len(image)
+    j = next(j for j, a in enumerate(image) if a)
+    section = Matrix(field, [[image[j].inverse() if l == j else field.zero
+                              for l in range(m)]])
+    t = complex_.coefficient_dim
+    I_t = Matrix.identity(field, t)
+    h = kron(I_t, section)
+    if h * maps[0] != I_t:
         raise NotExact(0, "first map is not injective")
     report = []
-    for degree, d in enumerate(complex_.differentials):
-        rank = d.rank()
-        kernel_rank = d.ncols - rank
-        if kernel_rank != image_rank:
-            raise NotExact(degree,
-                           f"kernel rank {kernel_rank} != image rank {image_rank}")
-        report.append((degree, kernel_rank, image_rank))
-        image_rank = rank
+    rank = t
+    for r, (d, d_next) in enumerate(zip(maps, maps[1:])):
+        h_next = kron(I_t, section, Matrix.identity(field, m ** (r + 1)))
+        if h_next * d_next + d * h != Matrix.identity(field, t * m ** (r + 1)):
+            raise NotExact(r, "contracting homotopy identity fails")
+        report.append((r, rank, rank))
+        rank = t * m ** (r + 1) - rank
+        h = h_next
     return ExactnessReport(report)
-
-
-def verify_homotopy(complex_, section):
-    """With a section g of f (a matrix B -> k cutting the unit to 1), check
-    the composites and the contracting identities
-    h_{r+1} d^{r+1} + d^r h_r = 1 on every realized B^(x)r+1, where d^0 = f
-    and h_r = g (x) I_{m^r}."""
-    f = complex_.map
-    B = f.target
-    field = B.field
-    m = B.dim
-    if complex_.coefficient_dim != 1:
-        raise UnsupportedBase("homotopy check runs on the plain complex")
-    if section.nrows != 1 or section.ncols != m:
-        raise ShapeMismatch("section must be a 1 x dim(B) matrix")
-    if section * f.matrix != Matrix.identity(field, 1):
-        raise ShapeMismatch("supplied matrix is not a section of the map")
-    _check_composites(complex_)
-
-    ds = [f.matrix, *complex_.differentials]
-    # h_r: B^(x)r+1 -> B^(x)r applies the section to the leading slot
-    h = [kron(section, Matrix.identity(field, m ** r)) for r in range(len(ds))]
-    results = []
-    for r in range(len(ds) - 1):
-        total = h[r + 1] * ds[r + 1] + ds[r] * h[r]
-        results.append((r - 1, total == Matrix.identity(field, m ** (r + 1))))
-    if not all(ok for _, ok in results):
-        bad = next(r for r, ok in results if not ok)
-        raise NotExact(bad + 2, "contracting homotopy identity fails")
-    return results
 
 
 class FreeModuleData:

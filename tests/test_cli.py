@@ -381,8 +381,34 @@ class TestChecksOnce:
         monkeypatch.setattr(Matrix, "__mul__", counted)
         _, _, code = run_document("amitsur_f9", oracle=oracle)
         assert code == 0
-        # d^1 d^0, d^2 d^1 and d^3 d^2 for rmax=3 over GF(9), dim B = 2
-        assert shapes == [(4, 2, 1), (8, 4, 2), (16, 8, 4)]
+        # d^1 d^0, d^2 d^1 and d^3 d^2 for rmax=3 over GF(9), dim B = 2,
+        # each once; then the homotopy h_0 d^0, and h_{r+1} d^{r+1} and
+        # d^r h_r for r = 0, 1, 2
+        assert shapes == [(4, 2, 1), (8, 4, 2), (16, 8, 4), (1, 2, 1),
+                          (2, 4, 2), (2, 1, 2), (4, 8, 4), (4, 2, 4),
+                          (8, 16, 8), (8, 4, 8)]
+
+    @pytest.mark.parametrize("name", ["amitsur_f9", "amitsur_q_product"])
+    def test_amitsur_reduces_no_matrix_of_the_complex(self, name, monkeypatch):
+        # exactness is proved by products alone, and the printed ranks
+        # follow from it
+        complexes, reduced = [], []
+        build, rref = cli.amitsur_complex, Matrix.rref
+
+        def recorded(*args, **kwargs):
+            complexes.append(build(*args, **kwargs))
+            return complexes[-1]
+
+        def reduce(self):
+            reduced.append(self)
+            return rref(self)
+
+        monkeypatch.setattr(cli, "amitsur_complex", recorded)
+        monkeypatch.setattr(Matrix, "rref", reduce)
+        _, _, code = run_document(name)
+        assert code == 0 and len(complexes) == 1
+        maps = [complexes[0].first, *complexes[0].differentials]
+        assert not any(a == b for a in reduced for b in maps)
 
 
 class TestLarge:

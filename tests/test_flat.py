@@ -15,10 +15,11 @@ from galdescent.errors import (
     ZeroTarget,
 )
 from galdescent.extension import finite_field, make_extension
-from galdescent.fields import QQ
+from galdescent.fields import GF, QQ
 from galdescent.flat import (
     AlgebraMap,
     AmitsurComplex,
+    ExactnessReport,
     FiniteAlgebra,
     FreeModuleData,
     amitsur_complex,
@@ -28,11 +29,15 @@ from galdescent.flat import (
     check_faithfully_flat,
     reconstruct_module,
     twist_datum,
-    verify_homotopy,
 )
-from galdescent.galois import cyclotomic_group
+from galdescent.galois import cyclotomic_field, cyclotomic_group
 from galdescent.linalg import Matrix, kron
 from galdescent.unipoly import UniPoly
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # a test extra: the pinned complexes still run without it
+    given = None
 
 
 def qi_algebra():
@@ -356,18 +361,28 @@ class TestAmitsur:
         assert info.value.degree in (1, 2)
 
     def test_corrupted_differential_fails_homotopy(self):
-        section = Matrix(QQ, [[QQ.one, QQ.zero]])
-        with pytest.raises(NotExact) as info:
-            verify_homotopy(self.corrupted(), section)
-        assert info.value.degree in (1, 2)
-
-    def test_homotopy_checks_composites(self):
-        # Adding to the last differential a matrix that the section kills
-        # keeps every homotopy identity; only d^3 d^2 = 0 can fail.
+        # A zero last differential keeps every composite zero; only the
+        # homotopy identity on B^(x)3 can fail.
         P = qq_squared()
         f = AlgebraMap.base_inclusion(P)
         complex_ = amitsur_complex(f, 3)
-        section = Matrix(QQ, [[QQ.one, QQ.zero]])  # kills a leading slot 1
+        d3 = complex_.differentials[2]
+        corrupted = AmitsurComplex(f, 1, complex_.first, complex_.differentials[:2]
+                                   + [Matrix.zero(QQ, d3.nrows, d3.ncols)])
+        with pytest.raises(NotExact, match="homotopy identity fails") as info:
+            check_exactness(corrupted)
+        assert info.value.degree == 2
+        with pytest.raises(NotExact) as info:
+            rank_exactness(corrupted)
+        assert info.value.degree == 2
+
+    def test_homotopy_checks_composites(self):
+        # Adding to the last differential a matrix that the section kills
+        # keeps every homotopy identity; only d^3 d^2 = 0 can fail.  The
+        # section of Q -> Q x Q reads the first coordinate.
+        P = qq_squared()
+        f = AlgebraMap.base_inclusion(P)
+        complex_ = amitsur_complex(f, 3)
         d2, d3 = complex_.differentials[1:]
         col = next(c for c in range(d2.nrows) if any(d2.rows[c]))
         rows = [list(r) for r in d3.rows]
@@ -375,16 +390,43 @@ class TestAmitsur:
         corrupted = AmitsurComplex(f, 1, complex_.first,
                                    complex_.differentials[:2] + [Matrix(QQ, rows)])
         with pytest.raises(NotExact, match="composite is nonzero") as info:
-            verify_homotopy(corrupted, section)
+            check_exactness(corrupted)
         assert info.value.degree == 2
 
-    def test_homotopy_with_section(self):
+    def test_homotopy_section_from_the_map(self):
+        # Q[x]/(x^2) on the basis (x, 1/2): f(1) = (0, 2), so the section
+        # reads the second coordinate and halves it
+        half, zero = QQ.from_int(2).inverse(), QQ.zero
+        sc = [[(zero, zero), (half, zero)],
+              [(half, zero), (zero, half)]]
+        B = FiniteAlgebra(QQ, sc, (zero, QQ.from_int(2)))
+        f = AlgebraMap.base_inclusion(B)
+        for t in (1, 2):
+            complex_ = amitsur_complex(f, 3, coefficient_dim=t)
+            assert check_exactness(complex_).degrees == rank_exactness(complex_).degrees
+
+    def test_first_map_not_injective(self):
         P = qq_squared()
         f = AlgebraMap.base_inclusion(P)
-        complex_ = amitsur_complex(f, 3)
-        section = Matrix(QQ, [[QQ.one, QQ.zero]])  # first-coordinate projection
-        results = verify_homotopy(complex_, section)
-        assert results and all(ok for _, ok in results)
+        complex_ = amitsur_complex(f, 1)
+        # d^0 = 0 keeps the composite d^1 d^0 zero
+        corrupted = AmitsurComplex(f, 1, Matrix.zero(QQ, 2, 1), complex_.differentials)
+        with pytest.raises(NotExact, match="first map is not injective") as info:
+            check_exactness(corrupted)
+        assert info.value.degree == 0
+
+    def test_coefficient_dim_zero_is_kept(self):
+        f = AlgebraMap.base_inclusion(qq_squared())
+        complex_ = amitsur_complex(f, 3, coefficient_dim=0)
+        assert complex_.coefficient_dim == 0
+        assert all((d.nrows, d.ncols) == (0, 0)
+                   for d in [complex_.first, *complex_.differentials])
+        assert check_exactness(complex_).degrees == [(r, 0, 0) for r in range(3)]
+
+    def test_negative_coefficient_dim_rejected(self):
+        f = AlgebraMap.base_inclusion(qq_squared())
+        with pytest.raises(ShapeMismatch):
+            amitsur_complex(f, 3, coefficient_dim=-1)
 
     def test_non_field_source_rejected(self):
         base = FiniteAlgebra.base(QQ)
@@ -393,6 +435,118 @@ class TestAmitsur:
         f = AlgebraMap(A, B, Matrix.identity(QQ, 2))
         with pytest.raises(UnsupportedBase):
             amitsur_complex(f, 2)
+
+
+def rank_exactness(complex_):
+    """The rank proof that ``check_exactness`` replaced, kept as its
+    reference: rank identities degree by degree, after the composites, so
+    that a corrupted differential is caught here."""
+    maps = [complex_.first, *complex_.differentials]
+    for degree, (a, b) in enumerate(zip(maps, maps[1:])):
+        if not (b * a).is_zero():
+            raise NotExact(degree, "composite is nonzero")
+    first = complex_.first
+    image_rank = first.rank()
+    if image_rank != first.ncols:
+        raise NotExact(0, "first map is not injective")
+    report = []
+    for degree, d in enumerate(complex_.differentials):
+        rank = d.rank()
+        kernel_rank = d.ncols - rank
+        if kernel_rank != image_rank:
+            raise NotExact(degree,
+                           f"kernel rank {kernel_rank} != image rank {image_rank}")
+        report.append((degree, kernel_rank, image_rank))
+        image_rank = rank
+    return ExactnessReport(report)
+
+
+# the maps of the golden Amitsur documents and of the perfbench algebra
+# workload, each with its rmax
+REFERENCE_MAPS = {
+    "F3 -> GF(9)": (lambda: FiniteAlgebra.from_extension(finite_field(3, 2)), 3),
+    "Q -> Q x Q": (qq_squared, 3),
+    "Q -> Q x Cyclo(4)": (lambda: FiniteAlgebra.product(
+        [FiniteAlgebra.base(QQ), FiniteAlgebra.from_extension(cyclotomic_field(4))]), 4),
+    "F3 -> GF(9) rmax 7": (lambda: FiniteAlgebra.from_extension(finite_field(3, 2)), 7),
+}
+
+
+class TestAgainstRankProof:
+    """``check_exactness`` against the rank proof it replaced."""
+
+    @pytest.mark.parametrize("t", [0, 1, 3])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_MAPS))
+    def test_reference_maps(self, name, t):
+        build, rmax = REFERENCE_MAPS[name]
+        complex_ = amitsur_complex(AlgebraMap.base_inclusion(build()), rmax,
+                                   coefficient_dim=t)
+        assert check_exactness(complex_).degrees == rank_exactness(complex_).degrees
+
+
+if given is not None:
+    @st.composite
+    def targets(draw):
+        """A product of one to three factors over QQ, GF(2) or GF(3), each
+        the base field or an extension of degree 2: Q(i) or Cyclo(3) over
+        QQ, GF(p^2) over GF(p)."""
+        base = draw(st.sampled_from(["QQ", "GF(2)", "GF(3)"]))
+        field = QQ if base == "QQ" else GF(int(base[3]))
+
+        def factor(kind):
+            if kind == "base":
+                return FiniteAlgebra.base(field)
+            if base == "QQ":
+                return FiniteAlgebra.from_extension(
+                    cyclotomic_field(3) if kind == "cyclo3" else qi_algebra()[0])
+            return FiniteAlgebra.from_extension(finite_field(field.characteristic, 2))
+
+        kinds = draw(st.lists(st.sampled_from(["base", "ext", "cyclo3"]),
+                              min_size=1, max_size=3))
+        factors = [factor(k) for k in kinds]
+        return factors[0] if len(factors) == 1 else FiniteAlgebra.product(factors)
+
+    @st.composite
+    def complexes(draw):
+        """An Amitsur complex of k -> B for a drawn target B, kept to
+        differentials of at most 4^4 x 4^3 times t."""
+        B = draw(targets())
+        rmax = draw(st.integers(0, 3 if B.dim <= 4 else 2))
+        t = draw(st.integers(0, 2))
+        return amitsur_complex(AlgebraMap.base_inclusion(B), rmax, coefficient_dim=t)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(complexes())
+    def test_genuine_complexes_agree(complex_):
+        assert check_exactness(complex_).degrees == rank_exactness(complex_).degrees
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(complexes(), st.data())
+    def test_corruption_rejected_where_the_reference_rejects(complex_, data):
+        # One nonzero entry of one differential is changed.  Whenever the
+        # rank proof rejects the result, the homotopy proof must as well.
+        # The converse need not hold: the homotopy is fixed by the map, and
+        # a corrupted complex may be exact with d h + h d != I.
+        nonzero = [(k, r, c) for k, d in enumerate(complex_.differentials)
+                   for r, row in enumerate(d.rows) for c, a in enumerate(row) if a]
+        if not nonzero:
+            return
+        k, r, c = data.draw(st.sampled_from(nonzero))
+        field = complex_.map.target.field
+        d = complex_.differentials[k]
+        rows = [list(row) for row in d.rows]
+        shift = data.draw(st.sampled_from(
+            [field.from_int(n) for n in (1, 2, -1)]).filter(bool))
+        rows[r][c] = rows[r][c] + shift
+        differentials = list(complex_.differentials)
+        differentials[k] = Matrix(field, rows)
+        corrupted = AmitsurComplex(complex_.map, complex_.coefficient_dim,
+                                   complex_.first, differentials)
+        try:
+            rank_exactness(corrupted)
+        except NotExact:
+            with pytest.raises(NotExact):
+                check_exactness(corrupted)
 
 
 class TestModuleDescent:
