@@ -1,7 +1,13 @@
 """Weil restriction of scalars for affine schemes along finite separable
 extensions, with its universal property checked by explicit point
-enumeration, the conjugate-product count identity, and the idempotent
-splitting of the doubled extension.
+enumeration, the conjugate-product count identity, and the etale splitting
+K (x) Omega = Omega[x]/(f) = Omega^d of K = k[t]/(f).
+
+The splitting is computed in Omega[x]/(f), not in a tensor algebra: the
+idempotent of an embedding tau is f / (x - tau(t)), from one synthetic
+division, scaled to 1 at tau(t).  Two checks certify it, that this value is
+nonzero and that the d idempotents sum to one; ``etale_splitting`` proves
+that they imply the rest.
 """
 
 from .affine import AffineAlgebra, embeddings_into, split_coefficients
@@ -107,13 +113,6 @@ class UniversalPointReport:
         self.samples_checked = samples_checked
 
 
-def _tensor_with_extension(K, test_algebra):
-    """K (x) A as a finite algebra over the shared base, with embeddings of
-    both factors."""
-    K_algebra = FiniteAlgebra.from_extension(K)
-    return FiniteAlgebra.tensor(K_algebra, test_algebra)
-
-
 def verify_universal_points(result, test_algebra, budget=None, samples=None):
     """Check that points of the restriction valued in a test algebra
     correspond exactly to points of the source valued in K tensor the test
@@ -129,7 +128,7 @@ def verify_universal_points(result, test_algebra, budget=None, samples=None):
     d = K.degree
     R = result.restricted
 
-    tensor = _tensor_with_extension(K, test_algebra)
+    tensor = FiniteAlgebra.tensor(FiniteAlgebra.from_extension(K), test_algebra)
 
     def embed_base_in_test(c):
         return test_algebra.scale(c, test_algebra.unit)
@@ -137,7 +136,8 @@ def verify_universal_points(result, test_algebra, budget=None, samples=None):
     def embed_k_in_tensor(c):
         return tensor.embed_left(K.coords(c))
 
-    powers = K.power_basis()
+    # t^j (x) 1 for j < d
+    powers = [embed_k_in_tensor(p) for p in K.power_basis()]
 
     def assemble(point):
         """R-point (values in the test algebra, ordered by Y names) to the
@@ -146,9 +146,8 @@ def verify_universal_points(result, test_algebra, budget=None, samples=None):
         for i in range(len(V.variables)):
             acc = tensor.zero_vector()
             for j in range(d):
-                left = tensor.embed_left(K.coords(powers[j]))
                 right = tensor.embed_right(point[i * d + j])
-                acc = tensor.add(acc, tensor.mul(left, right))
+                acc = tensor.add(acc, tensor.mul(powers[j], right))
             out.append(acc)
         return tuple(out)
 
@@ -193,50 +192,51 @@ def verify_universal_points(result, test_algebra, budget=None, samples=None):
 
 
 def etale_splitting(data):
-    """Orthogonal idempotents of K (x) Omega, one per embedding, by Lagrange
-    interpolation on the generator; their existence is exactly
-    separability."""
+    """Orthogonal idempotents of K (x) Omega, one per embedding, summing to
+    one; their existence is exactly separability.
+
+    With K = k[t]/(f), K (x) Omega is R = Omega[x]/(f), x = t (x) 1.  For an
+    embedding tau with root r = tau(t), one synthetic division gives
+    q = f / (x - r).  Its remainder is f(r), which ``Embedding`` proved zero,
+    so (x - r) q = f.  The idempotent is e = q / q(r), and two things are
+    checked: q(r) != 0, and the e of all embeddings sum to 1.  The rest
+    follows.  From (x - r) e = 0 in R, g e = g(r) e for every g in R.  Any
+    other root s differs from r (``SeparableExtensionData`` checks this), so
+    f(s) = (s - r) q(s) = 0 gives e(s) = 0, and the idempotents of s and r
+    are orthogonal.  With e(r) = 1, e^2 = e(r) e = e, and e R = Omega e is
+    nonzero of dimension n = [Omega : k] over k; as the e sum to 1, R is the
+    direct sum of the d components.  That is O(d^2) products in Omega, with
+    no tensor algebra, no products of pairs of idempotents and no rank.
+
+    Each idempotent is returned as a vector of the tensor algebra
+    ``FiniteAlgebra.tensor(K, Omega)``: coordinate j of the x^i coefficient
+    sits at index i * n + j, and the vectors follow the embedding order.
+    """
     K = data.K
     omega = data.omega
-    K_algebra = FiniteAlgebra.from_extension(K)
-    omega_algebra = FiniteAlgebra.from_extension(omega)
-    tensor = FiniteAlgebra.tensor(K_algebra, omega_algebra)
-
-    gen_left = tensor.embed_left(K.coords(K.generator))
+    d = K.degree
+    f = [omega.from_base(c) for c in K.modulus.coeffs]
+    zero = omega.zero
+    total = [zero] * d
     idempotents = []
     for tau in data.embeddings:
-        e = tensor.unit
-        for other in data.embeddings:
-            if other is tau:
-                continue
-            denominator = tau.image - other.image
-            if not denominator:
-                raise NotSeparable("repeated embedding images")
-            factor = tensor.add(
-                gen_left,
-                tensor.scale(-omega.base.one,
-                             tensor.embed_right(omega.coords(other.image))))
-            scaled = tensor.embed_right(omega.coords(denominator.inverse()))
-            e = tensor.mul(e, tensor.mul(factor, scaled))
-        idempotents.append(e)
-
-    # verify: orthogonality, idempotency, partition of unity, rank of each
-    total = tensor.zero_vector()
-    for i, e in enumerate(idempotents):
-        if tensor.mul(e, e) != e:
-            raise NotSeparable(f"Lagrange element {i} is not idempotent")
-        for j, e2 in enumerate(idempotents):
-            if i != j and any(tensor.mul(e, e2)):
-                raise NotSeparable(f"idempotents {i} and {j} are not orthogonal")
-        total = tensor.add(total, e)
-    if total != tensor.unit:
-        raise NotSeparable("idempotents do not sum to one")
-    n = omega.degree
-    for i, e in enumerate(idempotents):
-        rank = tensor.mult_matrix(e).rank()
-        if rank != n:
+        r = tau.image
+        # q = f / (x - r), leading coefficient first; the remainder is f(r)
+        q = [f[d]]
+        for c in reversed(f[1:d]):
+            q.append(c + r * q[-1])
+        value = zero
+        for c in q:
+            value = value * r + c
+        if not value:
             raise NotSeparable(
-                f"component {i} has dimension {rank}, expected {n}")
+                f"f / (x - {omega.format_element(r)}) vanishes at its root")
+        scale = value.inverse()
+        e = [c * scale for c in reversed(q)]
+        total = [a + b for a, b in zip(total, e)]
+        idempotents.append(tuple(x for c in e for x in omega.coords(c)))
+    if total != [omega.one] + [zero] * (d - 1):
+        raise NotSeparable("idempotents do not sum to one")
     return idempotents
 
 

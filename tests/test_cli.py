@@ -413,12 +413,21 @@ class TestChecksOnce:
 
 class TestLarge:
     def test_cyclo7_restriction_matches_expected(self):
-        # the etale splitting oracle builds Cyclo(7) (x) Cyclo(7), of
-        # dimension 36; the expected report comes from a FiniteAlgebra.verify
+        # the expected report comes from the etale splitting oracle that built
+        # Cyclo(7) (x) Cyclo(7), of dimension 36, with a FiniteAlgebra.verify
         # that checked every basis triple
         text = (LARGE / "restrict_circle_cyclo7.txt").read_text()
         report, diagnostics, code = run(parse(text), oracle=True)
         expected = (LARGE / "restrict_circle_cyclo7.expected").read_text()
+        assert (code, diagnostics, report) == (0, [], expected)
+
+    def test_cyclo11_restriction_matches_expected(self):
+        # the expected report comes from the etale splitting oracle that built
+        # and verified Cyclo(11) (x) Cyclo(11), of dimension 100, and
+        # multiplied all 100 pairs of its idempotents
+        text = (LARGE / "restrict_circle_cyclo11.txt").read_text()
+        report, diagnostics, code = run(parse(text), oracle=True)
+        expected = (LARGE / "restrict_circle_cyclo11.expected").read_text()
         assert (code, diagnostics, report) == (0, [], expected)
 
 

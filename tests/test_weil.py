@@ -8,6 +8,7 @@ from galdescent.fields import GF, QQ
 from galdescent.flat import FiniteAlgebra
 from galdescent.galois import cyclotomic_group, frobenius_group
 from galdescent.groebner import Ideal, ideal_equal
+from galdescent.linalg import Matrix
 from galdescent.multipoly import MultiPolynomial
 from galdescent.weil import (
     SeparableExtensionData,
@@ -180,7 +181,99 @@ class TestUniversalProperty:
         assert report.samples_checked == 2
 
 
+def tensor_lagrange_idempotents(data):
+    """The Lagrange idempotents of K (x) Omega computed in the tensor algebra,
+    the reference for ``etale_splitting``: e_tau is the product, over the
+    other embeddings s, of (t (x) 1 - 1 (x) s(t)) (1 (x) (tau(t) - s(t))^-1).
+    Returns the tensor algebra and the idempotents in embedding order."""
+    K, omega = data.K, data.omega
+    tensor = FiniteAlgebra.tensor(FiniteAlgebra.from_extension(K),
+                                  FiniteAlgebra.from_extension(omega))
+    gen_left = tensor.embed_left(K.coords(K.generator))
+    idempotents = []
+    for tau in data.embeddings:
+        e = tensor.unit
+        for other in data.embeddings:
+            if other is tau:
+                continue
+            factor = tensor.add(
+                gen_left,
+                tensor.scale(-omega.base.one,
+                             tensor.embed_right(omega.coords(other.image))))
+            scaled = tensor.embed_right(
+                omega.coords((tau.image - other.image).inverse()))
+            e = tensor.mul(e, tensor.mul(factor, scaled))
+        idempotents.append(e)
+    return tensor, idempotents
+
+
+def cyclo_data(m):
+    ext, group = cyclotomic_group(m)
+    return SeparableExtensionData.discover(ext, ext, group)
+
+
+def into_data(p, d, n):
+    """GF(p^d) with its embeddings into GF(p^n), found by scanning."""
+    return SeparableExtensionData.discover(finite_field(p, d), finite_field(p, n))
+
+
+SPLITTING_CASES = {
+    "cyclo3": lambda: cyclo_data(3),
+    "cyclo4": lambda: cyclo_data(4),
+    "cyclo5": lambda: cyclo_data(5),
+    "cyclo8": lambda: cyclo_data(8),
+    "cyclo12": lambda: cyclo_data(12),
+    "gf2": lambda: ff_data(2, 1)[1],
+    "gf4": lambda: ff_data(2, 2)[1],
+    "gf125": lambda: ff_data(5, 3)[1],
+    "gf81": lambda: ff_data(3, 4)[1],
+    "gf4_in_gf16": lambda: into_data(2, 2, 4),
+    "gf9_in_gf81": lambda: into_data(3, 2, 4),
+}
+
+
 class TestEtaleSplitting:
+    @pytest.mark.parametrize("name", sorted(SPLITTING_CASES))
+    def test_matches_tensor_reference(self, name):
+        data = SPLITTING_CASES[name]()
+        _, expected = tensor_lagrange_idempotents(data)
+        assert etale_splitting(data) == expected
+
+    @pytest.mark.parametrize(
+        "name", ["cyclo3", "cyclo4", "cyclo5", "gf4", "gf125", "gf4_in_gf16"])
+    def test_idempotents_split_the_tensor_algebra(self, name):
+        data = SPLITTING_CASES[name]()
+        tensor, _ = tensor_lagrange_idempotents(data)
+        idempotents = etale_splitting(data)
+        assert len(idempotents) == data.degree
+        total = tensor.zero_vector()
+        for i, e in enumerate(idempotents):
+            assert tensor.mul(e, e) == e
+            for other in idempotents[i + 1:]:
+                assert not any(tensor.mul(e, other))
+            assert tensor.mult_matrix(e).rank() == data.omega.degree
+            total = tensor.add(total, e)
+        assert total == tensor.unit
+
+    def test_builds_no_algebra_and_computes_no_rank(self, monkeypatch):
+        data = cyclo_data(5)
+        calls = []
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            return wrapper
+
+        # every FiniteAlgebra verifies itself when it is built
+        monkeypatch.setattr(FiniteAlgebra, "tensor",
+                            staticmethod(counted("tensor", FiniteAlgebra.tensor)))
+        monkeypatch.setattr(FiniteAlgebra, "verify",
+                            counted("verify", FiniteAlgebra.verify))
+        monkeypatch.setattr(Matrix, "rank", counted("rank", Matrix.rank))
+        etale_splitting(data)
+        assert calls == []
+
     def test_qi_two_idempotents(self):
         Qi, group = cyclotomic_group(4)
         data = SeparableExtensionData.discover(Qi, Qi, group)
