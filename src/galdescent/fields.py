@@ -109,7 +109,9 @@ class Field:
     # _sub_mul, characteristic, format_element, and (finite case)
     # order/elements.  ``_sub_mul(a, b, c)`` works on raw values, as the
     # Groebner kernel keeps them: it returns the value a - b*c, or None when
-    # that is zero.
+    # that is zero.  It is the kernel's one coefficient update, so a field
+    # computes it in one step, with no intermediate b*c: over Q that is one
+    # Fraction, normalised once, equal (and hashing equal) to a - b*c.
 
 
 class RationalField(Field):
@@ -139,8 +141,12 @@ class RationalField(Field):
         return Fraction(0)
 
     def _sub_mul(self, a, b, c):
-        value = a - b * c
-        return value if value else None
+        # one numerator over the product of the denominators, so one gcd
+        # normalises it, where a - b*c would take a gcd per operation
+        an, ad = a.numerator, a.denominator
+        bd, cd = b.denominator, c.denominator
+        num = an * bd * cd - b.numerator * c.numerator * ad
+        return Fraction(num, ad * bd * cd) if num else None
 
     def _add(self, a, b):
         return FieldElement(self, a.value + b.value)

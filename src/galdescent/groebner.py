@@ -7,18 +7,37 @@ is spent from an :class:`~galdescent.errors.Budget`, shared by all calls
 that are passed the same one (``budget=None`` starts a fresh default one),
 so runaway computations end in a loud ``BudgetExceeded``.
 
-Inside the engine a basis element is a pair (leading monomial, raw tail): the
-tail lists its other terms with raw field values (``FieldElement.value``),
-and the leading coefficient is 1.  ``buchberger`` makes each generator and
-each nonzero remainder monic once, as it enters the basis, and takes its
-leading monomial then; S-polynomials, normal forms and the final
-inter-reduction run on these pairs, and the result is boxed into
-``MultiPolynomial`` once, at the end.  The one reduction loop, ``_reduce``,
-updates coefficients with the field's fused ``_sub_mul`` (a - b*c on raw
-values, None for zero), so it never dispatches through ``FieldElement``.
-``normal_form`` unpacks a caller's basis on entry, scaling only a non-monic
-element, and boxes the remainder once on exit.  ``Ideal.contains`` keeps
-each cached basis unpacked and runs ``_reduce`` on it, boxing nothing.
+Inside the engine a monomial is one int (Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007).  Its fields, most significant first, are the rows of the order's key
+and then the exponents, each of ``width`` value bits under one guard bit.
+The key rows are, for grevlex, the total degree and then the prefix sums
+e0 + ... + e(n-2), ..., e0; for lex, the exponents; for block(k), the
+grevlex rows of the first k variables, then those of the rest.  Every row is
+a sum of exponents, so packing is linear: a product is one ``+``, a quotient
+one ``-``, and comparing two packed ints compares their ``order.key``.  A
+monomial divides m exactly when ``(m - lt) & guard`` is 0, since a negative
+field borrows from its guard bit.  The sum of two packed monomials is exact
+even when a field outgrows ``width`` bits, but the field then sets its guard
+bit; the engine tests each new product and raises ``_Overflow`` on such a
+bit.  Lex and block reductions can raise degrees that way.  ``_widening``
+then puts ``budget.spent`` back to its value on entry and reruns the whole
+call at double width: the packed order is exact at every width, so the
+rerun takes the steps that a wide first run would, and no wrong basis or
+remainder ever leaves the engine.
+
+A basis element is a pair (packed leading monomial, raw tail): the tail
+lists its other terms with raw field values (``FieldElement.value``), and
+the leading coefficient is 1.  ``buchberger`` makes each generator and each
+nonzero remainder monic once, as it enters the basis; S-polynomials, normal
+forms and the final inter-reduction run on these pairs, and the result is
+unpacked into ``MultiPolynomial`` once, at the end.  The one reduction loop,
+``_reduce``, updates coefficients with the field's fused ``_sub_mul`` (a -
+b*c on raw values, None for zero), so it never dispatches through
+``FieldElement``.  ``normal_form`` packs a caller's basis on entry, scaling
+only a non-monic element, and unpacks the remainder once on exit.
+``Ideal.contains`` keeps each cached basis packed and runs ``_reduce`` on
+it, unpacking nothing.
 
 ``buchberger`` runs Gebauer and Moeller's update (Gebauer & Moeller 1988;
 Becker & Weispfenning, Groebner Bases, 1993, section 5.5).  The chain and
@@ -26,39 +45,105 @@ product criteria drop the S-pairs that can only reduce to zero, and an
 element whose leading term a newer one divides forms no further pairs but
 still reduces.  The reduced basis is unique, so the criteria change only the
 work, never the result; ``tests/test_groebner.py`` checks this against the
-engine without them, and the raw-value reduction against a division on
-``FieldElement`` coefficients.
+engine without them, and the packed raw-value reduction against a division
+on exponent tuples and ``FieldElement`` coefficients.
 
-S-pairs wait in a heap keyed on the order key of their lcm, with an insertion
-counter that makes equal lcms pop first in, first out; dropped pairs are
-skipped when popped and spend nothing.  The reduction keeps the working
-polynomial's monomials in a heap on ``MonomialOrder.heap_key`` and pops the
-leading term from it.  The criteria and the selection (smallest lcm first,
-then oldest pair; largest working term first) fix the sequence of reduction
-steps, and so what a budget allows; ``tests/test_groebner.py`` pins the step
-counts.
+S-pairs wait in a heap keyed on their packed lcm, with an insertion counter
+that makes equal lcms pop first in, first out; dropped pairs are skipped
+when popped and spend nothing.  The reduction keeps the working polynomial's
+negated packed monomials in a heap and pops the leading term from it.  The
+criteria and the selection (smallest lcm first, then oldest pair; largest
+working term first) fix the sequence of reduction steps, and so what a
+budget allows; ``tests/test_groebner.py`` pins the step counts.
 """
 
 from heapq import heapify, heappop, heappush
 from itertools import count
+from operator import mul
 
 from .errors import Budget, FieldMismatch
 from .fields import FieldElement
-from .multipoly import (
-    GREVLEX,
-    MonomialOrder,
-    MultiPolynomial,
-    _monomial_div,
-    _monomial_divides,
-    _monomial_lcm,
-    _monomial_mul,
-    block_order,
-)
+from .multipoly import GREVLEX, MonomialOrder, MultiPolynomial, block_order
+
+# value bits per field of a first run; an overflow doubles them
+_WIDTH = 15
+
+
+class _Overflow(Exception):
+    """A packed monomial outgrew its fields; never leaves this module."""
+
+
+class _Packing:
+    """Monomials in ``n`` variables under one order, packed into ints with
+    fields of ``width`` value bits and a guard bit above each."""
+
+    __slots__ = ("width", "columns", "shifts", "mask", "guard")
+
+    def __init__(self, order, n, width):
+        if order.kind == "lex":
+            rows = [range(i, i + 1) for i in range(n)]
+        else:
+            split = min(order.split, n) if order.kind == "block" else 0
+            rows = _grevlex_rows(0, split) + _grevlex_rows(split, n)
+        # the key rows, then the exponents, most significant first
+        fields = rows + [range(i, i + 1) for i in range(n)]
+        stride = width + 1
+        place = [(len(fields) - 1 - f) * stride for f in range(len(fields))]
+        self.width = width
+        self.columns = [sum(1 << s for s, row in zip(place, fields) if i in row)
+                        for i in range(n)]
+        self.shifts = place[len(rows):]
+        self.mask = (1 << width) - 1
+        self.guard = sum(1 << s + width for s in place)
+
+    def pack(self, exps):
+        # every field is a sum of exponents, so none exceeds the degree
+        if sum(exps) >> self.width:
+            raise _Overflow
+        return sum(map(mul, exps, self.columns))
+
+    def unpack(self, m):
+        mask = self.mask
+        return tuple([m >> s & mask for s in self.shifts])
+
+    def lcm(self, a, b):
+        return self.pack(tuple(map(max, self.unpack(a), self.unpack(b))))
+
+
+def _grevlex_rows(lo, hi):
+    """Rows of the grevlex key on variables lo..hi-1: the total degree, then
+    the prefix sums of the exponents, longest first."""
+    return [range(lo, end) for end in range(hi, lo, -1)]
+
+
+_PACKINGS = {}
+
+
+def _packing(order, n, width):
+    key = (order.kind, order.split, n, width)
+    packing = _PACKINGS.get(key)
+    if packing is None:
+        packing = _PACKINGS[key] = _Packing(order, n, width)
+    return packing
+
+
+def _widening(order, n, budget, run, width=None):
+    """``run(packing)`` at ``width`` value bits (by default ``_WIDTH``), rerun
+    at double width, with ``budget.spent`` as on entry, for as long as a
+    monomial overflows."""
+    spent, width = budget.spent, width or _WIDTH
+    while True:
+        try:
+            return run(_packing(order, n, width))
+        except _Overflow:
+            budget.spent = spent
+            width *= 2
+
 
 class Ideal:
     """A finitely generated ideal with cached reduced Groebner bases."""
 
-    __slots__ = ("field", "variables", "generators", "_bases", "_unpacked")
+    __slots__ = ("field", "variables", "generators", "_bases", "_packed")
 
     def __init__(self, field, variables, generators):
         self.field = field
@@ -71,9 +156,9 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._bases = {}
-        # the (leading monomial, raw tail) pairs of a cached basis, made on
+        # order key -> (packing, packed pairs) of a cached basis, made on
         # the first membership test under its order
-        self._unpacked = {}
+        self._packed = {}
 
     def groebner(self, order=GREVLEX, budget=None):
         key = (order.kind, order.split)
@@ -85,7 +170,7 @@ class Ideal:
         """Whether ``poly`` lies in the ideal: its normal form modulo a cached
         basis (the least order key) or, with none cached, a grevlex one.
         Membership does not depend on the order, so any cached basis serves.
-        The reduction runs on the basis unpacked once per order, with the
+        The reduction runs on the basis packed once per order, with the
         steps that :func:`normal_form` would take."""
         key = min(self._bases, default=(GREVLEX.kind, GREVLEX.split))
         order = MonomialOrder(*key)
@@ -93,11 +178,19 @@ class Ideal:
         if poly.is_zero or not basis:
             return poly.is_zero
         _check_ring([poly], self.field, self.variables)
-        unpacked = self._unpacked.get(key)
-        if unpacked is None:
-            unpacked = self._unpacked[key] = [_unpack(g, order) for g in basis]
-        return not _reduce({e: c.value for e, c in poly.terms.items()}, unpacked,
-                           self.field, order, budget or Budget())
+        budget = budget or Budget()
+
+        def run(packing):
+            cached = self._packed.get(key)
+            if cached is None or cached[0] is not packing:
+                cached = self._packed[key] = (packing, [_pack(g, packing) for g in basis])
+            return not _reduce(_pack_terms(poly, packing), cached[1], self.field,
+                               packing.guard, budget)
+
+        # start at the width the cached basis was packed at
+        cached = self._packed.get(key)
+        return _widening(order, len(self.variables), budget, run,
+                         cached and cached[0].width)
 
     def is_unit_ideal(self):
         basis = self.groebner()
@@ -121,8 +214,17 @@ def _monic(field, lt, terms):
     return lt, [(e, field._sub_mul(zero, c, scale)) for e, c in tail]
 
 
-def _unpack(g, order):
-    return _monic(g.field, g.leading(order)[0], {e: c.value for e, c in g.terms.items()})
+def _pack_terms(poly, packing):
+    """The raw terms of ``poly``, packed monomial -> value."""
+    pack = packing.pack
+    return {pack(e): c.value for e, c in poly.terms.items()}
+
+
+def _pack(g, packing):
+    """(packed lt, raw tail) of ``g`` made monic: the packed order is the
+    order's, so the largest packed monomial leads."""
+    terms = _pack_terms(g, packing)
+    return _monic(g.field, max(terms), terms)
 
 
 def _check_ring(polys, field, variables):
@@ -131,44 +233,51 @@ def _check_ring(polys, field, variables):
         raise FieldMismatch("polynomials from different rings")
 
 
-def _box(field, variables, lt, tail):
-    """The monic polynomial with leading monomial lt and raw tail ``tail``."""
-    terms = {lt: field.one}
-    terms.update((e, FieldElement(field, c)) for e, c in tail)
+def _box(field, variables, packing, lt, tail):
+    """The monic polynomial with packed leading monomial lt and raw tail
+    ``tail``."""
+    unpack = packing.unpack
+    terms = {unpack(lt): field.one}
+    terms.update((unpack(e), FieldElement(field, c)) for e, c in tail)
     return MultiPolynomial(field, variables, terms)
 
 
-def _reduce(work, basis, field, order, budget):
-    """Fully reduce the raw terms ``work`` (monomial -> value; consumed)
-    modulo ``basis``, a list of (leading monomial, raw tail) pairs of monic
-    elements, by the classical division algorithm: the leading term of the
-    working polynomial is either cancelled against a basis element or moved
-    to the remainder.  The remainder comes back as raw terms in descending
-    order, so its first key is its leading monomial."""
+def _reduce(work, basis, field, guard, budget):
+    """Fully reduce the raw terms ``work`` (packed monomial -> value;
+    consumed) modulo ``basis``, a list of (packed leading monomial, raw
+    tail) pairs of monic elements, by the classical division algorithm: the
+    leading term of the working polynomial is either cancelled against a
+    basis element or moved to the remainder.  The remainder comes back as
+    raw terms in descending order, so its first key is its leading
+    monomial.  Raises ``_Overflow`` on a product that outgrows its fields."""
     sub_mul, zero = field._sub_mul, field._zero_value()
     remainder = {}
-    # every monomial of ``work`` is in the heap; entries whose term has since
-    # cancelled are skipped when popped.  Reduction only adds terms below the
-    # one it cancels, so a popped monomial never re-enters ``work``.
-    heap_key = order.heap_key
-    heap = [(heap_key(e), e) for e in work]
+    # every monomial of ``work`` is in the heap, negated so that the largest
+    # pops first; entries whose term has since cancelled are skipped when
+    # popped.  Reduction only adds terms below the one it cancels, so a
+    # popped monomial never re-enters ``work``.
+    heap = [-e for e in work]
     heapify(heap)
     while heap:
-        exps = heappop(heap)[1]
+        exps = -heappop(heap)
         coeff = work.pop(exps, None)
         if coeff is None:
             continue
         for lt, tail in basis:
-            if _monomial_divides(lt, exps):
+            shift = exps - lt
+            if not shift & guard:
                 budget.spend()
-                shift = _monomial_div(exps, lt)
                 for ge, gc in tail:
-                    e = _monomial_mul(shift, ge)
+                    e = shift + ge
                     prev = work.get(e)
                     val = sub_mul(zero if prev is None else prev, coeff, gc)
                     if val is not None:
                         if prev is None:
-                            heappush(heap, (heap_key(e), e))
+                            # a monomial already in ``work`` was tested when
+                            # it came in
+                            if e & guard:
+                                raise _Overflow
+                            heappush(heap, -e)
                         work[e] = val
                     elif prev is not None:
                         del work[e]
@@ -186,30 +295,38 @@ def normal_form(poly, basis, order=GREVLEX, budget=None):
         return poly
     field, variables = poly.field, poly.variables
     _check_ring(basis, field, variables)
-    remainder = _reduce({e: c.value for e, c in poly.terms.items()},
-                        [_unpack(g, order) for g in basis], field, order,
-                        budget or Budget())
-    return MultiPolynomial(field, variables,
-                           {e: FieldElement(field, c) for e, c in remainder.items()})
+    budget = budget or Budget()
+
+    def run(packing):
+        remainder = _reduce(_pack_terms(poly, packing),
+                            [_pack(g, packing) for g in basis], field,
+                            packing.guard, budget)
+        unpack = packing.unpack
+        return {unpack(e): FieldElement(field, c) for e, c in remainder.items()}
+
+    return MultiPolynomial(field, variables, _widening(order, len(variables), budget, run))
 
 
-def _s_polynomial(f, g, field):
-    """Raw terms of the S-polynomial of monic f and g, given as (leading
-    monomial, raw tail): both tails shifted up to the lcm, subtracted.  The
-    leading terms cancel."""
+def _s_polynomial(f, g, lcm, field, guard):
+    """Raw terms of the S-polynomial of monic f and g, given as (packed
+    leading monomial, raw tail), whose leading monomials have the packed lcm
+    ``lcm``: both tails shifted up to it, subtracted.  The leading terms
+    cancel."""
     (lt_f, tail_f), (lt_g, tail_g) = f, g
-    lcm = _monomial_lcm(lt_f, lt_g)
-    mf, mg = _monomial_div(lcm, lt_f), _monomial_div(lcm, lt_g)
+    mf, mg = lcm - lt_f, lcm - lt_g
     sub_mul, zero, one = field._sub_mul, field._zero_value(), field.one.value
-    work = {_monomial_mul(mf, e): c for e, c in tail_f}
+    work = {mf + e: c for e, c in tail_f}
     for e, c in tail_g:
-        e = _monomial_mul(mg, e)
+        e += mg
         prev = work.get(e)
         val = sub_mul(zero if prev is None else prev, one, c)
         if val is None:
             del work[e]
         else:
             work[e] = val
+    # the sums are exact, so a term that cancelled does no harm
+    if any(e & guard for e in work):
+        raise _Overflow
     return work
 
 
@@ -221,6 +338,22 @@ def buchberger(generators, order=GREVLEX, budget=None):
     field, variables = generators[0].field, generators[0].variables
     _check_ring(generators, field, variables)
     budget = budget or Budget()
+
+    def run(packing):
+        basis = _buchberger(generators, field, packing, budget)
+        return [_box(field, variables, packing, h, tail) for h, tail in basis]
+
+    return _widening(order, len(variables), budget, run)
+
+
+def _buchberger(generators, field, packing, budget):
+    """The reduced basis as (packed leading monomial, raw tail) pairs, in
+    ascending order."""
+    guard = packing.guard
+
+    def divides(a, b):
+        return not (b - a) & guard
+
     # each element as (leading monomial, raw tail); ``leads`` repeats the
     # leading monomials for the pair bookkeeping
     basis, leads = [], []
@@ -239,62 +372,60 @@ def buchberger(generators, order=GREVLEX, budget=None):
         k = len(basis)
         basis.append((h, tail))
         leads.append(h)
-        new = [(i, _monomial_lcm(leads[i], h)) for i in active]
+        new = [(i, packing.lcm(leads[i], h)) for i in active]
         # chain criterion on the new pairs: a pair goes when the lcm of a
         # later pair or of one already kept divides its own, so of equal
         # lcms exactly one stays; coprime pairs take part, and only then go
         kept = []
         for n, (i, lcm) in enumerate(new):
-            coprime = lcm == _monomial_mul(leads[i], h)
+            coprime = lcm == leads[i] + h
             others = [l for _, l, _ in kept] + [l for _, l in new[n + 1:]]
-            if coprime or not any(_monomial_divides(l, lcm) for l in others):
+            if coprime or not any(divides(l, lcm) for l in others):
                 kept.append((i, lcm, coprime))
         # chain criterion on the old pairs: LT(h) divides the lcm, and h
         # shares it with neither element
         for (i, j), lcm in list(live.items()):
-            if (_monomial_divides(h, lcm)
-                    and _monomial_lcm(leads[i], h) != lcm
-                    and _monomial_lcm(leads[j], h) != lcm):
+            if (divides(h, lcm)
+                    and packing.lcm(leads[i], h) != lcm
+                    and packing.lcm(leads[j], h) != lcm):
                 del live[i, j]
         for i, lcm, coprime in kept:
             if not coprime:
                 live[i, k] = lcm
-                heappush(pairs, (order.key(lcm), next(counter), i, k))
+                heappush(pairs, (lcm, next(counter), i, k))
         # an element whose leading term LT(h) divides forms no more pairs,
         # but still reduces
-        active[:] = [i for i in active if not _monomial_divides(h, leads[i])]
+        active[:] = [i for i in active if not divides(h, leads[i])]
         active.append(k)
 
     for g in generators:
-        enter(*_unpack(g, order))
+        enter(*_pack(g, packing))
     while pairs:
-        _, _, i, j = heappop(pairs)
+        lcm, _, i, j = heappop(pairs)
         if live.pop((i, j), None) is None:
             continue
         budget.spend()
-        remainder = _reduce(_s_polynomial(basis[i], basis[j], field),
-                            basis, field, order, budget)
+        remainder = _reduce(_s_polynomial(basis[i], basis[j], lcm, field, guard),
+                            basis, field, guard, budget)
         if remainder:
             # the first key of a remainder leads
             enter(*_monic(field, next(iter(remainder)), remainder))
-    return [_box(field, variables, h, tail)
-            for h, tail in _reduce_basis(basis, field, order, budget)]
+    return _reduce_basis(basis, field, guard, budget)
 
 
-def _reduce_basis(basis, field, order, budget):
+def _reduce_basis(basis, field, guard, budget):
     # minimalize: LT(h) | LT(g) forces LT(h) <= LT(g), so an ascending sweep
     # keeping only elements whose LT no kept LT divides is complete
-    ordered = sorted(basis, key=lambda p: order.key(p[0]))
     kept = []
-    for lt, tail in ordered:
-        if not any(_monomial_divides(h, lt) for h, _ in kept):
+    for lt, tail in sorted(basis, key=lambda p: p[0]):
+        if all((lt - h) & guard for h, _ in kept):
             kept.append((lt, tail))
     # full reduction of each tail: no other kept LT divides an element's
     # own LT, so it keeps its leading term with coefficient 1, the basis
     # stays monic and in ascending order
     if len(kept) == 1:
         return kept
-    return [(lt, list(_reduce(dict(tail), kept[:i] + kept[i + 1:], field, order,
+    return [(lt, list(_reduce(dict(tail), kept[:i] + kept[i + 1:], field, guard,
                               budget).items()))
             for i, (lt, tail) in enumerate(kept)]
 

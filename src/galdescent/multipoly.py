@@ -5,7 +5,7 @@ list is an explicit ordered tuple of names shared by every polynomial of a
 given ring context.  Coefficients may come from any of the library's fields.
 """
 
-from operator import add, le, sub
+from operator import add
 
 from .errors import FieldMismatch, ShapeMismatch
 from .fields import FieldElement
@@ -28,16 +28,6 @@ class MonomialOrder:
         head, tail = exps[: self.split], exps[self.split:]
         return (self._grevlex_key(head), self._grevlex_key(tail))
 
-    def heap_key(self, exps):
-        """Min-first key: ascending ``heap_key`` is descending ``key``, so a
-        ``heapq`` of these pops the largest monomial first."""
-        if self.kind == "lex":
-            return tuple([-e for e in exps])
-        if self.kind == "grevlex":
-            return (-sum(exps), *exps[::-1])
-        head, tail = exps[: self.split], exps[self.split:]
-        return (-sum(head), *head[::-1], -sum(tail), *tail[::-1])
-
     @staticmethod
     def _grevlex_key(exps):
         return (sum(exps), tuple(-e for e in reversed(exps)))
@@ -56,20 +46,8 @@ def block_order(split):
     return MonomialOrder("block", split)
 
 
-def _monomial_divides(a, b):
-    return all(map(le, a, b))
-
-
-def _monomial_div(a, b):
-    return tuple(map(sub, a, b))
-
-
 def _monomial_mul(a, b):
     return tuple(map(add, a, b))
-
-
-def _monomial_lcm(a, b):
-    return tuple(map(max, a, b))
 
 
 class MultiPolynomial:

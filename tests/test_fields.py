@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -10,12 +11,17 @@ from galdescent.errors import (
     NotMonic,
     NotSquarefree,
 )
-from galdescent.fields import GF, QQ, is_prime
+from galdescent.fields import GF, QQ, FieldElement, PrimeField, is_prime
 from galdescent.galois import cyclotomic_field
 from galdescent.extension import ASSERTED, UNASSERTED, VERIFIED, finite_field, make_extension
 from galdescent.linalg import Matrix
 from galdescent.multipoly import MultiPolynomial
 from galdescent.unipoly import UniPoly, cyclotomic, default_modulus, is_irreducible_mod_p
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # a test extra
+    given = None
 
 
 F3 = GF(3)
@@ -290,3 +296,46 @@ class TestPrimality:
         # the bound passes all 13 bases: only the size check rejects it
         monkeypatch.setattr(fields, "MR_BOUND", bound + 1)
         assert is_prime(bound)
+
+
+if given is not None:
+    # numerators and denominators far past one machine word, of both signs
+    BIG = st.integers(-10 ** 40, 10 ** 40)
+    SUB_MUL_FIELDS = {
+        "QQ": lambda: QQ,
+        "GF(2)": lambda: GF(2),
+        "GF(32003)": lambda: GF(32003),
+        "GF(3^2)": lambda: finite_field(3, 2),
+        "GF(5^3)": lambda: finite_field(5, 3),
+    }
+
+    @st.composite
+    def elements(draw, field):
+        if field == QQ:
+            return QQ.from_fraction(draw(BIG), draw(st.integers(1, 10 ** 40)))
+        if isinstance(field, PrimeField):
+            return field.from_int(draw(BIG))
+        base = field.base
+        return field.from_coords([base.from_int(draw(BIG)) for _ in range(field.degree)])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(SUB_MUL_FIELDS)), st.booleans(), st.data())
+    def test_sub_mul_is_boxed_a_minus_b_c(name, cancel, data):
+        """The Groebner kernel's fused update a - b*c on raw values equals
+        the boxed arithmetic, hash included, and is None exactly when the
+        boxed result is zero; ``cancel`` draws a = b*c."""
+        field = SUB_MUL_FIELDS[name]()
+        b, c = data.draw(elements(field)), data.draw(elements(field))
+        a = b * c if cancel else data.draw(elements(field))
+        expected = a - b * c
+        value = field._sub_mul(a.value, b.value, c.value)
+        if not expected:
+            assert value is None
+            return
+        assert value is not None
+        assert FieldElement(field, value) == expected
+        assert hash(FieldElement(field, value)) == hash(expected)
+        if field == QQ:
+            assert type(value) is Fraction
+            assert (value.numerator, value.denominator) == (
+                expected.value.numerator, expected.value.denominator)

@@ -1,9 +1,11 @@
 import random
 from heapq import heapify, heappop, heappush
 from itertools import count, product
+from operator import le, sub
 
 import pytest
 
+from galdescent import groebner
 from galdescent.errors import Budget, BudgetExceeded, FieldMismatch
 from galdescent.extension import make_extension
 from galdescent.fields import GF, QQ, FieldElement
@@ -16,16 +18,7 @@ from galdescent.groebner import (
     ideal_equal,
     normal_form,
 )
-from galdescent.multipoly import (
-    GREVLEX,
-    LEX,
-    MultiPolynomial,
-    _monomial_div,
-    _monomial_divides,
-    _monomial_lcm,
-    _monomial_mul,
-    block_order,
-)
+from galdescent.multipoly import GREVLEX, LEX, MultiPolynomial, _monomial_mul, block_order
 from galdescent.unipoly import UniPoly
 
 try:
@@ -119,9 +112,33 @@ class TestReductionSequence:
 
 
 # The reference engine keeps the division algorithm as it was before basis
-# elements were made monic on entry: every normal form, S-polynomial and
-# inter-reduction divides by leading coefficients itself, so it shares no
-# normalisation decision with the engine under test.
+# elements were made monic on entry and monomials were packed into ints:
+# every normal form, S-polynomial and inter-reduction divides by leading
+# coefficients itself, on exponent tuples, so it shares no normalisation or
+# monomial encoding with the engine under test.
+
+def _monomial_divides(a, b):
+    return all(map(le, a, b))
+
+
+def _monomial_div(a, b):
+    return tuple(map(sub, a, b))
+
+
+def _monomial_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def heap_key(order, exps):
+    """Min-first key: ascending ``heap_key`` is descending ``order.key``, so
+    a ``heapq`` of these pops the largest monomial first."""
+    if order.kind == "lex":
+        return tuple([-e for e in exps])
+    if order.kind == "grevlex":
+        return (-sum(exps), *exps[::-1])
+    head, tail = exps[: order.split], exps[order.split:]
+    return (-sum(head), *head[::-1], -sum(tail), *tail[::-1])
+
 
 def reference_normal_form(poly, basis, order=GREVLEX, budget=None):
     """Fully reduced remainder of ``poly`` modulo a Groebner basis, by the
@@ -140,8 +157,7 @@ def reference_normal_form(poly, basis, order=GREVLEX, budget=None):
     # every monomial of ``work`` is in the heap; entries whose term has since
     # cancelled are skipped when popped.  Reduction only adds terms below the
     # one it cancels, so a popped monomial never re-enters ``work``.
-    heap_key = order.heap_key
-    heap = [(heap_key(e), e) for e in work]
+    heap = [(heap_key(order, e), e) for e in work]
     heapify(heap)
     while heap:
         exps = heappop(heap)[1]
@@ -161,7 +177,7 @@ def reference_normal_form(poly, basis, order=GREVLEX, budget=None):
                     val = (prev - factor * gc) if prev is not None else -(factor * gc)
                     if val:
                         if prev is None:
-                            heappush(heap, (heap_key(e), e))
+                            heappush(heap, (heap_key(order, e), e))
                         work[e] = val
                     elif prev is not None:
                         del work[e]
@@ -314,17 +330,140 @@ if given is not None:
                 assert ours.spent == theirs.spent
 
 
-class TestMonomialOrder:
+def max_row(order, exps):
+    """The largest field of ``exps`` packed under ``order``: each key row is
+    a sum of exponents, and the longest sums are the exponent itself (lex),
+    the total degree (grevlex) or the degree of either block."""
+    if order.kind == "lex":
+        return max(exps)
+    if order.kind == "grevlex":
+        return sum(exps)
+    return max(sum(exps[: order.split]), sum(exps[order.split:]))
+
+
+class TestPacking:
+    """A packed monomial is one int whose comparison, divisibility test and
+    addition stand for the order's key, componentwise <= and the product of
+    exponent tuples; the guard bits flag a field that outgrew its width."""
+
+    @pytest.mark.parametrize("width", [3, groebner._WIDTH])
     @pytest.mark.parametrize("order", [LEX, GREVLEX, block_order(1),
                                        block_order(2), block_order(3)],
                              ids=repr)
-    def test_heap_key_reverses_key(self, order):
+    def test_packing_follows_the_order(self, order, width):
         rng = random.Random(41)
-        monomials = list({tuple(rng.randrange(4) for _ in range(4))
-                          for _ in range(200)})
+        packing = groebner._packing(order, 4, width)
+        pack, guard = packing.pack, packing.guard
+        monomials = sorted({tuple(rng.randrange(6) for _ in range(4))
+                            for _ in range(120)})
+        monomials = [e for e in monomials if sum(e) < 2 ** width]
         rng.shuffle(monomials)
-        assert (sorted(monomials, key=order.heap_key)
-                == sorted(monomials, key=order.key, reverse=True))
+        packed = [pack(e) for e in monomials]
+        for a, pa in zip(monomials, packed):
+            assert packing.unpack(pa) == a
+            for b, pb in zip(monomials, packed):
+                assert (pa < pb) == (order.key(a) < order.key(b))
+                assert (not (pb - pa) & guard) == all(map(le, a, b))
+                product = _monomial_mul(a, b)
+                if sum(product) < 2 ** width:
+                    assert pa + pb == pack(product)
+                # the sum is exact, and a field past the width sets its guard bit
+                assert bool((pa + pb) & guard) == (max_row(order, product) >= 2 ** width)
+
+
+class TestOverflow:
+    """Started at a width too narrow for the computation, the engine reruns
+    at double width with the budget as on entry, so bases, remainders and
+    step counts are those of the default width."""
+
+    WIDTH = 2
+
+    def katsura_case(self):
+        gens = katsura(4, GF(32003))
+        u = ring(GF(32003), gens[0].variables)
+        probes = [u[0] ** 3 * u[4] - u[1], u[1] ** 2 * u[2] ** 2 + u[3], u[4] ** 5]
+        return gens, GREVLEX, probes
+
+    def lex_reduction_case(self):
+        # reducing x^k by x - y^5 alone leaves y^(5k)
+        x, y, z = ring(QQ, ("x", "y", "z"))
+        return [x - y ** 5, y ** 3 - z], LEX, [x ** 4, x ** 3 * y ** 2 + z, x * y * z + x ** 2]
+
+    def lex_s_polynomial_case(self):
+        # the S-polynomial of the generators is 1 - y^16
+        x, y = ring(QQ, ("x", "y"))
+        return [x - y ** 15, x * y - 1], LEX, [x ** 2, x * y ** 3 + y]
+
+    def run(self, gens, order, probes):
+        """(basis, remainders modulo it and modulo the first generator,
+        Ideal.contains answers, steps spent)."""
+        budget = Budget()
+        basis = buchberger(gens, order, budget)
+        remainders = [normal_form(p, divisor, order, budget)
+                      for divisor in (basis, gens[:1]) for p in probes]
+        ideal = Ideal(gens[0].field, gens[0].variables, gens)
+        ideal.groebner(order, budget)
+        members = [ideal.contains(p, budget) for p in probes + [g * p for g, p in zip(gens, probes)]]
+        return basis, remainders, members, budget.spent
+
+    def narrow(self, monkeypatch):
+        """Start every call at ``WIDTH`` value bits; the list collects the
+        widths that the engine packs at."""
+        widths = []
+        packing = groebner._packing
+
+        def recorded(order, n, width):
+            widths.append(width)
+            return packing(order, n, width)
+
+        monkeypatch.setattr(groebner, "_WIDTH", self.WIDTH)
+        monkeypatch.setattr(groebner, "_packing", recorded)
+        return widths
+
+    @pytest.mark.parametrize("case", ["katsura_case", "lex_reduction_case",
+                                      "lex_s_polynomial_case"])
+    def test_rerun_matches_default_width(self, monkeypatch, case):
+        gens, order, probes = getattr(self, case)()
+        expected = self.run(gens, order, probes)
+        widths = self.narrow(monkeypatch)
+        assert self.run(gens, order, probes) == expected
+        # the narrow start overflowed, and a rerun widened it
+        assert self.WIDTH in widths and max(widths) > self.WIDTH
+
+    def test_eliminate_under_block_order(self, monkeypatch):
+        x, y, z = ring(QQ, ("x", "y", "z"))
+        swap = swap_elimination_generators()
+        cases = [(Ideal(QQ, ("x", "y", "z"), [x * x - y, x * y - z]), ("y", "z")),
+                 (Ideal(swap[0].field, swap[0].variables, swap), ("a0", "a1", "b0", "b1"))]
+        expected = []
+        for ideal, keep in cases:
+            budget = Budget()
+            expected.append((eliminate(Ideal(ideal.field, ideal.variables, ideal.generators),
+                                       keep, budget).generators, budget.spent))
+        widths = self.narrow(monkeypatch)
+        for (ideal, keep), want in zip(cases, expected):
+            budget = Budget()
+            assert (eliminate(ideal, keep, budget).generators, budget.spent) == want
+        assert max(widths) > self.WIDTH
+
+    def test_s_polynomial_flags_an_overflowing_term(self):
+        # x - y^15 and x*y - 1 fit 4-bit fields, but their S-polynomial
+        # 1 - y^16 does not; a later step need not notice the bad term
+        packing = groebner._packing(LEX, 2, 4)
+        pack, one = packing.pack, QQ.one.value
+        f = (pack((1, 0)), [(pack((0, 15)), -one)])
+        g = (pack((1, 1)), [(pack((0, 0)), -one)])
+        with pytest.raises(groebner._Overflow):
+            groebner._s_polynomial(f, g, packing.lcm(f[0], g[0]), QQ, packing.guard)
+
+    def test_budget_still_binds(self, monkeypatch):
+        gens, order, _ = self.katsura_case()
+        self.narrow(monkeypatch)
+        with pytest.raises(BudgetExceeded):
+            buchberger(gens, order, Budget(777))
+        budget = Budget(778)
+        buchberger(gens, order, budget)
+        assert budget.spent == 778
 
 
 class TestNormalForm:
