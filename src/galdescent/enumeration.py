@@ -12,10 +12,12 @@ variables one at a time and tests each generator as soon as its last
 variable has a value, so a failing partial point cuts off everything below
 it.  The values that a variable may take are the common roots in F_q of the
 generators it closes, each reduced to its coefficient tuple in that
-variable.  Only the first of them is scanned over all of F_q, and a memo of
-at most q of its coefficient tuples saves the q-scan for repeated ones; each
-later generator is evaluated at the roots that survive, and none once no
-root survives.  The hits are sorted back into :func:`tuples` order.
+variable, kept as running sums to which a node adds only the terms of the
+variable it assigns.  A generator of degree 1 in the variable gives its
+root by one division; the first other one is scanned over all of F_q, and a
+memo of at most q of its coefficient tuples saves the q-scan for repeated
+ones; each later generator is evaluated at the roots that survive, and none
+once no root survives.  The hits are sorted back into :func:`tuples` order.
 Backtracking with early constraint checks: Golomb and Baumert, "Backtrack
 programming", J. ACM 12 (1965).
 
@@ -24,11 +26,12 @@ finite-field oracle (affine points, the induced action on points, fixed
 vectors of a semilinear module) runs on index arithmetic: the q elements are
 coded 0..q-1 in the order of ``field.elements()``, so an element's index is
 the base-p integer whose digits, least significant first, are its
-coordinates on the power basis.  :class:`SmallFieldTables` builds the q x q
-product and sum tables with O(q) field operations: products from a
-log/antilog table over the first element of order exactly q - 1, found by
-exhaustive powering; sums by digit-wise addition mod p.  An automorphism
-becomes a permutation of the indices from its one image of that element g:
+coordinates on the power basis.  :class:`SmallFieldTables` keeps the
+log/antilog table of the first element g of order exactly q - 1, found by
+powering coordinate ints, and builds a row of the product table (from the
+logs) or the sum table (digit-wise addition mod p) when a scan first reads
+it, so a scan pays for the rows it visits, not for q^2 entries.  An
+automorphism becomes a permutation of the indices from its one image of g:
 it is multiplicative, so g^k goes to sigma(g)^k.  That holds only for a
 verified automorphism, and every element of a ``GaloisGroup`` is one: each
 passed ``verify_automorphism`` or is a composite of elements that did.
@@ -41,7 +44,10 @@ from .multipoly import MultiPolynomial
 
 
 class SmallFieldTables:
-    """Index-coded arithmetic for a finite field: elements are 0..q-1."""
+    """Index-coded arithmetic for a finite field: elements are 0..q-1.
+
+    ``mul[a]`` and ``add[a]`` are row a of the product and sum tables, each
+    built when it is first read."""
 
     def __init__(self, field):
         self.field = field
@@ -54,52 +60,68 @@ class SmallFieldTables:
         self._weights = [p ** k for k in range(getattr(field, "degree", 1))]
         self.zero = zero = ints[0]
         self.antilog = antilog = self._antilog()
-        log = [0] * q
+        self.log = log = [0] * q
         for k, v in enumerate(antilog):
             log[v] = k
-        # a sum of two logs is below 2(q - 1): index it without reducing
-        doubled = antilog + antilog
-        nonzero_logs = log[1:]
-        self.mul = [[zero] * q]
-        for li in nonzero_logs:
-            self.mul.append([zero] + [doubled[li + lj] for lj in nonzero_logs])
-        add = [[ints[(i + j) % p] for j in range(p)] for i in range(p)]
-        size = p
-        while size < q:
-            # index = low + size * high: add one more base-p digit on top
-            add = [[ints[low + size * ((high_i + high_j) % p)]
-                    for high_j in range(p) for low in add[low_i]]
-                   for high_i in range(p) for low_i in range(size)]
-            size *= p
-        self.add = add
+        # -1 is p - 1, or 1 in characteristic 2
+        self._log_minus_one = log[p - 1]
+        # a sum of two logs is below 2(q - 1): index it without reducing;
+        # the row builders hold no reference to self (see _Rows)
+        doubled, nonzero_logs = antilog + antilog, log[1:]
+        self.mul = _Rows(lambda a: [zero] + [doubled[log[a] + k] for k in nonzero_logs]
+                         if a else [zero] * q)
+        self.add = _Rows(lambda a: _sum_row(a, ints, p))
         self._powers = [[antilog[0]] * q, ints]
 
     def powers(self, degree):
         """The power tables through ``degree``: entry e lists v^e for every
         index v.  The list is shared and grows on demand, so it may be
         longer."""
-        powers = self._powers
+        powers, antilog = self._powers, self.antilog
         while len(powers) <= degree:
-            powers.append([self.mul[a][v] for a, v in zip(powers[-1], self.ints)])
+            e = len(powers)
+            powers.append([self.zero] + [antilog[e * k % (self.q - 1)] for k in self.log[1:]])
         return powers
 
+    def root(self, constant, slope):
+        """The index v at which constant + slope * v vanishes, for a nonzero
+        slope: -constant / slope by one subtraction of logs."""
+        if constant == self.zero:
+            return self.zero
+        log = self.log
+        return self.antilog[(log[constant] + self._log_minus_one - log[slope]) % (self.q - 1)]
+
     def _antilog(self):
-        """g^0 .. g^(q-2) as indices, for the first element g (in index
-        order) whose powers return to 1 after exactly q - 1 steps."""
-        q = self.q
-        one = self.encode(self.field.one)
+        """g^0 .. g^(q-2) as indices, for the first element g (in index order)
+        whose powers return to 1 after exactly q - 1 steps.  The powers are
+        taken on coordinate ints, reduced by t^n = -(m_0 + ... + m_(n-1)
+        t^(n-1)) for the monic modulus m of degree n."""
+        q, p, ints, weights = self.q, self.field.characteristic, self.ints, self._weights
+        n = len(weights)
+        reduction = [-c.value for c in self.field.modulus.coeffs[:n]] if n > 1 else []
+
+        def times(a, b):
+            raw = [0] * (2 * n - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    raw[i + j] += x * y
+            for k in range(2 * n - 2, n - 1, -1):
+                for i, m in enumerate(reduction):
+                    raw[k - n + i] += raw[k] * m
+            return [c % p for c in raw[:n]]
+
         ruled_out = [False] * q
         ruled_out[0] = True
         for start in range(1, q):
             if ruled_out[start]:
                 continue
-            g = self.elements[start]
-            powers = [one]
+            g = [start // w % p for w in weights]
+            powers = [ints[1]]
             power, k = g, start
-            while k != one:
-                powers.append(k)
-                power = power * g
-                k = self.encode(power)
+            while k != 1:
+                powers.append(ints[k])
+                power = times(power, g)
+                k = sum(c * w for c, w in zip(power, weights))
             if len(powers) == q - 1:
                 return powers
             # every power of g lies in a proper subgroup
@@ -125,25 +147,56 @@ class SmallFieldTables:
         element i.
 
         It sends g^k to s^k, where g is the generator of the antilog table
-        and s its image: one call of the automorphism, at g, and q - 2 table
-        products.  Only a verified automorphism may be passed (see the module
-        docstring)."""
+        and s its image: one call of the automorphism, at g, and a product
+        of logs per element.  Only a verified automorphism may be passed (see
+        the module docstring)."""
         antilog = self.antilog
         # g is antilog[1], or antilog[0] = 1 over GF(2), where q - 1 = 1
         image = self.encode(automorphism(self.elements[antilog[1 % len(antilog)]]))
-        row = self.mul[image]
+        step = self.log[image]
         perm = [self.zero] * self.q
-        power = antilog[0]
-        for k in antilog:
-            perm[k] = power
-            power = row[power]
+        for k, v in enumerate(antilog):
+            perm[v] = antilog[k * step % (self.q - 1)]
         return perm
 
     def compile_poly(self, poly):
-        """An evaluator of ``poly`` at a tuple of element indices, over its
-        terms in the form :func:`_coefficients` evaluates."""
-        slots = (_terms(poly, self),)
-        return lambda point: _coefficients(slots, point, self)[0]
+        """An evaluator of ``poly`` at a tuple of element indices."""
+        terms = _terms(poly, self)
+        mul, add, zero = self.mul, self.add, self.zero
+
+        def evaluate(point):
+            total = zero
+            for acc, factors in terms:
+                for i, table in factors:
+                    acc = mul[acc][table[point[i]]]
+                total = add[total][acc]
+            return total
+        return evaluate
+
+
+class _Rows(dict):
+    """Table rows by index, each made by ``build`` when it is first read.
+    A builder that held the tables would make a reference cycle, which keeps
+    them alive until the cyclic garbage collector runs."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, index):
+        row = self[index] = self.build(index)
+        return row
+
+
+def _sum_row(a, ints, p):
+    """Row a of the sum table: indices add digit by digit mod p."""
+    out, size = [0], 1
+    while size < len(ints):
+        # index = low + size * high: add one more base-p digit on top
+        digit = a // size % p
+        highs = [size * ((digit + h) % p) for h in range(p)]
+        out = [low + high for high in highs for low in out]
+        size *= p
+    return [ints[v] for v in out]
 
 
 def tuples(pool, arity):
@@ -175,15 +228,18 @@ def solutions(generators, field, nvars, budget=None):
         return [()], tables
     powers = tables.powers(max((e for g in polys for exps in g.terms for e in exps),
                                default=1))
-    order, closing = _scan_order(polys, nvars)
-    levels = [[_coefficient_terms(g, var, tables) for g in gens]
-              for var, gens in zip(order, closing)]
+    order, initial, updates, levels = _scan_plan(polys, nvars, tables)
     memo = {}
+    if nvars == 1:
+        return [(v,) for v in _fibre(levels[0], initial, tables, powers, memo)], tables
+    mul, add = tables.mul, tables.add
     point = [tables.zero] * nvars
     hits = []
+    # sums[d]: the coefficient sums once the first d variables have values
+    sums = [initial] * (nvars - 1)
     # an explicit stack: a recursive closure would be a reference cycle that
     # keeps the tables alive until the cyclic garbage collector runs
-    stack = [iter(_fibre(levels[0], point, tables, powers, memo))]
+    stack = [iter(_fibre(levels[0], initial, tables, powers, memo))]
     while stack:
         value = next(stack[-1], None)
         if value is None:
@@ -191,21 +247,38 @@ def solutions(generators, field, nvars, budget=None):
             continue
         depth = len(stack)
         point[order[depth - 1]] = value
-        if depth == nvars:
-            hits.append(tuple(point))
+        current = sums[depth - 1]
+        if updates[depth - 1]:
+            current = current.copy()
+            for slot, acc, factors in updates[depth - 1]:
+                for i, table in factors:
+                    acc = mul[acc][table[point[i]]]
+                current[slot] = add[current[slot]][acc]
+        fibre = _fibre(levels[depth], current, tables, powers, memo)
+        if depth == nvars - 1:
+            for value in fibre:
+                point[order[-1]] = value
+                hits.append(tuple(point))
         else:
-            stack.append(iter(_fibre(levels[depth], point, tables, powers, memo)))
+            sums[depth] = current
+            stack.append(iter(fibre))
     hits.sort(key=lambda p: p[::-1])
     return hits, tables
 
 
-def _scan_order(polys, nvars):
-    """The order in which :func:`solutions` assigns the variables, and for
-    each position the generators whose last variable it assigns.
+def _scan_plan(polys, nvars, tables):
+    """The order in which :func:`solutions` assigns the variables, and the
+    running sums that give each generator's coefficients in the variable
+    that closes it, its last one, constant term first.
 
     The next variable is one of a generator with the fewest unassigned
     variables, the highest-numbered one: with no generator left to close,
-    the variables come in :func:`tuples` order, slowest first."""
+    the variables come in :func:`tuples` order, slowest first.  The
+    coefficients are the slots of one list, returned with the terms that
+    have no other variable; then come, for each position d, the other terms
+    (slot, coefficient, factors) whose deepest variable is assigned at d, to
+    be added once it has its value, and the (start, stop) slot range of each
+    generator that d closes."""
     supports = [{i for exps in g.terms for i, e in enumerate(exps) if e} for g in polys]
     order = []
     unassigned = set(range(nvars))
@@ -215,10 +288,21 @@ def _scan_order(polys, nvars):
         order.append(var)
         unassigned.discard(var)
     position = {var: k for k, var in enumerate(order)}
-    closing = [[] for _ in order]
+    initial, updates, levels = [], [[] for _ in order], [[] for _ in order]
     for g, support in zip(polys, supports):
-        closing[max(position[i] for i in support)].append(g)
-    return order, closing
+        closing = max(position[i] for i in support)
+        var = order[closing]
+        start = len(initial)
+        initial += [tables.zero] * (1 + max(exps[var] for exps in g.terms))
+        for exps, (coeff, factors) in zip(g.terms, _terms(g, tables, var)):
+            slot = start + exps[var]
+            if factors:
+                updates[max(position[i] for i, _ in factors)].append((slot, coeff, factors))
+            else:
+                # the one term of this power of var with no other variable
+                initial[slot] = coeff
+        levels[closing].append((start, len(initial)))
+    return order, initial, updates, levels
 
 
 def _terms(poly, tables, var=None):
@@ -230,53 +314,38 @@ def _terms(poly, tables, var=None):
             for exps, c in poly.terms.items()]
 
 
-def _coefficient_terms(poly, var, tables):
-    """``poly`` as a polynomial in variable ``var``: entry k lists the
-    :func:`_terms` of the coefficient of its k-th power."""
-    slots = [[] for _ in range(1 + max(exps[var] for exps in poly.terms))]
-    for exps, term in zip(poly.terms, _terms(poly, tables, var)):
-        slots[exps[var]].append(term)
-    return slots
-
-
-def _fibre(level, point, tables, powers, memo):
+def _fibre(level, sums, tables, powers, memo):
     """The values, ascending, of a level's variable at which every generator
-    that the level closes vanishes, the earlier variables taking their values
-    in ``point``.
+    that the level closes vanishes, its coefficients read from ``sums``.
 
-    The first generator's coefficient tuple in the variable keys ``memo``: its
-    roots depend on the key alone, so one memo serves every level.  It is
-    cleared once it holds q keys.  Each later generator is evaluated only at
-    the roots that survive the ones before it, and none is looked at once no
-    root survives."""
-    if not level:
-        return tables.ints
-    key = _coefficients(level[0], point, tables)
-    roots = memo.get(key)
-    if roots is None:
-        if len(memo) >= tables.q:
-            memo.clear()
-        roots = memo[key] = _roots(key, tables.ints, tables, powers)
-    for slots in level[1:]:
+    A generator of degree 1 in the variable has one root, by one division,
+    or every value or none when its slope is 0.  The first other generator
+    met while every value is still possible keys ``memo`` with its
+    coefficient tuple: its roots depend on the key alone, so one memo
+    serves every level.  It is cleared once it holds q keys.  Each later
+    generator is evaluated only at the roots that survive the ones before
+    it, and none is looked at once no root survives."""
+    ints = roots = tables.ints
+    for start, stop in level:
+        if stop - start == 2:
+            constant, slope = sums[start], sums[start + 1]
+            if slope != tables.zero:
+                root = tables.root(constant, slope)
+                roots = [root] if roots is ints or root in roots else []
+            elif constant != tables.zero:
+                roots = []
+        elif roots is ints:
+            key = tuple(sums[start:stop])
+            roots = memo.get(key)
+            if roots is None:
+                if len(memo) >= tables.q:
+                    memo.clear()
+                roots = memo[key] = _roots(key, ints, tables, powers)
+        else:
+            roots = _roots(sums[start:stop], roots, tables, powers)
         if not roots:
             break
-        roots = _roots(_coefficients(slots, point, tables), roots, tables, powers)
     return roots
-
-
-def _coefficients(slots, point, tables):
-    """The coefficient tuple, constant term first, of a generator given by
-    :func:`_coefficient_terms`, at the values of ``point``."""
-    mul, add, zero = tables.mul, tables.add, tables.zero
-    coeffs = []
-    for terms in slots:
-        total = zero
-        for acc, factors in terms:
-            for i, table in factors:
-                acc = mul[acc][table[point[i]]]
-            total = add[total][acc]
-        coeffs.append(total)
-    return tuple(coeffs)
 
 
 def _roots(coeffs, candidates, tables, powers):

@@ -70,7 +70,8 @@ class TestTables:
     def test_default_gf9_modulus_is_t2_plus_1(self):
         assert finite_field(3, 2).modulus == UniPoly.from_ints(GF(3), [1, 0, 1])
 
-    def test_build_makes_linearly_many_field_products(self, monkeypatch):
+    def test_build_makes_no_field_products(self, monkeypatch):
+        # the primitive element is found by powering coordinate ints
         calls = []
         original = ExtensionField._mul
 
@@ -80,8 +81,8 @@ class TestTables:
 
         field = finite_field(17, 2)
         monkeypatch.setattr(ExtensionField, "_mul", counting)
-        tables = SmallFieldTables(field)
-        assert len(calls) <= 4 * tables.q
+        SmallFieldTables(field)
+        assert calls == []
 
     @pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4),
                                       (5, 2), (3, 3), (5, 3), (17, 2)])
@@ -390,6 +391,47 @@ class TestPrunedScan:
         # one q-scan per distinct key of the first generator, each scanned
         # once: the memo of q keys was never cleared
         assert len(full_scans) == len(set(full_scans)) == 25
+
+    def test_linear_generator_scans_no_field(self, monkeypatch):
+        # x*y - 1 is linear in the variable it closes: each value of the
+        # other one gives its root by one division
+        field = finite_field(17, 2)
+        x, y = MultiPolynomial.ring_vars(field, ("x", "y"))
+        full_scans = []
+        original = enumeration._roots
+
+        def counting(coeffs, candidates, tables, powers):
+            if candidates is tables.ints:
+                full_scans.append(coeffs)
+            return original(coeffs, candidates, tables, powers)
+
+        monkeypatch.setattr(enumeration, "_roots", counting)
+        hits, tables = solutions([x * y - 1], field, 2)
+        assert len(hits) == field.order - 1
+        assert full_scans == []
+        # rows are built when first read: a handful, not q of each
+        assert len(tables.mul) + len(tables.add) <= 4
+
+    @pytest.mark.parametrize("name", ["GF(2^3)", "GF(3^2) t^2+1", "GF(13)"])
+    @pytest.mark.parametrize("system", [
+        # the slope x of z vanishes at x = 0, where the constant decides
+        lambda x, y, z, c: [x * z],
+        lambda x, y, z, c: [x * z + c],
+        lambda x, y, z, c: [x * z + y],
+        # a linear generator that allows every value, then one that keys
+        # the memo; a quadratic, then a linear one filtering its roots; two
+        # linear ones
+        lambda x, y, z, c: [x * z + y, z * z - c * y],
+        lambda x, y, z, c: [z * z - x, y * z + x],
+        lambda x, y, z, c: [x * z - y, y * z - c * x],
+    ])
+    def test_linear_generators_match_odometer(self, name, system):
+        field = FIELDS[name]()
+        x, y, z = MultiPolynomial.ring_vars(field, ("x", "y", "z"))
+        # a nonzero constant other than 1 where there is one
+        c = list(field.elements())[min(2, field.order - 1)]
+        gens = system(x, y, z, c)
+        assert solutions(gens, field, 3)[0] == odometer(gens, field, 3)
 
     def test_scan_leaves_no_reference_cycle(self):
         field = finite_field(3, 2)
