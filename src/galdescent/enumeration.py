@@ -93,9 +93,12 @@ class SmallFieldTables:
 
     def _antilog(self):
         """g^0 .. g^(q-2) as indices, for the first element g (in index order)
-        whose powers return to 1 after exactly q - 1 steps.  The powers are
-        taken on coordinate ints, reduced by t^n = -(m_0 + ... + m_(n-1)
-        t^(n-1)) for the monic modulus m of degree n."""
+        of order exactly q - 1: the first with g^((q-1)/r) != 1 for every
+        prime r dividing q - 1, as the order of g divides q - 1 and is
+        q - 1 exactly when it divides none of these.  Only that g is powered
+        in full.  The powers are taken on coordinate ints, reduced by
+        t^n = -(m_0 + ... + m_(n-1) t^(n-1)) for the monic modulus m of
+        degree n."""
         q, p, ints, weights = self.q, self.field.characteristic, self.ints, self._weights
         n = len(weights)
         reduction = [-c.value for c in self.field.modulus.coeffs[:n]] if n > 1 else []
@@ -110,24 +113,30 @@ class SmallFieldTables:
                     raw[k - n + i] += raw[k] * m
             return [c % p for c in raw[:n]]
 
-        ruled_out = [False] * q
-        ruled_out[0] = True
-        for start in range(1, q):
-            if ruled_out[start]:
-                continue
+        def power(a, e):
+            result = one
+            while e:
+                if e & 1:
+                    result = times(result, a)
+                a, e = times(a, a), e >> 1
+            return result
+
+        one = [1] + [0] * (n - 1)
+        cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
+        # indices below p code F_p, whose elements have order dividing p - 1
+        for start in range(1 if n == 1 else p, q):
             g = [start // w % p for w in weights]
-            powers = [ints[1]]
-            power, k = g, start
-            while k != 1:
-                powers.append(ints[k])
-                power = times(power, g)
-                k = sum(c * w for c, w in zip(power, weights))
-            if len(powers) == q - 1:
-                return powers
-            # every power of g lies in a proper subgroup
-            for k in powers:
-                ruled_out[k] = True
-        raise InternalContradiction(f"no element of order {q - 1} in {self.field!r}")
+            if all(power(g, e) != one for e in cofactors):
+                break
+        powers = [ints[1]]
+        value, k = g, start
+        while k != 1:
+            powers.append(ints[k])
+            value = times(value, g)
+            k = sum(c * w for c, w in zip(value, weights))
+        if len(powers) != q - 1:
+            raise InternalContradiction(f"no element of order {q - 1} in {self.field!r}")
+        return powers
 
     def encode(self, element):
         """The index of a field element, read off its coordinates."""
@@ -136,7 +145,7 @@ class SmallFieldTables:
         value = element.value
         if isinstance(value, int):
             return self.ints[value]
-        return self.ints[sum(c.value * w for c, w in zip(value, self._weights))]
+        return self.ints[sum(c * w for c, w in zip(value, self._weights))]
 
     def decode(self, point):
         """The field elements of a tuple of indices."""
@@ -185,6 +194,18 @@ class _Rows(dict):
     def __missing__(self, index):
         row = self[index] = self.build(index)
         return row
+
+
+def _prime_factors(m):
+    """The distinct primes dividing m, by trial division."""
+    primes, r = [], 2
+    while r * r <= m:
+        if m % r == 0:
+            primes.append(r)
+            while m % r == 0:
+                m //= r
+        r += 1
+    return primes + [m] if m > 1 else primes
 
 
 def _sum_row(a, ints, p):

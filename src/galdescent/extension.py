@@ -1,9 +1,24 @@
 """Simple extension fields k[t]/(f) over Q or F_p.
 
-Elements are residue polynomials of degree < n, stored as coordinate tuples
-over the base field (constant term first).  Towers are out of scope: the base
-of an extension is always Q or a prime field.
+An element is a residue polynomial of degree < n.  Its value is the tuple of
+its n coordinates on the power basis 1, t, ..., t^(n-1), constant term first,
+held as raw base values: ints in [0, p) over F_p, ``Fraction``s over Q.  The
+value is canonical, so equal elements compare and hash equal however they
+were built.  Arithmetic runs on these values, with no ``FieldElement`` per
+coordinate: a product multiplies the nonzero coordinates as ints (over Q,
+scaled to one common denominator), replaces t^n .. t^(2n-2) by their
+reductions from a table, and makes one ``% p`` or one ``Fraction`` per
+coordinate at the end.  ``coords`` and ``from_coords`` are the boundary to
+the rest of the library: ``coords`` boxes the coordinates as base
+``FieldElement``s (for matrices, tensor algebras and printing), and
+``from_coords`` checks that each lies in the base field before it unboxes
+it.  Towers are out of scope: the base of an extension is always Q or a
+prime field.
 """
+
+from fractions import Fraction
+from math import lcm
+from operator import add, neg
 
 from .enumeration import tuples
 from .errors import (
@@ -35,20 +50,52 @@ class ExtensionField(Field):
             raise FieldMismatch("extensions of extensions are not supported")
         self.base = base
         self.modulus = modulus
-        self.degree = modulus.degree
+        self.degree = n = modulus.degree
         self.irreducibility = irreducibility
         # fields are immutable, so the hash of the modulus is taken once
         self._hash = hash(("ext", base, modulus.coeffs))
-        self._zero_tuple = (base.zero,) * self.degree
-        # inverses by coordinate tuple; a finite field has at most q of them
+        # raw 0 and 1: ints over F_p, Fractions over Q
+        self._zero, self._one = base.zero.value, base.one.value
+        self._zero_tuple = (self._zero,) * n
+        # x -> x % p, or None over Q, where values need no reduction
+        self._mod = base.p.__rmod__ if base.is_finite else None
+        # inverses by value; a finite field has at most q of them
         self._inverses = {} if base.is_finite else None
-        # reduction table for t^n .. t^(2n-2)
-        self._high_powers = []
-        xn = UniPoly(base, [base.zero] * self.degree + [base.one])
-        power = xn % modulus
-        for _ in range(self.degree - 1):
-            self._high_powers.append(tuple(power.coeff(i) for i in range(self.degree)))
-            power = (power * UniPoly.x(base)) % modulus
+        # t^n .. t^(2n-2): t^n is minus the lower coefficients of the monic
+        # modulus, and t^(k+1) is t^k shifted up plus its top coordinate
+        # times t^n
+        self._t_n = power = self._canon([-c.value for c in modulus.coeffs[:n]])
+        powers = []
+        for _ in range(n - 1):
+            powers.append(power)
+            top, power = power[-1], (self._zero,) + power[:-1]
+            if top:
+                power = self._canon([x + top * y if y else x for x, y in zip(power, self._t_n)])
+        # the same as ints over one denominator
+        terms = [self._terms(power) for power in powers]
+        self._high_denominator = d = lcm(*(e for _, e in terms))
+        self._high_powers = [[(i, c * (d // e)) for i, c in pairs] for pairs, e in terms]
+
+    def _canon(self, values):
+        """The value with these exact coordinates: each reduced mod p over F_p."""
+        mod = self._mod
+        return tuple(map(mod, values)) if mod else tuple(values)
+
+    def _terms(self, value):
+        """(pairs, d): a pair (i, c * d) for each nonzero coordinate c of the
+        value, with d a common denominator (1 over F_p)."""
+        pairs = [(i, x) for i, x in enumerate(value) if x]
+        if self._mod:
+            return pairs, 1
+        d = lcm(*(x.denominator for _, x in pairs))
+        return [(i, x.numerator * (d // x.denominator)) for i, x in pairs], d
+
+    def _from_ints(self, ints, d):
+        """The value ints / d: one ``% p`` or one ``Fraction`` per coordinate."""
+        if self._mod:
+            return tuple(map(self._mod, ints))
+        zero = self._zero
+        return tuple(Fraction(x, d) if x else zero for x in ints)
 
     @property
     def characteristic(self):
@@ -63,76 +110,101 @@ class ExtensionField(Field):
         return self.base.order ** self.degree
 
     @property
+    def zero(self):
+        return FieldElement(self, self._zero_tuple)
+
+    @property
     def generator(self):
-        coords = [self.base.zero] * self.degree
-        if self.degree == 1:
-            # t is congruent to the negated constant term of the modulus
-            return FieldElement(self, (-self.modulus.coeff(0),))
-        coords[1] = self.base.one
-        return FieldElement(self, tuple(coords))
+        # over a degree-1 modulus, t is congruent to t^n
+        return FieldElement(self, self._t_n if self.degree == 1 else self._unit(1))
 
     def from_coords(self, coords):
         coords = tuple(coords)
         if len(coords) != self.degree:
             raise FieldMismatch(f"need {self.degree} coordinates, got {len(coords)}")
-        return FieldElement(self, coords)
+        return FieldElement(self, tuple(self._unbox(c) for c in coords))
+
+    def _unbox(self, b):
+        """The raw value of a base-field element."""
+        if not isinstance(b, FieldElement) or (b.field is not self.base and b.field != self.base):
+            raise FieldMismatch("coordinate not in base field")
+        return b.value
 
     def from_base(self, b):
-        if b.field != self.base:
-            raise FieldMismatch("coordinate not in base field")
-        return FieldElement(self, (b,) + (self.base.zero,) * (self.degree - 1))
+        return FieldElement(self, (self._unbox(b),) + self._zero_tuple[1:])
 
     def from_int(self, n):
         return self.from_base(self.base.from_int(n))
 
     def from_unipoly(self, poly):
         poly = poly % self.modulus
-        return FieldElement(self, tuple(poly.coeff(i) for i in range(self.degree)))
+        return FieldElement(self, tuple(poly.coeff(i).value for i in range(self.degree)))
 
     def to_unipoly(self, a):
-        return UniPoly(self.base, list(a.value))
+        return UniPoly(self.base, list(self.coords(a)))
 
     def coords(self, a):
-        return a.value
+        """The coordinates of ``a`` on the power basis, as base-field elements."""
+        base = self.base
+        return tuple(FieldElement(base, x) for x in a.value)
+
+    def is_zero(self, a):
+        return not any(a.value)
 
     def _zero_value(self):
         return self._zero_tuple
 
     def _add(self, a, b):
-        return FieldElement(self, tuple(x + y for x, y in zip(a.value, b.value)))
+        if self._mod:
+            return FieldElement(self, tuple(map(self._mod, map(add, a.value, b.value))))
+        # a Fraction sum takes a gcd, and values over Q are often sparse
+        return FieldElement(self, tuple(x + y if y else x for x, y in zip(a.value, b.value)))
 
     def _neg(self, a):
-        return FieldElement(self, tuple(-x for x in a.value))
+        return FieldElement(self, self._canon(map(neg, a.value)))
 
     def _mul(self, a, b):
-        return FieldElement(self, self._mul_values(a.value, b.value))
+        return FieldElement(self, self._from_ints(*self._mul_values(a.value, b.value)))
 
     def _sub_mul(self, a, b, c):
-        value = tuple(x - y for x, y in zip(a, self._mul_values(b, c)))
+        product, d = self._mul_values(b, c)
+        a, da = self._terms(a)
+        value = [-y * da for y in product]
+        for i, x in a:
+            value[i] += x * d
+        value = self._from_ints(value, da * d)
         return value if any(value) else None
 
     def _mul_values(self, a, b):
-        """Coordinate tuple of the product of coordinate tuples a and b."""
+        """The product of values a and b as (ints, d), the exact coordinates
+        times d, before any reduction mod p: the product of polynomials with
+        t^n .. t^(2n-2) replaced by their ``_high_powers``.  It runs on the
+        nonzero coordinates as ints, so over Q it makes no Fraction."""
         n = self.degree
-        base = self.base
-        zero = base.zero
-        raw = [zero] * (2 * n - 1)
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    raw[i + j] = raw[i + j] + x * y
-        out = list(raw[:n])
-        for k in range(n, 2 * n - 1):
-            c = raw[k]
-            if not c:
-                continue
-            red = self._high_powers[k - n]
-            for i in range(n):
-                if red[i]:
-                    out[i] = out[i] + c * red[i]
-        return tuple(out)
+        (a, da), (b, db) = self._terms(a), self._terms(b)
+        raw = [0] * (2 * n - 1)
+        for i, x in a:
+            for j, y in b:
+                raw[i + j] += x * y
+        d = self._high_denominator
+        out = raw[:n] if d == 1 else [x * d for x in raw[:n]]
+        for c, reduction in zip(raw[n:], self._high_powers):
+            if c:
+                for i, r in reduction:
+                    out[i] += c * r
+        return out, da * db * d
+
+    def combine(self, a, term):
+        """sum a_j * term(j) over the nonzero coordinates a_j of ``a``, an
+        element of any extension of this field's base; term(j) is an element
+        of this field.  Each a_j scales term(j) coordinate by coordinate."""
+        out = list(self._zero_tuple)
+        for j, c in enumerate(a.value):
+            if c:
+                for i, y in enumerate(term(j).value):
+                    if y:
+                        out[i] += c * y
+        return FieldElement(self, self._canon(out))
 
     def _inv(self, a):
         if not a:
@@ -154,32 +226,29 @@ class ExtensionField(Field):
     def elements(self):
         if not self.is_finite:
             raise FieldMismatch("cannot enumerate an infinite field")
-        for coords in tuples(list(self.base.elements()), self.degree):
-            yield FieldElement(self, coords)
+        for value in tuples([b.value for b in self.base.elements()], self.degree):
+            yield FieldElement(self, value)
 
     def power_basis(self):
         """1, t, ..., t^(n-1): the basis that element coordinates refer to."""
-        basis = [self.one]
-        for _ in range(self.degree - 1):
-            basis.append(basis[-1] * self.generator)
-        return basis
+        return [FieldElement(self, self._unit(j)) for j in range(self.degree)]
+
+    def _unit(self, j):
+        """The value of t^j, for j < n."""
+        zeros = self._zero_tuple
+        return zeros[:j] + (self._one,) + zeros[j + 1:]
 
     def mult_matrix_rows(self, a):
         """Rows of the base-field matrix of multiplication by ``a`` on the
         power basis: entry [r][c] is the r-th coordinate of a * t^c."""
-        cols = []
-        current = a
-        t = self.generator
-        for _ in range(self.degree):
-            cols.append(current.value)
-            current = current * t
-        return [tuple(cols[c][r] for c in range(self.degree)) for r in range(self.degree)]
+        cols = [self.coords(a * b) for b in self.power_basis()]
+        return [tuple(col[r] for col in cols) for r in range(self.degree)]
 
     def format_element(self, a):
         return self.to_unipoly(a).format()
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, ExtensionField)
             and other.base == self.base
             and other.modulus == self.modulus

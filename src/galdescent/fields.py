@@ -21,7 +21,7 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch(f"{other.field} vs {self.field}")
             return other
         if isinstance(other, (int, Fraction)):
@@ -79,7 +79,8 @@ class FieldElement:
             other = self.field.from_int(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field == other.field and self.value == other.value
+        return ((other.field is self.field or other.field == self.field)
+                and self.value == other.value)
 
     def __hash__(self):
         return hash((self.field, self.value))
@@ -236,6 +237,9 @@ class PrimeField(Field):
                 raise DivisionByZero(f"denominator divisible by {self.p}")
             return FieldElement(self, n.numerator * pow(n.denominator, -1, self.p) % self.p)
         return FieldElement(self, n % self.p)
+
+    def is_zero(self, a):
+        return not a.value
 
     def _zero_value(self):
         return 0

@@ -48,13 +48,9 @@ class GeneratorMap:
         return powers[j]
 
     def __call__(self, a):
-        if a.field != self.source:
+        if a.field is not self.source and a.field != self.source:
             raise FieldMismatch("element not in the map's source field")
-        acc = self.target.zero
-        for j, coeff in enumerate(self.source.coords(a)):
-            if coeff:
-                acc = acc + self.target.from_base(coeff) * self._power(j)
-        return acc
+        return self.target.combine(a, self._power)
 
 
 class Automorphism(GeneratorMap):

@@ -27,8 +27,9 @@ rerun takes the steps that a wide first run would, and no wrong basis or
 remainder ever leaves the engine.
 
 A basis element is a pair (packed leading monomial, raw tail): the tail
-lists its other terms with raw field values (``FieldElement.value``), and
-the leading coefficient is 1.  ``buchberger`` makes each generator and each
+lists its other terms with raw field values (``FieldElement.value``: an int
+mod p, a ``Fraction``, or over an extension the tuple of its raw
+coordinates), and the leading coefficient is 1.  ``buchberger`` makes each generator and each
 nonzero remainder monic once, as it enters the basis; S-polynomials, normal
 forms and the final inter-reduction run on these pairs, and the result is
 unpacked into ``MultiPolynomial`` once, at the end.  The one reduction loop,

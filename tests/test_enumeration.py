@@ -95,7 +95,7 @@ class TestTables:
 
     def test_elements_order_pinned(self):
         F9 = finite_field(3, 2)
-        coords = [tuple(c.value for c in e.value) for e in F9.elements()]
+        coords = [tuple(c.value for c in F9.coords(e)) for e in F9.elements()]
         assert coords == [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1),
                           (0, 2), (1, 2), (2, 2)]
         algebra = FiniteAlgebra.from_extension(finite_field(2, 2))
@@ -106,7 +106,7 @@ class TestTables:
         eight = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0),
                  (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
         F8 = finite_field(2, 3)
-        assert [tuple(c.value for c in e.value) for e in F8.elements()] == eight
+        assert [tuple(c.value for c in F8.coords(e)) for e in F8.elements()] == eight
         product = FiniteAlgebra.product([FiniteAlgebra.base(GF(2)),
                                          FiniteAlgebra.from_extension(finite_field(2, 2))])
         assert [tuple(c.value for c in e) for e in product.elements()] == eight
