@@ -122,7 +122,7 @@ class SmallFieldTables:
             return result
 
         one = [1] + [0] * (n - 1)
-        cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
+        cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
         # indices below p code F_p, whose elements have order dividing p - 1
         for start in range(1 if n == 1 else p, q):
             g = [start // w % p for w in weights]
@@ -196,7 +196,7 @@ class _Rows(dict):
         return row
 
 
-def _prime_factors(m):
+def prime_factors(m):
     """The distinct primes dividing m, by trial division."""
     primes, r = [], 2
     while r * r <= m:

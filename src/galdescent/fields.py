@@ -106,13 +106,13 @@ class Field:
     def is_zero(self, a):
         return a.value == self._zero_value()
 
-    # subclasses supply: from_int, _add, _neg, _mul, _inv, _zero_value,
-    # _sub_mul, characteristic, format_element, and (finite case)
-    # order/elements.  ``_sub_mul(a, b, c)`` works on raw values, as the
-    # Groebner kernel keeps them: it returns the value a - b*c, or None when
-    # that is zero.  It is the kernel's one coefficient update, so a field
-    # computes it in one step, with no intermediate b*c: over Q that is one
-    # Fraction, normalised once, equal (and hashing equal) to a - b*c.
+    # subclasses supply: from_int, _add, _neg, _mul, _inv, characteristic,
+    # format_element, and (finite case) order/elements.  Prime and extension
+    # fields also supply _zero_value and _sub_mul for the generic loop of
+    # the Groebner kernel: ``_sub_mul(a, b, c)`` works on raw values, as the
+    # kernel keeps them, and returns the value a - b*c, or None when that is
+    # zero, in one step with no intermediate b*c.  Over Q the kernel calls
+    # neither: it reduces on int numerators over one denominator.
 
 
 class RationalField(Field):
@@ -137,17 +137,6 @@ class RationalField(Field):
     def is_zero(self, a):
         # Fraction.__bool__ tests the numerator and allocates nothing
         return not a.value
-
-    def _zero_value(self):
-        return Fraction(0)
-
-    def _sub_mul(self, a, b, c):
-        # one numerator over the product of the denominators, so one gcd
-        # normalises it, where a - b*c would take a gcd per operation
-        an, ad = a.numerator, a.denominator
-        bd, cd = b.denominator, c.denominator
-        num = an * bd * cd - b.numerator * c.numerator * ad
-        return Fraction(num, ad * bd * cd) if num else None
 
     def _add(self, a, b):
         return FieldElement(self, a.value + b.value)

@@ -26,19 +26,25 @@ call at double width: the packed order is exact at every width, so the
 rerun takes the steps that a wide first run would, and no wrong basis or
 remainder ever leaves the engine.
 
-A basis element is a pair (packed leading monomial, raw tail): the tail
-lists its other terms with raw field values (``FieldElement.value``: an int
-mod p, a ``Fraction``, or over an extension the tuple of its raw
-coordinates), and the leading coefficient is 1.  ``buchberger`` makes each generator and each
-nonzero remainder monic once, as it enters the basis; S-polynomials, normal
-forms and the final inter-reduction run on these pairs, and the result is
-unpacked into ``MultiPolynomial`` once, at the end.  The one reduction loop,
-``_reduce``, updates coefficients with the field's fused ``_sub_mul`` (a -
-b*c on raw values, None for zero), so it never dispatches through
-``FieldElement``.  ``normal_form`` packs a caller's basis on entry, scaling
-only a non-monic element, and unpacks the remainder once on exit.
-``Ideal.contains`` keeps each cached basis packed and runs ``_reduce`` on
-it, unpacking nothing.
+A basis element is a triple (packed leading monomial, d, tail) whose
+leading coefficient is 1.  Over QQ the tail lists its other terms as
+(monomial, n) for the coefficient n/d: int numerators over their least
+common denominator.  Over any other field d is 1 and the tail holds raw
+field values (``FieldElement.value``: an int mod p, or over an extension
+the tuple of its raw coordinates).  An element is made once per packing:
+``buchberger`` makes each generator and each nonzero remainder monic as it
+enters the basis, ``normal_form`` packs a caller's basis on entry (scaling
+only a non-monic element), and ``Ideal.contains`` keeps each cached basis
+packed.  S-polynomials, normal forms and the final inter-reduction run on
+these elements, and a result is unpacked into ``MultiPolynomial`` once, at
+the end.  Over QQ the reduction is fraction-free (Greuel & Pfister, A
+Singular Introduction to Commutative Algebra, 2008, sections 1.6 and 2.3):
+it reduces on int numerators over one denominator, scales them when an
+element's denominator requires it, and makes one ``Fraction`` per term that
+moves to the remainder, where it also divides out the content.  Over any
+other field it updates coefficients with the field's fused ``_sub_mul``
+(a - b*c on raw values, None for zero).  Neither loop dispatches through
+``FieldElement``.
 
 ``buchberger`` runs Gebauer and Moeller's update (Gebauer & Moeller 1988;
 Becker & Weispfenning, Groebner Bases, 1993, section 5.5).  The chain and
@@ -58,12 +64,14 @@ working term first) fix the sequence of reduction steps, and so what a
 budget allows; ``tests/test_groebner.py`` pins the step counts.
 """
 
+import math
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import count
 from operator import mul
 
 from .errors import Budget, FieldMismatch
-from .fields import FieldElement
+from .fields import QQ, FieldElement
 from .multipoly import GREVLEX, MonomialOrder, MultiPolynomial, block_order
 
 # value bits per field of a first run; an overflow doubles them
@@ -157,7 +165,7 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._bases = {}
-        # order key -> (packing, packed pairs) of a cached basis, made on
+        # order key -> (packing, basis elements) of a cached basis, made on
         # the first membership test under its order
         self._packed = {}
 
@@ -185,8 +193,8 @@ class Ideal:
             cached = self._packed.get(key)
             if cached is None or cached[0] is not packing:
                 cached = self._packed[key] = (packing, [_pack(g, packing) for g in basis])
-            return not _reduce(_pack_terms(poly, packing), cached[1], self.field,
-                               packing.guard, budget)
+            return not _reduce(*_working(self.field, _pack_terms(poly, packing)),
+                               cached[1], self.field, packing.guard, budget)
 
         # start at the width the cached basis was packed at
         cached = self._packed.get(key)
@@ -201,18 +209,40 @@ class Ideal:
         return f"Ideal({', '.join(g.format() for g in self.generators) or '0'})"
 
 
-def _monic(field, lt, terms):
-    """(lt, raw tail) of the polynomial with leading monomial ``lt`` and raw
-    terms ``terms`` (monomial -> value), scaled to leading coefficient 1: the
-    tail lists the other terms as (monomial, value) pairs, and the leading
-    coefficient is left implicit."""
-    lc = FieldElement(field, terms[lt])
+def _element(field, lt, terms):
+    """The basis element (lt, d, tail) of the polynomial with leading
+    monomial ``lt`` and raw terms ``terms`` (monomial -> value), scaled to
+    leading coefficient 1, which is left implicit.  Over QQ the tail lists
+    the other terms as (monomial, n) for the coefficient n/d, with int
+    numerators over their least common denominator d; over any other field
+    d is 1 and the tail lists (monomial, raw value)."""
+    lc = terms[lt]
     tail = [(e, c) for e, c in terms.items() if e != lt]
+    if field is QQ:
+        if lc != 1:
+            tail = [(e, c / lc) for e, c in tail]
+        tail, d = _numerators(tail)
+        return lt, d, tail
+    lc = FieldElement(field, lc)
     if lc == 1:
-        return lt, tail
+        return lt, 1, tail
     # c / lc is 0 - c * (-1/lc)
     scale, zero = (-lc.inverse()).value, field._zero_value()
-    return lt, [(e, field._sub_mul(zero, c, scale)) for e, c in tail]
+    return lt, 1, [(e, field._sub_mul(zero, c, scale)) for e, c in tail]
+
+
+def _numerators(terms):
+    """The (monomial, Fraction) pairs ``terms`` as (monomial, int) pairs
+    over their least common denominator, and that denominator."""
+    d = math.lcm(*[c.denominator for _, c in terms])
+    return [(e, c.numerator * (d // c.denominator)) for e, c in terms], d
+
+
+def _raw(field, d, tail):
+    """The tail of a basis element with raw values."""
+    if field is QQ:
+        return [(e, Fraction(n, d)) for e, n in tail]
+    return tail
 
 
 def _pack_terms(poly, packing):
@@ -221,11 +251,21 @@ def _pack_terms(poly, packing):
     return {pack(e): c.value for e, c in poly.terms.items()}
 
 
+def _working(field, terms):
+    """The working polynomial (terms, den) that ``_reduce`` takes for the
+    raw terms ``terms``: over QQ int numerators over their least common
+    denominator, over any other field the raw terms themselves over 1."""
+    if field is QQ:
+        numerators, den = _numerators(terms.items())
+        return dict(numerators), den
+    return terms, 1
+
+
 def _pack(g, packing):
-    """(packed lt, raw tail) of ``g`` made monic: the packed order is the
+    """The basis element of ``g`` made monic: the packed order is the
     order's, so the largest packed monomial leads."""
     terms = _pack_terms(g, packing)
-    return _monic(g.field, max(terms), terms)
+    return _element(g.field, max(terms), terms)
 
 
 def _check_ring(polys, field, variables):
@@ -243,14 +283,17 @@ def _box(field, variables, packing, lt, tail):
     return MultiPolynomial(field, variables, terms)
 
 
-def _reduce(work, basis, field, guard, budget):
-    """Fully reduce the raw terms ``work`` (packed monomial -> value;
-    consumed) modulo ``basis``, a list of (packed leading monomial, raw
-    tail) pairs of monic elements, by the classical division algorithm: the
-    leading term of the working polynomial is either cancelled against a
-    basis element or moved to the remainder.  The remainder comes back as
-    raw terms in descending order, so its first key is its leading
-    monomial.  Raises ``_Overflow`` on a product that outgrows its fields."""
+def _reduce(work, den, basis, field, guard, budget):
+    """Fully reduce the working polynomial ``work`` over ``den`` (packed
+    monomial -> value, as ``_working`` makes it; consumed) modulo ``basis``,
+    a list of basis elements (see ``_element``), by the classical division
+    algorithm: the leading term of the working polynomial is either
+    cancelled against a basis element or moved to the remainder.  The
+    remainder comes back as raw terms in descending order, so its first key
+    is its leading monomial.  Raises ``_Overflow`` on a product that
+    outgrows its fields."""
+    if field is QQ:
+        return _reduce_rational(work, den, basis, guard, budget)
     sub_mul, zero = field._sub_mul, field._zero_value()
     remainder = {}
     # every monomial of ``work`` is in the heap, negated so that the largest
@@ -264,7 +307,7 @@ def _reduce(work, basis, field, guard, budget):
         coeff = work.pop(exps, None)
         if coeff is None:
             continue
-        for lt, tail in basis:
+        for lt, _, tail in basis:
             shift = exps - lt
             if not shift & guard:
                 budget.spend()
@@ -288,6 +331,62 @@ def _reduce(work, basis, field, guard, budget):
     return remainder
 
 
+def _reduce_rational(work, den, basis, guard, budget):
+    """``_reduce`` over QQ, fraction-free: ``work`` holds int numerators
+    over the one denominator ``den``, and each basis element int numerators
+    over its d.  A step cancels the top term w/den against x^shift times an
+    element: with k = gcd(w, d) and d = k*m, each tail term n/d subtracts
+    (w/den)(n/d) = (w/k)*n / (den*m), so the work and ``den`` are first
+    scaled by m (when m is not 1).  A term that moves to the remainder
+    becomes one ``Fraction`` in lowest terms, and the content, the gcd of
+    ``den`` and the numerators left, is divided out then.  The steps are
+    those of the generic loop, since a coefficient vanishes in one exactly
+    when it does in the other."""
+    gcd, remainder = math.gcd, {}
+    heap = [-e for e in work]
+    heapify(heap)
+    while heap:
+        exps = -heappop(heap)
+        w = work.pop(exps, None)
+        if w is None:
+            continue
+        for lt, d, tail in basis:
+            shift = exps - lt
+            if not shift & guard:
+                budget.spend()
+                if d != 1:
+                    k = gcd(w, d)
+                    w //= k
+                    if k != d:
+                        m = d // k
+                        den *= m
+                        work = {e: v * m for e, v in work.items()}
+                w = -w
+                for ge, gn in tail:
+                    e = shift + ge
+                    prev = work.get(e)
+                    if prev is None:
+                        if e & guard:
+                            raise _Overflow
+                        heappush(heap, -e)
+                        work[e] = w * gn
+                    else:
+                        prev += w * gn
+                        if prev:
+                            work[e] = prev
+                        else:
+                            del work[e]
+                break
+        else:
+            remainder[exps] = Fraction(w, den)
+            if den != 1:
+                content = gcd(den, *work.values())
+                if content != 1:
+                    den //= content
+                    work = {e: v // content for e, v in work.items()}
+    return remainder
+
+
 def normal_form(poly, basis, order=GREVLEX, budget=None):
     """Fully reduced remainder of ``poly`` modulo a Groebner basis, by the
     classical division algorithm; a non-monic basis element is scaled to
@@ -299,7 +398,7 @@ def normal_form(poly, basis, order=GREVLEX, budget=None):
     budget = budget or Budget()
 
     def run(packing):
-        remainder = _reduce(_pack_terms(poly, packing),
+        remainder = _reduce(*_working(field, _pack_terms(poly, packing)),
                             [_pack(g, packing) for g in basis], field,
                             packing.guard, budget)
         unpack = packing.unpack
@@ -309,26 +408,40 @@ def normal_form(poly, basis, order=GREVLEX, budget=None):
 
 
 def _s_polynomial(f, g, lcm, field, guard):
-    """Raw terms of the S-polynomial of monic f and g, given as (packed
-    leading monomial, raw tail), whose leading monomials have the packed lcm
+    """The working polynomial (terms, den) of the S-polynomial of the basis
+    elements f and g, whose leading monomials have the packed lcm
     ``lcm``: both tails shifted up to it, subtracted.  The leading terms
     cancel."""
-    (lt_f, tail_f), (lt_g, tail_g) = f, g
+    (lt_f, d_f, tail_f), (lt_g, d_g, tail_g) = f, g
     mf, mg = lcm - lt_f, lcm - lt_g
-    sub_mul, zero, one = field._sub_mul, field._zero_value(), field.one.value
-    work = {mf + e: c for e, c in tail_f}
-    for e, c in tail_g:
-        e += mg
-        prev = work.get(e)
-        val = sub_mul(zero if prev is None else prev, one, c)
-        if val is None:
-            del work[e]
-        else:
-            work[e] = val
+    if field is QQ:
+        # both tails over the lcm of their denominators
+        den = math.lcm(d_f, d_g)
+        sf, sg = den // d_f, den // d_g
+        work = {mf + e: n * sf for e, n in tail_f}
+        for e, n in tail_g:
+            e += mg
+            val = work.get(e, 0) - n * sg
+            if val:
+                work[e] = val
+            else:
+                del work[e]
+    else:
+        den = 1
+        sub_mul, zero, one = field._sub_mul, field._zero_value(), field.one.value
+        work = {mf + e: c for e, c in tail_f}
+        for e, c in tail_g:
+            e += mg
+            prev = work.get(e)
+            val = sub_mul(zero if prev is None else prev, one, c)
+            if val is None:
+                del work[e]
+            else:
+                work[e] = val
     # the sums are exact, so a term that cancelled does no harm
     if any(e & guard for e in work):
         raise _Overflow
-    return work
+    return work, den
 
 
 def buchberger(generators, order=GREVLEX, budget=None):
@@ -355,8 +468,8 @@ def _buchberger(generators, field, packing, budget):
     def divides(a, b):
         return not (b - a) & guard
 
-    # each element as (leading monomial, raw tail); ``leads`` repeats the
-    # leading monomials for the pair bookkeeping
+    # the basis elements (see ``_element``); ``leads`` repeats their leading
+    # monomials for the pair bookkeeping
     basis, leads = [], []
     # pairs pop smallest lcm first; the insertion counter breaks ties first
     # in, first out.  ``live`` maps each pending pair to its lcm; a pair the
@@ -366,12 +479,12 @@ def _buchberger(generators, field, packing, budget):
     counter = count()
     active = []
 
-    def enter(h, tail):
-        """Append the monic element (h, tail); Gebauer and Moeller's UPDATE
-        pairs it with the active elements and drops every pair that the
-        criteria rule out."""
-        k = len(basis)
-        basis.append((h, tail))
+    def enter(element):
+        """Append the basis element; Gebauer and Moeller's UPDATE pairs it
+        with the active elements and drops every pair that the criteria
+        rule out."""
+        k, h = len(basis), element[0]
+        basis.append(element)
         leads.append(h)
         new = [(i, packing.lcm(leads[i], h)) for i in active]
         # chain criterion on the new pairs: a pair goes when the lcm of a
@@ -400,17 +513,17 @@ def _buchberger(generators, field, packing, budget):
         active.append(k)
 
     for g in generators:
-        enter(*_pack(g, packing))
+        enter(_pack(g, packing))
     while pairs:
         lcm, _, i, j = heappop(pairs)
         if live.pop((i, j), None) is None:
             continue
         budget.spend()
-        remainder = _reduce(_s_polynomial(basis[i], basis[j], lcm, field, guard),
+        remainder = _reduce(*_s_polynomial(basis[i], basis[j], lcm, field, guard),
                             basis, field, guard, budget)
         if remainder:
             # the first key of a remainder leads
-            enter(*_monic(field, next(iter(remainder)), remainder))
+            enter(_element(field, next(iter(remainder)), remainder))
     return _reduce_basis(basis, field, guard, budget)
 
 
@@ -418,17 +531,17 @@ def _reduce_basis(basis, field, guard, budget):
     # minimalize: LT(h) | LT(g) forces LT(h) <= LT(g), so an ascending sweep
     # keeping only elements whose LT no kept LT divides is complete
     kept = []
-    for lt, tail in sorted(basis, key=lambda p: p[0]):
-        if all((lt - h) & guard for h, _ in kept):
-            kept.append((lt, tail))
+    for element in sorted(basis, key=lambda p: p[0]):
+        if all((element[0] - h) & guard for h, _, _ in kept):
+            kept.append(element)
     # full reduction of each tail: no other kept LT divides an element's
     # own LT, so it keeps its leading term with coefficient 1, the basis
     # stays monic and in ascending order
     if len(kept) == 1:
-        return kept
-    return [(lt, list(_reduce(dict(tail), kept[:i] + kept[i + 1:], field, guard,
+        return [(lt, _raw(field, d, tail)) for lt, d, tail in kept]
+    return [(lt, list(_reduce(dict(tail), d, kept[:i] + kept[i + 1:], field, guard,
                               budget).items()))
-            for i, (lt, tail) in enumerate(kept)]
+            for i, (lt, d, tail) in enumerate(kept)]
 
 
 def ideal_equal(I, J, budget=None):

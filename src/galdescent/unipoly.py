@@ -7,7 +7,7 @@ irreducibility over F_p, cyclotomic polynomials, and the default modulus
 policy for GF(p^n).
 """
 
-from .enumeration import tuples
+from .enumeration import prime_factors, tuples
 from .errors import Budget, DivisionByZero, InvalidFieldParameter, NotIrreducible
 from .fields import GF, QQ, FieldElement
 
@@ -224,16 +224,35 @@ _cyclotomic_cache = {}
 
 
 def cyclotomic(m):
-    """The m-th cyclotomic polynomial over Q, by the quotient recursion
-    x^m - 1 = prod over d | m of Phi_d."""
+    """The m-th cyclotomic polynomial over Q.  With r = rad(m), the product
+    of the primes p_1 .. p_k dividing m, Phi_m(t) = Phi_r(t^(m/r)); and
+    Phi_r comes from Phi_1 = t - 1 by Phi_(np)(t) = Phi_n(t^p) / Phi_n(t)
+    for each prime p not dividing n, an exact division by a monic integer
+    polynomial.  Coefficients stay ints until the result is built."""
     if m in _cyclotomic_cache:
         return _cyclotomic_cache[m]
-    xm1 = UniPoly.from_ints(QQ, [-1] + [0] * (m - 1) + [1])
-    quotient = xm1
-    for d in range(1, m):
-        if m % d == 0:
-            q, r = quotient.divmod(cyclotomic(d))
-            assert r.is_zero
-            quotient = q
-    _cyclotomic_cache[m] = quotient
+    coeffs, r = [-1, 1], 1
+    for p in prime_factors(m):
+        coeffs = _monic_quotient(_spread(coeffs, p), coeffs)
+        r *= p
+    result = _cyclotomic_cache[m] = UniPoly.from_ints(QQ, _spread(coeffs, m // r))
+    return result
+
+
+def _spread(coeffs, k):
+    """The int coefficients of f(t^k), lowest degree first, for those of f."""
+    out = [0] * ((len(coeffs) - 1) * k + 1)
+    out[::k] = coeffs
+    return out
+
+
+def _monic_quotient(num, den):
+    """The int coefficients of num / den, for a monic den dividing num."""
+    num, d = list(num), len(den) - 1
+    quotient = [0] * (len(num) - d)
+    for k in range(len(quotient) - 1, -1, -1):
+        q = quotient[k] = num[k + d]
+        if q:
+            for i, c in enumerate(den):
+                num[k + i] -= q * c
     return quotient

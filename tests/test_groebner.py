@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import count, product
 from operator import le, sub
@@ -284,22 +285,23 @@ if given is not None:
     # (a, b) for a + b*t; a coefficient that vanishes leaves its term out
     PAIRS = st.tuples(st.integers(-5, 5), st.integers(-1, 1))
 
-    def term_dicts(nvars, coefficient):
-        """Term dicts of one to four terms of degree at most 3 in ``nvars``
-        variables, with coefficients drawn from ``coefficient``."""
-        monomial = st.sampled_from([e for e in product(range(4), repeat=nvars)
-                                    if sum(e) <= 3])
+    def term_dicts(nvars, coefficient, degree=3):
+        """Term dicts of one to four terms of degree at most ``degree`` in
+        ``nvars`` variables, with coefficients drawn from ``coefficient``."""
+        monomial = st.sampled_from([e for e in product(range(degree + 1), repeat=nvars)
+                                    if sum(e) <= degree])
         return st.dictionaries(monomial, coefficient, min_size=1, max_size=4)
 
     @st.composite
-    def ideals(draw, fields=(QQ, GF(7), GF(32003)), coefficient=INTEGERS):
+    def ideals(draw, fields=(QQ, GF(7), GF(32003)), coefficient=INTEGERS, degree=3):
         """(field, order name, variable names, generator term dicts): up to
-        three generators of degree at most 3 in two or three variables, with
-        coefficients drawn from ``coefficient``."""
+        three generators of degree at most ``degree`` in two or three
+        variables, with coefficients drawn from ``coefficient``."""
         field = draw(st.sampled_from(fields))
         order = draw(st.sampled_from(["grevlex", "lex"]))
         names = ("x", "y", "z")[: draw(st.integers(2, 3))]
-        gens = draw(st.lists(term_dicts(len(names), coefficient), min_size=1, max_size=3))
+        gens = draw(st.lists(term_dicts(len(names), coefficient, degree),
+                             min_size=1, max_size=3))
         return field, order, names, gens
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -328,6 +330,47 @@ if given is not None:
                 assert remainder == expected
                 assert hash(remainder) == hash(expected)
                 assert ours.spent == theirs.spent
+
+    # numerators and denominators far past one machine word, so that the
+    # fraction-free reduction over QQ scales its work by d / gcd(w, d) and
+    # divides out a content
+    RATIONALS = st.builds(Fraction, st.integers(1 - 2 ** 80, 2 ** 80 - 1).filter(bool),
+                          st.integers(1, 2 ** 40 - 1))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(ideals([QQ], RATIONALS, degree=2), st.sampled_from(ORDERS), st.data())
+    def test_rational_reduction_matches_reference(case, order, data):
+        """Over QQ the engine reduces on int numerators over one
+        denominator; the reference divides Fractions.  Bases, remainders and
+        memberships agree, with equal hashes, and normal forms take the
+        reference's steps."""
+        _, _, names, gens = case
+        probes = data.draw(st.lists(term_dicts(len(names), RATIONALS), min_size=1, max_size=3))
+        polys, probes = ([MultiPolynomial(QQ, names, {e: QQ.from_int(c) for e, c in g.items()})
+                          for g in dicts] for dicts in (gens, probes))
+        ours, theirs = Budget(), Budget()
+        basis = buchberger(polys, order, ours)
+        expected = reference_buchberger(polys, order, theirs)
+        assert basis == expected
+        assert hash(tuple(basis)) == hash(tuple(expected))
+        assert ours.spent <= theirs.spent
+        # the reduced basis, copies scaled by 3/7 and by a drawn rational,
+        # and the generators themselves
+        scale = QQ.from_int(data.draw(RATIONALS))
+        divisors = [basis, [g * QQ.from_fraction(3, 7) for g in basis],
+                    [g * scale for g in basis], polys]
+        for divisor in divisors:
+            for p in probes:
+                ours, theirs = Budget(), Budget()
+                remainder = normal_form(p, divisor, order, ours)
+                expected = reference_normal_form(p, divisor, order, theirs)
+                assert remainder == expected
+                assert hash(remainder) == hash(expected)
+                assert ours.spent == theirs.spent
+        ideal = Ideal(QQ, names, polys)
+        ideal.groebner(order)
+        for p in probes + [g * p for g, p in zip(polys, probes)]:
+            assert ideal.contains(p) == reference_normal_form(p, basis, order).is_zero
 
 
 def max_row(order, exps):
@@ -446,13 +489,30 @@ class TestOverflow:
             assert (eliminate(ideal, keep, budget).generators, budget.spent) == want
         assert max(widths) > self.WIDTH
 
+    def test_rational_lex_case_overflows_the_default_width(self, monkeypatch):
+        # reducing x^2 - (3/7) y^30000 by x - (33/35) y^30001 reaches
+        # y^60002, past 15-bit fields; the rerun at 30 bits takes the steps
+        # of a first run at 30 bits
+        x, y = ring(QQ, ("x", "y"))
+        gens = [x ** 2 - QQ.from_fraction(3, 7) * y ** 30000, x * y - QQ.from_fraction(5, 11)]
+        probes = [x ** 3, x * y ** 2 + QQ.from_fraction(2, 9) * x]
+        width = groebner._WIDTH
+        widths = self.narrow(monkeypatch)
+        monkeypatch.setattr(groebner, "_WIDTH", width)
+        default = self.run(gens, LEX, probes)
+        assert width in widths and max(widths) == 2 * width
+        widths.clear()
+        monkeypatch.setattr(groebner, "_WIDTH", 2 * width)
+        assert self.run(gens, LEX, probes) == default
+        assert set(widths) == {2 * width}
+
     def test_s_polynomial_flags_an_overflowing_term(self):
         # x - y^15 and x*y - 1 fit 4-bit fields, but their S-polynomial
         # 1 - y^16 does not; a later step need not notice the bad term
         packing = groebner._packing(LEX, 2, 4)
         pack, one = packing.pack, QQ.one.value
-        f = (pack((1, 0)), [(pack((0, 15)), -one)])
-        g = (pack((1, 1)), [(pack((0, 0)), -one)])
+        f = groebner._element(QQ, pack((1, 0)), {pack((1, 0)): one, pack((0, 15)): -one})
+        g = groebner._element(QQ, pack((1, 1)), {pack((1, 1)): one, pack((0, 0)): -one})
         with pytest.raises(groebner._Overflow):
             groebner._s_polynomial(f, g, packing.lcm(f[0], g[0]), QQ, packing.guard)
 
