@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 validation failure, 2 parse/resolution error,
 """
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -513,7 +514,10 @@ def run(document, oracle=False, budget=None):
     return "\n".join(lines) + "\n", [], 0
 
 
-def main(argv=None):
+@functools.cache
+def _arg_parser():
+    """The command-line parser, built once per process: ``parse_args`` keeps
+    no state between calls."""
     arg_parser = argparse.ArgumentParser(
         prog="galdescent",
         description="Galois descent, Weil restriction and flat descent "
@@ -523,7 +527,11 @@ def main(argv=None):
                             help="also run brute-force point/enumeration checks")
     arg_parser.add_argument("--budget", type=int,
                             help="reduction-step budget for the Groebner engine")
-    args = arg_parser.parse_args(argv)
+    return arg_parser
+
+
+def main(argv=None):
+    args = _arg_parser().parse_args(argv)
     if args.input == "-":
         text = sys.stdin.read()
     else:

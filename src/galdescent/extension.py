@@ -8,12 +8,13 @@ were built.  Arithmetic runs on these values, with no ``FieldElement`` per
 coordinate: a product multiplies the nonzero coordinates as ints (over Q,
 scaled to one common denominator), replaces t^n .. t^(2n-2) by their
 reductions from a table, and makes one ``% p`` or one ``Fraction`` per
-coordinate at the end.  ``coords`` and ``from_coords`` are the boundary to
-the rest of the library: ``coords`` boxes the coordinates as base
-``FieldElement``s (for matrices, tensor algebras and printing), and
-``from_coords`` checks that each lies in the base field before it unboxes
-it.  Towers are out of scope: the base of an extension is always Q or a
-prime field.
+coordinate at the end.  An inverse is the raw extended gcd of the value and
+the modulus's coefficients (:mod:`galdescent.unipoly`).  ``coords`` and
+``from_coords`` are the boundary to the rest of the library: ``coords``
+boxes the coordinates as base ``FieldElement``s (for matrices, tensor
+algebras and printing), and ``from_coords`` checks that each lies in the
+base field before it unboxes it.  Towers are out of scope: the base of an
+extension is always Q or a prime field.
 """
 
 from fractions import Fraction
@@ -29,7 +30,7 @@ from .errors import (
     NotSquarefree,
 )
 from .fields import Field, FieldElement, PrimeField, RationalField
-from .unipoly import UniPoly, default_modulus, is_irreducible_mod_p, is_squarefree, poly_xgcd
+from .unipoly import UniPoly, default_modulus, is_irreducible_mod_p, is_squarefree, raw_xgcd
 
 VERIFIED = "verified"
 ASSERTED = "asserted"
@@ -61,20 +62,37 @@ class ExtensionField(Field):
         self._mod = base.p.__rmod__ if base.is_finite else None
         # inverses by value; a finite field has at most q of them
         self._inverses = {} if base.is_finite else None
-        # t^n .. t^(2n-2): t^n is minus the lower coefficients of the monic
-        # modulus, and t^(k+1) is t^k shifted up plus its top coordinate
-        # times t^n
-        self._t_n = power = self._canon([-c.value for c in modulus.coeffs[:n]])
-        powers = []
-        for _ in range(n - 1):
-            powers.append(power)
-            top, power = power[-1], (self._zero,) + power[:-1]
-            if top:
-                power = self._canon([x + top * y if y else x for x, y in zip(power, self._t_n)])
+        # the modulus's raw coefficients, for inverses
+        self._modulus_values = [c.value for c in modulus.coeffs]
+        self._t_n = self._canon([-c for c in self._modulus_values[:n]])
         # the same as ints over one denominator
-        terms = [self._terms(power) for power in powers]
+        terms = [self._scaled(sorted(power.items())) for power in self._sparse_high_powers()]
         self._high_denominator = d = lcm(*(e for _, e in terms))
         self._high_powers = [[(i, c * (d // e)) for i, c in pairs] for pairs, e in terms]
+
+    def _sparse_high_powers(self):
+        """t^n .. t^(2n-2) as dicts from index to nonzero coordinate: t^n is
+        minus the lower coefficients of the monic modulus, and t^(k+1) is
+        t^k shifted up plus its top coordinate times t^n.  Each step costs
+        the nonzeros it touches, so for Phi_p, whose t^(n+1) .. are single
+        terms, the whole table is linear in n."""
+        n, mod = self.degree, self._mod
+        t_n = {i: x for i, x in enumerate(self._t_n) if x}
+        power, powers = t_n, []
+        for _ in range(n - 1):
+            powers.append(power)
+            top = power.get(n - 1)
+            power = {i + 1: x for i, x in power.items() if i != n - 1}
+            if top:
+                for i, y in t_n.items():
+                    x = power.get(i, 0) + top * y
+                    if mod:
+                        x = mod(x)
+                    if x:
+                        power[i] = x
+                    else:
+                        power.pop(i, None)
+        return powers
 
     def _canon(self, values):
         """The value with these exact coordinates: each reduced mod p over F_p."""
@@ -84,7 +102,10 @@ class ExtensionField(Field):
     def _terms(self, value):
         """(pairs, d): a pair (i, c * d) for each nonzero coordinate c of the
         value, with d a common denominator (1 over F_p)."""
-        pairs = [(i, x) for i, x in enumerate(value) if x]
+        return self._scaled([(i, x) for i, x in enumerate(value) if x])
+
+    def _scaled(self, pairs):
+        """``_terms`` of the value with these (index, nonzero coordinate) pairs."""
         if self._mod:
             return pairs, 1
         d = lcm(*(x.denominator for _, x in pairs))
@@ -217,11 +238,12 @@ class ExtensionField(Field):
         return inverse
 
     def _xgcd_inverse(self, a):
-        g, s, _ = poly_xgcd(self.to_unipoly(a), self.modulus)
-        if g.degree != 0:
+        """s with s*a = 1 modulo the modulus, by the raw extended gcd."""
+        g, s = raw_xgcd(list(a.value), self._modulus_values, self.characteristic)
+        if len(g) != 1:
             raise DivisionByZero(
                 f"{self.format_element(a)} is a zero divisor modulo {self.modulus.format()}")
-        return self.from_unipoly(s * g.coeff(0).inverse())
+        return FieldElement(self, tuple(s) + self._zero_tuple[len(s):])
 
     def elements(self):
         if not self.is_finite:

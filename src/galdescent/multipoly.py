@@ -3,6 +3,11 @@
 Terms are a dict from exponent tuples to nonzero coefficients; the variable
 list is an explicit ordered tuple of names shared by every polynomial of a
 given ring context.  Coefficients may come from any of the library's fields.
+``transform`` maps coefficients and substitutes variables (``substitute``,
+the semilinear maps of descent data, Weil restriction): it computes each
+power of an image once per call and adds every term into one dict, so its
+cost is the products it makes.  The Groebner kernel works on its own packed
+form (:mod:`galdescent.groebner`).
 """
 
 from operator import add
@@ -192,27 +197,45 @@ class MultiPolynomial:
     def transform(self, coeff_map, images):
         """Apply ``coeff_map`` to every coefficient and substitute variables
         by the polynomials in ``images`` (keyed by variable name); missing
-        names keep the variable (which must then exist in the target ring)."""
+        names keep the variable (which must then exist in the target ring).
+        Each power of an image is computed once per call, when a term first
+        needs it, and every term is added into one dict in place."""
         sample = next(iter(images.values()), None)
         if sample is None:
             target_field, target_vars = self.field, self.variables
         else:
             target_field, target_vars = sample.field, sample.variables
-        var_polys = []
-        for name in self.variables:
-            if name in images:
-                var_polys.append(images[name])
-            else:
-                var_polys.append(
-                    MultiPolynomial.variable(target_field, target_vars, name))
-        acc = MultiPolynomial.zero(target_field, target_vars)
+        # powers[k][e - 1] is the e-th power of the k-th variable's image
+        powers = [[images[name] if name in images
+                   else MultiPolynomial.variable(target_field, target_vars, name)]
+                  for name in self.variables]
+        constant = (0,) * len(target_vars)
+        terms = {}
         for exps, coeff in self.terms.items():
-            term = MultiPolynomial.constant(target_field, target_vars, coeff_map(coeff))
-            for v, e in zip(var_polys, exps):
+            coeff = coeff_map(coeff)
+            product = None
+            for row, e in zip(powers, exps):
                 if e:
-                    term = term * v ** e
-            acc = acc + term
-        return acc
+                    while len(row) < e:
+                        row.append(row[-1] * row[0])
+                    product = row[e - 1] if product is None else product * row[e - 1]
+            if product is None:
+                products = ((constant, coeff),)
+            else:
+                products = ((m, coeff * c) for m, c in product.terms.items())
+            for m, c in products:
+                if not c:
+                    continue
+                old = terms.get(m)
+                if old is None:
+                    terms[m] = c
+                else:
+                    c = old + c
+                    if c:
+                        terms[m] = c
+                    else:
+                        del terms[m]
+        return MultiPolynomial(target_field, target_vars, terms)
 
     def evaluate(self, point, embed=None, mul=None, add=None):
         """Evaluate at a point (sequence aligned with the variable list).

@@ -1,11 +1,23 @@
-"""Dense univariate polynomials over an exact field.
+"""Univariate polynomials over an exact field, and the raw kernel behind them.
 
-Coefficients are stored lowest degree first with no trailing zeros; the zero
-polynomial has degree -1.  This module also hosts the classical univariate
-algorithms the rest of the library leans on: extended Euclid, squarefreeness,
-irreducibility over F_p, cyclotomic polynomials, and the default modulus
-policy for GF(p^n).
+``UniPoly`` is the boxed form: coefficients are base-field ``FieldElement``s,
+stored lowest degree first with no trailing zeros; the zero polynomial has
+degree -1.  It is what documents parse into, what reports print and what an
+extension field keeps as its modulus.
+
+The algorithms run on raw coefficient lists instead, in the same layout:
+ints in [0, p) over F_p, ``Fraction``s over Q.  Each ``raw_*`` function
+takes p, or 0 over Q, and makes no ``FieldElement``: division with
+remainder, the monic gcd, the extended gcd that inverts modulo a
+polynomial, and modular powering, whose products over F_p are one big-int
+multiplication by Kronecker substitution (von zur Gathen and Gerhard,
+*Modern Computer Algebra*, 8.4).  The public tests (squarefreeness,
+Ben-Or's irreducibility test over F_p) and constructors (the default modulus
+of GF(p^n), cyclotomic polynomials) take and return ``UniPoly``s and run on
+raw lists inside.
 """
+
+from fractions import Fraction
 
 from .enumeration import prime_factors, tuples
 from .errors import Budget, DivisionByZero, InvalidFieldParameter, NotIrreducible
@@ -108,14 +120,6 @@ class UniPoly:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
-    def monic(self):
-        if self.is_zero:
-            return self
-        return self * self.leading.inverse()
-
-    def derivative(self):
-        return UniPoly(self.field, [c * i for i, c in enumerate(self.coeffs) if i > 0])
-
     def evaluate(self, point, embed=None):
         """Horner evaluation at ``point``; ``embed`` maps coefficients into
         point's ring when the two differ."""
@@ -146,59 +150,137 @@ class UniPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def poly_gcd(a, b):
-    """Monic gcd."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic() if not a.is_zero else a
+def _inverse(c, p):
+    """1/c for a nonzero raw coefficient: mod p, or a Fraction over Q (p = 0)."""
+    return pow(c, -1, p) if p else 1 / Fraction(c)
 
 
-def poly_xgcd(a, b):
-    """Returns (g, s, t) with s*a + t*b = g, g monic (or zero)."""
-    field = a.field
-    r0, r1 = a, b
-    s0, s1 = UniPoly(field, [field.one]), UniPoly.zero(field)
-    t0, t1 = UniPoly.zero(field), UniPoly(field, [field.one])
-    while not r1.is_zero:
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero:
-        return r0, s0, t0
-    scale = r0.leading.inverse()
-    return r0 * scale, s0 * scale, t0 * scale
+def _canon(coeffs, p):
+    """The list with each coefficient reduced mod p (over F_p) and its
+    trailing zeros dropped, in place."""
+    if p:
+        coeffs[:] = [c % p for c in coeffs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
 
 
-def poly_powmod(base, exponent, modulus):
-    field = base.field
-    result = UniPoly(field, [field.one]) % modulus
-    base = base % modulus
+def _scale(a, c, p):
+    return [x * c % p for x in a] if p else [x * c for x in a]
+
+
+def _sub(a, b, p):
+    """a - b."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _canon(out, p)
+
+
+def _mul(a, b, p):
+    """a * b.  Over F_p, one big-int product by Kronecker substitution: each
+    list is packed into an int with slots wide enough for any coefficient
+    of the product, and the product is read back slot by slot."""
+    if not a or not b:
+        return []
+    count = len(a) + len(b) - 1
+    if not p:
+        out = [0] * count
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _canon(out, p)
+    width = (min(len(a), len(b)) * (p - 1) ** 2).bit_length() // 8 + 1
+    packed = _pack(a, width) * _pack(b, width)
+    data = packed.to_bytes(width * count, "little")
+    return _canon([int.from_bytes(data[i:i + width], "little")
+                   for i in range(0, width * count, width)], p)
+
+
+def _pack(coeffs, width):
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+
+
+def raw_divmod(a, b, p):
+    """(quotient, remainder) of a by a nonzero b.  Over F_p the remainder's
+    coefficients are reduced only at the end, and each top one as it is
+    divided out; the loop runs on the nonzero coefficients of b."""
+    n = len(b) - 1
+    inv = _inverse(b[-1], p)
+    pairs = [(i, c) for i, c in enumerate(b[:n]) if c]
+    rem = list(a)
+    quo = [0] * max(0, len(rem) - n)
+    for k in range(len(quo) - 1, -1, -1):
+        top = rem.pop()
+        if p:
+            top %= p
+        if top:
+            q = quo[k] = top * inv % p if p else top * inv
+            for i, c in pairs:
+                rem[k + i] -= q * c
+    return quo, _canon(rem, p)
+
+
+def raw_gcd(a, b, p):
+    """The monic gcd of a and b (empty when both are zero)."""
+    while b:
+        a, b = b, raw_divmod(a, b, p)[1]
+    return _scale(a, _inverse(a[-1], p), p) if a else a
+
+
+def raw_xgcd(a, b, p):
+    """(g, s): the monic gcd g of a and b, and s with s*a = g modulo b.  An
+    a shorter than b may keep trailing zeros: the first division drops them."""
+    s0, s1 = [1], []
+    while b:
+        q, r = raw_divmod(a, b, p)
+        a, b = b, r
+        s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
+    if not a:
+        return a, s0
+    inv = _inverse(a[-1], p)
+    return _scale(a, inv, p), _scale(s0, inv, p)
+
+
+def raw_powmod(base, exponent, modulus, p):
+    """base^exponent modulo ``modulus``, over F_p."""
+    result = raw_divmod([1], modulus, p)[1]
+    base = raw_divmod(base, modulus, p)[1]
     while exponent:
         if exponent & 1:
-            result = (result * base) % modulus
-        base = (base * base) % modulus
+            result = raw_divmod(_mul(result, base, p), modulus, p)[1]
         exponent >>= 1
+        if exponent:
+            base = raw_divmod(_mul(base, base, p), modulus, p)[1]
     return result
 
 
+def _raw(f):
+    """The raw coefficients of a UniPoly: ints mod p, Fractions over Q."""
+    return [c.value for c in f.coeffs]
+
+
 def is_squarefree(f):
-    d = f.derivative()
-    if d.is_zero:
-        return f.degree == 0
-    return poly_gcd(f, d).degree == 0
+    p = f.field.characteristic
+    f = _raw(f)
+    d = _canon([i * c for i, c in enumerate(f) if i], p)
+    if not d:
+        return len(f) == 1
+    return len(raw_gcd(f, d, p)) == 1
 
 
 def is_irreducible_mod_p(f):
     """Ben-Or's test over F_p: gcd(x^(p^i) - x, f) = 1 for i = 1 ... n/2, since
     a reducible f of degree n has an irreducible factor of degree at most n/2."""
-    if f.degree <= 0:
+    n, p = f.degree, f.field.characteristic
+    if n <= 0:
         return False
-    x = UniPoly.x(f.field)
+    f, x = _raw(f), [0, 1]
     xq = x
-    for _ in range(f.degree // 2):
-        xq = poly_powmod(xq, f.field.characteristic, f)
-        if poly_gcd(xq - x, f).degree != 0:
+    for _ in range(n // 2):
+        xq = raw_powmod(xq, p, f, p)
+        if len(raw_gcd(_sub(xq, x, p), f, p)) != 1:
             return False
     return True
 

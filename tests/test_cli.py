@@ -611,6 +611,36 @@ class TestMainEntry:
         assert code == 2
         assert "error[" in captured.err
 
+    def test_successive_calls_parse_only_their_own_options(self, capsys, monkeypatch):
+        # the argument parser is built once per process, so nothing of the
+        # first call's options may reach the second
+        calls = []
+
+        def recorded(document, oracle=False, budget=None):
+            calls.append((oracle, budget))
+            return run(document, oracle=oracle, budget=budget)
+
+        monkeypatch.setattr(cli, "run", recorded)
+        doc = str(DOCUMENTS / "descend_swap_f9.txt")
+        assert main([doc, "--oracle", "--budget", "80"]) == 0
+        assert capsys.readouterr() == ((GOLDEN / "descend_swap_f9.golden").read_text(), "")
+        assert main([doc]) == 0
+        assert capsys.readouterr() == (OTHER_MODE["descend_swap_f9:plain"]["stdout"], "")
+        assert calls == [(True, 80), (False, None)]
+
+    def test_help_and_usage_errors_repeat(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as raised:
+                main(["--help"])
+            assert raised.value.code == 0
+            assert capsys.readouterr().out.startswith(
+                "usage: galdescent [-h] [--oracle] [--budget BUDGET] input\n")
+            with pytest.raises(SystemExit) as raised:
+                main(["a", "b"])
+            assert raised.value.code == 2
+            assert capsys.readouterr().err.endswith(
+                "galdescent: error: unrecognized arguments: b\n")
+
     def test_console_script_stdin(self):
         text = (DOCUMENTS / "fixed_qi_twist.txt").read_text()
         proc = subprocess.run(

@@ -2,16 +2,26 @@
 however an element is built, and the raw arithmetic against a reference
 that multiplies ``UniPoly``s and reduces them by the modulus."""
 
+import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import pytest
 
 from galdescent.errors import DivisionByZero, FieldMismatch
-from galdescent.extension import UNASSERTED, finite_field, make_extension
+from galdescent.extension import (
+    UNASSERTED,
+    VERIFIED,
+    ExtensionField,
+    finite_field,
+    make_extension,
+)
 from galdescent.fields import GF, QQ
 from galdescent.galois import cyclotomic_field
-from galdescent.unipoly import UniPoly, poly_gcd
+from galdescent.unipoly import UniPoly, cyclotomic
+from test_fields import poly_gcd, poly_xgcd  # the boxed references
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -26,7 +36,11 @@ def field(name):
         "GF(5^3)": lambda: finite_field(5, 3),
         "GF(2^12)": lambda: finite_field(2, 12),
         "GF(3^42)": lambda: finite_field(3, 42),
+        "GF(3^4)": lambda: finite_field(3, 4),
+        "GF(2^6)": lambda: finite_field(2, 6),
         "Q(i)": lambda: make_extension(QQ, UniPoly.from_ints(QQ, [1, 0, 1]), irreducible=True),
+        "Q(sqrt 2)": lambda: make_extension(QQ, UniPoly.from_ints(QQ, [-2, 0, 1]),
+                                            irreducible=True),
         "Cyclo(5)": lambda: cyclotomic_field(5),
         "Cyclo(7)": lambda: cyclotomic_field(7),
         # t (t - 1) (t + 1) and t (t - 1/2) (t + 1/2): rings with zero divisors
@@ -124,6 +138,97 @@ class TestValues:
         F = field(name)
         assert F._inverses is None
         assert (F.generator + 1).inverse() * (F.generator + 1) == 1
+
+
+def dense_high_powers(F):
+    """(table, denominator) of t^n .. t^(2n-2) by the dense construction,
+    kept as a reference: each power a full n-tuple, shifted up, plus its
+    top coordinate times t^n."""
+    n, power, powers = F.degree, F._t_n, []
+    for _ in range(n - 1):
+        powers.append(power)
+        top, power = power[-1], (F._zero,) + power[:-1]
+        if top:
+            power = F._canon([x + top * y if y else x for x, y in zip(power, F._t_n)])
+    terms = [F._terms(power) for power in powers]
+    d = lcm(*(e for _, e in terms))
+    return [[(i, c * (d // e)) for i, c in pairs] for pairs, e in terms], d
+
+
+def random_dense_modulus(base, degree, seed):
+    rng = random.Random(seed)
+    if base.is_finite:
+        coeffs = [rng.randrange(1, base.p) for _ in range(degree)]
+    else:
+        coeffs = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+                  for _ in range(degree)]
+    return UniPoly(base, [base.from_int(c) for c in coeffs] + [base.one])
+
+
+class TestHighPowers:
+    """The sparse table of t^n .. t^(2n-2) against the dense build."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: field("Cyclo(5)"),
+        lambda: ExtensionField(QQ, cyclotomic(1000), UNASSERTED),
+        lambda: ExtensionField(QQ, cyclotomic(1031), UNASSERTED),
+        lambda: field("GF(3^42)"),
+        lambda: ExtensionField(QQ, random_dense_modulus(QQ, 17, 1), UNASSERTED),
+        lambda: ExtensionField(GF(7), random_dense_modulus(GF(7), 23, 2), VERIFIED),
+    ], ids=["Cyclo(5)", "Cyclo(1000)", "Cyclo(1031)", "GF(3^42)", "QQ dense", "GF(7) dense"])
+    def test_matches_dense_build(self, build):
+        F = build()
+        table, denominator = dense_high_powers(F)
+        assert F._high_powers == table
+        assert F._high_denominator == denominator
+        assert len(F._high_powers) == F.degree - 1
+
+    def test_cyclotomic_table_is_linear_in_the_degree(self):
+        # Phi_1031: t^1030 has 1030 terms and t^1031 .. t^2058 one each;
+        # the dense build peaked at about 9 MB under tracemalloc, the sparse
+        # one at under 1 MB
+        modulus = cyclotomic(1031)
+        tracemalloc.start()
+        try:
+            F = ExtensionField(QQ, modulus, UNASSERTED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, F._high_powers)) == 1030 + 1028
+        assert peak < 2_000_000
+
+
+def boxed_inverse(F, a):
+    """The inverse by the boxed extended gcd of a and the modulus."""
+    g, s, _ = poly_xgcd(F.to_unipoly(a), F.modulus)
+    assert g.degree == 0
+    return F.from_unipoly(s * g.coeff(0).inverse())
+
+
+class TestInverse:
+    """The raw extended gcd against the boxed one."""
+
+    @pytest.mark.parametrize("name", ["GF(3^4)", "GF(2^6)"])
+    def test_every_nonzero_element(self, name):
+        F = field(name)
+        for a in F.elements():
+            if a:
+                inverse = a.inverse()
+                assert inverse.value == boxed_inverse(F, a).value
+                assert all(type(c) is int and 0 <= c < F.characteristic for c in inverse.value)
+
+    @pytest.mark.parametrize("name", ["Q(i)", "Q(sqrt 2)", "Cyclo(5)", "Cyclo(7)"])
+    def test_derandomized_elements_over_q(self, name):
+        F, rng = field(name), random.Random(name)
+        for _ in range(40):
+            coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.7
+                      else Fraction(0) for _ in range(F.degree)]
+            a = F.from_coords([QQ.from_int(c) for c in coords])
+            if a:
+                inverse = a.inverse()
+                assert inverse.value == boxed_inverse(F, a).value
+                assert all(type(c) is Fraction for c in inverse.value)
+                assert a * inverse == 1
 
 
 class TestDivisionByZeroMessages:

@@ -17,7 +17,13 @@ from galdescent.galois import cyclotomic_field
 from galdescent.extension import ASSERTED, UNASSERTED, VERIFIED, finite_field, make_extension
 from galdescent.linalg import Matrix
 from galdescent.multipoly import MultiPolynomial
-from galdescent.unipoly import UniPoly, cyclotomic, default_modulus, is_irreducible_mod_p
+from galdescent.unipoly import (
+    UniPoly,
+    cyclotomic,
+    default_modulus,
+    is_irreducible_mod_p,
+    is_squarefree,
+)
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -212,6 +218,65 @@ class TestDefaultModulus:
                         assert make_extension(field, f).degree == deg
 
 
+# The boxed univariate algorithms, on UniPoly arithmetic over FieldElements:
+# references for the raw kernel of galdescent.unipoly.
+
+def poly_gcd(a, b):
+    """Monic gcd."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a * a.leading.inverse() if not a.is_zero else a
+
+
+def poly_xgcd(a, b):
+    """Returns (g, s, t) with s*a + t*b = g, g monic (or zero)."""
+    field = a.field
+    r0, r1 = a, b
+    s0, s1 = UniPoly(field, [field.one]), UniPoly.zero(field)
+    t0, t1 = UniPoly.zero(field), UniPoly(field, [field.one])
+    while not r1.is_zero:
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0.is_zero:
+        return r0, s0, t0
+    scale = r0.leading.inverse()
+    return r0 * scale, s0 * scale, t0 * scale
+
+
+def poly_powmod(base, exponent, modulus):
+    field = base.field
+    result = UniPoly(field, [field.one]) % modulus
+    base = base % modulus
+    while exponent:
+        if exponent & 1:
+            result = (result * base) % modulus
+        base = (base * base) % modulus
+        exponent >>= 1
+    return result
+
+
+def boxed_is_squarefree(f):
+    d = UniPoly(f.field, [c * i for i, c in enumerate(f.coeffs) if i > 0])
+    if d.is_zero:
+        return f.degree == 0
+    return poly_gcd(f, d).degree == 0
+
+
+def boxed_ben_or(f):
+    """Ben-Or's test on boxed polynomials."""
+    if f.degree <= 0:
+        return False
+    x = UniPoly.x(f.field)
+    xq = x
+    for _ in range(f.degree // 2):
+        xq = poly_powmod(xq, f.field.characteristic, f)
+        if poly_gcd(xq - x, f).degree != 0:
+            return False
+    return True
+
+
 def rabin_is_irreducible(f):
     """Rabin's test, kept as a reference: x^(p^n) = x mod f and
     gcd(x^(p^(n/q)) - x, f) = 1 for every prime q dividing n."""
@@ -221,11 +286,11 @@ def rabin_is_irreducible(f):
     x = UniPoly.x(field)
     powers = [x % f]
     for _ in range(n):
-        powers.append(unipoly.poly_powmod(powers[-1], field.characteristic, f))
+        powers.append(poly_powmod(powers[-1], field.characteristic, f))
     if powers[n] != powers[0]:
         return False
     primes = [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]
-    return all(unipoly.poly_gcd(powers[n // q] - x, f).degree == 0 for q in primes)
+    return all(poly_gcd(powers[n // q] - x, f).degree == 0 for q in primes)
 
 
 def mobius(n):
@@ -243,16 +308,24 @@ def mobius(n):
 class TestBenOr:
     @pytest.mark.parametrize("p, top", [(2, 6), (3, 6), (5, 5)])
     def test_agrees_with_rabin_and_gauss(self, p, top):
+        """The raw Ben-Or test against Rabin's; over F_2 and F_3 also the raw
+        Ben-Or and squarefreeness tests against their boxed references."""
         field = GF(p)
         for n in range(1, top + 1):
-            count = 0
+            count = squarefree = 0
             for f in monics(field, n):
                 verdict = is_irreducible_mod_p(f)
                 assert verdict == rabin_is_irreducible(f), f.format()
                 count += verdict
+                squarefree += is_squarefree(f)
+                if p < 5:
+                    assert verdict == boxed_ben_or(f), f.format()
+                    assert is_squarefree(f) == boxed_is_squarefree(f), f.format()
             # Gauss: (1/n) sum over d | n of mu(d) p^(n/d)
             assert n * count == sum(
                 mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0)
+            # p^n - p^(n-1) monic squarefree polynomials of degree n >= 2
+            assert squarefree == (p ** n - p ** (n - 1) if n > 1 else p ** n)
 
 
 @functools.cache

@@ -10,7 +10,7 @@ from galdescent import groebner
 from galdescent.errors import Budget, BudgetExceeded, FieldMismatch
 from galdescent.extension import make_extension
 from galdescent.fields import GF, QQ, FieldElement
-from galdescent.galois import verify_automorphism
+from galdescent.galois import cyclotomic_field, verify_automorphism
 from galdescent.groebner import (
     Ideal,
     apply_semilinear,
@@ -759,6 +759,76 @@ class TestApplySemilinear:
                 apply_semilinear(frob, images, p) * apply_semilinear(frob, images, q))
             assert apply_semilinear(frob, images, p + q) == (
                 apply_semilinear(frob, images, p) + apply_semilinear(frob, images, q))
+
+
+def reference_transform(poly, coeff_map, images):
+    """transform term by term: each term is its mapped coefficient times the
+    images, multiplied in one factor at a time, and added to the sum."""
+    sample = next(iter(images.values()))
+    field, names = sample.field, sample.variables
+    images = {name: images[name] if name in images
+              else MultiPolynomial.variable(field, names, name) for name in poly.variables}
+    acc = MultiPolynomial.zero(field, names)
+    for exps, coeff in poly.terms.items():
+        term = MultiPolynomial.constant(field, names, coeff_map(coeff))
+        for name, e in zip(poly.variables, exps):
+            for _ in range(e):
+                term = term * images[name]
+        acc = acc + term
+    return acc
+
+
+def transform_cases():
+    """(field, coefficient map, elements) for each field of the differential."""
+    F9 = make_extension(GF(3), UniPoly.from_ints(GF(3), [1, 0, 1]))
+    C5 = cyclotomic_field(5)
+    z = C5.generator
+    return {
+        "QQ": (QQ, lambda c: c, [QQ.from_fraction(n, d) for n in range(-4, 5)
+                                 for d in (1, 2, 3)]),
+        "GF(7)": (GF(7), lambda c: c, list(GF(7).elements())),
+        "GF(9)": (F9, verify_automorphism(F9, F9.generator ** 3, "frob"), list(F9.elements())),
+        "Cyclo(5)": (C5, verify_automorphism(C5, z * z, "s2"),
+                     [C5.zero, C5.one, z, z - 2, z * z * 3 + z, -z ** 3 + 1, z ** 4]),
+    }
+
+
+class TestTransform:
+    """transform, with its per-call powers and one term dict, against the
+    term-by-term reference."""
+
+    @pytest.mark.parametrize("name", ["QQ", "GF(7)", "GF(9)", "Cyclo(5)"])
+    def test_matches_term_by_term_reference(self, name):
+        field, sigma, elements = transform_cases()[name]
+        rng = random.Random(name)
+        source, target = ("x", "y", "z"), ("u", "v")
+        for p in random_polys(field, source, elements, 12, rng.random()):
+            images = dict(zip(source, random_polys(field, target, elements, 3, rng.random())))
+            for coeff_map in (lambda c: c, sigma):
+                out = p.transform(coeff_map, images)
+                assert out == reference_transform(p, coeff_map, images)
+                assert all(out.terms.values())
+
+    @pytest.mark.parametrize("name", ["QQ", "GF(7)", "GF(9)", "Cyclo(5)"])
+    def test_cancelling_products(self, name):
+        # x^2 - y^2 - 4z maps to 0 under x -> u + v, y -> u - v, z -> uv,
+        # and of x^3 + 3xy^2 only 4u^3 + 4v^3 survives
+        field, sigma, _ = transform_cases()[name]
+        x, y, z = ring(field, ("x", "y", "z"))
+        u, v = ring(field, ("u", "v"))
+        images = {"x": u + v, "y": u - v, "z": u * v}
+        for p, expected in [(x * x - y * y - 4 * z, 0 * u),
+                            (x ** 3 + 3 * x * y * y, 4 * u ** 3 + 4 * v ** 3)]:
+            for coeff_map in (lambda c: c, sigma):
+                out = p.transform(coeff_map, images)
+                assert out == expected == reference_transform(p, coeff_map, images)
+
+    def test_names_without_an_image_keep_their_variable(self):
+        x, y, z = ring(GF(7), ("x", "y", "z"))
+        p = x ** 3 * z + 2 * y * z ** 2 - x * y
+        images = {"x": y + z, "y": x * z}
+        assert p.substitute(images) == reference_transform(p, lambda c: c, images)
+        assert p.substitute(images) == (y + z) ** 3 * z + 2 * x * z ** 3 - (y + z) * x * z
 
 
 class TestMembershipOracle:
