@@ -394,10 +394,11 @@ def run_restrict(workspace, command, oracle):
             restricted_count = count_affine_points(
                 list(result.restricted.relations.generators), lower,
                 len(result.restricted.variables), workspace.budget)
-            source_count = count_affine_points(
-                list(algebra.relations.generators), upper,
-                len(algebra.variables), workspace.budget)
-            conjugate_product_check(result, workspace.budget)
+            report = conjugate_product_check(result, workspace.budget)
+            # Omega is the upper field: the identity conjugate is the source
+            source_count = next(
+                count for tau, count in zip(data.embeddings, report.conjugate_counts)
+                if tau.image == upper.generator)
             if restricted_count != source_count:
                 raise GaldescentError("point-count oracle failed")
             lines.append(

@@ -172,9 +172,6 @@ class ExtensionField(Field):
     def is_zero(self, a):
         return not any(a.value)
 
-    def _zero_value(self):
-        return self._zero_tuple
-
     def _add(self, a, b):
         if self._mod:
             return FieldElement(self, tuple(map(self._mod, map(add, a.value, b.value))))

@@ -103,16 +103,13 @@ class Field:
     def one(self):
         return self.from_int(1)
 
-    def is_zero(self, a):
-        return a.value == self._zero_value()
-
-    # subclasses supply: from_int, _add, _neg, _mul, _inv, characteristic,
-    # format_element, and (finite case) order/elements.  Prime and extension
-    # fields also supply _zero_value and _sub_mul for the generic loop of
-    # the Groebner kernel: ``_sub_mul(a, b, c)`` works on raw values, as the
+    # subclasses supply: from_int, is_zero, _add, _neg, _mul, _inv,
+    # characteristic, format_element, and (finite case) order/elements.
+    # Extension fields also supply _sub_mul for the generic loop of the
+    # Groebner kernel: ``_sub_mul(a, b, c)`` works on raw values, as the
     # kernel keeps them, and returns the value a - b*c, or None when that is
-    # zero, in one step with no intermediate b*c.  Over Q the kernel calls
-    # neither: it reduces on int numerators over one denominator.
+    # zero, in one step with no intermediate b*c.  Over Q and F_p the kernel
+    # calls no hook: it reduces on the int values themselves.
 
 
 class RationalField(Field):
@@ -229,12 +226,6 @@ class PrimeField(Field):
 
     def is_zero(self, a):
         return not a.value
-
-    def _zero_value(self):
-        return 0
-
-    def _sub_mul(self, a, b, c):
-        return (a - b * c) % self.p or None
 
     def _add(self, a, b):
         return FieldElement(self, (a.value + b.value) % self.p)

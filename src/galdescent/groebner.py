@@ -37,14 +37,15 @@ enters the basis, ``normal_form`` packs a caller's basis on entry (scaling
 only a non-monic element), and ``Ideal.contains`` keeps each cached basis
 packed.  S-polynomials, normal forms and the final inter-reduction run on
 these elements, and a result is unpacked into ``MultiPolynomial`` once, at
-the end.  Over QQ the reduction is fraction-free (Greuel & Pfister, A
-Singular Introduction to Commutative Algebra, 2008, sections 1.6 and 2.3):
-it reduces on int numerators over one denominator, scales them when an
-element's denominator requires it, and makes one ``Fraction`` per term that
-moves to the remainder, where it also divides out the content.  Over any
-other field it updates coefficients with the field's fused ``_sub_mul``
-(a - b*c on raw values, None for zero).  Neither loop dispatches through
-``FieldElement``.
+the end.  Over QQ and GF(p) one loop reduces on ints, over QQ fraction-free
+(Greuel & Pfister, A Singular Introduction to Commutative Algebra, 2008,
+sections 1.6 and 2.3): it reduces on int numerators over one denominator,
+scales them when an element's denominator requires it, and makes one
+``Fraction`` per term that moves to the remainder, where it also divides
+out the content.  Over GF(p) the denominators are 1 and a value is taken
+mod p only when its term leads.  Over an extension field the other loop
+updates coefficients with the field's fused ``_sub_mul`` (a - b*c on raw
+values, None for zero).  Neither loop dispatches through ``FieldElement``.
 
 ``buchberger`` runs Gebauer and Moeller's update (Gebauer & Moeller 1988;
 Becker & Weispfenning, Groebner Bases, 1993, section 5.5).  The chain and
@@ -71,8 +72,9 @@ from itertools import count
 from operator import mul
 
 from .errors import Budget, FieldMismatch
-from .fields import QQ, FieldElement
+from .fields import QQ, FieldElement, PrimeField
 from .multipoly import GREVLEX, MonomialOrder, MultiPolynomial, block_order
+from .unipoly import _inverse
 
 # value bits per field of a first run; an overflow doubles them
 _WIDTH = 15
@@ -209,6 +211,14 @@ class Ideal:
         return f"Ideal({', '.join(g.format() for g in self.generators) or '0'})"
 
 
+def _modulus(field):
+    """p over GF(p) and 0 over QQ, as in unipoly's raw kernel: the modulus of
+    the int loop; None over an extension field, which takes the generic one."""
+    if field is QQ:
+        return 0
+    return field.p if isinstance(field, PrimeField) else None
+
+
 def _element(field, lt, terms):
     """The basis element (lt, d, tail) of the polynomial with leading
     monomial ``lt`` and raw terms ``terms`` (monomial -> value), scaled to
@@ -218,31 +228,26 @@ def _element(field, lt, terms):
     d is 1 and the tail lists (monomial, raw value)."""
     lc = terms[lt]
     tail = [(e, c) for e, c in terms.items() if e != lt]
-    if field is QQ:
+    p = _modulus(field)
+    if p is not None:
         if lc != 1:
-            tail = [(e, c / lc) for e, c in tail]
+            inv = _inverse(lc, p)
+            tail = [(e, c * inv % p if p else c * inv) for e, c in tail]
         tail, d = _numerators(tail)
         return lt, d, tail
     lc = FieldElement(field, lc)
     if lc == 1:
         return lt, 1, tail
     # c / lc is 0 - c * (-1/lc)
-    scale, zero = (-lc.inverse()).value, field._zero_value()
+    scale, zero = (-lc.inverse()).value, field.zero.value
     return lt, 1, [(e, field._sub_mul(zero, c, scale)) for e, c in tail]
 
 
 def _numerators(terms):
     """The (monomial, Fraction) pairs ``terms`` as (monomial, int) pairs
-    over their least common denominator, and that denominator."""
+    over their least common denominator (1 on ints), and that denominator."""
     d = math.lcm(*[c.denominator for _, c in terms])
     return [(e, c.numerator * (d // c.denominator)) for e, c in terms], d
-
-
-def _raw(field, d, tail):
-    """The tail of a basis element with raw values."""
-    if field is QQ:
-        return [(e, Fraction(n, d)) for e, n in tail]
-    return tail
 
 
 def _pack_terms(poly, packing):
@@ -292,9 +297,10 @@ def _reduce(work, den, basis, field, guard, budget):
     remainder comes back as raw terms in descending order, so its first key
     is its leading monomial.  Raises ``_Overflow`` on a product that
     outgrows its fields."""
-    if field is QQ:
-        return _reduce_rational(work, den, basis, guard, budget)
-    sub_mul, zero = field._sub_mul, field._zero_value()
+    p = _modulus(field)
+    if p is not None:
+        return _reduce_ints(work, den, basis, p, guard, budget)
+    sub_mul, zero = field._sub_mul, field.zero.value
     remainder = {}
     # every monomial of ``work`` is in the heap, negated so that the largest
     # pops first; entries whose term has since cancelled are skipped when
@@ -331,17 +337,19 @@ def _reduce(work, den, basis, field, guard, budget):
     return remainder
 
 
-def _reduce_rational(work, den, basis, guard, budget):
-    """``_reduce`` over QQ, fraction-free: ``work`` holds int numerators
-    over the one denominator ``den``, and each basis element int numerators
-    over its d.  A step cancels the top term w/den against x^shift times an
-    element: with k = gcd(w, d) and d = k*m, each tail term n/d subtracts
-    (w/den)(n/d) = (w/k)*n / (den*m), so the work and ``den`` are first
-    scaled by m (when m is not 1).  A term that moves to the remainder
-    becomes one ``Fraction`` in lowest terms, and the content, the gcd of
-    ``den`` and the numerators left, is divided out then.  The steps are
-    those of the generic loop, since a coefficient vanishes in one exactly
-    when it does in the other."""
+def _reduce_ints(work, den, basis, p, guard, budget):
+    """``_reduce`` on ints: fraction-free over QQ (p = 0), lazily mod p over
+    GF(p).  ``work`` holds int numerators over the one denominator ``den``,
+    and each basis element int numerators over its d.  A step cancels the
+    top term w/den against x^shift times an element: with k = gcd(w, d) and
+    d = k*m, each tail term n/d subtracts (w/den)(n/d) = (w/k)*n / (den*m),
+    so the work and ``den`` are first scaled by m (when m is not 1).  A term
+    that moves to the remainder becomes one ``Fraction`` in lowest terms,
+    and the content, the gcd of ``den`` and the numerators left, is divided
+    out then.  Over GF(p) d and ``den`` are 1; a value is taken mod p only
+    at the top, where a term that vanished is skipped, so it grows at most
+    to p^2 times its monomial's updates.  It takes the generic loop's steps:
+    a coefficient vanishes in one exactly when it does in the other."""
     gcd, remainder = math.gcd, {}
     heap = [-e for e in work]
     heapify(heap)
@@ -350,6 +358,10 @@ def _reduce_rational(work, den, basis, guard, budget):
         w = work.pop(exps, None)
         if w is None:
             continue
+        if p:
+            w %= p
+            if not w:
+                continue
         for lt, d, tail in basis:
             shift = exps - lt
             if not shift & guard:
@@ -378,7 +390,7 @@ def _reduce_rational(work, den, basis, guard, budget):
                             del work[e]
                 break
         else:
-            remainder[exps] = Fraction(w, den)
+            remainder[exps] = w if p else Fraction(w, den)
             if den != 1:
                 content = gcd(den, *work.values())
                 if content != 1:
@@ -414,7 +426,7 @@ def _s_polynomial(f, g, lcm, field, guard):
     cancel."""
     (lt_f, d_f, tail_f), (lt_g, d_g, tail_g) = f, g
     mf, mg = lcm - lt_f, lcm - lt_g
-    if field is QQ:
+    if _modulus(field) is not None:
         # both tails over the lcm of their denominators
         den = math.lcm(d_f, d_g)
         sf, sg = den // d_f, den // d_g
@@ -428,7 +440,7 @@ def _s_polynomial(f, g, lcm, field, guard):
                 del work[e]
     else:
         den = 1
-        sub_mul, zero, one = field._sub_mul, field._zero_value(), field.one.value
+        sub_mul, zero, one = field._sub_mul, field.zero.value, field.one.value
         work = {mf + e: c for e, c in tail_f}
         for e, c in tail_g:
             e += mg
@@ -537,8 +549,6 @@ def _reduce_basis(basis, field, guard, budget):
     # full reduction of each tail: no other kept LT divides an element's
     # own LT, so it keeps its leading term with coefficient 1, the basis
     # stays monic and in ascending order
-    if len(kept) == 1:
-        return [(lt, _raw(field, d, tail)) for lt, d, tail in kept]
     return [(lt, list(_reduce(dict(tail), d, kept[:i] + kept[i + 1:], field, guard,
                               budget).items()))
             for i, (lt, d, tail) in enumerate(kept)]
