@@ -561,25 +561,23 @@ def derive_point_action(datum, budget=None):
     hits, tables = solutions(list(algebra.relations.generators), ext,
                              len(algebra.variables), budget)
     index = {p: i for i, p in enumerate(hits)}
+    # columns[i] lists variable i's index at each point; zip makes no
+    # column when there are no points
+    columns = list(zip(*hits)) or [()] * len(algebra.variables)
     permutations = []
     for idx in range(group.order):
         sigma = tables.permutation(group.elements[idx])
-        inv = group.inverse[idx]
-        inv_images = [tables.compile_poly(datum.maps[inv].images[name])
-                      for name in algebra.variables]
-        perm = []
-        for p in hits:
-            target = index.get(tuple(sigma[image(p)] for image in inv_images))
-            if target is None:
-                raise InternalContradiction(
-                    "action image escaped the point set; datum invalid")
-            perm.append(target)
+        inverse = datum.maps[group.inverse[idx]].images
+        images = [[sigma[v] for v in tables.evaluate(inverse[name], columns, len(hits))]
+                  for name in algebra.variables]
+        # with no variables each point is its own (empty) image
+        perm = list(map(index.get, zip(*images) if images else hits))
+        if None in perm:
+            raise InternalContradiction("action image escaped the point set; datum invalid")
         permutations.append(perm)
-    # group-action law on the table
-    for i in range(group.order):
-        for j in range(group.order):
-            k = group.compose(i, j)
-            for p_idx in range(len(hits)):
-                if permutations[i][permutations[j][p_idx]] != permutations[k][p_idx]:
-                    raise InternalContradiction("point action violates the group law")
+    # group-action law on the table, at every pair and every point
+    for i, perm_i in enumerate(permutations):
+        for j, perm_j in enumerate(permutations):
+            if [perm_i[x] for x in perm_j] != permutations[group.compose(i, j)]:
+                raise InternalContradiction("point action violates the group law")
     return PointAction(datum, [tables.decode(p) for p in hits], permutations)

@@ -14,12 +14,17 @@ it.  The values that a variable may take are the common roots in F_q of the
 generators it closes, each reduced to its coefficient tuple in that
 variable, kept as running sums to which a node adds only the terms of the
 variable it assigns.  A generator of degree 1 in the variable gives its
-root by one division; the first other one is scanned over all of F_q, and a
-memo of at most q of its coefficient tuples saves the q-scan for repeated
-ones; each later generator is evaluated at the roots that survive, and none
-once no root survives.  The hits are sorted back into :func:`tuples` order.
-Backtracking with early constraint checks: Golomb and Baumert, "Backtrack
-programming", J. ACM 12 (1965).
+root by one subtraction of logs; the first other one is scanned over all of
+F_q, and a memo of at most q of its coefficient tuples saves the q-scan for
+repeated ones; each later generator is evaluated at the roots that survive,
+and none once no root survives.  The last two variables are closed as one
+step: at a node where the fibre of the penultimate variable is known, each
+slot that it updates is computed as one column over that fibre, so a term's
+factors over earlier variables are multiplied once per node rather than
+once per value, and the last level is then solved for each value of the
+fibre by the same fibre routine.  The hits are sorted back into
+:func:`tuples` order.  Backtracking with early constraint checks: Golomb
+and Baumert, "Backtrack programming", J. ACM 12 (1965).
 
 Solution sets are tiny but appear inside doubly-exponential loops, so every
 finite-field oracle (affine points, the induced action on points, fixed
@@ -35,6 +40,9 @@ automorphism becomes a permutation of the indices from its one image of g:
 it is multiplicative, so g^k goes to sigma(g)^k.  That holds only for a
 verified automorphism, and every element of a ``GaloisGroup`` is one: each
 passed ``verify_automorphism`` or is a composite of elements that did.
+:meth:`SmallFieldTables.evaluate` evaluates a polynomial at a whole list
+of points given column by column, one list comprehension per factor of
+each term; the induced action on points tabulates each image this way.
 """
 
 from itertools import product
@@ -64,11 +72,13 @@ class SmallFieldTables:
         for k, v in enumerate(antilog):
             log[v] = k
         # -1 is p - 1, or 1 in characteristic 2
-        self._log_minus_one = log[p - 1]
-        # a sum of two logs is below 2(q - 1): index it without reducing;
-        # the row builders hold no reference to self (see _Rows)
-        doubled, nonzero_logs = antilog + antilog, log[1:]
-        self.mul = _Rows(lambda a: [zero] + [doubled[log[a] + k] for k in nonzero_logs]
+        self.log_minus_one = log[p - 1]
+        # a sum of two logs is below 2(q - 1), a difference above -(q - 1):
+        # index either without reducing; the row builders hold no reference
+        # to self (see _Rows)
+        self.antilog_twice = twice = antilog + antilog
+        nonzero_logs = log[1:]
+        self.mul = _Rows(lambda a: [zero] + [twice[log[a] + k] for k in nonzero_logs]
                          if a else [zero] * q)
         self.add = _Rows(lambda a: _sum_row(a, ints, p))
         self._powers = [[antilog[0]] * q, ints]
@@ -82,14 +92,6 @@ class SmallFieldTables:
             e = len(powers)
             powers.append([self.zero] + [antilog[e * k % (self.q - 1)] for k in self.log[1:]])
         return powers
-
-    def root(self, constant, slope):
-        """The index v at which constant + slope * v vanishes, for a nonzero
-        slope: -constant / slope by one subtraction of logs."""
-        if constant == self.zero:
-            return self.zero
-        log = self.log
-        return self.antilog[(log[constant] + self._log_minus_one - log[slope]) % (self.q - 1)]
 
     def _antilog(self):
         """g^0 .. g^(q-2) as indices, for the first element g (in index order)
@@ -168,19 +170,27 @@ class SmallFieldTables:
             perm[v] = antilog[k * step % (self.q - 1)]
         return perm
 
-    def compile_poly(self, poly):
-        """An evaluator of ``poly`` at a tuple of element indices."""
-        terms = _terms(poly, self)
-        mul, add, zero = self.mul, self.add, self.zero
-
-        def evaluate(point):
-            total = zero
-            for acc, factors in terms:
-                for i, table in factors:
-                    acc = mul[acc][table[point[i]]]
-                total = add[total][acc]
-            return total
-        return evaluate
+    def evaluate(self, poly, columns, count):
+        """The values of ``poly`` at ``count`` points given column by column
+        (``columns[i]`` lists variable i's index at each point), as one
+        column: a list comprehension per factor of each term and one per
+        sum of two terms."""
+        mul, add = self.mul, self.add
+        powers = self.powers(max((e for exps in poly.terms for e in exps), default=0))
+        total = None
+        for exps, c in poly.terms.items():
+            coeff = self.encode(c)
+            factors = [(i, powers[e]) for i, e in enumerate(exps) if e]
+            if factors:
+                (i, table), *rest = factors
+                row = mul[coeff]
+                column = [row[table[x]] for x in columns[i]]
+                for i, table in rest:
+                    column = [mul[a][table[x]] for a, x in zip(column, columns[i])]
+            else:
+                column = [coeff] * count
+            total = column if total is None else [add[a][b] for a, b in zip(total, column)]
+        return [self.zero] * count if total is None else total
 
 
 class _Rows(dict):
@@ -249,18 +259,22 @@ def solutions(generators, field, nvars, budget=None):
         return [()], tables
     powers = tables.powers(max((e for g in polys for exps in g.terms for e in exps),
                                default=1))
-    order, initial, updates, levels = _scan_plan(polys, nvars, tables)
+    order, initial, updates, levels = _scan_plan(polys, nvars, tables, powers)
     memo = {}
     if nvars == 1:
         return [(v,) for v in _fibre(levels[0], initial, tables, powers, memo)], tables
-    mul, add = tables.mul, tables.add
     point = [tables.zero] * nvars
     hits = []
+    closing = (order[-2], order[-1], updates[-2], levels[-1], tables, powers, memo, hits)
+    if nvars == 2:
+        _close(point, initial, _fibre(levels[0], initial, tables, powers, memo), closing)
+    mul, add = tables.mul, tables.add
     # sums[d]: the coefficient sums once the first d variables have values
-    sums = [initial] * (nvars - 1)
-    # an explicit stack: a recursive closure would be a reference cycle that
-    # keeps the tables alive until the cyclic garbage collector runs
-    stack = [iter(_fibre(levels[0], initial, tables, powers, memo))]
+    sums = [initial] * (nvars - 2)
+    # an explicit stack over all but the last two variables: a recursive
+    # closure would be a reference cycle that keeps the tables alive until
+    # the cyclic garbage collector runs
+    stack = [iter(_fibre(levels[0], initial, tables, powers, memo))] if nvars > 2 else []
     while stack:
         value = next(stack[-1], None)
         if value is None:
@@ -271,15 +285,13 @@ def solutions(generators, field, nvars, budget=None):
         current = sums[depth - 1]
         if updates[depth - 1]:
             current = current.copy()
-            for slot, acc, factors in updates[depth - 1]:
-                for i, table in factors:
-                    acc = mul[acc][table[point[i]]]
-                current[slot] = add[current[slot]][acc]
+            for slot, acc, factors, table in updates[depth - 1]:
+                for i, earlier in factors:
+                    acc = mul[acc][earlier[point[i]]]
+                current[slot] = add[current[slot]][mul[acc][table[value]]]
         fibre = _fibre(levels[depth], current, tables, powers, memo)
-        if depth == nvars - 1:
-            for value in fibre:
-                point[order[-1]] = value
-                hits.append(tuple(point))
+        if depth == nvars - 2:
+            _close(point, current, fibre, closing)
         else:
             sums[depth] = current
             stack.append(iter(fibre))
@@ -287,7 +299,45 @@ def solutions(generators, field, nvars, budget=None):
     return hits, tables
 
 
-def _scan_plan(polys, nvars, tables):
+def _close(point, current, fibre, closing):
+    """Assign the last two variables below a node of the scan, whose sums
+    are ``current``: the penultimate variable takes each value of
+    ``fibre``, the last each root of the generators that the last level
+    closes, and each point is appended to the hits.
+
+    The slots that the penultimate variable updates are computed as columns
+    over the fibre, one list comprehension per term, whose factors over
+    earlier variables are multiplied once for the whole fibre.  Each value
+    then patches its entries into one copy of ``current`` and asks
+    :func:`_fibre` for the roots."""
+    if not fibre:
+        return
+    var, last, updates, level, tables, powers, memo, hits = closing
+    mul, add = tables.mul, tables.add
+    columns = {}
+    for slot, acc, factors, table in updates:
+        for i, earlier in factors:
+            acc = mul[acc][earlier[point[i]]]
+        row = mul[acc]
+        column = columns.get(slot)
+        if column is None:
+            base = add[current[slot]]
+            columns[slot] = [base[row[table[v]]] for v in fibre]
+        else:
+            columns[slot] = [add[c][row[table[v]]] for c, v in zip(column, fibre)]
+    sums, patches = current.copy(), list(columns.items())
+    for k, value in enumerate(fibre):
+        for slot, column in patches:
+            sums[slot] = column[k]
+        roots = _fibre(level, sums, tables, powers, memo)
+        if roots:
+            point[var] = value
+            for root in roots:
+                point[last] = root
+                hits.append(tuple(point))
+
+
+def _scan_plan(polys, nvars, tables, powers):
     """The order in which :func:`solutions` assigns the variables, and the
     running sums that give each generator's coefficients in the variable
     that closes it, its last one, constant term first.
@@ -297,9 +347,10 @@ def _scan_plan(polys, nvars, tables):
     the variables come in :func:`tuples` order, slowest first.  The
     coefficients are the slots of one list, returned with the terms that
     have no other variable; then come, for each position d, the other terms
-    (slot, coefficient, factors) whose deepest variable is assigned at d, to
-    be added once it has its value, and the (start, stop) slot range of each
-    generator that d closes."""
+    whose deepest variable is assigned at d, to be added once it has its
+    value, each as (slot, coefficient, factors over the earlier variables,
+    power table of the deepest one), and the (start, stop) slot range of
+    each generator that d closes."""
     supports = [{i for exps in g.terms for i, e in enumerate(exps) if e} for g in polys]
     order = []
     unassigned = set(range(nvars))
@@ -313,47 +364,47 @@ def _scan_plan(polys, nvars, tables):
     for g, support in zip(polys, supports):
         closing = max(position[i] for i in support)
         var = order[closing]
+        # the generator's other variables, in the order they are assigned
+        others = [i for i in order[:closing] if i in support]
         start = len(initial)
         initial += [tables.zero] * (1 + max(exps[var] for exps in g.terms))
-        for exps, (coeff, factors) in zip(g.terms, _terms(g, tables, var)):
+        for exps, c in g.terms.items():
             slot = start + exps[var]
+            factors = [(i, powers[exps[i]]) for i in others if exps[i]]
             if factors:
-                updates[max(position[i] for i, _ in factors)].append((slot, coeff, factors))
+                deepest, table = factors.pop()
+                updates[position[deepest]].append(
+                    (slot, tables.encode(c), tuple(factors), table))
             else:
                 # the one term of this power of var with no other variable
-                initial[slot] = coeff
+                initial[slot] = tables.encode(c)
         levels[closing].append((start, len(initial)))
     return order, initial, updates, levels
-
-
-def _terms(poly, tables, var=None):
-    """The terms of ``poly`` as (coefficient index, factors) pairs, each
-    factor a (variable, power table) pair; ``var`` gets no factor."""
-    powers = tables.powers(max((e for exps in poly.terms for e in exps), default=0))
-    return [(tables.encode(c), tuple((i, powers[e]) for i, e in enumerate(exps)
-                                     if e and i != var))
-            for exps, c in poly.terms.items()]
 
 
 def _fibre(level, sums, tables, powers, memo):
     """The values, ascending, of a level's variable at which every generator
     that the level closes vanishes, its coefficients read from ``sums``.
 
-    A generator of degree 1 in the variable has one root, by one division,
-    or every value or none when its slope is 0.  The first other generator
+    A generator of degree 1 in the variable has one root, by one
+    subtraction of logs, or every value or none when its slope is 0.  The first other generator
     met while every value is still possible keys ``memo`` with its
     coefficient tuple: its roots depend on the key alone, so one memo
     serves every level.  It is cleared once it holds q keys.  Each later
     generator is evaluated only at the roots that survive the ones before
     it, and none is looked at once no root survives."""
     ints = roots = tables.ints
+    zero = tables.zero
     for start, stop in level:
         if stop - start == 2:
             constant, slope = sums[start], sums[start + 1]
-            if slope != tables.zero:
-                root = tables.root(constant, slope)
+            if slope != zero:
+                # -constant / slope by one subtraction of logs
+                log = tables.log
+                root = (tables.antilog_twice[log[constant] - log[slope] + tables.log_minus_one]
+                        if constant != zero else zero)
                 roots = [root] if roots is ints or root in roots else []
-            elif constant != tables.zero:
+            elif constant != zero:
                 roots = []
         elif roots is ints:
             key = tuple(sums[start:stop])

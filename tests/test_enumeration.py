@@ -11,6 +11,7 @@ from galdescent.affine import (
     AffineDescentDatum,
     SemilinearAlgebraMap,
     derive_point_action,
+    validate_datum,
 )
 from galdescent.enumeration import (
     SmallFieldTables,
@@ -20,7 +21,7 @@ from galdescent.enumeration import (
     solutions,
     tuples,
 )
-from galdescent.errors import Budget, BudgetExceeded
+from galdescent.errors import Budget, BudgetExceeded, InternalContradiction
 from galdescent.extension import ExtensionField, finite_field
 from galdescent.flat import FiniteAlgebra
 from galdescent.fields import GF
@@ -92,6 +93,22 @@ class TestTables:
         for sigma in frobenius_group(field).elements:
             assert tables.permutation(sigma) == [tables.encode(sigma(e))
                                                  for e in tables.elements]
+
+    @pytest.mark.parametrize("make", [
+        lambda x, y, t: x - x,
+        lambda x, y, t: x - x + t,
+        lambda x, y, t: y,
+        lambda x, y, t: 2 * x ** 2 * y + t * y ** 3 + t + 1,
+    ])
+    def test_column_evaluation_matches_pointwise(self, make):
+        field = finite_field(3, 2)
+        tables = SmallFieldTables(field)
+        x, y = MultiPolynomial.ring_vars(field, ("x", "y"))
+        poly = make(x, y, field.generator)
+        points = list(tuples(tables.ints, 2))
+        columns = list(zip(*points))
+        assert tables.evaluate(poly, columns, len(points)) == list(
+            map(point_evaluator(poly, tables), points))
 
     def test_elements_order_pinned(self):
         F9 = finite_field(3, 2)
@@ -284,12 +301,33 @@ def cyclic_datum(ext, group):
         SemilinearAlgebraMap(sigma, images[sigma.name]) for sigma in group.elements])
 
 
+def affine_swap_datum(ext, group):
+    """The swap datum on u*v - 1 carried to x = a*u + b, y = c*v + d by an
+    affine-linear change of coordinates over the extension, so that each
+    image is a sum with non-unit coefficients and a constant: theta_sigma
+    sends x to sigma(a) * v + sigma(b) and y to sigma(c) * u + sigma(d)."""
+    x, y = MultiPolynomial.ring_vars(ext, ("x", "y"))
+    t = ext.generator
+    a, b, c, d = t, ext.one, t + 1, t * t
+    u, v = (x - b) * a.inverse(), (y - d) * c.inverse()
+    algebra = AffineAlgebra(ext, ("x", "y"), Ideal(ext, ("x", "y"), [u * v - 1]))
+    maps = []
+    for sigma in group.elements:
+        first, second = (u, v) if sigma.name == "id" else (v, u)
+        maps.append(SemilinearAlgebraMap(sigma, {"x": sigma(a) * first + sigma(b),
+                                                 "y": sigma(c) * second + sigma(d)}))
+    return AffineDescentDatum(algebra, group, maps)
+
+
 class TestPointAction:
-    @pytest.mark.parametrize("p, n, make", [(3, 2, swap_datum), (3, 3, cyclic_datum)])
+    @pytest.mark.parametrize("p, n, make", [(3, 2, swap_datum), (3, 3, cyclic_datum),
+                                            (3, 2, affine_swap_datum),
+                                            (5, 2, affine_swap_datum)])
     def test_permutations_match_elementwise(self, p, n, make):
         ext = finite_field(p, n)
         group = frobenius_group(ext)
         datum = make(ext, group)
+        validate_datum(datum)
         action = derive_point_action(datum)
         index = {point: i for i, point in enumerate(action.points)}
         variables = datum.algebra.variables
@@ -299,6 +337,41 @@ class TestPointAction:
                         for point in action.points]
             assert action.permutations[idx] == expected
         assert all(point[0].field is ext for point in action.points)
+
+    def test_affine_swap_images_have_constants_and_non_unit_coefficients(self):
+        for p in (3, 5):
+            ext = finite_field(p, 2)
+            group = frobenius_group(ext)
+            frob = affine_swap_datum(ext, group).maps[1 - group.identity_index]
+            for image in frob.images.values():
+                assert len(image.terms) == 2
+                assert all(c != ext.one for c in image.terms.values())
+
+    def test_image_outside_the_point_set_is_refused(self):
+        # x -> y + 1 sends (a, 1/a) to (sigma(1/a) + 1, sigma(a)), whose
+        # coordinates multiply to 1 + sigma(a), never 1
+        ext = finite_field(3, 2)
+        group = frobenius_group(ext)
+        datum = swap_datum(ext, group)
+        other = 1 - group.identity_index
+        frob = datum.maps[other]
+        images = dict(frob.images, x=frob.images["x"] + 1)
+        datum.maps[other] = SemilinearAlgebraMap(frob.sigma, images)
+        with pytest.raises(InternalContradiction,
+                           match="^action image escaped the point set; datum invalid$"):
+            derive_point_action(datum)
+
+    def test_action_breaking_the_group_law_is_refused(self):
+        # theta_id = the swap keeps x*y - 1, but swapping twice is not a swap
+        ext = finite_field(3, 2)
+        group = frobenius_group(ext)
+        datum = swap_datum(ext, group)
+        identity = group.identity_index
+        swap = datum.maps[1 - identity].images
+        datum.maps[identity] = SemilinearAlgebraMap(group.elements[identity], swap)
+        with pytest.raises(InternalContradiction,
+                           match="^point action violates the group law$"):
+            derive_point_action(datum)
 
     def test_one_automorphism_call_per_group_element(self, monkeypatch):
         calls = []
@@ -317,11 +390,30 @@ class TestPointAction:
         assert len(action.points) == ext.order - 1
 
 
+def point_evaluator(poly, tables):
+    """An evaluator of ``poly`` at one tuple of element indices at a time,
+    term by term on the tables: the reference for the scan, independent of
+    the column evaluator."""
+    powers = tables.powers(max((e for exps in poly.terms for e in exps), default=0))
+    terms = [(tables.encode(c), [(i, powers[e]) for i, e in enumerate(exps) if e])
+             for exps, c in poly.terms.items()]
+    mul, add, zero = tables.mul, tables.add, tables.zero
+
+    def evaluate(point):
+        total = zero
+        for acc, factors in terms:
+            for i, table in factors:
+                acc = mul[acc][table[point[i]]]
+            total = add[total][acc]
+        return total
+    return evaluate
+
+
 def odometer(generators, field, nvars):
     """The scan that :func:`solutions` prunes: every generator evaluated in
     full at every tuple, in :func:`tuples` order."""
     tables = SmallFieldTables(field)
-    evaluators = [tables.compile_poly(g) for g in generators if not g.is_zero]
+    evaluators = [point_evaluator(g, tables) for g in generators if not g.is_zero]
     return [point for point in tuples(tables.ints, nvars)
             if all(ev(point) == tables.zero for ev in evaluators)]
 
