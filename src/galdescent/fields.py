@@ -263,3 +263,12 @@ QQ = RationalField()
 
 def GF(p):
     return PrimeField(p)
+
+
+def int_modulus(field):
+    """p over GF(p) and 0 over QQ, as in unipoly's raw kernel: the modulus of
+    a loop on int values; None over an extension field, whose loops run on
+    its elements."""
+    if field is QQ:
+        return 0
+    return field.p if isinstance(field, PrimeField) else None

@@ -9,9 +9,11 @@ slowest.  Every map between realizations is a Kronecker product
 (``linalg.kron``) of identities, unit columns and multiplication matrices,
 followed by at most one reordering of tensor slots (``_permute_slots``).
 These maps are mostly zeros, and a ``linalg.Matrix`` stores only the nonzero
-entries of each row, so building, composing and reducing them costs time in
-proportion to the nonzeros; ``Matrix.rows`` is a dense view for reading
-small matrices entry by entry.
+entries of each row, as raw scalars: ints mod p over F_p, and over Q int
+numerators over one denominator per matrix.  So building, composing and
+reducing them costs int operations in proportion to the nonzeros, with no
+field element or ``Fraction`` per entry; ``Matrix.rows`` is a dense view of
+field elements for reading small matrices entry by entry.
 
 The Amitsur differentials d^r: B^(x)r -> B^(x)r+1 follow the recurrence
 d^r = u (x) I_{m^r} - I_m (x) d^(r-1) from d^0 = u, the unit column of B

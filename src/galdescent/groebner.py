@@ -72,7 +72,7 @@ from itertools import count
 from operator import mul
 
 from .errors import Budget, FieldMismatch
-from .fields import QQ, FieldElement, PrimeField
+from .fields import QQ, FieldElement, int_modulus
 from .multipoly import GREVLEX, MonomialOrder, MultiPolynomial, block_order
 from .unipoly import _inverse
 
@@ -211,14 +211,6 @@ class Ideal:
         return f"Ideal({', '.join(g.format() for g in self.generators) or '0'})"
 
 
-def _modulus(field):
-    """p over GF(p) and 0 over QQ, as in unipoly's raw kernel: the modulus of
-    the int loop; None over an extension field, which takes the generic one."""
-    if field is QQ:
-        return 0
-    return field.p if isinstance(field, PrimeField) else None
-
-
 def _element(field, lt, terms):
     """The basis element (lt, d, tail) of the polynomial with leading
     monomial ``lt`` and raw terms ``terms`` (monomial -> value), scaled to
@@ -228,7 +220,7 @@ def _element(field, lt, terms):
     d is 1 and the tail lists (monomial, raw value)."""
     lc = terms[lt]
     tail = [(e, c) for e, c in terms.items() if e != lt]
-    p = _modulus(field)
+    p = int_modulus(field)
     if p is not None:
         if lc != 1:
             inv = _inverse(lc, p)
@@ -297,7 +289,7 @@ def _reduce(work, den, basis, field, guard, budget):
     remainder comes back as raw terms in descending order, so its first key
     is its leading monomial.  Raises ``_Overflow`` on a product that
     outgrows its fields."""
-    p = _modulus(field)
+    p = int_modulus(field)
     if p is not None:
         return _reduce_ints(work, den, basis, p, guard, budget)
     sub_mul, zero = field._sub_mul, field.zero.value
@@ -426,7 +418,7 @@ def _s_polynomial(f, g, lcm, field, guard):
     cancel."""
     (lt_f, d_f, tail_f), (lt_g, d_g, tail_g) = f, g
     mf, mg = lcm - lt_f, lcm - lt_g
-    if _modulus(field) is not None:
+    if int_modulus(field) is not None:
         # both tails over the lcm of their denominators
         den = math.lcm(d_f, d_g)
         sf, sg = den // d_f, den // d_g

@@ -11,6 +11,7 @@ from galdescent.errors import (
     NotBilinearCompatible,
     NotExact,
     ShapeMismatch,
+    SingularMatrix,
     UnsupportedBase,
     ZeroTarget,
 )
@@ -576,7 +577,7 @@ class TestModuleDescent:
                     phi = canonical_datum_matrix(B, rank)
                     try:
                         data = twist_datum(B, rank, phi, u)
-                    except Exception:
+                    except SingularMatrix:
                         continue  # random u not invertible
                     check_cocycle(data, f)
                     module = reconstruct_module(data, f)

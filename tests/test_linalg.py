@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from galdescent.errors import ShapeMismatch, SingularMatrix
+from galdescent.errors import FieldMismatch, ShapeMismatch, SingularMatrix
 from galdescent.fields import GF, QQ, FieldElement
 from galdescent.extension import finite_field, make_extension
 from galdescent.linalg import (
@@ -213,6 +213,68 @@ class TestEmptyShapes:
         assert (E.nrows, E.ncols) == (0, 2)
         # no matrices to fix: every vector is fixed
         assert fixed_space_basis(QQ, 2, []) == list(Matrix.identity(QQ, 2).rows)
+
+
+class TestFieldChecks:
+    """Stored scalars carry no field, so every operation that meets two
+    fields checks them, zero matrices included."""
+
+    PAIRS = [(GF(3), GF(5)), (QQ, GF(7))]
+
+    @pytest.mark.parametrize("field, other", PAIRS, ids=["gf3-gf5", "qq-gf7"])
+    def test_entries_of_another_field(self, field, other):
+        for entry in (other.one, other.zero):
+            with pytest.raises(FieldMismatch):
+                Matrix(field, [[field.one, entry]])
+            with pytest.raises(FieldMismatch):
+                Matrix.from_cols(field, [[field.one], [entry]])
+
+    @pytest.mark.parametrize("field, other", PAIRS, ids=["gf3-gf5", "qq-gf7"])
+    @pytest.mark.parametrize("make", [Matrix.identity, lambda field, n: Matrix.zero(field, n, n)],
+                             ids=["identity", "zero"])
+    def test_operands_of_another_field(self, field, other, make):
+        A, B = make(field, 2), make(other, 2)
+        for combine in (lambda: A + B, lambda: A - B, lambda: A * B, lambda: A * other.one,
+                        lambda: A.hstack(B), lambda: kron(A, B)):
+            with pytest.raises(FieldMismatch):
+                combine()
+
+
+class TestCanonicalForm:
+    """Equal matrices over QQ compare and hash equal however they were
+    built."""
+
+    @staticmethod
+    def assert_equal(M, N):
+        assert M == N and hash(M) == hash(N)
+        assert M.rows == N.rows
+
+    def test_scale_and_back(self):
+        A = mat(QQ, [[1, 2, 0], [0, -3, 4]])
+        sixth = QQ.from_fraction(1, 6)
+        self.assert_equal((A * sixth) * QQ.from_int(6), A)
+        self.assert_equal((A * QQ.from_fraction(2, 3)) * QQ.from_fraction(3, 2), A)
+
+    def test_inverse_times_matrix(self):
+        half, third = QQ.from_fraction(1, 2), QQ.from_fraction(-1, 3)
+        A = Matrix(QQ, [[half, third, QQ.zero], [QQ.one, half, third],
+                        [QQ.zero, QQ.from_int(2), half]])
+        self.assert_equal(A.inverse() * A, Matrix.identity(QQ, 3))
+        self.assert_equal(A * A.inverse(), Matrix.identity(QQ, 3))
+
+    def test_kron_of_halves_and_twos(self):
+        half, two = QQ.from_fraction(1, 2), QQ.from_int(2)
+        A = Matrix(QQ, [[half, QQ.zero], [half, half]])
+        B = Matrix(QQ, [[two, two]])
+        one, zero = QQ.one, QQ.zero
+        self.assert_equal(kron(A, B), Matrix(QQ, [[one, one, zero, zero],
+                                                  [one, one, one, one]]))
+
+    def test_cancellation_to_zero(self):
+        A = Matrix(QQ, [[QQ.from_fraction(1, 3), QQ.from_fraction(5, 6)]])
+        B = mat(QQ, [[1, 1]]) * QQ.from_fraction(1, 3) + mat(QQ, [[0, 1]]) * QQ.from_fraction(1, 2)
+        self.assert_equal(A - B, Matrix.zero(QQ, 1, 2))
+        self.assert_equal(A + -A, Matrix.zero(QQ, 1, 2))
 
 
 # The dense Matrix that sparse rows replaced, kept as the reference for the
@@ -439,3 +501,56 @@ if given is not None:
                 assert str(raised.value) == str(error)
             else:
                 assert_same(M.inverse(), expected)
+
+    # a wider range of scalars: denominators up to 6 over QQ, and values
+    # across all of GF(2^61 - 1), where products outgrow a machine word
+    P61 = GF(2 ** 61 - 1)
+    WIDE = {QQ: st.integers(-4, 4), P61: st.integers(-2 ** 61, 2 ** 61)}
+
+    @st.composite
+    def wide_elements(draw, field):
+        return field.from_int(Fraction(draw(WIDE[field]), draw(st.sampled_from([1, 2, 3, 5, 6]))))
+
+    @st.composite
+    def wide_matrices(draw, field, nrows, ncols):
+        """As ``matrices``, with entries from ``wide_elements``."""
+        level = draw(st.integers(0, 4))
+        nonzero = wide_elements(field).filter(bool)
+        rows = [[draw(nonzero) if draw(st.integers(0, 3)) < level else field.zero
+                 for _ in range(ncols)] for _ in range(nrows)]
+        return from_dense(field, rows, ncols), DenseMatrix(field, rows, ncols)
+
+    @DIFFERENTIAL
+    @given(st.sampled_from(list(WIDE)), SIZES, SIZES, SIZES, st.data())
+    def test_wide_scalars_match_dense(field, n, k, m, data):
+        (A, dA), (B, dB) = (data.draw(wide_matrices(field, n, k)) for _ in range(2))
+        C, dC = data.draw(wide_matrices(field, k, m))
+        E, dE = data.draw(wide_matrices(field, *data.draw(st.tuples(SIZES, SIZES))))
+        scalar = data.draw(wide_elements(field))
+        vector = tuple(data.draw(wide_elements(field)) for _ in range(k))
+        assert_same(A + B, dA + dB)
+        assert_same(A - B, dA - dB)
+        assert_same(-A, -dA)
+        assert_same(A * scalar, dA * scalar)
+        assert_same(A * C, dA * dC)
+        assert_same((A + B) * C, (dA + dB) * dC)
+        assert A.apply(vector) == dA.apply(vector)
+        assert_same(A.hstack(B), dA.hstack(dB))
+        assert_same(kron(A, E), dense_kron(dA, dE))
+        product = from_dense(field, (dA * dC).rows, m)
+        assert A * C == product and hash(A * C) == hash(product)
+        for M, dM in ((A, dA), (A * C, dA * dC), (A.hstack(B), dA.hstack(dB))):
+            reduced, pivots = M.rref()
+            d_reduced, d_pivots = dM.rref()
+            assert_same(reduced, d_reduced)
+            assert pivots == d_pivots
+            assert M.kernel_basis() == dM.kernel_basis()
+            try:
+                expected = dM.inverse()
+            except (ShapeMismatch, SingularMatrix) as error:
+                with pytest.raises(type(error)):
+                    M.inverse()
+            else:
+                assert_same(M.inverse(), expected)
+                assert M.inverse() * M == Matrix.identity(field, n)
+
