@@ -19,12 +19,12 @@ one ``-``, and comparing two packed ints compares their ``order.key``.  A
 monomial divides m exactly when ``(m - lt) & guard`` is 0, since a negative
 field borrows from its guard bit.  The sum of two packed monomials is exact
 even when a field outgrows ``width`` bits, but the field then sets its guard
-bit; the engine tests each new product and raises ``_Overflow`` on such a
-bit.  Lex and block reductions can raise degrees that way.  ``_widening``
-then puts ``budget.spent`` back to its value on entry and reruns the whole
-call at double width: the packed order is exact at every width, so the
-rerun takes the steps that a wide first run would, and no wrong basis or
-remainder ever leaves the engine.
+bit; the engine tests each new product and each new signature (see below)
+and raises ``_Overflow`` on such a bit.  Lex and block reductions can raise
+degrees that way.  ``_widening`` then puts ``budget.spent`` back to its value
+on entry and reruns the whole call at double width: the packed order is
+exact at every width, so the rerun takes the steps that a wide first run
+would, and no wrong basis or remainder ever leaves the engine.
 
 A basis element is a triple (packed leading monomial, d, tail) whose
 leading coefficient is 1.  Over QQ the tail lists its other terms as
@@ -47,22 +47,40 @@ mod p only when its term leads.  Over an extension field the other loop
 updates coefficients with the field's fused ``_sub_mul`` (a - b*c on raw
 values, None for zero).  Neither loop dispatches through ``FieldElement``.
 
-``buchberger`` runs Gebauer and Moeller's update (Gebauer & Moeller 1988;
-Becker & Weispfenning, Groebner Bases, 1993, section 5.5).  The chain and
-product criteria drop the S-pairs that can only reduce to zero, and an
-element whose leading term a newer one divides forms no further pairs but
-still reduces.  The reduced basis is unique, so the criteria change only the
-work, never the result; ``tests/test_groebner.py`` checks this against the
-engine without them, and the packed raw-value reduction against a division
-on exponent tuples and ``FieldElement`` coefficients.
+``buchberger`` is signature-based and incremental (Faugere, "A new
+efficient algorithm for computing Groebner bases without reduction to zero
+(F5)", ISSAC 2002; Eder & Faugere, "A survey on signature-based algorithms
+for computing Groebner bases", JSC 2017).  The generators enter one at a
+time, smallest leading monomial first.  Each is reduced by the basis of
+those before it, and the remainder enters with signature 1*e, for e the new
+generator.  Every further element for that generator carries a signature
+u*e, u a packed monomial: the leading term of the module element that
+writes it in the generators.  An S-pair of elements, of which at least one
+belongs to the new generator, carries the signature of its larger side.
+Before it reduces, a pair goes when its signature is a multiple of a
+leading monomial of the earlier basis (the F5 criterion: a Koszul
+syzygy), of a signature that reduced to zero (the syzygy criterion), or
+of the signature of an element newer than its own (the rewrite
+criterion).  The reduction is regular: an element of the new generator
+reduces a term only at a signature below the pair's.  So no S-pair of a
+regular sequence reduces to zero.  Every nonzero remainder enters the
+basis, also one that an element of equal signature would top-reduce:
+dropping it would leave the rewrite criterion, which goes by insertion
+order, dropping pairs that nothing else stands for.  When the generators'
+leading monomials are pairwise coprime, they already form a basis
+(Buchberger's first criterion).  The reduced basis is unique, so the
+criteria change only the work, never the result; ``tests/test_groebner.py``
+checks this against Buchberger's algorithm without them, and the packed
+raw-value reduction against a division on exponent tuples and
+``FieldElement`` coefficients.
 
-S-pairs wait in a heap keyed on their packed lcm, with an insertion counter
-that makes equal lcms pop first in, first out; dropped pairs are skipped
-when popped and spend nothing.  The reduction keeps the working polynomial's
-negated packed monomials in a heap and pops the leading term from it.  The
-criteria and the selection (smallest lcm first, then oldest pair; largest
-working term first) fix the sequence of reduction steps, and so what a
-budget allows; ``tests/test_groebner.py`` pins the step counts.
+S-pairs wait in a heap keyed on their packed signature, with an insertion
+counter that makes equal signatures pop first in, first out; dropped pairs
+spend nothing.  The reduction keeps the working polynomial's negated packed
+monomials in a heap and pops the leading term from it.  The criteria and
+the selection (smallest signature first, then oldest pair; largest working
+term first) fix the sequence of reduction steps, and so what a budget
+allows; ``tests/test_groebner.py`` pins the step counts.
 """
 
 import math
@@ -280,18 +298,21 @@ def _box(field, variables, packing, lt, tail):
     return MultiPolynomial(field, variables, terms)
 
 
-def _reduce(work, den, basis, field, guard, budget):
+def _reduce(work, den, basis, field, guard, budget, bound=None, regular=None):
     """Fully reduce the working polynomial ``work`` over ``den`` (packed
     monomial -> value, as ``_working`` makes it; consumed) modulo ``basis``,
     a list of basis elements (see ``_element``), by the classical division
     algorithm: the leading term of the working polynomial is either
     cancelled against a basis element or moved to the remainder.  The
     remainder comes back as raw terms in descending order, so its first key
-    is its leading monomial.  Raises ``_Overflow`` on a product that
+    is its leading monomial.  With a signature ``bound``, an element whose
+    leading monomial ``regular`` maps to its signature s reduces a term
+    x^shift * lt only when x^shift * s is below the bound, and every other
+    element reduces any term.  Raises ``_Overflow`` on a product that
     outgrows its fields."""
     p = int_modulus(field)
     if p is not None:
-        return _reduce_ints(work, den, basis, p, guard, budget)
+        return _reduce_ints(work, den, basis, p, guard, budget, bound, regular)
     sub_mul, zero = field._sub_mul, field.zero.value
     remainder = {}
     # every monomial of ``work`` is in the heap, negated so that the largest
@@ -308,6 +329,8 @@ def _reduce(work, den, basis, field, guard, budget):
         for lt, _, tail in basis:
             shift = exps - lt
             if not shift & guard:
+                if bound is not None and lt in regular and shift + regular[lt] >= bound:
+                    continue
                 budget.spend()
                 for ge, gc in tail:
                     e = shift + ge
@@ -329,7 +352,7 @@ def _reduce(work, den, basis, field, guard, budget):
     return remainder
 
 
-def _reduce_ints(work, den, basis, p, guard, budget):
+def _reduce_ints(work, den, basis, p, guard, budget, bound=None, regular=None):
     """``_reduce`` on ints: fraction-free over QQ (p = 0), lazily mod p over
     GF(p).  ``work`` holds int numerators over the one denominator ``den``,
     and each basis element int numerators over its d.  A step cancels the
@@ -357,6 +380,8 @@ def _reduce_ints(work, den, basis, p, guard, budget):
         for lt, d, tail in basis:
             shift = exps - lt
             if not shift & guard:
+                if bound is not None and lt in regular and shift + regular[lt] >= bound:
+                    continue
                 budget.spend()
                 if d != 1:
                     k = gcd(w, d)
@@ -468,67 +493,92 @@ def _buchberger(generators, field, packing, budget):
     """The reduced basis as (packed leading monomial, raw tail) pairs, in
     ascending order."""
     guard = packing.guard
+    # generators enter smallest leading monomial first, ties in input order
+    packed = sorted((_pack_terms(g, packing) for g in generators), key=max)
+    tops = [max(terms) for terms in packed]
+    if all(packing.lcm(a, b) == a + b for n, a in enumerate(tops) for b in tops[:n]):
+        # pairwise coprime leading monomials: every S-pair reduces to zero
+        # (Buchberger's first criterion), so the generators are a basis
+        basis = [_element(field, h, terms) for h, terms in zip(tops, packed)]
+    else:
+        # the basis elements (see ``_element``); ``leads`` repeats their
+        # leading monomials
+        basis, leads = [], []
+        for terms in packed:
+            remainder = _reduce(*_working(field, terms), basis, field, guard, budget)
+            if not _extend(basis, leads, remainder, field, packing, budget):
+                return [(0, [])]
+    return _reduce_basis(basis, field, guard, budget)
+
+
+def _extend(basis, leads, remainder, field, packing, budget):
+    """Extend ``basis``, a Groebner basis of the earlier generators, to one
+    of the ideal that they and one more generator span, given that
+    generator's ``remainder`` modulo ``basis``; False for the unit ideal.
+
+    A new element carries the signature u of u*e, for e the new generator
+    (signature 1, packed 0): the monomial the generator is multiplied by in
+    a representation of the element, up to terms of lower signature."""
+    guard = packing.guard
 
     def divides(a, b):
         return not (b - a) & guard
 
-    # the basis elements (see ``_element``); ``leads`` repeats their leading
-    # monomials for the pair bookkeeping
-    basis, leads = [], []
-    # pairs pop smallest lcm first; the insertion counter breaks ties first
-    # in, first out.  ``live`` maps each pending pair to its lcm; a pair the
-    # criteria drop leaves ``live`` and is skipped when popped.
-    pairs = []
-    live = {}
-    counter = count()
-    active = []
-
-    def enter(element):
-        """Append the basis element; Gebauer and Moeller's UPDATE pairs it
-        with the active elements and drops every pair that the criteria
-        rule out."""
-        k, h = len(basis), element[0]
-        basis.append(element)
-        leads.append(h)
-        new = [(i, packing.lcm(leads[i], h)) for i in active]
-        # chain criterion on the new pairs: a pair goes when the lcm of a
-        # later pair or of one already kept divides its own, so of equal
-        # lcms exactly one stays; coprime pairs take part, and only then go
-        kept = []
-        for n, (i, lcm) in enumerate(new):
-            coprime = lcm == leads[i] + h
-            others = [l for _, l, _ in kept] + [l for _, l in new[n + 1:]]
-            if coprime or not any(divides(l, lcm) for l in others):
-                kept.append((i, lcm, coprime))
-        # chain criterion on the old pairs: LT(h) divides the lcm, and h
-        # shares it with neither element
-        for (i, j), lcm in list(live.items()):
-            if (divides(h, lcm)
-                    and packing.lcm(leads[i], h) != lcm
-                    and packing.lcm(leads[j], h) != lcm):
-                del live[i, j]
-        for i, lcm, coprime in kept:
-            if not coprime:
-                live[i, k] = lcm
-                heappush(pairs, (lcm, next(counter), i, k))
-        # an element whose leading term LT(h) divides forms no more pairs,
-        # but still reduces
-        active[:] = [i for i in active if not divides(h, leads[i])]
-        active.append(k)
-
-    for g in generators:
-        enter(_pack(g, packing))
-    while pairs:
-        lcm, _, i, j = heappop(pairs)
-        if live.pop((i, j), None) is None:
-            continue
-        budget.spend()
-        remainder = _reduce(*_s_polynomial(basis[i], basis[j], lcm, field, guard),
-                            basis, field, guard, budget)
-        if remainder:
+    # the elements of the new generator follow the earlier ones from
+    # ``first`` on; ``sigs`` holds their signatures, ``regular`` maps their
+    # leading monomials to them, and ``syzygies`` collects the signatures
+    # that reduced to zero
+    first, earlier = len(basis), leads[:]
+    sigs, regular, syzygies = [], {}, []
+    # pairs pop smallest signature first; the insertion counter breaks ties
+    # first in, first out
+    pairs, counter, sig = [], count(), 0
+    while True:
+        if not remainder:
+            syzygies.append(sig)
+        else:
             # the first key of a remainder leads
-            enter(_element(field, next(iter(remainder)), remainder))
-    return _reduce_basis(basis, field, guard, budget)
+            h = next(iter(remainder))
+            if not h:
+                return False
+            # a remainder enters even when an element of equal signature
+            # top-reduces it: as the newest element whose signature divides
+            # its multiples, it stands for them in the rewrite criterion
+            k = len(basis)
+            basis.append(_element(field, h, remainder))
+            leads.append(h)
+            sigs.append(sig)
+            regular[h] = sig
+            # each pair carries the signature of its larger side, whose index
+            # comes first; a pair of equal signatures is dropped, and so is
+            # one whose signature is a multiple of an earlier leading
+            # monomial (the F5 criterion)
+            for i, g in enumerate(leads[:k]):
+                lcm = packing.lcm(g, h)
+                mine = lcm - h + sig
+                theirs = lcm - g + sigs[i - first] if i >= first else -1
+                if mine == theirs:
+                    continue
+                top = max(mine, theirs)
+                if top & guard:
+                    raise _Overflow
+                if any(divides(e, top) for e in earlier):
+                    continue
+                heappush(pairs, (top, next(counter), k, i, lcm) if top == mine
+                         else (top, next(counter), i, k, lcm))
+        # the next pair that neither of the other criteria drops: its
+        # signature is a multiple of a signature that reduced to zero, or
+        # of a newer element's signature (rewrite)
+        while True:
+            if not pairs:
+                return True
+            sig, _, k, i, lcm = heappop(pairs)
+            if not (any(divides(s, sig) for s in syzygies)
+                    or any(divides(s, sig) for s in sigs[k - first + 1:])):
+                break
+        budget.spend()
+        remainder = _reduce(*_s_polynomial(basis[k], basis[i], lcm, field, guard),
+                            basis, field, guard, budget, bound=sig, regular=regular)
 
 
 def _reduce_basis(basis, field, guard, budget):

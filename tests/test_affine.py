@@ -480,7 +480,7 @@ class TestStepCounts:
     def test_splits(self):
         ext, group = qi()
         model = descend_algebra(swap_datum(ext, group))
-        assert self.spent(lambda b: splits(model, swap_datum(ext, group), b)) == 28
+        assert self.spent(lambda b: splits(model, swap_datum(ext, group), b)) == 26
 
     def test_descend_ideal_line(self):
         ext, group = qi()
@@ -497,7 +497,7 @@ class TestStepCounts:
         model_b = descend_algebra(datum_b)
         x, y = datum_a.algebra.vars()
         assert self.spent(lambda b: descend_morphism(
-            datum_a, model_a, datum_b, model_b, {"z": x + y}, b)) == 21
+            datum_a, model_a, datum_b, model_b, {"z": x + y}, b)) == 19
 
     def test_descend_from_embeddings(self):
         V, embeddings, group, family, _, _ = \

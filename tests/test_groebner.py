@@ -91,25 +91,100 @@ def swap_elimination_generators():
             2 * x + 2 * y + b0, t * x + 2 * t * y + b1]
 
 
+def gf3_cubics():
+    """Three cubics over GF(3).  A reduction that let an element of the new
+    generator reduce at a signature above the pair's gave a five-element
+    grevlex basis; the reduced basis has six."""
+    x, y, z = ring(GF(3), ("x", "y", "z"))
+    return [2 * x * x * z + 2 * x * y, x * y * y + z + 2, 2 * y ** 3 + 2 * x * z + 2 * z * z]
+
+
+def gf7_unit_cubics():
+    """Four cubics over GF(7) that span the unit ideal.  Under lex, dropping
+    each remainder that an element of equal signature top-reduces gave a
+    basis of three elements: the rewrite criterion then drops pairs of the
+    multiples of that signature that no other pair stands for."""
+    x, y, z = ring(GF(7), ("x", "y", "z"))
+    return [y * y * z + z ** 3 + 6 * z * z + 6, 3 * y ** 3 + x * z * z + x * z + 2 * z,
+            6 * x * y * y + 6 * y * z * z + 3 * x * x + 3 * x * z,
+            2 * x * x * y + 2 * x * y * z + y * z * z]
+
+
+def gf3_zero_reductions():
+    """Four cubics over GF(3) that are not a regular sequence, so some
+    S-pairs reduce to zero under grevlex."""
+    x, y, z = ring(GF(3), ("x", "y", "z"))
+    return [2 * z ** 3 + x * y, y * z + 2 * x, 2 * y * y * z + z ** 3 + 2 * x * x + 2 * x,
+            2 * x ** 3 + 2 * x * x * y + x]
+
+
 class TestReductionSequence:
     """The pair and term selection fixes how many reduction steps a basis
     costs, and so what ``--budget`` allows; these counts pin it."""
 
     @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["gf32003", "qq"])
-    @pytest.mark.parametrize("n,steps,size", [(3, 115, 7), (4, 778, 13)])
+    # Katsura-5 has pairs of equal signature, and popping them last in,
+    # first out would take 549 steps
+    @pytest.mark.parametrize("n,steps,size", [(3, 43, 7), (4, 146, 13), (5, 543, 22)])
     def test_katsura_steps(self, field, n, steps, size):
         budget = Budget(10 ** 6)
         basis = buchberger(katsura(n, field), GREVLEX, budget)
         assert budget.spent == steps
         assert len(basis) == size
 
-    def test_tied_pairs_pop_first_in_first_out(self):
-        # several pairs of the swap elimination ideal share an lcm, and
-        # popping them last in, first out would take 15 steps
+    def test_block_order_elimination_steps(self):
         budget = Budget(10 ** 6)
         basis = buchberger(swap_elimination_generators(), block_order(2), budget)
-        assert budget.spent == 19
+        assert budget.spent == 17
         assert len(basis) == 5
+
+    def s_pair_remainders(self, monkeypatch):
+        """The list that collects the remainder of each S-pair: only
+        S-pairs reduce under a signature bound."""
+        reduce, remainders = groebner._reduce, []
+
+        def recorded(*args, bound=None, **kwargs):
+            remainder = reduce(*args, bound=bound, **kwargs)
+            if bound is not None:
+                remainders.append(remainder)
+            return remainder
+
+        monkeypatch.setattr(groebner, "_reduce", recorded)
+        return remainders
+
+    @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["gf32003", "qq"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_no_s_pair_of_katsura_reduces_to_zero(self, monkeypatch, field, n):
+        # Katsura-n is a regular sequence, so the signature criteria drop
+        # every S-pair that would reduce to zero
+        remainders = self.s_pair_remainders(monkeypatch)
+        buchberger(katsura(n, field), GREVLEX)
+        assert remainders and all(remainders)
+
+    def test_syzygy_criterion_steps(self, monkeypatch):
+        # a signature that reduced to zero drops the pairs at its multiples;
+        # without that, this basis would take 30 steps
+        remainders = self.s_pair_remainders(monkeypatch)
+        budget = Budget(10 ** 6)
+        basis = buchberger(gf3_zero_reductions(), GREVLEX, budget)
+        assert budget.spent == 19
+        assert len(basis) == 3
+        assert not all(remainders)
+
+    @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["gf32003", "qq"])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_relation_order_and_scale_change_nothing(self, field, n):
+        # the generators enter sorted by leading monomial, each made monic
+        gens = katsura(n, field)
+        plain = Budget()
+        basis = buchberger(gens, GREVLEX, plain)
+        rng = random.Random(n)
+        for _ in range(2):
+            scales = [field.from_int(rng.choice([-3, -2, 2, 5, 7])) for _ in gens]
+            shuffled = [g * c for g, c in zip(rng.sample(gens, len(gens)), scales)]
+            budget = Budget()
+            assert buchberger(shuffled, GREVLEX, budget) == basis
+            assert budget.spent == plain.spent
 
 
 # The reference engine keeps the division algorithm as it was before basis
@@ -253,8 +328,10 @@ def reference_buchberger(generators, order=GREVLEX, budget=None):
 
 
 class TestAgainstReference:
-    """The pair criteria drop only S-pairs that reduce to zero, so the
-    reduced basis is the reference's, for no more reduction steps."""
+    """The signature criteria drop only S-pairs whose regular remainder is
+    zero or the work of another pair, and a reduced basis is unique, so the
+    basis is the reference's; on these cases it takes no more reduction
+    steps than Buchberger's algorithm with the coprime discard alone."""
 
     CASES = {
         "katsura3_gf32003": (lambda: katsura(3, GF(32003)), GREVLEX),
@@ -262,6 +339,9 @@ class TestAgainstReference:
         "katsura4_gf32003": (lambda: katsura(4, GF(32003)), GREVLEX),
         "katsura4_qq": (lambda: katsura(4, QQ), GREVLEX),
         "swap_gf9": (swap_elimination_generators, block_order(2)),
+        "cubics_gf3": (gf3_cubics, GREVLEX),
+        "unit_cubics_gf7": (gf7_unit_cubics, LEX),
+        "zero_reductions_gf3": (gf3_zero_reductions, GREVLEX),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -510,6 +590,17 @@ class TestOverflow:
         assert self.run(gens, LEX, probes) == default
         assert set(widths) == {2 * width}
 
+    def test_signature_overflow_reruns(self, monkeypatch):
+        # no polynomial of this computation outgrows 4-bit fields, but the
+        # signatures for x^8 climb y^2, y^4, ..., y^16
+        x, y = ring(QQ, ("x", "y"))
+        gens, probes = [x ** 8, x * y ** 2 - y], [x ** 9 + y, x ** 3 * y ** 2 - x]
+        expected = self.run(gens, GREVLEX, probes)
+        widths = self.narrow(monkeypatch)
+        monkeypatch.setattr(groebner, "_WIDTH", 4)
+        assert self.run(gens, GREVLEX, probes) == expected
+        assert widths[:2] == [4, 8]
+
     def test_s_polynomial_flags_an_overflowing_term(self):
         # x - y^15 and x*y - 1 fit 4-bit fields, but their S-polynomial
         # 1 - y^16 does not; a later step need not notice the bad term
@@ -524,10 +615,10 @@ class TestOverflow:
         gens, order, _ = self.katsura_case()
         self.narrow(monkeypatch)
         with pytest.raises(BudgetExceeded):
-            buchberger(gens, order, Budget(777))
-        budget = Budget(778)
+            buchberger(gens, order, Budget(145))
+        budget = Budget(146)
         buchberger(gens, order, budget)
-        assert budget.spent == 778
+        assert budget.spent == 146
 
 
 class TestNormalForm:
