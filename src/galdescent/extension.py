@@ -1,24 +1,32 @@
 """Simple extension fields k[t]/(f) over Q or F_p.
 
-An element is a residue polynomial of degree < n.  Its value is the tuple of
-its n coordinates on the power basis 1, t, ..., t^(n-1), constant term first,
-held as raw base values: ints in [0, p) over F_p, ``Fraction``s over Q.  The
-value is canonical, so equal elements compare and hash equal however they
-were built.  Arithmetic runs on these values, with no ``FieldElement`` per
-coordinate: a product multiplies the nonzero coordinates as ints (over Q,
-scaled to one common denominator), replaces t^n .. t^(2n-2) by their
-reductions from a table, and makes one ``% p`` or one ``Fraction`` per
-coordinate at the end.  An inverse is the raw extended gcd of the value and
-the modulus's coefficients (:mod:`galdescent.unipoly`).  ``coords`` and
-``from_coords`` are the boundary to the rest of the library: ``coords``
-boxes the coordinates as base ``FieldElement``s (for matrices, tensor
-algebras and printing), and ``from_coords`` checks that each lies in the
-base field before it unboxes it.  Towers are out of scope: the base of an
-extension is always Q or a prime field.
+An element is a residue polynomial of degree < n.  Its value holds its n
+coordinates on the power basis 1, t, ..., t^(n-1), constant term first, as
+ints.  Over F_p the value is the tuple of the coordinates, each in [0, p).
+Over Q it is a pair (numerators, den): the coordinates are numerators[i] /
+den, with den > 0 and gcd(den, *numerators) == 1, and zero is ((0,)*n, 1);
+this is the usual integral form of a number-field element (Cohen, *A Course
+in Computational Algebraic Number Theory*, 4.2).  The value is canonical, so
+equal elements compare and hash equal however they were built.  Each base
+kind has its own subclass, picked when the field is made, and arithmetic
+runs on ints with no ``FieldElement`` or ``Fraction`` per coordinate: a
+product multiplies the nonzero coordinates, replaces t^n .. t^(2n-2) by
+their reductions from a table of ints over one denominator, and ends in one
+``% p`` per coordinate, or over Q one gcd that divides out the content.  An
+inverse is the raw extended gcd of the numerators and the modulus's
+coefficients (:mod:`galdescent.unipoly`), scaled back by the denominator.
+``coords`` and ``from_coords`` are the boundary to the rest of the library:
+``coords`` boxes the coordinates as base ``FieldElement``s (over Q one
+``Fraction`` each, for tensor algebras and printing), and ``from_coords``
+checks that each lies in the base field before it unboxes it.
+``coords_matrix`` builds the base-field ``Matrix`` whose columns are the
+coordinates of given elements straight from their values, with no boxing.
+Towers are out of scope: the base of an extension is always Q or a prime
+field.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, neg
 
 from .enumeration import tuples
@@ -44,79 +52,69 @@ class ExtensionField(Field):
     ``verified`` (checked over F_p), ``asserted`` (caller's claim over Q) or
     ``not-asserted`` (accepted over Q with the caller declining the claim, in
     which case the ring may have zero divisors and inversion can fail).
+
+    ``ExtensionField(base, ...)`` makes an instance of the subclass for the
+    base's kind, which supplies the value routines: ``_dense`` and
+    ``_from_ints`` (a value to and from ints over a denominator),
+    ``coords``, ``_add``, ``_neg`` and ``_inverse_value``.
     """
 
+    def __new__(cls, base, modulus, irreducibility):
+        if cls is ExtensionField:
+            if isinstance(base, PrimeField):
+                cls = _ExtensionOfFp
+            elif isinstance(base, RationalField):
+                cls = _ExtensionOfQ
+            else:
+                raise FieldMismatch("extensions of extensions are not supported")
+        return super().__new__(cls)
+
     def __init__(self, base, modulus, irreducibility):
-        if not isinstance(base, (PrimeField, RationalField)):
-            raise FieldMismatch("extensions of extensions are not supported")
         self.base = base
         self.modulus = modulus
         self.degree = n = modulus.degree
         self.irreducibility = irreducibility
         # fields are immutable, so the hash of the modulus is taken once
         self._hash = hash(("ext", base, modulus.coeffs))
-        # raw 0 and 1: ints over F_p, Fractions over Q
-        self._zero, self._one = base.zero.value, base.one.value
-        self._zero_tuple = (self._zero,) * n
-        # x -> x % p, or None over Q, where values need no reduction
-        self._mod = base.p.__rmod__ if base.is_finite else None
-        # inverses by value; a finite field has at most q of them
-        self._inverses = {} if base.is_finite else None
+        self._zero_value = self._from_ints([0] * n, 1)
         # the modulus's raw coefficients, for inverses
         self._modulus_values = [c.value for c in modulus.coeffs]
-        self._t_n = self._canon([-c for c in self._modulus_values[:n]])
-        # the same as ints over one denominator
-        terms = [self._scaled(sorted(power.items())) for power in self._sparse_high_powers()]
-        self._high_denominator = d = lcm(*(e for _, e in terms))
-        self._high_powers = [[(i, c * (d // e)) for i, c in pairs] for pairs, e in terms]
+        self._t_n = self._from_base_values([(-c).value for c in modulus.coeffs[:n]])
+        # t^n .. t^(2n-2) as (index, int) pairs over one denominator
+        t_n, den = self._terms(self._t_n)
+        powers = self._sparse_high_powers(dict(t_n), den)
+        self._high_denominator = d = lcm(*(e for _, e in powers))
+        self._high_powers = [[(i, c * (d // e)) for i, c in sorted(power.items())]
+                             for power, e in powers]
 
-    def _sparse_high_powers(self):
-        """t^n .. t^(2n-2) as dicts from index to nonzero coordinate: t^n is
-        minus the lower coefficients of the monic modulus, and t^(k+1) is
-        t^k shifted up plus its top coordinate times t^n.  Each step costs
-        the nonzeros it touches, so for Phi_p, whose t^(n+1) .. are single
-        terms, the whole table is linear in n."""
-        n, mod = self.degree, self._mod
-        t_n = {i: x for i, x in enumerate(self._t_n) if x}
-        power, powers = t_n, []
+    def _sparse_high_powers(self, t_n, den):
+        """t^n .. t^(2n-2) as pairs (numerators, d) in lowest terms, the
+        numerators a dict from index to nonzero int, given t^n as t_n / den:
+        t^(k+1) is t^k shifted up plus its top coordinate times t^n.  Each
+        step costs the nonzeros it touches, so for Phi_p, whose t^(n+1) ..
+        are single terms, the whole table is linear in n."""
+        n, p = self.degree, self.characteristic
+        power, d, powers = t_n, den, []
         for _ in range(n - 1):
-            powers.append(power)
+            powers.append((power, d))
             top = power.get(n - 1)
             power = {i + 1: x for i, x in power.items() if i != n - 1}
             if top:
+                if den != 1:
+                    power = {i: x * den for i, x in power.items()}
+                    d *= den
                 for i, y in t_n.items():
                     x = power.get(i, 0) + top * y
-                    if mod:
-                        x = mod(x)
+                    if p:
+                        x %= p
                     if x:
                         power[i] = x
                     else:
                         power.pop(i, None)
+                g = gcd(d, *power.values())
+                if g != 1:
+                    power, d = {i: x // g for i, x in power.items()}, d // g
         return powers
-
-    def _canon(self, values):
-        """The value with these exact coordinates: each reduced mod p over F_p."""
-        mod = self._mod
-        return tuple(map(mod, values)) if mod else tuple(values)
-
-    def _terms(self, value):
-        """(pairs, d): a pair (i, c * d) for each nonzero coordinate c of the
-        value, with d a common denominator (1 over F_p)."""
-        return self._scaled([(i, x) for i, x in enumerate(value) if x])
-
-    def _scaled(self, pairs):
-        """``_terms`` of the value with these (index, nonzero coordinate) pairs."""
-        if self._mod:
-            return pairs, 1
-        d = lcm(*(x.denominator for _, x in pairs))
-        return [(i, x.numerator * (d // x.denominator)) for i, x in pairs], d
-
-    def _from_ints(self, ints, d):
-        """The value ints / d: one ``% p`` or one ``Fraction`` per coordinate."""
-        if self._mod:
-            return tuple(map(self._mod, ints))
-        zero = self._zero
-        return tuple(Fraction(x, d) if x else zero for x in ints)
 
     @property
     def characteristic(self):
@@ -132,7 +130,7 @@ class ExtensionField(Field):
 
     @property
     def zero(self):
-        return FieldElement(self, self._zero_tuple)
+        return FieldElement(self, self._zero_value)
 
     @property
     def generator(self):
@@ -143,7 +141,7 @@ class ExtensionField(Field):
         coords = tuple(coords)
         if len(coords) != self.degree:
             raise FieldMismatch(f"need {self.degree} coordinates, got {len(coords)}")
-        return FieldElement(self, tuple(self._unbox(c) for c in coords))
+        return FieldElement(self, self._from_base_values([self._unbox(c) for c in coords]))
 
     def _unbox(self, b):
         """The raw value of a base-field element."""
@@ -151,35 +149,36 @@ class ExtensionField(Field):
             raise FieldMismatch("coordinate not in base field")
         return b.value
 
+    def _from_base_values(self, values):
+        """The value with these raw base coordinates (ints mod p, or
+        ``Fraction``s), taken over the lcm of their denominators."""
+        d = lcm(*(x.denominator for x in values))
+        return self._from_ints([x.numerator * (d // x.denominator) for x in values], d)
+
     def from_base(self, b):
-        return FieldElement(self, (self._unbox(b),) + self._zero_tuple[1:])
+        x = self._unbox(b)
+        return FieldElement(self, self._from_ints([x.numerator] + [0] * (self.degree - 1),
+                                                  x.denominator))
 
     def from_int(self, n):
         return self.from_base(self.base.from_int(n))
 
     def from_unipoly(self, poly):
         poly = poly % self.modulus
-        return FieldElement(self, tuple(poly.coeff(i).value for i in range(self.degree)))
+        return FieldElement(self, self._from_base_values(
+            [poly.coeff(i).value for i in range(self.degree)]))
 
     def to_unipoly(self, a):
         return UniPoly(self.base, list(self.coords(a)))
 
-    def coords(self, a):
-        """The coordinates of ``a`` on the power basis, as base-field elements."""
-        base = self.base
-        return tuple(FieldElement(base, x) for x in a.value)
-
     def is_zero(self, a):
-        return not any(a.value)
+        return a.value == self._zero_value
 
-    def _add(self, a, b):
-        if self._mod:
-            return FieldElement(self, tuple(map(self._mod, map(add, a.value, b.value))))
-        # a Fraction sum takes a gcd, and values over Q are often sparse
-        return FieldElement(self, tuple(x + y if y else x for x, y in zip(a.value, b.value)))
-
-    def _neg(self, a):
-        return FieldElement(self, self._canon(map(neg, a.value)))
+    def _terms(self, value):
+        """(pairs, d) for the value's ints over d: a pair (i, c) for each
+        nonzero int c."""
+        ints, d = self._dense(value)
+        return [(i, x) for i, x in enumerate(ints) if x], d
 
     def _mul(self, a, b):
         return FieldElement(self, self._from_ints(*self._mul_values(a.value, b.value)))
@@ -191,13 +190,13 @@ class ExtensionField(Field):
         for i, x in a:
             value[i] += x * d
         value = self._from_ints(value, da * d)
-        return value if any(value) else None
+        return None if value == self._zero_value else value
 
     def _mul_values(self, a, b):
         """The product of values a and b as (ints, d), the exact coordinates
-        times d, before any reduction mod p: the product of polynomials with
-        t^n .. t^(2n-2) replaced by their ``_high_powers``.  It runs on the
-        nonzero coordinates as ints, so over Q it makes no Fraction."""
+        times d, before any reduction mod p or by the content: the product
+        of polynomials with t^n .. t^(2n-2) replaced by their
+        ``_high_powers``.  It runs on the nonzero coordinates as ints."""
         n = self.degree
         (a, da), (b, db) = self._terms(a), self._terms(b)
         raw = [0] * (2 * n - 1)
@@ -215,32 +214,36 @@ class ExtensionField(Field):
     def combine(self, a, term):
         """sum a_j * term(j) over the nonzero coordinates a_j of ``a``, an
         element of any extension of this field's base; term(j) is an element
-        of this field.  Each a_j scales term(j) coordinate by coordinate."""
-        out = list(self._zero_tuple)
-        for j, c in enumerate(a.value):
+        of this field.  Each a_j scales the nonzero coordinates of term(j)
+        into a sum over d, a common denominator of the terms so far."""
+        coefficients, da = self._dense(a.value)
+        out, d = [0] * self.degree, 1
+        for j, c in enumerate(coefficients):
             if c:
-                for i, y in enumerate(term(j).value):
+                ints, e = self._dense(term(j).value)
+                if d % e:
+                    scale = e // gcd(d, e)
+                    out, d = [x * scale for x in out], d * scale
+                c *= d // e
+                for i, y in enumerate(ints):
                     if y:
                         out[i] += c * y
-        return FieldElement(self, self._canon(out))
+        return FieldElement(self, self._from_ints(out, da * d))
 
     def _inv(self, a):
         if not a:
             raise DivisionByZero("inverse of zero")
-        if self._inverses is None:
-            return self._xgcd_inverse(a)
-        inverse = self._inverses.get(a.value)
-        if inverse is None:
-            inverse = self._inverses[a.value] = self._xgcd_inverse(a)
-        return inverse
+        return FieldElement(self, self._inverse_value(a.value))
 
-    def _xgcd_inverse(self, a):
-        """s with s*a = 1 modulo the modulus, by the raw extended gcd."""
-        g, s = raw_xgcd(list(a.value), self._modulus_values, self.characteristic)
+    def _xgcd(self, value):
+        """s with s * ints = 1 modulo the modulus, for the ints of the
+        value, by the raw extended gcd."""
+        g, s = raw_xgcd(list(self._dense(value)[0]), self._modulus_values, self.characteristic)
         if len(g) != 1:
             raise DivisionByZero(
-                f"{self.format_element(a)} is a zero divisor modulo {self.modulus.format()}")
-        return FieldElement(self, tuple(s) + self._zero_tuple[len(s):])
+                f"{self.format_element(FieldElement(self, value))} is a zero divisor "
+                f"modulo {self.modulus.format()}")
+        return s
 
     def elements(self):
         if not self.is_finite:
@@ -254,14 +257,34 @@ class ExtensionField(Field):
 
     def _unit(self, j):
         """The value of t^j, for j < n."""
-        zeros = self._zero_tuple
-        return zeros[:j] + (self._one,) + zeros[j + 1:]
+        ints = [0] * self.degree
+        ints[j] = 1
+        return self._from_ints(ints, 1)
 
-    def mult_matrix_rows(self, a):
-        """Rows of the base-field matrix of multiplication by ``a`` on the
-        power basis: entry [r][c] is the r-th coordinate of a * t^c."""
-        cols = [self.coords(a * b) for b in self.power_basis()]
-        return [tuple(col[r] for col in cols) for r in range(self.degree)]
+    def coords_matrix(self, elements):
+        """The base-field matrix whose j-th column holds the coordinates of
+        the j-th of ``elements``, built from their values: over Q each
+        column is scaled to the lcm of the denominators.  An element of
+        another field raises FieldMismatch."""
+        from .linalg import _lowest
+
+        terms = []
+        for a in elements:
+            if a.field is not self and a.field != self:
+                raise FieldMismatch(f"{a!r} is not in {self}")
+            terms.append(self._terms(a.value))
+        d = lcm(*(e for _, e in terms))
+        rows = [{} for _ in range(self.degree)]
+        for j, (pairs, e) in enumerate(terms):
+            s = d // e
+            for i, x in pairs:
+                rows[i][j] = x * s
+        return _lowest(self.base, self.degree, len(terms), rows, d)
+
+    def mult_matrix(self, a):
+        """The base-field matrix of multiplication by ``a`` on the power
+        basis: column c holds the coordinates of a * t^c."""
+        return self.coords_matrix([a * b for b in self.power_basis()])
 
     def format_element(self, a):
         return self.to_unipoly(a).format()
@@ -280,6 +303,89 @@ class ExtensionField(Field):
         if self.is_finite:
             return f"GF({self.base.p}^{self.degree})[{self.modulus.format()}]"
         return f"QQ[t]/({self.modulus.format()})"
+
+
+class _ExtensionOfFp(ExtensionField):
+    """An extension of F_p: a value is the tuple of its coordinates, ints
+    in [0, p)."""
+
+    def __init__(self, base, modulus, irreducibility):
+        self._mod = base.p.__rmod__
+        # inverses by value; a finite field has at most q of them
+        self._inverses = {}
+        super().__init__(base, modulus, irreducibility)
+
+    def _dense(self, value):
+        """(ints, 1): the coordinates themselves."""
+        return value, 1
+
+    def _from_ints(self, ints, d):
+        """The value of these exact coordinates (d is 1): each reduced mod p."""
+        return tuple(map(self._mod, ints))
+
+    def coords(self, a):
+        """The coordinates of ``a`` on the power basis, as base-field elements."""
+        base = self.base
+        return tuple(FieldElement(base, x) for x in a.value)
+
+    def _add(self, a, b):
+        return FieldElement(self, tuple(map(self._mod, map(add, a.value, b.value))))
+
+    def _neg(self, a):
+        return FieldElement(self, tuple(map(self._mod, map(neg, a.value))))
+
+    def _inv(self, a):
+        inverse = self._inverses.get(a.value)
+        if inverse is None:
+            inverse = self._inverses[a.value] = super()._inv(a)
+        return inverse
+
+    def _inverse_value(self, value):
+        s = self._xgcd(value)
+        return tuple(s) + self._zero_value[len(s):]
+
+
+class _ExtensionOfQ(ExtensionField):
+    """An extension of Q: a value is (numerators, den), the coordinates
+    numerators[i] / den in lowest terms."""
+
+    # no memo of inverses: Q has infinitely many elements
+    _inverses = None
+
+    def _dense(self, value):
+        """(numerators, den): the value itself."""
+        return value
+
+    def _from_ints(self, ints, d):
+        """The value ints / d for d > 0: the content divided out."""
+        g = gcd(d, *ints)
+        if g == 1:
+            return tuple(ints), d
+        return tuple(x // g for x in ints), d // g
+
+    def coords(self, a):
+        """The coordinates of ``a`` on the power basis, as base-field elements."""
+        base, (numerators, den) = self.base, a.value
+        return tuple(FieldElement(base, Fraction(x, den)) for x in numerators)
+
+    def _add(self, a, b):
+        (x, dx), (y, dy) = a.value, b.value
+        if dx == dy:
+            return FieldElement(self, self._from_ints(list(map(add, x, y)), dx))
+        d = lcm(dx, dy)
+        sx, sy = d // dx, d // dy
+        return FieldElement(self, self._from_ints([u * sx + v * sy for u, v in zip(x, y)], d))
+
+    def _neg(self, a):
+        numerators, den = a.value
+        return FieldElement(self, (tuple(map(neg, numerators)), den))
+
+    def _inverse_value(self, value):
+        # s * numerators = 1, so den * s inverts numerators / den
+        s, den = self._xgcd(value), value[1]
+        d = lcm(*(c.denominator for c in s))
+        ints = [c.numerator * (d // c.denominator) * den for c in s]
+        return self._from_ints(ints + [0] * (self.degree - len(s)), d)
 
 
 def make_extension(base, modulus, irreducible=None):

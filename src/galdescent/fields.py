@@ -107,9 +107,11 @@ class Field:
     # characteristic, format_element, and (finite case) order/elements.
     # Extension fields also supply _sub_mul for the generic loop of the
     # Groebner kernel: ``_sub_mul(a, b, c)`` works on raw values, as the
-    # kernel keeps them, and returns the value a - b*c, or None when that is
-    # zero, in one step with no intermediate b*c.  Over Q and F_p the kernel
-    # calls no hook: it reduces on the int values themselves.
+    # kernel keeps them (a tuple of ints mod p over F_p, a pair of int
+    # numerators and a denominator over Q), and returns the value a - b*c,
+    # or None when that is zero, in one step with no intermediate b*c.
+    # Over Q and F_p the kernel calls no hook: it reduces on the int values
+    # themselves.
 
 
 class RationalField(Field):

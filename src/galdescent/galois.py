@@ -70,8 +70,8 @@ class Automorphism(GeneratorMap):
     def matrix(self):
         """Base-field matrix acting on generator-power coordinates."""
         if self._matrix is None:
-            cols = [self.ext.coords(self._power(j)) for j in range(self.ext.degree)]
-            self._matrix = Matrix.from_cols(self.ext.base, cols)
+            self._matrix = self.ext.coords_matrix(
+                [self._power(j) for j in range(self.ext.degree)])
         return self._matrix
 
     def is_identity(self):
@@ -288,8 +288,7 @@ def dedekind_check(group):
         sigma_matrix = sigma.matrix()
         for b in ext.power_basis():
             # endomorphism c -> b * sigma(c), flattened column-major by input
-            mult_rows = Matrix(base, ext.mult_matrix_rows(b))
-            endo = (mult_rows * sigma_matrix).rows
+            endo = (ext.mult_matrix(b) * sigma_matrix).rows
             cols.append([endo[r][c] for c in range(n) for r in range(n)])
     matrix = Matrix.from_cols(base, cols)
     rank = matrix.rank()

@@ -31,7 +31,8 @@ leading coefficient is 1.  Over QQ the tail lists its other terms as
 (monomial, n) for the coefficient n/d: int numerators over their least
 common denominator.  Over any other field d is 1 and the tail holds raw
 field values (``FieldElement.value``: an int mod p, or over an extension
-the tuple of its raw coordinates).  An element is made once per packing:
+its value, the tuple of its coordinates mod p or, over Q, its int
+numerators over one denominator).  An element is made once per packing:
 ``buchberger`` makes each generator and each nonzero remainder monic as it
 enters the basis, ``normal_form`` packs a caller's basis on entry (scaling
 only a non-monic element), and ``Ideal.contains`` keeps each cached basis

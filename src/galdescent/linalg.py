@@ -12,17 +12,25 @@ proportion to the nonzeros.
 **Scalars.**  The stored scalars are raw, with the convention of the
 Groebner kernel (``fields.int_modulus``): over F_p an int in [1, p); over Q
 an int numerator over one positive denominator ``_den`` per matrix; over an
-extension field the ``FieldElement`` itself, with ``_den`` 1.  Products and
+extension field the ``FieldElement`` itself, with ``_den`` 1.  An element
+of an extension of Q holds its coordinates in the same form, int numerators
+over one denominator, so a column of its coordinates is its numerators
+scaled to ``_den``.  Products and
 Kronecker products accumulate ints and reduce once per result: mod p over
 F_p, and over Q the denominator is the product of the two and the content
 is divided out once.  Elimination (``rref`` and what rests on it) runs on
 the stored scalars too; over Q it is fraction-free, and only the reduced
 rows are divided by their pivots.
 
-**Boundary.**  The constructor, ``from_cols``, ``map_entries`` and
-``restrict_scalars_matrix`` take field elements and unbox them; ``rows``,
-``col``, ``apply``, ``kernel_basis`` and ``solve_linear`` box them back
-(``Fraction(n, _den)`` over Q).  Dense rows are the public form.
+**Boundary.**  The constructor, ``from_cols`` and ``map_entries`` take
+field elements and unbox them; ``rows``, ``col``, ``trace``, ``apply``,
+``kernel_basis`` and ``solve_linear`` box them back (``Fraction(n, _den)``
+over Q).  Dense rows are the public form.  A matrix of coordinates over the
+base of an extension is built from the elements' raw values, with no
+boxing: over Q an extension value is already int numerators over one
+denominator (``ExtensionField.coords_matrix``, behind the matrix of an
+automorphism, ``ExtensionField.mult_matrix`` and
+``restrict_scalars_matrix``).
 
 **Field check.**  A raw int carries no field, so the field is checked
 where scalars meet: an entry of another field raises ``FieldMismatch`` when
@@ -259,6 +267,17 @@ class Matrix:
     def __hash__(self):
         return hash((self.field, self.nrows, self.ncols, self._den,
                      tuple(frozenset(row.items()) for row in self._rows)))
+
+    def trace(self):
+        """The sum of the diagonal entries of a square matrix."""
+        if self.nrows != self.ncols:
+            raise ShapeMismatch(f"trace of a {self.nrows}x{self.ncols} matrix")
+        diagonal = [row[i] for i, row in enumerate(self._rows) if i in row]
+        p = int_modulus(self.field)
+        if p is None:
+            return sum(diagonal, self.field.zero)
+        total = sum(diagonal)
+        return self._boxer()(total % p if p else total)
 
     def rref(self):
         """Reduced row echelon form: returns (matrix, pivot column tuple).
@@ -505,13 +524,18 @@ def restrict_scalars_matrix(M, ext):
         raise ShapeMismatch("restriction of scalars needs an extension field")
     if M.field != ext:
         raise ShapeMismatch("matrix is not over the given extension")
+    # block (i, j) is the matrix of multiplication by M[i][j], its stored
+    # scalars taken over the lcm of the blocks' denominators
     d = ext.degree
-    rows = [[] for _ in range(M.nrows * d)]
-    for i, m_row in enumerate(M._rows):
-        for j, a in m_row.items():
-            for r, block_row in enumerate(ext.mult_matrix_rows(a)):
-                rows[i * d + r].extend((j * d + s, c) for s, c in enumerate(block_row))
-    return Matrix._sparse(ext.base, M.nrows * d, M.ncols * d, *_unboxed(ext.base, rows))
+    blocks = [(i, j, ext.mult_matrix(a)) for i, m_row in enumerate(M._rows)
+              for j, a in m_row.items()]
+    den = lcm(*(block._den for _, _, block in blocks))
+    rows = [{} for _ in range(M.nrows * d)]
+    for i, j, block in blocks:
+        scale = den // block._den
+        for r, block_row in enumerate(block._rows):
+            rows[i * d + r].update((j * d + s, c * scale) for s, c in block_row.items())
+    return _lowest(ext.base, M.nrows * d, M.ncols * d, rows, den)
 
 
 def span_contains(field, vectors, target):

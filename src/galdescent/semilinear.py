@@ -174,9 +174,10 @@ def descend_subspace(space, spanning, group):
             if not span_contains(ext, spanning, image):
                 raise NotStable(sigma.name, v)
     # the fixed part is spanned by the traces Tr(b * w) for b in the power
-    # basis and w in the spanning set (Speiser's lemma)
+    # basis and w in the spanning set (Speiser's lemma); the field trace of
+    # a is the trace of multiplication by a
     basis = ext.power_basis()
-    traces = [tuple(_trace(ext, b * x) for x in v) for v in spanning for b in basis]
+    traces = [tuple(ext.mult_matrix(b * x).trace() for x in v) for v in spanning for b in basis]
     reduced, pivots = Matrix(base, traces).rref()
     fixed_vectors = [tuple(map(ext.from_base, row)) for row in reduced.rows[:len(pivots)]]
     # verify Omega * fixed = input span (mutual containment over Omega)
@@ -188,9 +189,3 @@ def descend_subspace(space, spanning, group):
             raise InternalContradiction(
                 "stable subspace is not spanned by its fixed part")
     return KSpace(base, len(fixed_vectors), fixed_vectors, ambient_dim=n)
-
-
-def _trace(ext, a):
-    """The field trace of ``a``: the trace of multiplication by ``a``."""
-    rows = ext.mult_matrix_rows(a)
-    return sum((rows[i][i] for i in range(ext.degree)), ext.base.zero)

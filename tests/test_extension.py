@@ -1,12 +1,14 @@
-"""Extension-field values: raw base coordinates, equal and hashing equal
-however an element is built, and the raw arithmetic against a reference
-that multiplies ``UniPoly``s and reduces them by the modulus."""
+"""Extension-field values: ints mod p, or over Q int numerators over one
+denominator in lowest terms, equal and hashing equal however an element is
+built; the raw arithmetic against a reference that multiplies ``UniPoly``s
+and reduces them by the modulus; and coordinate matrices built from the
+values against those built from boxed coordinates."""
 
 import random
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -19,7 +21,9 @@ from galdescent.extension import (
     make_extension,
 )
 from galdescent.fields import GF, QQ
+from galdescent import extension
 from galdescent.galois import cyclotomic_field
+from galdescent.linalg import Matrix
 from galdescent.unipoly import UniPoly, cyclotomic
 from test_fields import poly_gcd, poly_xgcd  # the boxed references
 
@@ -43,6 +47,7 @@ def field(name):
                                             irreducible=True),
         "Cyclo(5)": lambda: cyclotomic_field(5),
         "Cyclo(7)": lambda: cyclotomic_field(7),
+        "Cyclo(8)": lambda: cyclotomic_field(8),
         # t (t - 1) (t + 1) and t (t - 1/2) (t + 1/2): rings with zero divisors
         "QQ[t]/(t^3 - t)": lambda: make_extension(QQ, UniPoly.from_ints(QQ, [0, -1, 0, 1])),
         "QQ[t]/(t^3 - t/4)": lambda: make_extension(
@@ -57,16 +62,32 @@ def x(F):
     return UniPoly.x(F.base)
 
 
+def assert_canonical(F, a):
+    """The value of ``a`` over Q: n int numerators over an int denominator
+    den > 0, with gcd(den, *numerators) == 1 (so zero is ((0,)*n, 1))."""
+    numerators, den = a.value
+    assert len(numerators) == F.degree
+    assert all(type(c) is int for c in numerators)
+    assert type(den) is int and den > 0
+    assert gcd(den, *numerators) == 1
+
+
 class TestValues:
     @pytest.mark.parametrize("name", HASH_FIELDS)
     def test_values_are_raw_base_values(self, name):
+        # over F_p the coordinates themselves, over Q numerators over one
+        # positive denominator, in lowest terms
         F = field(name)
-        kind = int if F.is_finite else Fraction
-        for a in (F.zero, F.one, F.generator, F.generator * F.generator + 3):
-            assert len(a.value) == F.degree
-            assert all(type(c) is kind for c in a.value)
+        for a in (F.zero, F.one, F.generator, F.generator * F.generator + 3,
+                  F.from_int(Fraction(-3, 4))):
             if F.is_finite:
-                assert all(0 <= c < F.characteristic for c in a.value)
+                assert len(a.value) == F.degree
+                assert all(type(c) is int and 0 <= c < F.characteristic for c in a.value)
+            else:
+                assert_canonical(F, a)
+        if not F.is_finite:
+            assert F.zero.value == ((0,) * F.degree, 1)
+            assert F.from_int(Fraction(-3, 4)).value == ((-3,) + (0,) * (F.degree - 1), 4)
         assert F.coords(F.generator) == (F.base.zero, F.base.one) + (F.base.zero,) * (F.degree - 2)
 
     @pytest.mark.parametrize("name", HASH_FIELDS)
@@ -142,17 +163,21 @@ class TestValues:
 
 def dense_high_powers(F):
     """(table, denominator) of t^n .. t^(2n-2) by the dense construction,
-    kept as a reference: each power a full n-tuple, shifted up, plus its
-    top coordinate times t^n."""
-    n, power, powers = F.degree, F._t_n, []
+    kept as a reference: each power a full list of base values (ints mod p
+    or Fractions) read off the modulus, shifted up, plus its top coordinate
+    times t^n; then every coordinate over the lcm of all denominators."""
+    n, p = F.degree, F.characteristic
+    t_n = [(-c).value for c in F.modulus.coeffs[:n]]
+    power, powers = t_n, []
     for _ in range(n - 1):
         powers.append(power)
-        top, power = power[-1], (F._zero,) + power[:-1]
+        top, power = power[-1], [0] + power[:-1]
         if top:
-            power = F._canon([x + top * y if y else x for x, y in zip(power, F._t_n)])
-    terms = [F._terms(power) for power in powers]
-    d = lcm(*(e for _, e in terms))
-    return [[(i, c * (d // e)) for i, c in pairs] for pairs, e in terms], d
+            power = [x + top * y if y else x for x, y in zip(power, t_n)]
+            if p:
+                power = [x % p for x in power]
+    d = lcm(*(Fraction(x).denominator for power in powers for x in power))
+    return [[(i, int(x * d)) for i, x in enumerate(power) if x] for power in powers], d
 
 
 def random_dense_modulus(base, degree, seed):
@@ -227,8 +252,74 @@ class TestInverse:
             if a:
                 inverse = a.inverse()
                 assert inverse.value == boxed_inverse(F, a).value
-                assert all(type(c) is Fraction for c in inverse.value)
+                assert_canonical(F, inverse)
                 assert a * inverse == 1
+
+
+def sample(F, seed, count=12):
+    """Derandomized elements of F, zero among them; over Q with
+    coordinates over different denominators."""
+    rng = random.Random(seed)
+    base, out = F.base, [F.zero]
+    for _ in range(count):
+        if F.is_finite:
+            coords = [rng.randrange(F.characteristic) for _ in range(F.degree)]
+        else:
+            coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.6
+                      else 0 for _ in range(F.degree)]
+        out.append(F.from_coords([base.from_int(c) for c in coords]))
+    return out
+
+
+class TestCoordsMatrix:
+    """The matrix built from raw values against the one built from boxed
+    coordinates."""
+
+    FOREIGN = {"Q(i)": "Q(sqrt 2)", "Cyclo(5)": "Cyclo(7)", "GF(3^4)": "GF(3^2)",
+               "GF(2^6)": "GF(2^12)"}
+
+    @pytest.mark.parametrize("name", ["Q(i)", "Cyclo(5)", "GF(3^4)", "GF(2^6)"])
+    def test_equals_the_matrix_of_boxed_coordinates(self, name):
+        F = field(name)
+        elements = sample(F, name)
+        for chosen in (elements, elements[1:4], [F.zero, F.zero], [F.one] + elements[5:]):
+            ours = F.coords_matrix(chosen)
+            theirs = Matrix.from_cols(F.base, [F.coords(e) for e in chosen])
+            assert ours == theirs
+            assert ours._rows == theirs._rows and ours._den == theirs._den
+            assert hash(ours) == hash(theirs)
+        for a in elements[:4]:
+            ours = F.mult_matrix(a)
+            theirs = Matrix.from_cols(F.base, [F.coords(a * b) for b in F.power_basis()])
+            assert ours == theirs and ours._den == theirs._den and hash(ours) == hash(theirs)
+
+    @pytest.mark.parametrize("name", ["Q(i)", "Cyclo(5)", "GF(3^4)", "GF(2^6)"])
+    def test_refuses_an_element_of_another_field(self, name):
+        F, other = field(name), field(self.FOREIGN[name])
+        for stranger in (other.generator, other.one, F.base.one):
+            with pytest.raises(FieldMismatch):
+                F.coords_matrix([F.one, stranger])
+
+
+def test_arithmetic_over_q_builds_no_fraction(monkeypatch):
+    """+, -, *, inverse, combine, from_coords and the raw matrix builder
+    over Cyclo(7) run on ints: ``Fraction`` in the extension module raises."""
+    F = field("Cyclo(7)")
+    a, b, c = sample(F, "no Fraction", count=3)[1:]
+    coords = F.coords(a)
+
+    def stub(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(extension, "Fraction", stub)
+    powers = [b ** j for j in range(F.degree)]
+    results = [a + b, a - b, -a, a * b, a * c + b, b.inverse(), a.inverse() * a,
+               F.combine(a, powers.__getitem__), F.from_coords(coords),
+               F.coords_matrix([a, b, c]),
+               F.mult_matrix(c), F._sub_mul(a.value, b.value, c.value)]
+    assert results[6] == F.one and results[8] == a
+    monkeypatch.undo()
+    assert results[3] == F.from_unipoly((F.to_unipoly(a) * F.to_unipoly(b)) % F.modulus)
 
 
 class TestDivisionByZeroMessages:
@@ -303,3 +394,40 @@ if given is not None:
                 a.inverse()
         else:
             assert reference_product(F, a, a.inverse()) == F.one
+
+    CANONICAL_FIELDS = ["Q(i)", "Q(sqrt 2)", "Cyclo(5)", "Cyclo(8)"]
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(CANONICAL_FIELDS), st.booleans(), st.data())
+    def test_results_over_q_are_canonical(name, cancel, data):
+        """Every result of +, -, *, inverse, combine and from_coords over Q
+        is numerators over a positive denominator with content 1 (zero is
+        ((0,)*n, 1)), and hashes equal to the value built another way:
+        through the boxed ``UniPoly`` arithmetic, or term by term.
+        ``cancel`` draws b = a, so that sums and differences cancel."""
+        F = field(name)
+        a = data.draw(values(F))
+        b = a if cancel else data.draw(values(F))
+        boxed = F.to_unipoly
+        # coordinates over different denominators, from_coords against
+        # the sum of their terms
+        coords = [F.base.from_int(c) for c in data.draw(st.lists(
+            st.fractions(min_value=-9, max_value=9, max_denominator=12),
+            min_size=F.degree, max_size=F.degree))]
+        pairs = [
+            (a + b, F.from_unipoly(boxed(a) + boxed(b))),
+            (a - b, F.from_unipoly(boxed(a) - boxed(b))),
+            (a + -b, F.from_unipoly(boxed(a) - boxed(b))),
+            (a * b, reference_product(F, a, b)),
+            (F.combine(a, [b ** j for j in range(F.degree)].__getitem__),
+             boxed(a).evaluate(b, embed=F.from_base)),
+            (F.from_coords(coords),
+             sum((F.from_base(c) * t for c, t in zip(coords, F.power_basis())), F.zero)),
+        ]
+        if a:
+            pairs.append((a.inverse(), boxed_inverse(F, a)))
+        for ours, theirs in pairs:
+            assert_canonical(F, ours)
+            assert ours == theirs and hash(ours) == hash(theirs)
+            if not ours:
+                assert ours.value == ((0,) * F.degree, 1)

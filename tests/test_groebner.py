@@ -110,6 +110,20 @@ def gf7_unit_cubics():
             2 * x * x * y + 2 * x * y * z + y * z * z]
 
 
+def qq_more_steps():
+    """Four polynomials over QQ whose block(2) basis takes the signature
+    engine 6 reduction steps and the reference 5."""
+    x, y, z = ring(QQ, ("x", "y", "z"))
+    return [2 * y * y, 2 * y * z, 3 * x ** 3 + x * y * y, -x + 1]
+
+
+def gf7_more_steps():
+    """Three polynomials over GF(7) whose lex basis takes the signature
+    engine 6 reduction steps and the reference 4."""
+    x, y, z = ring(GF(7), ("x", "y", "z"))
+    return [x * y * y, 2 * y * z + 3 * y, 6 * x ** 3 + 6 * x * z * z]
+
+
 def gf3_zero_reductions():
     """Four cubics over GF(3) that are not a regular sequence, so some
     S-pairs reduce to zero under grevlex."""
@@ -352,6 +366,21 @@ class TestAgainstReference:
         assert basis == reference_buchberger(make(), order, theirs)
         assert ours.spent <= theirs.spent
 
+    # systems on which the signature engine takes more steps than the
+    # reference (3 of 1,900 random systems), for the reference's basis
+    MORE_STEPS = {
+        "qq_block2": (qq_more_steps, block_order(2), 6, 5),
+        "gf7_lex": (gf7_more_steps, LEX, 6, 4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MORE_STEPS))
+    def test_same_basis_in_more_steps(self, name):
+        make, order, steps, reference_steps = self.MORE_STEPS[name]
+        ours, theirs = Budget(), Budget()
+        basis = buchberger(make(), order, ours)
+        assert basis == reference_buchberger(make(), order, theirs)
+        assert (ours.spent, theirs.spent) == (steps, reference_steps)
+
 
 if given is not None:
     F9, QI = make_extension(GF(3), UniPoly.from_ints(GF(3), [1, 0, 1])), qi_field()
@@ -427,17 +456,17 @@ if given is not None:
         """Over QQ the engine reduces on int numerators over one
         denominator; the reference divides Fractions.  Bases, remainders and
         memberships agree, with equal hashes, and normal forms take the
-        reference's steps."""
+        reference's steps.  The steps of the basis itself are not compared:
+        on some systems the signature engine takes more than the reference
+        (see ``TestAgainstReference.MORE_STEPS``)."""
         _, _, names, gens = case
         probes = data.draw(st.lists(term_dicts(len(names), RATIONALS), min_size=1, max_size=3))
         polys, probes = ([MultiPolynomial(QQ, names, {e: QQ.from_int(c) for e, c in g.items()})
                           for g in dicts] for dicts in (gens, probes))
-        ours, theirs = Budget(), Budget()
-        basis = buchberger(polys, order, ours)
-        expected = reference_buchberger(polys, order, theirs)
+        basis = buchberger(polys, order)
+        expected = reference_buchberger(polys, order)
         assert basis == expected
         assert hash(tuple(basis)) == hash(tuple(expected))
-        assert ours.spent <= theirs.spent
         # the reduced basis, copies scaled by 3/7 and by a drawn rational,
         # and the generators themselves
         scale = QQ.from_int(data.draw(RATIONALS))

@@ -122,6 +122,23 @@ class TestRestrictScalars:
         rhs = restrict_scalars_matrix(M, F9).apply(expand_vector(v, F9))
         assert lhs == rhs
 
+    def test_entries_over_different_denominators(self):
+        # the blocks of 1/2 + t/3, 3t/4, 5 and 0 over Q(sqrt 2) are stored
+        # over different denominators; the result is the matrix built from
+        # the boxed coordinates of each column's images
+        Q2 = make_extension(QQ, UniPoly.from_ints(QQ, [-2, 0, 1]), irreducible=True)
+        t = Q2.generator
+        M = Matrix(Q2, [[Q2.from_int(Fraction(1, 2)) + t * Fraction(1, 3), t * Fraction(3, 4)],
+                        [Q2.from_int(5), Q2.zero]])
+        restricted = restrict_scalars_matrix(M, Q2)
+        cols = [expand_vector(tuple(a * b for a in M.col(j)), Q2)
+                for j in range(M.ncols) for b in Q2.power_basis()]
+        expected = Matrix.from_cols(QQ, cols)
+        assert restricted == expected and hash(restricted) == hash(expected)
+        assert restricted._den == 12
+        v = (Q2.from_int(Fraction(1, 5)) + t, t * Fraction(-1, 7))
+        assert expand_vector(M.apply(v), Q2) == restricted.apply(expand_vector(v, Q2))
+
     def test_power_basis_independent(self):
         for ext in (finite_field(3, 2), finite_field(2, 3), finite_field(5, 2)):
             cols = []
@@ -131,6 +148,27 @@ class TestRestrictScalars:
                 cols.append(list(ext.coords(a)))
                 a = a * t
             assert Matrix.from_cols(ext.base, cols).rank() == ext.degree
+
+
+class TestTrace:
+    def test_diagonal_sums(self):
+        q = QQ.from_fraction
+        assert Matrix(QQ, [[q(1, 2), q(1)], [q(3), q(1, 3)]]).trace() == q(5, 6)
+        assert mat(GF(5), [[3, 1], [0, 4]]).trace() == GF(5).from_int(2)
+        assert Matrix.zero(QQ, 3, 3).trace() == QQ.zero
+        F9 = finite_field(3, 2)
+        t = F9.generator
+        assert Matrix(F9, [[t, F9.one], [F9.zero, t]]).trace() == t + t
+
+    def test_trace_of_multiplication_is_the_field_trace(self):
+        # Tr(a + b*i) = 2a over Q(i)
+        Qi = make_extension(QQ, UniPoly.from_ints(QQ, [1, 0, 1]), irreducible=True)
+        a = Qi.from_int(Fraction(3, 4)) + Qi.generator * Fraction(-5, 6)
+        assert Qi.mult_matrix(a).trace() == QQ.from_fraction(3, 2)
+
+    def test_needs_a_square_matrix(self):
+        with pytest.raises(ShapeMismatch):
+            mat(QQ, [[1, 2, 3], [4, 5, 6]]).trace()
 
 
 class TestSpans:
