@@ -1,5 +1,5 @@
 """Faithfully flat descent of modules in the finite-dimensional commutative
-setting: finite algebras by structure constants, the Amitsur complex, its
+setting: finite algebras by their multiplication maps, the Amitsur complex, its
 exactness, cocycle validation, and module reconstruction.
 
 Every tensor power is realized concretely as a vector space over the base
@@ -22,14 +22,13 @@ d^(r+1) d^r = 0 are checked once, by the one exactness proof,
 ``check_exactness``, which multiplies the differentials with a contracting
 homotopy built from a section of the map and computes no rank.
 
-A ``FiniteAlgebra`` stores its structure constants sparsely, as the nonzero
-(l, s) pairs of each basis product e_i e_j, and proves itself commutative,
-unital and associative when it is built.  Associativity is proved on a
-generating set S rather than on all dim^3 basis triples: in a commutative
-algebra the left nucleus is the whole nucleus, and the nucleus is a subalgebra
-(Schafer, *An Introduction to Nonassociative Algebras*, 1966, ch. II), so S in
-the left nucleus and S generating give associativity at |S| dim^2 products.
-S is chosen greedily from the basis (see ``FiniteAlgebra.verify``): {t} for an
+A ``FiniteAlgebra`` is its multiplication map mu: A (x) A -> A, one
+dim x dim^2 ``Matrix``, and its axioms and maps are identities between linear
+maps (Waterhouse, ch. 13): the unit law mu (u (x) I) = I, commutativity
+mu = mu composed with the swap of the slots, associativity
+mu (L_s (x) I) = L_s mu for the multiplication matrix L_s of each s in a
+generating set S (see ``FiniteAlgebra.verify``), and F mu_A = mu_B (F (x) F)
+for an algebra map F.  S is chosen greedily from the basis: {t} for an
 extension on its power basis, {1 (x) u, t (x) 1} for a tensor product of two.
 """
 
@@ -54,13 +53,6 @@ from .errors import (
 from .linalg import Matrix, kron
 
 
-def _kron_vector(u, v):
-    """u (x) v as a coordinate tuple; a zero entry of either factor gives a
-    zero coordinate without multiplying."""
-    return tuple(x for a in u
-                 for x in ((a * b if b else b for b in v) if a else (a,) * len(v)))
-
-
 def _permute_slots(matrix, rows=None, cols=None):
     """Re-index ``matrix`` from one tensor layout to another by moving its
     entries.  ``rows`` and ``cols`` are (slot sizes, order) pairs for the
@@ -75,21 +67,24 @@ def _permute_slots(matrix, rows=None, cols=None):
     return matrix.permute(sources(*rows) if rows else None, sources(*cols) if cols else None)
 
 
+def _pure_tensor(field, u, v):
+    """The column of u (x) v."""
+    return kron(Matrix.from_cols(field, [u]), Matrix.from_cols(field, [v]))
+
+
 class FiniteAlgebra:
     """A commutative unital algebra of finite dimension over a base field,
-    given by structure constants; elements are coordinate tuples.
+    given by its multiplication map; elements are coordinate tuples.
 
     ``sc`` is given dense, ``sc[i][j]`` the coordinates of e_i e_j, and kept
-    sparse: ``self.sc[i][j]`` is the tuple of (l, s) with s the nonzero l-th
-    coordinate."""
+    as one ``Matrix`` ``mu``: A (x) A -> A, of shape dim x dim^2, whose
+    column i * dim + j holds the coordinates of e_i e_j."""
 
-    __slots__ = ("field", "dim", "sc", "unit", "factors", "label")
+    __slots__ = ("field", "dim", "mu", "unit", "factors", "label")
 
     def __init__(self, field, sc, unit, label="algebra", factors=None):
-        # factors: the pair (A, B) of a tensor product A (x) B, else None
-        self.field = field
-        self.dim = dim = len(sc)
-        sparse = []
+        dim = len(sc)
+        products = []
         for i, row in enumerate(sc):
             row = tuple(row)
             if len(row) != dim:
@@ -100,14 +95,28 @@ class FiniteAlgebra:
                     raise ShapeMismatch(
                         f"product of basis elements {i} and {j} has length {len(v)}, "
                         f"expected {dim}")
-            sparse.append(tuple(tuple((l, s) for l, s in enumerate(v) if s) for v in row))
-        self.sc = tuple(sparse)
+            products.extend(row)
+        self._set(field, Matrix.from_cols(field, products), unit, label, factors)
+
+    def _set(self, field, mu, unit, label, factors):
+        # factors: the pair (A, B) of a tensor product A (x) B, else None
+        self.field = field
+        self.dim = mu.nrows
+        self.mu = mu
         self.unit = tuple(unit)
         self.factors = factors
         self.label = label
         if len(self.unit) != self.dim:
             raise ShapeMismatch("unit vector has wrong length")
         self.verify()
+
+    @classmethod
+    def _of(cls, field, mu, unit, label, factors=None):
+        """The algebra with multiplication map ``mu``, checked as the
+        constructor checks one given by structure constants."""
+        algebra = cls.__new__(cls)
+        algebra._set(field, mu, unit, label, factors)
+        return algebra
 
     # -- constructors ------------------------------------------------------
 
@@ -124,92 +133,85 @@ class FiniteAlgebra:
         """The extension field as an algebra over its base, on the power
         basis."""
         basis = ext.power_basis()
-        sc = [[ext.coords(a * b) for b in basis] for a in basis]
-        return cls(ext.base, sc, ext.coords(ext.one), label=repr(ext))
+        mu = ext.coords_matrix([a * b for a in basis for b in basis])
+        return cls._of(ext.base, mu, ext.coords(ext.one), repr(ext))
 
     @classmethod
     def product(cls, factors):
-        """Direct product; basis is the concatenation of the factor bases."""
+        """Direct product; basis is the concatenation of the factor bases.
+        With P_a the projection onto factor a, the rows of factor a in mu
+        are mu_a (P_a (x) P_a)."""
         if not factors:
             raise ShapeMismatch("empty product")
         field = factors[0].field
         if any(a.field != field for a in factors):
             raise FieldMismatch("product factors over different fields")
         dim = sum(a.dim for a in factors)
-        zero = field.zero
-        zero_vec = (zero,) * dim
-        sc = []
+        rows = []
         before = 0
         for a in factors:
-            after = dim - before - a.dim
-            for row in a.dense_constants():
-                sc.append([zero_vec] * before
-                          + [(zero,) * before + v + (zero,) * after for v in row]
-                          + [zero_vec] * after)
+            projection = (Matrix.zero(field, a.dim, before)
+                          .hstack(Matrix.identity(field, a.dim))
+                          .hstack(Matrix.zero(field, a.dim, dim - before - a.dim)))
+            rows.extend((a.mu * kron(projection, projection)).rows)
             before += a.dim
         unit = tuple(c for a in factors for c in a.unit)
         label = " x ".join(a.label for a in factors)
-        return cls(field, sc, unit, label=label)
+        return cls._of(field, Matrix(field, rows), unit, label)
 
     @classmethod
     def tensor(cls, A, B):
         """A tensor B over the base field, basis pairs (i, j) with index
-        i * dim(B) + j."""
+        i * dim(B) + j: mu is mu_A (x) mu_B with its column slots
+        (A, A, B, B) reordered to (A, B, A, B)."""
         if A.field != B.field:
             raise FieldMismatch("tensor factors over different fields")
-        b_sc = B.dense_constants()
-        sc = [[_kron_vector(u, v) for u in a_row for v in b_row]
-              for a_row in A.dense_constants() for b_row in b_sc]
-        return cls(A.field, sc, _kron_vector(A.unit, B.unit),
-                   label=f"({A.label}) (x) ({B.label})", factors=(A, B))
+        m, n = A.dim, B.dim
+        mu = _permute_slots(kron(A.mu, B.mu), cols=((m, m, n, n), (0, 2, 1, 3)))
+        return cls._of(A.field, mu, _pure_tensor(A.field, A.unit, B.unit).col(0),
+                       f"({A.label}) (x) ({B.label})", factors=(A, B))
 
     # -- arithmetic ---------------------------------------------------------
+
+    def _check_length(self, *vectors):
+        for v in vectors:
+            if len(v) != self.dim:
+                raise ShapeMismatch(
+                    f"vector of length {len(v)} in an algebra of dimension {self.dim}")
 
     def zero_vector(self):
         return (self.field.zero,) * self.dim
 
     def add(self, u, v):
+        self._check_length(u, v)
         return tuple(a + b for a, b in zip(u, v))
 
     def mul(self, u, v):
-        out = [self.field.zero] * self.dim
-        right = [(j, cj) for j, cj in enumerate(v) if cj]
-        for ci, row in zip(u, self.sc):
-            if not ci:
-                continue
-            for j, cj in right:
-                coeff = ci * cj
-                for l, s in row[j]:
-                    out[l] = out[l] + coeff * s
-        return tuple(out)
-
-    def basis_product(self, i, j):
-        """e_i * e_j as a coordinate tuple."""
-        out = [self.field.zero] * self.dim
-        for l, s in self.sc[i][j]:
-            out[l] = s
-        return tuple(out)
+        """u * v, the multiplication map applied to u (x) v."""
+        self._check_length(u, v)
+        return (self.mu * _pure_tensor(self.field, u, v)).col(0)
 
     def dense_constants(self):
         """The structure constants in the dense form ``__init__`` takes."""
-        return [[self.basis_product(i, j) for j in range(self.dim)]
-                for i in range(self.dim)]
+        n = self.dim
+        return [[self.mu.col(i * n + j) for j in range(n)] for i in range(n)]
 
     def scale(self, c, v):
         return tuple(c * a for a in v)
 
     def mult_matrix(self, u):
-        """Matrix of v -> u * v on the basis."""
-        return Matrix.from_cols(
-            self.field, [self.mul(u, e) for e in Matrix.identity(self.field, self.dim).rows])
+        """Matrix of v -> u * v on the basis: mu (u (x) I)."""
+        self._check_length(u)
+        return self.mu * kron(Matrix.from_cols(self.field, [u]),
+                              Matrix.identity(self.field, self.dim))
 
     def embed_left(self, vec_a):
         """a (x) 1 for a tensor algebra."""
-        return _kron_vector(vec_a, self._tensor_factors()[1].unit)
+        return _pure_tensor(self.field, vec_a, self._tensor_factors()[1].unit).col(0)
 
     def embed_right(self, vec_b):
         """1 (x) b for a tensor algebra."""
-        return _kron_vector(self._tensor_factors()[0].unit, vec_b)
+        return _pure_tensor(self.field, self._tensor_factors()[0].unit, vec_b).col(0)
 
     def _tensor_factors(self):
         if self.factors is None:
@@ -222,43 +224,42 @@ class FiniteAlgebra:
         yield from tuples(list(self.field.elements()), self.dim)
 
     def verify(self):
-        """Prove the unit law, commutativity and associativity.
+        """Prove the unit law, commutativity and associativity as identities
+        between linear maps.
 
-        The unit law is checked on the basis, commutativity on the structure
-        constants themselves (``sc[i][j] == sc[j][i]``).  Associativity then
-        follows from a generating set S in the left nucleus, the n with
-        (n x) y = n (x y) for all x, y: in a commutative algebra the left
-        nucleus is the whole nucleus, and the nucleus is a subalgebra that
-        contains 1 (Schafer, *An Introduction to Nonassociative Algebras*,
-        1966, ch. II), so it contains every word s1 (s2 (... (sk 1))) over S
-        and, when those words span, the whole algebra.  The check is
-        (s e_x) e_y == s (e_x e_y) for s in S and all basis elements: |S| dim^2
-        products instead of dim^3.
-
-        S is chosen greedily from the basis by ``_generators``, which grows the
-        span of the words over S until it is the whole algebra.  The unit law
-        and commutativity come first, since the proof of associativity needs
-        them; the first law that fails is reported with the same message and
-        indices as a check of every basis pair and triple gives.
+        With mu' = mu composed with the swap of its slots, the unit law is
+        mu (u (x) I) = I = mu' (u (x) I) and commutativity is mu' = mu.  They
+        come first, since the proof of associativity needs them, and the
+        first basis element or pair where one fails is reported as a check of
+        every basis pair reports it.  Associativity follows from a generating
+        set S in the left nucleus, the n with (n x) y = n (x y): in a
+        commutative algebra the left nucleus is the whole nucleus, and the
+        nucleus is a subalgebra that contains 1 (Schafer, *An Introduction to
+        Nonassociative Algebras*, 1966, ch. II), so it contains every word
+        s1 (s2 (... (sk 1))) over S, and those span.  With L_s the
+        multiplication matrix of s, the check is mu (L_s (x) I) = L_s mu for
+        each s in S, chosen by ``_generators``: 2 |S| matrix products.
         """
-        basis = Matrix.identity(self.field, self.dim).rows
-        for i, bi in enumerate(basis):
-            if self.mul(self.unit, bi) != bi or self.mul(bi, self.unit) != bi:
-                raise ShapeMismatch(f"unit law fails on basis element {i}")
-            for j in range(i + 1, self.dim):
-                if self.sc[i][j] != self.sc[j][i]:
-                    raise ShapeMismatch(f"product not commutative at ({i}, {j})")
-        generators = self._generators(basis)
-        for x in range(self.dim):
-            left = [self.basis_product(s, x) for s in generators]
-            for y, by in enumerate(basis):
-                xy = self.basis_product(x, y)
-                for s, sx in zip(generators, left):
-                    if self.mul(sx, by) != self.mul(basis[s], xy):
-                        raise ShapeMismatch("product not associative")
+        n, mu = self.dim, self.mu
+        identity = Matrix.identity(self.field, n)
+        swapped = _permute_slots(mu, cols=((n, n), (1, 0)))
+        on_unit = kron(Matrix.from_cols(self.field, [self.unit]), identity)
+        left, right = mu * on_unit, swapped * on_unit
+        if left != identity or right != identity or swapped != mu:
+            basis = identity.rows
+            for i in range(n):
+                if left.col(i) != basis[i] or right.col(i) != basis[i]:
+                    raise ShapeMismatch(f"unit law fails on basis element {i}")
+                for j in range(i + 1, n):
+                    if mu.col(i * n + j) != mu.col(j * n + i):
+                        raise ShapeMismatch(f"product not commutative at ({i}, {j})")
+        for mult in self._generators():
+            if mu * kron(mult, identity) != mult * mu:
+                raise ShapeMismatch("product not associative")
 
-    def _generators(self, basis):
-        """Indices of a generating set S chosen greedily from the basis.
+    def _generators(self):
+        """The multiplication matrices of a generating set S chosen greedily
+        from the basis.
 
         W, the span of the words over S, is kept in semi-echelon form and
         starts as span{1}.  Each basis element not in W joins S and W, and W
@@ -290,13 +291,13 @@ class FiniteAlgebra:
             return True
 
         grow(self.unit)
-        for k, e in enumerate(basis):
+        for e in Matrix.identity(self.field, self.dim).rows:
             if grow(e):
-                generators.append(k)
-                pending.extend((k, w) for w in words)
+                generators.append(self.mult_matrix(e))
+                pending.extend((generators[-1], w) for w in words)
                 while pending:
                     s, w = pending.pop()
-                    grow(self.mul(basis[s], w))
+                    grow(s.apply(w))
         return generators
 
     def __repr__(self):
@@ -329,17 +330,14 @@ class AlgebraMap:
         return self.matrix.apply(vec)
 
     def _verify(self):
+        """F 1 = 1 and F mu_A = mu_B (F (x) F)."""
         if self.target.dim == 0:
             return
-        src_basis = Matrix.identity(self.source.field, self.source.dim).rows
+        F = self.matrix
         if self.source.dim and self.apply(self.source.unit) != self.target.unit:
             raise ShapeMismatch("map does not preserve the unit")
-        for bi in src_basis:
-            for bj in src_basis:
-                lhs = self.apply(self.source.mul(bi, bj))
-                rhs = self.target.mul(self.apply(bi), self.apply(bj))
-                if lhs != rhs:
-                    raise ShapeMismatch("map is not multiplicative")
+        if F * self.source.mu != self.target.mu * kron(F, F):
+            raise ShapeMismatch("map is not multiplicative")
 
     def __repr__(self):
         return f"AlgebraMap({self.source.label} -> {self.target.label})"
@@ -367,17 +365,15 @@ def check_faithfully_flat(f, basis=None):
     if basis is None:
         raise UnsupportedBase(
             "flatness over a non-field source needs a candidate basis")
-    A = f.source
-    field = B.field
+    for k, vec in enumerate(basis):
+        if len(vec) != B.dim:
+            raise ShapeMismatch(
+                f"candidate basis vector {k} has length {len(vec)}, expected {B.dim}")
     s = len(basis)
-    cols = []
-    for a_vec in Matrix.identity(field, A.dim).rows:
-        fa = f.apply(a_vec)
-        for beta in basis:
-            cols.append(list(B.mul(fa, tuple(beta))))
-    matrix = Matrix.from_cols(field, cols)
-    rank = matrix.rank()
-    if rank != s * A.dim:
+    candidates = Matrix.from_cols(B.field, basis) if basis else Matrix.zero(B.field, B.dim, 0)
+    # column (a, j) is f(e_a) * beta_j: mu_B (F (x) [beta_1 ... beta_s])
+    rank = (B.mu * kron(f.matrix, candidates)).rank()
+    if rank != s * f.source.dim:
         raise BasisNotIndependent(
             f"candidate basis is dependent over the source (rank {rank})")
     if rank != B.dim:

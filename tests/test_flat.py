@@ -66,6 +66,18 @@ class TestFiniteAlgebra:
         assert P.mul(e1, e1) == e1
         assert P.unit == (QQ.one, QQ.one)
 
+    def test_operands_of_the_wrong_length(self):
+        # neither truncated nor padded: (1,) * (1, 1) is not (1, 0)
+        P = qq_squared()
+        one = QQ.one
+        for operands in [((one,), (one, one)), ((one, one), (one, one, one))]:
+            for operation in (P.mul, P.add):
+                with pytest.raises(ShapeMismatch, match=r"^vector of length [13] in an "
+                                                        r"algebra of dimension 2$"):
+                    operation(*operands)
+        with pytest.raises(ShapeMismatch):
+            P.mult_matrix((one,))
+
     def test_product_is_not_a_tensor(self):
         P = qq_squared()
         with pytest.raises(ShapeMismatch, match="not a tensor algebra"):
@@ -87,10 +99,11 @@ class TestFiniteAlgebra:
         Qi, B = qi_algebra()
         T = FiniteAlgebra.tensor(B, qq_squared())
         zero, one = QQ.zero, QQ.one
-        # (i (x) e1)^2 = -1 (x) e1, stored as its one nonzero coordinate
-        assert T.sc[2][2] == ((0, QQ.from_int(-1)),)
-        assert T.basis_product(2, 2) == (QQ.from_int(-1), zero, zero, zero)
-        assert FiniteAlgebra(QQ, T.dense_constants(), T.unit).sc == T.sc
+        # (i (x) e1)^2 = -1 (x) e1: column 2 * 4 + 2 of the multiplication map
+        assert (T.mu.nrows, T.mu.ncols) == (4, 16)
+        assert T.mu.col(10) == (QQ.from_int(-1), zero, zero, zero)
+        assert T.dense_constants()[2][2] == T.mu.col(10)
+        assert FiniteAlgebra(QQ, T.dense_constants(), T.unit).mu == T.mu
         assert T.unit == (one, one, zero, zero)
 
 
@@ -151,25 +164,29 @@ class TestVerify:
         with pytest.raises(ShapeMismatch, match=r"^product not associative$"):
             FiniteAlgebra(QQ, sc, as_vector(QQ, (1, 1, 0, 0)))
 
-    @pytest.mark.parametrize("m, calls", [(5, 1088), (7, 5328)])
-    def test_multiplies_on_generating_set(self, m, calls, monkeypatch):
+    @pytest.mark.parametrize("m", [5, 7, 11])
+    def test_multiplies_on_generating_set(self, m, monkeypatch):
         K, _ = cyclotomic_group(m)
         B = FiniteAlgebra.from_extension(K)
         T = FiniteAlgebra.tensor(B, B)
-        counted = []
-        multiply = FiniteAlgebra.mul
-
-        def counting(self, u, v):
-            counted.append(self)
-            return multiply(self, u, v)
-
-        monkeypatch.setattr(FiniteAlgebra, "mul", counting)
-        T.verify()
-        # S = {1 (x) u, t (x) 1}: 2 dim for the unit law, |S| dim to grow the
-        # words over S, 2 |S| dim^2 for the left nucleus
         n = T.dim
-        assert len(counted) == calls == 2 * n + 2 * n + 4 * n * n
-        assert set(counted) == {T}
+        basis = Matrix.identity(QQ, n).rows
+        # S = {1 (x) u, t (x) 1}, basis elements 1 and dim B
+        assert T._generators() == [T.mult_matrix(basis[1]), T.mult_matrix(basis[B.dim])]
+        shapes = []
+        multiply = Matrix.__mul__
+
+        def counting(self, other):
+            shapes.append((self.nrows, self.ncols, other.ncols))
+            return multiply(self, other)
+
+        monkeypatch.setattr(Matrix, "__mul__", counting)
+        T.verify()
+        # two products for the unit law, one per member s of S for its
+        # multiplication matrix L_s, then mu (L_s (x) I) and L_s mu for each:
+        # 2 + 3 |S| products in all
+        assert shapes == ([(n, n * n, n)] * 4
+                          + [(n, n * n, n * n), (n, n, n * n)] * 2)
 
 
 class TestShape:
@@ -290,16 +307,22 @@ class TestFaithfullyFlat:
         with pytest.raises(ZeroTarget):
             check_faithfully_flat(f)
 
-    def test_free_basis_verified(self):
-        # A = Q x Q inside B = Q x Q x Q x Q, pairing the factors: B is free
-        # of rank 2 with basis {(1,1,1,1), (0,1,0,1)-style} over the diagonal
+    @staticmethod
+    def pairing():
+        """A = Q x Q inside B = Q x Q x Q x Q, pairing the factors: (a, b)
+        goes to (a, a, b, b)."""
         base = FiniteAlgebra.base(QQ)
         A = FiniteAlgebra.product([base, base])
         B = FiniteAlgebra.product([base, base, base, base])
-        # map sends (a, b) to (a, a, b, b)
         one, zero = QQ.one, QQ.zero
-        f = AlgebraMap(A, B, Matrix(QQ, [
+        return AlgebraMap(A, B, Matrix(QQ, [
             [one, zero], [one, zero], [zero, one], [zero, one]]))
+
+    def test_free_basis_verified(self):
+        # B is free of rank 2 over the pairing, with basis
+        # {(1,0,1,0), (0,1,0,1)}
+        f = self.pairing()
+        one, zero = QQ.one, QQ.zero
         good = [(one, zero, one, zero), (zero, one, zero, one)]
         report = check_faithfully_flat(f, basis=good)
         assert report.free_rank == 2
@@ -308,6 +331,19 @@ class TestFaithfullyFlat:
                                             (one, zero, one, zero)])
         with pytest.raises(BasisNotSpanning):
             check_faithfully_flat(f, basis=[good[0]])
+
+    def test_candidate_vectors_of_the_wrong_length(self):
+        f = self.pairing()
+        one, zero = QQ.one, QQ.zero
+        short = (one, zero, one)
+        with pytest.raises(ShapeMismatch, match=r"^candidate basis vector 0 has length 3, "
+                                                r"expected 4$"):
+            check_faithfully_flat(f, basis=[short, (zero, one, zero, one)])
+        with pytest.raises(ShapeMismatch, match=r"^candidate basis vector 1 has length 5, "
+                                                r"expected 4$"):
+            check_faithfully_flat(f, basis=[(one, zero, one, zero), short + (zero, one)])
+        with pytest.raises(BasisNotSpanning, match=r"rank 0 < 4"):
+            check_faithfully_flat(f, basis=[])
 
 
 class TestAmitsur:
