@@ -417,7 +417,7 @@ class Embedding(GeneratorMap):
     def __init__(self, source, target, image, name):
         if source.base != target.base:
             raise FieldMismatch("embeddings must fix the base field")
-        value = source.modulus.evaluate(image, embed=target.from_base)
+        value = source.modulus.evaluate(image)
         if value:
             raise FieldMismatch("claimed embedding image is not a root")
         super().__init__(source, target, image, name)
@@ -437,7 +437,7 @@ def embeddings_into(K, omega, group=None):
         roots = [sigma.image for sigma in group.elements]
     elif omega.is_finite:
         roots = [a for a in omega.elements()
-                 if not K.modulus.evaluate(a, embed=omega.from_base)]
+                 if not K.modulus.evaluate(a)]
     else:
         raise FieldMismatch(
             "over Q, embeddings need Omega = K with its automorphism group")

@@ -163,11 +163,6 @@ class ExtensionField(Field):
     def from_int(self, n):
         return self.from_base(self.base.from_int(n))
 
-    def from_unipoly(self, poly):
-        poly = poly % self.modulus
-        return FieldElement(self, self._from_base_values(
-            [poly.coeff(i).value for i in range(self.degree)]))
-
     def to_unipoly(self, a):
         return UniPoly(self.base, list(self.coords(a)))
 

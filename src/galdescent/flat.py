@@ -191,11 +191,6 @@ class FiniteAlgebra:
         self._check_length(u, v)
         return (self.mu * _pure_tensor(self.field, u, v)).col(0)
 
-    def dense_constants(self):
-        """The structure constants in the dense form ``__init__`` takes."""
-        n = self.dim
-        return [[self.mu.col(i * n + j) for j in range(n)] for i in range(n)]
-
     def scale(self, c, v):
         return tuple(c * a for a in v)
 
@@ -310,9 +305,7 @@ class AlgebraMap:
     __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source, target, matrix):
-        if target.dim == 0:
-            matrix = Matrix(target.field, [])
-        elif matrix.nrows != target.dim or matrix.ncols != source.dim:
+        if matrix.nrows != target.dim or matrix.ncols != source.dim:
             raise ShapeMismatch("matrix shape does not match the algebras")
         self.source = source
         self.target = target
@@ -331,8 +324,6 @@ class AlgebraMap:
 
     def _verify(self):
         """F 1 = 1 and F mu_A = mu_B (F (x) F)."""
-        if self.target.dim == 0:
-            return
         F = self.matrix
         if self.source.dim and self.apply(self.source.unit) != self.target.unit:
             raise ShapeMismatch("map does not preserve the unit")

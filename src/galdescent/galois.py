@@ -91,7 +91,7 @@ class Automorphism(GeneratorMap):
 def verify_automorphism(ext, image, name="sigma"):
     """Check that ``image`` is a root of the modulus and that substitution
     induces an invertible base-linear map, then package the automorphism."""
-    value = ext.modulus.evaluate(image, embed=ext.from_base)
+    value = ext.modulus.evaluate(image)
     if value:
         raise NotARoot(
             f"f({ext.format_element(image)}) = {ext.format_element(value)} != 0")
@@ -129,12 +129,6 @@ class GaloisGroup:
     def compose(self, i, j):
         """Index of elements[i] o elements[j]."""
         return self.table[i][j]
-
-    def element_named(self, name):
-        for i, s in enumerate(self.elements):
-            if s.name == name:
-                return i
-        raise KeyError(f"no automorphism named {name}")
 
     @classmethod
     def close_and_verify(cls, ext, autos):

@@ -500,17 +500,9 @@ def kron(*factors):
     return out
 
 
-def expand_vector(vec, ext):
-    """Flatten a vector over an extension into base-field coordinates,
-    blockwise (d coordinates per entry, constant term first)."""
-    out = []
-    for a in vec:
-        out.extend(ext.coords(a))
-    return tuple(out)
-
-
 def contract_vector(coords, ext, length):
-    """Inverse of :func:`expand_vector`."""
+    """The vector over an extension whose entries have the given base-field
+    coordinates, blockwise (d coordinates per entry, constant term first)."""
     d = ext.degree
     if len(coords) != length * d:
         raise ShapeMismatch(f"{len(coords)} coordinates for {length} entries of degree {d}")

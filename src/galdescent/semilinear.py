@@ -66,17 +66,6 @@ class SemilinearModule:
         ident = Matrix.identity(group.ext, dim)
         return cls(group, dim, [ident] * group.order)
 
-    @classmethod
-    def from_boundary(cls, group, b):
-        """The cocycle c_sigma = b^{-1} * sigma(b) of an invertible matrix b;
-        always satisfies the action law."""
-        b_inv = b.inverse()
-        cocycle = []
-        for sigma in group.elements:
-            sigma_b = b.map_entries(sigma)
-            cocycle.append(b_inv * sigma_b)
-        return cls(group, b.nrows, cocycle)
-
     def act(self, index, vec):
         """Apply the group element with the given index to a vector."""
         sigma = self.group.elements[index]

@@ -1,26 +1,30 @@
-"""Univariate polynomials over an exact field, and the raw kernel behind them.
+"""Univariate polynomials over an exact field: one raw kernel, and
+``UniPoly``, its boxed face.
 
-``UniPoly`` is the boxed form: coefficients are base-field ``FieldElement``s,
-stored lowest degree first with no trailing zeros; the zero polynomial has
-degree -1.  It is what documents parse into, what reports print and what an
-extension field keeps as its modulus.
+The arithmetic runs on raw coefficient lists, lowest degree first: ints in
+[0, p) over F_p, ``Fraction``s over Q (or ints, where every divisor is
+monic with int coefficients).  Each ``raw_*`` function and the private
+helpers ``_sub``, ``_mul`` and ``_scale`` take p, or 0 over Q, and make no
+``FieldElement``: division with remainder, the monic gcd, the extended gcd
+that inverts modulo a polynomial, and modular powering, whose products over
+F_p are one big-int multiplication by Kronecker substitution (von zur
+Gathen and Gerhard, *Modern Computer Algebra*, 8.4).
 
-The algorithms run on raw coefficient lists instead, in the same layout:
-ints in [0, p) over F_p, ``Fraction``s over Q.  Each ``raw_*`` function
-takes p, or 0 over Q, and makes no ``FieldElement``: division with
-remainder, the monic gcd, the extended gcd that inverts modulo a
-polynomial, and modular powering, whose products over F_p are one big-int
-multiplication by Kronecker substitution (von zur Gathen and Gerhard,
-*Modern Computer Algebra*, 8.4).  The public tests (squarefreeness,
-Ben-Or's irreducibility test over F_p) and constructors (the default modulus
-of GF(p^n), cyclotomic polynomials) take and return ``UniPoly``s and run on
-raw lists inside.
+``UniPoly`` is the boxed face of that kernel: coefficients are base-field
+``FieldElement``s, stored lowest degree first with no trailing zeros; the
+zero polynomial has degree -1.  It is what documents parse into, what
+reports print and what an extension field keeps as its modulus.  Its ring
+operations unbox once, call the kernel and box the result once; only
+``evaluate``, whose point lies in an extension field, works on boxed
+values.  The public tests (squarefreeness, Ben-Or's irreducibility test
+over F_p) and constructors (the default modulus of GF(p^n), cyclotomic
+polynomials) take and return ``UniPoly``s and run on raw lists inside.
 """
 
 from fractions import Fraction
 
 from .enumeration import prime_factors, tuples
-from .errors import Budget, DivisionByZero, InvalidFieldParameter, NotIrreducible
+from .errors import Budget, DivisionByZero, FieldMismatch, InvalidFieldParameter, NotIrreducible
 from .fields import GF, QQ, FieldElement
 
 
@@ -68,29 +72,28 @@ class UniPoly:
             return self.coeffs[i]
         return self.field.zero
 
+    def _p(self, other):
+        """p, or 0 over Q, once ``other`` (a polynomial or a scalar) is
+        found to share this polynomial's field."""
+        if other.field != self.field:
+            raise FieldMismatch(f"{other.field} vs {self.field}")
+        return self.field.characteristic
+
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.field, [self.coeff(i) + other.coeff(i) for i in range(n)])
+        p = self._p(other)
+        return UniPoly.from_ints(self.field, _sub(_raw(self), _scale(_raw(other), -1, p), p))
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.field, [self.coeff(i) - other.coeff(i) for i in range(n)])
+        return UniPoly.from_ints(self.field, _sub(_raw(self), _raw(other), self._p(other)))
 
     def __neg__(self):
-        return UniPoly(self.field, [-c for c in self.coeffs])
+        return UniPoly.from_ints(self.field, _scale(_raw(self), -1, self.field.characteristic))
 
     def __mul__(self, other):
+        p = self._p(other)
         if isinstance(other, FieldElement):
-            return UniPoly(self.field, [c * other for c in self.coeffs])
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(self.field, out)
+            return UniPoly.from_ints(self.field, _scale(_raw(self), other.value, p))
+        return UniPoly.from_ints(self.field, _mul(_raw(self), _raw(other), p))
 
     __rmul__ = __mul__
 
@@ -103,33 +106,30 @@ class UniPoly:
     def divmod(self, other):
         if other.is_zero:
             raise DivisionByZero("polynomial division by zero")
-        lead_inv = other.leading.inverse()
-        rem = list(self.coeffs)
-        quo = [self.field.zero] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        while len(rem) - 1 >= d and rem:
-            k = len(rem) - 1 - d
-            q = rem[-1] * lead_inv
-            quo[k] = q
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - q * c
-            while rem and not rem[-1]:
-                rem.pop()
-        return UniPoly(self.field, quo), UniPoly(self.field, rem)
+        quo, rem = raw_divmod(_raw(self), _raw(other), self._p(other))
+        return UniPoly.from_ints(self.field, quo), UniPoly.from_ints(self.field, rem)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
 
-    def evaluate(self, point, embed=None):
-        """Horner evaluation at ``point``; ``embed`` maps coefficients into
-        point's ring when the two differ."""
-        embed = embed or (lambda c: c)
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = embed(c) if acc is None else acc * point + embed(c)
-        if acc is None:
-            return embed(self.field.zero)
-        return acc
+    def evaluate(self, point):
+        """The value at ``point``, an element of an extension of the
+        coefficient field: Horner on the nonzero terms, multiplying by
+        point^gap between consecutive exponents, each power computed once."""
+        field, powers = point.field, {1: point}
+
+        def power(gap):
+            if gap not in powers:
+                powers[gap] = point ** gap
+            return powers[gap]
+
+        terms = [(i, field.from_base(c)) for i, c in enumerate(self.coeffs) if c]
+        if not terms:
+            return field.zero
+        high, acc = terms.pop()
+        for i, c in reversed(terms):
+            acc, high = acc * power(high - i) + c, i
+        return acc * power(high) if high else acc
 
     def __repr__(self):
         return self.format()
@@ -151,8 +151,12 @@ class UniPoly:
 
 
 def _inverse(c, p):
-    """1/c for a nonzero raw coefficient: mod p, or a Fraction over Q (p = 0)."""
-    return pow(c, -1, p) if p else 1 / Fraction(c)
+    """1/c for a nonzero raw coefficient: mod p; over Q (p = 0) a Fraction,
+    or the int 1 for c = 1, so that division by a monic int polynomial
+    stays on ints."""
+    if p:
+        return pow(c, -1, p)
+    return 1 if c == 1 else 1 / Fraction(c)
 
 
 def _canon(coeffs, p):
@@ -315,7 +319,7 @@ def cyclotomic(m):
         return _cyclotomic_cache[m]
     coeffs, r = [-1, 1], 1
     for p in prime_factors(m):
-        coeffs = _monic_quotient(_spread(coeffs, p), coeffs)
+        coeffs = raw_divmod(_spread(coeffs, p), coeffs, 0)[0]
         r *= p
     result = _cyclotomic_cache[m] = UniPoly.from_ints(QQ, _spread(coeffs, m // r))
     return result
@@ -326,15 +330,3 @@ def _spread(coeffs, k):
     out = [0] * ((len(coeffs) - 1) * k + 1)
     out[::k] = coeffs
     return out
-
-
-def _monic_quotient(num, den):
-    """The int coefficients of num / den, for a monic den dividing num."""
-    num, d = list(num), len(den) - 1
-    quotient = [0] * (len(num) - d)
-    for k in range(len(quotient) - 1, -1, -1):
-        q = quotient[k] = num[k + d]
-        if q:
-            for i, c in enumerate(den):
-                num[k + i] -= q * c
-    return quotient

@@ -32,6 +32,7 @@ from galdescent.multipoly import MultiPolynomial
 from galdescent.semilinear import SemilinearModule
 from galdescent.unipoly import UniPoly
 from galdescent.weil import SeparableExtensionData, weil_restrict
+from helpers import coboundary_module
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -629,7 +630,7 @@ if given is not None:
             b = matrix()
             if not b.is_invertible():
                 b = Matrix.identity(ext, n)
-            return SemilinearModule.from_boundary(group, b)
+            return coboundary_module(group, b)
         return SemilinearModule(group, n, [matrix() for _ in group.elements])
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -1,7 +1,7 @@
 """Extension-field values: ints mod p, or over Q int numerators over one
 denominator in lowest terms, equal and hashing equal however an element is
-built; the raw arithmetic against a reference that multiplies ``UniPoly``s
-and reduces them by the modulus; and coordinate matrices built from the
+built; the raw arithmetic against a reference that multiplies boxed
+polynomials (``unipoly_reference``) and reduces them by the modulus; and coordinate matrices built from the
 values against those built from boxed coordinates."""
 
 import random
@@ -25,7 +25,7 @@ from galdescent import extension
 from galdescent.galois import cyclotomic_field
 from galdescent.linalg import Matrix
 from galdescent.unipoly import UniPoly, cyclotomic
-from test_fields import poly_gcd, poly_xgcd  # the boxed references
+from unipoly_reference import boxed, from_unipoly, poly_gcd, poly_xgcd
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -98,7 +98,7 @@ class TestValues:
             F.from_base(base.from_int(2)),
             F.from_int(2),
             F.from_coords([base.from_int(2)] + [base.zero] * (n - 1)),
-            F.from_unipoly(UniPoly.from_ints(base, [2])),
+            from_unipoly(F, UniPoly.from_ints(base, [2])),
             F.one + F.one,
             F.one + 1,
             1 + F.one,
@@ -108,7 +108,7 @@ class TestValues:
         assert all(a == 2 and 2 == a for a in two)
         assert len(set(two)) == 1 and len({hash(a) for a in two}) == 1
         zeros = [F.zero, F.from_int(0), t - t, F.from_coords([base.zero] * n),
-                 F.from_unipoly(F.modulus), F.from_base(base.zero), t * 0]
+                 from_unipoly(F, F.modulus), F.from_base(base.zero), t * 0]
         assert all(z == 0 and 0 == z and not z for z in zeros)
         assert len(set(zeros)) == 1
         assert F.zero != F.one and F.zero != 1
@@ -117,10 +117,10 @@ class TestValues:
                   F.one * Fraction(1, 2), F.from_base(base.from_int(Fraction(1, 2)))]
         assert all(h == Fraction(1, 2) for h in halves) and len(set(halves)) == 1
         # t^n reduced by the modulus, three ways
-        powers = [F.from_unipoly(UniPoly.from_ints(base, [0] * n + [1])),
-                  t ** n, t * F.from_unipoly(UniPoly.from_ints(base, [0] * (n - 1) + [1]))]
+        powers = [from_unipoly(F, UniPoly.from_ints(base, [0] * n + [1])),
+                  t ** n, t * from_unipoly(F, UniPoly.from_ints(base, [0] * (n - 1) + [1]))]
         assert len(set(powers)) == 1
-        assert F.from_unipoly(x(F)) == t == F.power_basis()[1]
+        assert from_unipoly(F, x(F)) == t == F.power_basis()[1]
 
     def test_separate_copies_of_a_field_share_values(self):
         A, B = finite_field(5, 3), finite_field(5, 3)
@@ -144,7 +144,7 @@ class TestValues:
         F = finite_field(p, n)
         assert F._inverses == {}
         t = F.generator
-        built = [F.from_unipoly(x(F) + UniPoly.from_ints(F.base, [1])),
+        built = [from_unipoly(F, x(F) + UniPoly.from_ints(F.base, [1])),
                  F.from_coords([F.base.one, F.base.one] + [F.base.zero] * (F.degree - 2)),
                  (t * t + t) * t.inverse() + 2 - 2]
         first = (t + 1).inverse()
@@ -223,11 +223,16 @@ class TestHighPowers:
         assert peak < 2_000_000
 
 
+def residue(F, a):
+    """a as a boxed reference polynomial of degree < n."""
+    return boxed(F.to_unipoly(a))
+
+
 def boxed_inverse(F, a):
     """The inverse by the boxed extended gcd of a and the modulus."""
     g, s, _ = poly_xgcd(F.to_unipoly(a), F.modulus)
     assert g.degree == 0
-    return F.from_unipoly(s * g.coeff(0).inverse())
+    return from_unipoly(F, s * g.coeff(0).inverse())
 
 
 class TestInverse:
@@ -319,7 +324,7 @@ def test_arithmetic_over_q_builds_no_fraction(monkeypatch):
                F.mult_matrix(c), F._sub_mul(a.value, b.value, c.value)]
     assert results[6] == F.one and results[8] == a
     monkeypatch.undo()
-    assert results[3] == F.from_unipoly((F.to_unipoly(a) * F.to_unipoly(b)) % F.modulus)
+    assert results[3] == from_unipoly(F, residue(F, a) * residue(F, b))
 
 
 class TestDivisionByZeroMessages:
@@ -368,20 +373,19 @@ if given is not None:
         return F.from_coords([F.base.from_int(c) for c in coords])
 
     def reference_product(F, a, b):
-        return F.from_unipoly((F.to_unipoly(a) * F.to_unipoly(b)) % F.modulus)
+        return from_unipoly(F, residue(F, a) * residue(F, b))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(DIFFERENTIAL_FIELDS), st.data())
     def test_raw_arithmetic_matches_unipoly_reference(name, data):
         """_mul, _sub_mul and inverse on raw values agree with the product of
-        UniPolys reduced by the modulus."""
+        boxed reference polynomials reduced by the modulus."""
         F = field(name)
         a, b, c = (data.draw(values(F)) for _ in range(3))
         product = F._mul(b, c)
         assert product == reference_product(F, b, c)
         assert hash(product) == hash(reference_product(F, b, c))
-        difference = F.from_unipoly((F.to_unipoly(a) - F.to_unipoly(b) * F.to_unipoly(c))
-                                    % F.modulus)
+        difference = from_unipoly(F, residue(F, a) - residue(F, b) * residue(F, c))
         value = F._sub_mul(a.value, b.value, c.value)
         if not difference:
             assert value is None
@@ -403,24 +407,23 @@ if given is not None:
         """Every result of +, -, *, inverse, combine and from_coords over Q
         is numerators over a positive denominator with content 1 (zero is
         ((0,)*n, 1)), and hashes equal to the value built another way:
-        through the boxed ``UniPoly`` arithmetic, or term by term.
+        through the boxed reference arithmetic, or term by term.
         ``cancel`` draws b = a, so that sums and differences cancel."""
         F = field(name)
         a = data.draw(values(F))
         b = a if cancel else data.draw(values(F))
-        boxed = F.to_unipoly
         # coordinates over different denominators, from_coords against
         # the sum of their terms
         coords = [F.base.from_int(c) for c in data.draw(st.lists(
             st.fractions(min_value=-9, max_value=9, max_denominator=12),
             min_size=F.degree, max_size=F.degree))]
         pairs = [
-            (a + b, F.from_unipoly(boxed(a) + boxed(b))),
-            (a - b, F.from_unipoly(boxed(a) - boxed(b))),
-            (a + -b, F.from_unipoly(boxed(a) - boxed(b))),
+            (a + b, from_unipoly(F, residue(F, a) + residue(F, b))),
+            (a - b, from_unipoly(F, residue(F, a) - residue(F, b))),
+            (a + -b, from_unipoly(F, residue(F, a) - residue(F, b))),
             (a * b, reference_product(F, a, b)),
             (F.combine(a, [b ** j for j in range(F.degree)].__getitem__),
-             boxed(a).evaluate(b, embed=F.from_base)),
+             F.to_unipoly(a).evaluate(b)),
             (F.from_coords(coords),
              sum((F.from_base(c) * t for c, t in zip(coords, F.power_basis())), F.zero)),
         ]

@@ -1,4 +1,3 @@
-import functools
 from fractions import Fraction
 from math import isqrt
 
@@ -23,6 +22,14 @@ from galdescent.unipoly import (
     default_modulus,
     is_irreducible_mod_p,
     is_squarefree,
+)
+
+from unipoly_reference import (
+    boxed,
+    boxed_ben_or,
+    boxed_is_squarefree,
+    rabin_is_irreducible,
+    reference_cyclotomic,
 )
 
 try:
@@ -53,8 +60,9 @@ def monics(field, deg):
 
 
 def has_lower_factor(f, field):
-    """Trial division by every monic polynomial of lower positive degree."""
-    return any((f % g).is_zero for low in range(1, f.degree) for g in monics(field, low))
+    """Trial division by every monic polynomial of lower positive degree,
+    on the boxed reference arithmetic."""
+    return any((boxed(f) % g).is_zero for low in range(1, f.degree) for g in monics(field, low))
 
 
 class TestMakeExtension:
@@ -218,81 +226,6 @@ class TestDefaultModulus:
                         assert make_extension(field, f).degree == deg
 
 
-# The boxed univariate algorithms, on UniPoly arithmetic over FieldElements:
-# references for the raw kernel of galdescent.unipoly.
-
-def poly_gcd(a, b):
-    """Monic gcd."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a * a.leading.inverse() if not a.is_zero else a
-
-
-def poly_xgcd(a, b):
-    """Returns (g, s, t) with s*a + t*b = g, g monic (or zero)."""
-    field = a.field
-    r0, r1 = a, b
-    s0, s1 = UniPoly(field, [field.one]), UniPoly.zero(field)
-    t0, t1 = UniPoly.zero(field), UniPoly(field, [field.one])
-    while not r1.is_zero:
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero:
-        return r0, s0, t0
-    scale = r0.leading.inverse()
-    return r0 * scale, s0 * scale, t0 * scale
-
-
-def poly_powmod(base, exponent, modulus):
-    field = base.field
-    result = UniPoly(field, [field.one]) % modulus
-    base = base % modulus
-    while exponent:
-        if exponent & 1:
-            result = (result * base) % modulus
-        base = (base * base) % modulus
-        exponent >>= 1
-    return result
-
-
-def boxed_is_squarefree(f):
-    d = UniPoly(f.field, [c * i for i, c in enumerate(f.coeffs) if i > 0])
-    if d.is_zero:
-        return f.degree == 0
-    return poly_gcd(f, d).degree == 0
-
-
-def boxed_ben_or(f):
-    """Ben-Or's test on boxed polynomials."""
-    if f.degree <= 0:
-        return False
-    x = UniPoly.x(f.field)
-    xq = x
-    for _ in range(f.degree // 2):
-        xq = poly_powmod(xq, f.field.characteristic, f)
-        if poly_gcd(xq - x, f).degree != 0:
-            return False
-    return True
-
-
-def rabin_is_irreducible(f):
-    """Rabin's test, kept as a reference: x^(p^n) = x mod f and
-    gcd(x^(p^(n/q)) - x, f) = 1 for every prime q dividing n."""
-    field, n = f.field, f.degree
-    if n <= 0:
-        return False
-    x = UniPoly.x(field)
-    powers = [x % f]
-    for _ in range(n):
-        powers.append(poly_powmod(powers[-1], field.characteristic, f))
-    if powers[n] != powers[0]:
-        return False
-    primes = [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]
-    return all(poly_gcd(powers[n // q] - x, f).degree == 0 for q in primes)
-
-
 def mobius(n):
     sign, d = 1, 2
     while d * d <= n:
@@ -326,18 +259,6 @@ class TestBenOr:
                 mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0)
             # p^n - p^(n-1) monic squarefree polynomials of degree n >= 2
             assert squarefree == (p ** n - p ** (n - 1) if n > 1 else p ** n)
-
-
-@functools.cache
-def reference_cyclotomic(m):
-    """The m-th cyclotomic polynomial by the quotient recursion
-    t^m - 1 = prod over d | m of Phi_d, dividing boxed polynomials."""
-    quotient = UniPoly.from_ints(QQ, [-1] + [0] * (m - 1) + [1])
-    for d in range(1, m):
-        if m % d == 0:
-            quotient, remainder = quotient.divmod(reference_cyclotomic(d))
-            assert remainder.is_zero
-    return quotient
 
 
 class TestCyclotomic:

@@ -34,6 +34,7 @@ from galdescent.flat import (
 from galdescent.galois import cyclotomic_field, cyclotomic_group
 from galdescent.linalg import Matrix, kron
 from galdescent.unipoly import UniPoly
+from helpers import dense_constants
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -102,8 +103,8 @@ class TestFiniteAlgebra:
         # (i (x) e1)^2 = -1 (x) e1: column 2 * 4 + 2 of the multiplication map
         assert (T.mu.nrows, T.mu.ncols) == (4, 16)
         assert T.mu.col(10) == (QQ.from_int(-1), zero, zero, zero)
-        assert T.dense_constants()[2][2] == T.mu.col(10)
-        assert FiniteAlgebra(QQ, T.dense_constants(), T.unit).mu == T.mu
+        assert dense_constants(T)[2][2] == T.mu.col(10)
+        assert FiniteAlgebra(QQ, dense_constants(T), T.unit).mu == T.mu
         assert T.unit == (one, one, zero, zero)
 
 
@@ -306,6 +307,20 @@ class TestFaithfullyFlat:
         f = AlgebraMap(base, zero, Matrix.zero(QQ, 0, 1))
         with pytest.raises(ZeroTarget):
             check_faithfully_flat(f)
+
+    def test_map_into_the_zero_algebra_keeps_its_shape(self):
+        """A map A -> 0 has a 0 x dim A matrix and applies to vectors of
+        A; a matrix of another shape is refused like any other."""
+        zero = FiniteAlgebra.zero(QQ)
+        maps = [AlgebraMap.base_inclusion(zero)] + [
+            AlgebraMap(source, zero, Matrix.zero(QQ, 0, source.dim))
+            for source in (FiniteAlgebra.base(QQ), qq_squared())]
+        for f in maps:
+            assert (f.matrix.nrows, f.matrix.ncols) == (0, f.source.dim)
+            assert f.apply(f.source.unit) == ()
+        for wrong in (Matrix(QQ, []), Matrix.zero(QQ, 0, 2), Matrix.zero(QQ, 1, 1)):
+            with pytest.raises(ShapeMismatch, match="^matrix shape does not match the algebras$"):
+                AlgebraMap(FiniteAlgebra.base(QQ), zero, wrong)
 
     @staticmethod
     def pairing():

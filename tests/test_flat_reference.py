@@ -25,6 +25,7 @@ from galdescent.flat import AlgebraMap, FiniteAlgebra  # noqa: E402
 from galdescent.galois import cyclotomic_field  # noqa: E402
 from galdescent.linalg import Matrix  # noqa: E402
 from galdescent.unipoly import UniPoly, is_irreducible_mod_p  # noqa: E402
+from helpers import dense_constants  # noqa: E402
 from test_verify_reference import (  # noqa: E402
     FIELDS,
     associative,
@@ -48,18 +49,18 @@ def extension_constants(ext):
 def product_reference(field, factors):
     """Block concatenation of the constants, one factor at a time."""
     return functools.reduce(lambda first, second: product_constants(field, first, second),
-                            [(a.dense_constants(), a.unit) for a in factors])
+                            [(dense_constants(a), a.unit) for a in factors])
 
 
 def tensor_constants(A, B):
-    b_sc = B.dense_constants()
+    b_sc = dense_constants(B)
     sc = [[kron_vector(u, v) for u in a_row for v in b_row]
-          for a_row in A.dense_constants() for b_row in b_sc]
+          for a_row in dense_constants(A) for b_row in b_sc]
     return sc, kron_vector(A.unit, B.unit)
 
 
 def reference_mul(algebra):
-    sc, field, dim = algebra.dense_constants(), algebra.field, algebra.dim
+    sc, field, dim = dense_constants(algebra), algebra.field, algebra.dim
 
     def mul(u, v):
         out = [field.zero] * dim
@@ -116,7 +117,7 @@ class TestBuilders:
     @given(extensions())
     def test_from_extension(self, ext):
         algebra = FiniteAlgebra.from_extension(ext)
-        assert (algebra.dense_constants(), algebra.unit) == extension_constants(ext)
+        assert (dense_constants(algebra), algebra.unit) == extension_constants(ext)
 
     @pytest.mark.parametrize("ext", [
         make_extension(QQ, UniPoly.from_ints(QQ, [1, 0, 1]), irreducible=True),
@@ -126,7 +127,7 @@ class TestBuilders:
     ], ids=["Q(i)", "Q(sqrt half)", "Cyclo5", "Cyclo8"])
     def test_from_extension_over_q(self, ext):
         algebra = FiniteAlgebra.from_extension(ext)
-        assert (algebra.dense_constants(), algebra.unit) == extension_constants(ext)
+        assert (dense_constants(algebra), algebra.unit) == extension_constants(ext)
 
     @SETTINGS
     @given(st.sampled_from(FIELDS).flatmap(
@@ -134,7 +135,7 @@ class TestBuilders:
     def test_product(self, factors):
         field = factors[0].field
         algebra = FiniteAlgebra.product(factors)
-        assert (algebra.dense_constants(), algebra.unit) == product_reference(field, factors)
+        assert (dense_constants(algebra), algebra.unit) == product_reference(field, factors)
 
     @SETTINGS
     @given(st.sampled_from(FIELDS).flatmap(
@@ -142,7 +143,7 @@ class TestBuilders:
     def test_tensor(self, pair):
         A, B = pair
         algebra = FiniteAlgebra.tensor(A, B)
-        assert (algebra.dense_constants(), algebra.unit) == tensor_constants(A, B)
+        assert (dense_constants(algebra), algebra.unit) == tensor_constants(A, B)
 
 
 @st.composite

@@ -4,7 +4,7 @@ import pytest
 
 from galdescent import galois
 from galdescent.errors import NotARoot, NotClosed, NotFiniteBase, RankDeficient
-from galdescent.extension import finite_field, make_extension
+from galdescent.extension import ExtensionField, finite_field, make_extension
 from galdescent.fields import QQ
 from galdescent.galois import (
     GaloisGroup,
@@ -16,6 +16,7 @@ from galdescent.galois import (
     verify_automorphism,
 )
 from galdescent.unipoly import UniPoly
+from helpers import element_named
 
 
 def qi_field():
@@ -106,7 +107,7 @@ class TestCyclotomic:
         ext, group = cyclotomic_group(5)
         assert group.order == 4
         # x -> x^2 generates: check its powers hit everything
-        g = group.element_named("s2")
+        g = element_named(group, "s2")
         seen = {group.identity_index}
         k = g
         for _ in range(4):
@@ -185,6 +186,34 @@ class TestVerifyAutomorphism:
         F9 = finite_field(3, 2)
         auto = verify_automorphism(F9, F9.generator * 2, "frob")
         assert auto(F9.generator) == F9.generator * 2
+
+    @pytest.mark.parametrize("m, a, products", [(1000, 3, 14), (101, 2, 100), (5, 2, 4)])
+    def test_root_check_multiplies_on_the_nonzero_terms(self, monkeypatch, m, a, products):
+        """The root check evaluates the modulus on its nonzero terms.  For
+        the generator t -> t^3 of Aut(Cyclo(1000)/Q), Phi_1000 = t^400 -
+        t^300 + t^200 - t^100 + 1 takes 14 extension products: 10 for t^100,
+        computed once, and one per lower term.  Dense Horner over all 401
+        coefficients took 400.  A dense modulus such as Phi_101 or Phi_5
+        takes one product per term, as before."""
+        ext = cyclotomic_field(m)
+        image = ext.generator ** a
+        count, per_root_check = [0], []
+        multiply, evaluate = ExtensionField._mul, UniPoly.evaluate
+
+        def counted_multiply(field, x, y):
+            count[0] += 1
+            return multiply(field, x, y)
+
+        def counted_evaluate(poly, point):
+            before = count[0]
+            value = evaluate(poly, point)
+            per_root_check.append(count[0] - before)
+            return value
+
+        monkeypatch.setattr(ExtensionField, "_mul", counted_multiply)
+        monkeypatch.setattr(UniPoly, "evaluate", counted_evaluate)
+        verify_automorphism(ext, image, f"s{a}")
+        assert per_root_check == [products]
 
 
 class TestUserGroups:

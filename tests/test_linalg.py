@@ -9,7 +9,6 @@ from galdescent.fields import GF, QQ, FieldElement
 from galdescent.extension import finite_field, make_extension
 from galdescent.linalg import (
     Matrix,
-    expand_vector,
     fixed_space_basis,
     kron,
     restrict_scalars_matrix,
@@ -17,6 +16,7 @@ from galdescent.linalg import (
     span_contains,
 )
 from galdescent.unipoly import UniPoly
+from helpers import expand_vector
 
 try:
     from hypothesis import given, settings, strategies as st

@@ -20,7 +20,6 @@ from galdescent.galois import (
 from galdescent.linalg import (
     Matrix,
     contract_vector,
-    expand_vector,
     fixed_space_basis,
     kron,
     restrict_scalars_matrix,
@@ -36,6 +35,7 @@ from galdescent.semilinear import (
     validate_action,
 )
 from galdescent.unipoly import UniPoly
+from helpers import coboundary_module, element_named, expand_vector
 
 try:
     from hypothesis import assume, given, settings, strategies as st
@@ -156,7 +156,7 @@ class TestRoundTrips:
         elems = list(F25.elements())
         for _ in range(5):
             b = random_invertible(rng, F25, 3, elems)
-            module = SemilinearModule.from_boundary(group, b)
+            module = coboundary_module(group, b)
             validate_action(module)
             P = counit_check(module)
             for idx, sigma in enumerate(group.elements):
@@ -173,7 +173,7 @@ class TestSpeiserProperty:
                 elems = list(ext.elements())
                 for n in (1, 2, 3):
                     b = random_invertible(rng, ext, n, elems)
-                    module = SemilinearModule.from_boundary(group, b)
+                    module = coboundary_module(group, b)
                     validate_action(module)
                     space = fixed_subspace(module)
                     assert space.dim == n
@@ -187,7 +187,7 @@ class TestSpeiserProperty:
                                                                ext.generator + 1]
             for n in (1, 2):
                 b = random_invertible(rng, ext, n, elems)
-                module = SemilinearModule.from_boundary(group, b)
+                module = coboundary_module(group, b)
                 validate_action(module)
                 space = fixed_subspace(module)
                 assert space.dim == n
@@ -276,7 +276,7 @@ class TestDescendSubspace:
         # trace Tr(1) = 4 gives the fixed vector (4, 0), which leaves it
         ext, group = cyclotomic_group(8)
         z = ext.generator
-        subgroup = group.subgroup([group.element_named("s3")])
+        subgroup = group.subgroup([element_named(group, "s3")])
         with pytest.raises(InternalContradiction, match="escaped the span"):
             descend_subspace(KSpace(QQ, 2), [(ext.one, z + z ** 3)], subgroup)
 
@@ -472,7 +472,7 @@ if given is not None:
                              min_size=n, max_size=n))
         b = Matrix(ext, rows)
         assume(b.is_invertible())
-        return SemilinearModule.from_boundary(group, b)
+        return coboundary_module(group, b)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(boundary_modules())

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from galdescent.errors import ShapeMismatch  # noqa: E402
 from galdescent.fields import GF  # noqa: E402
 from galdescent.flat import FiniteAlgebra  # noqa: E402
+from helpers import dense_constants  # noqa: E402
 
 FIELDS = [GF(2), GF(3)]
 MAX_DIM = 4
@@ -127,7 +128,7 @@ def unital_after_associative(draw, field):
     """An associative factor times random unital constants, so that the
     first generators lie in the nucleus and a later one decides."""
     algebra = draw(associative(field, MAX_DIM - 1))
-    first = (algebra.dense_constants(), algebra.unit)
+    first = (dense_constants(algebra), algebra.unit)
     return product_constants(field, first, draw(unital_constants(field, MAX_DIM - algebra.dim)))
 
 
@@ -136,7 +137,7 @@ def perturbed_constants(draw, field):
     """An associative algebra's constants with, at random, one product
     replaced (on one side or both) or the unit replaced."""
     algebra = draw(associative(field, MAX_DIM))
-    sc, unit, dim = algebra.dense_constants(), algebra.unit, algebra.dim
+    sc, unit, dim = dense_constants(algebra), algebra.unit, algebra.dim
     change = draw(st.sampled_from(["none", "symmetric", "one side", "unit"]))
     if change == "unit":
         unit = draw(vectors(field, dim))
