@@ -62,13 +62,15 @@ class FieldElement:
     def __pow__(self, exponent):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = self.field.one
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
+        if not exponent:
+            return self.field.one
+        # left to right from the top bit: bit_length - 1 squarings and one
+        # product per further set bit, so x ** 1 is x itself
+        result = self
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def inverse(self):

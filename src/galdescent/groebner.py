@@ -28,8 +28,8 @@ would, and no wrong basis or remainder ever leaves the engine.
 
 A basis element is a triple (packed leading monomial, d, tail) whose
 leading coefficient is 1.  Over QQ the tail lists its other terms as
-(monomial, n) for the coefficient n/d: int numerators over their least
-common denominator.  Over any other field d is 1 and the tail holds raw
+(monomial, n) for the coefficient n/d: int numerators over one denominator
+d > 0, coprime to them.  Over any other field d is 1 and the tail holds raw
 field values (``FieldElement.value``: an int mod p, or over an extension
 its value, the tuple of its coordinates mod p or, over Q, its int
 numerators over one denominator).  An element is made once per packing:
@@ -41,10 +41,12 @@ these elements, and a result is unpacked into ``MultiPolynomial`` once, at
 the end.  Over QQ and GF(p) one loop reduces on ints, over QQ fraction-free
 (Greuel & Pfister, A Singular Introduction to Commutative Algebra, 2008,
 sections 1.6 and 2.3): it reduces on int numerators over one denominator,
-scales them when an element's denominator requires it, and makes one
-``Fraction`` per term that moves to the remainder, where it also divides
-out the content.  Over GF(p) the denominators are 1 and a value is taken
-mod p only when its term leads.  Over an extension field the other loop
+scales the work and the remainder so far when an element's denominator
+requires it, and divides out the content once per remainder.  A remainder
+becomes a monic element straight from its numerators, and over QQ the
+engine makes no ``Fraction`` until ``_box`` and ``normal_form`` unpack a
+result, one per term.  Over GF(p) the denominators are 1 and a value is
+taken mod p only when its term leads.  Over an extension field the other loop
 updates coefficients with the field's fused ``_sub_mul`` (a - b*c on raw
 values, None for zero).  Neither loop dispatches through ``FieldElement``.
 
@@ -136,9 +138,6 @@ class _Packing:
         mask = self.mask
         return tuple([m >> s & mask for s in self.shifts])
 
-    def lcm(self, a, b):
-        return self.pack(tuple(map(max, self.unpack(a), self.unpack(b))))
-
 
 def _grevlex_rows(lo, hi):
     """Rows of the grevlex key on variables lo..hi-1: the total degree, then
@@ -215,7 +214,7 @@ class Ideal:
             if cached is None or cached[0] is not packing:
                 cached = self._packed[key] = (packing, [_pack(g, packing) for g in basis])
             return not _reduce(*_working(self.field, _pack_terms(poly, packing)),
-                               cached[1], self.field, packing.guard, budget)
+                               cached[1], self.field, packing.guard, budget)[0]
 
         # start at the width the cached basis was packed at
         cached = self._packed.get(key)
@@ -232,33 +231,34 @@ class Ideal:
 
 def _element(field, lt, terms):
     """The basis element (lt, d, tail) of the polynomial with leading
-    monomial ``lt`` and raw terms ``terms`` (monomial -> value), scaled to
-    leading coefficient 1, which is left implicit.  Over QQ the tail lists
-    the other terms as (monomial, n) for the coefficient n/d, with int
-    numerators over their least common denominator d; over any other field
-    d is 1 and the tail lists (monomial, raw value)."""
+    monomial ``lt`` and terms ``terms`` (monomial -> value, as ``_working``
+    and ``_reduce`` give them), scaled to leading coefficient 1, which is
+    left implicit.  Over QQ the values are int numerators over any common
+    denominator, which cancels: with g = gcd(lc, *tail), signed as lc, the
+    tail lists the other terms as (monomial, n/g) for the coefficient
+    (n/g)/d, d = lc/g > 0, so d and the tail's numerators are coprime.
+    Over any other field d is 1 and the tail lists (monomial, raw value)."""
     lc = terms[lt]
     tail = [(e, c) for e, c in terms.items() if e != lt]
     p = int_modulus(field)
+    if p == 0:
+        g = math.gcd(lc, *[n for _, n in tail])
+        if lc < 0:
+            g = -g
+        if g != 1:
+            tail = [(e, n // g) for e, n in tail]
+        return lt, lc // g, tail
     if p is not None:
         if lc != 1:
             inv = _inverse(lc, p)
-            tail = [(e, c * inv % p if p else c * inv) for e, c in tail]
-        tail, d = _numerators(tail)
-        return lt, d, tail
+            tail = [(e, c * inv % p) for e, c in tail]
+        return lt, 1, tail
     lc = FieldElement(field, lc)
     if lc == 1:
         return lt, 1, tail
     # c / lc is 0 - c * (-1/lc)
     scale, zero = (-lc.inverse()).value, field.zero.value
     return lt, 1, [(e, field._sub_mul(zero, c, scale)) for e, c in tail]
-
-
-def _numerators(terms):
-    """The (monomial, Fraction) pairs ``terms`` as (monomial, int) pairs
-    over their least common denominator (1 on ints), and that denominator."""
-    d = math.lcm(*[c.denominator for _, c in terms])
-    return [(e, c.numerator * (d // c.denominator)) for e, c in terms], d
 
 
 def _pack_terms(poly, packing):
@@ -272,15 +272,15 @@ def _working(field, terms):
     raw terms ``terms``: over QQ int numerators over their least common
     denominator, over any other field the raw terms themselves over 1."""
     if field is QQ:
-        numerators, den = _numerators(terms.items())
-        return dict(numerators), den
+        den = math.lcm(*[c.denominator for c in terms.values()])
+        return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
     return terms, 1
 
 
 def _pack(g, packing):
     """The basis element of ``g`` made monic: the packed order is the
     order's, so the largest packed monomial leads."""
-    terms = _pack_terms(g, packing)
+    terms, _ = _working(g.field, _pack_terms(g, packing))
     return _element(g.field, max(terms), terms)
 
 
@@ -290,12 +290,21 @@ def _check_ring(polys, field, variables):
         raise FieldMismatch("polynomials from different rings")
 
 
-def _box(field, variables, packing, lt, tail):
-    """The monic polynomial with packed leading monomial lt and raw tail
-    ``tail``."""
+def _unpack(field, packing, terms, den):
+    """Exponent tuple -> ``FieldElement`` for the terms ``terms`` (packed
+    monomial -> value) over ``den`` that ``_reduce`` returns: over QQ each
+    numerator n becomes the one ``Fraction`` n/den."""
     unpack = packing.unpack
-    terms = {unpack(lt): field.one}
-    terms.update((unpack(e), FieldElement(field, c)) for e, c in tail)
+    if field is QQ:
+        return {unpack(e): FieldElement(field, Fraction(n, den)) for e, n in terms.items()}
+    return {unpack(e): FieldElement(field, c) for e, c in terms.items()}
+
+
+def _box(field, variables, packing, lt, tail, den):
+    """The monic polynomial with packed leading monomial lt and tail
+    ``tail`` (packed monomial -> value) over ``den``."""
+    terms = {packing.unpack(lt): field.one}
+    terms.update(_unpack(field, packing, tail, den))
     return MultiPolynomial(field, variables, terms)
 
 
@@ -305,12 +314,12 @@ def _reduce(work, den, basis, field, guard, budget, bound=None, regular=None):
     a list of basis elements (see ``_element``), by the classical division
     algorithm: the leading term of the working polynomial is either
     cancelled against a basis element or moved to the remainder.  The
-    remainder comes back as raw terms in descending order, so its first key
-    is its leading monomial.  With a signature ``bound``, an element whose
-    leading monomial ``regular`` maps to its signature s reduces a term
-    x^shift * lt only when x^shift * s is below the bound, and every other
-    element reduces any term.  Raises ``_Overflow`` on a product that
-    outgrows its fields."""
+    remainder comes back as a working polynomial (terms, den), its terms in
+    descending order, so that the first key is its leading monomial.  With
+    a signature ``bound``, an element whose leading monomial ``regular``
+    maps to its signature s reduces a term x^shift * lt only when
+    x^shift * s is below the bound, and every other element reduces any
+    term.  Raises ``_Overflow`` on a product that outgrows its fields."""
     p = int_modulus(field)
     if p is not None:
         return _reduce_ints(work, den, basis, p, guard, budget, bound, regular)
@@ -350,7 +359,7 @@ def _reduce(work, den, basis, field, guard, budget, bound=None, regular=None):
                 break
         else:
             remainder[exps] = coeff
-    return remainder
+    return remainder, 1
 
 
 def _reduce_ints(work, den, basis, p, guard, budget, bound=None, regular=None):
@@ -359,13 +368,14 @@ def _reduce_ints(work, den, basis, p, guard, budget, bound=None, regular=None):
     and each basis element int numerators over its d.  A step cancels the
     top term w/den against x^shift times an element: with k = gcd(w, d) and
     d = k*m, each tail term n/d subtracts (w/den)(n/d) = (w/k)*n / (den*m),
-    so the work and ``den`` are first scaled by m (when m is not 1).  A term
-    that moves to the remainder becomes one ``Fraction`` in lowest terms,
-    and the content, the gcd of ``den`` and the numerators left, is divided
-    out then.  Over GF(p) d and ``den`` are 1; a value is taken mod p only
-    at the top, where a term that vanished is skipped, so it grows at most
-    to p^2 times its monomial's updates.  It takes the generic loop's steps:
-    a coefficient vanishes in one exactly when it does in the other."""
+    so the work, the remainder so far and ``den`` are first scaled by m
+    (when m is not 1).  A term moves to the remainder as its numerator, and
+    the content, the gcd of ``den`` and the remainder's numerators, is
+    divided out once, at the end.  Over GF(p) d and ``den`` are 1; a value
+    is taken mod p only at the top, where a term that vanished is skipped,
+    so it grows at most to p^2 times its monomial's updates.  It takes the
+    generic loop's steps: a coefficient vanishes in one exactly when it does
+    in the other."""
     gcd, remainder = math.gcd, {}
     heap = [-e for e in work]
     heapify(heap)
@@ -391,6 +401,8 @@ def _reduce_ints(work, den, basis, p, guard, budget, bound=None, regular=None):
                         m = d // k
                         den *= m
                         work = {e: v * m for e, v in work.items()}
+                        for e in remainder:
+                            remainder[e] *= m
                 w = -w
                 for ge, gn in tail:
                     e = shift + ge
@@ -408,13 +420,13 @@ def _reduce_ints(work, den, basis, p, guard, budget, bound=None, regular=None):
                             del work[e]
                 break
         else:
-            remainder[exps] = w if p else Fraction(w, den)
-            if den != 1:
-                content = gcd(den, *work.values())
-                if content != 1:
-                    den //= content
-                    work = {e: v // content for e, v in work.items()}
-    return remainder
+            remainder[exps] = w
+    if den != 1:
+        content = gcd(den, *remainder.values())
+        if content != 1:
+            den //= content
+            remainder = {e: v // content for e, v in remainder.items()}
+    return remainder, den
 
 
 def normal_form(poly, basis, order=GREVLEX, budget=None):
@@ -428,11 +440,10 @@ def normal_form(poly, basis, order=GREVLEX, budget=None):
     budget = budget or Budget()
 
     def run(packing):
-        remainder = _reduce(*_working(field, _pack_terms(poly, packing)),
-                            [_pack(g, packing) for g in basis], field,
-                            packing.guard, budget)
-        unpack = packing.unpack
-        return {unpack(e): FieldElement(field, c) for e, c in remainder.items()}
+        remainder, den = _reduce(*_working(field, _pack_terms(poly, packing)),
+                                 [_pack(g, packing) for g in basis], field,
+                                 packing.guard, budget)
+        return _unpack(field, packing, remainder, den)
 
     return MultiPolynomial(field, variables, _widening(order, len(variables), budget, run))
 
@@ -485,30 +496,32 @@ def buchberger(generators, order=GREVLEX, budget=None):
 
     def run(packing):
         basis = _buchberger(generators, field, packing, budget)
-        return [_box(field, variables, packing, h, tail) for h, tail in basis]
+        return [_box(field, variables, packing, h, tail, den) for h, tail, den in basis]
 
     return _widening(order, len(variables), budget, run)
 
 
 def _buchberger(generators, field, packing, budget):
-    """The reduced basis as (packed leading monomial, raw tail) pairs, in
-    ascending order."""
+    """The reduced basis as (packed leading monomial, tail, den) triples,
+    each tail a remainder of ``_reduce``, in ascending order."""
     guard = packing.guard
     # generators enter smallest leading monomial first, ties in input order
     packed = sorted((_pack_terms(g, packing) for g in generators), key=max)
     tops = [max(terms) for terms in packed]
-    if all(packing.lcm(a, b) == a + b for n, a in enumerate(tops) for b in tops[:n]):
+    exps = [packing.unpack(h) for h in tops]
+    if not any(any(map(min, a, b)) for n, a in enumerate(exps) for b in exps[:n]):
         # pairwise coprime leading monomials: every S-pair reduces to zero
         # (Buchberger's first criterion), so the generators are a basis
-        basis = [_element(field, h, terms) for h, terms in zip(tops, packed)]
+        basis = [_element(field, h, _working(field, terms)[0])
+                 for h, terms in zip(tops, packed)]
     else:
         # the basis elements (see ``_element``); ``leads`` repeats their
         # leading monomials
         basis, leads = [], []
         for terms in packed:
-            remainder = _reduce(*_working(field, terms), basis, field, guard, budget)
+            remainder, _ = _reduce(*_working(field, terms), basis, field, guard, budget)
             if not _extend(basis, leads, remainder, field, packing, budget):
-                return [(0, [])]
+                return [(0, {}, 1)]
     return _reduce_basis(basis, field, guard, budget)
 
 
@@ -519,12 +532,11 @@ def _extend(basis, leads, remainder, field, packing, budget):
 
     A new element carries the signature u of u*e, for e the new generator
     (signature 1, packed 0): the monomial the generator is multiplied by in
-    a representation of the element, up to terms of lower signature."""
-    guard = packing.guard
-
-    def divides(a, b):
-        return not (b - a) & guard
-
+    a representation of the element, up to terms of lower signature.  A
+    monomial a divides b exactly when ``(b - a) & guard`` is 0."""
+    guard, pack, unpack = packing.guard, packing.pack, packing.unpack
+    # the exponent tuples of ``leads``, so that a pair's lcm unpacks nothing
+    exponents = [unpack(g) for g in leads]
     # the elements of the new generator follow the earlier ones from
     # ``first`` on; ``sigs`` holds their signatures, ``regular`` maps their
     # leading monomials to them, and ``syzygies`` collects the signatures
@@ -548,6 +560,7 @@ def _extend(basis, leads, remainder, field, packing, budget):
             k = len(basis)
             basis.append(_element(field, h, remainder))
             leads.append(h)
+            exps = unpack(h)
             sigs.append(sig)
             regular[h] = sig
             # each pair carries the signature of its larger side, whose index
@@ -555,7 +568,7 @@ def _extend(basis, leads, remainder, field, packing, budget):
             # one whose signature is a multiple of an earlier leading
             # monomial (the F5 criterion)
             for i, g in enumerate(leads[:k]):
-                lcm = packing.lcm(g, h)
+                lcm = pack(tuple(map(max, exponents[i], exps)))
                 mine = lcm - h + sig
                 theirs = lcm - g + sigs[i - first] if i >= first else -1
                 if mine == theirs:
@@ -563,10 +576,11 @@ def _extend(basis, leads, remainder, field, packing, budget):
                 top = max(mine, theirs)
                 if top & guard:
                     raise _Overflow
-                if any(divides(e, top) for e in earlier):
+                if any(not (top - e) & guard for e in earlier):
                     continue
                 heappush(pairs, (top, next(counter), k, i, lcm) if top == mine
                          else (top, next(counter), i, k, lcm))
+            exponents.append(exps)
         # the next pair that neither of the other criteria drops: its
         # signature is a multiple of a signature that reduced to zero, or
         # of a newer element's signature (rewrite)
@@ -574,12 +588,12 @@ def _extend(basis, leads, remainder, field, packing, budget):
             if not pairs:
                 return True
             sig, _, k, i, lcm = heappop(pairs)
-            if not (any(divides(s, sig) for s in syzygies)
-                    or any(divides(s, sig) for s in sigs[k - first + 1:])):
+            if not (any(not (sig - s) & guard for s in syzygies)
+                    or any(not (sig - s) & guard for s in sigs[k - first + 1:])):
                 break
         budget.spend()
-        remainder = _reduce(*_s_polynomial(basis[k], basis[i], lcm, field, guard),
-                            basis, field, guard, budget, bound=sig, regular=regular)
+        remainder, _ = _reduce(*_s_polynomial(basis[k], basis[i], lcm, field, guard),
+                               basis, field, guard, budget, bound=sig, regular=regular)
 
 
 def _reduce_basis(basis, field, guard, budget):
@@ -592,8 +606,7 @@ def _reduce_basis(basis, field, guard, budget):
     # full reduction of each tail: no other kept LT divides an element's
     # own LT, so it keeps its leading term with coefficient 1, the basis
     # stays monic and in ascending order
-    return [(lt, list(_reduce(dict(tail), d, kept[:i] + kept[i + 1:], field, guard,
-                              budget).items()))
+    return [(lt, *_reduce(dict(tail), d, kept[:i] + kept[i + 1:], field, guard, budget))
             for i, (lt, d, tail) in enumerate(kept)]
 
 

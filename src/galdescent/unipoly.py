@@ -116,7 +116,7 @@ class UniPoly:
         """The value at ``point``, an element of an extension of the
         coefficient field: Horner on the nonzero terms, multiplying by
         point^gap between consecutive exponents, each power computed once."""
-        field, powers = point.field, {1: point}
+        field, powers = point.field, {}
 
         def power(gap):
             if gap not in powers:

@@ -143,6 +143,27 @@ class TestArithmetic:
         for a in F8.elements():
             assert a ** 8 == a
 
+    def test_power_takes_one_product_per_bit_below_the_top(self, monkeypatch):
+        # square and multiply from the top bit: bit_length - 1 squarings and
+        # one product per further set bit, so a ** 1 takes none
+        Qi = make_extension(QQ, poly(QQ, [1, 0, 1]), irreducible=True)
+        a = Qi.generator + 2
+        expected = [Qi.one]
+        for _ in range(40):
+            expected.append(expected[-1] * a)
+        count, multiply = [0], type(Qi)._mul
+
+        def counted(field, x, y):
+            count[0] += 1
+            return multiply(field, x, y)
+
+        monkeypatch.setattr(type(Qi), "_mul", counted)
+        for k, power in enumerate(expected):
+            count[0] = 0
+            assert a ** k == power
+            assert count[0] == (k.bit_length() + bin(k).count("1") - 2 if k else 0)
+            assert a ** -k * power == Qi.one
+
 
 class TestHashing:
     def test_equal_values_over_separate_copies_hash_equally(self):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -158,10 +159,10 @@ class TestReductionSequence:
         reduce, remainders = groebner._reduce, []
 
         def recorded(*args, bound=None, **kwargs):
-            remainder = reduce(*args, bound=bound, **kwargs)
+            remainder, den = reduce(*args, bound=bound, **kwargs)
             if bound is not None:
                 remainders.append(remainder)
-            return remainder
+            return remainder, den
 
         monkeypatch.setattr(groebner, "_reduce", recorded)
         return remainders
@@ -485,6 +486,37 @@ if given is not None:
         for p in probes + [g * p for g, p in zip(polys, probes)]:
             assert ideal.contains(p) == reference_normal_form(p, basis, order).is_zero
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(ideals([QQ], RATIONALS, degree=2), st.sampled_from(ORDERS), st.data())
+    def test_rational_elements_are_in_lowest_terms(case, order, data):
+        """Over QQ ``_element`` makes each element (lt, d, tail) from int
+        numerators: the generators, every remainder that enters the basis,
+        the basis elements that reduce each other, and a non-monic divisor
+        of a normal form.  d > 0, and d and the tail's numerators are
+        coprime."""
+        _, _, names, gens = case
+        polys = [MultiPolynomial(QQ, names, {e: QQ.from_int(c) for e, c in g.items()})
+                 for g in gens]
+        probe = MultiPolynomial(QQ, names, {e: QQ.from_int(c) for e, c in
+                                            data.draw(term_dicts(len(names), RATIONALS)).items()})
+        element, elements = groebner._element, []
+
+        def recorded(*args):
+            made = element(*args)
+            elements.append(made)
+            return made
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(groebner, "_element", recorded)
+            basis = buchberger(polys, order)
+            normal_form(probe, [g * QQ.from_fraction(-3, 7) for g in basis] or polys, order)
+        assert elements
+        for _, d, tail in elements:
+            numerators = [n for _, n in tail]
+            assert type(d) is int and d > 0
+            assert all(type(n) is int for n in numerators)
+            assert math.gcd(d, *numerators) == 1
+
 
 def max_row(order, exps):
     """The largest field of ``exps`` packed under ``order``: each key row is
@@ -634,11 +666,12 @@ class TestOverflow:
         # x - y^15 and x*y - 1 fit 4-bit fields, but their S-polynomial
         # 1 - y^16 does not; a later step need not notice the bad term
         packing = groebner._packing(LEX, 2, 4)
-        pack, one = packing.pack, QQ.one.value
-        f = groebner._element(QQ, pack((1, 0)), {pack((1, 0)): one, pack((0, 15)): -one})
-        g = groebner._element(QQ, pack((1, 1)), {pack((1, 1)): one, pack((0, 0)): -one})
+        pack = packing.pack
+        # over QQ an element is made from int numerators
+        f = groebner._element(QQ, pack((1, 0)), {pack((1, 0)): 1, pack((0, 15)): -1})
+        g = groebner._element(QQ, pack((1, 1)), {pack((1, 1)): 1, pack((0, 0)): -1})
         with pytest.raises(groebner._Overflow):
-            groebner._s_polynomial(f, g, packing.lcm(f[0], g[0]), QQ, packing.guard)
+            groebner._s_polynomial(f, g, pack((1, 1)), QQ, packing.guard)
 
     def test_budget_still_binds(self, monkeypatch):
         gens, order, _ = self.katsura_case()
@@ -648,6 +681,44 @@ class TestOverflow:
         budget = Budget(146)
         buchberger(gens, order, budget)
         assert budget.spent == 146
+
+
+class TestRationalInts:
+    """Over QQ the engine stays on int numerators from packing to boxing:
+    only ``_box`` and the unpacking of a normal form make ``Fraction``s,
+    one per term."""
+
+    def count_fractions(self, monkeypatch):
+        """[Fractions made so far, Fractions made before the first ``_box``]."""
+        counts, box = [0], groebner._box
+
+        def counted(*args):
+            counts[0] += 1
+            return Fraction(*args)
+
+        def recorded(*args):
+            if len(counts) == 1:
+                counts.append(counts[0])
+            return box(*args)
+
+        monkeypatch.setattr(groebner, "Fraction", counted)
+        monkeypatch.setattr(groebner, "_box", recorded)
+        return counts
+
+    def test_one_fraction_per_boxed_tail_term(self, monkeypatch):
+        gens = katsura(5, QQ)
+        counts = self.count_fractions(monkeypatch)
+        basis = buchberger(gens, GREVLEX)
+        assert counts == [sum(len(g.terms) - 1 for g in basis), 0]
+
+    def test_one_fraction_per_normal_form_term(self, monkeypatch):
+        gens = katsura(4, QQ)
+        basis = buchberger(gens, GREVLEX)
+        u = ring(QQ, gens[0].variables)
+        probe = QQ.from_fraction(5, 3) * u[0] ** 3 * u[4] - QQ.from_fraction(2, 7) * u[1] + 1
+        counts = self.count_fractions(monkeypatch)
+        remainder = normal_form(probe, basis, GREVLEX)
+        assert counts == [len(remainder.terms)] and counts[0] > 1
 
 
 class TestNormalForm:
