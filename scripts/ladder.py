@@ -6,11 +6,11 @@ Each row records the exit code, the sha256 of stdout, the reduction steps
 the command spent (``Budget.spent``) and its time in reference seconds
 (``perfbench/hostclock.py``): the median of 3 runs when the first run
 takes under 2 s, that one run otherwise.  Runs are in process, through
-``galdescent.cli.main`` on stdin, like the benchmark's.
+``galdescent.cli.main`` on stdin, by the benchmark's own runner
+(``perfbench/run.py``'s ``invoke``).
 
     python3 scripts/ladder.py --write BENCH_<n>.json  # time every row, write the table
     python3 scripts/ladder.py --check                 # every row against the table
-    python3 scripts/ladder.py --check katsura4_fp     # only the named rows
 
 ``--check`` runs each row once and compares its exit code, digest and steps
 with the newest ``BENCH_<n>.json`` at the repository root; it pins no time.
@@ -18,9 +18,7 @@ It prints one line per mismatch and exits 1 if there is any.
 """
 
 import argparse
-import contextlib
 import hashlib
-import io
 import json
 import pathlib
 import platform
@@ -32,7 +30,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import hostclock  # noqa: E402
-from workloads import _katsura  # noqa: E402
+import run  # noqa: E402
+from workloads import PLAIN, Case, _katsura  # noqa: E402
 
 from galdescent import cli  # noqa: E402
 
@@ -62,30 +61,29 @@ class _Recorded(cli.Budget):
         _Recorded.last = self
 
 
-def run_row(text):
-    """(exit code, stdout sha256, steps spent) of one CLI run of ``text``."""
-    out = io.StringIO()
-    saved_stdin, sys.stdin = sys.stdin, io.StringIO(text)
+def run_row(name):
+    """(exit code, stdout sha256, steps spent) of one CLI run of a row; the
+    steps are None when the command ends before it makes its ``Budget``."""
+    _Recorded.last = None
     saved_budget, cli.Budget = cli.Budget, _Recorded
     try:
-        with contextlib.redirect_stdout(out):
-            code = cli.main(["-"])
+        code, out, _ = run.invoke(cli, Case(name, PLAIN, ROWS[name]))
     finally:
-        sys.stdin, cli.Budget = saved_stdin, saved_budget
-    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    return code, digest, _Recorded.last.spent
+        cli.Budget = saved_budget
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    return code, digest, None if _Recorded.last is None else _Recorded.last.spent
 
 
-def measure(names):
-    """The table rows of ``names``, timed."""
+def measure():
+    """Every row of the table, timed."""
     rows = []
     with hostclock.HostClock() as clock:
-        for name in names:
-            result, seconds = clock.time(lambda: run_row(ROWS[name]))
+        for name in ROWS:
+            result, seconds = clock.time(lambda: run_row(name))
             times = [seconds]
             if seconds < REPEAT_BELOW_S:
                 for _ in range(RUNS - 1):
-                    again, seconds = clock.time(lambda: run_row(ROWS[name]))
+                    again, seconds = clock.time(lambda: run_row(name))
                     if again != result:
                         raise RuntimeError(f"{name}: a rerun reported {again}, not {result}")
                     times.append(seconds)
@@ -111,7 +109,7 @@ def check(rows):
     problems = []
     for row in rows:
         want = (row["code"], row["stdout_sha256"], row["steps"])
-        got = run_row(ROWS[row["name"]])
+        got = run_row(row["name"])
         if got != want:
             problems.append(f"{row['name']}: exit code, sha256, steps {got}, want {want}")
     return problems
@@ -124,27 +122,25 @@ def main(argv=None):
                         help="time the rows and write the table to PATH")
     action.add_argument("--check", action="store_true",
                         help="compare the rows with the newest committed table")
-    parser.add_argument("names", nargs="*", metavar="row",
-                        help=f"rows to run (default: all of {', '.join(ROWS)})")
     args = parser.parse_args(argv)
-    unknown = set(args.names) - set(ROWS)
-    if unknown:
-        parser.error(f"unknown rows: {', '.join(sorted(unknown))}")
-    names = args.names or list(ROWS)
     if args.write:
         table = {"python": platform.python_version(),
                  "reference_kernel_s": hostclock.REFERENCE_KERNEL_S,
-                 "rows": measure(names)}
+                 "rows": measure()}
         args.write.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
         for row in table["rows"]:
-            print(f"{row['name']:22} exit {row['code']}  steps {row['steps']:7}  "
+            print(f"{row['name']:22} exit {row['code']}  steps {row['steps']!s:>7}  "
                   f"{row['seconds']:.4f} s ({row['runs']} runs)")
         return 0
-    table = {row["name"]: row for row in committed_table()}
-    problems = check([table[name] for name in names])
+    table = committed_table()
+    names = [row["name"] for row in table]
+    if names != list(ROWS):
+        print(f"the table lists the rows {names}, not {list(ROWS)}")
+        return 1
+    problems = check(table)
     for line in problems:
         print(line)
-    print(f"{len(names) - len(problems)} of {len(names)} rows match")
+    print(f"{len(table) - len(problems)} of {len(table)} rows match")
     return 1 if problems else 0
 
 

@@ -30,3 +30,10 @@ def test_check_reports_a_changed_row():
     row = min(FAST, key=lambda row: row["seconds"])
     changed = [dict(row, steps=row["steps"] + 1), dict(row, stdout_sha256="0" * 64)]
     assert [line.split(":")[0] for line in ladder.check(changed)] == [row["name"]] * 2
+
+
+def test_a_command_that_makes_no_budget_reports_no_steps(monkeypatch):
+    monkeypatch.setitem(ladder.ROWS, "unparsable", "garbage (")
+    assert ladder.run_row(FAST[0]["name"])[2] == FAST[0]["steps"]
+    code, _, steps = ladder.run_row("unparsable")
+    assert (code, steps) == (2, None)
