@@ -1,11 +1,16 @@
-"""The Groebner rows of the scale ladder: CLI runs of ``validate`` on
-Katsura-4 to Katsura-7 over GF(32003), Katsura-4 to Katsura-6 over QQ and
-the cyclic-5 system over QQ (``tests/large/validate_cyclic5_qq.txt``).
+"""The scale ladder: CLI runs, each of one document in one mode (plain or
+``--oracle``).  The Groebner rows run ``validate`` on Katsura-4 to
+Katsura-7 over GF(32003), Katsura-4 to Katsura-6 over QQ and the cyclic-5
+system over QQ (``tests/large/validate_cyclic5_qq.txt``).  The scan rows
+run the finite-field point oracles with ``--oracle``: the circle restricted
+from GF(5^2) to GF(5) (the benchmark's ``circle_gf25_to_gf5`` text) and the
+``tests/large`` documents ``restrict_xyz_gf9``, ``descend_swap_gf961``,
+``descend_cyclic_gf125`` and ``fixed_cyclic_gf125``.
 
-Each row records the exit code, the sha256 of stdout, the reduction steps
-the command spent (``Budget.spent``) and its time in reference seconds
-(``perfbench/hostclock.py``): the median of 3 runs when the first run
-takes under 2 s, that one run otherwise.  Runs are in process, through
+Each row records its mode, the exit code, the sha256 of stdout, the
+reduction steps the command spent (``Budget.spent``) and its time in
+reference seconds (``perfbench/hostclock.py``): the median of 3 runs when
+the first run takes under 2 s, that one run otherwise.  Runs are in process, through
 ``galdescent.cli.main`` on stdin, by the benchmark's own runner
 (``perfbench/run.py``'s ``invoke``).
 
@@ -31,7 +36,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import hostclock  # noqa: E402
 import run  # noqa: E402
-from workloads import PLAIN, Case, _katsura  # noqa: E402
+from workloads import ORACLE, PLAIN, Case, _circle_restriction, _katsura  # noqa: E402
 
 from galdescent import cli  # noqa: E402
 
@@ -39,12 +44,19 @@ REPEAT_BELOW_S = 2.0
 RUNS = 3
 
 
+def _large(name):
+    return (ROOT / "tests" / "large" / f"{name}.txt").read_text(encoding="utf-8")
+
+
 def _rows():
-    """name -> document text, in ladder order."""
-    rows = {f"katsura{n}_fp": _katsura(n, "GF(32003^1)") for n in range(4, 8)}
-    rows.update((f"katsura{n}_qq", _katsura(n, "QQ")) for n in range(4, 7))
-    rows["validate_cyclic5_qq"] = (ROOT / "tests" / "large" / "validate_cyclic5_qq.txt"
-                                   ).read_text(encoding="utf-8")
+    """name -> (mode, document text), in ladder order."""
+    rows = {f"katsura{n}_fp": (PLAIN, _katsura(n, "GF(32003^1)")) for n in range(4, 8)}
+    rows.update((f"katsura{n}_qq", (PLAIN, _katsura(n, "QQ"))) for n in range(4, 7))
+    rows["validate_cyclic5_qq"] = (PLAIN, _large("validate_cyclic5_qq"))
+    rows["circle_gf25_to_gf5"] = (ORACLE, _circle_restriction("GF(5^2)", "GF(5^1)"))
+    rows.update((name, (ORACLE, _large(name)))
+                for name in ("restrict_xyz_gf9", "descend_swap_gf961",
+                             "descend_cyclic_gf125", "fixed_cyclic_gf125"))
     return rows
 
 
@@ -67,7 +79,7 @@ def run_row(name):
     _Recorded.last = None
     saved_budget, cli.Budget = cli.Budget, _Recorded
     try:
-        code, out, _ = run.invoke(cli, Case(name, PLAIN, ROWS[name]))
+        code, out, _ = run.invoke(cli, Case(name, *ROWS[name]))
     finally:
         cli.Budget = saved_budget
     digest = hashlib.sha256(out.encode()).hexdigest()
@@ -88,8 +100,8 @@ def measure():
                         raise RuntimeError(f"{name}: a rerun reported {again}, not {result}")
                     times.append(seconds)
             code, digest, steps = result
-            rows.append({"name": name, "code": code, "stdout_sha256": digest,
-                         "steps": steps, "runs": len(times),
+            rows.append({"name": name, "mode": ROWS[name][0], "code": code,
+                         "stdout_sha256": digest, "steps": steps, "runs": len(times),
                          "seconds": round(statistics.median(times), 5)})
     return rows
 
@@ -129,7 +141,8 @@ def main(argv=None):
                  "rows": measure()}
         args.write.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
         for row in table["rows"]:
-            print(f"{row['name']:22} exit {row['code']}  steps {row['steps']!s:>7}  "
+            print(f"{row['name']:22} {row['mode']:6} exit {row['code']}  "
+                  f"steps {row['steps']!s:>7}  "
                   f"{row['seconds']:.4f} s ({row['runs']} runs)")
         return 0
     table = committed_table()

@@ -533,23 +533,31 @@ def descend_from_embeddings(V, embeddings, group, family, budget=None):
 
 
 class PointAction:
-    """The action on extension points of a finite-field datum: the point list
-    and one permutation (as an index list) per group element."""
+    """The action on extension points of a finite-field datum: the points,
+    kept as tuples of element indices into ``tables`` and decoded to field
+    elements only when read, and one permutation (as an index list) per
+    group element."""
 
-    __slots__ = ("datum", "points", "permutations")
+    __slots__ = ("datum", "hits", "tables", "permutations", "_points")
 
-    def __init__(self, datum, points, permutations):
+    def __init__(self, datum, hits, tables, permutations):
         self.datum = datum
-        self.points = points
+        self.hits = hits
+        self.tables = tables
         self.permutations = permutations
+        self._points = None
+
+    @property
+    def points(self):
+        """Every point, as a tuple of field elements, decoded once."""
+        if self._points is None:
+            self._points = [self.tables.decode(p) for p in self.hits]
+        return self._points
 
     def fixed_points(self):
-        """Points fixed by every group element."""
-        out = []
-        for p_idx in range(len(self.points)):
-            if all(perm[p_idx] == p_idx for perm in self.permutations):
-                out.append(self.points[p_idx])
-        return out
+        """Points fixed by every group element; only these are decoded."""
+        return [self.tables.decode(p) for k, p in enumerate(self.hits)
+                if all(perm[k] == k for perm in self.permutations)]
 
 
 def derive_point_action(datum, budget=None):
@@ -580,4 +588,4 @@ def derive_point_action(datum, budget=None):
         for j, perm_j in enumerate(permutations):
             if [perm_i[x] for x in perm_j] != permutations[group.compose(i, j)]:
                 raise InternalContradiction("point action violates the group law")
-    return PointAction(datum, [tables.decode(p) for p in hits], permutations)
+    return PointAction(datum, hits, tables, permutations)

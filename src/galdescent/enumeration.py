@@ -18,13 +18,22 @@ root by one subtraction of logs; the first other one is scanned over all of
 F_q, and a memo of at most q of its coefficient tuples saves the q-scan for
 repeated ones; each later generator is evaluated at the roots that survive,
 and none once no root survives.  The last two variables are closed as one
-step: at a node where the fibre of the penultimate variable is known, each
-slot that it updates is computed as one column over that fibre, so a term's
-factors over earlier variables are multiplied once per node rather than
-once per value, and the last level is then solved for each value of the
-fibre by the same fibre routine.  The hits are sorted back into
-:func:`tuples` order.  Backtracking with early constraint checks: Golomb
-and Baumert, "Backtrack programming", J. ACM 12 (1965).
+step below each node of the level before them.  What that step yields
+depends only on the node's key: its sums in the slots that the last two
+levels read, and each term's coefficient times its factors over earlier
+variables for the terms that the penultimate variable updates.  A memo of
+one call keeps, for each key, the hits that its first node found, and a
+node whose key repeats copies them under its own prefix; it holds at most
+one key per node of that level, q^(n-2) for n variables, and no more hits
+than the scan returns.  A new key is solved: the fibre of the penultimate
+variable is found, each slot that it updates is computed as one column over
+that fibre, so a term's factors over earlier variables are multiplied once
+per node rather than once per value, and the last level is then solved for
+each value of the fibre by the same fibre routine.  The hits are sorted
+back into :func:`tuples` order.  Backtracking with early constraint
+checks: Golomb and Baumert, "Backtrack programming", J. ACM 12 (1965);
+caching a subproblem by the state it reads: Dechter and Mateescu, "AND/OR
+search spaces for graphical models", Artificial Intelligence 171 (2007).
 
 Solution sets are tiny but appear inside doubly-exponential loops, so every
 finite-field oracle (affine points, the induced action on points, fixed
@@ -45,6 +54,7 @@ of points given column by column, one list comprehension per factor of
 each term; the induced action on points tabulates each image this way.
 """
 
+import operator
 from itertools import product
 
 from .errors import Budget, BudgetExceeded, FieldMismatch, InternalContradiction
@@ -100,7 +110,8 @@ class SmallFieldTables:
         q - 1 exactly when it divides none of these.  Only that g is powered
         in full.  The powers are taken on coordinate ints, reduced by
         t^n = -(m_0 + ... + m_(n-1) t^(n-1)) for the monic modulus m of
-        degree n."""
+        degree n.  Multiplication by g is F_p-linear, so each step of the
+        full powering applies its matrix, whose column j holds t^j * g."""
         q, p, ints, weights = self.q, self.field.characteristic, self.ints, self._weights
         n = len(weights)
         reduction = [-c.value for c in self.field.modulus.coeffs[:n]] if n > 1 else []
@@ -130,12 +141,19 @@ class SmallFieldTables:
             g = [start // w % p for w in weights]
             if all(power(g, e) != one for e in cofactors):
                 break
+        # t^(j+1) * g is t^j * g shifted up, its top coordinate times t^n
+        # added back
+        columns = [g]
+        for _ in range(n - 1):
+            *low, top = columns[-1]
+            columns.append([(x + top * m) % p for x, m in zip([0] + low, reduction)])
+        rows = list(zip(*columns))
         powers = [ints[1]]
         value, k = g, start
         while k != 1:
             powers.append(ints[k])
-            value = times(value, g)
-            k = sum(c * w for c, w in zip(value, weights))
+            value = [sum(map(operator.mul, value, row)) % p for row in rows]
+            k = sum(map(operator.mul, value, weights))
         if len(powers) != q - 1:
             raise InternalContradiction(f"no element of order {q - 1} in {self.field!r}")
         return powers
@@ -265,9 +283,15 @@ def solutions(generators, field, nvars, budget=None):
         return [(v,) for v in _fibre(levels[0], initial, tables, powers, memo)], tables
     point = [tables.zero] * nvars
     hits = []
-    closing = (order[-2], order[-1], updates[-2], levels[-1], tables, powers, memo, hits)
+    # the slots that the last two levels read and an earlier level updates:
+    # the others hold their initial sums at every node
+    varying = {update[0] for level_updates in updates[:-2] for update in level_updates}
+    keyslots = tuple(slot for level in levels[-2:] for start, stop in level
+                     for slot in range(start, stop) if slot in varying)
+    closing = (order[-2], order[-1], keyslots, updates[-2], levels[-2], levels[-1],
+               tables, powers, memo, {}, hits)
     if nvars == 2:
-        _close(point, initial, _fibre(levels[0], initial, tables, powers, memo), closing)
+        _close(point, initial, closing)
     mul, add = tables.mul, tables.add
     # sums[d]: the coefficient sums once the first d variables have values
     sums = [initial] * (nvars - 2)
@@ -289,52 +313,82 @@ def solutions(generators, field, nvars, budget=None):
                 for i, earlier in factors:
                     acc = mul[acc][earlier[point[i]]]
                 current[slot] = add[current[slot]][mul[acc][table[value]]]
-        fibre = _fibre(levels[depth], current, tables, powers, memo)
         if depth == nvars - 2:
-            _close(point, current, fibre, closing)
+            _close(point, current, closing)
         else:
             sums[depth] = current
-            stack.append(iter(fibre))
+            stack.append(iter(_fibre(levels[depth], current, tables, powers, memo)))
     hits.sort(key=lambda p: p[::-1])
     return hits, tables
 
 
-def _close(point, current, fibre, closing):
+def _close(point, current, closing):
     """Assign the last two variables below a node of the scan, whose sums
-    are ``current``: the penultimate variable takes each value of
-    ``fibre``, the last each root of the generators that the last level
+    are ``current``: the penultimate variable takes each value of its
+    fibre, the last each root of the generators that the last level
     closes, and each point is appended to the hits.
 
-    The slots that the penultimate variable updates are computed as columns
-    over the fibre, one list comprehension per term, whose factors over
-    earlier variables are multiplied once for the whole fibre.  Each value
-    then patches its entries into one copy of ``current`` and asks
+    What a node yields below it depends only on its key: its sums in the
+    slots that the last two levels read (but for those that no earlier
+    level updates, which are the same at every node), and for each term
+    that the penultimate variable updates, the term's coefficient times its
+    factors over earlier variables.  ``solved`` maps each key met in this
+    scan to the slice of the hits that its first node appended; a node
+    whose key repeats appends them again with its own prefix and solves
+    nothing.  It holds one slice per key, so at most one per node of this
+    level.  A new key is solved here: its penultimate fibre is found, the
+    slots that the penultimate variable updates are computed as columns
+    over the fibre, one list comprehension per term (or, for a fibre of
+    one value, patched into the copy directly), and each value then
+    patches its entries into one copy of ``current`` and asks
     :func:`_fibre` for the roots."""
-    if not fibre:
-        return
-    var, last, updates, level, tables, powers, memo, hits = closing
-    mul, add = tables.mul, tables.add
-    columns = {}
+    var, last, keyslots, updates, penultimate, level, tables, powers, memo, solved, hits = \
+        closing
+    mul = tables.mul
+    key = list(map(current.__getitem__, keyslots))
     for slot, acc, factors, table in updates:
         for i, earlier in factors:
             acc = mul[acc][earlier[point[i]]]
-        row = mul[acc]
-        column = columns.get(slot)
-        if column is None:
-            base = add[current[slot]]
-            columns[slot] = [base[row[table[v]]] for v in fibre]
+        key.append(acc)
+    key = tuple(key)
+    solved_hits = solved.get(key)
+    if solved_hits is not None:
+        for hit in hits[solved_hits]:
+            point[var], point[last] = hit[var], hit[last]
+            hits.append(tuple(point))
+        return
+    start = len(hits)
+    fibre = _fibre(penultimate, current, tables, powers, memo)
+    if fibre:
+        add = tables.add
+        products = key[len(keyslots):]
+        sums, patches = current.copy(), []
+        if len(fibre) == 1:
+            # one value: its updates go straight into the copy
+            value = fibre[0]
+            for (slot, _, _, table), acc in zip(updates, products):
+                sums[slot] = add[sums[slot]][mul[acc][table[value]]]
         else:
-            columns[slot] = [add[c][row[table[v]]] for c, v in zip(column, fibre)]
-    sums, patches = current.copy(), list(columns.items())
-    for k, value in enumerate(fibre):
-        for slot, column in patches:
-            sums[slot] = column[k]
-        roots = _fibre(level, sums, tables, powers, memo)
-        if roots:
-            point[var] = value
-            for root in roots:
-                point[last] = root
-                hits.append(tuple(point))
+            columns = {}
+            for (slot, _, _, table), acc in zip(updates, products):
+                row = mul[acc]
+                column = columns.get(slot)
+                if column is None:
+                    base = add[current[slot]]
+                    columns[slot] = [base[row[table[v]]] for v in fibre]
+                else:
+                    columns[slot] = [add[c][row[table[v]]] for c, v in zip(column, fibre)]
+            patches = list(columns.items())
+        for k, value in enumerate(fibre):
+            for slot, column in patches:
+                sums[slot] = column[k]
+            roots = _fibre(level, sums, tables, powers, memo)
+            if roots:
+                point[var] = value
+                for root in roots:
+                    point[last] = root
+                    hits.append(tuple(point))
+    solved[key] = slice(start, len(hits))
 
 
 def _scan_plan(polys, nvars, tables, powers):

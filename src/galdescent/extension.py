@@ -163,6 +163,16 @@ class ExtensionField(Field):
     def from_int(self, n):
         return self.from_base(self.base.from_int(n))
 
+    def add_base(self, a, b):
+        """a + b for an element b of the base field, added into coordinate 0
+        of a's value, so that b is never made a dense value of its own."""
+        x = self._unbox(b)
+        ints, d = self._dense(a.value)
+        e = x.denominator
+        out = list(ints) if e == 1 else [y * e for y in ints]
+        out[0] += x.numerator * d
+        return FieldElement(self, self._from_ints(out, d * e))
+
     def to_unipoly(self, a):
         return UniPoly(self.base, list(self.coords(a)))
 

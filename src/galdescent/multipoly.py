@@ -151,13 +151,15 @@ class MultiPolynomial:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPolynomial.constant(self.field, self.variables, self.field.one)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if not n:
+            return MultiPolynomial.constant(self.field, self.variables, self.field.one)
+        # left to right from the top bit: bit_length - 1 squarings and one
+        # product per further set bit, so p ** 1 is p itself
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other):

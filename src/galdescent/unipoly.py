@@ -115,7 +115,10 @@ class UniPoly:
     def evaluate(self, point):
         """The value at ``point``, an element of an extension of the
         coefficient field: Horner on the nonzero terms, multiplying by
-        point^gap between consecutive exponents, each power computed once."""
+        point^gap between consecutive exponents, each power computed once.
+        Each coefficient stays in the base field and is added into
+        coordinate 0 of the accumulator, so memory is O(degree) however many
+        terms there are."""
         field, powers = point.field, {}
 
         def power(gap):
@@ -123,12 +126,13 @@ class UniPoly:
                 powers[gap] = point ** gap
             return powers[gap]
 
-        terms = [(i, field.from_base(c)) for i, c in enumerate(self.coeffs) if c]
+        terms = [(i, c) for i, c in enumerate(self.coeffs) if c]
         if not terms:
             return field.zero
-        high, acc = terms.pop()
+        high, c = terms.pop()
+        acc = field.add_base(field.zero, c)
         for i, c in reversed(terms):
-            acc, high = acc * power(high - i) + c, i
+            acc, high = field.add_base(acc * power(high - i), c), i
         return acc * power(high) if high else acc
 
     def __repr__(self):

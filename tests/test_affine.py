@@ -231,6 +231,25 @@ class TestPointAction:
         assert len(action.points) == 8  # GF(9) units
         assert len(action.fixed_points()) == 4  # q + 1
 
+    def test_only_fixed_points_are_decoded(self, monkeypatch):
+        from galdescent.enumeration import SmallFieldTables
+
+        F9 = finite_field(3, 2)
+        decoded = []
+        original = SmallFieldTables.decode
+
+        def counting(self, point):
+            decoded.append(point)
+            return original(self, point)
+
+        monkeypatch.setattr(SmallFieldTables, "decode", counting)
+        action = derive_point_action(swap_datum(F9, frobenius_group(F9)))
+        assert decoded == []
+        fixed = action.fixed_points()
+        assert len(decoded) == len(fixed) == 4
+        assert len(action.points) == 8
+        assert [p for p in action.points if p in fixed] == fixed
+
     def test_empty_scheme_action(self):
         F9 = finite_field(3, 2)
         group = frobenius_group(F9)

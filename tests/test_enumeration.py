@@ -86,6 +86,26 @@ class TestTables:
         SmallFieldTables(field)
         assert calls == []
 
+    @pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (3, 3), (17, 2)])
+    def test_antilog_powers_the_first_primitive_element(self, p, n):
+        # the reference powers field elements one product at a time
+        field = finite_field(p, n)
+        tables = SmallFieldTables(field)
+        q, one = field.order, field.one
+
+        def order(a):
+            k, x = 1, a
+            while x != one:
+                k, x = k + 1, x * a
+            return k
+
+        g = next(a for a in tables.elements[1:] if order(a) == q - 1)
+        powers, x = [], one
+        for _ in range(q - 1):
+            powers.append(tables.encode(x))
+            x = x * g
+        assert tables.antilog == powers
+
     @pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4),
                                       (5, 2), (3, 3), (5, 3), (17, 2)])
     def test_permutation_matches_elementwise(self, p, n):
@@ -427,6 +447,36 @@ def xyz_minus_one(x, y, z):
     return x * y * z - 1
 
 
+def count_close_nodes(monkeypatch, generators, field, nvars):
+    """(hits, nodes, solved): the scan's hits, how many nodes the last two
+    levels are closed below, and at how many of them the penultimate fibre
+    is found, that is, the close is solved rather than copied from the
+    memo.  A solve asks :func:`enumeration._fibre` for that fibre on the
+    node's own sums; every later call gets a copy of them."""
+    counts = {"nodes": 0, "solved": 0}
+    node = []
+    close, fibre = enumeration._close, enumeration._fibre
+
+    def counting_close(point, current, closing):
+        counts["nodes"] += 1
+        node.append(current)
+        try:
+            return close(point, current, closing)
+        finally:
+            node.pop()
+
+    def counting_fibre(level, sums, *rest):
+        if node and sums is node[-1]:
+            counts["solved"] += 1
+        return fibre(level, sums, *rest)
+
+    monkeypatch.setattr(enumeration, "_close", counting_close)
+    monkeypatch.setattr(enumeration, "_fibre", counting_fibre)
+    hits, _ = solutions(generators, field, nvars)
+    monkeypatch.undo()
+    return hits, counts["nodes"], counts["solved"]
+
+
 def restriction(ext, names, relation):
     """The Weil restriction from ``ext`` to its prime field of the
     hypersurface ``relation(*variables) = 0``."""
@@ -484,6 +534,33 @@ class TestPrunedScan:
         # one q-scan per distinct key of the first generator, each scanned
         # once: the memo of q keys was never cleared
         assert len(full_scans) == len(set(full_scans)) == 25
+
+    def test_circle_conjugate_product_solves_each_close_key_once(self, monkeypatch):
+        # the last two variables are closed below each of the 625 nodes of
+        # GF(25)^2, whose keys repeat far more often than not (the whole
+        # --oracle document, with its model scan over GF(5)^4 and two
+        # scans of GF(25)^2, solves 184 of 652)
+        field = finite_field(5, 2)
+        restricted = restriction(field, ("x", "y"), circle)
+        system = list(restricted.extend_to(field).relations.generators)
+        nvars = len(restricted.variables)
+        hits, nodes, solved = count_close_nodes(monkeypatch, system, field, nvars)
+        assert hits == odometer(system, field, nvars)
+        assert (solved, nodes) == (169, 625)
+
+    def test_nodes_sharing_a_close_key_keep_their_own_prefix(self, monkeypatch):
+        # x^2 + y + z^2 - 1 over GF(7): z is assigned first, then y and x
+        # are closed below each value of z, and z and -z give one key
+        field = GF(7)
+        x, y, z = MultiPolynomial.ring_vars(field, ("x", "y", "z"))
+        system = [x * x + y + z * z - 1]
+        hits, nodes, solved = count_close_nodes(monkeypatch, system, field, 3)
+        assert hits == odometer(system, field, 3)
+        # z^2 takes the 4 values 0, 1, 4 and 2 at the 7 values of z
+        assert (solved, nodes) == (4, 7)
+        below = {c: sorted(p[:2] for p in hits if p[2] == c) for c in range(7)}
+        for c in (1, 2, 3):
+            assert below[c] == below[7 - c] != []
 
     def test_linear_generator_scans_no_field(self, monkeypatch):
         # x*y - 1 is linear in the variable it closes: each value of the

@@ -1,6 +1,6 @@
-"""The Groebner rows of the scale ladder (``scripts/ladder.py``) against the
-newest committed ``BENCH_<n>.json``: every row under 1 s there still
-reports its exit code, stdout digest and reduction steps.  No time is
+"""The rows of the scale ladder (``scripts/ladder.py``) against the newest
+committed ``BENCH_<n>.json``: every row under 1 s there still reports its
+exit code, stdout digest and reduction steps.  No time is
 pinned; the CI workflow checks every row."""
 
 import pathlib
@@ -33,7 +33,7 @@ def test_check_reports_a_changed_row():
 
 
 def test_a_command_that_makes_no_budget_reports_no_steps(monkeypatch):
-    monkeypatch.setitem(ladder.ROWS, "unparsable", "garbage (")
+    monkeypatch.setitem(ladder.ROWS, "unparsable", (ladder.PLAIN, "garbage ("))
     assert ladder.run_row(FAST[0]["name"])[2] == FAST[0]["steps"]
     code, _, steps = ladder.run_row("unparsable")
     assert (code, steps) == (2, None)

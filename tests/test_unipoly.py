@@ -52,6 +52,31 @@ def test_division_by_zero_and_foreign_fields():
         assert messages[0] == messages[1]
 
 
+@pytest.mark.parametrize("make", [
+    # dense Phi_101 at a primitive 101st root of unity, which it kills
+    lambda: (cyclotomic_field(101).modulus, cyclotomic_field(101).generator ** 2, True),
+    lambda: (UniPoly.from_ints(QQ, [Fraction(1, 3), 0, Fraction(-5, 2), 7]),
+             cyclotomic_field(5).generator + Fraction(1, 2), False),
+    lambda: (finite_field(7, 3).modulus, finite_field(7, 3).generator, True),
+])
+def test_evaluate_embeds_no_coefficient(monkeypatch, make):
+    # each coefficient goes into coordinate 0 of the accumulator: no term
+    # becomes a dense value of the extension, so memory is O(degree)
+    f, point, root = make()
+    expected = boxed(f).evaluate(point, embed=point.field.from_base)
+    embedded = []
+    from_base = type(point.field).from_base
+
+    def counting(field, b):
+        embedded.append(b)
+        return from_base(field, b)
+
+    monkeypatch.setattr(type(point.field), "from_base", counting)
+    value = f.evaluate(point)
+    assert embedded == []
+    assert value == expected and (not value) == root
+
+
 if given is not None:
     FIELDS = [GF(2), GF(7), QQ]
 
