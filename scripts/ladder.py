@@ -5,7 +5,10 @@ system over QQ (``tests/large/validate_cyclic5_qq.txt``).  The scan rows
 run the finite-field point oracles with ``--oracle``: the circle restricted
 from GF(5^2) to GF(5) (the benchmark's ``circle_gf25_to_gf5`` text) and the
 ``tests/large`` documents ``restrict_xyz_gf9``, ``descend_swap_gf961``,
-``descend_cyclic_gf125`` and ``fixed_cyclic_gf125``.
+``descend_cyclic_gf125`` and ``fixed_cyclic_gf125``.  The splitting rows
+run the circle restricted from Cyclo(5), Cyclo(7), Cyclo(11) and Cyclo(13)
+to QQ with ``--oracle`` (Cyclo(7) and Cyclo(11) are the ``tests/large``
+documents), whose oracle is the etale splitting.
 
 Each row records its mode, the exit code, the sha256 of stdout, the
 reduction steps the command spent (``Budget.spent``) and its time in
@@ -57,6 +60,10 @@ def _rows():
     rows.update((name, (ORACLE, _large(name)))
                 for name in ("restrict_xyz_gf9", "descend_swap_gf961",
                              "descend_cyclic_gf125", "fixed_cyclic_gf125"))
+    rows["circle_cyclo5_to_qq"] = (ORACLE, _circle_restriction("Cyclo(5)", "QQ"))
+    rows.update((name, (ORACLE, _large(name)))
+                for name in ("restrict_circle_cyclo7", "restrict_circle_cyclo11"))
+    rows["circle_cyclo13_to_qq"] = (ORACLE, _circle_restriction("Cyclo(13)", "QQ"))
     return rows
 
 
@@ -141,7 +148,7 @@ def main(argv=None):
                  "rows": measure()}
         args.write.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
         for row in table["rows"]:
-            print(f"{row['name']:22} {row['mode']:6} exit {row['code']}  "
+            print(f"{row['name']:23} {row['mode']:6} exit {row['code']}  "
                   f"steps {row['steps']!s:>7}  "
                   f"{row['seconds']:.4f} s ({row['runs']} runs)")
         return 0

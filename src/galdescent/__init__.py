@@ -45,9 +45,9 @@ from .affine import (
 from .weil import (
     RestrictionResult,
     SeparableExtensionData,
+    certify_restriction,
     conjugate_product_check,
     etale_splitting,
-    verify_universal_points,
     weil_restrict,
 )
 from .flat import (

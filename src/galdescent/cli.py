@@ -383,7 +383,7 @@ def run_restrict(workspace, command, oracle):
                          "restriction target must be the base of the extension")
     group = workspace._group_for_field(upper, command)
     data = SeparableExtensionData.discover(upper, upper, group)
-    result = weil_restrict(algebra, data)
+    result = weil_restrict(algebra, data, workspace.budget)
     lines.append(f"decl: field k_{command.name} = {field_decl_text(lower)}")
     lines.append("decl: " + algebra_decl_text(
         f"restrict_{command.name}", f"k_{command.name}", result.restricted))

@@ -1,10 +1,10 @@
-"""Point enumeration over finite fields and finite algebras.
+"""Point enumeration over finite fields.
 
 :func:`tuples` fixes the order of every listing in the library: the q^n
 tuples over a pool of q values in base-q counting order, the first
 coordinate varying fastest.  Elements of GF(p^n) (coordinates on the power
-basis), elements of a finite algebra, default-modulus candidates and
-solution points are all listed in this order.
+basis), default-modulus candidates and solution points are all listed in
+this order.
 
 :func:`solutions`, the scan behind the affine point oracles, backtracks
 rather than evaluating every generator at all q^n candidates: it assigns the
@@ -517,21 +517,3 @@ def count_fixed_vectors(module, budget=None):
         system += [sum((a * x ** power for a, x in zip(row, v) if a), -v[r])
                    for r, row in enumerate(c.rows)]
     return count_affine_points(system, ext, n, budget)
-
-
-def algebra_points(generators, algebra, nvars, embed, budget=None):
-    """Solutions valued in a finite commutative algebra.
-
-    ``embed`` maps polynomial coefficients into the algebra; elements of the
-    algebra are whatever :meth:`algebra.elements` yields, with arithmetic via
-    ``algebra.add``/``algebra.mul``.
-    """
-    if not algebra.field.is_finite:
-        raise BudgetExceeded("cannot enumerate over an infinite base field")
-    (budget or Budget()).check_scan((algebra.field.order ** algebra.dim) ** nvars)
-    elems = list(algebra.elements())
-    gens = [g for g in generators if not g.is_zero]
-    zero = algebra.zero_vector()
-    return [point for point in tuples(elems, nvars)
-            if all(g.evaluate(point, embed=embed, mul=algebra.mul, add=algebra.add) == zero
-                   for g in gens)]

@@ -138,8 +138,9 @@ class BudgetExceeded(GaldescentError):
 
 class Budget:
     """The work one command may do.  Groebner reduction steps are counted
-    across every call sharing the object; each exhaustive scan and each
-    realized tensor power is checked on its own, before anything is built."""
+    across every call sharing the object; each exhaustive scan, each
+    coordinate expansion of a Weil restriction and each realized tensor
+    power is checked on its own, before anything is built."""
 
     __slots__ = ("steps", "points", "spent")
     TENSOR_DIM = 4096
@@ -160,6 +161,14 @@ class Budget:
                             (table_entries, "field table entries")):
             if count > self.points:
                 raise BudgetExceeded(f"{count} {what} exceed budget {self.points}")
+
+    def check_expansion(self, monomials):
+        """Raise unless a coordinate expansion of at most ``monomials``
+        monomials fits."""
+        if monomials > self.points:
+            raise BudgetExceeded(
+                f"coordinate expansion of up to {monomials} monomials exceeds "
+                f"budget {self.points}")
 
     def check_tensor_power(self, dim, power):
         """Raise unless B^(x)power fits, for B of dimension dim.  The powers

@@ -35,7 +35,6 @@ extension on its power basis, {1 (x) u, t (x) 1} for a tensor product of two.
 import itertools
 import math
 
-from .enumeration import tuples
 from .errors import (
     BasisNotIndependent,
     BasisNotSpanning,
@@ -74,15 +73,17 @@ def _pure_tensor(field, u, v):
 
 class FiniteAlgebra:
     """A commutative unital algebra of finite dimension over a base field,
-    given by its multiplication map; elements are coordinate tuples.
+    given by its multiplication map.  Elements are coordinate tuples, used
+    only as operands of ``mul`` and ``mult_matrix``: the library computes
+    with the maps of an algebra, never with its points.
 
     ``sc`` is given dense, ``sc[i][j]`` the coordinates of e_i e_j, and kept
     as one ``Matrix`` ``mu``: A (x) A -> A, of shape dim x dim^2, whose
     column i * dim + j holds the coordinates of e_i e_j."""
 
-    __slots__ = ("field", "dim", "mu", "unit", "factors", "label")
+    __slots__ = ("field", "dim", "mu", "unit", "label")
 
-    def __init__(self, field, sc, unit, label="algebra", factors=None):
+    def __init__(self, field, sc, unit, label="algebra"):
         dim = len(sc)
         products = []
         for i, row in enumerate(sc):
@@ -96,26 +97,24 @@ class FiniteAlgebra:
                         f"product of basis elements {i} and {j} has length {len(v)}, "
                         f"expected {dim}")
             products.extend(row)
-        self._set(field, Matrix.from_cols(field, products), unit, label, factors)
+        self._set(field, Matrix.from_cols(field, products), unit, label)
 
-    def _set(self, field, mu, unit, label, factors):
-        # factors: the pair (A, B) of a tensor product A (x) B, else None
+    def _set(self, field, mu, unit, label):
         self.field = field
         self.dim = mu.nrows
         self.mu = mu
         self.unit = tuple(unit)
-        self.factors = factors
         self.label = label
         if len(self.unit) != self.dim:
             raise ShapeMismatch("unit vector has wrong length")
         self.verify()
 
     @classmethod
-    def _of(cls, field, mu, unit, label, factors=None):
+    def _of(cls, field, mu, unit, label):
         """The algebra with multiplication map ``mu``, checked as the
         constructor checks one given by structure constants."""
         algebra = cls.__new__(cls)
-        algebra._set(field, mu, unit, label, factors)
+        algebra._set(field, mu, unit, label)
         return algebra
 
     # -- constructors ------------------------------------------------------
@@ -169,7 +168,7 @@ class FiniteAlgebra:
         m, n = A.dim, B.dim
         mu = _permute_slots(kron(A.mu, B.mu), cols=((m, m, n, n), (0, 2, 1, 3)))
         return cls._of(A.field, mu, _pure_tensor(A.field, A.unit, B.unit).col(0),
-                       f"({A.label}) (x) ({B.label})", factors=(A, B))
+                       f"({A.label}) (x) ({B.label})")
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -179,44 +178,16 @@ class FiniteAlgebra:
                 raise ShapeMismatch(
                     f"vector of length {len(v)} in an algebra of dimension {self.dim}")
 
-    def zero_vector(self):
-        return (self.field.zero,) * self.dim
-
-    def add(self, u, v):
-        self._check_length(u, v)
-        return tuple(a + b for a, b in zip(u, v))
-
     def mul(self, u, v):
         """u * v, the multiplication map applied to u (x) v."""
         self._check_length(u, v)
         return (self.mu * _pure_tensor(self.field, u, v)).col(0)
-
-    def scale(self, c, v):
-        return tuple(c * a for a in v)
 
     def mult_matrix(self, u):
         """Matrix of v -> u * v on the basis: mu (u (x) I)."""
         self._check_length(u)
         return self.mu * kron(Matrix.from_cols(self.field, [u]),
                               Matrix.identity(self.field, self.dim))
-
-    def embed_left(self, vec_a):
-        """a (x) 1 for a tensor algebra."""
-        return _pure_tensor(self.field, vec_a, self._tensor_factors()[1].unit).col(0)
-
-    def embed_right(self, vec_b):
-        """1 (x) b for a tensor algebra."""
-        return _pure_tensor(self.field, self._tensor_factors()[0].unit, vec_b).col(0)
-
-    def _tensor_factors(self):
-        if self.factors is None:
-            raise ShapeMismatch("not a tensor algebra")
-        return self.factors
-
-    def elements(self):
-        if not self.field.is_finite:
-            raise BudgetExceeded("cannot enumerate over an infinite base field")
-        yield from tuples(list(self.field.elements()), self.dim)
 
     def verify(self):
         """Prove the unit law, commutativity and associativity as identities

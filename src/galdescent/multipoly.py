@@ -239,26 +239,18 @@ class MultiPolynomial:
                         del terms[m]
         return MultiPolynomial(target_field, target_vars, terms)
 
-    def evaluate(self, point, embed=None, mul=None, add=None):
-        """Evaluate at a point (sequence aligned with the variable list).
-
-        With the hooks left default, the point consists of field elements;
-        custom ``embed``/``mul``/``add`` let callers evaluate into any
-        commutative ring (finite algebras, tensor products)."""
+    def evaluate(self, point):
+        """The value at ``point`` (a sequence aligned with the variable
+        list), by the ring operations of the point's values: field elements,
+        or polynomials over this field."""
         if len(point) != len(self.variables):
             raise ShapeMismatch("point arity mismatch")
-        embed = embed or (lambda c: c)
-        mul = mul or (lambda a, b: a * b)
-        add = add or (lambda a, b: a + b)
-        total = None
+        total = self.field.zero
         for exps, coeff in self.terms.items():
-            acc = embed(coeff)
             for value, e in zip(point, exps):
-                for _ in range(e):
-                    acc = mul(acc, value)
-            total = acc if total is None else add(total, acc)
-        if total is None:
-            return embed(self.field.zero)
+                if e:
+                    coeff = coeff * value ** e
+            total = total + coeff
         return total
 
     def rename_ring(self, variables, positions):

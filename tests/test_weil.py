@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
+from algebra_reference import VectorAlgebra, dual_numbers, verify_universal_points
 from galdescent.affine import AffineAlgebra
 from galdescent.enumeration import count_affine_points
-from galdescent.errors import Budget, NotSeparable
+from galdescent.errors import Budget, BudgetExceeded, MismatchFound, NotSeparable
 from galdescent.extension import finite_field
 from galdescent.fields import GF, QQ
 from galdescent.flat import FiniteAlgebra
@@ -11,10 +14,11 @@ from galdescent.groebner import Ideal, ideal_equal
 from galdescent.linalg import Matrix
 from galdescent.multipoly import MultiPolynomial
 from galdescent.weil import (
+    RestrictionResult,
     SeparableExtensionData,
+    certify_restriction,
     conjugate_product_check,
     etale_splitting,
-    verify_universal_points,
     weil_restrict,
 )
 
@@ -63,6 +67,26 @@ class TestWeilRestrict:
         # (Y0 + i Y1)^2 - i = (Y0^2 - Y1^2) + (2 Y0 Y1 - 1) i
         expected = Ideal(QQ, names, [Y0 * Y0 - Y1 * Y1, 2 * Y0 * Y1 - 1])
         assert ideal_equal(result.restricted.relations, expected)
+
+    @pytest.mark.parametrize("points, fits", [(21, True), (20, False)])
+    def test_expansion_bounded_before_substituting(self, points, fits, monkeypatch):
+        # over Cyclo(5), d = 4: x^2 and y^2 expand to at most C(5, 2) = 10
+        # monomials each, and the constant to 1
+        data = cyclo_data(5)
+        circle = sources(data.K)[2]
+        budget = Budget(points=points)
+        if fits:
+            weil_restrict(circle, data, budget)
+            assert budget.spent == 0
+            return
+
+        def refuse(*args):
+            raise AssertionError("expanded before the budget check")
+
+        monkeypatch.setattr(MultiPolynomial, "transform", refuse)
+        with pytest.raises(BudgetExceeded, match="^coordinate expansion of up to 21 monomials "
+                                                 "exceeds budget 20$"):
+            weil_restrict(circle, data, budget)
 
     def test_dimension_bookkeeping(self):
         K, data = ff_data(3, 2)
@@ -137,7 +161,7 @@ class TestUniversalProperty:
     def test_gm_f4_over_f2(self):
         K, data = ff_data(2, 2)
         result = weil_restrict(gm(K), data)
-        base_algebra = FiniteAlgebra.base(GF(2))
+        base_algebra = VectorAlgebra.base(GF(2))
         report = verify_universal_points(result, base_algebra)
         assert report.mode == "exhaustive"
         assert report.restricted_count == report.source_count == 3
@@ -145,7 +169,7 @@ class TestUniversalProperty:
     def test_gm_f4_valued_in_f4(self):
         K, data = ff_data(2, 2)
         result = weil_restrict(gm(K), data)
-        test_algebra = FiniteAlgebra.from_extension(K)
+        test_algebra = VectorAlgebra.from_extension(K)
         report = verify_universal_points(result, test_algebra)
         # Gm(F4 x F4) has 3 * 3 = 9 points
         assert report.restricted_count == report.source_count == 9
@@ -154,7 +178,7 @@ class TestUniversalProperty:
         K, data = ff_data(2, 2)
         result = weil_restrict(gm(K), data)
         base = FiniteAlgebra.base(GF(2))
-        product = FiniteAlgebra.product([base, base])
+        product = VectorAlgebra.product([base, base])
         report = verify_universal_points(result, product)
         # points valued in F2 x F2 are pairs of F2-points: 3 * 3
         assert report.restricted_count == report.source_count == 9
@@ -164,14 +188,14 @@ class TestUniversalProperty:
         one = MultiPolynomial.constant(K, ("x",), 1)
         V = AffineAlgebra(K, ("x",), Ideal(K, ("x",), [one]))
         result = weil_restrict(V, data)
-        report = verify_universal_points(result, FiniteAlgebra.base(GF(2)))
+        report = verify_universal_points(result, VectorAlgebra.base(GF(2)))
         assert report.restricted_count == report.source_count == 0
 
     def test_rational_samples(self):
         Qi, group = cyclotomic_group(4)
         data = SeparableExtensionData.discover(Qi, Qi, group)
         result = weil_restrict(gm(Qi), data)
-        base_algebra = FiniteAlgebra.base(QQ)
+        base_algebra = VectorAlgebra.base(QQ)
         # x = 1 + 0i, y = 1 + 0i is a point; x = 2, y = 1 is not
         good = ((QQ.one,), (QQ.zero,), (QQ.one,), (QQ.zero,))
         bad = ((QQ.from_int(2),), (QQ.zero,), (QQ.one,), (QQ.zero,))
@@ -181,13 +205,140 @@ class TestUniversalProperty:
         assert report.samples_checked == 2
 
 
+def sources(K):
+    """Affine K-schemes to restrict: the line, G_m, the circle, an empty
+    scheme, and two with coefficients outside the base field."""
+    names = ("x", "y")
+    x, y = MultiPolynomial.ring_vars(K, names)
+    t = K.generator
+
+    def scheme(*relations):
+        return AffineAlgebra(K, names, Ideal(K, names, list(relations)))
+
+    return [line(K), gm(K), scheme(x * x + y * y - 1), scheme(x * 0 + 1),
+            scheme(x ** 3 - t * y + t * t, t * x * y - 1), scheme(y ** 2 - x ** 3 - t)]
+
+
+CERTIFIED = {
+    "cyclo4": lambda: cyclo_data(4),
+    "cyclo5": lambda: cyclo_data(5),
+    "cyclo7": lambda: cyclo_data(7),
+    "gf4": lambda: ff_data(2, 2)[1],
+    "gf9": lambda: ff_data(3, 2)[1],
+    "gf25": lambda: ff_data(5, 2)[1],
+    "gf125": lambda: ff_data(5, 3)[1],
+}
+
+
+def corrupted(result, rng):
+    """``result`` with one coefficient of one raw component changed by a
+    nonzero base scalar, the presented ideal rebuilt from the changed
+    components."""
+    base = result.data.K.base
+    names = result.restricted.variables
+    components = list(result.raw_components)
+    k = rng.randrange(len(components))
+    terms = dict(components[k].terms)
+    monomial = rng.choice(sorted(terms) + [tuple(rng.randrange(3) for _ in names)])
+    shift = base.from_int(rng.randrange(1, 5))
+    if base.is_finite and not shift:
+        shift = base.one
+    terms[monomial] = terms.get(monomial, base.zero) + shift
+    components[k] = MultiPolynomial(base, names, terms)
+    restricted = AffineAlgebra(base, names, Ideal(base, names, components))
+    return RestrictionResult(result.source, restricted, result.substitution,
+                             result.data, components)
+
+
+class TestCertifyRestriction:
+    @pytest.mark.parametrize("name", sorted(CERTIFIED))
+    def test_certifies_every_restriction(self, name):
+        data = CERTIFIED[name]()
+        for V in sources(data.K):
+            assert certify_restriction(weil_restrict(V, data)) is None
+
+    @pytest.mark.parametrize("name", sorted(CERTIFIED))
+    def test_rejects_every_single_coefficient_corruption(self, name):
+        data = CERTIFIED[name]()
+        rng = random.Random(name)
+        for V in sources(data.K):
+            if not V.relations.generators:
+                continue
+            result = weil_restrict(V, data)
+            for _ in range(6):
+                with pytest.raises(MismatchFound, match=r"is not the sum of its components$"):
+                    certify_restriction(corrupted(result, rng))
+
+    def test_rejects_a_presentation_without_its_components(self):
+        data = cyclo_data(5)
+        result = weil_restrict(sources(data.K)[2], data)
+        R = result.restricted
+        for generators in (R.relations.generators[1:], R.relations.generators[::-1],
+                           R.relations.generators + R.relations.generators[:1]):
+            wrong = AffineAlgebra(R.field, R.variables, Ideal(R.field, R.variables, generators))
+            with pytest.raises(MismatchFound, match="not generated by the nonzero components"):
+                certify_restriction(RestrictionResult(
+                    result.source, wrong, result.substitution, data, result.raw_components))
+        over_k = [g.map_coeffs(data.K.from_base, data.K) for g in result.raw_components]
+        with pytest.raises(MismatchFound, match="not generated by the nonzero components"):
+            certify_restriction(RestrictionResult(
+                result.source, R, result.substitution, data, over_k))
+
+    def test_shares_no_code_with_the_substitution(self, monkeypatch):
+        data = cyclo_data(7)
+        result = weil_restrict(sources(data.K)[4], data)
+
+        def refuse(*args):
+            raise AssertionError("the certificate substitutes")
+
+        monkeypatch.setattr(MultiPolynomial, "transform", refuse)
+        monkeypatch.setattr(MultiPolynomial, "substitute", refuse)
+        certify_restriction(result)
+
+    # test algebras k, k[eps]/(eps^2) and k x k, each small enough that the
+    # reference lists R(A) and V(K (x) A) in full
+    REFERENCE = {"gf4": (lambda: ff_data(2, 2)[1], (1, 2)),
+                 "gf8": (lambda: ff_data(2, 3)[1], (1,)),
+                 "gf9": (lambda: ff_data(3, 2)[1], (1,))}
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE))
+    def test_rejects_what_the_point_reference_rejects(self, name):
+        make, arities = self.REFERENCE[name]
+        data = make()
+        K, k = data.K, data.K.base
+        base = VectorAlgebra.base(k)
+        algebras = [base, dual_numbers(k), VectorAlgebra.product([base, base])]
+        (x,) = MultiPolynomial.ring_vars(K, ("x",))
+        schemes = [AffineAlgebra(K, ("x",), Ideal(K, ("x",), [x ** 2 + K.generator * x + 1]))]
+        if 2 in arities:
+            schemes.append(gm(K))
+        rng = random.Random(name)
+        rejected = 0
+        for V in schemes:
+            result = weil_restrict(V, data)
+            for A in algebras:
+                verify_universal_points(result, A)
+            for _ in range(4):
+                wrong = corrupted(result, rng)
+                with pytest.raises(MismatchFound):
+                    certify_restriction(wrong)
+                for A in algebras:
+                    try:
+                        verify_universal_points(wrong, A)
+                    except MismatchFound:
+                        rejected += 1
+        # the certificate rejects every corruption, so in particular each
+        # one that the reference rejects; the reference rejects some
+        assert rejected
+
+
 def tensor_lagrange_idempotents(data):
     """The Lagrange idempotents of K (x) Omega computed in the tensor algebra,
     the reference for ``etale_splitting``: e_tau is the product, over the
     other embeddings s, of (t (x) 1 - 1 (x) s(t)) (1 (x) (tau(t) - s(t))^-1).
     Returns the tensor algebra and the idempotents in embedding order."""
     K, omega = data.K, data.omega
-    tensor = FiniteAlgebra.tensor(FiniteAlgebra.from_extension(K),
+    tensor = VectorAlgebra.tensor(FiniteAlgebra.from_extension(K),
                                   FiniteAlgebra.from_extension(omega))
     gen_left = tensor.embed_left(K.coords(K.generator))
     idempotents = []
