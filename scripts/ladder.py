@@ -8,7 +8,12 @@ from GF(5^2) to GF(5) (the benchmark's ``circle_gf25_to_gf5`` text) and the
 ``descend_cyclic_gf125`` and ``fixed_cyclic_gf125``.  The splitting rows
 run the circle restricted from Cyclo(5), Cyclo(7), Cyclo(11) and Cyclo(13)
 to QQ with ``--oracle`` (Cyclo(7) and Cyclo(11) are the ``tests/large``
-documents), whose oracle is the etale splitting.
+documents), whose oracle is the etale splitting.  The group rows run the
+``tests/large`` documents ``validate_cyclo101_qq``,
+``validate_cyclo1000_qq``, ``validate_group_gf3_42`` and
+``validate_group_gf3_97`` plain, as their reports were rendered: the
+automorphism groups of Cyclo(101) and Cyclo(1000) over QQ and the Frobenius
+groups of GF(3^42) and GF(3^97).
 
 Each row records its mode, the exit code, the sha256 of stdout, the
 reduction steps the command spent (``Budget.spent``) and its time in
@@ -64,6 +69,9 @@ def _rows():
     rows.update((name, (ORACLE, _large(name)))
                 for name in ("restrict_circle_cyclo7", "restrict_circle_cyclo11"))
     rows["circle_cyclo13_to_qq"] = (ORACLE, _circle_restriction("Cyclo(13)", "QQ"))
+    rows.update((name, (PLAIN, _large(name)))
+                for name in ("validate_cyclo101_qq", "validate_cyclo1000_qq",
+                             "validate_group_gf3_42", "validate_group_gf3_97"))
     return rows
 
 
@@ -113,13 +121,14 @@ def measure():
     return rows
 
 
-def committed_table():
-    """The rows of the newest ``BENCH_<n>.json`` at the repository root."""
-    tables = [(int(m.group(1)), path) for path in ROOT.glob("BENCH_*.json")
-              if (m := re.fullmatch(r"BENCH_(\d+)\.json", path.name))]
+def committed_tables():
+    """The rows of every ``BENCH_<n>.json`` at the repository root, oldest
+    (smallest n) first."""
+    tables = sorted((int(m.group(1)), path) for path in ROOT.glob("BENCH_*.json")
+                    if (m := re.fullmatch(r"BENCH_(\d+)\.json", path.name)))
     if not tables:
         raise FileNotFoundError(f"no BENCH_<n>.json under {ROOT}")
-    return json.loads(max(tables)[1].read_text(encoding="utf-8"))["rows"]
+    return [json.loads(path.read_text(encoding="utf-8"))["rows"] for _, path in tables]
 
 
 def check(rows):
@@ -152,7 +161,7 @@ def main(argv=None):
                   f"steps {row['steps']!s:>7}  "
                   f"{row['seconds']:.4f} s ({row['runs']} runs)")
         return 0
-    table = committed_table()
+    table = committed_tables()[-1]
     names = [row["name"] for row in table]
     if names != list(ROWS):
         print(f"the table lists the rows {names}, not {list(ROWS)}")

@@ -50,6 +50,21 @@ taken mod p only when its term leads.  Over an extension field the other loop
 updates coefficients with the field's fused ``_sub_mul`` (a - b*c on raw
 values, None for zero).  Neither loop dispatches through ``FieldElement``.
 
+Both loops reduce a term by the first element in basis order whose leading
+monomial divides it (and, in an S-pair reduction, whose step the signature
+bound admits).  The int loop finds that element in a divisor index, not by
+a scan of the basis: a dict from a packed monomial m to (n, the elements
+among the first n of the basis whose leading monomial divides m, in basis
+order), extended to the elements appended since when the basis has grown
+past n.  An index lives as long as the packed basis it describes: one
+engine run of ``buchberger`` keeps one for its append-only basis, shared by
+the generator and S-pair reductions, and one for the final
+inter-reduction; ``Ideal.contains`` keeps one beside each cached packing.
+A widening rerun starts afresh, since packed keys depend on the width.  The
+loop over an extension field keeps its scan: its bases are small and its
+calls mostly short membership tests, where building the entries cost more
+than they saved.
+
 ``buchberger`` is signature-based and incremental (Faugere, "A new
 efficient algorithm for computing Groebner bases without reduction to zero
 (F5)", ISSAC 2002; Eder & Faugere, "A survey on signature-based algorithms
@@ -185,8 +200,8 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._bases = {}
-        # order key -> (packing, basis elements) of a cached basis, made on
-        # the first membership test under its order
+        # order key -> (packing, basis elements, divisor index) of a cached
+        # basis, made on the first membership test under its order
         self._packed = {}
 
     def groebner(self, order=GREVLEX, budget=None):
@@ -200,7 +215,8 @@ class Ideal:
         basis (the least order key) or, with none cached, a grevlex one.
         Membership does not depend on the order, so any cached basis serves.
         The reduction runs on the basis packed once per order, with the
-        steps that :func:`normal_form` would take."""
+        steps that :func:`normal_form` would take, and one divisor index
+        serves every test on that packing."""
         key = min(self._bases, default=(GREVLEX.kind, GREVLEX.split))
         order = MonomialOrder(*key)
         basis = self.groebner(order, budget)
@@ -212,9 +228,10 @@ class Ideal:
         def run(packing):
             cached = self._packed.get(key)
             if cached is None or cached[0] is not packing:
-                cached = self._packed[key] = (packing, [_pack(g, packing) for g in basis])
+                cached = self._packed[key] = (packing, [_pack(g, packing) for g in basis], {})
             return not _reduce(*_working(self.field, _pack_terms(poly, packing)),
-                               cached[1], self.field, packing.guard, budget)[0]
+                               cached[1], self.field, packing.guard, budget,
+                               index=cached[2])[0]
 
         # start at the width the cached basis was packed at
         cached = self._packed.get(key)
@@ -308,21 +325,26 @@ def _box(field, variables, packing, lt, tail, den):
     return MultiPolynomial(field, variables, terms)
 
 
-def _reduce(work, den, basis, field, guard, budget, bound=None, regular=None):
+def _reduce(work, den, basis, field, guard, budget, bound=None, regular=None, index=None):
     """Fully reduce the working polynomial ``work`` over ``den`` (packed
     monomial -> value, as ``_working`` makes it; consumed) modulo ``basis``,
     a list of basis elements (see ``_element``), by the classical division
     algorithm: the leading term of the working polynomial is either
-    cancelled against a basis element or moved to the remainder.  The
-    remainder comes back as a working polynomial (terms, den), its terms in
-    descending order, so that the first key is its leading monomial.  With
+    cancelled against the first dividing element in basis order or moved
+    to the remainder.  The remainder comes back as a working polynomial
+    (terms, den), its terms in descending order, so that the first key is
+    its leading monomial.  With
     a signature ``bound``, an element whose leading monomial ``regular``
     maps to its signature s reduces a term x^shift * lt only when
     x^shift * s is below the bound, and every other element reduces any
-    term.  Raises ``_Overflow`` on a product that outgrows its fields."""
+    term.  ``index`` is a divisor index of ``basis`` for the int loop (see
+    ``_reduce_ints``; a fresh one by default), which the loop over an
+    extension field does without.  Raises ``_Overflow`` on a product that
+    outgrows its fields."""
     p = int_modulus(field)
     if p is not None:
-        return _reduce_ints(work, den, basis, p, guard, budget, bound, regular)
+        return _reduce_ints(work, den, basis, p, guard, budget, bound, regular,
+                            {} if index is None else index)
     sub_mul, zero = field._sub_mul, field.zero.value
     remainder = {}
     # every monomial of ``work`` is in the heap, negated so that the largest
@@ -362,11 +384,16 @@ def _reduce(work, den, basis, field, guard, budget, bound=None, regular=None):
     return remainder, 1
 
 
-def _reduce_ints(work, den, basis, p, guard, budget, bound=None, regular=None):
+def _reduce_ints(work, den, basis, p, guard, budget, bound, regular, index):
     """``_reduce`` on ints: fraction-free over QQ (p = 0), lazily mod p over
     GF(p).  ``work`` holds int numerators over the one denominator ``den``,
-    and each basis element int numerators over its d.  A step cancels the
-    top term w/den against x^shift times an element: with k = gcd(w, d) and
+    and each basis element int numerators over its d.  A term is reduced by
+    the first dividing element in basis order that the signature bound
+    admits, looked up in the divisor index ``index`` (updated in place): it
+    maps a packed monomial m to (n, the elements of ``basis[:n]`` whose
+    leading monomial divides m, in basis order), and an entry is extended
+    when the basis has grown past n.  A step cancels the top term w/den
+    against x^shift times an element: with k = gcd(w, d) and
     d = k*m, each tail term n/d subtracts (w/den)(n/d) = (w/k)*n / (den*m),
     so the work, the remainder so far and ``den`` are first scaled by m
     (when m is not 1).  A term moves to the remainder as its numerator, and
@@ -376,7 +403,7 @@ def _reduce_ints(work, den, basis, p, guard, budget, bound=None, regular=None):
     so it grows at most to p^2 times its monomial's updates.  It takes the
     generic loop's steps: a coefficient vanishes in one exactly when it does
     in the other."""
-    gcd, remainder = math.gcd, {}
+    gcd, remainder, size = math.gcd, {}, len(basis)
     heap = [-e for e in work]
     heapify(heap)
     while heap:
@@ -388,11 +415,15 @@ def _reduce_ints(work, den, basis, p, guard, budget, bound=None, regular=None):
             w %= p
             if not w:
                 continue
-        for lt, d, tail in basis:
+        entry = index.get(exps)
+        if entry is None:
+            entry = index[exps] = size, tuple([g for g in basis if not (exps - g[0]) & guard])
+        elif entry[0] < size:
+            entry = index[exps] = size, entry[1] + tuple(
+                [g for g in basis[entry[0]:] if not (exps - g[0]) & guard])
+        for lt, d, tail in entry[1]:
             shift = exps - lt
-            if not shift & guard:
-                if bound is not None and lt in regular and shift + regular[lt] >= bound:
-                    continue
+            if bound is None or lt not in regular or shift + regular[lt] < bound:
                 budget.spend()
                 if d != 1:
                     k = gcd(w, d)
@@ -516,19 +547,25 @@ def _buchberger(generators, field, packing, budget):
                  for h, terms in zip(tops, packed)]
     else:
         # the basis elements (see ``_element``); ``leads`` repeats their
-        # leading monomials
-        basis, leads = [], []
+        # leading monomials.  The basis only grows, so one divisor index
+        # serves every reduction modulo it.
+        basis, leads, index = [], [], {}
         for terms in packed:
-            remainder, _ = _reduce(*_working(field, terms), basis, field, guard, budget)
-            if not _extend(basis, leads, remainder, field, packing, budget):
+            remainder, _ = _reduce(*_working(field, terms), basis, field, guard, budget,
+                                   index=index)
+            if not _extend(basis, leads, remainder, field, packing, budget, index):
                 return [(0, {}, 1)]
+        # the inter-reduction builds its own index; free this one first, so
+        # that the two never hold memory at once
+        del index
     return _reduce_basis(basis, field, guard, budget)
 
 
-def _extend(basis, leads, remainder, field, packing, budget):
+def _extend(basis, leads, remainder, field, packing, budget, index):
     """Extend ``basis``, a Groebner basis of the earlier generators, to one
     of the ideal that they and one more generator span, given that
     generator's ``remainder`` modulo ``basis``; False for the unit ideal.
+    Every S-pair reduces with the divisor index ``index`` of ``basis``.
 
     A new element carries the signature u of u*e, for e the new generator
     (signature 1, packed 0): the monomial the generator is multiplied by in
@@ -576,24 +613,34 @@ def _extend(basis, leads, remainder, field, packing, budget):
                 top = max(mine, theirs)
                 if top & guard:
                     raise _Overflow
-                if any(not (top - e) & guard for e in earlier):
-                    continue
-                heappush(pairs, (top, next(counter), k, i, lcm) if top == mine
-                         else (top, next(counter), i, k, lcm))
+                for e in earlier:
+                    if not (top - e) & guard:
+                        break
+                else:
+                    heappush(pairs, (top, next(counter), k, i, lcm) if top == mine
+                             else (top, next(counter), i, k, lcm))
             exponents.append(exps)
-        # the next pair that neither of the other criteria drops: its
-        # signature is a multiple of a signature that reduced to zero, or
-        # of a newer element's signature (rewrite)
-        while True:
-            if not pairs:
-                return True
+        # the next pair that neither of the other criteria drops; none left
+        # ends the loop
+        while pairs:
             sig, _, k, i, lcm = heappop(pairs)
-            if not (any(not (sig - s) & guard for s in syzygies)
-                    or any(not (sig - s) & guard for s in sigs[k - first + 1:])):
-                break
+            for s in syzygies:
+                # a multiple of a signature that reduced to zero
+                if not (sig - s) & guard:
+                    break
+            else:
+                for j in range(k - first + 1, len(sigs)):
+                    # a multiple of a newer element's signature (rewrite)
+                    if not (sig - sigs[j]) & guard:
+                        break
+                else:
+                    break
+        else:
+            return True
         budget.spend()
         remainder, _ = _reduce(*_s_polynomial(basis[k], basis[i], lcm, field, guard),
-                               basis, field, guard, budget, bound=sig, regular=regular)
+                               basis, field, guard, budget, bound=sig, regular=regular,
+                               index=index)
 
 
 def _reduce_basis(basis, field, guard, budget):
@@ -605,9 +652,11 @@ def _reduce_basis(basis, field, guard, budget):
             kept.append(element)
     # full reduction of each tail: no other kept LT divides an element's
     # own LT, so it keeps its leading term with coefficient 1, the basis
-    # stays monic and in ascending order
-    return [(lt, *_reduce(dict(tail), d, kept[:i] + kept[i + 1:], field, guard, budget))
-            for i, (lt, d, tail) in enumerate(kept)]
+    # stays monic and in ascending order.  An element's own LT divides no
+    # monomial below it, so reducing modulo all of ``kept`` changes no step.
+    index = {}
+    return [(lt, *_reduce(dict(tail), d, kept, field, guard, budget, index=index))
+            for lt, d, tail in kept]
 
 
 def ideal_equal(I, J, budget=None):

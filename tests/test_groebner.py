@@ -662,6 +662,35 @@ class TestOverflow:
         assert self.run(gens, GREVLEX, probes) == expected
         assert widths[:2] == [4, 8]
 
+    def memberships(self, ideal, probes):
+        """(answer, steps) of each membership test, every probe asked twice
+        so that the second pass runs on the cached packing and its index."""
+        answers = []
+        for p in probes + probes:
+            budget = Budget()
+            answers.append((ideal.contains(p, budget), budget.spent))
+        return answers
+
+    def test_membership_at_a_narrow_width_matches_the_default(self, monkeypatch):
+        # the probes fit 3-bit fields until u0^4 u1^4 (degree 8), which
+        # overflows them; the rerun packs the basis afresh at 6 bits, with
+        # a fresh divisor index
+        gens, order, probes = self.katsura_case()
+        u = ring(GF(32003), gens[0].variables)
+        probes = probes[:2] + [g * p for g, p in zip(gens, probes)]
+        probes += [u[0] ** 4 * u[1] ** 4 - u[2], gens[1] * u[3] ** 6] + probes
+        ideal = Ideal(GF(32003), gens[0].variables, gens)
+        ideal.groebner(order)
+        expected = self.memberships(ideal, probes)
+        widths = self.narrow(monkeypatch)
+        monkeypatch.setattr(groebner, "_WIDTH", 3)
+        ideal = Ideal(GF(32003), gens[0].variables, gens)
+        ideal.groebner(order)
+        widths.clear()
+        assert self.memberships(ideal, probes) == expected
+        assert widths[0] == 3 and max(widths) == 6
+        assert any(member for member, _ in expected) and not all(member for member, _ in expected)
+
     def test_s_polynomial_flags_an_overflowing_term(self):
         # x - y^15 and x*y - 1 fit 4-bit fields, but their S-polynomial
         # 1 - y^16 does not; a later step need not notice the bad term
@@ -719,6 +748,139 @@ class TestRationalInts:
         counts = self.count_fractions(monkeypatch)
         remainder = normal_form(probe, basis, GREVLEX)
         assert counts == [len(remainder.terms)] and counts[0] > 1
+
+
+def linear_reduce_ints(work, den, basis, p, guard, budget, bound=None, regular=None):
+    """The int reduction loop as it was before the divisor index: every
+    popped term scans the whole basis for its first dividing element that
+    the signature bound admits."""
+    gcd, remainder = math.gcd, {}
+    heap = [-e for e in work]
+    heapify(heap)
+    while heap:
+        exps = -heappop(heap)
+        w = work.pop(exps, None)
+        if w is None:
+            continue
+        if p:
+            w %= p
+            if not w:
+                continue
+        for lt, d, tail in basis:
+            shift = exps - lt
+            if not shift & guard:
+                if bound is not None and lt in regular and shift + regular[lt] >= bound:
+                    continue
+                budget.spend()
+                if d != 1:
+                    k = gcd(w, d)
+                    w //= k
+                    if k != d:
+                        m = d // k
+                        den *= m
+                        work = {e: v * m for e, v in work.items()}
+                        for e in remainder:
+                            remainder[e] *= m
+                w = -w
+                for ge, gn in tail:
+                    e = shift + ge
+                    prev = work.get(e)
+                    if prev is None:
+                        heappush(heap, -e)
+                        work[e] = w * gn
+                    else:
+                        prev += w * gn
+                        if prev:
+                            work[e] = prev
+                        else:
+                            del work[e]
+                break
+        else:
+            remainder[exps] = w
+    if den != 1:
+        content = gcd(den, *remainder.values())
+        if content != 1:
+            den //= content
+            remainder = {e: v // content for e, v in remainder.items()}
+    return remainder, den
+
+
+class TestDivisorIndex:
+    """The int loop looks up the elements that divide a popped monomial in
+    a divisor index instead of scanning the basis, and so reduces by the
+    element the scan picks: the same remainder, denominator and steps as
+    ``linear_reduce_ints``, also under a signature bound and with one index
+    shared while the basis grows by appends."""
+
+    ORDERS = [GREVLEX, LEX, block_order(1), block_order(2)]
+    PRIMES = [7, 32003, 0]
+
+    def terms(self, rng, packing, p, degree, size):
+        """Packed monomial -> value: a random int mod p, or over QQ (p = 0)
+        a nonzero numerator of up to 40 bits."""
+        pack = packing.pack
+        terms = {}
+        for _ in range(size):
+            exps = [0, 0, 0]
+            for _ in range(rng.randrange(degree + 1)):
+                exps[rng.randrange(3)] += 1
+            value = rng.randrange(1, p) if p else rng.choice([-1, 1]) * rng.randrange(1, 2 ** 40)
+            terms[pack(tuple(exps))] = value
+        return terms
+
+    def element(self, rng, packing, p):
+        terms = self.terms(rng, packing, p, 3, rng.randrange(1, 5))
+        return groebner._element(QQ if p == 0 else GF(p), max(terms), terms)
+
+    def signatures(self, rng, packing, basis):
+        """A signature bound, and signatures for about half the elements."""
+        pack = packing.pack
+
+        def monomial(degree):
+            return pack(tuple(rng.randrange(degree + 1) for _ in range(3)))
+
+        return monomial(4), {lt: monomial(2) for lt, _, _ in basis if rng.random() < 0.5}
+
+    def compare(self, rng, packing, p, basis, index, signed):
+        """Reduce one random working polynomial both ways: equal remainders
+        (terms in the same order), denominators and steps."""
+        work = self.terms(rng, packing, p, 6, rng.randrange(1, 8))
+        den = rng.randrange(1, 2 ** 20) if p == 0 else 1
+        bound, regular = self.signatures(rng, packing, basis) if signed else (None, None)
+        ours, theirs = Budget(), Budget()
+        got = groebner._reduce_ints(dict(work), den, basis, p, packing.guard, ours,
+                                    bound, regular, index)
+        want = linear_reduce_ints(dict(work), den, basis, p, packing.guard, theirs,
+                                  bound, regular)
+        assert (list(got[0].items()), got[1]) == (list(want[0].items()), want[1])
+        assert ours.spent == theirs.spent
+        return ours.spent
+
+    @pytest.mark.parametrize("p", PRIMES, ids=["gf7", "gf32003", "qq"])
+    @pytest.mark.parametrize("order", ORDERS, ids=repr)
+    def test_fresh_index_matches_the_linear_scan(self, order, p):
+        rng = random.Random(f"{order!r} {p}")
+        packing = groebner._packing(order, 3, groebner._WIDTH)
+        spent = 0
+        for _ in range(12):
+            basis = [self.element(rng, packing, p) for _ in range(rng.randrange(1, 7))]
+            for signed in (False, True):
+                spent += self.compare(rng, packing, p, basis, {}, signed)
+        assert spent
+
+    @pytest.mark.parametrize("p", PRIMES, ids=["gf7", "gf32003", "qq"])
+    @pytest.mark.parametrize("order", ORDERS, ids=repr)
+    def test_shared_index_matches_the_linear_scan_as_the_basis_grows(self, order, p):
+        rng = random.Random(f"shared {order!r} {p}")
+        packing = groebner._packing(order, 3, groebner._WIDTH)
+        for _ in range(3):
+            basis, index, spent = [], {}, 0
+            for _ in range(8):
+                basis.append(self.element(rng, packing, p))
+                for signed in (False, True, False):
+                    spent += self.compare(rng, packing, p, basis, index, signed)
+            # the index was reused after the basis grew past its entries
+            assert spent and any(checked < len(basis) for checked, _ in index.values())
 
 
 class TestNormalForm:
