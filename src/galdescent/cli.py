@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation failure, 2 parse/resolution error,
 
 import argparse
 import functools
+import operator
 import sys
 from fractions import Fraction
 
@@ -74,6 +75,9 @@ def _fail_resolution(line, col, message):
 
 # -- expression materialization -------------------------------------------------
 
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
 def eval_poly(ast, field, variables):
     kind = ast[0]
     if kind == "int":
@@ -88,15 +92,9 @@ def eval_poly(ast, field, variables):
         if name == "t" and isinstance(field, ExtensionField):
             return MultiPolynomial.constant(field, variables, field.generator)
         _fail_resolution(ast[2], ast[3], f"unknown symbol {name!r} in polynomial")
-    if kind == "add":
-        return (eval_poly(ast[1], field, variables)
-                + eval_poly(ast[2], field, variables))
-    if kind == "sub":
-        return (eval_poly(ast[1], field, variables)
-                - eval_poly(ast[2], field, variables))
-    if kind == "mul":
-        return (eval_poly(ast[1], field, variables)
-                * eval_poly(ast[2], field, variables))
+    if kind in _BINARY:
+        return _BINARY[kind](eval_poly(ast[1], field, variables),
+                             eval_poly(ast[2], field, variables))
     if kind == "neg":
         return -eval_poly(ast[1], field, variables)
     if kind == "pow":
@@ -135,8 +133,6 @@ class Workspace:
     def build(self, statement):
         try:
             getattr(self, f"_build_{statement.kind}")(statement)
-        except CommandFailure:
-            raise
         except GaldescentError as error:
             _fail_validation(statement, error)
 
@@ -225,17 +221,40 @@ class Workspace:
                              "algebra's field; declare one")
         return group
 
+    def _per_element(self, statement, group, resolve, identity, what):
+        """One value per element of ``group``, in its order: ``resolve`` of
+        the block labelled with the element's name, or ``identity`` for an
+        unlabelled identity.  Every block is resolved, in document order,
+        before any label is matched."""
+        blocks = statement.payload["blocks"]
+        resolved = {block["label"]: resolve(block) for block in blocks}
+        values = []
+        for idx, sigma in enumerate(group.elements):
+            if sigma.name in resolved:
+                values.append(resolved.pop(sigma.name))
+            elif idx == group.identity_index:
+                values.append(identity)
+            else:
+                _fail_resolution(statement.line, statement.col,
+                                 f"{statement.kind} misses {what} for group "
+                                 f"element {sigma.name!r}")
+        for block in blocks:
+            if block["label"] in resolved:
+                _fail_resolution(block["line"], block["col"],
+                                 f"{block['label']!r} is not a group element "
+                                 f"(elements: {', '.join(s.name for s in group.elements)})")
+        return values
+
     def _build_datum(self, statement):
-        payload = statement.payload
-        algebra = self.algebras[payload["algebra"]]
+        algebra = self.algebras[statement.payload["algebra"]]
         if not isinstance(algebra.field, ExtensionField):
             _fail_resolution(statement.line, statement.col,
                              "descent data need an algebra over an extension field")
         group = self._group_for_field(algebra.field, statement)
-        by_label = {}
-        for block in payload["blocks"]:
+
+        def images_of(block):
             images = {}
-            for var, line, col, ast in block["images"]:
+            for var, line, col, ast in block["body"]:
                 if var not in algebra.variables:
                     _fail_resolution(line, col,
                                      f"{var!r} is not a variable of the algebra")
@@ -245,53 +264,28 @@ class Workspace:
                 _fail_resolution(block["line"], block["col"],
                                  f"block {block['label']!r} misses images for "
                                  f"{', '.join(missing)}")
-            by_label[block["label"]] = (block, images)
-        maps = []
-        ring_vars = dict(zip(algebra.variables, algebra.vars()))
-        for idx, sigma in enumerate(group.elements):
-            if sigma.name in by_label:
-                maps.append(SemilinearAlgebraMap(sigma, by_label.pop(sigma.name)[1]))
-            elif idx == group.identity_index:
-                maps.append(SemilinearAlgebraMap(sigma, dict(ring_vars)))
-            else:
-                _fail_resolution(statement.line, statement.col,
-                                 f"datum misses a block for group element "
-                                 f"{sigma.name!r}")
-        if by_label:
-            label, (block, _) = next(iter(by_label.items()))
-            _fail_resolution(block["line"], block["col"],
-                             f"{label!r} is not a group element "
-                             f"(elements: {', '.join(s.name for s in group.elements)})")
+            return images
+
+        identity = dict(zip(algebra.variables, algebra.vars()))
+        images = self._per_element(statement, group, images_of, identity, "a block")
+        maps = [SemilinearAlgebraMap(sigma, sigma_images)
+                for sigma, sigma_images in zip(group.elements, images)]
         self.data[statement.name] = AffineDescentDatum(algebra, group, maps)
 
     def _build_module(self, statement):
-        payload = statement.payload
-        group = self.groups[payload["group"]]
-        dim = payload["dim"]
+        group = self.groups[statement.payload["group"]]
+        dim = statement.payload["dim"]
         ext = group.ext
-        by_label = {}
-        for block in payload["blocks"]:
-            rows = block["matrix"]
+
+        def matrix_of(block):
+            rows = block["body"]
             if len(rows) != dim or any(len(r) != dim for r in rows):
                 _fail_resolution(block["line"], block["col"],
                                  f"matrix for {block['label']!r} is not {dim}x{dim}")
-            matrix = Matrix(ext, [[eval_element(ast, ext) for ast in row]
-                                  for row in rows])
-            by_label[block["label"]] = (block, matrix)
-        cocycle = []
-        for idx, sigma in enumerate(group.elements):
-            if sigma.name in by_label:
-                cocycle.append(by_label.pop(sigma.name)[1])
-            elif idx == group.identity_index:
-                cocycle.append(Matrix.identity(ext, dim))
-            else:
-                _fail_resolution(statement.line, statement.col,
-                                 f"module misses a matrix for group element "
-                                 f"{sigma.name!r}")
-        if by_label:
-            label, (block, _) = next(iter(by_label.items()))
-            _fail_resolution(block["line"], block["col"],
-                             f"{label!r} is not a group element")
+            return Matrix(ext, [[eval_element(ast, ext) for ast in row] for row in rows])
+
+        cocycle = self._per_element(statement, group, matrix_of,
+                                    Matrix.identity(ext, dim), "a matrix")
         self.modules[statement.name] = SemilinearModule(group, dim, cocycle)
 
     def _build_map(self, statement):
@@ -451,29 +445,24 @@ def run_amitsur(workspace, command, oracle):
 def run_validate(workspace, command, oracle):
     kind = command.payload["kind"]
     name = command.name
-    lines = [f"== validate {name}"]
+    lines = [f"== validate {name}", "status: valid"]
     if kind == "datum":
         report = validate_datum(workspace.data[name], workspace.budget)
-        lines.append("status: valid")
         lines.append(f"pairs checked: {report.pairs_checked}")
     elif kind == "module":
         report = validate_action(workspace.modules[name])
-        lines.append("status: valid")
         lines.append(f"pairs checked: {report.pairs_checked}")
     elif kind == "group":
         group = workspace.groups[name]
-        lines.append("status: valid")
         lines.append(f"order: {group.order}")
         lines.append(f"full: {'yes' if group.is_full else 'no'}")
     elif kind == "algebra":
         algebra = workspace.algebras[name]
         basis = algebra.relations.groebner(budget=workspace.budget)
-        lines.append("status: valid")
         lines.append(f"groebner basis size: {len(basis)}")
         lines.append(f"unit ideal: {'yes' if algebra.is_empty_scheme else 'no'}")
     elif kind == "field":
         field = workspace.fields[name]
-        lines.append("status: valid")
         if isinstance(field, ExtensionField):
             lines.append(f"degree: {field.degree}")
             lines.append(f"irreducibility: {field.irreducibility}")
@@ -482,7 +471,6 @@ def run_validate(workspace, command, oracle):
     else:
         # a map: names only ever have one of the six DECL_KINDS
         report = check_faithfully_flat(workspace.maps[name])
-        lines.append("status: valid")
         lines.append(f"faithfully flat: yes ({report.mode})")
     return lines
 
@@ -506,8 +494,6 @@ def run(document, oracle=False, budget=None):
         command = document.command
         try:
             lines = HANDLERS[command.kind](workspace, command, oracle)
-        except CommandFailure:
-            raise
         except GaldescentError as error:
             _fail_validation(command, error)
     except CommandFailure as failure:

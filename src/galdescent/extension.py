@@ -37,7 +37,7 @@ from .errors import (
     NotMonic,
     NotSquarefree,
 )
-from .fields import Field, FieldElement, PrimeField, RationalField
+from .fields import GF, Field, FieldElement, PrimeField, RationalField
 from .unipoly import UniPoly, default_modulus, is_irreducible_mod_p, is_squarefree, raw_xgcd
 
 VERIFIED = "verified"
@@ -421,8 +421,6 @@ def finite_field(p, n, modulus=None):
     """GF(p^n) with the default (lexicographically least) modulus unless one
     is supplied.  The default modulus is irreducible by construction, so only
     a supplied one goes through ``make_extension``'s irreducibility test."""
-    from .fields import GF
-
     base = GF(p)
     if modulus is None:
         return ExtensionField(base, default_modulus(p, n), VERIFIED)

@@ -57,11 +57,10 @@ class Automorphism(GeneratorMap):
     """A base-field automorphism of an extension, determined by the image of
     the generator."""
 
-    __slots__ = ("_matrix",)
+    __slots__ = ()
 
     def __init__(self, ext, image, name):
         super().__init__(ext, ext, image, name)
-        self._matrix = None
 
     @property
     def ext(self):
@@ -69,10 +68,7 @@ class Automorphism(GeneratorMap):
 
     def matrix(self):
         """Base-field matrix acting on generator-power coordinates."""
-        if self._matrix is None:
-            self._matrix = self.ext.coords_matrix(
-                [self._power(j) for j in range(self.ext.degree)])
-        return self._matrix
+        return self.ext.coords_matrix([self._power(j) for j in range(self.ext.degree)])
 
     def is_identity(self):
         return self.image == self.ext.generator

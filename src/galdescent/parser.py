@@ -8,9 +8,7 @@ and materialized against a concrete ring later.
 
 import re
 
-DECL_KINDS = ("field", "group", "algebra", "datum", "module", "map")
 COMMAND_KINDS = ("descend", "restrict", "fixed", "amitsur", "validate")
-_WITH_ARTICLE = {k: ("an " if k[0] == "a" else "a ") + k for k in DECL_KINDS}
 
 
 class Diagnostic:
@@ -41,8 +39,7 @@ _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
   | (?P<int>\d+)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<arrow>->|=>)
-  | (?P<op>[=+\-*/^(){}\[\],:.<>])
+  | (?P<op>->|=>|[=+\-*/^(){}\[\],:.<>])
 """, re.VERBOSE)
 
 
@@ -66,14 +63,13 @@ def tokenize(text, line_no):
         match = _TOKEN_RE.match(text, pos)
         if not match:
             _fail(line_no, pos + 1, f"unexpected character {text[pos]!r}")
-        if match.lastgroup == "int":
-            out.append(Token("int", int(match.group()), line_no, pos + 1))
-        elif match.lastgroup == "name":
-            out.append(Token("name", match.group(), line_no, pos + 1))
-        elif match.lastgroup == "arrow":
-            out.append(Token(match.group(), match.group(), line_no, pos + 1))
-        elif match.lastgroup == "op":
-            out.append(Token(match.group(), match.group(), line_no, pos + 1))
+        kind, value = match.lastgroup, match.group()
+        if kind == "int":
+            value = int(value)
+        elif kind == "op":
+            kind = value
+        if kind != "ws":
+            out.append(Token(kind, value, line_no, pos + 1))
         pos = match.end()
     return out
 
@@ -196,7 +192,39 @@ class Document:
         self.command = command
 
 
-def _parse_field_rhs(stream, line):
+def _comma_list(stream, opening, read_item, closing):
+    """One or more items separated by commas, between ``opening`` (None
+    when the caller has read it) and ``closing``."""
+    if opening is not None:
+        stream.expect(opening)
+    items = [read_item(stream)]
+    while stream.accept(","):
+        items.append(read_item(stream))
+    stream.expect(closing)
+    return items
+
+
+def _refuse_repeat(tok, seen, what):
+    if tok.value in seen:
+        _fail(tok.line, tok.col, f"{tok.value!r} already has {what}", "unresolved")
+    seen.add(tok.value)
+
+
+def _parse_setting(stream, key, value=None):
+    """``key=``, and then ``value`` when one is given."""
+    shown = f"{key}={value or ''}"
+    tok = stream.expect("name")
+    if tok.value != key:
+        _fail(tok.line, tok.col, f"expected {shown!r}")
+    stream.expect("=")
+    if value is not None:
+        tok = stream.expect("name")
+        if tok.value != value:
+            _fail(tok.line, tok.col, f"only {shown!r} is supported")
+
+
+def _parse_field(stream, names):
+    stream.expect("=")
     tok = stream.next()
     if tok.kind != "name":
         _fail(tok.line, tok.col, "expected a field constructor")
@@ -210,10 +238,7 @@ def _parse_field_rhs(stream, line):
             n = stream.expect("int").value
         modulus = None
         if stream.accept(","):
-            key = stream.expect("name")
-            if key.value != "modulus":
-                _fail(key.line, key.col, "expected 'modulus='")
-            stream.expect("=")
+            _parse_setting(stream, "modulus")
             modulus = parse_expression(stream)
         stream.expect(")")
         return {"ctor": "GF", "p": p, "n": n, "modulus": modulus}
@@ -228,27 +253,26 @@ def _parse_field_rhs(stream, line):
         if base.value != "QQ":
             _fail(base.line, base.col, "Ext base must be QQ")
         stream.expect(",")
-        key = stream.expect("name")
-        if key.value != "modulus":
-            _fail(key.line, key.col, "expected 'modulus='")
-        stream.expect("=")
+        _parse_setting(stream, "modulus")
         modulus = parse_expression(stream)
-        irreducible = False
-        if stream.accept(","):
-            key = stream.expect("name")
-            if key.value != "irreducible":
-                _fail(key.line, key.col, "expected 'irreducible=assert'")
-            stream.expect("=")
-            val = stream.expect("name")
-            if val.value != "assert":
-                _fail(val.line, val.col, "only 'irreducible=assert' is supported")
-            irreducible = True
+        irreducible = stream.accept(",") is not None
+        if irreducible:
+            _parse_setting(stream, "irreducible", "assert")
         stream.expect(")")
         return {"ctor": "Ext", "modulus": modulus, "irreducible": irreducible}
     _fail(tok.line, tok.col, f"unknown field constructor {tok.value!r}")
 
 
-def _parse_group_rhs(stream, names):
+def _parse_automorphism(stream):
+    gen = stream.expect("name")
+    if gen.value != "t":
+        _fail(gen.line, gen.col, "automorphisms are written 't -> <poly>'")
+    stream.expect("->")
+    return parse_expression(stream)
+
+
+def _parse_group(stream, names):
+    stream.expect("=")
     tok = stream.peek()
     if tok is None:
         _fail(stream.line, 1, "missing group body")
@@ -261,17 +285,7 @@ def _parse_group_rhs(stream, names):
         stream.expect(")")
         return {"ctor": "Aut", "ext": ext, "base": base}
     ext = _reference(stream, names, "field")
-    stream.expect("[")
-    images = []
-    while True:
-        gen = stream.expect("name")
-        if gen.value != "t":
-            _fail(gen.line, gen.col, "automorphisms are written 't -> <poly>'")
-        stream.expect("->")
-        images.append(parse_expression(stream))
-        if not stream.accept(","):
-            break
-    stream.expect("]")
+    images = _comma_list(stream, "[", _parse_automorphism, "]")
     return {"ctor": "explicit", "ext": ext, "images": images}
 
 
@@ -287,96 +301,93 @@ def _reference(stream, names, expected_kind):
     return tok.value
 
 
-def _parse_algebra_rhs(stream, names):
+def _parse_algebra(stream, names):
+    stream.expect("=")
     field = _reference(stream, names, "field")
-    stream.expect("[")
-    variables = []
-    while True:
-        variables.append(stream.expect("name").value)
-        if not stream.accept(","):
-            break
-    stream.expect("]")
+    variables = _comma_list(stream, "[", lambda s: s.expect("name").value, "]")
     relations = []
     if stream.accept("/"):
         stream.expect("(")
         if not stream.accept(")"):
-            while True:
-                relations.append(parse_expression(stream))
-                if not stream.accept(","):
-                    break
-            stream.expect(")")
+            relations = _comma_list(stream, None, parse_expression, ")")
     if len(set(variables)) != len(variables):
         _fail(stream.line, 1, "duplicate variable names")
     return {"field": field, "variables": tuple(variables), "relations": relations}
 
 
-def _parse_datum_rhs(stream, names):
-    stream.expect("name", "on")
-    algebra = _reference(stream, names, "algebra")
+def _labelled_blocks(stream, kind, shape, read_body):
+    """The ``: <label> => <body>`` blocks of a datum or module, at most one
+    per label."""
     blocks = []
+    labels = set()
     while stream.accept(":"):
         label = stream.expect("name")
+        _refuse_repeat(label, labels, "a block")
         stream.expect("=>")
-        stream.expect("{")
-        images = []
-        while True:
-            var = stream.expect("name")
-            stream.expect("->")
-            images.append((var.value, var.line, var.col, parse_expression(stream)))
-            if not stream.accept(","):
-                break
-        stream.expect("}")
         blocks.append({"label": label.value, "line": label.line,
-                       "col": label.col, "images": images})
+                       "col": label.col, "body": read_body(stream)})
     if not blocks:
-        _fail(stream.line, 1, "datum needs at least one ': <label> => {...}' block")
-    return {"algebra": algebra, "blocks": blocks}
+        _fail(stream.line, 1, f"{kind} needs at least one ': <label> => {shape}' block")
+    return blocks
+
+
+def _parse_images(stream):
+    """``{ x -> <poly>, ... }``, at most one image per variable."""
+    seen = set()
+
+    def image(stream):
+        var = stream.expect("name")
+        _refuse_repeat(var, seen, "an image")
+        stream.expect("->")
+        return var.value, var.line, var.col, parse_expression(stream)
+
+    return _comma_list(stream, "{", image, "}")
+
+
+def _parse_datum(stream, names):
+    stream.expect("name", "on")
+    algebra = _reference(stream, names, "algebra")
+    return {"algebra": algebra,
+            "blocks": _labelled_blocks(stream, "datum", "{...}", _parse_images)}
 
 
 def _parse_matrix(stream):
-    stream.expect("[")
-    rows = []
-    while True:
-        stream.expect("[")
-        row = []
-        while True:
-            row.append(parse_expression(stream))
-            if not stream.accept(","):
-                break
-        stream.expect("]")
-        rows.append(row)
-        if not stream.accept(","):
-            break
-    stream.expect("]")
+    rows = _comma_list(stream, "[",
+                       lambda s: _comma_list(s, "[", parse_expression, "]"), "]")
     if any(len(r) != len(rows[0]) for r in rows):
         _fail(stream.line, 1, "ragged matrix literal")
     return rows
 
 
-def _parse_module_rhs(stream, names):
+def _parse_module(stream, names):
     stream.expect("name", "on")
     group = _reference(stream, names, "group")
     stream.expect("name", "dim")
     dim = stream.expect("int").value
-    blocks = []
-    while stream.accept(":"):
-        label = stream.expect("name")
-        stream.expect("=>")
-        matrix = _parse_matrix(stream)
-        blocks.append({"label": label.value, "line": label.line,
-                       "col": label.col, "matrix": matrix})
-    if not blocks:
-        _fail(stream.line, 1, "module needs at least one ': <label> => [[...]]' block")
-    return {"group": group, "dim": dim, "blocks": blocks}
+    return {"group": group, "dim": dim,
+            "blocks": _labelled_blocks(stream, "module", "[[...]]", _parse_matrix)}
 
 
-def _parse_map_rhs(stream, names):
+def _parse_map(stream, names):
+    stream.expect("=")
     source = _reference(stream, names, "field")
     stream.expect("->")
     factors = [_reference(stream, names, "field")]
     while stream.accept("name", "x"):
         factors.append(_reference(stream, names, "field"))
     return {"source": source, "factors": factors}
+
+
+_DECLARATIONS = {
+    "field": _parse_field,
+    "group": _parse_group,
+    "algebra": _parse_algebra,
+    "datum": _parse_datum,
+    "module": _parse_module,
+    "map": _parse_map,
+}
+DECL_KINDS = tuple(_DECLARATIONS)
+_WITH_ARTICLE = {k: ("an " if k[0] == "a" else "a ") + k for k in DECL_KINDS}
 
 
 def _parse_command(stream, names, head):
@@ -426,22 +437,7 @@ def parse(text):
             if name_tok.value in names:
                 _fail(name_tok.line, name_tok.col,
                       f"duplicate name {name_tok.value!r}", "unresolved")
-            if head.value == "field":
-                stream.expect("=")
-                payload = _parse_field_rhs(stream, line_no)
-            elif head.value == "group":
-                stream.expect("=")
-                payload = _parse_group_rhs(stream, names)
-            elif head.value == "algebra":
-                stream.expect("=")
-                payload = _parse_algebra_rhs(stream, names)
-            elif head.value == "datum":
-                payload = _parse_datum_rhs(stream, names)
-            elif head.value == "module":
-                payload = _parse_module_rhs(stream, names)
-            else:
-                stream.expect("=")
-                payload = _parse_map_rhs(stream, names)
+            payload = _DECLARATIONS[head.value](stream, names)
             stream.require_end()
             declarations.append(Statement(head.value, name_tok.value,
                                           head.line, head.col, payload))

@@ -24,18 +24,17 @@ from .errors import (
 )
 from .groebner import Ideal
 from .multipoly import MultiPolynomial
-from .unipoly import is_squarefree
 
 
 class SeparableExtensionData:
     """A finite separable extension with its embeddings into a declared
-    splitting field (pairwise distinct roots of the modulus)."""
+    splitting field.  The embeddings send t to pairwise distinct roots of
+    the modulus, one per unit of its degree d: d distinct roots make the
+    modulus squarefree, so no separate squarefree test runs."""
 
     __slots__ = ("K", "omega", "embeddings")
 
     def __init__(self, K, omega, embeddings):
-        if not is_squarefree(K.modulus):
-            raise NotSeparable(f"{K.modulus.format()} is not squarefree")
         if len(embeddings) != K.degree:
             raise NotSeparable(
                 f"found {len(embeddings)} embeddings, need {K.degree}")

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -300,7 +301,18 @@ DIAGNOSTICS = [
      "error[unresolved] line 4, col 1: module misses a matrix for group element "
      "'frob2'"),
     (G9 + "module M on G dim 1 : frob => [[1]] : foo => [[1]]\nvalidate M\n", 2,
-     "error[unresolved] line 4, col 39: 'foo' is not a group element"),
+     "error[unresolved] line 4, col 39: 'foo' is not a group element "
+     "(elements: id, frob)"),
+    # one block per group element, and one image per variable in a block
+    (F9 + "algebra X = F9[x, y]/(x*y - 1)\n"
+     "datum D on X : frob => { x -> y, y -> x } : frob => { x -> x, y -> y }\n"
+     "descend D\n", 2,
+     "error[unresolved] line 4, col 45: 'frob' already has a block"),
+    (G9 + "module M on G dim 1 : frob => [[1]] : frob => [[2]]\nvalidate M\n", 2,
+     "error[unresolved] line 4, col 39: 'frob' already has a block"),
+    (F9 + "algebra X = F9[x, y]\ndatum D on X : frob => { x -> y, x -> x, y -> x }\n"
+     "validate D\n", 2,
+     "error[unresolved] line 4, col 34: 'x' already has an image"),
     (G9 + "module M on G dim 2 : frob => [[1]]\nvalidate M\n", 2,
      "error[unresolved] line 4, col 23: matrix for 'frob' is not 2x2"),
     ("field F3 = GF(3)\nfield F5 = GF(5)\nmap f = F3 -> F5\nvalidate f\n", 2,
@@ -347,6 +359,53 @@ class TestDiagnosticTable:
     @pytest.mark.parametrize("text,report", REPORTS)
     def test_report(self, text, report, tmp_path, capsys):
         assert self.run_main(text, tmp_path, capsys) == (0, report, "")
+
+
+def shuffled_blocks(text, rng):
+    """``text`` with its datum or module's identity block written out, its
+    blocks in a random order, and the images in each datum block too."""
+    lines = []
+    for line in text.splitlines():
+        kind = line.split(" ", 1)[0]
+        if kind not in ("datum", "module"):
+            lines.append(line)
+            continue
+        head, *blocks = (part.strip() for part in line.split(":"))
+        if kind == "datum":
+            parsed = [(label.strip(), [image.strip() for image in body.strip(" {}").split(",")])
+                      for label, body in (block.split("=>") for block in blocks)]
+            variables = [image.split("->")[0].strip() for image in parsed[0][1]]
+            parsed.append(("id", [f"{v} -> {v}" for v in variables]))
+            for _, images in parsed:
+                rng.shuffle(images)
+            blocks = [f"{label} => {{ {', '.join(images)} }}" for label, images in parsed]
+        else:
+            dim = int(head.split()[-1])
+            blocks.append("id => [" + ", ".join(
+                "[" + ", ".join(str(int(i == j)) for j in range(dim)) + "]"
+                for i in range(dim)) + "]")
+        rng.shuffle(blocks)
+        lines.append(" : ".join([head] + blocks))
+    return "\n".join(lines) + "\n"
+
+
+class TestBlockOrder:
+    """A datum or module is read by group-element label and a block by
+    variable: the order in which they are written does not show in the
+    report.  Seeded shuffles, with the identity block written out so that
+    every document has at least two blocks."""
+
+    @pytest.mark.parametrize("name", [
+        name for name in DOC_NAMES
+        if any(line.split(" ", 1)[0] in ("datum", "module")
+               for line in (DOCUMENTS / f"{name}.txt").read_text().splitlines())])
+    def test_permuted_blocks_same_report(self, name):
+        text = (DOCUMENTS / f"{name}.txt").read_text()
+        expected = run_document(name)
+        for seed in range(4):
+            shuffled = shuffled_blocks(text, random.Random(seed))
+            assert shuffled != text
+            assert run(parse(shuffled), oracle=name in ORACLE) == expected, shuffled
 
 
 class TestDescendChecksOnce:

@@ -72,3 +72,43 @@ def test_every_public_function_has_a_reader():
               and (module, name) not in traced}
     assert sorted(unread - AWAITING_CALLERS) == []
     assert AWAITING_CALLERS <= unread
+
+
+# The only imports made inside a function, each with the cycle of
+# module-level imports that a top-level import would close.
+DEFERRED_IMPORTS = {
+    ("extension", "coords_matrix", "linalg"): ("linalg", "extension"),
+    ("multipoly", "_format_coeff", "extension"): ("extension", "enumeration", "multipoly"),
+}
+
+
+def package_imports(tree):
+    """The modules that ``tree``, a module or a function, imports in its own
+    body and not in a function nested in it (package modules by their name
+    within the package)."""
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, child)
+            elif isinstance(child, ast.ImportFrom):
+                if function is tree:
+                    yield child.module
+            elif isinstance(child, ast.Import):
+                if function is tree:
+                    yield from (alias.name for alias in child.names)
+            else:
+                yield from walk(child, function)
+    return set(walk(tree, tree))
+
+
+def test_function_level_imports_only_break_cycles():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    deferred = {(module, node.name, imported) for module, tree in trees.items()
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for imported in package_imports(node)}
+    assert deferred == set(DEFERRED_IMPORTS)
+    for (module, _, imported), cycle in DEFERRED_IMPORTS.items():
+        assert (cycle[0], cycle[-1]) == (imported, module)
+        for importer, importee in zip(cycle, cycle[1:]):
+            assert importee in package_imports(trees[importer])
