@@ -223,7 +223,7 @@ class Workspace:
 
     def _per_element(self, statement, group, resolve, identity, what):
         """One value per element of ``group``, in its order: ``resolve`` of
-        the block labelled with the element's name, or ``identity`` for an
+        the block labelled with the element's name, or ``identity()`` for an
         unlabelled identity.  Every block is resolved, in document order,
         before any label is matched."""
         blocks = statement.payload["blocks"]
@@ -233,7 +233,7 @@ class Workspace:
             if sigma.name in resolved:
                 values.append(resolved.pop(sigma.name))
             elif idx == group.identity_index:
-                values.append(identity)
+                values.append(identity())
             else:
                 _fail_resolution(statement.line, statement.col,
                                  f"{statement.kind} misses {what} for group "
@@ -266,8 +266,9 @@ class Workspace:
                                  f"{', '.join(missing)}")
             return images
 
-        identity = dict(zip(algebra.variables, algebra.vars()))
-        images = self._per_element(statement, group, images_of, identity, "a block")
+        images = self._per_element(
+            statement, group, images_of,
+            lambda: dict(zip(algebra.variables, algebra.vars())), "a block")
         maps = [SemilinearAlgebraMap(sigma, sigma_images)
                 for sigma, sigma_images in zip(group.elements, images)]
         self.data[statement.name] = AffineDescentDatum(algebra, group, maps)
@@ -285,7 +286,7 @@ class Workspace:
             return Matrix(ext, [[eval_element(ast, ext) for ast in row] for row in rows])
 
         cocycle = self._per_element(statement, group, matrix_of,
-                                    Matrix.identity(ext, dim), "a matrix")
+                                    lambda: Matrix.identity(ext, dim), "a matrix")
         self.modules[statement.name] = SemilinearModule(group, dim, cocycle)
 
     def _build_map(self, statement):

@@ -315,6 +315,10 @@ DIAGNOSTICS = [
      "error[unresolved] line 4, col 34: 'x' already has an image"),
     (G9 + "module M on G dim 2 : frob => [[1]]\nvalidate M\n", 2,
      "error[unresolved] line 4, col 23: matrix for 'frob' is not 2x2"),
+    # a block's shape is checked before any identity matrix of that size is built
+    (G9 + "module M on G dim 200000000 : frob => [[1]]\nvalidate M\n", 2,
+     "error[unresolved] line 4, col 31: matrix for 'frob' is not "
+     "200000000x200000000"),
     ("field F3 = GF(3)\nfield F5 = GF(5)\nmap f = F3 -> F5\nvalidate f\n", 2,
      "error[unresolved] line 3, col 1: map source must be the common base field "
      "of the target"),
