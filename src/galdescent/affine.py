@@ -104,12 +104,10 @@ class AffineDescentDatum:
 
 
 class DatumReport:
-    __slots__ = ("datum", "pairs_checked", "generators_checked")
+    __slots__ = ("pairs_checked",)
 
-    def __init__(self, datum, pairs_checked, generators_checked):
-        self.datum = datum
+    def __init__(self, pairs_checked):
         self.pairs_checked = pairs_checked
-        self.generators_checked = generators_checked
 
 
 def canonical_datum(algebra0, group):
@@ -137,12 +135,10 @@ def validate_datum(datum, budget=None):
         if not relations.contains(ident(var) - var, budget):
             raise IdentityNotTrivial(f"theta_id moves {name}")
 
-    gens_checked = 0
     for idx, theta in enumerate(datum.maps):
         for g in relations.generators:
             if not relations.contains(theta(g), budget):
                 raise NotWellDefined(group.elements[idx].name, g.format())
-            gens_checked += 1
 
     pairs = 0
     for i in range(group.order):
@@ -157,7 +153,7 @@ def validate_datum(datum, budget=None):
                         f"on variable {name}")
             pairs += 1
 
-    return DatumReport(datum, pairs, gens_checked)
+    return DatumReport(pairs)
 
 
 class Model:
@@ -441,14 +437,8 @@ def embeddings_into(K, omega, group=None):
     else:
         raise FieldMismatch(
             "over Q, embeddings need Omega = K with its automorphism group")
-    out = []
-    seen = set()
-    for i, r in enumerate(sorted(roots, key=lambda a: repr(a))):
-        if r in seen:
-            continue
-        seen.add(r)
-        out.append(Embedding(K, omega, r, f"e{i}"))
-    return out
+    return [Embedding(K, omega, r, f"e{i}")
+            for i, r in enumerate(sorted(roots, key=repr))]
 
 
 def descend_from_embeddings(V, embeddings, group, family, budget=None):
@@ -538,10 +528,9 @@ class PointAction:
     elements only when read, and one permutation (as an index list) per
     group element."""
 
-    __slots__ = ("datum", "hits", "tables", "permutations", "_points")
+    __slots__ = ("hits", "tables", "permutations", "_points")
 
-    def __init__(self, datum, hits, tables, permutations):
-        self.datum = datum
+    def __init__(self, hits, tables, permutations):
         self.hits = hits
         self.tables = tables
         self.permutations = permutations
@@ -588,4 +577,4 @@ def derive_point_action(datum, budget=None):
         for j, perm_j in enumerate(permutations):
             if [perm_i[x] for x in perm_j] != permutations[group.compose(i, j)]:
                 raise InternalContradiction("point action violates the group law")
-    return PointAction(datum, hits, tables, permutations)
+    return PointAction(hits, tables, permutations)

@@ -376,9 +376,11 @@ def run_restrict(workspace, command, oracle):
     if not isinstance(upper, ExtensionField) or upper.base != lower:
         _fail_resolution(command.line, command.col,
                          "restriction target must be the base of the extension")
-    group = workspace._group_for_field(upper, command)
-    data = SeparableExtensionData.discover(upper, upper, group)
-    result = weil_restrict(algebra, data, workspace.budget)
+    if oracle:
+        # the embeddings are the oracles' input; the restriction needs none
+        group = workspace._group_for_field(upper, command)
+        data = SeparableExtensionData.discover(upper, upper, group)
+    result = weil_restrict(algebra, workspace.budget)
     lines.append(f"decl: field k_{command.name} = {field_decl_text(lower)}")
     lines.append("decl: " + algebra_decl_text(
         f"restrict_{command.name}", f"k_{command.name}", result.restricted))
@@ -389,7 +391,7 @@ def run_restrict(workspace, command, oracle):
             restricted_count = count_affine_points(
                 list(result.restricted.relations.generators), lower,
                 len(result.restricted.variables), workspace.budget)
-            report = conjugate_product_check(result, workspace.budget)
+            report = conjugate_product_check(result, data, workspace.budget)
             # Omega is the upper field: the identity conjugate is the source
             source_count = next(
                 count for tau, count in zip(data.embeddings, report.conjugate_counts)
@@ -431,12 +433,11 @@ def run_fixed(workspace, command, oracle):
 def run_amitsur(workspace, command, oracle):
     f = workspace.maps[command.name]
     rmax = command.payload["rmax"]
-    lines = [f"== amitsur {command.name} rmax={rmax}"]
-    report = check_faithfully_flat(f)
-    lines.append(f"faithfully flat: yes ({report.mode})")
-    lines.append(f"dim B = {f.target.dim}")
     complex_ = amitsur_complex(f, rmax, budget=workspace.budget)
     exactness = check_exactness(complex_)
+    lines = [f"== amitsur {command.name} rmax={rmax}",
+             f"faithfully flat: yes ({complex_.flatness.mode})",
+             f"dim B = {f.target.dim}"]
     for degree, kernel_rank, image_rank in exactness.degrees:
         lines.append(f"degree {degree}: kernel {kernel_rank} == image {image_rank}")
     lines.append("exact: pass")

@@ -306,11 +306,12 @@ class AlgebraMap:
 
 
 class FlatnessReport:
-    __slots__ = ("flat", "faithful", "free_rank", "mode")
+    """How the target was shown free over the source, and its rank; a map
+    that is not faithfully flat raises instead of returning a report."""
 
-    def __init__(self, flat, faithful, free_rank, mode):
-        self.flat = flat
-        self.faithful = faithful
+    __slots__ = ("free_rank", "mode")
+
+    def __init__(self, free_rank, mode):
         self.free_rank = free_rank
         self.mode = mode
 
@@ -323,7 +324,7 @@ def check_faithfully_flat(f, basis=None):
     if B.dim == 0:
         raise ZeroTarget("target algebra is zero")
     if f.source.dim == 1:
-        return FlatnessReport(True, True, B.dim, "field-source")
+        return FlatnessReport(B.dim, "field-source")
     if basis is None:
         raise UnsupportedBase(
             "flatness over a non-field source needs a candidate basis")
@@ -341,18 +342,20 @@ def check_faithfully_flat(f, basis=None):
     if rank != B.dim:
         raise BasisNotSpanning(
             f"candidate basis spans a proper subspace (rank {rank} < {B.dim})")
-    return FlatnessReport(True, True, s, "free-basis")
+    return FlatnessReport(s, "free-basis")
 
 
 class AmitsurComplex:
     """The first map d^0 (the algebra map itself, tensored with any
     coefficients) and the differentials d^r: B^(x)r -> B^(x)r+1 between
-    realized tensor powers, ``differentials[r - 1]`` for r = 1 .. r_max."""
+    realized tensor powers, ``differentials[r - 1]`` for r = 1 .. r_max,
+    with the flatness report of the map."""
 
-    __slots__ = ("map", "coefficient_dim", "first", "differentials")
+    __slots__ = ("map", "flatness", "coefficient_dim", "first", "differentials")
 
-    def __init__(self, f, coefficient_dim, first, differentials):
+    def __init__(self, f, flatness, coefficient_dim, first, differentials):
         self.map = f
+        self.flatness = flatness
         self.coefficient_dim = coefficient_dim
         self.first = first
         self.differentials = differentials
@@ -372,7 +375,7 @@ def amitsur_complex(f, r_max=3, coefficient_dim=1, budget=None):
     t = coefficient_dim
     if t < 0:
         raise ShapeMismatch(f"coefficient dimension {t} is negative")
-    check_faithfully_flat(f)
+    flatness = check_faithfully_flat(f)
     B = f.target
     field = B.field
     m = B.dim
@@ -393,7 +396,7 @@ def amitsur_complex(f, r_max=3, coefficient_dim=1, budget=None):
         ident = Matrix.identity(field, t)
         first = kron(ident, first)
         differentials = [kron(ident, d) for d in differentials]
-    return AmitsurComplex(f, t, first, differentials)
+    return AmitsurComplex(f, flatness, t, first, differentials)
 
 
 class ExactnessReport:
@@ -462,23 +465,14 @@ class FreeModuleData:
         self.phi = phi
 
 
-class CocycleReport:
-    __slots__ = ("data", "bilinear_pairs", "triple_dim")
-
-    def __init__(self, data, bilinear_pairs, triple_dim):
-        self.data = data
-        self.bilinear_pairs = bilinear_pairs
-        self.triple_dim = triple_dim
-
-
-def check_cocycle(data, f):
+def check_cocycle(data):
     """Verify that phi is an isomorphism of modules over the doubled algebra
-    and satisfies the triple-tensor identity phi_2 = phi_1 phi_3.
+    and satisfies the triple-tensor identity phi_2 = phi_1 phi_3; raises the
+    typed error of the first failure.
 
-    M' = B^rank has basis (a, i); phi maps M' (x) B, basis (a, i, j), to
-    B (x) M', basis (j, a, i)."""
-    if f.source.dim != 1:
-        raise UnsupportedBase("module descent is realized over a field source")
+    The descent is along the base inclusion k -> B of B's field k, over which
+    every tensor product is realized: M' = B^rank has basis (a, i); phi maps
+    M' (x) B, basis (a, i, j), to B (x) M', basis (j, a, i)."""
     B = data.algebra
     field = B.field
     m = B.dim
@@ -504,27 +498,24 @@ def check_cocycle(data, f):
     phi3 = kron(phi, I_m)  # MBB -> BMB
     phi2 = _permute_slots(phi1, rows=((m, m, rank, m), (1, 0, 2, 3)),
                           cols=((m, rank, m, m), (1, 2, 0, 3)))  # MBB -> BBM
-    dim3 = phi1.nrows
     composite = phi1 * phi3
     if composite != phi2:
         witness = next(
-            col for col in range(dim3)
+            col for col in range(phi1.nrows)
             if composite.col(col) != phi2.col(col))
         ai, j3 = divmod(witness, m)
         ai2, j2 = divmod(ai, m)
         a, i = divmod(ai2, m)
         raise CocycleFailed((a, i, j2, j3))
-    return CocycleReport(data, m * m, dim3)
 
 
 class ReconstructedModule:
     """The descended module: a base-field basis inside M' plus the verified
     multiplication isomorphism from its scalar extension."""
 
-    __slots__ = ("data", "basis", "iso")
+    __slots__ = ("basis", "iso")
 
-    def __init__(self, data, basis, iso):
-        self.data = data
+    def __init__(self, basis, iso):
         self.basis = basis
         self.iso = iso
 
@@ -533,11 +524,13 @@ class ReconstructedModule:
         return len(self.basis)
 
 
-def reconstruct_module(data, f):
-    """Compute M = {m : 1 (x) m = phi(m (x) 1)}, build the multiplication map
-    from its scalar extension back to M', and verify it is an isomorphism
-    inducing the given datum."""
-    check_cocycle(data, f)
+def reconstruct_module(data):
+    """Check the datum (``check_cocycle``), compute M = {m : 1 (x) m =
+    phi(m (x) 1)} inside M', build the multiplication map from its scalar
+    extension B (x) M back to M', and verify that it is an isomorphism
+    inducing the given datum.  As in ``check_cocycle``, the descent is along
+    k -> B for B's field k."""
+    check_cocycle(data)
     B = data.algebra
     field = B.field
     m = B.dim
@@ -567,7 +560,7 @@ def reconstruct_module(data, f):
     phi_can = _permute_slots(Matrix.identity(field, m * t * m), rows=((m, t, m), (0, 2, 1)))
     if data.phi * kron(iso, I_m) != kron(I_m, iso) * phi_can:
         raise ReconstructionFailed("reconstructed module induces a different datum")
-    return ReconstructedModule(data, basis, iso)
+    return ReconstructedModule(basis, iso)
 
 
 def canonical_datum_matrix(B, rank):

@@ -74,10 +74,9 @@ class SemilinearModule:
 
 
 class ActionReport:
-    __slots__ = ("module", "pairs_checked")
+    __slots__ = ("pairs_checked",)
 
-    def __init__(self, module, pairs_checked):
-        self.module = module
+    def __init__(self, pairs_checked):
         self.pairs_checked = pairs_checked
 
 
@@ -97,7 +96,7 @@ def validate_action(module):
             if left != module.cocycle[group.compose(i, j)]:
                 raise CocycleViolation(sigma.name, tau.name)
             pairs += 1
-    return ActionReport(module, pairs)
+    return ActionReport(pairs)
 
 
 def fixed_subspace(module):

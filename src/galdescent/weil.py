@@ -4,6 +4,12 @@ per relation (``certify_restriction``), the conjugate-product count
 identity, and the etale splitting K (x) Omega = Omega[x]/(f) = Omega^d of
 K = k[t]/(f).
 
+The restriction itself reads only K = k[t]/(f), the field of the scheme.
+The embeddings of K into a splitting field Omega
+(``SeparableExtensionData``) are the input of the two oracles alone.  Every
+extension of Q or F_p is separable, so ``NotSeparable`` means that Omega
+holds fewer than d = [K : k] roots of f, not that K is inseparable.
+
 The splitting is computed in Omega[x]/(f), not in a tensor algebra: the
 idempotent of an embedding tau is f / (x - tau(t)), from one synthetic
 division, scaled to 1 at tau(t).  Two checks certify it, that this value is
@@ -22,6 +28,7 @@ from .errors import (
     MismatchFound,
     NotSeparable,
 )
+from .extension import ExtensionField
 from .groebner import Ideal
 from .multipoly import MultiPolynomial
 
@@ -61,13 +68,12 @@ class RestrictionResult:
     included, so the pre-reduction count is d times the source generator
     count; the presented algebra drops the zero ones."""
 
-    __slots__ = ("source", "restricted", "substitution", "data", "raw_components")
+    __slots__ = ("source", "restricted", "substitution", "raw_components")
 
-    def __init__(self, source, restricted, substitution, data, raw_components):
+    def __init__(self, source, restricted, substitution, raw_components):
         self.source = source
         self.restricted = restricted
         self.substitution = substitution
-        self.data = data
         self.raw_components = raw_components
 
 
@@ -75,16 +81,16 @@ def _restriction_names(variables, d):
     return tuple(f"{v}_{j}" for v in variables for j in range(d))
 
 
-def weil_restrict(V, data, budget=None):
-    """Coordinate-expansion construction: substitute the power-basis
-    expansion of each variable, then split every relation into its base
-    components.  A factor x_i^e of a term expands to at most
-    C(d + e - 1, e) monomials and the term to at most their product; the sum
-    over all terms is checked against the budget's points before anything
-    is expanded."""
-    K = data.K
-    if V.field != K:
-        raise FieldMismatch("scheme is not over the extension being restricted")
+def weil_restrict(V, budget=None):
+    """Restrict V from its field K = k[t]/(f) to k by coordinate expansion:
+    substitute the power-basis expansion of each variable, then split every
+    relation into its base components.  A factor x_i^e of a term expands to
+    at most C(d + e - 1, e) monomials and the term to at most their product;
+    the sum over all terms is checked against the budget's points before
+    anything is expanded."""
+    K = V.field
+    if not isinstance(K, ExtensionField):
+        raise FieldMismatch("only a scheme over an extension field can be restricted")
     d = K.degree
     (budget or Budget()).check_expansion(sum(
         math.prod(math.comb(d + e - 1, e) for e in exps)
@@ -103,7 +109,7 @@ def weil_restrict(V, data, budget=None):
     for g in V.relations.generators:
         raw_components.extend(split_coefficients(g.substitute(substitution), K))
     restricted = AffineAlgebra(base, names, Ideal(base, names, raw_components))
-    return RestrictionResult(V, restricted, substitution, data, raw_components)
+    return RestrictionResult(V, restricted, substitution, raw_components)
 
 
 def certify_restriction(result):
@@ -118,7 +124,8 @@ def certify_restriction(result):
     sides are built by Horner in t, the left one by ``evaluate``, so the
     check shares no code with the substitution of ``weil_restrict``.
     Raises ``MismatchFound`` at the first relation that fails."""
-    V, K, R = result.source, result.data.K, result.restricted
+    V, R = result.source, result.restricted
+    K = V.field
     d = K.degree
     t = K.generator
     components = result.raw_components
@@ -201,11 +208,13 @@ class ConjugateProductReport:
         self.conjugate_counts = conjugate_counts
 
 
-def conjugate_product_check(result, budget=None):
+def conjugate_product_check(result, data, budget=None):
     """Count identity over the splitting field: the restriction has as many
-    points as the product of the conjugate schemes."""
+    points as the product of the conjugates of its source, one per embedding
+    of ``data``, whose extension must be the source's field."""
     V = result.source
-    data = result.data
+    if V.field != data.K:
+        raise FieldMismatch("scheme is not over the extension being restricted")
     omega = data.omega
     if not omega.is_finite:
         raise FieldMismatch("conjugate-product counting needs a finite field")

@@ -119,7 +119,7 @@ def verify_universal_points(result, test_algebra, budget=None, samples=None):
     is checked on the supplied sample points and the report says "sampled".
     """
     V = result.source
-    K = result.data.K
+    K = V.field
     d = K.degree
     R = result.restricted
 

@@ -213,14 +213,14 @@ def test_criterion_05_weil_point_identity():
         curve = AffineAlgebra(K, ("x", "y"),
                               Ideal(K, ("x", "y"), [y * y - x ** 3 - 1]))
         for V in (AffineAlgebra(K, ("x",)), gm_algebra(K), curve):
-            result = weil_restrict(V, data)
+            result = weil_restrict(V)
             restricted = count_affine_points(
                 list(result.restricted.relations.generators), GF(q),
                 len(result.restricted.variables))
             source = count_affine_points(
                 list(V.relations.generators), K, len(V.variables))
             assert restricted == source
-            product = conjugate_product_check(result, budget=Budget(points=5_000_000))
+            product = conjugate_product_check(result, data, budget=Budget(points=5_000_000))
             assert product.restricted_count == product.conjugate_counts[0] ** d
             checked += 1
     report(5, f"Weil restriction point identities on {checked} schemes")
@@ -263,7 +263,7 @@ def test_criterion_06_amitsur_exactness():
     r, c = next((r, c) for r in range(d1.nrows) for c in range(d1.ncols)
                 if rows[r][c])
     rows[r][c] = -rows[r][c]
-    corrupted = AmitsurComplex(f, 1, complex_.first,
+    corrupted = AmitsurComplex(f, complex_.flatness, 1, complex_.first,
                                [complex_.differentials[0], Matrix(QQ, rows),
                                 complex_.differentials[2]])
     with pytest.raises(NotExact):
@@ -278,7 +278,6 @@ def test_criterion_07_module_descent():
     reconstructed = 0
     for label, B in _amitsur_targets():
         field = B.field
-        f = AlgebraMap.base_inclusion(B)
         elems = ([field.from_int(n) for n in range(-2, 3)]
                  if not field.is_finite else list(field.elements()))
         for rank in (1, 2):
@@ -291,15 +290,14 @@ def test_criterion_07_module_descent():
                     data = twist_datum(B, rank, phi, u)
                 except SingularMatrix:
                     continue  # random u not invertible
-                check_cocycle(data, f)
-                module = reconstruct_module(data, f)
+                check_cocycle(data)
+                module = reconstruct_module(data)
                 assert module.dim == rank
                 built += 1
                 reconstructed += 1
     assert reconstructed >= 20
 
     qi_algebra = _amitsur_targets()[1][1]
-    f = AlgebraMap.base_inclusion(qi_algebra)
     phi = canonical_datum_matrix(qi_algebra, 1)
     rejected = 0
     corruptions = 0
@@ -311,7 +309,7 @@ def test_criterion_07_module_descent():
             rows[r][c] = rows[r][c] + QQ.one
             corruptions += 1
             with pytest.raises((NotBilinearCompatible, CocycleFailed)):
-                check_cocycle(FreeModuleData(qi_algebra, 1, Matrix(QQ, rows)), f)
+                check_cocycle(FreeModuleData(qi_algebra, 1, Matrix(QQ, rows)))
             rejected += 1
     assert rejected == corruptions == 10
     report(7, f"module descent on {reconstructed} data, 10 corruptions rejected")
@@ -369,9 +367,8 @@ def test_criterion_09_galois_flat_consistency():
         c_sigma = ext.one if sigma.is_identity() else i
         w = T.add(w, T.mul(e_vec, T.embed_right(ext.coords(c_sigma))))
     flat_data = FreeModuleData(B, 1, T.mult_matrix(w))
-    f = AlgebraMap.base_inclusion(B)
-    check_cocycle(flat_data, f)
-    module = reconstruct_module(flat_data, f)
+    check_cocycle(flat_data)
+    module = reconstruct_module(flat_data)
 
     semi = SemilinearModule(group, 1,
                             [Matrix.identity(ext, 1), Matrix(ext, [[i]])])

@@ -234,6 +234,9 @@ A9 = F9 + "algebra A = F9[x]\n"
 G9 = F9 + "group G = Aut(F9/F3)\n"
 F27 = "field F3 = GF(3)\nfield F27 = GF(3^3)\n"
 QI = "field K = Ext(QQ, modulus=t^2 + 1, irreducible=assert)\n"
+# the circle over Q(2^(1/3)), a field with no full automorphism group
+CUBE_ROOT_CIRCLE = ("field Q = QQ\nfield K = Ext(QQ, modulus=t^3 - 2, irreducible=assert)\n"
+                    "algebra C = K[x, y]/(x^2 + y^2 - 1)\nrestrict C over K to Q\n")
 
 # one document per parser or resolution diagnostic, with the exit code and
 # the stderr line the CLI prints for it
@@ -329,6 +332,14 @@ DIAGNOSTICS = [
      "the extension"),
 ]
 
+# documents whose diagnostic only --oracle reaches
+ORACLE_DIAGNOSTICS = [
+    # the oracles read the embeddings of the upper field, found by its group
+    (CUBE_ROOT_CIRCLE, 2,
+     "error[unresolved] line 4, col 1: no full automorphism group known for the "
+     "algebra's field; declare one"),
+]
+
 # documents whose declarations and command take paths no golden document
 # takes, with their reports
 REPORTS = [
@@ -344,21 +355,34 @@ REPORTS = [
     (QI + "group G = K[t -> t, t -> -t]\nalgebra A = K[x]\n"
      "datum D on A : a1 => { x -> x }\nvalidate D\n",
      "== validate D\nstatus: valid\npairs checked: 4\n"),
+    # the restriction reads only the upper field, not its automorphisms
+    (CUBE_ROOT_CIRCLE,
+     "== restrict C over K to Q\ndecl: field k_C = QQ\n"
+     "decl: algebra restrict_C = k_C[x_0, x_1, x_2, y_0, y_1, y_2]/("
+     "2*x_0*x_1 + 2*x_2^2 + 2*y_0*y_1 + 2*y_2^2, "
+     "x_0^2 + 4*x_1*x_2 + y_0^2 + 4*y_1*y_2 - 1, "
+     "x_1^2 + 2*x_0*x_2 + y_1^2 + 2*y_0*y_2)\n"
+     "substitution: x -> x_0 + (t)*x_1 + (t^2)*x_2\n"
+     "substitution: y -> y_0 + (t)*y_1 + (t^2)*y_2\n"),
 ]
 
 
 class TestDiagnosticTable:
     @staticmethod
-    def run_main(text, tmp_path, capsys):
+    def run_main(text, tmp_path, capsys, *flags):
         doc = tmp_path / "doc.txt"
         doc.write_text(text)
-        code = main([str(doc)])
+        code = main([str(doc), *flags])
         out, err = capsys.readouterr()
         return code, out, err
 
     @pytest.mark.parametrize("text,code,line", DIAGNOSTICS)
     def test_diagnostic(self, text, code, line, tmp_path, capsys):
         assert self.run_main(text, tmp_path, capsys) == (code, "", line + "\n")
+
+    @pytest.mark.parametrize("text,code,line", ORACLE_DIAGNOSTICS)
+    def test_oracle_diagnostic(self, text, code, line, tmp_path, capsys):
+        assert self.run_main(text, tmp_path, capsys, "--oracle") == (code, "", line + "\n")
 
     @pytest.mark.parametrize("text,report", REPORTS)
     def test_report(self, text, report, tmp_path, capsys):
@@ -478,6 +502,22 @@ class TestChecksOnce:
         assert shapes == [(4, 2, 1), (8, 4, 2), (16, 8, 4), (1, 2, 1),
                           (2, 4, 2), (2, 1, 2), (4, 8, 4), (4, 2, 4),
                           (8, 16, 8), (8, 4, 8)]
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    @pytest.mark.parametrize("name", ["amitsur_f9", "amitsur_q_product"])
+    def test_amitsur_checks_flatness_once(self, name, oracle, monkeypatch):
+        # the complex carries the report that the command prints
+        calls = []
+        check = flat.check_faithfully_flat
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(flat, "check_faithfully_flat", counted)
+        monkeypatch.setattr(cli, "check_faithfully_flat", counted)
+        _, _, code = run_document(name, oracle=oracle)
+        assert code == 0 and len(calls) == 1
 
     @pytest.mark.parametrize("name", ["amitsur_f9", "amitsur_q_product"])
     def test_amitsur_reduces_no_matrix_of_the_complex(self, name, monkeypatch):

@@ -29,7 +29,7 @@ from galdescent.linalg import Matrix
 from galdescent.multipoly import MultiPolynomial
 from galdescent.semilinear import SemilinearModule
 from galdescent.unipoly import UniPoly
-from galdescent.weil import SeparableExtensionData, weil_restrict
+from galdescent.weil import weil_restrict
 from algebra_reference import VectorAlgebra, algebra_points
 from helpers import coboundary_module
 
@@ -481,8 +481,7 @@ def restriction(ext, names, relation):
     hypersurface ``relation(*variables) = 0``."""
     source = AffineAlgebra(ext, names, Ideal(
         ext, names, [relation(*MultiPolynomial.ring_vars(ext, names))]))
-    data = SeparableExtensionData.discover(ext, ext, frobenius_group(ext))
-    return weil_restrict(source, data).restricted
+    return weil_restrict(source).restricted
 
 
 class TestPrunedScan:

@@ -5,7 +5,7 @@ import pytest
 from algebra_reference import VectorAlgebra, dual_numbers, verify_universal_points
 from galdescent.affine import AffineAlgebra
 from galdescent.enumeration import count_affine_points
-from galdescent.errors import Budget, BudgetExceeded, MismatchFound, NotSeparable
+from galdescent.errors import Budget, BudgetExceeded, FieldMismatch, MismatchFound, NotSeparable
 from galdescent.extension import finite_field
 from galdescent.fields import GF, QQ
 from galdescent.flat import FiniteAlgebra
@@ -40,14 +40,14 @@ def ff_data(p, n):
 class TestWeilRestrict:
     def test_line_over_f4(self):
         K, data = ff_data(2, 2)
-        result = weil_restrict(line(K), data)
+        result = weil_restrict(line(K))
         assert result.restricted.variables == ("x_0", "x_1")
         assert not result.restricted.relations.generators
         assert count_affine_points([], GF(2), 2) == 4
 
     def test_gm_over_f4_point_identity(self):
         K, data = ff_data(2, 2)
-        result = weil_restrict(gm(K), data)
+        result = weil_restrict(gm(K))
         assert len(result.restricted.relations.generators) == 2
         restricted_count = count_affine_points(
             list(result.restricted.relations.generators), GF(2), 4)
@@ -56,12 +56,11 @@ class TestWeilRestrict:
         assert restricted_count == source_count == 3
 
     def test_sqrt_i_hand_expansion(self):
-        Qi, group = cyclotomic_group(4)
-        data = SeparableExtensionData.discover(Qi, Qi, group)
+        Qi, _ = cyclotomic_group(4)
         (x,) = MultiPolynomial.ring_vars(Qi, ("x",))
         i = MultiPolynomial.constant(Qi, ("x",), Qi.generator)
         V = AffineAlgebra(Qi, ("x",), Ideal(Qi, ("x",), [x * x - i]))
-        result = weil_restrict(V, data)
+        result = weil_restrict(V)
         names = result.restricted.variables
         Y0, Y1 = MultiPolynomial.ring_vars(QQ, names)
         # (Y0 + i Y1)^2 - i = (Y0^2 - Y1^2) + (2 Y0 Y1 - 1) i
@@ -76,7 +75,7 @@ class TestWeilRestrict:
         circle = sources(data.K)[2]
         budget = Budget(points=points)
         if fits:
-            weil_restrict(circle, data, budget)
+            weil_restrict(circle, budget)
             assert budget.spent == 0
             return
 
@@ -86,7 +85,18 @@ class TestWeilRestrict:
         monkeypatch.setattr(MultiPolynomial, "transform", refuse)
         with pytest.raises(BudgetExceeded, match="^coordinate expansion of up to 21 monomials "
                                                  "exceeds budget 20$"):
-            weil_restrict(circle, data, budget)
+            weil_restrict(circle, budget)
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)])
+    def test_only_extension_fields_restrict(self, field):
+        with pytest.raises(FieldMismatch, match="^only a scheme over an extension field"):
+            weil_restrict(gm(field))
+
+    def test_conjugates_need_the_source_field(self):
+        result = weil_restrict(gm(finite_field(2, 2)))
+        _, data = ff_data(3, 2)
+        with pytest.raises(FieldMismatch, match="^scheme is not over the extension"):
+            conjugate_product_check(result, data)
 
     def test_dimension_bookkeeping(self):
         K, data = ff_data(3, 2)
@@ -94,7 +104,7 @@ class TestWeilRestrict:
         t = MultiPolynomial.constant(K, ("x", "y"), K.generator)
         V = AffineAlgebra(K, ("x", "y"), Ideal(
             K, ("x", "y"), [x * x + y - t, x * y - 1]))
-        result = weil_restrict(V, data)
+        result = weil_restrict(V)
         assert len(result.restricted.variables) == 2 * 2
         # before reduction each relation contributes exactly d components
         assert len(result.raw_components) == 2 * 2
@@ -112,9 +122,8 @@ class TestPointIdentities:
     def test_restriction_point_identity(self):
         for q, d in self.CASES:
             K = finite_field(q, d)
-            data = SeparableExtensionData.discover(K, K, frobenius_group(K))
             for V in (line(K), gm(K), self.curve(K)):
-                result = weil_restrict(V, data)
+                result = weil_restrict(V)
                 restricted_count = count_affine_points(
                     list(result.restricted.relations.generators),
                     GF(q), len(result.restricted.variables))
@@ -127,8 +136,8 @@ class TestPointIdentities:
             K = finite_field(q, d)
             data = SeparableExtensionData.discover(K, K, frobenius_group(K))
             for V in (line(K), gm(K), self.curve(K)):
-                result = weil_restrict(V, data)
-                report = conjugate_product_check(result, budget=Budget(points=5_000_000))
+                result = weil_restrict(V)
+                report = conjugate_product_check(result, data, budget=Budget(points=5_000_000))
                 counts = report.conjugate_counts
                 assert len(set(counts)) == 1  # conjugates have equal counts
                 assert report.restricted_count == counts[0] ** d
@@ -136,7 +145,6 @@ class TestPointIdentities:
     def test_product_scheme_functoriality(self):
         # restriction of a product has the product of the point counts
         K = finite_field(2, 2)
-        data = SeparableExtensionData.discover(K, K, frobenius_group(K))
         x, y, u, v = MultiPolynomial.ring_vars(K, ("x", "y", "u", "v"))
         product = AffineAlgebra(
             K, ("x", "y", "u", "v"),
@@ -145,9 +153,9 @@ class TestPointIdentities:
         u2, v2 = MultiPolynomial.ring_vars(K, ("u", "v"))
         factor2 = AffineAlgebra(K, ("u", "v"),
                                 Ideal(K, ("u", "v"), [u2 ** 2 - v2]))
-        r_prod = weil_restrict(product, data)
-        r1 = weil_restrict(factor1, data)
-        r2 = weil_restrict(factor2, data)
+        r_prod = weil_restrict(product)
+        r1 = weil_restrict(factor1)
+        r2 = weil_restrict(factor2)
 
         def count(result):
             return count_affine_points(
@@ -160,7 +168,7 @@ class TestPointIdentities:
 class TestUniversalProperty:
     def test_gm_f4_over_f2(self):
         K, data = ff_data(2, 2)
-        result = weil_restrict(gm(K), data)
+        result = weil_restrict(gm(K))
         base_algebra = VectorAlgebra.base(GF(2))
         report = verify_universal_points(result, base_algebra)
         assert report.mode == "exhaustive"
@@ -168,7 +176,7 @@ class TestUniversalProperty:
 
     def test_gm_f4_valued_in_f4(self):
         K, data = ff_data(2, 2)
-        result = weil_restrict(gm(K), data)
+        result = weil_restrict(gm(K))
         test_algebra = VectorAlgebra.from_extension(K)
         report = verify_universal_points(result, test_algebra)
         # Gm(F4 x F4) has 3 * 3 = 9 points
@@ -176,7 +184,7 @@ class TestUniversalProperty:
 
     def test_gm_f4_valued_in_product(self):
         K, data = ff_data(2, 2)
-        result = weil_restrict(gm(K), data)
+        result = weil_restrict(gm(K))
         base = FiniteAlgebra.base(GF(2))
         product = VectorAlgebra.product([base, base])
         report = verify_universal_points(result, product)
@@ -187,14 +195,13 @@ class TestUniversalProperty:
         K, data = ff_data(2, 2)
         one = MultiPolynomial.constant(K, ("x",), 1)
         V = AffineAlgebra(K, ("x",), Ideal(K, ("x",), [one]))
-        result = weil_restrict(V, data)
+        result = weil_restrict(V)
         report = verify_universal_points(result, VectorAlgebra.base(GF(2)))
         assert report.restricted_count == report.source_count == 0
 
     def test_rational_samples(self):
-        Qi, group = cyclotomic_group(4)
-        data = SeparableExtensionData.discover(Qi, Qi, group)
-        result = weil_restrict(gm(Qi), data)
+        Qi, _ = cyclotomic_group(4)
+        result = weil_restrict(gm(Qi))
         base_algebra = VectorAlgebra.base(QQ)
         # x = 1 + 0i, y = 1 + 0i is a point; x = 2, y = 1 is not
         good = ((QQ.one,), (QQ.zero,), (QQ.one,), (QQ.zero,))
@@ -234,7 +241,7 @@ def corrupted(result, rng):
     """``result`` with one coefficient of one raw component changed by a
     nonzero base scalar, the presented ideal rebuilt from the changed
     components."""
-    base = result.data.K.base
+    base = result.source.field.base
     names = result.restricted.variables
     components = list(result.raw_components)
     k = rng.randrange(len(components))
@@ -246,8 +253,7 @@ def corrupted(result, rng):
     terms[monomial] = terms.get(monomial, base.zero) + shift
     components[k] = MultiPolynomial(base, names, terms)
     restricted = AffineAlgebra(base, names, Ideal(base, names, components))
-    return RestrictionResult(result.source, restricted, result.substitution,
-                             result.data, components)
+    return RestrictionResult(result.source, restricted, result.substitution, components)
 
 
 class TestCertifyRestriction:
@@ -255,7 +261,7 @@ class TestCertifyRestriction:
     def test_certifies_every_restriction(self, name):
         data = CERTIFIED[name]()
         for V in sources(data.K):
-            assert certify_restriction(weil_restrict(V, data)) is None
+            assert certify_restriction(weil_restrict(V)) is None
 
     @pytest.mark.parametrize("name", sorted(CERTIFIED))
     def test_rejects_every_single_coefficient_corruption(self, name):
@@ -264,29 +270,29 @@ class TestCertifyRestriction:
         for V in sources(data.K):
             if not V.relations.generators:
                 continue
-            result = weil_restrict(V, data)
+            result = weil_restrict(V)
             for _ in range(6):
                 with pytest.raises(MismatchFound, match=r"is not the sum of its components$"):
                     certify_restriction(corrupted(result, rng))
 
     def test_rejects_a_presentation_without_its_components(self):
         data = cyclo_data(5)
-        result = weil_restrict(sources(data.K)[2], data)
+        result = weil_restrict(sources(data.K)[2])
         R = result.restricted
         for generators in (R.relations.generators[1:], R.relations.generators[::-1],
                            R.relations.generators + R.relations.generators[:1]):
             wrong = AffineAlgebra(R.field, R.variables, Ideal(R.field, R.variables, generators))
             with pytest.raises(MismatchFound, match="not generated by the nonzero components"):
                 certify_restriction(RestrictionResult(
-                    result.source, wrong, result.substitution, data, result.raw_components))
+                    result.source, wrong, result.substitution, result.raw_components))
         over_k = [g.map_coeffs(data.K.from_base, data.K) for g in result.raw_components]
         with pytest.raises(MismatchFound, match="not generated by the nonzero components"):
             certify_restriction(RestrictionResult(
-                result.source, R, result.substitution, data, over_k))
+                result.source, R, result.substitution, over_k))
 
     def test_shares_no_code_with_the_substitution(self, monkeypatch):
         data = cyclo_data(7)
-        result = weil_restrict(sources(data.K)[4], data)
+        result = weil_restrict(sources(data.K)[4])
 
         def refuse(*args):
             raise AssertionError("the certificate substitutes")
@@ -315,7 +321,7 @@ class TestCertifyRestriction:
         rng = random.Random(name)
         rejected = 0
         for V in schemes:
-            result = weil_restrict(V, data)
+            result = weil_restrict(V)
             for A in algebras:
                 verify_universal_points(result, A)
             for _ in range(4):
@@ -456,8 +462,7 @@ class TestNormCompat:
         # points of the restricted Gm with norm 1 number q + 1
         for q in (3, 5):
             K = finite_field(q, 2)
-            data = SeparableExtensionData.discover(K, K, frobenius_group(K))
-            result = weil_restrict(gm(K), data)
+            result = weil_restrict(gm(K))
             base = GF(q)
             names = result.restricted.variables
             gens = list(result.restricted.relations.generators)
