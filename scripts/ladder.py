@@ -3,9 +3,14 @@
 Katsura-7 over GF(32003), Katsura-4 to Katsura-6 over QQ and the cyclic-5
 system over QQ (``tests/large/validate_cyclic5_qq.txt``).  The scan rows
 run the finite-field point oracles with ``--oracle``: the circle restricted
-from GF(5^2) to GF(5) (the benchmark's ``circle_gf25_to_gf5`` text) and the
-``tests/large`` documents ``restrict_xyz_gf9``, ``descend_swap_gf961``,
-``descend_cyclic_gf125`` and ``fixed_cyclic_gf125``.  The splitting rows
+from GF(5^2) to GF(5) and the cyclic descent over GF(3^3) (the benchmark's
+``circle_gf25_to_gf5`` and ``cyclic_gf27`` texts) and the ``tests/large``
+documents ``restrict_xyz_gf9``, ``descend_swap_gf961``,
+``descend_cyclic_gf125``, ``fixed_cyclic_gf125`` and
+``descend_swap_gf529``.  The row ``fixed_shift_gf4096`` runs that
+``tests/large`` document plain, as its report was rendered: its field,
+GF(2^12), is too large to tabulate (see :mod:`galdescent.extension`), so it
+times the polynomial product kernel.  The splitting rows
 run the circle restricted from Cyclo(5), Cyclo(7), Cyclo(11) and Cyclo(13)
 to QQ with ``--oracle`` (Cyclo(7) and Cyclo(11) are the ``tests/large``
 documents), whose oracle is the etale splitting.  The group rows run the
@@ -44,7 +49,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import hostclock  # noqa: E402
 import run  # noqa: E402
-from workloads import ORACLE, PLAIN, Case, _circle_restriction, _katsura  # noqa: E402
+from workloads import (  # noqa: E402
+    ORACLE, PLAIN, Case, _circle_restriction, _cyclic_descent, _katsura)
 
 from galdescent import cli  # noqa: E402
 
@@ -65,6 +71,9 @@ def _rows():
     rows.update((name, (ORACLE, _large(name)))
                 for name in ("restrict_xyz_gf9", "descend_swap_gf961",
                              "descend_cyclic_gf125", "fixed_cyclic_gf125"))
+    rows["cyclic_gf27"] = (ORACLE, _cyclic_descent(3))
+    rows["descend_swap_gf529"] = (ORACLE, _large("descend_swap_gf529"))
+    rows["fixed_shift_gf4096"] = (PLAIN, _large("fixed_shift_gf4096"))
     rows["circle_cyclo5_to_qq"] = (ORACLE, _circle_restriction("Cyclo(5)", "QQ"))
     rows.update((name, (ORACLE, _large(name)))
                 for name in ("restrict_circle_cyclo7", "restrict_circle_cyclo11"))

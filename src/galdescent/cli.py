@@ -521,11 +521,20 @@ def _arg_parser():
 
 def main(argv=None):
     args = _arg_parser().parse_args(argv)
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            text = handle.read()
+    try:
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except UnicodeDecodeError as error:
+        # the whole file is decoded at once, so the offset is the file's
+        print(f"error[input] {args.input}: byte {error.object[error.start]:#04x} at offset "
+              f"{error.start} is not UTF-8", file=sys.stderr)
+        return 2
+    except OSError as error:
+        print(f"error[input] {args.input}: {error.strerror or error}", file=sys.stderr)
+        return 2
     try:
         document = parse(text)
     except ParseError as error:

@@ -44,8 +44,19 @@ coordinates on the power basis.  :class:`SmallFieldTables` keeps the
 log/antilog table of the first element g of order exactly q - 1, found by
 powering coordinate ints, and builds a row of the product table (from the
 logs) or the sum table (digit-wise addition mod p) when a scan first reads
-it, so a scan pays for the rows it visits, not for q^2 entries.  An
-automorphism becomes a permutation of the indices from its one image of g:
+it, so a scan pays for the rows it visits, not for q^2 entries.  It also
+keeps the same logs on values, and the Zech logs of 1 - g^k, by which a
+small extension field multiplies (see :mod:`galdescent.extension`).
+
+There is one table set per field: an extension of F_p of order at most
+``extension.TABULATED_ORDER`` (every one whose scan tables fit in the
+default budget) builds its own on its first product or scan and keeps it,
+so every product, scan, fixed-vector count and point action of one command
+over that field reads the same tables, rows included.  The tables hold no
+``FieldElement`` and only a weak reference to the field, so a field and its
+tables are freed by reference counting; a prime field, which is shared by
+the whole process, and a larger extension field get new tables per scan.
+An automorphism becomes a permutation of the indices from its one image of g:
 it is multiplicative, so g^k goes to sigma(g)^k.  That holds only for a
 verified automorphism, and every element of a ``GaloisGroup`` is one: each
 passed ``verify_automorphism`` or is a composite of elements that did.
@@ -55,9 +66,11 @@ each term; the induced action on points tabulates each image this way.
 """
 
 import operator
+import weakref
 from itertools import product
 
 from .errors import Budget, BudgetExceeded, FieldMismatch, InternalContradiction
+from .fields import FieldElement
 from .multipoly import MultiPolynomial
 
 
@@ -65,19 +78,25 @@ class SmallFieldTables:
     """Index-coded arithmetic for a finite field: elements are 0..q-1.
 
     ``mul[a]`` and ``add[a]`` are row a of the product and sum tables, each
-    built when it is first read."""
+    built when it is first read.  ``values`` lists the raw value of each
+    index; ``value_log``, ``value_antilog`` and ``zech`` are the logarithm
+    tables on values that a tabulated extension field multiplies by (see
+    :mod:`galdescent.extension`).  The tables hold no ``FieldElement`` and
+    only a weak reference to the field, which owns them."""
 
     def __init__(self, field):
-        self.field = field
-        self.elements = list(field.elements())
-        q = len(self.elements)
-        self.q = q
+        self._field = weakref.ref(field)
         p = field.characteristic
+        n = getattr(field, "degree", None)
         # table entries are these shared int objects, not fresh ones
-        self.ints = ints = list(range(q))
-        self._weights = [p ** k for k in range(getattr(field, "degree", 1))]
+        self.ints = ints = list(range(p ** (n or 1)))
+        # an index's value: the int itself over F_p, its base-p digits
+        # (least significant first) over GF(p^n)
+        self.values = ints if n is None else list(tuples(range(p), n))
+        self.q = q = len(ints)
+        self._weights = [p ** k for k in range(n or 1)]
         self.zero = zero = ints[0]
-        self.antilog = antilog = self._antilog()
+        self.antilog = antilog = _antilog(field, ints, self._weights)
         self.log = log = [0] * q
         for k, v in enumerate(antilog):
             log[v] = k
@@ -87,11 +106,27 @@ class SmallFieldTables:
         # index either without reducing; the row builders hold no reference
         # to self (see _Rows)
         self.antilog_twice = twice = antilog + antilog
+        values = self.values
+        self.value_antilog = [values[v] for v in twice]
+        self.value_log = dict(zip(self.value_antilog, range(q - 1)))
+        # zech[k] is the log of 1 - g^k, None for k = 0: adding 1 to
+        # -g^k raises its lowest base-p digit, the constant coordinate, by
+        # one mod p
+        self.zech = zech = [None] * (q - 1)
+        for k in range(1, q - 1):
+            v = twice[k + self.log_minus_one]
+            zech[k] = log[v - v % p + (v + 1) % p]
         nonzero_logs = log[1:]
         self.mul = _Rows(lambda a: [zero] + [twice[log[a] + k] for k in nonzero_logs]
                          if a else [zero] * q)
         self.add = _Rows(lambda a: _sum_row(a, ints, p))
         self._powers = [[antilog[0]] * q, ints]
+
+    @property
+    def field(self):
+        """The field, held weakly: it owns its tables, so a strong reference
+        back would be a reference cycle."""
+        return self._field()
 
     def powers(self, degree):
         """The power tables through ``degree``: entry e lists v^e for every
@@ -103,65 +138,11 @@ class SmallFieldTables:
             powers.append([self.zero] + [antilog[e * k % (self.q - 1)] for k in self.log[1:]])
         return powers
 
-    def _antilog(self):
-        """g^0 .. g^(q-2) as indices, for the first element g (in index order)
-        of order exactly q - 1: the first with g^((q-1)/r) != 1 for every
-        prime r dividing q - 1, as the order of g divides q - 1 and is
-        q - 1 exactly when it divides none of these.  Only that g is powered
-        in full.  The powers are taken on coordinate ints, reduced by
-        t^n = -(m_0 + ... + m_(n-1) t^(n-1)) for the monic modulus m of
-        degree n.  Multiplication by g is F_p-linear, so each step of the
-        full powering applies its matrix, whose column j holds t^j * g."""
-        q, p, ints, weights = self.q, self.field.characteristic, self.ints, self._weights
-        n = len(weights)
-        reduction = [-c.value for c in self.field.modulus.coeffs[:n]] if n > 1 else []
-
-        def times(a, b):
-            raw = [0] * (2 * n - 1)
-            for i, x in enumerate(a):
-                for j, y in enumerate(b):
-                    raw[i + j] += x * y
-            for k in range(2 * n - 2, n - 1, -1):
-                for i, m in enumerate(reduction):
-                    raw[k - n + i] += raw[k] * m
-            return [c % p for c in raw[:n]]
-
-        def power(a, e):
-            result = one
-            while e:
-                if e & 1:
-                    result = times(result, a)
-                a, e = times(a, a), e >> 1
-            return result
-
-        one = [1] + [0] * (n - 1)
-        cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
-        # indices below p code F_p, whose elements have order dividing p - 1
-        for start in range(1 if n == 1 else p, q):
-            g = [start // w % p for w in weights]
-            if all(power(g, e) != one for e in cofactors):
-                break
-        # t^(j+1) * g is t^j * g shifted up, its top coordinate times t^n
-        # added back
-        columns = [g]
-        for _ in range(n - 1):
-            *low, top = columns[-1]
-            columns.append([(x + top * m) % p for x, m in zip([0] + low, reduction)])
-        rows = list(zip(*columns))
-        powers = [ints[1]]
-        value, k = g, start
-        while k != 1:
-            powers.append(ints[k])
-            value = [sum(map(operator.mul, value, row)) % p for row in rows]
-            k = sum(map(operator.mul, value, weights))
-        if len(powers) != q - 1:
-            raise InternalContradiction(f"no element of order {q - 1} in {self.field!r}")
-        return powers
-
     def encode(self, element):
         """The index of a field element, read off its coordinates."""
-        if element.field is not self.field and element.field != self.field:
-            raise FieldMismatch(f"{element.field} vs {self.field}")
+        field = self.field
+        if element.field is not field and element.field != field:
+            raise FieldMismatch(f"{element.field} vs {field}")
         value = element.value
         if isinstance(value, int):
             return self.ints[value]
@@ -169,7 +150,8 @@ class SmallFieldTables:
 
     def decode(self, point):
         """The field elements of a tuple of indices."""
-        return tuple(self.elements[i] for i in point)
+        field, values = self.field, self.values
+        return tuple(FieldElement(field, values[i]) for i in point)
 
     def permutation(self, automorphism):
         """The automorphism as a list: entry i is the index of its image of
@@ -181,7 +163,8 @@ class SmallFieldTables:
         the module docstring)."""
         antilog = self.antilog
         # g is antilog[1], or antilog[0] = 1 over GF(2), where q - 1 = 1
-        image = self.encode(automorphism(self.elements[antilog[1 % len(antilog)]]))
+        g = FieldElement(self.field, self.values[antilog[1 % len(antilog)]])
+        image = self.encode(automorphism(g))
         step = self.log[image]
         perm = [self.zero] * self.q
         for k, v in enumerate(antilog):
@@ -209,6 +192,79 @@ class SmallFieldTables:
                 column = [coeff] * count
             total = column if total is None else [add[a][b] for a, b in zip(total, column)]
         return [self.zero] * count if total is None else total
+
+
+def _antilog(field, ints, weights):
+    """g^0 .. g^(q-2) as indices, for the first element g (in index order)
+    of order exactly q - 1: the first with g^((q-1)/r) != 1 for every
+    prime r dividing q - 1, as the order of g divides q - 1 and is
+    q - 1 exactly when it divides none of these.  Only that g is powered
+    in full.  The powers are taken on coordinate ints, reduced by
+    t^n = -(m_0 + ... + m_(n-1) t^(n-1)) for the monic modulus m of
+    degree n.  Multiplication by g is F_p-linear, v * g = sum_j v_j (t^j g),
+    so each step of the full powering sums the columns t^j g scaled by the
+    digits v_j of the power before.  Each column is packed into one int, a
+    slot of ``width`` bits per coordinate, and its multiples by every digit
+    are listed, so a step is one sum of n ints, whose slots are then
+    reduced mod p."""
+    q, p, n = len(ints), field.characteristic, len(weights)
+    reduction = [-c.value for c in field.modulus.coeffs[:n]] if n > 1 else []
+
+    def times(a, b):
+        raw = [0] * (2 * n - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                raw[i + j] += x * y
+        for k in range(2 * n - 2, n - 1, -1):
+            for i, m in enumerate(reduction):
+                raw[k - n + i] += raw[k] * m
+        return [c % p for c in raw[:n]]
+
+    def power(a, e):
+        # left to right from the top bit, as FieldElement.__pow__: no
+        # product by 1 and no square past the last bit
+        result = a
+        for bit in bin(e)[3:]:
+            result = times(result, result)
+            if bit == "1":
+                result = times(result, a)
+        return result
+
+    one = [1] + [0] * (n - 1)
+    cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
+    # indices below p code F_p, whose elements have order dividing p - 1
+    for start in range(1 if n == 1 else p, q):
+        g = [start // w % p for w in weights]
+        if all(power(g, e) != one for e in cofactors):
+            break
+    powers = [ints[1]]
+    if n == 1:
+        # the index is the one coordinate
+        k = start
+        while k != 1:
+            powers.append(ints[k])
+            k = k * start % p
+    else:
+        # t^(j+1) * g is t^j * g shifted up, its top coordinate times t^n
+        # added back
+        columns = [g]
+        for _ in range(n - 1):
+            *low, top = columns[-1]
+            columns.append([(x + top * m) % p for x, m in zip([0] + low, reduction)])
+        # a slot holds a sum of n products of two digits
+        width = (n * (p - 1) ** 2).bit_length()
+        mask, shifts = (1 << width) - 1, [width * i for i in range(n)]
+        packed = [sum(map(operator.lshift, column, shifts)) for column in columns]
+        multiples = [[d * c for d in range(p)] for c in packed]
+        value, k = g, start
+        while k != 1:
+            powers.append(ints[k])
+            total = sum(map(list.__getitem__, multiples, value))
+            value = [(total >> shift & mask) % p for shift in shifts]
+            k = sum(map(operator.mul, value, weights))
+    if len(powers) != q - 1:
+        raise InternalContradiction(f"no element of order {q - 1} in {field!r}")
+    return powers
 
 
 class _Rows(dict):
@@ -268,7 +324,9 @@ def solutions(generators, field, nvars, budget=None):
     element indices, in :func:`tuples` order, and the field's tables that
     they index."""
     _check_scan(field, nvars, budget)
-    tables = SmallFieldTables(field)
+    # a tabulated extension field owns its table set; any other field gets
+    # a new one
+    tables = getattr(field, "tables", None) or SmallFieldTables(field)
     polys = [g for g in generators if not g.is_zero]
     if any(not any(map(any, g.terms)) for g in polys):
         # a nonzero constant vanishes nowhere

@@ -9,12 +9,33 @@ this is the usual integral form of a number-field element (Cohen, *A Course
 in Computational Algebraic Number Theory*, 4.2).  The value is canonical, so
 equal elements compare and hash equal however they were built.  Each base
 kind has its own subclass, picked when the field is made, and arithmetic
-runs on ints with no ``FieldElement`` or ``Fraction`` per coordinate: a
-product multiplies the nonzero coordinates, replaces t^n .. t^(2n-2) by
-their reductions from a table of ints over one denominator, and ends in one
-``% p`` per coordinate, or over Q one gcd that divides out the content.  An
-inverse is the raw extended gcd of the numerators and the modulus's
-coefficients (:mod:`galdescent.unipoly`), scaled back by the denominator.
+runs on ints with no ``FieldElement`` or ``Fraction`` per coordinate.
+
+Products come from one of two kernels, chosen once, when the field is made.
+The polynomial kernel multiplies the nonzero coordinates, replaces
+t^n .. t^(2n-2) by their reductions from a table of ints over one
+denominator, and ends in one ``% p`` per coordinate, or over Q one gcd that
+divides out the content; an inverse is the raw extended gcd of the
+numerators and the modulus's coefficients (:mod:`galdescent.unipoly`),
+scaled back by the denominator, and over F_p it is memoized by value.  An
+extension of F_p of order q <= ``TABULATED_ORDER`` instead multiplies by
+discrete logarithms to the base of a primitive element g (Lidl and
+Niederreiter, *Finite Fields*, ch. 9): a product is g^(i + j) for the logs
+i and j of its factors, an inverse g^-i, and the fused a - b*c of the
+Groebner kernel a * (1 - g^(log b + log c - log a)), read off a Zech table
+of the logs of 1 - g^k (Huber, "Some comments on Zech's logarithms", IEEE
+Trans. Inf. Theory 36, 1990).  Each is a few list and dict lookups on the
+coordinate tuples, which stay the values.  The tables are those of the
+field's one :class:`~galdescent.enumeration.SmallFieldTables`, built on the
+first product and shared with the field's point scans.  The bound is the
+largest q whose q x q scan tables fit in the default point budget,
+q^2 <= ``Budget().points``, so q <= 1414: a field that a scan may
+tabulate anyway pays for its tables once.  A larger one keeps the
+polynomial kernel, with no per-product test: no scan under the default
+budget would share its tables, whose build grows with q (about 15 ms for
+GF(2^12), where ``tests/large/fixed_shift_gf4096`` takes as long with
+tables as without).
+
 ``coords`` and ``from_coords`` are the boundary to the rest of the library:
 ``coords`` boxes the coordinates as base ``FieldElement``s (over Q one
 ``Fraction`` each, for tensor algebras and printing), and ``from_coords``
@@ -26,11 +47,12 @@ field.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add, neg
 
-from .enumeration import tuples
+from .enumeration import SmallFieldTables, tuples
 from .errors import (
+    Budget,
     DivisionByZero,
     FieldMismatch,
     NotIrreducible,
@@ -39,6 +61,10 @@ from .errors import (
 )
 from .fields import GF, Field, FieldElement, PrimeField, RationalField
 from .unipoly import UniPoly, default_modulus, is_irreducible_mod_p, is_squarefree, raw_xgcd
+
+# the largest order q whose q x q tables a scan under the default budget
+# may build; a field up to it multiplies by logarithms
+TABULATED_ORDER = isqrt(Budget().points)
 
 VERIFIED = "verified"
 ASSERTED = "asserted"
@@ -62,7 +88,8 @@ class ExtensionField(Field):
     def __new__(cls, base, modulus, irreducibility):
         if cls is ExtensionField:
             if isinstance(base, PrimeField):
-                cls = _ExtensionOfFp
+                cls = (_TabulatedExtensionOfFp if base.p ** modulus.degree <= TABULATED_ORDER
+                       else _ExtensionOfFp)
             elif isinstance(base, RationalField):
                 cls = _ExtensionOfQ
             else:
@@ -316,7 +343,8 @@ class _ExtensionOfFp(ExtensionField):
 
     def __init__(self, base, modulus, irreducibility):
         self._mod = base.p.__rmod__
-        # inverses by value; a finite field has at most q of them
+        # inverse values by value, no elements: an element refers to the
+        # field, so a memo of elements would be a reference cycle
         self._inverses = {}
         super().__init__(base, modulus, irreducibility)
 
@@ -340,14 +368,62 @@ class _ExtensionOfFp(ExtensionField):
         return FieldElement(self, tuple(map(self._mod, map(neg, a.value))))
 
     def _inv(self, a):
-        inverse = self._inverses.get(a.value)
-        if inverse is None:
-            inverse = self._inverses[a.value] = super()._inv(a)
-        return inverse
+        value = self._inverses.get(a.value)
+        if value is None:
+            value = self._inverses[a.value] = super()._inv(a).value
+        return FieldElement(self, value)
 
     def _inverse_value(self, value):
         s = self._xgcd(value)
         return tuple(s) + self._zero_value[len(s):]
+
+
+class _TabulatedExtensionOfFp(_ExtensionOfFp):
+    """An extension of F_p of order at most ``TABULATED_ORDER``: products,
+    fused a - b*c and inverses by the logarithms of its one
+    ``SmallFieldTables``, shared with its point scans.  ``tables`` and the
+    four tables the products read are set on the first read of any of
+    them."""
+
+    def __getattr__(self, name):
+        # called only for an attribute not yet set
+        if name not in ("tables", "_log", "_exp", "_zech", "_log_minus_one"):
+            raise AttributeError(name)
+        self.tables = tables = SmallFieldTables(self)
+        self._log, self._exp = tables.value_log, tables.value_antilog
+        self._zech, self._log_minus_one = tables.zech, tables.log_minus_one
+        return getattr(self, name)
+
+    def _mul(self, a, b):
+        log = self._log
+        i = log.get(a.value)
+        if i is None:
+            return a
+        j = log.get(b.value)
+        if j is None:
+            return b
+        return FieldElement(self, self._exp[i + j])
+
+    def _sub_mul(self, a, b, c):
+        log = self._log
+        i, j = log.get(b), log.get(c)
+        if i is None or j is None:
+            return None if a == self._zero_value else a
+        k = log.get(a)
+        zech = self._zech
+        if k is None:
+            # 0 - b*c is g^(i + j) times -1
+            return self._exp[(i + j + self._log_minus_one) % len(zech)]
+        # a - b*c = a * (1 - g^(i + j - k))
+        z = zech[(i + j - k) % len(zech)]
+        return None if z is None else self._exp[k + z]
+
+    def _inv(self, a):
+        k = self._log.get(a.value)
+        if k is None:
+            raise DivisionByZero("inverse of zero")
+        # g^-k is g^(2(q - 1) - k) in the doubled antilog list
+        return FieldElement(self, self._exp[-k])
 
 
 class _ExtensionOfQ(ExtensionField):

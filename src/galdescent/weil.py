@@ -211,7 +211,8 @@ class ConjugateProductReport:
 def conjugate_product_check(result, data, budget=None):
     """Count identity over the splitting field: the restriction has as many
     points as the product of the conjugates of its source, one per embedding
-    of ``data``, whose extension must be the source's field."""
+    of ``data``, whose extension must be the source's field.  Identical
+    conjugate systems are counted once."""
     V = result.source
     if V.field != data.K:
         raise FieldMismatch("scheme is not over the extension being restricted")
@@ -222,11 +223,13 @@ def conjugate_product_check(result, data, budget=None):
     restricted_count = count_affine_points(
         R.extend_to(omega).relations.generators,
         omega, len(R.variables), budget)
+    counts = {}
     conjugate_counts = []
     for tau in data.embeddings:
-        gens = [g.map_coeffs(tau, omega) for g in V.relations.generators]
-        conjugate_counts.append(
-            count_affine_points(gens, omega, len(V.variables), budget))
+        gens = tuple(g.map_coeffs(tau, omega) for g in V.relations.generators)
+        if gens not in counts:
+            counts[gens] = count_affine_points(gens, omega, len(V.variables), budget)
+        conjugate_counts.append(counts[gens])
     product = 1
     for c in conjugate_counts:
         product *= c

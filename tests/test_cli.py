@@ -388,6 +388,22 @@ class TestDiagnosticTable:
     def test_report(self, text, report, tmp_path, capsys):
         assert self.run_main(text, tmp_path, capsys) == (0, report, "")
 
+    @pytest.mark.parametrize("kind,line", [
+        ("not UTF-8", "error[input] {path}: byte 0xff at offset 13 is not UTF-8"),
+        ("missing", "error[input] {path}: No such file or directory"),
+        ("directory", "error[input] {path}: Is a directory"),
+    ])
+    def test_unreadable_input(self, kind, line, tmp_path, capsys):
+        # an input that cannot be read as text is an input error, exit 2,
+        # not a traceback
+        path = tmp_path / "doc.txt"
+        if kind == "not UTF-8":
+            path.write_bytes(b"field F = QQ\n\xff\nvalidate F\n")
+        elif kind == "directory":
+            path.mkdir()
+        code = main([str(path)])
+        assert (code, *capsys.readouterr()) == (2, "", line.format(path=path) + "\n")
+
 
 def shuffled_blocks(text, rng):
     """``text`` with its datum or module's identity block written out, its
@@ -612,7 +628,9 @@ class TestBudget:
 
     def test_restrict_oracle_scans_the_source_once(self, monkeypatch):
         # the restriction, then over Omega = GF(4) the restriction and the
-        # two conjugates, the identity one being the source itself
+        # two conjugates, the identity one being the source itself; x*y - 1
+        # has base-field coefficients, so both conjugates are one system,
+        # scanned once
         calls = []
 
         def counted(*args):
@@ -624,7 +642,7 @@ class TestBudget:
         report, diagnostics, code = run_document("restrict_gm_f4", oracle=True)
         assert (code, diagnostics) == (0, [])
         assert report == (GOLDEN / "restrict_gm_f4.golden").read_text()
-        assert len(calls) == 4
+        assert len(calls) == 3
 
     def test_tensor_power_refused_before_building(self, monkeypatch):
         def refuse(*factors):

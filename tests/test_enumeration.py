@@ -60,7 +60,7 @@ class TestTables:
         field = FIELDS[name]()
         tables = SmallFieldTables(field)
         elements = list(field.elements())
-        assert tables.elements == elements
+        assert list(tables.decode(tables.ints)) == elements
         assert tables.q == len(elements) == field.order
         for i, a in enumerate(elements):
             assert tables.encode(a) == i
@@ -98,7 +98,7 @@ class TestTables:
                 k, x = k + 1, x * a
             return k
 
-        g = next(a for a in tables.elements[1:] if order(a) == q - 1)
+        g = next(a for a in list(field.elements())[1:] if order(a) == q - 1)
         powers, x = [], one
         for _ in range(q - 1):
             powers.append(tables.encode(x))
@@ -112,7 +112,7 @@ class TestTables:
         tables = SmallFieldTables(field)
         for sigma in frobenius_group(field).elements:
             assert tables.permutation(sigma) == [tables.encode(sigma(e))
-                                                 for e in tables.elements]
+                                                 for e in field.elements()]
 
     @pytest.mark.parametrize("make", [
         lambda x, y, t: x - x,
@@ -601,16 +601,24 @@ class TestPrunedScan:
         gens = system(x, y, z, c)
         assert solutions(gens, field, 3)[0] == odometer(gens, field, 3)
 
-    def test_scan_leaves_no_reference_cycle(self):
-        field = finite_field(3, 2)
-        x, y, z = MultiPolynomial.ring_vars(field, ("x", "y", "z"))
+    @pytest.mark.parametrize("p, n", [(3, 2), (2, 11)])
+    def test_scan_leaves_no_reference_cycle(self, p, n):
+        # a field that has made products, taken an inverse and run a scan
+        # is freed, with its tables, by reference counting alone: GF(9)
+        # owns its tables, GF(2^11) memoizes inverses and scans with new ones
         enabled = gc.isenabled()
         gc.disable()
         try:
-            hits, tables = solutions([x * y * z - 1, x - y], field, 3)
-            alive = weakref.ref(tables)
-            del hits, tables
-            assert alive() is None
+            field = finite_field(p, n)
+            x, y, z = MultiPolynomial.ring_vars(field, ("x", "y", "z"))
+            t = field.generator
+            made = [t * (t + 1), (t + 1).inverse()]
+            hits, tables = solutions([x * y - t, x - y], field, 2,
+                                     budget=Budget(points=field.order ** 2))
+            assert made[1] * (t + 1) == field.one and hits
+            alive = [weakref.ref(field), weakref.ref(tables)]
+            del field, x, y, z, t, made, hits, tables
+            assert [ref() for ref in alive] == [None, None]
         finally:
             if enabled:
                 gc.enable()

@@ -12,7 +12,7 @@ from math import gcd, lcm
 
 import pytest
 
-from galdescent.errors import DivisionByZero, FieldMismatch
+from galdescent.errors import Budget, DivisionByZero, FieldMismatch
 from galdescent.extension import (
     UNASSERTED,
     VERIFIED,
@@ -139,8 +139,10 @@ class TestValues:
         with pytest.raises(FieldMismatch):
             F.generator + field("GF(5^3)").generator
 
-    @pytest.mark.parametrize("p, n", [(3, 2), (5, 3)])
+    @pytest.mark.parametrize("p, n", [(2, 11), (3, 7)])
     def test_inverse_memo_key_repeats(self, p, n):
+        # fields too large to tabulate memoize inverse values, not elements,
+        # which would refer back to the field
         F = finite_field(p, n)
         assert F._inverses == {}
         t = F.generator
@@ -149,10 +151,11 @@ class TestValues:
                  (t * t + t) * t.inverse() + 2 - 2]
         first = (t + 1).inverse()
         keys = len(F._inverses)
-        assert (t + 1).value in F._inverses
+        assert F._inverses[(t + 1).value] == first.value
         for again in built:
-            assert again.inverse() is first
+            assert again.inverse() == first
         assert len(F._inverses) == keys
+        assert all(type(v) is tuple for v in F._inverses.values())
 
     @pytest.mark.parametrize("name", ["Q(i)", "Cyclo(5)"])
     def test_no_inverse_memo_over_q(self, name):
@@ -325,6 +328,66 @@ def test_arithmetic_over_q_builds_no_fraction(monkeypatch):
     assert results[6] == F.one and results[8] == a
     monkeypatch.undo()
     assert results[3] == from_unipoly(F, residue(F, a) * residue(F, b))
+
+
+class TestLogKernel:
+    """A field of order at most ``TABULATED_ORDER`` multiplies, computes
+    a - b*c and inverts by the logarithms of its table set; the polynomial
+    kernel of ``ExtensionField``, which every larger field runs, is the
+    reference, called on the same field."""
+
+    @staticmethod
+    def check(F, a, b, c):
+        assert F._mul(b, c) == ExtensionField._mul(F, b, c)
+        assert F._sub_mul(a.value, b.value, c.value) == ExtensionField._sub_mul(
+            F, a.value, b.value, c.value)
+        if b:
+            assert F._inv(b) == ExtensionField._inv(F, b)
+
+    @pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
+    def test_every_pair_matches_the_polynomial_kernel(self, p, n):
+        # a runs through zero, b*c (so that a - b*c cancels) and a third
+        # element that changes with the pair
+        F = finite_field(p, n)
+        assert isinstance(F, extension._TabulatedExtensionOfFp)
+        elements = list(F.elements())
+        for i, b in enumerate(elements):
+            for j, c in enumerate(elements):
+                for a in (F.zero, ExtensionField._mul(F, b, c),
+                          elements[(3 * i + j) % len(elements)]):
+                    self.check(F, a, b, c)
+
+    def test_samples_of_gf961_match_the_polynomial_kernel(self):
+        F = finite_field(31, 2)
+        assert isinstance(F, extension._TabulatedExtensionOfFp)
+        elements = list(F.elements())
+        rng = random.Random(961)
+        for _ in range(3000):
+            a, b, c = (rng.choice(elements) for _ in range(3))
+            self.check(F, a, b, c)
+            self.check(F, ExtensionField._mul(F, b, c), b, c)
+
+    def test_the_bound_is_the_default_scan_table_size(self):
+        # q x q table entries fit in the default point budget
+        assert extension.TABULATED_ORDER == 1414
+        assert 1414 ** 2 <= Budget().points < 1415 ** 2
+        assert isinstance(finite_field(37, 2), extension._TabulatedExtensionOfFp)
+        for p, n in ((2, 11), (3, 7), (2, 12)):
+            assert type(finite_field(p, n)) is extension._ExtensionOfFp
+
+    def test_a_larger_field_takes_the_polynomial_path(self, monkeypatch):
+        def refuse(self, field):
+            raise AssertionError("tables built for a field above the bound")
+
+        monkeypatch.setattr(extension.SmallFieldTables, "__init__", refuse)
+        F = finite_field(2, 11)
+        t = F.generator
+        a, b = t ** 100 + 1, t ** 1000 + t
+        product = a * b
+        assert product == from_unipoly(F, residue(F, a) * residue(F, b))
+        assert a.inverse() * a == F.one
+        assert F._sub_mul(product.value, a.value, b.value) is None
+        assert not hasattr(F, "tables")
 
 
 class TestDivisionByZeroMessages:

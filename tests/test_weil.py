@@ -142,6 +142,31 @@ class TestPointIdentities:
                 assert len(set(counts)) == 1  # conjugates have equal counts
                 assert report.restricted_count == counts[0] ** d
 
+    def test_identical_conjugates_counted_once(self, monkeypatch):
+        # the circle has base-field coefficients, so both embeddings of
+        # GF(25) give one system: it is scanned once and its count reused;
+        # gm over GF(25) twisted by t has two distinct conjugates
+        import galdescent.weil as weil
+
+        scanned = []
+
+        def recorded(generators, field, nvars, budget=None):
+            scanned.append(tuple(generators))
+            return count_affine_points(generators, field, nvars, budget)
+
+        monkeypatch.setattr(weil, "count_affine_points", recorded)
+        K, data = ff_data(5, 2)
+        x, y = MultiPolynomial.ring_vars(K, ("x", "y"))
+        t = MultiPolynomial.constant(K, ("x", "y"), K.generator)
+        for relation, systems in ((x * x + y * y - 1, 1), (x * y - t, 2)):
+            V = AffineAlgebra(K, ("x", "y"), Ideal(K, ("x", "y"), [relation]))
+            scanned.clear()
+            report = conjugate_product_check(weil_restrict(V), data)
+            conjugates = scanned[1:]
+            assert len(conjugates) == len(set(conjugates)) == systems
+            assert len(report.conjugate_counts) == 2
+            assert report.restricted_count == report.conjugate_counts[0] ** 2
+
     def test_product_scheme_functoriality(self):
         # restriction of a product has the product of the point counts
         K = finite_field(2, 2)
