@@ -13,7 +13,10 @@ GF(2^12), is too large to tabulate (see :mod:`galdescent.extension`), so it
 times the polynomial product kernel.  The splitting rows
 run the circle restricted from Cyclo(5), Cyclo(7), Cyclo(11) and Cyclo(13)
 to QQ with ``--oracle`` (Cyclo(7) and Cyclo(11) are the ``tests/large``
-documents), whose oracle is the etale splitting.  The group rows run the
+documents), whose oracle is the etale splitting.  The row
+``restrict_x2_t_cyclo101_qq`` runs that ``tests/large`` document plain, as
+its report was rendered: the Weil expansion of ``x^2 - t`` from Cyclo(101)
+to QQ, 5050 terms split into 100 components.  The group rows run the
 ``tests/large`` documents ``validate_cyclo101_qq``,
 ``validate_cyclo1000_qq``, ``validate_group_gf3_42`` and
 ``validate_group_gf3_97`` plain, as their reports were rendered: the
@@ -78,6 +81,7 @@ def _rows():
     rows.update((name, (ORACLE, _large(name)))
                 for name in ("restrict_circle_cyclo7", "restrict_circle_cyclo11"))
     rows["circle_cyclo13_to_qq"] = (ORACLE, _circle_restriction("Cyclo(13)", "QQ"))
+    rows["restrict_x2_t_cyclo101_qq"] = (PLAIN, _large("restrict_x2_t_cyclo101_qq"))
     rows.update((name, (PLAIN, _large(name)))
                 for name in ("validate_cyclo101_qq", "validate_cyclo1000_qq",
                              "validate_group_gf3_42", "validate_group_gf3_97"))

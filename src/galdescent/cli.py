@@ -208,18 +208,14 @@ class Workspace:
         self.algebras[statement.name] = AffineAlgebra(
             field, variables, Ideal(field, variables, gens))
 
-    def _group_for_field(self, field, statement):
+    def _group_for_field(self, field):
+        """The newest declared full automorphism group of ``field``, else
+        its built-in one, else None."""
         for name in reversed(list(self.groups)):
             group = self.groups[name]
             if group.ext == field and group.is_full:
                 return group
-        field_name = self.field_names.get(id(field))
-        group = self.field_groups.get(field_name)
-        if group is None:
-            _fail_resolution(statement.line, statement.col,
-                             "no full automorphism group known for the "
-                             "algebra's field; declare one")
-        return group
+        return self.field_groups.get(self.field_names.get(id(field)))
 
     def _per_element(self, statement, group, resolve, identity, what):
         """One value per element of ``group``, in its order: ``resolve`` of
@@ -250,7 +246,11 @@ class Workspace:
         if not isinstance(algebra.field, ExtensionField):
             _fail_resolution(statement.line, statement.col,
                              "descent data need an algebra over an extension field")
-        group = self._group_for_field(algebra.field, statement)
+        group = self._group_for_field(algebra.field)
+        if group is None:
+            _fail_resolution(statement.line, statement.col,
+                             "no full automorphism group known for the "
+                             "algebra's field; declare one")
 
         def images_of(block):
             images = {}
@@ -316,16 +316,12 @@ def field_decl_text(field):
     raise AssertionError("unknown field kind")
 
 
-def sorted_generators(ideal):
-    return sorted(ideal.generators,
-                  key=lambda g: (g.total_degree(), g.format()))
-
-
 def algebra_decl_text(name, field_name, algebra):
-    gens = sorted_generators(algebra.relations)
+    # the relations by degree, then text; each is formatted once
+    keyed = sorted((g.total_degree(), g.format()) for g in algebra.relations.generators)
     body = f"{field_name}[{', '.join(algebra.variables)}]"
-    if gens:
-        body += "/(" + ", ".join(g.format() for g in gens) + ")"
+    if keyed:
+        body += "/(" + ", ".join(text for _, text in keyed) + ")"
     return f"algebra {name} = {body}"
 
 
@@ -378,7 +374,13 @@ def run_restrict(workspace, command, oracle):
                          "restriction target must be the base of the extension")
     if oracle:
         # the embeddings are the oracles' input; the restriction needs none
-        group = workspace._group_for_field(upper, command)
+        group = workspace._group_for_field(upper)
+        if group is None:
+            # no full group is declared or built in; a field with fewer
+            # automorphisms than its degree has none to declare
+            _fail_resolution(command.line, command.col,
+                             "the oracle needs a Galois upper field with its "
+                             "full automorphism group declared")
         data = SeparableExtensionData.discover(upper, upper, group)
     result = weil_restrict(algebra, workspace.budget)
     lines.append(f"decl: field k_{command.name} = {field_decl_text(lower)}")

@@ -15,9 +15,11 @@ Products come from one of two kernels, chosen once, when the field is made.
 The polynomial kernel multiplies the nonzero coordinates, replaces
 t^n .. t^(2n-2) by their reductions from a table of ints over one
 denominator, and ends in one ``% p`` per coordinate, or over Q one gcd that
-divides out the content; an inverse is the raw extended gcd of the
-numerators and the modulus's coefficients (:mod:`galdescent.unipoly`),
-scaled back by the denominator, and over F_p it is memoized by value.  An
+divides out the content.  An inverse is the raw extended gcd of the
+numerators and the modulus's coefficients (:mod:`galdescent.unipoly`).
+Over F_p it is memoized by value.  Over Q it runs on ints, the modulus
+cleared of denominators once per field, and ends at s * numerators = c
+for a nonzero int c, so the inverse is den * s / c in lowest terms.  An
 extension of F_p of order q <= ``TABULATED_ORDER`` instead multiplies by
 discrete logarithms to the base of a primitive element g (Lidl and
 Niederreiter, *Finite Fields*, ch. 9): a product is g^(i + j) for the logs
@@ -60,7 +62,14 @@ from .errors import (
     NotSquarefree,
 )
 from .fields import GF, Field, FieldElement, PrimeField, RationalField
-from .unipoly import UniPoly, default_modulus, is_irreducible_mod_p, is_squarefree, raw_xgcd
+from .unipoly import (
+    UniPoly,
+    cleared,
+    default_modulus,
+    is_irreducible_mod_p,
+    is_squarefree,
+    raw_xgcd,
+)
 
 # the largest order q whose q x q tables a scan under the default budget
 # may build; a field up to it multiplies by logarithms
@@ -104,8 +113,9 @@ class ExtensionField(Field):
         # fields are immutable, so the hash of the modulus is taken once
         self._hash = hash(("ext", base, modulus.coeffs))
         self._zero_value = self._from_ints([0] * n, 1)
-        # the modulus's raw coefficients, for inverses
-        self._modulus_values = [c.value for c in modulus.coeffs]
+        # the modulus's raw coefficients, for inverses; over Q cleared of
+        # denominators, for the extended gcd on ints
+        self._modulus_values = cleared([c.value for c in modulus.coeffs])
         self._t_n = self._from_base_values([(-c).value for c in modulus.coeffs[:n]])
         # t^n .. t^(2n-2) as (index, int) pairs over one denominator
         t_n, den = self._terms(self._t_n)
@@ -268,14 +278,15 @@ class ExtensionField(Field):
         return FieldElement(self, self._inverse_value(a.value))
 
     def _xgcd(self, value):
-        """s with s * ints = 1 modulo the modulus, for the ints of the
-        value, by the raw extended gcd."""
+        """(s, c) with s * ints = c modulo the modulus, for the ints of the
+        value and a nonzero constant c (1 over F_p, a positive int over Q),
+        by the raw extended gcd."""
         g, s = raw_xgcd(list(self._dense(value)[0]), self._modulus_values, self.characteristic)
         if len(g) != 1:
             raise DivisionByZero(
                 f"{self.format_element(FieldElement(self, value))} is a zero divisor "
                 f"modulo {self.modulus.format()}")
-        return s
+        return s, g[0]
 
     def elements(self):
         if not self.is_finite:
@@ -374,7 +385,7 @@ class _ExtensionOfFp(ExtensionField):
         return FieldElement(self, value)
 
     def _inverse_value(self, value):
-        s = self._xgcd(value)
+        s = self._xgcd(value)[0]
         return tuple(s) + self._zero_value[len(s):]
 
 
@@ -462,11 +473,10 @@ class _ExtensionOfQ(ExtensionField):
         return FieldElement(self, (tuple(map(neg, numerators)), den))
 
     def _inverse_value(self, value):
-        # s * numerators = 1, so den * s inverts numerators / den
-        s, den = self._xgcd(value), value[1]
-        d = lcm(*(c.denominator for c in s))
-        ints = [c.numerator * (d // c.denominator) * den for c in s]
-        return self._from_ints(ints + [0] * (self.degree - len(s)), d)
+        # s * numerators = c, so den * s / c inverts numerators / den
+        s, c = self._xgcd(value)
+        den = value[1]
+        return self._from_ints([x * den for x in s] + [0] * (self.degree - len(s)), c)
 
 
 def make_extension(base, modulus, irreducible=None):

@@ -4,10 +4,10 @@ Terms are a dict from exponent tuples to nonzero coefficients; the variable
 list is an explicit ordered tuple of names shared by every polynomial of a
 given ring context.  Coefficients may come from any of the library's fields.
 ``transform`` maps coefficients and substitutes variables (``substitute``,
-the semilinear maps of descent data, Weil restriction): it computes each
-power of an image once per call and adds every term into one dict, so its
-cost is the products it makes.  The Groebner kernel works on its own packed
-form (:mod:`galdescent.groebner`).
+the semilinear maps of descent data): it computes each power of an image
+once per call and adds every term into one dict, so its cost is the
+products it makes.  The Groebner kernel works on its own packed form
+(:mod:`galdescent.groebner`).
 """
 
 from operator import add

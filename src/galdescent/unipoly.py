@@ -2,13 +2,21 @@
 ``UniPoly``, its boxed face.
 
 The arithmetic runs on raw coefficient lists, lowest degree first: ints in
-[0, p) over F_p, ``Fraction``s over Q (or ints, where every divisor is
-monic with int coefficients).  Each ``raw_*`` function and the private
-helpers ``_sub``, ``_mul`` and ``_scale`` take p, or 0 over Q, and make no
-``FieldElement``: division with remainder, the monic gcd, the extended gcd
-that inverts modulo a polynomial, and modular powering, whose products over
-F_p are one big-int multiplication by Kronecker substitution (von zur
-Gathen and Gerhard, *Modern Computer Algebra*, 8.4).
+[0, p) over F_p, ``Fraction``s or ints over Q.  Each ``raw_*`` function and
+the private helpers ``_sub``, ``_mul`` and ``_scale`` take p, or 0 over Q,
+and make no ``FieldElement``: division with remainder, the gcd, the
+extended gcd that inverts modulo a polynomial, and modular powering, whose
+products over F_p are one big-int multiplication by Kronecker substitution
+(von zur Gathen and Gerhard, *Modern Computer Algebra*, 8.4).
+
+Over Q the two gcds take int lists, coefficients cleared of denominators
+by ``cleared``, and run a primitive pseudo-remainder sequence that makes no
+``Fraction``: the gcd comes out primitive, and the extended gcd of a
+coprime pair ends at a nonzero constant c with s*a = c, so that a / den
+has the inverse den * s / c.  Division with remainder over Q takes
+``Fraction``s, as ``UniPoly.divmod`` and the Groebner kernel hold them:
+``_inverse`` gives 1/c as a ``Fraction``, or the int 1, so that division
+by a monic int polynomial, as in ``cyclotomic``, stays on ints.
 
 ``UniPoly`` is the boxed face of that kernel: coefficients are base-field
 ``FieldElement``s, stored lowest degree first with no trailing zeros; the
@@ -22,6 +30,7 @@ polynomials) take and return ``UniPoly``s and run on raw lists inside.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .enumeration import prime_factors, tuples
 from .errors import Budget, DivisionByZero, FieldMismatch, InvalidFieldParameter, NotIrreducible
@@ -231,15 +240,25 @@ def raw_divmod(a, b, p):
 
 
 def raw_gcd(a, b, p):
-    """The monic gcd of a and b (empty when both are zero)."""
+    """The gcd of a and b (empty when both are zero): monic over F_p, and
+    over Q (p = 0, int lists) primitive with a positive leading
+    coefficient, by the primitive pseudo-remainder sequence."""
+    if not p:
+        return _int_prs(a, b, False)[0]
     while b:
         a, b = b, raw_divmod(a, b, p)[1]
     return _scale(a, _inverse(a[-1], p), p) if a else a
 
 
 def raw_xgcd(a, b, p):
-    """(g, s): the monic gcd g of a and b, and s with s*a = g modulo b.  An
-    a shorter than b may keep trailing zeros: the first division drops them."""
+    """(g, s): a gcd g of a and b, and s with s*a = g modulo b.  Over F_p g
+    is monic.  Over Q (p = 0, int lists) g and s are int lists, g a gcd
+    up to an int factor, with a positive leading coefficient; when a and b
+    are coprime g is [c] for a positive int c, so a^-1 = s / c modulo b.
+    An a shorter than b may keep trailing zeros: the first division drops
+    them."""
+    if not p:
+        return _int_prs(a, b, True)
     s0, s1 = [1], []
     while b:
         q, r = raw_divmod(a, b, p)
@@ -249,6 +268,64 @@ def raw_xgcd(a, b, p):
         return a, s0
     inv = _inverse(a[-1], p)
     return _scale(a, inv, p), _scale(s0, inv, p)
+
+
+def _int_prs(a, b, cofactor):
+    """(g, s) for int lists a and b: the last nonzero remainder g of the
+    primitive pseudo-remainder sequence of a and b (Collins, "Subresultants
+    and reduced polynomial remainder sequences", JACM 14, 1967), with a
+    positive leading coefficient.  Without ``cofactor`` each remainder, a
+    and b among them, is divided by its content, so g is primitive, and s
+    is None.  With it, s*a = g modulo b: each remainder r = m*r0 - q*r1
+    comes with its cofactor m*s0 - q*s1, and the two are divided by their
+    common content, so they stay no larger than the subresultant and its
+    cofactor.  No Fraction is made."""
+    a, b = _canon(list(a), 0), _canon(list(b), 0)
+    if cofactor:
+        s0, s1 = [1], []
+    else:
+        s0, a, b = None, _divide(a, gcd(*a)), _divide(b, gcd(*b))
+    while b:
+        q, r, m = _pseudo_divmod(a, b)
+        if cofactor:
+            s = _sub(_scale(s0, m, 0), _mul(q, s1, 0), 0)
+            g = gcd(*r, *s)
+            s0, s1 = s1, _divide(s, g)
+        else:
+            g = gcd(*r)
+        a, b = b, _divide(r, g)
+    if a and a[-1] < 0:
+        a = [-x for x in a]
+        if cofactor:
+            s0 = [-x for x in s0]
+    return a, s0
+
+
+def _divide(f, g):
+    """f / g for an int g > 0 that divides every coefficient of f; f itself
+    for g = 1, or g = 0 (the content of the zero polynomial)."""
+    return [x // g for x in f] if g > 1 else f
+
+
+def _pseudo_divmod(a, b):
+    """(q, r, m) with m*a = q*b + r for int lists a and a nonzero b, and
+    m = lc(b)^max(0, deg a - deg b + 1): the division of m*a by b over Q,
+    whose quotient has int coefficients, so each top coefficient divides
+    exactly.  The loop runs on the nonzero coefficients of b, and a monic b
+    scales nothing."""
+    n = len(b) - 1
+    lc = b[-1]
+    m = lc ** max(0, len(a) - n)
+    rem = list(a) if m == 1 else [x * m for x in a]
+    pairs = [(i, c) for i, c in enumerate(b[:n]) if c]
+    quo = [0] * max(0, len(rem) - n)
+    for k in range(len(quo) - 1, -1, -1):
+        top = rem.pop()
+        if top:
+            c = quo[k] = top // lc
+            for i, y in pairs:
+                rem[k + i] -= c * y
+    return quo, _canon(rem, 0), m
 
 
 def raw_powmod(base, exponent, modulus, p):
@@ -269,9 +346,16 @@ def _raw(f):
     return [c.value for c in f.coeffs]
 
 
+def cleared(coeffs):
+    """The int coefficients of D*f for rational (or int) coefficients of f,
+    D the lcm of their denominators."""
+    d = lcm(*(x.denominator for x in coeffs))
+    return [x.numerator * (d // x.denominator) for x in coeffs]
+
+
 def is_squarefree(f):
     p = f.field.characteristic
-    f = _raw(f)
+    f = _raw(f) if p else cleared(_raw(f))
     d = _canon([i * c for i, c in enumerate(f) if i], p)
     if not d:
         return len(f) == 1

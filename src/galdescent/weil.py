@@ -18,8 +18,10 @@ that they imply the rest.
 """
 
 import math
+from fractions import Fraction
+from itertools import combinations_with_replacement
 
-from .affine import AffineAlgebra, embeddings_into, split_coefficients
+from .affine import AffineAlgebra, embeddings_into
 from .enumeration import count_affine_points
 from .errors import (
     Budget,
@@ -29,6 +31,7 @@ from .errors import (
     NotSeparable,
 )
 from .extension import ExtensionField
+from .fields import FieldElement
 from .groebner import Ideal
 from .multipoly import MultiPolynomial
 
@@ -83,11 +86,24 @@ def _restriction_names(variables, d):
 
 def weil_restrict(V, budget=None):
     """Restrict V from its field K = k[t]/(f) to k by coordinate expansion:
-    substitute the power-basis expansion of each variable, then split every
-    relation into its base components.  A factor x_i^e of a term expands to
-    at most C(d + e - 1, e) monomials and the term to at most their product;
-    the sum over all terms is checked against the budget's points before
-    anything is expanded."""
+    each relation g at X_i = sum_j t^j Y_ij, split along the power basis
+    into its d components over k (Bosch, Luetkebohmert and Raynaud, *Neron
+    Models*, 7.6).  A factor X_i^e of a term expands to at most
+    C(d + e - 1, e) monomials and the term to at most their product; the
+    sum over all terms is checked against the budget's points before
+    anything is expanded.
+
+    The expansion runs on raw values.  (sum_j t^j Y_j)^e is read from a
+    table, built once per exponent and shared by every variable and
+    relation, of its monomials Y^alpha with their multinomial ints and
+    powers t^s.  A term c * X^e then gives, for each choice of one row per
+    variable, the monomial of the concatenated alphas with coefficient the
+    product of the multinomials times c * t^s, s the sum of the powers;
+    c * t^s is formed once per s and value of c, as int numerators over
+    one denominator (ints mod p over F_p).  The Y-degrees of a monomial
+    are the exponents of the term it came from, so no two products fall on
+    one monomial and nothing is summed.  Each component is read off the
+    nonzero numerators, one base element per nonzero coordinate."""
     K = V.field
     if not isinstance(K, ExtensionField):
         raise FieldMismatch("only a scheme over an extension field can be restricted")
@@ -95,21 +111,69 @@ def weil_restrict(V, budget=None):
     (budget or Budget()).check_expansion(sum(
         math.prod(math.comb(d + e - 1, e) for e in exps)
         for g in V.relations.generators for exps in g.terms))
-    base = K.base
+    base, p = K.base, K.characteristic
     names = _restriction_names(V.variables, d)
-    substitution = {}
-    powers = K.power_basis()
-    for v in V.variables:
-        acc = MultiPolynomial.zero(K, names)
-        for j in range(d):
-            y = MultiPolynomial.variable(K, names, f"{v}_{j}")
-            acc = acc + y * powers[j]
-        substitution[v] = acc
+    powers, width = K.power_basis(), len(names)
+    substitution = {
+        v: MultiPolynomial(K, names, {
+            tuple(int(k == i * d + j) for k in range(width)): power
+            for j, power in enumerate(powers)})
+        for i, v in enumerate(V.variables)}
+
+    if p:
+        def coordinate(x, den):
+            return FieldElement(base, x % p)
+    else:
+        def coordinate(x, den):
+            return FieldElement(base, Fraction(x, den))
+
+    tables, shifts = {}, {}
+    t = K.generator.value
     raw_components = []
     for g in V.relations.generators:
-        raw_components.extend(split_coefficients(g.substitute(substitution), K))
+        components = [{} for _ in range(d)]
+        for exps, c in g.terms.items():
+            # (monomial, multinomial, s) for the products of the rows so far
+            rows = [((), 1, 0)]
+            for e in exps:
+                if e not in tables:
+                    tables[e] = _power_table(d, e, p)
+                rows = [(m + alpha, k * a, s + r) for m, k, s in rows
+                        for alpha, a, r in tables[e]]
+            # the values of c * t^s, and their (pairs, den), for s = 0, 1, ...
+            if c.value not in shifts:
+                shifts[c.value] = ([c.value], [K._terms(c.value)])
+            values, shifted = shifts[c.value]
+            for m, k, s in rows:
+                while len(shifted) <= s:
+                    values.append(K._from_ints(*K._mul_values(values[-1], t)))
+                    shifted.append(K._terms(values[-1]))
+                pairs, den = shifted[s]
+                for j, x in pairs:
+                    components[j][m] = coordinate(k * x, den)
+        raw_components.extend(MultiPolynomial(base, names, terms) for terms in components)
     restricted = AffineAlgebra(base, names, Ideal(base, names, raw_components))
     return RestrictionResult(V, restricted, substitution, raw_components)
+
+
+def _power_table(d, e, p):
+    """(alpha, multinomial, s) for each monomial Y^alpha of
+    (sum_j t^j Y_j)^e in d variables Y_j: alpha the exponent tuple, the
+    multinomial e! / prod_j alpha_j! (mod p over F_p, where the rows it
+    kills are dropped) and s = sum_j j * alpha_j, the power of t."""
+    table = []
+    for js in combinations_with_replacement(range(d), e):
+        alpha = [0] * d
+        for j in js:
+            alpha[j] += 1
+        multinomial = math.factorial(e)
+        for j in set(js):
+            multinomial //= math.factorial(alpha[j])
+        if p:
+            multinomial %= p
+        if multinomial:
+            table.append((tuple(alpha), multinomial, sum(js)))
+    return table
 
 
 def certify_restriction(result):

@@ -1,5 +1,6 @@
 """Points valued in finite test algebras, kept out of the library as the
-reference that ``weil.certify_restriction`` is tested against.
+reference that ``weil.certify_restriction`` is tested against; and the
+Weil expansion on boxed arithmetic, the reference for ``weil_restrict``.
 
 ``VectorAlgebra`` adds to a ``FiniteAlgebra`` the element operations of a
 ring of coordinate tuples (zero, sums, scalar multiples, the listing of all
@@ -8,11 +9,15 @@ and their embeddings a -> a (x) 1 and b -> 1 (x) b.  ``algebra_points``
 lists the solutions of a system valued in such an algebra, and
 ``verify_universal_points`` checks R(A) = V(K (x) A) for one test algebra A
 by listing both sides (over a finite base) or on sample points (over QQ).
+``expanded_components`` restricts a scheme as ``weil_restrict`` once did,
+by ``MultiPolynomial.substitute`` and ``affine.split_coefficients``.
 """
 
+from galdescent.affine import split_coefficients
 from galdescent.enumeration import tuples
 from galdescent.errors import Budget, BudgetExceeded, MismatchFound, ShapeMismatch
 from galdescent.flat import FiniteAlgebra, _pure_tensor
+from galdescent.multipoly import MultiPolynomial
 
 
 class VectorAlgebra(FiniteAlgebra):
@@ -181,3 +186,25 @@ def verify_universal_points(result, test_algebra, budget=None, samples=None):
             raise MismatchFound(f"sample {p} maps inside despite failing relations")
         checked += 1
     return UniversalPointReport("sampled", None, None, checked)
+
+
+def expanded_components(V):
+    """(substitution, components) of the restriction of V from its field
+    K = k[t]/(f) to k, on boxed arithmetic: X -> sum_j t^j X_j built as a
+    sum of products in K[X_0 .. X_(d-1)], each relation substituted term by
+    term, and the result split along the power basis into its d components
+    over k, zeros included."""
+    K = V.field
+    d = K.degree
+    names = tuple(f"{v}_{j}" for v in V.variables for j in range(d))
+    powers = K.power_basis()
+    substitution = {}
+    for v in V.variables:
+        acc = MultiPolynomial.zero(K, names)
+        for j in range(d):
+            acc = acc + MultiPolynomial.variable(K, names, f"{v}_{j}") * powers[j]
+        substitution[v] = acc
+    components = []
+    for g in V.relations.generators:
+        components.extend(split_coefficients(g.substitute(substitution), K))
+    return substitution, components

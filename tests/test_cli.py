@@ -19,7 +19,6 @@ from galdescent.enumeration import count_affine_points
 from galdescent.errors import Budget
 from galdescent.extension import ExtensionField
 from galdescent.linalg import Matrix
-from galdescent.multipoly import MultiPolynomial
 from galdescent.parser import Diagnostic, ParseError, parse
 
 HERE = pathlib.Path(__file__).parent
@@ -334,10 +333,14 @@ DIAGNOSTICS = [
 
 # documents whose diagnostic only --oracle reaches
 ORACLE_DIAGNOSTICS = [
-    # the oracles read the embeddings of the upper field, found by its group
+    # the oracles read the embeddings of the upper field, found by its group;
+    # Q(2^(1/3)) has only the identity, so even its whole Aut(K/Q) is not full
     (CUBE_ROOT_CIRCLE, 2,
-     "error[unresolved] line 4, col 1: no full automorphism group known for the "
-     "algebra's field; declare one"),
+     "error[unresolved] line 4, col 1: the oracle needs a Galois upper field "
+     "with its full automorphism group declared"),
+    (CUBE_ROOT_CIRCLE.replace("restrict", "group G = K[t -> t]\nrestrict"), 2,
+     "error[unresolved] line 5, col 1: the oracle needs a Galois upper field "
+     "with its full automorphism group declared"),
 ]
 
 # documents whose declarations and command take paths no golden document
@@ -663,7 +666,7 @@ class TestBudget:
         def refuse(*args):
             raise AssertionError("expanded before the budget check")
 
-        patch_during(monkeypatch, ["weil_restrict"], MultiPolynomial, "transform", refuse)
+        patch_during(monkeypatch, ["weil_restrict"], weil, "_power_table", refuse)
         text = ("field Q0 = QQ\n"
                 "field C4 = Cyclo(44)\n"
                 "algebra V = C4[x]/(x^22 - t)\n"

@@ -45,6 +45,9 @@ def field(name):
         "Q(i)": lambda: make_extension(QQ, UniPoly.from_ints(QQ, [1, 0, 1]), irreducible=True),
         "Q(sqrt 2)": lambda: make_extension(QQ, UniPoly.from_ints(QQ, [-2, 0, 1]),
                                             irreducible=True),
+        # a modulus with a Fraction coefficient, cleared of it for inverses
+        "Q(sqrt 1/2)": lambda: make_extension(
+            QQ, UniPoly.from_ints(QQ, [Fraction(-1, 2), 0, 1]), irreducible=True),
         "Cyclo(5)": lambda: cyclotomic_field(5),
         "Cyclo(7)": lambda: cyclotomic_field(7),
         "Cyclo(8)": lambda: cyclotomic_field(8),
@@ -250,18 +253,33 @@ class TestInverse:
                 assert inverse.value == boxed_inverse(F, a).value
                 assert all(type(c) is int and 0 <= c < F.characteristic for c in inverse.value)
 
-    @pytest.mark.parametrize("name", ["Q(i)", "Q(sqrt 2)", "Cyclo(5)", "Cyclo(7)"])
+    @pytest.mark.parametrize("name", ["Q(i)", "Q(sqrt 2)", "Q(sqrt 1/2)", "Cyclo(5)",
+                                      "Cyclo(7)", "QQ[t]/(t^3 - t/4)"])
     def test_derandomized_elements_over_q(self, name):
         F, rng = field(name), random.Random(name)
         for _ in range(40):
             coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.7
                       else Fraction(0) for _ in range(F.degree)]
             a = F.from_coords([QQ.from_int(c) for c in coords])
-            if a:
+            if a and poly_gcd(F.to_unipoly(a), F.modulus).degree:
+                with pytest.raises(DivisionByZero, match="is a zero divisor modulo"):
+                    a.inverse()
+            elif a:
                 inverse = a.inverse()
                 assert inverse.value == boxed_inverse(F, a).value
                 assert_canonical(F, inverse)
                 assert a * inverse == 1
+
+    def test_seeded_elements_of_cyclo101(self):
+        # dense coordinates over a modulus of degree 100: the int extended
+        # gcd keeps its remainders primitive
+        F, rng = cyclotomic_field(101), random.Random("Cyclo(101)")
+        for _ in range(3):
+            a = F.from_coords([QQ.from_int(Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+                               for _ in range(F.degree)])
+            inverse = a.inverse()
+            assert_canonical(F, inverse)
+            assert a * inverse == 1
 
 
 def sample(F, seed, count=12):
@@ -405,6 +423,14 @@ class TestDivisionByZeroMessages:
         with pytest.raises(DivisionByZero) as raised:
             (F.generator * F.generator - 1).inverse()
         assert str(raised.value) == "t^2 - 1 is a zero divisor modulo t^3 - 1*t"
+
+    def test_zero_divisors_over_a_fraction_modulus(self):
+        F = field("QQ[t]/(t^3 - t/4)")
+        t = F.generator
+        for a in (t, t * t - Fraction(1, 4), 2 * t + 1):
+            with pytest.raises(DivisionByZero) as raised:
+                a.inverse()
+            assert str(raised.value) == f"{a!r} is a zero divisor modulo {F.modulus.format()}"
 
     def test_base_field_messages(self):
         cases = [

@@ -1,8 +1,11 @@
 """UniPoly's ring operations, wrappers over the raw kernel, against the
-boxed reference arithmetic of ``unipoly_reference``; and ``evaluate`` on
-the nonzero terms against dense Horner."""
+boxed reference arithmetic of ``unipoly_reference``; the int gcd and
+extended gcd over Q against the boxed ones; and ``evaluate`` on the
+nonzero terms against dense Horner."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,8 +13,8 @@ from galdescent.errors import DivisionByZero, FieldMismatch
 from galdescent.extension import finite_field
 from galdescent.fields import GF, QQ
 from galdescent.galois import cyclotomic_field
-from galdescent.unipoly import UniPoly
-from unipoly_reference import boxed
+from galdescent.unipoly import UniPoly, cleared, is_squarefree, raw_gcd, raw_xgcd
+from unipoly_reference import BoxedPoly, boxed, boxed_is_squarefree, poly_gcd
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -75,6 +78,67 @@ def test_evaluate_embeds_no_coefficient(monkeypatch, make):
     value = f.evaluate(point)
     assert embedded == []
     assert value == expected and (not value) == root
+
+
+def rational_poly(rng, degree):
+    """A polynomial over Q of exactly this degree, non-monic, with some
+    zero and some non-integral coefficients."""
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.7 else 0
+              for _ in range(degree)]
+    return UniPoly(QQ, [QQ.from_int(c) for c in coeffs]
+                   + [QQ.from_int(Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4)))])
+
+
+def int_gcd_pairs():
+    """Derandomized pairs (a, b) over Q, b nonzero: coprime pairs, pairs
+    with a common factor of degree 1 to 3, constants, zero, and moduli with
+    Fraction coefficients such as t^2 - 1/2."""
+    rng = random.Random("int gcd")
+    t2_half = UniPoly(QQ, [QQ.from_fraction(-1, 2), QQ.zero, QQ.one])
+    pairs = [(UniPoly.from_ints(QQ, [3]), t2_half), (UniPoly.from_ints(QQ, [0, 1]), t2_half),
+             (UniPoly.from_ints(QQ, [-1, 0, 2]), t2_half), (UniPoly.zero(QQ), t2_half),
+             (UniPoly.from_ints(QQ, [4]), UniPoly.from_ints(QQ, [-6])),
+             (UniPoly.from_ints(QQ, [0, 0, 0, 2]), UniPoly.from_ints(QQ, [0, 3]))]
+    for _ in range(40):
+        a, b = rational_poly(rng, rng.randint(0, 7)), rational_poly(rng, rng.randint(1, 7))
+        pairs.append((a, b))
+        common = rational_poly(rng, rng.randint(1, 3))
+        pairs.append((a * common, b * common))
+    return pairs
+
+
+def ints(f):
+    return UniPoly.from_ints(QQ, f)
+
+
+class TestIntGcd:
+    """Over Q the gcds run on int lists, against the boxed Euclid on
+    Fractions of ``unipoly_reference``."""
+
+    def test_gcd_is_the_primitive_boxed_gcd(self):
+        for a, b in int_gcd_pairs():
+            g = raw_gcd(cleared([c.value for c in a.coeffs]),
+                        cleared([c.value for c in b.coeffs]), 0)
+            assert all(type(c) is int for c in g), (a, b)
+            assert g[-1] > 0 and gcd(*g) == 1, (a, b)
+            assert ints(g) * QQ.from_fraction(1, g[-1]) == poly_gcd(a, b), (a, b)
+
+    def test_extended_gcd_cofactor(self):
+        # s * a = g modulo b, g a positive multiple of the monic gcd
+        for a, b in int_gcd_pairs():
+            a_ints, b_ints = (cleared([c.value for c in f.coeffs]) for f in (a, b))
+            g, s = raw_xgcd(a_ints, b_ints, 0)
+            assert all(type(c) is int for c in g + s), (a, b)
+            assert g[-1] > 0, (a, b)
+            assert ints(g) * QQ.from_fraction(1, g[-1]) == poly_gcd(a, b), (a, b)
+            residue = (boxed(ints(s)) * ints(a_ints) - ints(g)) % ints(b_ints)
+            assert residue == BoxedPoly.zero(QQ), (a, b)
+            assert len(s) < max(len(b_ints), 2), (a, b)
+
+    def test_squarefree_matches_the_boxed_test(self):
+        for a, b in int_gcd_pairs():
+            for f in (a, a * a, a * b, b * b * a):
+                assert is_squarefree(f) == boxed_is_squarefree(f), f
 
 
 if given is not None:

@@ -1,15 +1,21 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from algebra_reference import VectorAlgebra, dual_numbers, verify_universal_points
+from algebra_reference import (
+    VectorAlgebra,
+    dual_numbers,
+    expanded_components,
+    verify_universal_points,
+)
 from galdescent.affine import AffineAlgebra
 from galdescent.enumeration import count_affine_points
 from galdescent.errors import Budget, BudgetExceeded, FieldMismatch, MismatchFound, NotSeparable
 from galdescent.extension import finite_field
 from galdescent.fields import GF, QQ
 from galdescent.flat import FiniteAlgebra
-from galdescent.galois import cyclotomic_group, frobenius_group
+from galdescent.galois import cyclotomic_field, cyclotomic_group, frobenius_group
 from galdescent.groebner import Ideal, ideal_equal
 from galdescent.linalg import Matrix
 from galdescent.multipoly import MultiPolynomial
@@ -279,6 +285,70 @@ def corrupted(result, rng):
     components[k] = MultiPolynomial(base, names, terms)
     restricted = AffineAlgebra(base, names, Ideal(base, names, components))
     return RestrictionResult(result.source, restricted, result.substitution, components)
+
+
+def seeded_schemes(K, seed):
+    """Derandomized K-schemes in one to three variables, each with one to
+    three relations of total degree at most 3, whose coefficients have
+    some zero coordinates (over Q some non-integral ones)."""
+    rng = random.Random(seed)
+
+    def coefficient():
+        if K.is_finite:
+            coords = [rng.randrange(K.characteristic) for _ in range(K.degree)]
+        else:
+            coords = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.6
+                      else 0 for _ in range(K.degree)]
+        return K.from_coords([K.base.from_int(c) for c in coords])
+
+    schemes = []
+    for _ in range(12):
+        names = ("x", "y", "z")[:rng.randint(1, 3)]
+        relations = []
+        for _ in range(rng.randint(1, 3)):
+            terms = {}
+            for _ in range(rng.randint(1, 5)):
+                exps = tuple(rng.randint(0, 3) for _ in names)
+                if sum(exps) <= 3:
+                    terms[exps] = coefficient()
+            relations.append(MultiPolynomial(K, names, terms))
+        schemes.append(AffineAlgebra(K, names, Ideal(K, names, relations)))
+    return schemes
+
+
+EXPANDED = {
+    "Q(i)": lambda: cyclotomic_field(4),
+    "Cyclo(5)": lambda: cyclotomic_field(5),
+    "Cyclo(7)": lambda: cyclotomic_field(7),
+    "GF(9)": lambda: finite_field(3, 2),
+    "GF(5^3)": lambda: finite_field(5, 3),
+}
+
+
+class TestExpansion:
+    """The expansion on raw values against the boxed substitution and
+    splitting of ``algebra_reference``."""
+
+    @pytest.mark.parametrize("name", sorted(EXPANDED))
+    def test_components_equal_the_boxed_expansion(self, name):
+        K = EXPANDED[name]()
+        for V in seeded_schemes(K, name) + sources(K):
+            result = weil_restrict(V)
+            substitution, components = expanded_components(V)
+            assert result.raw_components == components
+            assert result.substitution == substitution
+            assert result.restricted.relations.generators == tuple(
+                g for g in components if not g.is_zero)
+            certify_restriction(result)
+
+    def test_makes_no_product_of_polynomials(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the expansion multiplies polynomials")
+
+        V = sources(cyclo_data(5).K)[4]
+        monkeypatch.setattr(MultiPolynomial, "__mul__", refuse)
+        monkeypatch.setattr(MultiPolynomial, "transform", refuse)
+        assert len(weil_restrict(V).raw_components) == 2 * 4
 
 
 class TestCertifyRestriction:
