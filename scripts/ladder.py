@@ -7,7 +7,10 @@ from GF(5^2) to GF(5) and the cyclic descent over GF(3^3) (the benchmark's
 ``circle_gf25_to_gf5`` and ``cyclic_gf27`` texts) and the ``tests/large``
 documents ``restrict_xyz_gf9``, ``descend_swap_gf961``,
 ``descend_cyclic_gf125``, ``fixed_cyclic_gf125`` and
-``descend_swap_gf529``.  The row ``fixed_shift_gf4096`` runs that
+``descend_swap_gf529``.  The row ``descend_cyclic_cyclo7`` runs that
+``tests/large`` document with ``--oracle``, as its report was rendered: a
+cyclic descent over Cyclo(7), whose Groebner bases and membership tests
+run over the extension field.  The row ``fixed_shift_gf4096`` runs that
 ``tests/large`` document plain, as its report was rendered: its field,
 GF(2^12), is too large to tabulate (see :mod:`galdescent.extension`), so it
 times the polynomial product kernel.  The splitting rows
@@ -76,6 +79,7 @@ def _rows():
                              "descend_cyclic_gf125", "fixed_cyclic_gf125"))
     rows["cyclic_gf27"] = (ORACLE, _cyclic_descent(3))
     rows["descend_swap_gf529"] = (ORACLE, _large("descend_swap_gf529"))
+    rows["descend_cyclic_cyclo7"] = (ORACLE, _large("descend_cyclic_cyclo7"))
     rows["fixed_shift_gf4096"] = (PLAIN, _large("fixed_shift_gf4096"))
     rows["circle_cyclo5_to_qq"] = (ORACLE, _circle_restriction("Cyclo(5)", "QQ"))
     rows.update((name, (ORACLE, _large(name)))

@@ -31,7 +31,6 @@ from .groebner import (
     apply_semilinear,
     eliminate,
     ideal_equal,
-    normal_form,
 )
 from .multipoly import GREVLEX, MultiPolynomial, block_order
 
@@ -299,9 +298,8 @@ def _rewrite_in_model(poly, graph, budget):
     under the block order that eliminates them: a polynomial in the model
     variables alone, or None when an original variable remains."""
     nx = len(poly.variables)
-    order = block_order(nx)
-    reduced = normal_form(poly.rename_ring(graph.variables, list(range(nx))),
-                          graph.groebner(order, budget), order, budget)
+    reduced = graph.normal_form(poly.rename_ring(graph.variables, list(range(nx))),
+                                block_order(nx), budget)
     if any(any(exps[:nx]) for exps in reduced.terms):
         return None
     return MultiPolynomial(poly.field, graph.variables[nx:],

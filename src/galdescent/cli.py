@@ -462,8 +462,8 @@ def run_validate(workspace, command, oracle):
         lines.append(f"full: {'yes' if group.is_full else 'no'}")
     elif kind == "algebra":
         algebra = workspace.algebras[name]
-        basis = algebra.relations.groebner(budget=workspace.budget)
-        lines.append(f"groebner basis size: {len(basis)}")
+        size = algebra.relations.basis_size(budget=workspace.budget)
+        lines.append(f"groebner basis size: {size}")
         lines.append(f"unit ideal: {'yes' if algebra.is_empty_scheme else 'no'}")
     elif kind == "field":
         field = workspace.fields[name]

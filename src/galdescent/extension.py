@@ -330,7 +330,25 @@ class ExtensionField(Field):
         return self.coords_matrix([a * b for b in self.power_basis()])
 
     def format_element(self, a):
-        return self.to_unipoly(a).format()
+        """``a`` as its polynomial in t, read off its coordinates."""
+        ints, d = self._dense(a.value)
+        parts = []
+        for i in range(len(ints) - 1, -1, -1):
+            x = ints[i]
+            if x:
+                c = str(x) if d == 1 else str(Fraction(x, d))
+                if i == 0:
+                    parts.append(c)
+                else:
+                    head = "" if x == d else f"{c}*"
+                    parts.append(f"{head}t" + (f"^{i}" if i > 1 else ""))
+        return " + ".join(parts).replace("+ -", "- ") or "0"
+
+    def format_coefficient(self, a):
+        """``a`` as a coefficient: a base-field constant as itself, any other
+        element in parentheses."""
+        text = self.format_element(a)
+        return f"({text})" if any(self._dense(a.value)[0][1:]) else text
 
     def __eq__(self, other):
         return other is self or (

@@ -105,6 +105,10 @@ class Field:
     def one(self):
         return self.from_int(1)
 
+    def format_coefficient(self, a):
+        """``a`` as the coefficient of a term of a polynomial."""
+        return self.format_element(a)
+
     # subclasses supply: from_int, is_zero, _add, _neg, _mul, _inv,
     # characteristic, format_element, and (finite case) order/elements.
     # Extension fields also supply _sub_mul for the generic loop of the

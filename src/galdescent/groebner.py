@@ -34,33 +34,45 @@ field values (``FieldElement.value``: an int mod p, or over an extension
 its value, the tuple of its coordinates mod p or, over Q, its int
 numerators over one denominator).  An element is made once per packing:
 ``buchberger`` makes each generator and each nonzero remainder monic as it
-enters the basis, ``normal_form`` packs a caller's basis on entry (scaling
-only a non-monic element), and ``Ideal.contains`` keeps each cached basis
-packed.  S-polynomials, normal forms and the final inter-reduction run on
-these elements, and a result is unpacked into ``MultiPolynomial`` once, at
-the end.  Over QQ and GF(p) one loop reduces on ints, over QQ fraction-free
-(Greuel & Pfister, A Singular Introduction to Commutative Algebra, 2008,
-sections 1.6 and 2.3): it reduces on int numerators over one denominator,
-scales the work and the remainder so far when an element's denominator
-requires it, and divides out the content once per remainder.  A remainder
-becomes a monic element straight from its numerators, and over QQ the
-engine makes no ``Fraction`` until ``_box`` and ``normal_form`` unpack a
-result, one per term.  Over GF(p) the denominators are 1 and a value is
-taken mod p only when its term leads.  Over an extension field the other loop
-updates coefficients with the field's fused ``_sub_mul`` (a - b*c on raw
-values, None for zero).  Neither loop dispatches through ``FieldElement``.
+enters the basis, and ``normal_form`` packs a caller's basis on entry
+(scaling only a non-monic element).  S-polynomials, normal forms and the
+final inter-reduction run on these elements.  ``buchberger`` unpacks its
+result into ``MultiPolynomial`` once, at the end; an ``Ideal`` keeps the
+packed basis the engine returns and reads it for the basis size, membership
+tests, normal forms and elimination, so that it boxes a basis only when
+``Ideal.groebner`` is asked for it, and packs it again only when a
+membership test or normal form overflows the packing.  Over QQ and GF(p)
+one loop reduces on ints, over QQ fraction-free (Greuel & Pfister, A
+Singular Introduction to Commutative Algebra, 2008, sections 1.6 and 2.3):
+it reduces on int numerators over one denominator, scales the work and the
+remainder so far when an element's denominator requires it, and divides
+out the content once per remainder.  A remainder becomes a monic element
+straight from its numerators, and over QQ the engine makes no ``Fraction``
+until ``_box`` and ``normal_form`` unpack a result, one per term.  Over
+GF(p) the denominators are 1 and a value is taken mod p only when its term
+leads.  Over an extension field the other loop updates coefficients with
+the field's fused ``_sub_mul`` (a - b*c on raw values, None for zero).
+Neither loop dispatches through ``FieldElement``.
 
 Both loops reduce a term by the first element in basis order whose leading
 monomial divides it (and, in an S-pair reduction, whose step the signature
 bound admits).  The int loop finds that element in a divisor index, not by
-a scan of the basis: a dict from a packed monomial m to (n, the elements
-among the first n of the basis whose leading monomial divides m, in basis
-order), extended to the elements appended since when the basis has grown
-past n.  An index lives as long as the packed basis it describes: one
+a scan of the basis, and it works on the index's columns (after the shared
+reducer rows of Faugere's F4, "A new efficient algorithm for computing
+Groebner bases (F4)", JPAA 1999).  The index gives each packed monomial it
+meets a column, a small int, and holds the working polynomial as a list
+over the columns; a heap of packed monomials still keeps the order.  A
+column's entry lists the elements among the first n of the basis whose
+leading monomial divides the column's monomial, in basis order, and is
+extended in place when the basis has grown past n.  Beside each element
+it keeps the multiple x^shift * g that reduces that monomial, made on its
+first use as a list of (column, coefficient): a step applies it by list
+updates, without adding or hashing a packed monomial.  An index lives as
+long as the packed basis it describes, and its multiples with it: one
 engine run of ``buchberger`` keeps one for its append-only basis, shared by
 the generator and S-pair reductions, and one for the final
-inter-reduction; ``Ideal.contains`` keeps one beside each cached packing.
-A widening rerun starts afresh, since packed keys depend on the width.  The
+inter-reduction; an ``Ideal`` keeps one beside each packed basis.  A
+widening rerun starts afresh, since packed keys depend on the width.  The
 loop over an extension field keeps its scan: its bases are small and its
 calls mostly short membership tests, where building the entries cost more
 than they saved.
@@ -185,9 +197,15 @@ def _widening(order, n, budget, run, width=None):
 
 
 class Ideal:
-    """A finitely generated ideal with cached reduced Groebner bases."""
+    """A finitely generated ideal with cached reduced Groebner bases.
 
-    __slots__ = ("field", "variables", "generators", "_bases", "_packed")
+    Each basis is kept as the engine returns it: its packing, its basis
+    elements (see ``_element``) in ascending order and a divisor index of
+    them (see ``_DivisorIndex``).  Membership tests, normal forms, the basis
+    size and elimination read these directly; ``groebner`` boxes a basis
+    into ``MultiPolynomial``s on its first call only."""
+
+    __slots__ = ("field", "variables", "generators", "_packed", "_boxed")
 
     def __init__(self, field, variables, generators):
         self.field = field
@@ -199,48 +217,80 @@ class Ideal:
             if not g.is_zero:
                 gens.append(g)
         self.generators = tuple(gens)
-        self._bases = {}
-        # order key -> (packing, basis elements, divisor index) of a cached
-        # basis, made on the first membership test under its order
+        # order key -> (packing, basis elements, divisor index); a membership
+        # test or normal form that overflows the packing replaces it with a
+        # wider one
         self._packed = {}
+        # order key -> the boxed basis, made on the first ``groebner`` call
+        self._boxed = {}
+
+    def _basis(self, order, budget):
+        """(packing, basis elements, divisor index) of the reduced basis
+        under ``order``, from the engine on the first call."""
+        key = (order.kind, order.split)
+        cached = self._packed.get(key)
+        if cached is None:
+            cached = self._packed[key] = (
+                *_groebner(self.generators, self.field, len(self.variables), order,
+                           budget or Budget()),
+                _DivisorIndex())
+        return cached
 
     def groebner(self, order=GREVLEX, budget=None):
         key = (order.kind, order.split)
-        if key not in self._bases:
-            self._bases[key] = buchberger(list(self.generators), order, budget)
-        return self._bases[key]
+        basis = self._boxed.get(key)
+        if basis is None:
+            packing, elements, _ = self._basis(order, budget)
+            basis = self._boxed[key] = [_box(self.field, self.variables, packing, *g)
+                                        for g in elements]
+        return basis
+
+    def basis_size(self, order=GREVLEX, budget=None):
+        """The number of elements of the reduced basis under ``order``."""
+        return len(self._basis(order, budget)[1])
 
     def contains(self, poly, budget=None):
         """Whether ``poly`` lies in the ideal: its normal form modulo a cached
         basis (the least order key) or, with none cached, a grevlex one.
-        Membership does not depend on the order, so any cached basis serves.
-        The reduction runs on the basis packed once per order, with the
-        steps that :func:`normal_form` would take, and one divisor index
-        serves every test on that packing."""
-        key = min(self._bases, default=(GREVLEX.kind, GREVLEX.split))
-        order = MonomialOrder(*key)
-        basis = self.groebner(order, budget)
-        if poly.is_zero or not basis:
+        Membership does not depend on the order, so any cached basis serves."""
+        order = MonomialOrder(*min(self._packed, default=(GREVLEX.kind, GREVLEX.split)))
+        if poly.is_zero or not self._basis(order, budget)[1]:
             return poly.is_zero
         _check_ring([poly], self.field, self.variables)
+        return not self._remainder(poly, order, budget)[1]
+
+    def normal_form(self, poly, order=GREVLEX, budget=None):
+        """``normal_form(poly, self.groebner(order), order, budget)``, with
+        the same steps, reduced on the packed basis."""
+        if poly.is_zero or not self._basis(order, budget)[1]:
+            return poly
+        _check_ring([poly], self.field, self.variables)
+        packing, remainder, den = self._remainder(poly, order, budget)
+        return MultiPolynomial(self.field, self.variables,
+                               _unpack(self.field, packing, remainder.items(), den))
+
+    def _remainder(self, poly, order, budget):
+        """(packing, remainder, den) of ``poly`` reduced modulo the cached
+        basis under ``order``, from the width it was packed at; a rerun at
+        double width re-packs the basis and starts a fresh divisor index."""
+        key = (order.kind, order.split)
         budget = budget or Budget()
 
         def run(packing):
-            cached = self._packed.get(key)
-            if cached is None or cached[0] is not packing:
-                cached = self._packed[key] = (packing, [_pack(g, packing) for g in basis], {})
-            return not _reduce(*_working(self.field, _pack_terms(poly, packing)),
-                               cached[1], self.field, packing.guard, budget,
-                               index=cached[2])[0]
+            cached = self._packed[key]
+            if cached[0] is not packing:
+                cached = self._packed[key] = (packing, _repack(cached[1], cached[0], packing),
+                                              _DivisorIndex())
+            return (packing, *_reduce(*_working(self.field, _pack_terms(poly, packing)),
+                                      cached[1], self.field, packing.guard, budget,
+                                      index=cached[2]))
 
-        # start at the width the cached basis was packed at
-        cached = self._packed.get(key)
-        return _widening(order, len(self.variables), budget, run,
-                         cached and cached[0].width)
+        return _widening(order, len(self.variables), budget, run, self._packed[key][0].width)
 
     def is_unit_ideal(self):
-        basis = self.groebner()
-        return len(basis) == 1 and basis[0].total_degree() == 0
+        # the packed monomial 0 is the constant 1
+        elements = self._basis(GREVLEX, None)[1]
+        return len(elements) == 1 and elements[0][0] == 0
 
     def __repr__(self):
         return f"Ideal({', '.join(g.format() for g in self.generators) or '0'})"
@@ -301,27 +351,38 @@ def _pack(g, packing):
     return _element(g.field, max(terms), terms)
 
 
+def _repack(elements, old, new):
+    """The basis elements ``elements``, packed by ``old``, packed by ``new``."""
+    def move(m):
+        return new.pack(old.unpack(m))
+
+    return [(move(lt), d, [(move(e), c) for e, c in tail]) for lt, d, tail in elements]
+
+
 def _check_ring(polys, field, variables):
     """Raw values carry no field, so the engine checks the ring once, up front."""
     if any(g.field != field or g.variables != variables for g in polys):
         raise FieldMismatch("polynomials from different rings")
 
 
-def _unpack(field, packing, terms, den):
-    """Exponent tuple -> ``FieldElement`` for the terms ``terms`` (packed
-    monomial -> value) over ``den`` that ``_reduce`` returns: over QQ each
-    numerator n becomes the one ``Fraction`` n/den."""
+def _unpack(field, packing, terms, den, drop=0):
+    """Exponent tuple -> ``FieldElement`` for the terms ``terms`` (pairs of
+    a packed monomial and a value) over ``den``, as ``_reduce`` returns
+    them or a basis element lists them: over QQ each numerator n becomes
+    the one ``Fraction`` n/den.  Each exponent tuple leaves out its first
+    ``drop`` entries."""
     unpack = packing.unpack
     if field is QQ:
-        return {unpack(e): FieldElement(field, Fraction(n, den)) for e, n in terms.items()}
-    return {unpack(e): FieldElement(field, c) for e, c in terms.items()}
+        return {unpack(e)[drop:]: FieldElement(field, Fraction(n, den)) for e, n in terms}
+    return {unpack(e)[drop:]: FieldElement(field, c) for e, c in terms}
 
 
-def _box(field, variables, packing, lt, tail, den):
-    """The monic polynomial with packed leading monomial lt and tail
-    ``tail`` (packed monomial -> value) over ``den``."""
-    terms = {packing.unpack(lt): field.one}
-    terms.update(_unpack(field, packing, tail, den))
+def _box(field, variables, packing, lt, d, tail, drop=0):
+    """The monic polynomial in ``variables`` of the basis element
+    (lt, d, tail), its exponent tuples without their first ``drop``
+    entries."""
+    terms = {packing.unpack(lt)[drop:]: field.one}
+    terms.update(_unpack(field, packing, tail, d, drop))
     return MultiPolynomial(field, variables, terms)
 
 
@@ -344,7 +405,7 @@ def _reduce(work, den, basis, field, guard, budget, bound=None, regular=None, in
     p = int_modulus(field)
     if p is not None:
         return _reduce_ints(work, den, basis, p, guard, budget, bound, regular,
-                            {} if index is None else index)
+                            _DivisorIndex() if index is None else index)
     sub_mul, zero = field._sub_mul, field.zero.value
     remainder = {}
     # every monomial of ``work`` is in the heap, negated so that the largest
@@ -384,74 +445,129 @@ def _reduce(work, den, basis, field, guard, budget, bound=None, regular=None, in
     return remainder, 1
 
 
+class _DivisorIndex:
+    """What the int loop keeps of its reductions modulo one packed basis
+    that only grows by appends.  Each packed monomial it meets gets a
+    column, a small int.  A column's entry lists the basis elements whose
+    leading monomial divides the column's monomial and, for each, the
+    multiple x^shift * g that reduces that monomial once it has been
+    applied."""
+
+    __slots__ = ("columns", "monomials", "entries", "values")
+
+    def __init__(self):
+        # packed monomial -> column, and column -> packed monomial
+        self.columns, self.monomials = {}, []
+        # column -> None, or [n, the elements of ``basis[:n]`` whose leading
+        # monomial divides the column's, in basis order, and for each its
+        # multiple: a list of (column, numerator) for its tail, or None]
+        self.entries = []
+        # column -> the working polynomial's value there, None where it has
+        # no term; None everywhere between reductions
+        self.values = []
+
+    def column(self, m):
+        c = self.columns.get(m)
+        if c is None:
+            c = self.columns[m] = len(self.monomials)
+            self.monomials.append(m)
+            self.entries.append(None)
+            self.values.append(None)
+        return c
+
+
 def _reduce_ints(work, den, basis, p, guard, budget, bound, regular, index):
     """``_reduce`` on ints: fraction-free over QQ (p = 0), lazily mod p over
     GF(p).  ``work`` holds int numerators over the one denominator ``den``,
     and each basis element int numerators over its d.  A term is reduced by
     the first dividing element in basis order that the signature bound
-    admits, looked up in the divisor index ``index`` (updated in place): it
-    maps a packed monomial m to (n, the elements of ``basis[:n]`` whose
-    leading monomial divides m, in basis order), and an entry is extended
-    when the basis has grown past n.  A step cancels the top term w/den
-    against x^shift times an element: with k = gcd(w, d) and
-    d = k*m, each tail term n/d subtracts (w/den)(n/d) = (w/k)*n / (den*m),
-    so the work, the remainder so far and ``den`` are first scaled by m
-    (when m is not 1).  A term moves to the remainder as its numerator, and
-    the content, the gcd of ``den`` and the remainder's numerators, is
-    divided out once, at the end.  Over GF(p) d and ``den`` are 1; a value
-    is taken mod p only at the top, where a term that vanished is skipped,
-    so it grows at most to p^2 times its monomial's updates.  It takes the
-    generic loop's steps: a coefficient vanishes in one exactly when it does
-    in the other."""
+    admits, looked up in the divisor index ``index`` (updated in place): a
+    column's entry is made on the column's first pop and extended when the
+    basis has grown past its n.  The working polynomial is held on the
+    index's columns, in ``index.values``; a heap of its packed monomials
+    keeps the order.  A step applies the element's multiple for the popped
+    column, made on its first use, as a list of column updates.  It cancels
+    the top term w/den against x^shift times an element: with k = gcd(w, d)
+    and d = k*m, each tail term n/d subtracts (w/den)(n/d) = (w/k)*n /
+    (den*m), so the work, the remainder so far and ``den`` are first scaled
+    by m (when m is not 1).  A term moves to the remainder as its
+    numerator, and the content, the gcd of ``den`` and the remainder's
+    numerators, is divided out once, at the end.  Over GF(p) d and ``den``
+    are 1; a value is taken mod p only at the top, where a term that
+    vanished is skipped, so it grows at most to p^2 times its monomial's
+    updates.  It takes the generic loop's steps: a coefficient vanishes in
+    one exactly when it does in the other."""
     gcd, remainder, size = math.gcd, {}, len(basis)
+    columns, monomials, entries, values = (index.columns, index.monomials, index.entries,
+                                           index.values)
+    column = index.column
+    for e, v in work.items():
+        values[column(e)] = v
     heap = [-e for e in work]
     heapify(heap)
-    while heap:
-        exps = -heappop(heap)
-        w = work.pop(exps, None)
-        if w is None:
-            continue
-        if p:
-            w %= p
+    try:
+        while heap:
+            exps = -heappop(heap)
+            c = columns[exps]
+            w, values[c] = values[c], None
+            if p:
+                w %= p
+            # a term that cancelled keeps its column until it pops
             if not w:
                 continue
-        entry = index.get(exps)
-        if entry is None:
-            entry = index[exps] = size, tuple([g for g in basis if not (exps - g[0]) & guard])
-        elif entry[0] < size:
-            entry = index[exps] = size, entry[1] + tuple(
-                [g for g in basis[entry[0]:] if not (exps - g[0]) & guard])
-        for lt, d, tail in entry[1]:
-            shift = exps - lt
-            if bound is None or lt not in regular or shift + regular[lt] < bound:
-                budget.spend()
-                if d != 1:
-                    k = gcd(w, d)
-                    w //= k
-                    if k != d:
-                        m = d // k
-                        den *= m
-                        work = {e: v * m for e, v in work.items()}
-                        for e in remainder:
-                            remainder[e] *= m
-                w = -w
-                for ge, gn in tail:
-                    e = shift + ge
-                    prev = work.get(e)
-                    if prev is None:
-                        if e & guard:
-                            raise _Overflow
-                        heappush(heap, -e)
-                        work[e] = w * gn
-                    else:
-                        prev += w * gn
-                        if prev:
-                            work[e] = prev
+            entry = entries[c]
+            if entry is None:
+                found = [g for g in basis if not (exps - g[0]) & guard]
+                entry = entries[c] = [size, found, [None] * len(found)]
+            elif entry[0] < size:
+                found = [g for g in basis[entry[0]:] if not (exps - g[0]) & guard]
+                entry[0] = size
+                entry[1] += found
+                entry[2] += [None] * len(found)
+            multiples = entry[2]
+            for i, (lt, d, tail) in enumerate(entry[1]):
+                if bound is None or lt not in regular or exps - lt + regular[lt] < bound:
+                    budget.spend()
+                    if d != 1:
+                        k = gcd(w, d)
+                        w //= k
+                        if k != d:
+                            m = d // k
+                            den *= m
+                            # the heap holds every term of the work once
+                            for e in heap:
+                                values[columns[-e]] *= m
+                            for e in remainder:
+                                remainder[e] *= m
+                    multiple = multiples[i]
+                    if multiple is None:
+                        multiple = []
+                        shift = exps - lt
+                        for ge, gn in tail:
+                            e = shift + ge
+                            col = columns.get(e)
+                            if col is None:
+                                # a monomial met before was tested then
+                                if e & guard:
+                                    raise _Overflow
+                                col = column(e)
+                            multiple.append((col, gn))
+                        multiples[i] = multiple
+                    w = -w
+                    for col, gn in multiple:
+                        prev = values[col]
+                        if prev is None:
+                            heappush(heap, -monomials[col])
+                            values[col] = w * gn
                         else:
-                            del work[e]
-                break
-        else:
-            remainder[exps] = w
+                            values[col] = prev + w * gn
+                    break
+            else:
+                remainder[exps] = w
+    except BaseException:
+        # a reduction cut short leaves its terms behind
+        values[:] = [None] * len(values)
+        raise
     if den != 1:
         content = gcd(den, *remainder.values())
         if content != 1:
@@ -474,7 +590,7 @@ def normal_form(poly, basis, order=GREVLEX, budget=None):
         remainder, den = _reduce(*_working(field, _pack_terms(poly, packing)),
                                  [_pack(g, packing) for g in basis], field,
                                  packing.guard, budget)
-        return _unpack(field, packing, remainder, den)
+        return _unpack(field, packing, remainder.items(), den)
 
     return MultiPolynomial(field, variables, _widening(order, len(variables), budget, run))
 
@@ -523,18 +639,21 @@ def buchberger(generators, order=GREVLEX, budget=None):
         return []
     field, variables = generators[0].field, generators[0].variables
     _check_ring(generators, field, variables)
-    budget = budget or Budget()
+    packing, basis = _groebner(generators, field, len(variables), order, budget or Budget())
+    return [_box(field, variables, packing, *g) for g in basis]
 
-    def run(packing):
-        basis = _buchberger(generators, field, packing, budget)
-        return [_box(field, variables, packing, h, tail, den) for h, tail, den in basis]
 
-    return _widening(order, len(variables), budget, run)
+def _groebner(generators, field, n, order, budget):
+    """(packing, basis elements) of the reduced basis of the ideal that the
+    nonzero ``generators``, in ``n`` variables over ``field``, span: the
+    engine's run at the width where no monomial overflows."""
+    return _widening(order, n, budget,
+                     lambda packing: (packing, _buchberger(generators, field, packing, budget)))
 
 
 def _buchberger(generators, field, packing, budget):
-    """The reduced basis as (packed leading monomial, tail, den) triples,
-    each tail a remainder of ``_reduce``, in ascending order."""
+    """The reduced basis as basis elements (see ``_element``), in ascending
+    order."""
     guard = packing.guard
     # generators enter smallest leading monomial first, ties in input order
     packed = sorted((_pack_terms(g, packing) for g in generators), key=max)
@@ -549,12 +668,12 @@ def _buchberger(generators, field, packing, budget):
         # the basis elements (see ``_element``); ``leads`` repeats their
         # leading monomials.  The basis only grows, so one divisor index
         # serves every reduction modulo it.
-        basis, leads, index = [], [], {}
+        basis, leads, index = [], [], _DivisorIndex()
         for terms in packed:
             remainder, _ = _reduce(*_working(field, terms), basis, field, guard, budget,
                                    index=index)
             if not _extend(basis, leads, remainder, field, packing, budget, index):
-                return [(0, {}, 1)]
+                return [(0, 1, [])]
         # the inter-reduction builds its own index; free this one first, so
         # that the two never hold memory at once
         del index
@@ -654,9 +773,11 @@ def _reduce_basis(basis, field, guard, budget):
     # own LT, so it keeps its leading term with coefficient 1, the basis
     # stays monic and in ascending order.  An element's own LT divides no
     # monomial below it, so reducing modulo all of ``kept`` changes no step.
-    index = {}
-    return [(lt, *_reduce(dict(tail), d, kept, field, guard, budget, index=index))
-            for lt, d, tail in kept]
+    index, reduced = _DivisorIndex(), []
+    for lt, d, tail in kept:
+        remainder, den = _reduce(dict(tail), d, kept, field, guard, budget, index=index)
+        reduced.append((lt, den, list(remainder.items())))
+    return reduced
 
 
 def ideal_equal(I, J, budget=None):
@@ -675,15 +796,11 @@ def eliminate(I, keep, budget=None):
     split = len(variables) - len(keep)
     if variables[split:] != keep:
         raise FieldMismatch(f"{keep} is not a suffix of {variables}")
-    order = block_order(split)
-    basis = I.groebner(order, budget)
-    out = []
-    for g in basis:
-        if all(all(e == 0 for e in exps[:split]) for exps in g.terms):
-            out.append(MultiPolynomial(
-                I.field, keep,
-                {exps[split:]: c for exps, c in g.terms.items()}))
-    return Ideal(I.field, keep, out)
+    packing, elements, _ = I._basis(block_order(split), budget)
+    # the order eliminates the first block, so an element lies in the
+    # subring when its leading monomial does
+    return Ideal(I.field, keep, [_box(I.field, keep, packing, *g, split) for g in elements
+                                 if not any(packing.unpack(g[0])[:split])])
 
 
 def apply_semilinear(sigma, images, poly):

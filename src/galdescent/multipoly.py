@@ -277,7 +277,7 @@ class MultiPolynomial:
             mono = "*".join(
                 f"{name}^{e}" if e > 1 else name
                 for name, e in zip(self.variables, exps) if e)
-            coeff_str = _format_coeff(coeff)
+            coeff_str = coeff.field.format_coefficient(coeff)
             if not mono:
                 parts.append(coeff_str)
             elif coeff_str == "1":
@@ -288,15 +288,3 @@ class MultiPolynomial:
                 parts.append(f"{coeff_str}*{mono}")
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
-
-
-def _format_coeff(coeff):
-    from .extension import ExtensionField
-
-    field = coeff.field
-    if isinstance(field, ExtensionField):
-        poly = field.to_unipoly(coeff)
-        if poly.degree <= 0:
-            return repr(poly.coeff(0))
-        return f"({poly.format()})"
-    return repr(coeff)

@@ -297,6 +297,22 @@ def sample(F, seed, count=12):
     return out
 
 
+@pytest.mark.parametrize("name", ["GF(3^2)", "GF(5^3)", "GF(2^12)", "Q(i)", "Q(sqrt 1/2)",
+                                  "Cyclo(7)"])
+def test_formatting_reads_the_coordinates(name):
+    """An element's text is that of its boxed polynomial in t, -1*t
+    included, and as a coefficient a non-constant one is parenthesized."""
+    F = field(name)
+    t = F.generator
+    for a in sample(F, 5, 20) + [F.one, -F.one, F.from_int(3), t, -t, 2 * t - 1]:
+        text = F.to_unipoly(a).format()
+        assert F.format_element(a) == text
+        constant = F.to_unipoly(a).degree <= 0
+        assert F.format_coefficient(a) == (text if constant else f"({text})")
+    if not F.is_finite:
+        assert F.format_coefficient(-t) == "(-1*t)"
+
+
 class TestCoordsMatrix:
     """The matrix built from raw values against the one built from boxed
     coordinates."""

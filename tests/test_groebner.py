@@ -1,4 +1,5 @@
 import math
+import pathlib
 import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -8,6 +9,7 @@ from operator import le, sub
 import pytest
 
 from galdescent import groebner
+from galdescent.cli import run
 from galdescent.errors import Budget, BudgetExceeded, FieldMismatch
 from galdescent.extension import make_extension
 from galdescent.fields import GF, QQ, FieldElement
@@ -21,6 +23,7 @@ from galdescent.groebner import (
     normal_form,
 )
 from galdescent.multipoly import GREVLEX, LEX, MultiPolynomial, _monomial_mul, block_order
+from galdescent.parser import parse
 from galdescent.unipoly import UniPoly
 
 try:
@@ -672,9 +675,8 @@ class TestOverflow:
         return answers
 
     def test_membership_at_a_narrow_width_matches_the_default(self, monkeypatch):
-        # the probes fit 3-bit fields until u0^4 u1^4 (degree 8), which
-        # overflows them; the rerun packs the basis afresh at 6 bits, with
-        # a fresh divisor index
+        # the engine overflows 3-bit fields and ends at 6 bits, where its
+        # packed basis stays, so every membership test runs at 6 bits
         gens, order, probes = self.katsura_case()
         u = ring(GF(32003), gens[0].variables)
         probes = probes[:2] + [g * p for g, p in zip(gens, probes)]
@@ -688,7 +690,32 @@ class TestOverflow:
         ideal.groebner(order)
         widths.clear()
         assert self.memberships(ideal, probes) == expected
-        assert widths[0] == 3 and max(widths) == 6
+        assert set(widths) == {6}
+        assert any(member for member, _ in expected) and not all(member for member, _ in expected)
+
+    def test_membership_rerun_repacks_the_packed_basis(self, monkeypatch):
+        # the basis fits 3-bit fields, the probe x^5 y^3 (degree 8) does
+        # not; the rerun re-packs the basis the engine packed, at 6 bits,
+        # with a fresh divisor index, and boxes nothing
+        x, y, z = ring(GF(32003), ("x", "y", "z"))
+        gens = [x * x - y * z, y * y - x + 1, z * z - 2 * x]
+        probes = [x * y, x ** 5 * y ** 3 - z, gens[0] * x ** 4 * y ** 2, x * z]
+        expected = self.memberships(Ideal(GF(32003), x.variables, gens), probes)
+        widths = self.narrow(monkeypatch)
+        monkeypatch.setattr(groebner, "_WIDTH", 3)
+        ideal = Ideal(GF(32003), x.variables, gens)
+        ideal.groebner(GREVLEX)
+        assert widths == [3]
+
+        def refuse(*args):
+            raise AssertionError("boxed or packed a basis again")
+
+        monkeypatch.setattr(groebner, "_box", refuse)
+        monkeypatch.setattr(groebner, "_pack", refuse)
+        assert self.memberships(ideal, probes) == expected
+        # the engine, then the first probe at 3 bits, the second probe at
+        # 3 and again at 6 bits, and every later test at 6 bits
+        assert widths[:4] == [3, 3, 3, 6] and set(widths[4:]) == {6}
         assert any(member for member, _ in expected) and not all(member for member, _ in expected)
 
     def test_s_polynomial_flags_an_overflowing_term(self):
@@ -807,10 +834,12 @@ def linear_reduce_ints(work, den, basis, p, guard, budget, bound=None, regular=N
 
 class TestDivisorIndex:
     """The int loop looks up the elements that divide a popped monomial in
-    a divisor index instead of scanning the basis, and so reduces by the
-    element the scan picks: the same remainder, denominator and steps as
-    ``linear_reduce_ints``, also under a signature bound and with one index
-    shared while the basis grows by appends."""
+    a divisor index instead of scanning the basis, and applies the
+    multiples it cached there: it reduces by the element the scan picks,
+    with the same remainder, denominator and steps as
+    ``linear_reduce_ints``, also under a signature bound, with one index
+    shared while the basis grows by appends, and over QQ when a step
+    rescales the work."""
 
     ORDERS = [GREVLEX, LEX, block_order(1), block_order(2)]
     PRIMES = [7, 32003, 0]
@@ -865,7 +894,8 @@ class TestDivisorIndex:
         for _ in range(12):
             basis = [self.element(rng, packing, p) for _ in range(rng.randrange(1, 7))]
             for signed in (False, True):
-                spent += self.compare(rng, packing, p, basis, {}, signed)
+                spent += self.compare(rng, packing, p, basis, groebner._DivisorIndex(),
+                                      signed)
         assert spent
 
     @pytest.mark.parametrize("p", PRIMES, ids=["gf7", "gf32003", "qq"])
@@ -874,13 +904,165 @@ class TestDivisorIndex:
         rng = random.Random(f"shared {order!r} {p}")
         packing = groebner._packing(order, 3, groebner._WIDTH)
         for _ in range(3):
-            basis, index, spent = [], {}, 0
+            basis, index, spent = [], groebner._DivisorIndex(), 0
             for _ in range(8):
                 basis.append(self.element(rng, packing, p))
                 for signed in (False, True, False):
                     spent += self.compare(rng, packing, p, basis, index, signed)
-            # the index was reused after the basis grew past its entries
-            assert spent and any(checked < len(basis) for checked, _ in index.values())
+            # the index was reused after the basis grew past its entries,
+            # and it applied cached multiples: more steps than multiples made
+            assert spent and any(entry[0] < len(basis) for entry in index.entries if entry)
+            assert self.multiples(index) < spent
+
+    @staticmethod
+    def multiples(index):
+        """The multiples the index has made."""
+        return sum(m is not None for entry in index.entries if entry for m in entry[2])
+
+    @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["gf32003", "qq"])
+    def test_a_reduction_cut_short_leaves_the_index_clean(self, field):
+        gens = katsura(4, field)
+        u = ring(field, gens[0].variables)
+        probes = [u[1] ** 4 * u[2] - u[3] + 2, gens[2] * u[0] ** 3, u[3] ** 3 * u[4] ** 2 - u[0]]
+        fresh = Ideal(field, u[0].variables, gens)
+        fresh.groebner()
+        expected = []
+        for p in probes:
+            budget = Budget()
+            expected.append((fresh.contains(p, budget), budget.spent))
+        ideal = Ideal(field, u[0].variables, gens)
+        ideal.groebner()
+        for p, (_, steps) in zip(probes, expected):
+            # cut short midway, the reduction leaves terms on the columns
+            with pytest.raises(BudgetExceeded):
+                ideal.contains(p, Budget(steps // 2))
+        got = []
+        for p in probes:
+            budget = Budget()
+            got.append((ideal.contains(p, budget), budget.spent))
+        assert got == expected and all(steps > 2 for _, steps in expected)
+
+    def test_rational_rescales_across_cached_multiples(self):
+        # every element has denominator 3 or 5, so reducing the same work
+        # again rescales it while it applies only cached multiples
+        packing = groebner._packing(GREVLEX, 3, groebner._WIDTH)
+        pack = packing.pack
+        basis = [groebner._element(QQ, pack(lt), {pack(lt): d, **{pack(e): n for e, n in tail}})
+                 for lt, d, tail in [((1, 0, 0), 3, [((0, 1, 0), -1), ((0, 0, 1), 2)]),
+                                     ((0, 2, 0), 5, [((0, 0, 2), 3), ((0, 0, 0), -7)])]]
+        work = {pack((2, 1, 0)): 1, pack((1, 1, 1)): 4, pack((0, 0, 3)): -2}
+        index, spent = groebner._DivisorIndex(), []
+        for den in (1, 7, 1):
+            ours, theirs = Budget(), Budget()
+            got = groebner._reduce_ints(dict(work), den, basis, 0, packing.guard, ours,
+                                        None, None, index)
+            want = linear_reduce_ints(dict(work), den, basis, 0, packing.guard, theirs)
+            assert (list(got[0].items()), got[1], ours.spent) == (
+                list(want[0].items()), want[1], theirs.spent)
+            # the remainder's denominator carries the rescales
+            assert got[1] % 3 == 0 and got[1] % 5 == 0
+            spent.append((ours.spent, self.multiples(index)))
+        # the later reductions made no multiple
+        assert spent[0][0] > 2 and spent[1][1] == spent[2][1] == spent[0][1]
+
+
+def repacked_contains(ideal, poly, budget):
+    """Membership as ``Ideal.contains`` decided it before the packed basis
+    stayed in the ideal: the grevlex basis boxed, then packed again for the
+    normal form."""
+    return normal_form(poly, ideal.groebner(GREVLEX, budget), GREVLEX, budget).is_zero
+
+
+def katsura_document(n, field):
+    """A document that validates Katsura-n over ``field``."""
+    u = [f"u{i}" for i in range(n + 1)]
+    relations = ["u0 + " + " + ".join(f"2*{v}" for v in u[1:]) + " - 1"]
+    for m in range(n):
+        terms = [f"{u[abs(l)]}*{u[abs(m - l)]}" for l in range(-n, n + 1) if abs(m - l) <= n]
+        relations.append(" + ".join(terms) + f" - {u[m]}")
+    return (f"field K = {field}\n"
+            f"algebra A = K[{', '.join(u)}]/({', '.join(relations)})\n"
+            "validate A\n")
+
+
+class TestPackedBasis:
+    """An ``Ideal`` keeps each basis as the engine packed it: the basis
+    size, membership tests, normal forms and elimination read it without
+    boxing it, and nothing packs it again but a widening rerun."""
+
+    @staticmethod
+    def refuse(monkeypatch, name):
+        def refused(*args):
+            raise AssertionError(f"called {name}")
+
+        monkeypatch.setattr(groebner, name, refused)
+
+    @pytest.mark.parametrize("field", ["GF(32003^1)", "QQ"])
+    def test_validate_boxes_no_basis(self, monkeypatch, field):
+        document = parse(katsura_document(4, field))
+        expected = run(document)
+        assert "groebner basis size: " in expected[0] and expected[2] == 0
+        self.refuse(monkeypatch, "_box")
+        assert run(document) == expected
+
+    def test_readers_pack_nothing(self, monkeypatch):
+        x, y, z = ring(QQ, ("x", "y", "z"))
+        gens = [x * x - y, x * y - z, y * z + QQ.from_fraction(1, 3)]
+        ideal = Ideal(QQ, ("x", "y", "z"), gens)
+        unit = Ideal(QQ, ("x", "y", "z"), [x - 1, x * y - y - 1])
+        probes = [x ** 3 - z, x * z - y * y, y * y * z + x + 1]
+        budget = Budget()
+        expected = ([ideal.contains(p, budget) for p in probes], ideal.is_unit_ideal(),
+                    unit.is_unit_ideal(),
+                    eliminate(Ideal(QQ, ideal.variables, gens), ("y", "z"), budget).generators,
+                    budget.spent)
+        self.refuse(monkeypatch, "_pack")
+        ideal, unit = Ideal(QQ, ideal.variables, gens), Ideal(QQ, unit.variables, unit.generators)
+        budget = Budget()
+        assert ([ideal.contains(p, budget) for p in probes], ideal.is_unit_ideal(),
+                unit.is_unit_ideal(), eliminate(ideal, ("y", "z"), budget).generators,
+                budget.spent) == expected
+        assert expected[0] == [True, True, False] and not expected[1] and expected[2]
+        assert expected[3] and {g.variables for g in expected[3]} == {("y", "z")}
+
+    @pytest.mark.parametrize("name", ["descend_canonical_line", "descend_conic_qi",
+                                      "descend_swap_f9", "descend_swap_qi"])
+    def test_descend_packs_nothing(self, monkeypatch, name):
+        text = (pathlib.Path(__file__).parent / "documents" / f"{name}.txt").read_text()
+        expected = run(parse(text))
+        assert expected[2] == 0
+        self.refuse(monkeypatch, "_pack")
+        assert run(parse(text)) == expected
+
+    def probe_cases(self):
+        """(field, generators, coefficients) over GF(7), GF(32003), QQ and
+        GF(9)."""
+        F9 = make_extension(GF(3), UniPoly.from_ints(GF(3), [1, 0, 1]))
+        return [(GF(7), katsura(3, GF(7)), [GF(7).from_int(c) for c in range(1, 7)]),
+                (GF(32003), katsura(3, GF(32003)),
+                 [GF(32003).from_int(c) for c in (1, 2, 16001, 32002)]),
+                (QQ, katsura(3, QQ), [QQ.from_fraction(a, b) for a in (-3, 1, 2) for b in (1, 5)]),
+                (F9, swap_elimination_generators(), [c for c in F9.elements() if c])]
+
+    def test_membership_matches_the_repacked_reference(self):
+        for field, gens, coefficients in self.probe_cases():
+            names = gens[0].variables
+            ideal, reference = Ideal(field, names, gens), Ideal(field, names, gens)
+            ideal.groebner(GREVLEX)
+            reference.groebner(GREVLEX)
+            others = random_polys(field, names, coefficients, 12, seed=43)
+            # members: sums of multiples of the generators
+            members = [a * gens[k % len(gens)] + b * gens[(k + 1) % len(gens)]
+                       for k, (a, b) in enumerate(zip(others, others[1:]))]
+            got, want = [], []
+            for p in members + others:
+                ours, theirs = Budget(), Budget()
+                got.append((ideal.contains(p, ours), ours.spent))
+                want.append((repacked_contains(reference, p, theirs), theirs.spent))
+            assert got == want
+            answers = [member for member, _ in got]
+            assert all(answers[:len(members)]) and not all(answers)
+            assert sum(steps for _, steps in got) > len(got)
 
 
 class TestNormalForm:

@@ -78,7 +78,6 @@ def test_every_public_function_has_a_reader():
 # module-level imports that a top-level import would close.
 DEFERRED_IMPORTS = {
     ("extension", "coords_matrix", "linalg"): ("linalg", "extension"),
-    ("multipoly", "_format_coeff", "extension"): ("extension", "enumeration", "multipoly"),
 }
 
 
